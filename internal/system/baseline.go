@@ -302,7 +302,10 @@ func (b *Baseline) Run(limit uint64) (Results, error) {
 	for _, l2 := range b.L2s {
 		r.L2Hits += l2.Stats.Hits
 		r.L2Misses += l2.Stats.Misses
+		r.SnoopsFiltered += l2.Stats.SnoopsFiltered
+		r.SnoopsSeen += l2.Stats.SnoopsSeen
 		r.Writebacks += l2.Stats.Writebacks
+		r.FIDDeferrals += l2.Stats.FIDDeferrals
 	}
 	for _, ep := range b.Endpoints {
 		r.OrderingLat.Merge(ep.OrderingWait)

@@ -72,3 +72,17 @@ func TestTokenBTracksScorpio(t *testing.T) {
 		t.Errorf("TokenB should perform close to SCORPIO (paper Fig 7); ratio %.2f", ratio)
 	}
 }
+
+// TestBaselineReportsSnoopCounters pins that a snoopy baseline's results
+// carry the counters its coherence L2s keep, as SCORPIO's do: every ordered
+// request is a broadcast every L2 snoops, so a run that missed at all saw
+// snoops, and the region tracker can filter no more snoops than it saw.
+func TestBaselineReportsSnoopCounters(t *testing.T) {
+	res := runBaseline(t, SchemeTokenB, 0, "barnes")
+	if res.SnoopsSeen == 0 {
+		t.Fatalf("TokenB run with %d L2 misses reports 0 snoops seen", res.L2Misses)
+	}
+	if res.SnoopsFiltered > res.SnoopsSeen {
+		t.Fatalf("SnoopsFiltered %d exceeds SnoopsSeen %d", res.SnoopsFiltered, res.SnoopsSeen)
+	}
+}
