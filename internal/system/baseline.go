@@ -2,7 +2,6 @@ package system
 
 import (
 	"fmt"
-	"time"
 
 	"scorpio/internal/baseline"
 	"scorpio/internal/coherence"
@@ -10,7 +9,6 @@ import (
 	"scorpio/internal/noc"
 	"scorpio/internal/obs"
 	"scorpio/internal/sim"
-	"scorpio/internal/stats"
 	"scorpio/internal/trace"
 )
 
@@ -76,14 +74,12 @@ func DefaultBaselineOptions(scheme OrderingScheme, prof trace.Profile) BaselineO
 
 // Baseline is an assembled TokenB or INSO machine.
 type Baseline struct {
+	machine
 	opt       BaselineOptions
-	Kernel    *sim.Kernel
 	Mesh      *noc.Mesh
 	Endpoints []*baseline.Endpoint
 	L2s       []*coherence.L2Controller
 	INSO      *baseline.INSO // nil for TokenB
-	Injectors []*trace.Injector
-	Obs       *Observability
 }
 
 // NewBaseline builds the machine. Baseline machines always run on the serial
@@ -102,7 +98,7 @@ func NewBaseline(opt BaselineOptions) (*Baseline, error) {
 		return nil, err
 	}
 	k := sim.NewKernel()
-	b := &Baseline{opt: opt, Kernel: k, Mesh: mesh}
+	b := &Baseline{machine: machine{Kernel: k, label: opt.Scheme.String() + "/" + opt.Profile.Name}, opt: opt, Mesh: mesh}
 	var orderer baseline.Orderer
 	switch opt.Scheme {
 	case SchemeTokenB:
@@ -163,155 +159,49 @@ func NewBaseline(opt BaselineOptions) (*Baseline, error) {
 	}
 	mesh.Register(k)
 	k.SetIdleSkip(!opt.DisableIdleSkip)
-	var obsErr error
-	b.Obs, obsErr = buildObs(opt.Obs, k, opt.Net.Nodes(),
-		machineInfo{
-			label:   opt.Scheme.String() + "/" + opt.Profile.Name,
-			mesh:    mesh,
-			latency: latencyFromInjectors(func() []*trace.Injector { return b.Injectors }),
-		},
-		func(c *counters) {
-			for _, ep := range b.Endpoints {
-				c.injected += ep.Injected
-				c.ejected += ep.Delivered
-			}
-			ns := mesh.Stats()
-			c.flitsRouted, c.bypasses, c.allocStalls = ns.FlitsRouted, ns.Bypasses, ns.AllocStalls
-		},
-		func() (int, int) {
-			out := 0
-			for _, l2 := range b.L2s {
-				out += l2.Outstanding()
-			}
-			return mesh.BufferedFlits(), out
-		},
-		func() bool {
-			if mesh.BufferedFlits() > 0 {
-				return true
-			}
-			for _, ep := range b.Endpoints {
-				if ep.HasPendingWork() {
-					return true
-				}
-			}
-			return false
-		},
-		func(now uint64) string {
-			s := mesh.Snapshot(now)
-			for _, ep := range b.Endpoints {
-				if ep.HasPendingWork() {
-					s += ep.OrderingSnapshot() + "\n"
-				}
-			}
-			return s
-		},
-	)
-	if obsErr != nil {
-		return nil, obsErr
+	if b.Obs, err = buildObs(opt.Obs, &b.machine, mesh, b); err != nil {
+		return nil, err
 	}
-	if b.Obs != nil && b.Obs.Tracer != nil {
-		mesh.SetTracer(b.Obs.Tracer)
-		for _, ep := range b.Endpoints {
-			ep.SetTracer(b.Obs.Tracer)
-		}
-		for _, l2 := range b.L2s {
-			l2.SetTracer(b.Obs.Tracer)
-		}
-	}
-	if b.Obs != nil && b.Obs.Auditor != nil {
-		mesh.SetAuditor(b.Obs.Auditor)
-		for _, ep := range b.Endpoints {
-			ep.SetAuditor(b.Obs.Auditor)
-		}
-		for _, l2 := range b.L2s {
-			l2.SetAuditor(b.Obs.Auditor)
-		}
-	}
-	if b.Obs != nil {
-		for _, inj := range b.Injectors {
-			inj.Attr = b.Obs.Attrib
-		}
-	}
+	hook(b.Obs, mesh)
+	hook(b.Obs, b.Endpoints...)
+	hook(b.Obs, b.L2s...)
+	b.attribute()
 	return b, nil
 }
 
-// Done reports completion.
-func (b *Baseline) Done() bool {
-	for _, in := range b.Injectors {
-		if !in.Done() {
-			return false
-		}
+// read implements probe.
+func (b *Baseline) read(c *reading) {
+	for _, ep := range b.Endpoints {
+		c.injected += ep.Injected
+		c.ejected += ep.Delivered
 	}
-	return true
+	c.net = b.Mesh.Stats()
+	c.buffered = b.Mesh.BufferedFlits()
+	c.outstanding = outstanding(b.L2s)
 }
+
+// inflight implements probe.
+func (b *Baseline) inflight() bool { return meshInflight(b.Mesh, b.Endpoints) }
+
+// snapshot implements probe.
+func (b *Baseline) snapshot(now uint64) string { return meshSnapshot(b.Mesh, b.Endpoints, now) }
 
 // Run executes to completion and collects results. A watchdog stall aborts
 // the run with the full network snapshot in the error.
 func (b *Baseline) Run(limit uint64) (Results, error) {
-	done := b.Done
-	if b.Obs != nil && (b.Obs.Watchdog != nil || b.Obs.Auditor != nil) {
-		done = func() bool { return b.Obs.Stalled() || b.Obs.Violated() || b.Done() }
+	r, err := b.run(limit, nil)
+	if err != nil {
+		return r, err
 	}
-	wall0 := time.Now()
-	finished := b.Kernel.RunUntil(done, limit)
-	b.Obs.finishPerf(b.Kernel, b.opt.Scheme.String()+"/"+b.opt.Profile.Name, int64(time.Since(wall0)))
-	if b.Obs.Violated() {
-		return Results{}, fmt.Errorf("system: %s/%s audit violation\n%s",
-			b.opt.Scheme, b.opt.Profile.Name, b.Obs.AuditReport())
-	}
-	if b.Obs.Stalled() {
-		return Results{}, fmt.Errorf("system: %s/%s stalled\n%s",
-			b.opt.Scheme, b.opt.Profile.Name, b.Obs.StallReport())
-	}
-	if !finished {
-		var completed uint64
-		for _, in := range b.Injectors {
-			completed += in.Completed
-		}
-		return Results{}, fmt.Errorf("system: %s/%s did not finish within %d cycles (completed %d)",
-			b.opt.Scheme, b.opt.Profile.Name, limit, completed)
-	}
-	if b.Obs != nil && b.Obs.Auditor != nil {
-		b.Obs.Auditor.Finish(b.Kernel.Cycle())
-		if b.Obs.Violated() {
-			return Results{}, fmt.Errorf("system: %s/%s audit violation\n%s",
-				b.opt.Scheme, b.opt.Profile.Name, b.Obs.AuditReport())
-		}
-	}
-	b.Obs.finishHeatmap(b.Mesh, b.Kernel.Cycle())
-	name := b.opt.Scheme.String()
+	r.Protocol, r.Benchmark = b.opt.Scheme.String(), b.opt.Profile.Name
 	if b.opt.Scheme == SchemeINSO {
-		name = fmt.Sprintf("INSO-%d", b.opt.ExpiryWindow)
+		r.Protocol = fmt.Sprintf("INSO-%d", b.opt.ExpiryWindow)
 	}
-	r := Results{Protocol: name, Benchmark: b.opt.Profile.Name, Cycles: b.Kernel.Cycle(), Obs: b.Obs}
-	if len(b.Injectors) > 0 {
-		r.ServiceHist = stats.NewHistogram(4, 512)
-	}
-	for _, in := range b.Injectors {
-		r.Completed += in.Completed
-		r.Service.Merge(in.ServiceLatency)
-		r.ServiceHist.Merge(in.ServiceHist)
-		r.HitLat.Merge(in.HitLatency)
-		r.MissLat.Merge(in.MissLatency)
-		r.CacheServed.Merge(in.CacheServed)
-		r.MemServed.Merge(in.MemServed)
-		if in.DoneCycle > r.LastDone {
-			r.LastDone = in.DoneCycle
-		}
-	}
-	for _, l2 := range b.L2s {
-		r.L2Hits += l2.Stats.Hits
-		r.L2Misses += l2.Stats.Misses
-		r.SnoopsFiltered += l2.Stats.SnoopsFiltered
-		r.SnoopsSeen += l2.Stats.SnoopsSeen
-		r.Writebacks += l2.Stats.Writebacks
-		r.FIDDeferrals += l2.Stats.FIDDeferrals
-	}
+	r.addSnoopyL2s(b.L2s)
 	for _, ep := range b.Endpoints {
 		r.OrderingLat.Merge(ep.OrderingWait)
 	}
 	ns := b.Mesh.Stats()
-	r.FlitsRouted = ns.FlitsRouted
-	r.Bypasses = ns.Bypasses
+	r.FlitsRouted, r.Bypasses = ns.FlitsRouted, ns.Bypasses
 	return r, nil
 }

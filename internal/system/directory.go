@@ -2,7 +2,6 @@ package system
 
 import (
 	"fmt"
-	"time"
 
 	"scorpio/internal/coherence"
 	"scorpio/internal/directory"
@@ -10,7 +9,6 @@ import (
 	"scorpio/internal/noc"
 	"scorpio/internal/obs"
 	"scorpio/internal/sim"
-	"scorpio/internal/stats"
 	"scorpio/internal/trace"
 )
 
@@ -121,14 +119,12 @@ func (t *dirTileAgent) AcceptResponse(p *noc.Packet, cycle uint64) bool {
 
 // Directory is a fully assembled LPD-D or HT-D machine.
 type Directory struct {
-	opt       DirectoryOptions
-	Kernel    *sim.Kernel
-	Mesh      *noc.Mesh
-	NICs      []*nic.NIC
-	L2s       []*directory.L2
-	Homes     []*directory.Home
-	Injectors []*trace.Injector
-	Obs       *Observability
+	machine
+	opt   DirectoryOptions
+	Mesh  *noc.Mesh
+	NICs  []*nic.NIC
+	L2s   []*directory.L2
+	Homes []*directory.Home
 }
 
 // NewDirectory builds the baseline machine.
@@ -142,7 +138,7 @@ func NewDirectory(opt DirectoryOptions) (*Directory, error) {
 		return nil, err
 	}
 	k := sim.NewKernel()
-	d := &Directory{opt: opt, Kernel: k, Mesh: mesh}
+	d := &Directory{machine: machine{Kernel: k, label: opt.Variant.String() + "/" + opt.Profile.Name}, opt: opt, Mesh: mesh}
 	nodes := opt.Net.Nodes()
 	for node := 0; node < nodes; node++ {
 		n := nic.New(node, nic.UnorderedConfig(), mesh, nil, nil)
@@ -170,140 +166,44 @@ func NewDirectory(opt DirectoryOptions) (*Directory, error) {
 	mesh.Register(k)
 	k.SetWorkers(opt.Workers)
 	k.SetIdleSkip(!opt.DisableIdleSkip)
-	var obsErr error
-	d.Obs, obsErr = buildObs(opt.Obs, k, nodes,
-		machineInfo{
-			label:   opt.Variant.String() + "/" + opt.Profile.Name,
-			mesh:    mesh,
-			latency: latencyFromInjectors(func() []*trace.Injector { return d.Injectors }),
-		},
-		func(c *counters) {
-			for _, n := range d.NICs {
-				c.injected += n.Stats.InjectedRequests + n.Stats.InjectedResponses
-				c.ejected += n.Stats.DeliveredRequests + n.Stats.DeliveredResponses
-			}
-			ns := mesh.Stats()
-			c.flitsRouted, c.bypasses, c.allocStalls = ns.FlitsRouted, ns.Bypasses, ns.AllocStalls
-		},
-		func() (int, int) {
-			out := 0
-			for _, l2 := range d.L2s {
-				out += l2.Outstanding()
-			}
-			return mesh.BufferedFlits(), out
-		},
-		func() bool {
-			if mesh.BufferedFlits() > 0 {
-				return true
-			}
-			for _, n := range d.NICs {
-				if n.HasPendingWork() {
-					return true
-				}
-			}
-			return false
-		},
-		func(now uint64) string {
-			s := mesh.Snapshot(now)
-			for _, n := range d.NICs {
-				if n.HasPendingWork() {
-					s += n.OrderingSnapshot() + "\n"
-				}
-			}
-			return s
-		},
-	)
-	if obsErr != nil {
-		return nil, obsErr
+	if d.Obs, err = buildObs(opt.Obs, &d.machine, mesh, d); err != nil {
+		return nil, err
 	}
-	if d.Obs != nil && d.Obs.Tracer != nil {
-		mesh.SetTracer(d.Obs.Tracer)
-		for _, n := range d.NICs {
-			n.SetTracer(d.Obs.Tracer)
-		}
-	}
-	if d.Obs != nil && d.Obs.Auditor != nil {
-		// Directory machines have no ordered stream and a distinct L2 type
-		// without shadow-state hooks, so the auditor covers delivery sanity
-		// only: flit dedup/coverage in the routers and duplicate arrivals /
-		// sink accounting in the NICs.
-		mesh.SetAuditor(d.Obs.Auditor)
-		for _, n := range d.NICs {
-			n.SetAuditor(d.Obs.Auditor)
-		}
-	}
-	if d.Obs != nil {
-		for _, inj := range d.Injectors {
-			inj.Attr = d.Obs.Attrib
-		}
-	}
+	// Directory machines have no ordered stream and a distinct L2 type
+	// without shadow-state hooks, so the auditor covers delivery sanity
+	// only: flit dedup/coverage in the routers and duplicate arrivals / sink
+	// accounting in the NICs.
+	hook(d.Obs, mesh)
+	hook(d.Obs, d.NICs...)
+	d.attribute()
 	return d, nil
 }
 
-// Done reports whether every core finished.
-func (d *Directory) Done() bool {
-	for _, in := range d.Injectors {
-		if !in.Done() {
-			return false
-		}
+// read implements probe.
+func (d *Directory) read(c *reading) {
+	for _, n := range d.NICs {
+		c.injected += n.Stats.InjectedRequests + n.Stats.InjectedResponses
+		c.ejected += n.Stats.DeliveredRequests + n.Stats.DeliveredResponses
 	}
-	return true
+	c.net = d.Mesh.Stats()
+	c.buffered = d.Mesh.BufferedFlits()
+	c.outstanding = outstanding(d.L2s)
 }
+
+// inflight implements probe.
+func (d *Directory) inflight() bool { return meshInflight(d.Mesh, d.NICs) }
+
+// snapshot implements probe.
+func (d *Directory) snapshot(now uint64) string { return meshSnapshot(d.Mesh, d.NICs, now) }
 
 // Run executes to completion and collects results. A watchdog stall aborts
 // the run with the full network snapshot in the error.
 func (d *Directory) Run(limit uint64) (Results, error) {
-	done := d.Done
-	if d.Obs != nil && (d.Obs.Watchdog != nil || d.Obs.Auditor != nil) {
-		done = func() bool { return d.Obs.Stalled() || d.Obs.Violated() || d.Done() }
+	r, err := d.run(limit, nil)
+	if err != nil {
+		return r, err
 	}
-	wall0 := time.Now()
-	finished := d.Kernel.RunUntil(done, limit)
-	d.Obs.finishPerf(d.Kernel, d.opt.Variant.String()+"/"+d.opt.Profile.Name, int64(time.Since(wall0)))
-	if d.Obs.Violated() {
-		return Results{}, fmt.Errorf("system: %s/%s audit violation\n%s",
-			d.opt.Variant, d.opt.Profile.Name, d.Obs.AuditReport())
-	}
-	if d.Obs.Stalled() {
-		return Results{}, fmt.Errorf("system: %s/%s stalled\n%s",
-			d.opt.Variant, d.opt.Profile.Name, d.Obs.StallReport())
-	}
-	if !finished {
-		var completed uint64
-		for _, in := range d.Injectors {
-			completed += in.Completed
-		}
-		return Results{}, fmt.Errorf("system: %s/%s did not finish within %d cycles (completed %d)",
-			d.opt.Variant, d.opt.Profile.Name, limit, completed)
-	}
-	if d.Obs != nil && d.Obs.Auditor != nil {
-		d.Obs.Auditor.Finish(d.Kernel.Cycle())
-		if d.Obs.Violated() {
-			return Results{}, fmt.Errorf("system: %s/%s audit violation\n%s",
-				d.opt.Variant, d.opt.Profile.Name, d.Obs.AuditReport())
-		}
-	}
-	d.Obs.finishHeatmap(d.Mesh, d.Kernel.Cycle())
-	return d.collect(), nil
-}
-
-func (d *Directory) collect() Results {
-	r := Results{Protocol: d.opt.Variant.String(), Benchmark: d.opt.Profile.Name, Cycles: d.Kernel.Cycle(), Obs: d.Obs}
-	if len(d.Injectors) > 0 {
-		r.ServiceHist = stats.NewHistogram(4, 512)
-	}
-	for _, in := range d.Injectors {
-		r.Completed += in.Completed
-		r.Service.Merge(in.ServiceLatency)
-		r.ServiceHist.Merge(in.ServiceHist)
-		r.HitLat.Merge(in.HitLatency)
-		r.MissLat.Merge(in.MissLatency)
-		r.CacheServed.Merge(in.CacheServed)
-		r.MemServed.Merge(in.MemServed)
-		if in.DoneCycle > r.LastDone {
-			r.LastDone = in.DoneCycle
-		}
-	}
+	r.Protocol, r.Benchmark = d.opt.Variant.String(), d.opt.Profile.Name
 	for _, l2 := range d.L2s {
 		r.L2Hits += l2.Stats.Hits
 		r.L2Misses += l2.Stats.Misses
@@ -315,7 +215,6 @@ func (d *Directory) collect() Results {
 		r.DirCacheHits += h.Stats.DirCacheHits
 	}
 	ns := d.Mesh.Stats()
-	r.FlitsRouted = ns.FlitsRouted
-	r.Bypasses = ns.Bypasses
-	return r
+	r.FlitsRouted, r.Bypasses = ns.FlitsRouted, ns.Bypasses
+	return r, nil
 }

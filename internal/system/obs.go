@@ -1,6 +1,7 @@
 package system
 
 import (
+	"fmt"
 	"time"
 
 	"scorpio/internal/noc"
@@ -10,36 +11,11 @@ import (
 	"scorpio/internal/obs/telemetry"
 	"scorpio/internal/sim"
 	"scorpio/internal/stats"
-	"scorpio/internal/trace"
 )
 
-// metricsColumns is the live time-series schema shared by every machine.
-// Counter columns report the delta since the previous sample (rates);
-// buffered_flits, outstanding, active_units and wheel_pending are occupancy
-// gauges sampled instantly. The last four columns come from the kernel's
-// activity engine (see internal/obs/perfmon); fast-forward never fires under
-// the sampler (an observer disables it), so its counters live in the
-// RunReport only.
-var metricsColumns = []string{
-	"injected", "ejected", "buffered_flits",
-	"flits_routed", "bypasses", "alloc_stalls",
-	"notif_windows", "outstanding",
-	"active_units", "parks", "wakes", "wheel_pending",
-}
-
-// counters is one machine-wide reading of the cumulative activity counters
-// that back the metrics time series.
-type counters struct {
-	injected, ejected     uint64
-	flitsRouted, bypasses uint64
-	allocStalls           uint64
-	notifWindows          uint64
-}
-
-// Telemetry series indices. Unlike metricsColumns (whose counter columns
-// report per-sample deltas), every counter series publishes its *cumulative*
-// value — OpenMetrics counters must be monotonic, and rates fall out of
-// consecutive SSE ticks on the client side.
+// Series indices into telemetrySeries, the one schema every observer of a
+// machine reads: the live exporter publishes the whole table, the CSV
+// sampler projects it (metricsSeries) and the watchdog reads ejected.
 const (
 	tsInjected = iota
 	tsEjected
@@ -61,8 +37,10 @@ const (
 	numTelemetrySeries
 )
 
-// telemetrySeries is the live-export schema shared by every machine; index
-// i describes row[i] as filled by the observer's telemetry tick.
+// telemetrySeries is the series table shared by every machine; index i
+// describes row[i] as fill writes it. Every counter series holds its
+// *cumulative* value — OpenMetrics counters must be monotonic, and rates
+// fall out of consecutive SSE ticks on the client side.
 var telemetrySeries = []telemetry.Series{
 	tsInjected:          {Name: "injected", Kind: telemetry.Counter, Help: "Packets injected into the network (requests + responses)."},
 	tsEjected:           {Name: "ejected", Kind: telemetry.Counter, Help: "Packets delivered to their destination agents."},
@@ -83,36 +61,151 @@ var telemetrySeries = []telemetry.Series{
 	tsLatP99:            {Name: "lat_p99", Kind: telemetry.Gauge, Help: "p99 L2 service latency in cycles over the run so far."},
 }
 
-// machineInfo carries the per-machine identity and read hooks the telemetry
-// exporter needs beyond the shared counter closures.
-type machineInfo struct {
-	// label names the run ("SCORPIO/fft", "LPD-D/lu", "INSO/barnes").
-	label string
-	// mesh is the machine's main network (heatmap dimensions and per-router
-	// utilization); nil disables the heat grid.
-	mesh *noc.Mesh
-	// latency reports the current p50/p99 service latency in cycles.
-	// Driver-side only (called from the kernel observer between cycles).
-	latency func() (p50, p99 float64)
+// metricsSeries projects the series table onto the CSV sampler's columns:
+// a counter column reports the delta since the previous sample (a rate), a
+// gauge column the value as read. The last four columns come from the
+// kernel's activity engine (see internal/obs/perfmon); fast-forward never
+// fires under the sampler (an observer disables it), so its counters live in
+// the RunReport only.
+var metricsSeries = []int{
+	tsInjected, tsEjected, tsBufferedFlits,
+	tsFlitsRouted, tsBypasses, tsAllocStalls,
+	tsNotifWindows, tsOutstanding,
+	tsActiveUnits, tsParks, tsWakes, tsWheelPending,
 }
 
-// latencyFromInjectors builds a driver-side live-percentile reader over a
-// machine's trace injectors. get is evaluated lazily on every call because
-// injectors attach after the observability bundle is built; the scratch
-// histogram is reused so sampling stays allocation-free after the first tick.
-func latencyFromInjectors(get func() []*trace.Injector) func() (p50, p99 float64) {
+// metricsColumns names the sampler's columns, in metricsSeries order.
+var metricsColumns = func() []string {
+	cols := make([]string, len(metricsSeries))
+	for j, i := range metricsSeries {
+		cols[j] = telemetrySeries[i].Name
+	}
+	return cols
+}()
+
+// reading is one machine-wide read of the network counters and occupancy
+// gauges a probe reports.
+type reading struct {
+	injected, ejected     uint64
+	net                   noc.RouterStats // flits routed, bypasses, alloc stalls
+	notifWindows          uint64          // SCORPIO only
+	buffered, outstanding int             // router-buffered flits, outstanding misses
+}
+
+// probe is what the observers read from one machine. Every method runs
+// driver-side, between cycles.
+type probe interface {
+	// read adds the machine's cumulative counters and current gauges to c.
+	read(c *reading)
+	// inflight reports whether undelivered packets exist anywhere (router
+	// buffers or endpoint queues).
+	inflight() bool
+	// snapshot renders the full network state at a cycle.
+	snapshot(now uint64) string
+}
+
+// outstanding sums the outstanding misses of a machine's L2s.
+func outstanding[L interface{ Outstanding() int }](l2s []L) int {
+	n := 0
+	for _, l2 := range l2s {
+		n += l2.Outstanding()
+	}
+	return n
+}
+
+// endpoint is a directory NIC or a baseline endpoint: the per-node queue an
+// unordered-mesh machine's probe reads besides the mesh itself.
+type endpoint interface {
+	HasPendingWork() bool
+	OrderingSnapshot() string
+}
+
+// meshInflight reports whether flits are buffered in the mesh or packets
+// wait in any endpoint.
+func meshInflight[E endpoint](mesh *noc.Mesh, eps []E) bool {
+	if mesh.BufferedFlits() > 0 {
+		return true
+	}
+	for _, ep := range eps {
+		if ep.HasPendingWork() {
+			return true
+		}
+	}
+	return false
+}
+
+// meshSnapshot renders the mesh state plus every endpoint that still holds
+// packets.
+func meshSnapshot[E endpoint](mesh *noc.Mesh, eps []E, now uint64) string {
+	s := mesh.Snapshot(now)
+	for _, ep := range eps {
+		if ep.HasPendingWork() {
+			s += ep.OrderingSnapshot() + "\n"
+		}
+	}
+	return s
+}
+
+// fill writes one cumulative reading of the series table into row from the
+// machine's probe and the kernel's activity engine. The latency gauges are
+// left to the live exporter, the only reader that pays for them.
+func fill(row []float64, k *sim.Kernel, p probe) {
+	var c reading
+	p.read(&c)
+	act := k.ActivityCounters()
+	activeUnits, _ := k.ActiveUnits()
+	row[tsInjected] = float64(c.injected)
+	row[tsEjected] = float64(c.ejected)
+	row[tsFlitsRouted] = float64(c.net.FlitsRouted)
+	row[tsBypasses] = float64(c.net.Bypasses)
+	row[tsAllocStalls] = float64(c.net.AllocStalls)
+	row[tsNotifWindows] = float64(c.notifWindows)
+	row[tsParks] = float64(act.Parks)
+	row[tsWakes] = float64(act.TotalWakes())
+	row[tsActivations] = float64(act.Activations)
+	row[tsStepsExecuted] = float64(act.StepsExecuted)
+	row[tsFastForwardCycles] = float64(act.FastForwardCycles)
+	row[tsBufferedFlits] = float64(c.buffered)
+	row[tsOutstanding] = float64(c.outstanding)
+	row[tsActiveUnits] = float64(activeUnits)
+	row[tsWheelPending] = float64(act.WheelPending)
+}
+
+// heat returns each router's utilization — crossbar traversals per cycle —
+// over the last span cycles, written into util (allocated when nil). since
+// holds the traversal counts the span starts from and is advanced to the
+// current counts; nil measures from cycle 0.
+func heat(mesh *noc.Mesh, util []float64, since []uint64, span uint64) []float64 {
+	if util == nil {
+		util = make([]float64, mesh.Config().Nodes())
+	}
+	for node := range util {
+		f := mesh.Router(node).Stats.FlitsRouted
+		var base uint64
+		if since != nil {
+			base, since[node] = since[node], f
+		}
+		util[node] = float64(f-base) / float64(span)
+	}
+	return util
+}
+
+// latency returns a live p50/p99 service-latency reader over the machine's
+// injectors, read at call time (SCORPIO attaches them after its bundle is
+// built). The merge histogram is allocated on the first read and reused, so
+// sampling stays allocation-free after the first tick.
+func (m *machine) latency() func() (p50, p99 float64) {
 	var scratch *stats.Histogram
 	return func() (float64, float64) {
-		injs := get()
-		if len(injs) == 0 || injs[0].ServiceHist == nil {
+		if len(m.Injectors) == 0 || m.Injectors[0].ServiceHist == nil {
 			return 0, 0
 		}
 		if scratch == nil {
-			h := injs[0].ServiceHist
+			h := m.Injectors[0].ServiceHist
 			scratch = stats.NewHistogram(h.BucketWidth, len(h.Buckets))
 		}
 		scratch.Reset()
-		for _, in := range injs {
+		for _, in := range m.Injectors {
 			scratch.Merge(in.ServiceHist)
 		}
 		return float64(scratch.Percentile(50)), float64(scratch.Percentile(99))
@@ -138,6 +231,8 @@ type Observability struct {
 	// closes it when the run's results have been collected.
 	Telemetry *telemetry.Server
 
+	// mesh is the machine's main network, the one the heat grids cover.
+	mesh         *noc.Mesh
 	configDigest string
 	// perfWanted records whether the caller asked for a RunReport. Telemetry
 	// attaches a perf monitor on its own (for /metrics worker counters), but
@@ -167,6 +262,18 @@ func (o *Observability) AuditReport() string {
 	return o.Auditor.Report()
 }
 
+// failure reports a latched audit violation or watchdog stall as the run's
+// error, nil while healthy. Safe on nil.
+func (o *Observability) failure(label string) error {
+	switch {
+	case o.Violated():
+		return fmt.Errorf("system: %s audit violation\n%s", label, o.AuditReport())
+	case o.Stalled():
+		return fmt.Errorf("system: %s stalled\n%s", label, o.StallReport())
+	}
+	return nil
+}
+
 // CloseTelemetry shuts down the telemetry HTTP server (disconnecting any
 // /stream clients) and releases its port. Safe on nil and when telemetry was
 // never enabled; safe to call more than once.
@@ -176,33 +283,19 @@ func (o *Observability) CloseTelemetry() {
 	}
 }
 
-// buildObs assembles the bundle for one machine and installs it as the
-// kernel's post-commit observer. Returns nil (and installs nothing) when
-// opt enables no feature, keeping the disabled per-step cost at the
-// kernel's single observer nil-check.
-//
-//   - nodes is the machine's node count (auditor shadow-state sizing).
-//   - info names the run and exposes the mesh and live-latency hooks the
-//     telemetry exporter publishes.
-//   - read fills one counters reading from the machine's cumulative stats.
-//   - occupancy returns (buffered flits in routers, outstanding misses).
-//   - inflight reports whether undelivered packets exist anywhere (router
-//     buffers or NIC/endpoint queues).
-//   - snapshot renders the full network state at a cycle.
-//
-// The only error source is the telemetry exporter failing to bind its listen
-// address.
-func buildObs(opt *obs.Options, k *sim.Kernel, nodes int,
-	info machineInfo,
-	read func(*counters),
-	occupancy func() (buffered, outstanding int),
-	inflight func() bool,
-	snapshot func(now uint64) string) (*Observability, error) {
-
+// buildObs assembles the bundle for machine m, whose main network is mesh
+// and whose counters, gauges and state p reads, and installs it as the
+// kernel's post-commit observer. Returns nil (and installs nothing) when opt
+// enables no feature, keeping the disabled per-step cost at the kernel's
+// single observer nil-check. The only error source is the telemetry exporter
+// failing to bind its listen address.
+func buildObs(opt *obs.Options, m *machine, mesh *noc.Mesh, p probe) (*Observability, error) {
 	if opt == nil || !opt.Enabled() {
 		return nil, nil
 	}
-	o := &Observability{configDigest: opt.ConfigDigest, perfWanted: opt.Perf}
+	k := m.Kernel
+	cfg := mesh.Config()
+	o := &Observability{mesh: mesh, configDigest: opt.ConfigDigest, perfWanted: opt.Perf}
 	if opt.Perf || opt.TelemetryAddr != "" {
 		// Telemetry wants the per-worker counters on /metrics even when no
 		// RunReport was asked for; perfWanted keeps the report gated.
@@ -217,92 +310,58 @@ func buildObs(opt *obs.Options, k *sim.Kernel, nodes int,
 	}
 	// Hang reports carry the activity engine's census alongside the network
 	// snapshot, so a wedged-while-parked unit names its missing wake edge.
-	snap := func(now uint64) string {
-		return snapshot(now) + k.ActivityReport()
+	snap := func() string {
+		return p.snapshot(k.Cycle()) + k.ActivityReport()
 	}
 	if opt.Audit {
-		o.Auditor = audit.New(nodes, audit.Options{SweepEvery: opt.AuditEvery}, func() string {
-			return snap(k.Cycle())
-		})
+		o.Auditor = audit.New(cfg.Nodes(), audit.Options{SweepEvery: opt.AuditEvery}, snap)
 		o.Attrib = obs.NewAttribution()
 	}
 	if opt.Watchdog > 0 {
 		progress := func() (uint64, bool) {
-			var c counters
-			read(&c)
-			return c.ejected, inflight()
+			var c reading
+			p.read(&c)
+			return c.ejected, p.inflight()
 		}
-		o.Watchdog = obs.NewWatchdog(opt.Watchdog, progress, func() string {
-			return snap(k.Cycle())
-		})
+		o.Watchdog = obs.NewWatchdog(opt.Watchdog, progress, snap)
 	}
 	// The telemetry exporter: a lock-free published page the observer fills
 	// at its own interval, plus the HTTP server reading it. Built before the
 	// observer closure so the closure can capture the publisher.
 	var pub *telemetry.Publisher
-	var fillTel func(cycle uint64, row []float64)
+	var live func(row []float64)
 	if opt.TelemetryAddr != "" {
-		heatW, heatH := 0, 0
-		if info.mesh != nil {
-			cfg := info.mesh.Config()
-			heatW, heatH = cfg.Width, cfg.Height
-		}
 		pub = telemetry.NewPublisher(telemetrySeries, opt.TelemetryInterval,
-			heatW, heatH, opt.TelemetrySSEQueue)
-		fillTel = func(cycle uint64, row []float64) {
-			var c counters
-			read(&c)
-			buffered, outstanding := occupancy()
-			act := k.ActivityCounters()
-			activeUnits, _ := k.ActiveUnits()
-			row[tsInjected] = float64(c.injected)
-			row[tsEjected] = float64(c.ejected)
-			row[tsFlitsRouted] = float64(c.flitsRouted)
-			row[tsBypasses] = float64(c.bypasses)
-			row[tsAllocStalls] = float64(c.allocStalls)
-			row[tsNotifWindows] = float64(c.notifWindows)
-			row[tsParks] = float64(act.Parks)
-			row[tsWakes] = float64(act.TotalWakes())
-			row[tsActivations] = float64(act.Activations)
-			row[tsStepsExecuted] = float64(act.StepsExecuted)
-			row[tsFastForwardCycles] = float64(act.FastForwardCycles)
-			row[tsBufferedFlits] = float64(buffered)
-			row[tsOutstanding] = float64(outstanding)
-			row[tsActiveUnits] = float64(activeUnits)
-			row[tsWheelPending] = float64(act.WheelPending)
-			if info.latency != nil {
-				row[tsLatP50], row[tsLatP99] = info.latency()
-			}
+			cfg.Width, cfg.Height, opt.TelemetrySSEQueue)
+		latency := m.latency()
+		live = func(row []float64) {
+			fill(row, k, p)
+			row[tsLatP50], row[tsLatP99] = latency()
 		}
 		pub.SetDeep(func(cycle uint64) *telemetry.DeepSnapshot {
 			row := make([]float64, numTelemetrySeries)
-			fillTel(cycle, row)
+			live(row)
 			d := &telemetry.DeepSnapshot{
 				Cycle:    cycle,
 				WallNs:   time.Now().UnixNano(),
-				Label:    info.label,
+				Label:    m.label,
 				Vals:     make(map[string]float64, numTelemetrySeries),
-				Network:  snapshot(cycle),
+				Network:  p.snapshot(cycle),
 				Activity: k.ActivityReport(),
 			}
 			for i, s := range telemetrySeries {
 				d.Vals[s.Name] = row[i]
 			}
-			if info.mesh != nil && cycle > 0 {
-				cfg := info.mesh.Config()
-				util := make([]float64, cfg.Nodes())
-				for node := range util {
-					util[node] = float64(info.mesh.Router(node).Stats.FlitsRouted) / float64(cycle)
-				}
-				d.Heat = &telemetry.HeatGrid{Width: cfg.Width, Height: cfg.Height, Util: util}
+			if cycle > 0 {
+				d.Heat = &telemetry.HeatGrid{Width: cfg.Width, Height: cfg.Height, Util: heat(mesh, nil, nil, cycle)}
 			}
 			if o.Perf != nil {
-				d.Perf = k.PerfReport(info.label, o.configDigest, 0)
+				d.Perf = k.PerfReport(m.label, o.configDigest, 0)
 			}
 			return d
 		})
 		srv := telemetry.NewServer(pub, telemetry.Options{
-			Label:     info.label,
+			Label:     m.label,
 			Mon:       o.Perf,
 			WakeEdges: k.WakeEdges,
 			Balance:   k.BalanceStats,
@@ -320,62 +379,43 @@ func buildObs(opt *obs.Options, k *sim.Kernel, nodes int,
 		// so fast-forward over quiescent spans stays available to them.
 		return o, nil
 	}
-	var prev counters
-	var prevAct perfmon.ActivityCounters
-	row := make([]float64, len(metricsColumns))
+	cur := make([]float64, numTelemetrySeries)
+	prev := make([]float64, numTelemetrySeries)
+	sample := make([]float64, len(metricsSeries))
 	telRow := make([]float64, numTelemetrySeries)
 	var heatBuf []float64
-	var prevFlits []uint64
-	var prevHeatCycle uint64
-	if pub != nil && info.mesh != nil {
-		n := info.mesh.Config().Nodes()
-		heatBuf = make([]float64, n)
-		prevFlits = make([]uint64, n)
+	var heatFlits []uint64
+	var heatCycle uint64
+	if pub != nil {
+		heatBuf = make([]float64, cfg.Nodes())
+		heatFlits = make([]uint64, cfg.Nodes())
 	}
 	k.SetObserver(func(cycle uint64) {
 		o.Watchdog.Observe(cycle)
 		o.Auditor.Observe(cycle)
 		pub.ServeDeep(cycle)
 		if o.Metrics.Due(cycle) {
-			var c counters
-			read(&c)
-			buffered, outstanding := occupancy()
-			act := k.ActivityCounters()
-			activeUnits, _ := k.ActiveUnits()
-			row[0] = float64(c.injected - prev.injected)
-			row[1] = float64(c.ejected - prev.ejected)
-			row[2] = float64(buffered)
-			row[3] = float64(c.flitsRouted - prev.flitsRouted)
-			row[4] = float64(c.bypasses - prev.bypasses)
-			row[5] = float64(c.allocStalls - prev.allocStalls)
-			row[6] = float64(c.notifWindows - prev.notifWindows)
-			row[7] = float64(outstanding)
-			row[8] = float64(activeUnits)
-			row[9] = float64(act.Parks - prevAct.Parks)
-			row[10] = float64(act.TotalWakes() - prevAct.TotalWakes())
-			row[11] = float64(act.WheelPending)
-			o.Metrics.Add(cycle, row)
-			prev = c
-			prevAct = act
+			fill(cur, k, p)
+			for j, i := range metricsSeries {
+				sample[j] = cur[i]
+				if telemetrySeries[i].Kind == telemetry.Counter {
+					sample[j] -= prev[i]
+				}
+			}
+			o.Metrics.Add(cycle, sample)
+			cur, prev = prev, cur
 		}
 		if pub.Due(cycle) {
-			fillTel(cycle, telRow)
-			heat := heatBuf
-			if heatBuf != nil && cycle > prevHeatCycle {
-				// Per-router utilization over the last sample window, not the
-				// cumulative average — a live dashboard wants to see hotspots
-				// move.
-				span := float64(cycle - prevHeatCycle)
-				for node := range heatBuf {
-					f := info.mesh.Router(node).Stats.FlitsRouted
-					heatBuf[node] = float64(f-prevFlits[node]) / span
-					prevFlits[node] = f
-				}
-				prevHeatCycle = cycle
-			} else {
-				heat = nil // first tick: no window yet
+			live(telRow)
+			// Per-router utilization over the last sample window, not the
+			// cumulative average — a live dashboard wants to see hotspots
+			// move. The first tick at cycle 0 has no window yet.
+			var util []float64
+			if cycle > heatCycle {
+				util = heat(mesh, heatBuf, heatFlits, cycle-heatCycle)
+				heatCycle = cycle
 			}
-			pub.Publish(cycle, telRow, heat)
+			pub.Publish(cycle, telRow, util)
 		}
 	})
 	return o, nil
@@ -393,15 +433,11 @@ func (o *Observability) finishPerf(k *sim.Kernel, label string, wallNs int64) {
 }
 
 // finishHeatmap attaches the end-of-run per-router utilization grid
-// (crossbar traversals per cycle) to the metrics store.
-func (o *Observability) finishHeatmap(mesh *noc.Mesh, cycles uint64) {
+// (crossbar traversals per cycle over the whole run) to the metrics store.
+func (o *Observability) finishHeatmap(cycles uint64) {
 	if o == nil || o.Metrics == nil || cycles == 0 {
 		return
 	}
-	cfg := mesh.Config()
-	util := make([]float64, cfg.Nodes())
-	for node := 0; node < cfg.Nodes(); node++ {
-		util[node] = float64(mesh.Router(node).Stats.FlitsRouted) / float64(cycles)
-	}
-	o.Metrics.SetHeatmap(cfg.Width, cfg.Height, util)
+	cfg := o.mesh.Config()
+	o.Metrics.SetHeatmap(cfg.Width, cfg.Height, heat(o.mesh, nil, nil, cycles))
 }

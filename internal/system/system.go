@@ -7,7 +7,6 @@ package system
 
 import (
 	"fmt"
-	"time"
 
 	"scorpio/internal/coherence"
 	"scorpio/internal/core"
@@ -148,14 +147,12 @@ func (t *tileAgent) AcceptResponse(p *noc.Packet, cycle uint64) bool {
 
 // Scorpio is a fully assembled SCORPIO machine.
 type Scorpio struct {
-	opt       Options
-	Kernel    *sim.Kernel
-	Net       *core.OrderedNet
-	L2s       []*coherence.L2Controller
-	MCs       []*mem.Controller
-	Tiles     []*tile.Tile // populated when Options.UseL1 is set
-	Injectors []*trace.Injector
-	Obs       *Observability // nil unless Options.Obs enabled something
+	machine
+	opt   Options
+	Net   *core.OrderedNet
+	L2s   []*coherence.L2Controller
+	MCs   []*mem.Controller
+	Tiles []*tile.Tile // populated when Options.UseL1 is set
 }
 
 // NewScorpio builds the machine with trace injectors attached.
@@ -177,9 +174,6 @@ func NewScorpio(opt Options) (*Scorpio, error) {
 			port = &tilePort{t: tl}
 		}
 		inj := trace.NewInjector(node, opt.Profile, opt.Seed, port, opt.MaxOutstanding, opt.WarmupPerCore, opt.WorkPerCore)
-		if s.Obs != nil {
-			inj.Attr = s.Obs.Attrib
-		}
 		s.Injectors = append(s.Injectors, inj)
 		if opt.UseL1 {
 			tl.OnComplete = func(c tile.Completion) {
@@ -192,6 +186,7 @@ func NewScorpio(opt Options) (*Scorpio, error) {
 		}
 		s.Kernel.RegisterGroup(node, inj)
 	}
+	s.attribute()
 	return s, nil
 }
 
@@ -223,7 +218,7 @@ func NewScorpioBare(opt Options) (*Scorpio, error) {
 		mcNodes = DefaultMCNodes(opt.Core.Net.Width, opt.Core.Net.Height)
 	}
 	mm := memMap{nodes: mcNodes}
-	s := &Scorpio{opt: opt, Kernel: k, Net: net}
+	s := &Scorpio{machine: machine{Kernel: k, label: "SCORPIO/" + opt.Profile.Name}, opt: opt, Net: net}
 	mcAt := map[int]bool{}
 	for _, n := range mcNodes {
 		if n < 0 || n >= nodes {
@@ -247,140 +242,52 @@ func NewScorpioBare(opt Options) (*Scorpio, error) {
 	}
 	k.SetWorkers(opt.Workers)
 	k.SetIdleSkip(!opt.DisableIdleSkip)
-	var obsErr error
-	s.Obs, obsErr = buildObs(opt.Obs, k, nodes,
-		machineInfo{
-			label: "SCORPIO/" + opt.Profile.Name,
-			mesh:  net.Mesh(),
-			// NewScorpio attaches the injectors after this returns, so the
-			// latency reader resolves them lazily per sample.
-			latency: latencyFromInjectors(func() []*trace.Injector { return s.Injectors }),
-		},
-		func(c *counters) {
-			for node := 0; node < nodes; node++ {
-				st := &net.NIC(node).Stats
-				c.injected += st.InjectedRequests + st.InjectedResponses
-				c.ejected += st.DeliveredRequests + st.DeliveredResponses
-			}
-			ns := net.NetStats()
-			c.flitsRouted, c.bypasses, c.allocStalls = ns.FlitsRouted, ns.Bypasses, ns.AllocStalls
-			c.notifWindows = net.Notif().WindowsDelivered
-		},
-		func() (int, int) {
-			out := 0
-			for _, l2 := range s.L2s {
-				out += l2.Outstanding()
-			}
-			return net.BufferedFlits(), out
-		},
-		func() bool { return net.BufferedFlits() > 0 || net.HasPendingWork() },
-		net.Snapshot,
-	)
-	if obsErr != nil {
-		return nil, obsErr
+	if s.Obs, err = buildObs(opt.Obs, &s.machine, net.Mesh(), s); err != nil {
+		return nil, err
 	}
-	if s.Obs != nil && s.Obs.Tracer != nil {
-		net.SetTracer(s.Obs.Tracer)
-		for _, l2 := range s.L2s {
-			l2.SetTracer(s.Obs.Tracer)
-		}
-	}
-	if s.Obs != nil && s.Obs.Auditor != nil {
-		net.SetAuditor(s.Obs.Auditor)
-		for _, l2 := range s.L2s {
-			l2.SetAuditor(s.Obs.Auditor)
-		}
-	}
+	hook(s.Obs, net)
+	hook(s.Obs, s.L2s...)
 	return s, nil
 }
 
-// Done reports whether every core finished its work quota.
-func (s *Scorpio) Done() bool {
-	for _, in := range s.Injectors {
-		if !in.Done() {
-			return false
-		}
+// read implements probe.
+func (s *Scorpio) read(c *reading) {
+	for node := 0; node < s.Net.Nodes(); node++ {
+		st := &s.Net.NIC(node).Stats
+		c.injected += st.InjectedRequests + st.InjectedResponses
+		c.ejected += st.DeliveredRequests + st.DeliveredResponses
 	}
-	return true
+	c.net = s.Net.NetStats()
+	c.notifWindows = s.Net.Notif().WindowsDelivered
+	c.buffered = s.Net.BufferedFlits()
+	c.outstanding = outstanding(s.L2s)
 }
+
+// inflight implements probe.
+func (s *Scorpio) inflight() bool { return s.Net.BufferedFlits() > 0 || s.Net.HasPendingWork() }
+
+// snapshot implements probe.
+func (s *Scorpio) snapshot(now uint64) string { return s.Net.Snapshot(now) }
 
 // Run executes until all work completes or the cycle limit is reached and
 // returns the collected results. A watchdog stall aborts the run with the
-// full network snapshot in the error.
+// full network snapshot in the error; a run whose nodes disagree on the
+// global order fails its final check.
 func (s *Scorpio) Run(limit uint64) (Results, error) {
-	done := s.Done
-	if s.Obs != nil && (s.Obs.Watchdog != nil || s.Obs.Auditor != nil) {
-		done = func() bool { return s.Obs.Stalled() || s.Obs.Violated() || s.Done() }
+	r, err := s.run(limit, s.Net.VerifyGlobalOrder)
+	if err != nil {
+		return r, err
 	}
-	wall0 := time.Now()
-	finished := s.Kernel.RunUntil(done, limit)
-	s.Obs.finishPerf(s.Kernel, "SCORPIO/"+s.opt.Profile.Name, int64(time.Since(wall0)))
-	if s.Obs.Violated() {
-		return Results{}, fmt.Errorf("system: %s audit violation\n%s", s.opt.Profile.Name, s.Obs.AuditReport())
-	}
-	if s.Obs.Stalled() {
-		return Results{}, fmt.Errorf("system: %s stalled\n%s", s.opt.Profile.Name, s.Obs.StallReport())
-	}
-	if !finished {
-		return Results{}, fmt.Errorf("system: %s did not finish %d accesses/core within %d cycles (completed %d)",
-			s.opt.Profile.Name, s.opt.WorkPerCore, limit, s.completed())
-	}
-	if err := s.Net.VerifyGlobalOrder(); err != nil {
-		return Results{}, err
-	}
-	if s.Obs != nil && s.Obs.Auditor != nil {
-		s.Obs.Auditor.Finish(s.Kernel.Cycle())
-		if s.Obs.Violated() {
-			return Results{}, fmt.Errorf("system: %s audit violation\n%s", s.opt.Profile.Name, s.Obs.AuditReport())
-		}
-	}
-	s.Obs.finishHeatmap(s.Net.Mesh(), s.Kernel.Cycle())
-	return s.collect(), nil
-}
-
-func (s *Scorpio) completed() uint64 {
-	var n uint64
-	for _, in := range s.Injectors {
-		n += in.Completed
-	}
-	return n
-}
-
-// collect aggregates per-core statistics into Results.
-func (s *Scorpio) collect() Results {
-	r := Results{Protocol: "SCORPIO", Benchmark: s.opt.Profile.Name, Cycles: s.Kernel.Cycle(), Obs: s.Obs}
-	if len(s.Injectors) > 0 {
-		r.ServiceHist = stats.NewHistogram(4, 512)
-	}
-	for _, in := range s.Injectors {
-		r.Completed += in.Completed
-		r.Service.Merge(in.ServiceLatency)
-		r.ServiceHist.Merge(in.ServiceHist)
-		r.HitLat.Merge(in.HitLatency)
-		r.MissLat.Merge(in.MissLatency)
-		r.CacheServed.Merge(in.CacheServed)
-		r.MemServed.Merge(in.MemServed)
-		if in.DoneCycle > r.LastDone {
-			r.LastDone = in.DoneCycle
-		}
-	}
-	for _, l2 := range s.L2s {
-		r.L2Hits += l2.Stats.Hits
-		r.L2Misses += l2.Stats.Misses
-		r.SnoopsFiltered += l2.Stats.SnoopsFiltered
-		r.SnoopsSeen += l2.Stats.SnoopsSeen
-		r.Writebacks += l2.Stats.Writebacks
-		r.FIDDeferrals += l2.Stats.FIDDeferrals
-	}
+	r.Protocol, r.Benchmark = "SCORPIO", s.opt.Profile.Name
+	r.addSnoopyL2s(s.L2s)
 	ns := s.Net.NetStats()
-	r.FlitsRouted = ns.FlitsRouted
-	r.Bypasses = ns.Bypasses
+	r.FlitsRouted, r.Bypasses = ns.FlitsRouted, ns.Bypasses
 	for node := 0; node < s.Net.Nodes(); node++ {
-		st := s.Net.NIC(node).Stats
+		st := &s.Net.NIC(node).Stats
 		r.OrderingLat.Merge(st.OrderingLatency)
 		r.ReqNetworkLat.Merge(st.NetworkLatency)
 	}
-	return r
+	return r, nil
 }
 
 // Results aggregates one run's outcome; it is shared by every protocol's

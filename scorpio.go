@@ -16,6 +16,7 @@ package scorpio
 import (
 	"fmt"
 	"hash/fnv"
+	"io"
 	"os"
 	"strings"
 
@@ -223,50 +224,36 @@ func writeObsArtifacts(cfg Config, r Result) error {
 		return nil
 	}
 	if cfg.TracePath != "" && r.Obs.Tracer != nil {
-		f, err := os.Create(cfg.TracePath)
-		if err != nil {
-			return err
-		}
-		if err := r.Obs.Tracer.WriteChromeTrace(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
+		if err := writeFile(cfg.TracePath, r.Obs.Tracer.WriteChromeTrace); err != nil {
 			return err
 		}
 	}
 	if cfg.PerfReportPath != "" && cfg.PerfReportPath != "-" && r.Obs.PerfReport != nil {
-		f, err := os.Create(cfg.PerfReportPath)
-		if err != nil {
-			return err
-		}
-		if err := r.Obs.PerfReport.WriteJSON(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
+		if err := writeFile(cfg.PerfReportPath, r.Obs.PerfReport.WriteJSON); err != nil {
 			return err
 		}
 	}
 	if cfg.MetricsPath != "" && r.Obs.Metrics != nil {
-		f, err := os.Create(cfg.MetricsPath)
-		if err != nil {
-			return err
-		}
+		write := r.Obs.Metrics.WriteCSV
 		if strings.HasSuffix(cfg.MetricsPath, ".json") {
-			err = r.Obs.Metrics.WriteJSON(f)
-		} else {
-			err = r.Obs.Metrics.WriteCSV(f)
+			write = r.Obs.Metrics.WriteJSON
 		}
-		if err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
+		return writeFile(cfg.MetricsPath, write)
 	}
 	return nil
+}
+
+// writeFile creates path and fills it with write.
+func writeFile(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := write(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // Benchmarks returns every available benchmark name.
@@ -339,7 +326,9 @@ func (c *Config) fill() error {
 	return nil
 }
 
-// Run executes one configuration to completion.
+// Run executes one configuration to completion: it builds the configured
+// machine, runs it to the cycle limit, closes the live exporter and writes
+// the configured artifacts.
 func Run(cfg Config) (Result, error) {
 	if err := cfg.fill(); err != nil {
 		return Result{}, err
@@ -351,29 +340,32 @@ func Run(cfg Config) (Result, error) {
 	if cfg.IntensityScale > 0 {
 		prof.IssueProb *= cfg.IntensityScale
 	}
+	var run func(limit uint64) (Result, error)
+	var o *system.Observability
 	switch cfg.Protocol {
 	case SCORPIO:
-		return runScorpio(cfg, prof)
-	case LPDD:
-		return runDirectory(cfg, prof, directory.LPD)
-	case HTD:
-		return runDirectory(cfg, prof, directory.HT)
-	case TokenB:
-		return runBaseline(cfg, prof, system.SchemeTokenB)
-	case INSO:
-		return runBaseline(cfg, prof, system.SchemeINSO)
+		s, err := system.NewScorpio(scorpioOptions(cfg, prof))
+		if err != nil {
+			return Result{}, err
+		}
+		run, o = s.Run, s.Obs
+	case LPDD, HTD:
+		d, err := system.NewDirectory(directoryOptions(cfg, prof))
+		if err != nil {
+			return Result{}, err
+		}
+		run, o = d.Run, d.Obs
+	case TokenB, INSO:
+		b, err := system.NewBaseline(baselineOptions(cfg, prof))
+		if err != nil {
+			return Result{}, err
+		}
+		run, o = b.Run, b.Obs
 	default:
 		return Result{}, fmt.Errorf("scorpio: unknown protocol %q", cfg.Protocol)
 	}
-}
-
-func runScorpio(cfg Config, prof trace.Profile) (Result, error) {
-	s, err := system.NewScorpio(scorpioOptions(cfg, prof))
-	if err != nil {
-		return Result{}, err
-	}
-	defer s.Obs.CloseTelemetry()
-	r, err := s.Run(cfg.CycleLimit)
+	defer o.CloseTelemetry()
+	r, err := run(cfg.CycleLimit)
 	if err != nil {
 		return r, err
 	}
@@ -426,7 +418,13 @@ func scorpioOptions(cfg Config, prof trace.Profile) system.Options {
 	return opt
 }
 
-func runDirectory(cfg Config, prof trace.Profile, v directory.Variant) (Result, error) {
+// directoryOptions maps a filled Config onto the options of the LPD-D or
+// HT-D machine it names.
+func directoryOptions(cfg Config, prof trace.Profile) system.DirectoryOptions {
+	v := directory.LPD
+	if cfg.Protocol == HTD {
+		v = directory.HT
+	}
 	opt := system.DefaultDirectoryOptions(v, prof)
 	opt.Net.Width, opt.Net.Height = cfg.Width, cfg.Height
 	if cfg.ChannelBytes != 0 {
@@ -451,19 +449,16 @@ func runDirectory(cfg Config, prof trace.Profile, v directory.Variant) (Result, 
 		opt.L2.CoreQueueDepth = 2 * cfg.MaxOutstanding
 	}
 	opt.Obs = cfg.obsOptions()
-	d, err := system.NewDirectory(opt)
-	if err != nil {
-		return Result{}, err
-	}
-	defer d.Obs.CloseTelemetry()
-	r, err := d.Run(cfg.CycleLimit)
-	if err != nil {
-		return r, err
-	}
-	return r, writeObsArtifacts(cfg, r)
+	return opt
 }
 
-func runBaseline(cfg Config, prof trace.Profile, scheme system.OrderingScheme) (Result, error) {
+// baselineOptions maps a filled Config onto the options of the TokenB or
+// INSO machine it names.
+func baselineOptions(cfg Config, prof trace.Profile) system.BaselineOptions {
+	scheme := system.SchemeTokenB
+	if cfg.Protocol == INSO {
+		scheme = system.SchemeINSO
+	}
 	opt := system.DefaultBaselineOptions(scheme, prof)
 	opt.Net.Width, opt.Net.Height = cfg.Width, cfg.Height
 	opt.ExpiryWindow = cfg.ExpiryWindow
@@ -478,16 +473,7 @@ func runBaseline(cfg Config, prof trace.Profile, scheme system.OrderingScheme) (
 		opt.L2.CoreQueueDepth = 2 * cfg.MaxOutstanding
 	}
 	opt.Obs = cfg.obsOptions()
-	b, err := system.NewBaseline(opt)
-	if err != nil {
-		return Result{}, err
-	}
-	defer b.Obs.CloseTelemetry()
-	r, err := b.Run(cfg.CycleLimit)
-	if err != nil {
-		return r, err
-	}
-	return r, writeObsArtifacts(cfg, r)
+	return opt
 }
 
 // NewScorpioSystem exposes the full machine for programmatic use (the
