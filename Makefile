@@ -109,7 +109,7 @@ telemetrysmoke: build
 # reconstructable transaction.
 tracesmoke: build
 	$(GO) run ./cmd/scorpiosim -bench barnes -work 50 -warmup 50 -trace /tmp/scorpio-tracesmoke.json > /dev/null
-	$(GO) run ./cmd/tracecheck /tmp/scorpio-tracesmoke.json
+	$(GO) run ./cmd/traceq check /tmp/scorpio-tracesmoke.json
 
 # The auditor smoke: short audited runs of the ordered machine and of a
 # baseline must complete with zero violations (a violation aborts the run,

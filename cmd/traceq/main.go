@@ -14,10 +14,12 @@
 //	traceq path <trace.json> <pkt>   # one packet's full event timeline
 //	traceq top  <trace.json> [k]     # k slowest transactions with breakdowns
 //	traceq diff <a.json> <b.json>    # compare two runs' latency distributions
+//	traceq check <trace.json>        # validate a trace as a complete record
 package main
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"sort"
@@ -275,6 +277,39 @@ func cmdDiff(pathA, pathB string) {
 		int64(db.p50)-int64(da.p50), int64(db.p99)-int64(da.p99), int64(db.max_)-int64(da.max_))
 }
 
+// check validates a trace as a complete lifecycle record: it must be
+// non-empty, hold at least one packet whose inject -> sink lifecycle is fully
+// reconstructable, and report no dropped events (a tracer ring that wrapped
+// has overwritten the oldest events, so span reconstruction is lossy).
+func check(tf *traceFile) error {
+	if len(tf.TraceEvents) == 0 {
+		return errors.New("trace is empty")
+	}
+	if d := tf.Metadata.DroppedEvents; d > 0 {
+		return fmt.Errorf("tracer dropped %d of %d recorded events (ring wrapped), so span reconstruction is lossy; rerun with a larger trace capacity",
+			d, tf.Metadata.RecordedEvents)
+	}
+	injected := map[uint64]bool{}
+	for _, e := range tf.TraceEvents {
+		switch {
+		case e.Ph != "i" || e.Args.Pkt == 0:
+		case e.Name == "inject":
+			injected[e.Args.Pkt] = true
+		case e.Name == "sink" && injected[e.Args.Pkt]:
+			return nil
+		}
+	}
+	return errors.New("no packet has both an inject and a sink event")
+}
+
+func cmdCheck(path string) {
+	tf := load(path)
+	if err := check(tf); err != nil {
+		fail(fmt.Sprintf("%s: %v", path, err))
+	}
+	fmt.Printf("traceq: %s ok, %d events, 0 dropped\n", path, len(tf.TraceEvents))
+}
+
 func trim(s string, n int) string {
 	if len(s) <= n {
 		return s
@@ -310,6 +345,11 @@ func main() {
 			usage()
 		}
 		cmdDiff(args[1], args[2])
+	case "check":
+		if len(args) != 2 {
+			usage()
+		}
+		cmdCheck(args[1])
 	default:
 		usage()
 	}
@@ -319,7 +359,8 @@ func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
   traceq path <trace.json> <pkt>   reconstruct one packet's event timeline
   traceq top  <trace.json> [k]     k slowest miss transactions with breakdowns
-  traceq diff <a.json> <b.json>    compare two runs' miss-latency distributions`)
+  traceq diff <a.json> <b.json>    compare two runs' miss-latency distributions
+  traceq check <trace.json>        validate: non-empty, an inject->sink packet, no drops`)
 	os.Exit(2)
 }
 

@@ -100,8 +100,8 @@ func TestBreakdownFromExportedTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 	tf := load(path)
-	if tf.Metadata.DroppedEvents != 0 {
-		t.Fatalf("small run overflowed the trace ring: dropped %d", tf.Metadata.DroppedEvents)
+	if err := check(tf); err != nil {
+		t.Fatalf("exported trace fails the check: %v", err)
 	}
 	txns := transactions(tf)
 	if len(txns) == 0 {
@@ -146,5 +146,35 @@ func TestLoadRejectsGarbage(t *testing.T) {
 	tf := load(path)
 	if tf.Metadata.RecordedEvents != 3 || tf.Metadata.DroppedEvents != 1 {
 		t.Fatalf("metadata = %+v", tf.Metadata)
+	}
+}
+
+// TestCheck pins the trace validator: a trace passes only when it is
+// non-empty, one packet has both an inject and a sink event, and the tracer
+// dropped nothing.
+func TestCheck(t *testing.T) {
+	valid := func() *traceFile {
+		tf := synthetic()
+		var e rawEvent
+		e.Name, e.Ph, e.Ts, e.Pid = "sink", "i", 118, 2
+		e.Args.Pkt = 7 // injected at cycle 105
+		tf.TraceEvents = append(tf.TraceEvents, e)
+		return tf
+	}
+	if err := check(valid()); err != nil {
+		t.Fatalf("valid trace rejected: %v", err)
+	}
+	if err := check(&traceFile{}); err == nil {
+		t.Fatal("empty trace accepted")
+	}
+	// synthetic() injects packet 7 but sinks only packet 0, which is not a
+	// packet: no lifecycle is complete.
+	if err := check(synthetic()); err == nil {
+		t.Fatal("trace without an inject->sink packet accepted")
+	}
+	dropped := valid()
+	dropped.Metadata.RecordedEvents, dropped.Metadata.DroppedEvents = 100, 1
+	if err := check(dropped); err == nil {
+		t.Fatal("trace with dropped events accepted")
 	}
 }

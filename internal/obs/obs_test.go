@@ -54,7 +54,7 @@ func TestTracerRingWrap(t *testing.T) {
 
 // TestChromeTraceAfterWrap pins the export path once the ring has
 // overwritten events: only the surviving window is emitted, and the metadata
-// block reports the loss so tracecheck/traceq can flag the trace as lossy.
+// block reports the loss so `traceq check` can flag the trace as lossy.
 func TestChromeTraceAfterWrap(t *testing.T) {
 	tr := NewTracer(8)
 	for i := 0; i < 20; i++ {

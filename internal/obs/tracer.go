@@ -198,8 +198,8 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 		emit(`{"name":"pkt","cat":"pkt","ph":"e","ts":%d,"pid":%d,"id":%d}`,
 			s.end, s.node, pkt)
 	}
-	// Trailing metadata records ring losses so consumers (tracecheck,
-	// traceq) can tell when span reconstruction is lossy. Perfetto ignores
+	// Trailing metadata records ring losses so consumers (traceq and its
+	// check) can tell when span reconstruction is lossy. Perfetto ignores
 	// unknown top-level keys.
 	if _, err := fmt.Fprintf(bw, "\n],\"metadata\":{\"recordedEvents\":%d,\"droppedEvents\":%d}}\n",
 		t.Recorded.Value, t.Dropped.Value); err != nil {
