@@ -5,7 +5,7 @@ BENCH_JSON ?= BENCH_5.json
 # The previous baseline, compared against by benchsmoke when both exist.
 BENCH_PREV ?= BENCH_4.json
 
-.PHONY: build test vet race check bench benchtest benchsmoke tracesmoke auditsmoke perfsmoke telemetrysmoke layoutcheck
+.PHONY: build test vet fmt race check bench benchtest benchsmoke tracesmoke auditsmoke perfsmoke telemetrysmoke layoutcheck
 
 # Tier-1: everything must compile and every test must pass.
 build:
@@ -17,6 +17,12 @@ test: build
 vet:
 	$(GO) vet ./...
 
+# The formatting gate: every tracked Go file must be gofmt-clean. Listing
+# tracked files keeps build output (.bench_build/) out of the check.
+fmt:
+	@out=$$(gofmt -l $$(git ls-files '*.go')); \
+	if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
+
 # The parallel kernel's data-race guard: short-mode race run over the
 # packages that execute under the worker pool. traffic is included because
 # its parallel tests exercise the activity engine's park/wake churn across
@@ -25,7 +31,7 @@ race:
 	$(GO) test -race -short ./internal/sim ./internal/system ./internal/noc ./internal/traffic ./internal/obs/telemetry
 
 # The full local CI gate.
-check: vet layoutcheck test benchtest race benchsmoke tracesmoke auditsmoke perfsmoke telemetrysmoke
+check: fmt vet layoutcheck test benchtest race benchsmoke tracesmoke auditsmoke perfsmoke telemetrysmoke
 
 # The benchmark (bench/, see BENCHMARK.json) is a module of its own, which
 # the root `go test ./...` never reaches: its unit tests and a smoke run of
