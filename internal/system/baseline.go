@@ -169,7 +169,7 @@ func NewBaseline(opt BaselineOptions) (*Baseline, error) {
 	return b, nil
 }
 
-// read implements probe.
+// read, inflight and snapshot implement probe.
 func (b *Baseline) read(c *reading) {
 	for _, ep := range b.Endpoints {
 		c.injected += ep.Injected
@@ -180,10 +180,8 @@ func (b *Baseline) read(c *reading) {
 	c.outstanding = outstanding(b.L2s)
 }
 
-// inflight implements probe.
 func (b *Baseline) inflight() bool { return meshInflight(b.Mesh, b.Endpoints) }
 
-// snapshot implements probe.
 func (b *Baseline) snapshot(now uint64) string { return meshSnapshot(b.Mesh, b.Endpoints, now) }
 
 // Run executes to completion and collects results. A watchdog stall aborts

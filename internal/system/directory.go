@@ -179,7 +179,7 @@ func NewDirectory(opt DirectoryOptions) (*Directory, error) {
 	return d, nil
 }
 
-// read implements probe.
+// read, inflight and snapshot implement probe.
 func (d *Directory) read(c *reading) {
 	for _, n := range d.NICs {
 		c.injected += n.Stats.InjectedRequests + n.Stats.InjectedResponses
@@ -190,10 +190,8 @@ func (d *Directory) read(c *reading) {
 	c.outstanding = outstanding(d.L2s)
 }
 
-// inflight implements probe.
 func (d *Directory) inflight() bool { return meshInflight(d.Mesh, d.NICs) }
 
-// snapshot implements probe.
 func (d *Directory) snapshot(now uint64) string { return meshSnapshot(d.Mesh, d.NICs, now) }
 
 // Run executes to completion and collects results. A watchdog stall aborts

@@ -34,11 +34,14 @@ func (m *machine) Done() bool {
 	return true
 }
 
-// run executes until every core finishes or the cycle limit is reached. An
-// audit violation, a watchdog stall (with the full network snapshot) or an
-// unfinished run is an error; then verify (the machine's own final check,
-// nil for none) and the auditor's end-of-run sweep run. On success it
-// returns the injector half of the results.
+// run executes until every core finishes or the cycle limit is reached and
+// drains the perf monitor into the RunReport (only when one was asked for:
+// a telemetry-only monitor stays off the Result). An audit violation, a
+// watchdog stall (with the full network snapshot) or an unfinished run is an
+// error; then verify (the machine's own final check, nil for none) and the
+// auditor's end-of-run sweep run. A successful run attaches the whole-run
+// router-utilization heat map to the metrics store and returns the injector
+// half of the results.
 func (m *machine) run(limit uint64, verify func() error) (Results, error) {
 	o := m.Obs
 	done := m.Done
@@ -47,7 +50,9 @@ func (m *machine) run(limit uint64, verify func() error) (Results, error) {
 	}
 	wall0 := time.Now()
 	finished := m.Kernel.RunUntil(done, limit)
-	o.finishPerf(m.Kernel, m.label, int64(time.Since(wall0)))
+	if o != nil && o.Perf != nil && o.perfWanted {
+		o.PerfReport = m.Kernel.PerfReport(m.label, o.configDigest, int64(time.Since(wall0)))
+	}
 	if err := o.failure(m.label); err != nil {
 		return Results{}, err
 	}
@@ -69,8 +74,11 @@ func (m *machine) run(limit uint64, verify func() error) (Results, error) {
 		if err := o.failure(m.label); err != nil {
 			return Results{}, err
 		}
+		if o.Metrics != nil && m.Kernel.Cycle() > 0 {
+			cfg := o.mesh.Config()
+			o.Metrics.SetHeatmap(cfg.Width, cfg.Height, heat(o.mesh, nil, nil, m.Kernel.Cycle()))
+		}
 	}
-	o.finishHeatmap(m.Kernel.Cycle())
 	return m.results(), nil
 }
 

@@ -310,9 +310,7 @@ func buildObs(opt *obs.Options, m *machine, mesh *noc.Mesh, p probe) (*Observabi
 	}
 	// Hang reports carry the activity engine's census alongside the network
 	// snapshot, so a wedged-while-parked unit names its missing wake edge.
-	snap := func() string {
-		return p.snapshot(k.Cycle()) + k.ActivityReport()
-	}
+	snap := func() string { return p.snapshot(k.Cycle()) + k.ActivityReport() }
 	if opt.Audit {
 		o.Auditor = audit.New(cfg.Nodes(), audit.Options{SweepEvery: opt.AuditEvery}, snap)
 		o.Attrib = obs.NewAttribution()
@@ -419,25 +417,4 @@ func buildObs(opt *obs.Options, m *machine, mesh *noc.Mesh, p probe) (*Observabi
 		}
 	})
 	return o, nil
-}
-
-// finishPerf drains the perf monitor into the run's RunReport. label names
-// the run ("SCORPIO/fft"); wallNs is the caller-measured wall time of the
-// run span the report covers. No-op without a monitor, and without an
-// explicit Perf request (a telemetry-only monitor stays off the Result).
-func (o *Observability) finishPerf(k *sim.Kernel, label string, wallNs int64) {
-	if o == nil || o.Perf == nil || !o.perfWanted {
-		return
-	}
-	o.PerfReport = k.PerfReport(label, o.configDigest, wallNs)
-}
-
-// finishHeatmap attaches the end-of-run per-router utilization grid
-// (crossbar traversals per cycle over the whole run) to the metrics store.
-func (o *Observability) finishHeatmap(cycles uint64) {
-	if o == nil || o.Metrics == nil || cycles == 0 {
-		return
-	}
-	cfg := o.mesh.Config()
-	o.Metrics.SetHeatmap(cfg.Width, cfg.Height, heat(o.mesh, nil, nil, cycles))
 }

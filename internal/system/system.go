@@ -250,7 +250,7 @@ func NewScorpioBare(opt Options) (*Scorpio, error) {
 	return s, nil
 }
 
-// read implements probe.
+// read, inflight and snapshot implement probe.
 func (s *Scorpio) read(c *reading) {
 	for node := 0; node < s.Net.Nodes(); node++ {
 		st := &s.Net.NIC(node).Stats
@@ -263,10 +263,8 @@ func (s *Scorpio) read(c *reading) {
 	c.outstanding = outstanding(s.L2s)
 }
 
-// inflight implements probe.
 func (s *Scorpio) inflight() bool { return s.Net.BufferedFlits() > 0 || s.Net.HasPendingWork() }
 
-// snapshot implements probe.
 func (s *Scorpio) snapshot(now uint64) string { return s.Net.Snapshot(now) }
 
 // Run executes until all work completes or the cycle limit is reached and
