@@ -153,26 +153,29 @@ func TestLoadRejectsGarbage(t *testing.T) {
 // non-empty, one packet has both an inject and a sink event, and the tracer
 // dropped nothing.
 func TestCheck(t *testing.T) {
-	valid := func() *traceFile {
+	// synthetic() injects packet 7 but sinks only packet 0, which is not a
+	// packet; withSink adds a sink event for pkt.
+	withSink := func(pkt uint64) *traceFile {
 		tf := synthetic()
 		var e rawEvent
 		e.Name, e.Ph, e.Ts, e.Pid = "sink", "i", 118, 2
-		e.Args.Pkt = 7 // injected at cycle 105
+		e.Args.Pkt = pkt
 		tf.TraceEvents = append(tf.TraceEvents, e)
 		return tf
 	}
-	if err := check(valid()); err != nil {
+	if err := check(withSink(7)); err != nil {
 		t.Fatalf("valid trace rejected: %v", err)
 	}
 	if err := check(&traceFile{}); err == nil {
 		t.Fatal("empty trace accepted")
 	}
-	// synthetic() injects packet 7 but sinks only packet 0, which is not a
-	// packet: no lifecycle is complete.
 	if err := check(synthetic()); err == nil {
-		t.Fatal("trace without an inject->sink packet accepted")
+		t.Fatal("trace without a sink accepted")
 	}
-	dropped := valid()
+	if err := check(withSink(9)); err == nil {
+		t.Fatal("trace whose only sunk packet was never injected accepted")
+	}
+	dropped := withSink(7)
 	dropped.Metadata.RecordedEvents, dropped.Metadata.DroppedEvents = 100, 1
 	if err := check(dropped); err == nil {
 		t.Fatal("trace with dropped events accepted")
