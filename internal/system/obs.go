@@ -13,9 +13,9 @@ import (
 	"scorpio/internal/stats"
 )
 
-// Series indices into telemetrySeries, the one schema every observer of a
-// machine reads: the live exporter publishes the whole table, the CSV
-// sampler projects it (metricsSeries) and the watchdog reads ejected.
+// Series indices into telemetrySeries, the one schema the observers of a
+// machine publish: the live exporter publishes the whole table and the CSV
+// sampler a projection of it (metricsSeries).
 const (
 	tsInjected = iota
 	tsEjected
@@ -38,7 +38,7 @@ const (
 )
 
 // telemetrySeries is the series table shared by every machine; index i
-// describes row[i] as fill writes it. Every counter series holds its
+// describes row[i] of one cumulative reading. Every counter series holds its
 // *cumulative* value — OpenMetrics counters must be monotonic, and rates
 // fall out of consecutive SSE ticks on the client side.
 var telemetrySeries = []telemetry.Series{

@@ -327,8 +327,8 @@ func (c *Config) fill() error {
 }
 
 // Run executes one configuration to completion: it builds the configured
-// machine, runs it to the cycle limit, closes the live exporter and writes
-// the configured artifacts.
+// machine, runs it to the cycle limit, writes the configured artifacts and
+// closes the live exporter.
 func Run(cfg Config) (Result, error) {
 	if err := cfg.fill(); err != nil {
 		return Result{}, err
