@@ -123,14 +123,10 @@ func (m *Mesh) Config() Config { return m.cfg }
 
 // Register adds every router to the kernel and wires the links' wake edges:
 // each link's readers are woken by writes so routers can park when quiescent.
-// Links themselves are passive mailboxes, not components (see Link). Each
-// router's scheduling unit is tagged with its node ID as the topology tile
-// so the kernel's sharder can seed spatially contiguous shards (see
-// sim.Activity.SetTile).
+// Links themselves are passive mailboxes, not components (see Link).
 func (m *Mesh) Register(k *sim.Kernel) {
 	for _, r := range m.routers {
 		a := k.Register(r)
-		a.SetTile(r.id)
 		for p := Port(0); p < NumPorts; p++ {
 			if il := r.inLink[p]; il != nil {
 				il.SetFlitWake(a)

@@ -13,11 +13,11 @@
 //     branch and allocates nothing.
 //   - Attached, nanotime reads are *sampled*: every Stride-th cycle each
 //     participant timestamps its evaluate phase, commit phase and barrier
-//     waits; all other cycles run the untouched hot loop. Totals are
-//     extrapolated from the sampled sums, so the per-cycle overhead is a few
-//     clock reads divided by the stride — held under 2% by the perfsmoke
-//     guard — while steady-state estimates stay within a few percent of
-//     wall clock.
+//     waits; all other cycles read the clock only around a barrier park.
+//     Totals are extrapolated from the sampled sums, so the per-cycle
+//     overhead is a few clock reads divided by the stride — held under 2%
+//     by the perfsmoke guard — while steady-state estimates stay within a
+//     few percent of wall clock.
 //   - Every counter a worker writes is an atomic in a padded per-worker
 //     struct (no false sharing, no cross-worker writes), so reading them
 //     mid-run from any goroutine is race-free by construction.

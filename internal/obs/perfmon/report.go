@@ -99,7 +99,7 @@ type Report struct {
 	ConfigDigest string   `json:"config_digest,omitempty"`
 	Host         HostInfo `json:"host"`
 	// Workers is the configured worker count; Mode how the kernel actually
-	// executed ("serial", "inline" or "parallel").
+	// executed ("serial" or "parallel").
 	Workers int    `json:"workers"`
 	Mode    string `json:"mode"`
 	Cycles  uint64 `json:"cycles"`

@@ -81,32 +81,13 @@ type Activity struct {
 	// edges points at the owning kernel's per-edge wake census; each
 	// successful lowering is attributed to the producer's declared edge.
 	edges *[perfmon.NumWakeEdges]atomic.Uint64
-	// tile holds the unit's topology hint plus one (0 = untiled), set via
-	// SetTile; the sharder seeds spatially contiguous shards from it.
-	tile int32
 
 	// Pad to a full cache line: Activity words are written by producer
 	// shards (Wake) while neighbouring Activities are read by others;
 	// without padding two units' mailboxes share a line and every wake
 	// invalidates an unrelated shard's cache.
-	_ [64 - 32]byte
+	_ [64 - 24]byte
 }
-
-// SetTile tags the unit with a topology tile (a mesh node ID): units with
-// nearby tiles are placed on the same shard by the kernel's initial packing,
-// so neighbouring routers and the links between them stay in one worker's
-// cache. Negative clears the hint. Call during wiring, before the kernel
-// builds its schedule.
-func (a *Activity) SetTile(t int) {
-	if t < 0 {
-		a.tile = 0
-		return
-	}
-	a.tile = int32(t) + 1
-}
-
-// Tile returns the unit's topology hint, or -1 when untiled.
-func (a *Activity) Tile() int { return int(a.tile) - 1 }
 
 // Wake requests that the unit run at the given cycle (or earlier, if an
 // earlier wake is already pending), attributing the request to the

@@ -16,11 +16,14 @@
 // RegisterGroup so the kernel never splits them across workers and their
 // relative order inside the unit matches their registration order.
 //
-// Scheduling units are packed onto workers by measured cost (see pool.go):
-// every unit carries an EWMA of its observed per-cycle phase time, refreshed
-// on periodic profiling cycles, and the pool repacks units longest-processing-
-// time-first whenever the shards drift out of balance. Assignment never
-// affects results — only which goroutine happens to execute a unit.
+// Scheduling units are packed onto workers longest-processing-time-first
+// (see pool.go): the first pack uses each unit's static PhaseCost seed; after
+// that every unit carries an EWMA of its observed per-cycle phase time,
+// refreshed on periodic profiling cycles, and the pool repacks whenever the
+// shards drift out of balance. Assignment never affects results — only which
+// goroutine happens to execute a unit. A host that cannot run two goroutines
+// at once (GOMAXPROCS < 2) gains nothing from shards but barrier context
+// switches, so there the kernel steps serially whatever SetWorkers asked.
 //
 // Execution is activity-driven (see activity.go): a unit whose components all
 // implement Idler is parked once every member reports Idle(), and only woken
@@ -114,10 +117,6 @@ type unit struct {
 	wheelPrev int32
 	sampleCnt uint32
 	owner     int32 // current shard, for migration accounting
-	// tile is the unit's topology hint (mesh node ID, -1 = none), copied
-	// from its Activity; the pool's initial packing clusters contiguous
-	// tiles onto the same shard.
-	tile int32
 	// canIdle marks a unit whose components all implement Idler; only such
 	// units ever park.
 	canIdle bool
@@ -138,7 +137,7 @@ type Kernel struct {
 
 	workers int
 	dirty   bool // units stale: registration or worker count changed
-	noShard bool // last unit build found too few units to shard
+	noShard bool // last unit build found too few units or CPUs to shard
 	pool    *phasePool
 
 	// Activity engine state (driver-only, except wakeSignal).
@@ -198,10 +197,6 @@ func (k *Kernel) RegisterGroup(key int, c Component) *Activity {
 	a := k.groupActs[key]
 	if a == nil {
 		a = &Activity{sig: &k.wakeSignal, edges: &k.wakeEdges}
-		// Group keys are node IDs at every call site, so they double as the
-		// topology hint for tile-clustered sharding; callers with a different
-		// keying scheme can override via SetTile.
-		a.SetTile(key)
 		k.groupActs[key] = a
 	}
 	k.components = append(k.components, c)
@@ -276,12 +271,12 @@ func (k *Kernel) Step() {
 	}
 	// With a monitor attached, every pmStride-th cycle is sampled: the
 	// driver stamps the full step span and each participant times its
-	// phases. In concurrent mode the predicate runs off the pool generation
+	// phases. In parallel mode the predicate runs off the pool generation
 	// so workers (who only see g) reach the same verdict independently.
 	due := false
 	var t0 time.Time
 	if k.pm != nil {
-		if p != nil && !p.inline {
+		if p != nil {
 			due = (p.gen+1)%k.pmStride == 0
 		} else {
 			due = (k.engineStats.StepsExecuted+1)%k.pmStride == 0
@@ -290,39 +285,18 @@ func (k *Kernel) Step() {
 			t0 = time.Now()
 		}
 	}
-	switch {
-	case p != nil:
+	if p != nil {
 		if k.actDirty {
 			p.rebuildActive()
 			k.actDirty = false
 		}
 		p.step(cyc, due)
-	case skip:
+	} else {
 		if k.actDirty {
 			k.rebuildSerialActive()
 			k.actDirty = false
 		}
-		if due {
-			k.stepListTimed(k.serialAct, cyc)
-		} else {
-			for _, c := range k.serialAct {
-				c.Evaluate(cyc)
-			}
-			for _, c := range k.serialAct {
-				c.Commit(cyc)
-			}
-		}
-	default:
-		if due {
-			k.stepListTimed(k.components, cyc)
-		} else {
-			for _, c := range k.components {
-				c.Evaluate(cyc)
-			}
-			for _, c := range k.components {
-				c.Commit(cyc)
-			}
-		}
+		k.stepList(cyc, due)
 	}
 	k.engineStats.StepsExecuted++
 	k.cycle++
@@ -344,22 +318,31 @@ func (k *Kernel) Step() {
 	}
 }
 
-// stepListTimed is the sampled-cycle serial dispatch: the same work as the
-// plain loops with the evaluate and commit phases timed into participant 0's
-// monitor slot. Kept separate so the unsampled hot path stays untouched.
-func (k *Kernel) stepListTimed(list []Component, cyc uint64) {
-	w := k.pm.Worker(0)
-	t0 := time.Now()
-	for _, c := range list {
+// stepList is the serial dispatch: every Evaluate, then every Commit, over
+// the active units' components (all of them with idle-skip off, where no
+// unit ever parks). On a perfmon-sampled cycle (due) the two phases are
+// timed into participant 0's monitor slot.
+func (k *Kernel) stepList(cyc uint64, due bool) {
+	var t0 time.Time
+	if due {
+		t0 = time.Now()
+	}
+	for _, c := range k.serialAct {
 		c.Evaluate(cyc)
 	}
-	t1 := time.Now()
-	for _, c := range list {
+	var t1 time.Time
+	if due {
+		t1 = time.Now()
+	}
+	for _, c := range k.serialAct {
 		c.Commit(cyc)
 	}
-	w.EvalNs.Add(int64(t1.Sub(t0)))
-	w.CommitNs.Add(int64(time.Since(t1)))
-	w.Sampled.Add(1)
+	if due {
+		w := k.pm.Worker(0)
+		w.EvalNs.Add(int64(t1.Sub(t0)))
+		w.CommitNs.Add(int64(time.Since(t1)))
+		w.Sampled.Add(1)
+	}
 }
 
 // Run executes n cycles. Worker goroutines stay warm on return so repeated
@@ -563,8 +546,8 @@ func (k *Kernel) demotePass(cyc uint64) bool {
 	return parked
 }
 
-// rebuildSerialActive refreshes the serial-mode flat dispatch list from the
-// active units, in unit order. Allocation-free once the backing array has
+// rebuildSerialActive refreshes the serial dispatch list from the active
+// units, in unit order. Allocation-free once the backing array has
 // grown to the full component count.
 func (k *Kernel) rebuildSerialActive() {
 	k.serialAct = k.serialAct[:0]
@@ -622,9 +605,10 @@ func (k *Kernel) BalanceStats() (rebalances, migrations uint64) {
 // SetPerfMon attaches (or with nil detaches) the self-observability monitor.
 // With a monitor attached, every m.Stride-th cycle each participant times
 // its evaluate/commit phases and barrier waits into its padded slot; all
-// other cycles run the untouched hot loops. The activity-engine event census
-// (ActivityCounters) is always collected either way. Attaching marks the
-// engine dirty so a running pool rebuilds with its per-participant slots.
+// other cycles run the same loops and read the clock only around a barrier
+// park. The activity-engine event census (ActivityCounters) is always
+// collected either way. Attaching marks the engine dirty so a running pool
+// rebuilds with its per-participant slots.
 func (k *Kernel) SetPerfMon(m *perfmon.Mon) {
 	k.pm = m
 	k.pmStride = m.EffectiveStride()
@@ -663,18 +647,14 @@ func (k *Kernel) WakeEdges() (w [perfmon.NumWakeEdges]uint64) {
 }
 
 // ExecMode reports how the kernel actually executes cycles: "serial" (no
-// pool — everything on the driving goroutine), "inline" (pool built but
-// GOMAXPROCS<2 folds every shard onto the driver) or "parallel" (true
-// concurrent shards). Meaningful once the first Step has built the engine.
+// pool — everything on the driving goroutine, which is also what workers > 1
+// get on a host with GOMAXPROCS < 2) or "parallel" (concurrent shards).
+// Meaningful once the first Step has built the engine.
 func (k *Kernel) ExecMode() string {
-	switch {
-	case k.pool == nil:
+	if k.pool == nil {
 		return "serial"
-	case k.pool.inline:
-		return "inline"
-	default:
-		return "parallel"
 	}
+	return "parallel"
 }
 
 // PerfReport drains the attached monitor into a RunReport, filling in the
@@ -749,7 +729,6 @@ func (k *Kernel) ensureEngine() *phasePool {
 	if k.dirty {
 		k.StopWorkers()
 		k.dirty = false
-		k.noShard = false
 		k.units = nil
 	}
 	if k.units == nil && len(k.components) > 0 {
@@ -765,15 +744,15 @@ func (k *Kernel) ensureEngine() *phasePool {
 		// A rebuild discards every filed wheel entry (units restart active);
 		// the gauge resets with them, the high-water mark survives.
 		k.engineStats.WheelPending = 0
+		// Shards need two units and a host that can overlap them: with
+		// GOMAXPROCS < 2 the barriers would buy nothing but context
+		// switches, so such a host steps serially until the next rebuild.
+		k.noShard = len(k.units) < 2 || runtime.GOMAXPROCS(0) < 2
 	}
 	if k.workers <= 1 || len(k.components) < 2*k.workers || k.noShard {
 		return nil
 	}
 	if k.pool == nil {
-		if len(k.units) < 2 {
-			k.noShard = true
-			return nil
-		}
 		nw := k.workers
 		if nw > len(k.units) {
 			nw = len(k.units)
@@ -829,7 +808,6 @@ func (k *Kernel) buildUnits() []unit {
 		u.active = true
 		u.wheelAt = NoEvent
 		u.wheelNext, u.wheelPrev = -1, -1
-		u.tile = int32(u.act.Tile())
 		u.act.state.Store(0)
 	}
 	return units

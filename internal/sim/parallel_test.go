@@ -6,10 +6,11 @@ import (
 	"testing"
 )
 
-// forceProcs pins GOMAXPROCS for the duration of a test so both of the
-// pool's execution modes — inline on a single-proc host, concurrent
-// otherwise — are exercised regardless of the machine the tests run on.
-// Pools sample GOMAXPROCS at start, so the mode sticks even after restore.
+// forceProcs pins GOMAXPROCS for the duration of a test so both execution
+// modes for workers > 1 — the serial fallback on a single-proc host, the
+// concurrent pool otherwise — are exercised regardless of the machine the
+// tests run on. The kernel samples GOMAXPROCS when it rebuilds its units, so
+// the mode sticks even after restore.
 func forceProcs(t *testing.T, n int) {
 	t.Helper()
 	old := runtime.GOMAXPROCS(n)
@@ -49,30 +50,44 @@ func chainValues(stages []*stage) []int {
 }
 
 // TestKernelParallelMatchesSerial pins the core contract: the same component
-// graph produces identical state serial and at every worker count, in both
-// the inline and the concurrent pool mode.
+// graph produces identical state serial and at every worker count. On a host
+// that cannot run two goroutines at once, workers > 1 falls back to the
+// serial loop: no pool, no worker goroutines, the same state.
 func TestKernelParallelMatchesSerial(t *testing.T) {
 	const n, cycles = 64, 40
 	kRef, ref := buildChain(n, nil, 1)
 	kRef.Run(cycles)
-	for _, mode := range []struct {
-		name  string
-		procs int
-	}{{"inline", 1}, {"concurrent", 4}} {
-		t.Run(mode.name, func(t *testing.T) {
-			forceProcs(t, mode.procs)
-			for _, workers := range []int{2, 3, 8} {
-				k, stages := buildChain(n, nil, workers)
-				k.Run(cycles)
-				want, got := chainValues(ref), chainValues(stages)
-				for i := range want {
-					if want[i] != got[i] {
-						t.Fatalf("workers=%d stage %d: got %d want %d", workers, i, got[i], want[i])
-					}
-				}
+	match := func(t *testing.T, workers int, stages []*stage) {
+		t.Helper()
+		want, got := chainValues(ref), chainValues(stages)
+		for i := range want {
+			if want[i] != got[i] {
+				t.Fatalf("workers=%d stage %d: got %d want %d", workers, i, got[i], want[i])
 			}
-		})
+		}
 	}
+	t.Run("serial-fallback", func(t *testing.T) {
+		forceProcs(t, 1)
+		k, stages := buildChain(n, nil, 4)
+		g0 := runtime.NumGoroutine()
+		k.Step()
+		if m := k.ExecMode(); m != "serial" {
+			t.Fatalf("ExecMode() = %q at GOMAXPROCS 1, want serial", m)
+		}
+		if g := runtime.NumGoroutine(); g > g0 {
+			t.Fatalf("first Step grew the goroutine count from %d to %d at GOMAXPROCS 1", g0, g)
+		}
+		k.Run(cycles - 1)
+		match(t, 4, stages)
+	})
+	t.Run("concurrent", func(t *testing.T) {
+		forceProcs(t, 4)
+		for _, workers := range []int{2, 3, 8} {
+			k, stages := buildChain(n, nil, workers)
+			k.Run(cycles)
+			match(t, workers, stages)
+		}
+	})
 }
 
 // TestKernelParallelShuffledOrder locks in registration-order independence
@@ -237,6 +252,34 @@ func TestShardRebalanceUnderReshard(t *testing.T) {
 		}
 	}
 	k.StopWorkers()
+}
+
+// TestInitialPackBalancesSeeds pins the pool's first pack: before any
+// profiling cycle it packs the static PhaseCost seeds longest-processing-
+// time-first, so one heavy unit gets a shard to itself and the light ones
+// fill the other to the same load.
+func TestInitialPackBalancesSeeds(t *testing.T) {
+	forceProcs(t, 4)
+	k := NewKernel()
+	for _, seed := range []int{1, 1, 1, 6, 1, 1, 1} {
+		k.Register(&spinComp{seed: seed})
+	}
+	k.SetWorkers(2)
+	k.Step()
+	defer k.StopWorkers()
+	p := k.pool
+	if p == nil {
+		t.Fatal("workers=2 with 7 units built no pool")
+	}
+	for w, shard := range p.assign {
+		load := 0.0
+		for _, ui := range shard {
+			load += p.units[ui].cost
+		}
+		if load != 6 {
+			t.Errorf("shard %d holds seeded cost %v (units %v), want 6", w, load, shard)
+		}
+	}
 }
 
 // benchComp is a synthetic component with a realistic per-cycle cost: it

@@ -57,18 +57,6 @@ type phasePool struct {
 	gen    uint64 // driver-only generation counter
 	cycle  uint64 // published before the epoch store, read after its load
 	sample bool   // this cycle is a profiling cycle
-	// inline executes every shard on the driver: with GOMAXPROCS=1 the host
-	// cannot overlap shards, so the barriers would buy nothing but context
-	// switches (~1.2µs/cycle measured). Results are bit-identical either
-	// way — phases are isolated by construction — so -workers is never a
-	// pessimization on a constrained host. Decided at pool start; a reshard
-	// re-samples GOMAXPROCS.
-	inline bool
-	// inlineAll is the inline-mode dispatch list: every component in
-	// registration order, one contiguous slice — LPT shard order would
-	// stride through memory, and a per-unit loop costs ~20%/cycle when
-	// units are mostly singletons.
-	inlineAll []Component
 
 	epoch   atomic.Uint64 // workers run cycle g once epoch >= g
 	evalN   atomic.Uint64 // arrivals at the evaluate barrier, monotone
@@ -96,8 +84,9 @@ type phasePool struct {
 }
 
 // newPhasePool builds the pool, packs the initial shards from the seeded
-// costs, and launches nw-1 worker goroutines (the driver is participant 0).
-// A non-nil pm attaches sampled self-observability at the given stride.
+// costs (see repack), and launches nw-1 worker goroutines (the driver is
+// participant 0). A non-nil pm attaches sampled self-observability at the
+// given stride.
 func newPhasePool(units []unit, nw int, pm *perfmon.Mon, stride uint64) *phasePool {
 	p := &phasePool{
 		units:  units,
@@ -133,13 +122,7 @@ func newPhasePool(units []unit, nw int, pm *perfmon.Mon, stride uint64) *phasePo
 	for i := range p.units {
 		p.units[i].owner = -1
 	}
-	if runtime.GOMAXPROCS(0) < 2 {
-		p.inline = true
-		p.inlineAll = make([]Component, 0, ncomps)
-		p.seedPack()
-		return p
-	}
-	p.seedPack()
+	p.repack()
 	// A host with spare cores can afford to burn cycles busy-waiting at the
 	// barriers; an oversubscribed one must yield immediately so the sibling
 	// shards actually run.
@@ -159,30 +142,6 @@ func newPhasePool(units []unit, nw int, pm *perfmon.Mon, stride uint64) *phasePo
 // cycle: the kernel computes the predicate from the same generation counter
 // the workers see, so every participant times the same cycles.
 func (p *phasePool) step(cyc uint64, due bool) {
-	if p.inline {
-		if due {
-			w := p.pmw[0]
-			t0 := time.Now()
-			for _, c := range p.inlineAll {
-				c.Evaluate(cyc)
-			}
-			t1 := time.Now()
-			for _, c := range p.inlineAll {
-				c.Commit(cyc)
-			}
-			w.EvalNs.Add(int64(t1.Sub(t0)))
-			w.CommitNs.Add(int64(time.Since(t1)))
-			w.Sampled.Add(1)
-			return
-		}
-		for _, c := range p.inlineAll {
-			c.Evaluate(cyc)
-		}
-		for _, c := range p.inlineAll {
-			c.Commit(cyc)
-		}
-		return
-	}
 	p.gen++
 	g := p.gen
 	p.cycle = cyc
@@ -198,16 +157,18 @@ func (p *phasePool) step(cyc uint64, due bool) {
 	}
 	p.epoch.Store(g)
 	p.wakeOthers(0)
+	var w *perfmon.Worker
+	var t0 time.Time
 	if due {
-		p.runCycleTimed(0, g)
-		t0 := time.Now()
-		park := p.waitCounterPark(&p.doneN, g*uint64(p.nw), 0)
-		w := p.pmw[0]
-		w.SpinNs.Add(int64(time.Since(t0)) - park)
-		w.ParkNs.Add(park)
-	} else {
-		p.runCycle(0, g)
-		p.waitCounter(&p.doneN, g*uint64(p.nw), 0)
+		w = p.pmw[0]
+	}
+	p.runCycle(0, g, w)
+	if w != nil {
+		t0 = time.Now()
+	}
+	park := p.wait(&p.doneN, g*uint64(p.nw), 0)
+	if w != nil {
+		chargeWait(w, t0, park)
 	}
 	if cyc%rebalanceEvery == rebalanceEvery-1 {
 		p.maybeRebalance()
@@ -216,189 +177,122 @@ func (p *phasePool) step(cyc uint64, due bool) {
 
 // workerLoop is the persistent body of participants 1..nw-1. On sampled
 // generations (the same g%stride predicate the driver uses) the epoch wait
-// and the cycle's phases are timed; all other generations run the untouched
-// hot path.
+// and the cycle's phases are timed into the participant's monitor slot.
 func (p *phasePool) workerLoop(self int) {
 	for g := uint64(1); ; g++ {
+		var w *perfmon.Worker
+		var t0 time.Time
 		if p.pmStride != 0 && g%p.pmStride == 0 {
-			t0 := time.Now()
-			park := p.waitCounterPark(&p.epoch, g, self)
-			if p.stopped.Load() {
-				return
-			}
-			w := p.pmw[self]
-			w.SpinNs.Add(int64(time.Since(t0)) - park)
-			w.ParkNs.Add(park)
-			p.runCycleTimed(self, g)
-			continue
+			w = p.pmw[self]
+			t0 = time.Now()
 		}
-		p.waitCounter(&p.epoch, g, self)
+		park := p.wait(&p.epoch, g, self)
 		if p.stopped.Load() {
 			return
 		}
-		p.runCycle(self, g)
+		if w != nil {
+			chargeWait(w, t0, park)
+		}
+		p.runCycle(self, g, w)
 	}
 }
 
 // runCycle executes one participant's share of generation g: evaluate own
 // units, barrier, commit own units, arrive. Workers fall out to wait for the
-// next epoch; the driver's matching wait happens in step.
-func (p *phasePool) runCycle(self int, g uint64) {
+// next epoch; the driver's matching wait happens in step. A non-nil w marks
+// a perfmon-sampled cycle: the evaluate phase, the evaluate barrier and the
+// commit phase are timed into it, and epoch leadership (arriving last at the
+// evaluate barrier and waking the others) is counted.
+func (p *phasePool) runCycle(self int, g uint64, w *perfmon.Worker) {
 	cyc := p.cycle
 	target := g * uint64(p.nw)
+	var t0 time.Time
+	if w != nil {
+		t0 = time.Now()
+	}
 	if p.sample {
-		for _, ui := range p.assign[self] {
-			u := &p.units[ui]
-			if !u.active {
-				continue
-			}
-			t0 := time.Now()
-			for _, c := range u.comps {
-				c.Evaluate(cyc)
-			}
-			u.sampleNs += float64(time.Since(t0))
-		}
+		p.profileShard(self, cyc, false)
 	} else {
 		for _, c := range p.flat[self] {
 			c.Evaluate(cyc)
 		}
 	}
+	if w != nil {
+		t1 := time.Now()
+		w.EvalNs.Add(int64(t1.Sub(t0)))
+		t0 = t1
+	}
 	if p.evalN.Add(1) == target {
 		p.wakeOthers(self)
+		if w != nil {
+			// The leader's wake is a futex syscall per parked peer — real
+			// barrier cost, charged to spin so follower accounting still
+			// sums to wall clock.
+			w.Led.Add(1)
+			chargeWait(w, t0, 0)
+		}
 	} else {
-		p.waitCounter(&p.evalN, target, self)
+		park := p.wait(&p.evalN, target, self)
+		if w != nil {
+			w.Followed.Add(1)
+			chargeWait(w, t0, park)
+		}
+	}
+	if w != nil {
+		t0 = time.Now()
 	}
 	if p.sample {
-		for _, ui := range p.assign[self] {
-			u := &p.units[ui]
-			if !u.active {
-				continue
-			}
-			t0 := time.Now()
-			for _, c := range u.comps {
-				c.Commit(cyc)
-			}
-			u.sampleNs += float64(time.Since(t0))
-			u.sampleCnt++
-		}
+		p.profileShard(self, cyc, true)
 	} else {
 		for _, c := range p.flat[self] {
 			c.Commit(cyc)
 		}
 	}
+	if w != nil {
+		t1 := time.Now()
+		w.CommitNs.Add(int64(t1.Sub(t0)))
+		w.Sampled.Add(1)
+		t0 = t1
+	}
 	if p.doneN.Add(1) == target {
 		p.wakeOthers(self)
+		if w != nil {
+			chargeWait(w, t0, 0)
+		}
 	}
 }
 
-// runCycleTimed is runCycle for a perfmon-sampled cycle: identical work with
-// the evaluate phase, the evaluate barrier and the commit phase timed into
-// the participant's monitor slot, and epoch leadership (arriving last at the
-// evaluate barrier and waking the others) counted. Kept as a separate copy
-// so the unsampled hot loop stays branch-free.
-func (p *phasePool) runCycleTimed(self int, g uint64) {
-	cyc := p.cycle
-	target := g * uint64(p.nw)
-	w := p.pmw[self]
-	t0 := time.Now()
-	if p.sample {
-		for _, ui := range p.assign[self] {
-			u := &p.units[ui]
-			if !u.active {
-				continue
+// profileShard runs one phase (the commit phase when commit is set) of
+// participant self's active units on a profiling cycle, timing each unit
+// into its sample; the commit phase closes the unit's sample.
+func (p *phasePool) profileShard(self int, cyc uint64, commit bool) {
+	for _, ui := range p.assign[self] {
+		u := &p.units[ui]
+		if !u.active {
+			continue
+		}
+		t0 := time.Now()
+		if commit {
+			for _, c := range u.comps {
+				c.Commit(cyc)
 			}
-			s0 := time.Now()
+			u.sampleCnt++
+		} else {
 			for _, c := range u.comps {
 				c.Evaluate(cyc)
 			}
-			u.sampleNs += float64(time.Since(s0))
 		}
-	} else {
-		for _, c := range p.flat[self] {
-			c.Evaluate(cyc)
-		}
-	}
-	w.EvalNs.Add(int64(time.Since(t0)))
-	if p.evalN.Add(1) == target {
-		w.Led.Add(1)
-		// The leader's wake is a futex syscall per parked peer — real
-		// barrier cost, charged to spin so follower accounting still sums
-		// to wall clock.
-		b0 := time.Now()
-		p.wakeOthers(self)
-		w.SpinNs.Add(int64(time.Since(b0)))
-	} else {
-		w.Followed.Add(1)
-		b0 := time.Now()
-		park := p.waitCounterPark(&p.evalN, target, self)
-		w.SpinNs.Add(int64(time.Since(b0)) - park)
-		w.ParkNs.Add(park)
-	}
-	t1 := time.Now()
-	if p.sample {
-		for _, ui := range p.assign[self] {
-			u := &p.units[ui]
-			if !u.active {
-				continue
-			}
-			s0 := time.Now()
-			for _, c := range u.comps {
-				c.Commit(cyc)
-			}
-			u.sampleNs += float64(time.Since(s0))
-			u.sampleCnt++
-		}
-	} else {
-		for _, c := range p.flat[self] {
-			c.Commit(cyc)
-		}
-	}
-	w.CommitNs.Add(int64(time.Since(t1)))
-	w.Sampled.Add(1)
-	if p.doneN.Add(1) == target {
-		b0 := time.Now()
-		p.wakeOthers(self)
-		w.SpinNs.Add(int64(time.Since(b0)))
+		u.sampleNs += float64(time.Since(t0))
 	}
 }
 
-// waitCounter blocks participant self until ctr reaches target: a bounded
+// wait blocks participant self until ctr reaches target: a bounded
 // busy-spin, then yield-spins, then a futex-style park. Spurious wakeups
-// (a stale token from an earlier barrier) simply re-enter the loop.
-func (p *phasePool) waitCounter(ctr *atomic.Uint64, target uint64, self int) {
-	for n := 0; n < p.fastSpin; n++ {
-		if ctr.Load() >= target {
-			return
-		}
-	}
-	w := p.parts[self]
-	for {
-		for n := 0; n < p.yieldSpin; n++ {
-			if ctr.Load() >= target {
-				return
-			}
-			runtime.Gosched()
-		}
-		w.parked.Store(true)
-		if ctr.Load() >= target {
-			if w.parked.CompareAndSwap(true, false) {
-				return
-			}
-			// A waker claimed us between the store and the CAS; its token
-			// is in flight and must be consumed before the next park.
-		}
-		<-w.wake
-		if ctr.Load() >= target {
-			return
-		}
-	}
-}
-
-// waitCounterPark is waitCounter with the descheduled portion measured: it
-// returns the total nanoseconds spent blocked on the wake channel, so a
-// sampled barrier wait can be split into spin (busy + yield) and park
-// (futex-sleep) buckets. Token discipline is identical to waitCounter.
-func (p *phasePool) waitCounterPark(ctr *atomic.Uint64, target uint64, self int) int64 {
+// (a stale token from an earlier barrier) simply re-enter the loop. It
+// returns the nanoseconds spent blocked on the wake channel, so a sampled
+// wait splits into spin (busy + yield) and park (futex-sleep) time; a wait
+// that never parks reads no clock.
+func (p *phasePool) wait(ctr *atomic.Uint64, target uint64, self int) int64 {
 	var park int64
 	for n := 0; n < p.fastSpin; n++ {
 		if ctr.Load() >= target {
@@ -428,6 +322,13 @@ func (p *phasePool) waitCounterPark(ctr *atomic.Uint64, target uint64, self int)
 			return park
 		}
 	}
+}
+
+// chargeWait books a sampled barrier span that began at t0 into w: the park
+// nanoseconds spent descheduled to park, the rest to spin.
+func chargeWait(w *perfmon.Worker, t0 time.Time, park int64) {
+	w.SpinNs.Add(int64(time.Since(t0)) - park)
+	w.ParkNs.Add(park)
 }
 
 // wakeOthers unparks every parked participant except self. The CAS makes
@@ -513,87 +414,13 @@ func (p *phasePool) maybeRebalance() {
 	}
 }
 
-// seedPack builds the initial shard assignment from topology: units are
-// ordered by their tile hint (a mesh node ID; untiled units keep
-// registration order at the end) and the ordered sequence is cut into nw
-// contiguous, cost-balanced segments. Because routers and per-node agent
-// groups register in row-major node order, contiguous tile ranges are
-// spatial row bands of the mesh — each worker owns neighbouring routers, so
-// the links between them stay within one worker's cache instead of
-// ping-ponging between shards every cycle. The EWMA/LPT rebalancer (repack)
-// stays in charge of correcting measured imbalance later; this only replaces
-// the cold-start seed, which LPT would otherwise scatter round-robin across
-// shards with no regard for adjacency.
-func (p *phasePool) seedPack() {
-	for i := range p.order {
-		p.order[i] = i
-	}
-	sort.Stable(&tileSorter{p: p})
-	total := 0.0
-	for i := range p.units {
-		total += p.units[i].cost
-	}
-	for w := range p.assign {
-		p.assign[w] = p.assign[w][:0]
-		p.load[w] = 0
-	}
-	moved := uint64(0)
-	w := 0
-	remaining := total
-	for k, ui := range p.order {
-		c := p.units[ui].cost
-		if w < p.nw-1 && len(p.assign[w]) > 0 {
-			unitsLeft := len(p.order) - k
-			shardsAfter := p.nw - 1 - w
-			fair := remaining / float64(p.nw-w)
-			// Advance when the current shard has its fair share of the
-			// remaining cost (charging half the next unit keeps the cut at
-			// the nearest boundary), or when the leftover units are only
-			// enough to give each later shard one.
-			if p.load[w]+c/2 > fair || unitsLeft <= shardsAfter {
-				w++
-			}
-		}
-		p.assign[w] = append(p.assign[w], ui)
-		p.load[w] += c
-		remaining -= c
-		if p.units[ui].owner != int32(w) {
-			if p.units[ui].owner >= 0 {
-				moved++
-			}
-			p.units[ui].owner = int32(w)
-		}
-	}
-	p.rebuildActive()
-	p.rebalances.Add(1)
-	p.migrations.Add(moved)
-}
-
-// tileSorter orders pool.order by ascending tile hint; untiled units (-1)
-// sort last and stability keeps registration order within equal keys.
-type tileSorter struct{ p *phasePool }
-
-func (s *tileSorter) Len() int { return len(s.p.order) }
-func (s *tileSorter) Less(i, j int) bool {
-	a := s.p.units[s.p.order[i]].tile
-	b := s.p.units[s.p.order[j]].tile
-	if a < 0 {
-		return false
-	}
-	if b < 0 {
-		return true
-	}
-	return a < b
-}
-func (s *tileSorter) Swap(i, j int) {
-	s.p.order[i], s.p.order[j] = s.p.order[j], s.p.order[i]
-}
-
 // repack reassigns units to shards longest-processing-time-first: units in
-// descending cost order, each onto the currently lightest shard. Ties break
-// deterministically (stable sort, lowest shard index), though assignment
-// never affects simulation results — phases are isolated by construction.
-// Returns the number of units that changed shard.
+// descending cost order, each onto the currently lightest shard. It packs
+// the pool's first shards from the static PhaseCost seeds and every
+// rebalance from the measured EWMA costs. Ties break deterministically
+// (stable sort, lowest shard index), though assignment never affects
+// simulation results — phases are isolated by construction. Returns the
+// number of units that changed shard.
 func (p *phasePool) repack() uint64 {
 	for i := range p.order {
 		p.order[i] = i
@@ -631,15 +458,6 @@ func (p *phasePool) repack() uint64 {
 // shard assignment changes; allocation-free once the backing arrays have
 // grown to the full component count.
 func (p *phasePool) rebuildActive() {
-	if p.inline {
-		p.inlineAll = p.inlineAll[:0]
-		for i := range p.units {
-			if u := &p.units[i]; u.active {
-				p.inlineAll = append(p.inlineAll, u.comps...)
-			}
-		}
-		return
-	}
 	for w := range p.flat {
 		p.flat[w] = p.flat[w][:0]
 		for _, ui := range p.assign[w] {

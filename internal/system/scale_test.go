@@ -9,10 +9,10 @@ import (
 	"scorpio/internal/trace"
 )
 
-// forceProcs pins GOMAXPROCS for one test so the kernel's pool picks its
-// concurrent mode even on a single-CPU host (with GOMAXPROCS=1 the pool
-// executes shards inline on the driver — bit-identical, but it would leave
-// the barrier engine unexercised here).
+// forceProcs pins GOMAXPROCS for one test so the kernel builds its worker
+// pool even on a single-CPU host (with GOMAXPROCS=1 it steps workers > 1
+// serially — bit-identical, but it would leave the barrier engine
+// unexercised here).
 func forceProcs(t *testing.T, n int) {
 	t.Helper()
 	old := runtime.GOMAXPROCS(n)
