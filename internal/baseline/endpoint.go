@@ -119,7 +119,6 @@ func NewEndpoint(node int, mesh *noc.Mesh, orderer Orderer, agent nic.Agent) *En
 		respQ:   ring.New[*noc.Packet](8),
 		respAsm: make([]respAsm, cfg.TotalVCs(noc.UOResp)),
 	}
-	mesh.AttachESID(node, e)
 	return e
 }
 
@@ -227,10 +226,6 @@ func (e *Endpoint) Idle() bool {
 	}
 	return true
 }
-
-// ExpectedSID implements noc.ESIDProvider; baselines do not use reserved
-// VCs (their reorder buffer is unbounded, so the network always drains).
-func (e *Endpoint) ExpectedSID() (int, uint64, bool) { return 0, 0, false }
 
 // SendRequest implements coherence.NetPort: the request gets a global order
 // key from the orderer.
@@ -405,7 +400,9 @@ func (e *Endpoint) inject(cycle uint64) {
 	}
 	if !e.reqQ.Empty() {
 		p := e.reqQ.Front()
-		if vc, ok := e.tr.AllocHeadVC(noc.GOReq, p.SID, false); ok {
+		// Baselines never take the reserved VC: their reorder buffer is
+		// unbounded, so the network always drains.
+		if vc, reserved, ok := e.tr.AllocHeadVC(noc.GOReq, p.SID); ok && !reserved {
 			e.tr.ClaimHeadVC(noc.GOReq, vc, p.SID)
 			e.curVC = vc
 			p.NetworkEntry = cycle
@@ -424,7 +421,7 @@ func (e *Endpoint) inject(cycle uint64) {
 	}
 	if !e.respQ.Empty() {
 		p := e.respQ.Front()
-		if vc, ok := e.tr.AllocHeadVC(noc.UOResp, p.SID, false); ok {
+		if vc, _, ok := e.tr.AllocHeadVC(noc.UOResp, p.SID); ok {
 			e.tr.ClaimHeadVC(noc.UOResp, vc, p.SID)
 			e.curVC = vc
 			p.NetworkEntry = cycle

@@ -200,9 +200,6 @@ type NIC struct {
 	order        []sidRun
 	orderPos     int
 	rrPtr        int
-	esidOut      int    // committed ESID visible to routers
-	esidSeqOut   uint64 // committed expected source sequence number
-	esidValid    bool
 	busy         int      // ejection occupancy countdown
 	srcSeqNext   uint64   // next sequence number for own ordered requests
 	deliveredSeq []uint64 // per source: ordered requests already delivered here
@@ -247,7 +244,6 @@ func New(node int, cfg Config, mesh *noc.Mesh, nnet *notif.Network, agent Agent)
 	n.doneResp = ring.New[*noc.Packet](4)
 	n.loopback = ring.New[*noc.Packet](cfg.MaxPendingNotifs)
 	n.trackerQ = ring.NewFixed[notif.Vector](cfg.TrackerDepth)
-	mesh.AttachESID(node, n)
 	if nnet != nil {
 		n.ncfg = nnet.Config()
 		nnet.AttachSource(node, n)
@@ -259,7 +255,6 @@ func New(node int, cfg Config, mesh *noc.Mesh, nnet *notif.Network, agent Agent)
 // round-robin across all attached meshes.
 func (n *NIC) AddMesh(mesh *noc.Mesh) {
 	n.ports = append(n.ports, newMeshPort(n.netCfg, n.cfg.InjectQueueDepth, mesh))
-	mesh.AttachESID(n.node, n)
 }
 
 // Meshes reports the number of attached main networks.
@@ -276,9 +271,6 @@ func (n *NIC) SetAuditor(a *audit.Auditor) { n.auditor = a }
 
 // Node returns the NIC's node ID.
 func (n *NIC) Node() int { return n.node }
-
-// ExpectedSID implements noc.ESIDProvider with committed state.
-func (n *NIC) ExpectedSID() (int, uint64, bool) { return n.esidOut, n.esidSeqOut, n.esidValid }
 
 // NotificationOffer implements notif.Source with committed state.
 func (n *NIC) NotificationOffer() (int, bool) { return n.offerCount, n.offerStop }
@@ -380,7 +372,7 @@ func (n *NIC) Evaluate(cycle uint64) {
 }
 
 // Commit latches staged sends (striping them across the attached meshes)
-// and the registered outputs other components sample (ESID for routers, the
+// and the registered outputs other components sample (the ESID board, the
 // notification offer for the OR-mesh).
 func (n *NIC) Commit(cycle uint64) {
 	for _, p := range n.stagedReq {
@@ -399,11 +391,17 @@ func (n *NIC) Commit(cycle uint64) {
 		port.respQ.Push(p)
 	}
 	n.stagedResp = n.stagedResp[:0]
-	// Registered ESID output: the exact (SID, sequence) occurrence expected.
-	n.esidValid = n.orderActive()
-	if n.esidValid {
-		n.esidOut = n.order[n.orderPos].sid
-		n.esidSeqOut = n.deliveredSeq[n.esidOut]
+	// Registered ESID output: the exact (SID, sequence) occurrence expected,
+	// published on every attached mesh's ESID board.
+	var sid int
+	var seq uint64
+	active := n.orderActive()
+	if active {
+		sid = n.order[n.orderPos].sid
+		seq = n.deliveredSeq[sid]
+	}
+	for _, port := range n.ports {
+		port.mesh.PublishESID(n.node, sid, seq, active)
 	}
 	// Registered notification offer for the next window start. The vector
 	// being expanded into ESIDs still occupies a slot, so it counts toward
@@ -805,13 +803,10 @@ func (n *NIC) startInjection(port *meshPort, v noc.VNet, cycle uint64) bool {
 		return false
 	}
 	p := q.Front()
-	rvcOK := false
-	if v == noc.GOReq && n.cfg.Ordered {
-		// A fresh broadcast covers every node but this one.
-		rvcOK = port.mesh.Expecting(p.SID, p.SrcSeq, n.node)
-	}
-	vc, ok := port.tr.AllocHeadVC(v, p.SID, rvcOK)
-	if !ok {
+	// The reserved VC is the last option; a fresh broadcast covers every node
+	// but this one, so it is eligible when any other node expects it.
+	vc, reserved, ok := port.tr.AllocHeadVC(v, p.SID)
+	if !ok || reserved && !(n.cfg.Ordered && port.mesh.Expecting(p.SID, p.SrcSeq, n.node)) {
 		return false
 	}
 	port.tr.ClaimHeadVC(v, vc, p.SID)
@@ -897,8 +892,8 @@ func (n *NIC) HasPendingWork() bool {
 func (n *NIC) OrderingSnapshot() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "nic %d:", n.node)
-	if n.esidValid {
-		fmt.Fprintf(&b, " expecting sid=%d seq=%d", n.esidOut, n.esidSeqOut)
+	if sid, seq, ok := n.ports[0].mesh.ESID(n.node); ok {
+		fmt.Fprintf(&b, " expecting sid=%d seq=%d", sid, seq)
 	} else {
 		b.WriteString(" no active ESID sequence")
 	}

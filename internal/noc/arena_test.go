@@ -82,12 +82,16 @@ func TestArenaDigestTracksSequence(t *testing.T) {
 }
 
 // TestFlitIsTwoPerCacheLine pins the flit value size the by-value link
-// mailboxes and arena slab are designed around.
+// mailboxes and arena slab are designed around, the Link padding, and the
+// ESID board entry size the routers' row scans read.
 func TestFlitIsTwoPerCacheLine(t *testing.T) {
 	if s := unsafe.Sizeof(Flit{}); s != 32 {
 		t.Fatalf("Flit is %d bytes, want 32 (two per 64-byte cache line)", s)
 	}
 	if s := unsafe.Sizeof(Link{}); s%64 != 0 {
 		t.Fatalf("Link is %d bytes, want a multiple of the 64-byte cache line", s)
+	}
+	if s := unsafe.Sizeof(esidEntry{}); s != 16 {
+		t.Fatalf("esidEntry is %d bytes, want 16 (four ESID board entries per 64-byte cache line)", s)
 	}
 }

@@ -17,8 +17,22 @@ type Mesh struct {
 	routers   []*Router
 	inject    []*Link
 	eject     []*Link
-	esids     []ESIDProvider
+	board     []esidEntry
 	nextPktID uint64
+}
+
+// esidEntry is one node's slot on the mesh's ESID board: the exact (SID,
+// source-sequence) request the node's NIC is waiting for, valid while its
+// global-order sequence is active. 16 bytes, four per cache line.
+type esidEntry struct {
+	seq   uint64
+	sid   int32
+	valid bool
+}
+
+// expects reports whether the entry awaits exactly the (sid, seq) request.
+func (e *esidEntry) expects(sid int32, seq uint64) bool {
+	return e.valid && e.sid == sid && e.seq == seq
 }
 
 // NewMesh builds the mesh described by cfg.
@@ -30,16 +44,10 @@ func NewMesh(cfg Config) (*Mesh, error) {
 		cfg:    cfg,
 		inject: make([]*Link, cfg.Nodes()),
 		eject:  make([]*Link, cfg.Nodes()),
-		esids:  make([]ESIDProvider, cfg.Nodes()),
-	}
-	esid := func(node int) (int, uint64, bool) {
-		if p := m.esids[node]; p != nil {
-			return p.ExpectedSID()
-		}
-		return 0, 0, false
+		board:  make([]esidEntry, cfg.Nodes()),
 	}
 	for id := 0; id < cfg.Nodes(); id++ {
-		m.routers = append(m.routers, newRouter(cfg, id, esid))
+		m.routers = append(m.routers, newRouter(cfg, id, m.board))
 	}
 	newLink := func() *Link { return NewLink() }
 	// Local ports.
@@ -47,7 +55,6 @@ func NewMesh(cfg Config) (*Mesh, error) {
 		m.inject[id] = newLink()
 		m.eject[id] = newLink()
 		r.attach(Local, m.inject[id], m.eject[id])
-		r.downstream[Local] = int32(id)
 	}
 	// Mesh channels: one link per direction per neighbour pair.
 	for id, r := range m.routers {
@@ -57,61 +64,36 @@ func NewMesh(cfg Config) (*Mesh, error) {
 			ab, ba := newLink(), newLink()
 			r.attach(East, ba, ab)
 			e.attach(West, ab, ba)
-			r.downstream[East] = int32(e.id)
-			e.downstream[West] = int32(r.id)
 		}
 		if y+1 < cfg.Height {
 			s := m.routers[cfg.NodeAt(x, y+1)]
 			ab, ba := newLink(), newLink()
 			r.attach(South, ba, ab)
 			s.attach(North, ab, ba)
-			r.downstream[South] = int32(s.id)
-			s.downstream[North] = int32(r.id)
-		}
-	}
-	// Broadcast-tree coverage per output port, for reserved-VC eligibility.
-	for _, r := range m.routers {
-		for p := Port(0); p < NumPorts; p++ {
-			if r.outLink[p] == nil {
-				continue
-			}
-			if p == Local {
-				r.coverage[p] = []int{r.id}
-			} else {
-				r.coverage[p] = m.coverageFrom(int(r.downstream[p]), p.opposite())
-			}
 		}
 	}
 	return m, nil
 }
 
-// coverageFrom returns the nodes a broadcast branch delivers to when it
-// enters router s through the given port, following the XY multicast tree.
-func (m *Mesh) coverageFrom(s int, entry Port) []int {
-	r := m.routers[s]
-	mask := r.broadcastMask(entry)
-	var out []int
-	if mask&portMask(Local) != 0 {
-		out = append(out, s)
-	}
-	for p := Port(North); p < NumPorts; p++ {
-		if mask&portMask(p) == 0 {
-			continue
-		}
-		out = append(out, m.coverageFrom(int(r.downstream[p]), p.opposite())...)
-	}
-	return out
+// PublishESID records on the board the request node's NIC expects next
+// (ok false: none). Each NIC writes only its own slot, in Commit, on every
+// mesh it is attached to; routers and NICs read the board in Evaluate.
+func (m *Mesh) PublishESID(node, sid int, seq uint64, ok bool) {
+	m.board[node] = esidEntry{seq: seq, sid: int32(sid), valid: ok}
+}
+
+// ESID returns node's committed board entry (stall diagnostics).
+func (m *Mesh) ESID(node int) (sid int, seq uint64, ok bool) {
+	e := m.board[node]
+	return int(e.sid), e.seq, e.valid
 }
 
 // Expecting reports whether any node other than exclude is currently waiting
 // for the (sid, seq) request; NICs use it for reserved-VC eligibility at the
 // injection port (a fresh broadcast covers every node but its source).
 func (m *Mesh) Expecting(sid int, seq uint64, exclude int) bool {
-	for node, p := range m.esids {
-		if node == exclude || p == nil {
-			continue
-		}
-		if s, q, ok := p.ExpectedSID(); ok && s == sid && q == seq {
+	for node := range m.board {
+		if node != exclude && m.board[node].expects(int32(sid), seq) {
 			return true
 		}
 	}
@@ -136,12 +118,6 @@ func (m *Mesh) Register(k *sim.Kernel) {
 			}
 		}
 	}
-}
-
-// AttachESID registers the node's NIC as the source of ESID values for the
-// reserved-VC eligibility checks of surrounding routers.
-func (m *Mesh) AttachESID(node int, p ESIDProvider) {
-	m.esids[node] = p
 }
 
 // InjectLink returns the link a node's NIC sends flits on (into the router's

@@ -31,8 +31,6 @@ func newTestEndpoint(mesh *Mesh, node int) *testEndpoint {
 	}
 }
 
-func (e *testEndpoint) ExpectedSID() (int, uint64, bool) { return 0, 0, false }
-
 func (e *testEndpoint) Queue(p *Packet) { e.sendQ = append(e.sendQ, p) }
 
 func (e *testEndpoint) Evaluate(cycle uint64) {
@@ -60,8 +58,8 @@ func (e *testEndpoint) Evaluate(cycle uint64) {
 	}
 	p := e.inFlight
 	if e.nextSeq == 0 {
-		vc, ok := e.tr.AllocHeadVC(p.VNet, p.SID, false)
-		if !ok {
+		vc, reserved, ok := e.tr.AllocHeadVC(p.VNet, p.SID)
+		if !ok || reserved {
 			return
 		}
 		e.tr.ClaimHeadVC(p.VNet, vc, p.SID)
@@ -94,7 +92,6 @@ func testNet(t *testing.T, cfg Config) (*sim.Kernel, *Mesh, []*testEndpoint) {
 	eps := make([]*testEndpoint, cfg.Nodes())
 	for i := range eps {
 		eps[i] = newTestEndpoint(m, i)
-		m.AttachESID(i, eps[i])
 		k.Register(eps[i])
 	}
 	m.Register(k)
@@ -420,7 +417,7 @@ func TestRectangularMeshTraffic(t *testing.T) {
 func TestBroadcastCoverageProperty(t *testing.T) {
 	// For random mesh shapes and sources, the XY multicast tree covers every
 	// node except the source exactly once (checked via the static coverage
-	// tables the reserved-VC logic uses).
+	// rectangles the reserved-VC logic uses).
 	rng := sim.NewRNG(31)
 	for trial := 0; trial < 30; trial++ {
 		cfg := DefaultConfig()
@@ -437,7 +434,7 @@ func TestBroadcastCoverageProperty(t *testing.T) {
 			if r.outLink[p] == nil {
 				continue
 			}
-			for _, n := range r.coverage[p] {
+			for _, n := range rectNodes(cfg, r.cover[p]) {
 				covered[n]++
 			}
 		}

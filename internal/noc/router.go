@@ -48,14 +48,15 @@ type Router struct {
 	cfg  Config
 	id   int
 	x, y int
-	esid func(node int) (int, uint64, bool)
 
-	// Per-port links; nil marks an absent port (mesh edges). downstream and
-	// coverage describe the neighbour behind each output port.
-	inLink     [NumPorts]*Link
-	outLink    [NumPorts]*Link
-	downstream [NumPorts]int32
-	coverage   [NumPorts][]int
+	// Per-port links; nil marks an absent port (mesh edges).
+	inLink  [NumPorts]*Link
+	outLink [NumPorts]*Link
+	// board is the mesh's ESID board (one entry per node, row-major) and
+	// cover the rectangle of nodes behind each output port, both read for
+	// reserved-VC eligibility.
+	board []esidEntry
+	cover [NumPorts]rect
 
 	// vcsPerPort is the flat per-port VC count; splitVC the number of GO-REQ
 	// VCs (flat indexes below it are GO-REQ, at or above it UO-RESP).
@@ -110,9 +111,21 @@ func (r *Router) SetAuditor(a *audit.Auditor) { r.auditor = a }
 // front (uniformly for NumPorts ports — absent edge ports leave their share
 // unused but keep the flat indexing stride-regular); links are attached by
 // the mesh.
-func newRouter(cfg Config, id int, esid func(node int) (int, uint64, bool)) *Router {
+func newRouter(cfg Config, id int, board []esidEntry) *Router {
 	x, y := cfg.Coord(id)
-	r := &Router{cfg: cfg, id: id, x: x, y: y, esid: esid}
+	r := &Router{cfg: cfg, id: id, x: x, y: y, board: board}
+	// The XY multicast subtree behind each output port (see broadcastMask):
+	// a branch sent East or West forks into every row of the columns beyond,
+	// one sent North or South runs straight along the column. Ports absent
+	// at the mesh edge get an empty rectangle and are never asked.
+	w, h := cfg.Width, cfg.Height
+	r.cover = [NumPorts]rect{
+		Local: newRect(x, x, y, y),
+		North: newRect(x, x, 0, y-1),
+		East:  newRect(x+1, w-1, 0, h-1),
+		South: newRect(x, x, y+1, h-1),
+		West:  newRect(0, x-1, 0, h-1),
+	}
 	r.vcsPerPort = cfg.TotalVCs(GOReq) + cfg.TotalVCs(UOResp)
 	r.splitVC = cfg.TotalVCs(GOReq)
 	n := int(NumPorts) * r.vcsPerPort
@@ -535,7 +548,8 @@ func (r *Router) serviceablePorts(fv int, f *Flit) uint8 {
 			continue
 		}
 		if f.IsHead() {
-			if _, can := r.trk.allocHeadVC(o, f.Pkt.VNet, f.Pkt.SID, r.rvcEligible(o, f)); can {
+			_, reserved, can := r.trk.allocHeadVC(o, f.Pkt.VNet, f.Pkt.SID)
+			if can && (!reserved || r.rvcEligible(o, f)) {
 				ok |= portMask(o)
 			}
 		} else if r.trk.canSendBody(o, f.Pkt.VNet, int(r.vcOutVC[fv])) {
@@ -545,18 +559,29 @@ func (r *Router) serviceablePorts(fv int, f *Flit) uint8 {
 	return ok
 }
 
+// rect is the node rectangle of columns x0..x1 and rows y0..y1 (inclusive;
+// empty when x0 > x1 or y0 > y1).
+type rect struct{ x0, x1, y0, y1 int16 }
+
+func newRect(x0, x1, y0, y1 int) rect {
+	return rect{int16(x0), int16(x1), int16(y0), int16(y1)}
+}
+
 // rvcEligible reports whether a GO-REQ flit may use the reserved VC of the
 // downstream input port. The flit must be the exact (SID, sequence) request
 // some NIC in this branch's remaining delivery subtree is waiting for; any
 // looser rule would let a later same-SID request squat the reserved VC and
-// deadlock the expected one behind it.
+// deadlock the expected one behind it. The subtree is a rectangle, so the
+// scan reads one contiguous run of the board per row.
 func (r *Router) rvcEligible(o Port, f *Flit) bool {
-	if f.Pkt.VNet != GOReq || r.esid == nil {
-		return false
-	}
-	for _, node := range r.coverage[o] {
-		if sid, seq, ok := r.esid(node); ok && sid == f.Pkt.SID && seq == f.Pkt.SrcSeq {
-			return true
+	c := r.cover[o]
+	sid, seq := int32(f.Pkt.SID), f.Pkt.SrcSeq
+	for y := int(c.y0); y <= int(c.y1); y++ {
+		row := y * r.cfg.Width
+		for _, e := range r.board[row+int(c.x0) : row+int(c.x1)+1] {
+			if e.expects(sid, seq) {
+				return true
+			}
 		}
 	}
 	return false
@@ -566,8 +591,8 @@ func (r *Router) rvcEligible(o Port, f *Flit) bool {
 func (r *Router) claim(c *candidate, o Port) (grant, bool) {
 	f := c.flit
 	if c.isHead {
-		vcIdx, ok := r.trk.allocHeadVC(o, f.Pkt.VNet, f.Pkt.SID, r.rvcEligible(o, f))
-		if !ok {
+		vcIdx, reserved, ok := r.trk.allocHeadVC(o, f.Pkt.VNet, f.Pkt.SID)
+		if !ok || reserved && !r.rvcEligible(o, f) {
 			return grant{}, false
 		}
 		r.trk.claimHeadVC(o, f.Pkt.VNet, vcIdx, f.Pkt.SID)

@@ -76,34 +76,34 @@ func (t *OutputTracker) sidInFlight(sid int) bool {
 
 // AllocHeadVC finds a free downstream VC with credit for a head flit.
 // For GO-REQ it enforces the SID tracker rule (a same-SID request must not
-// already be in flight to this input port) and admits the reserved VC only
-// when rvcEligible is true (the flit's SID equals the downstream NIC's
-// ESID). It returns the chosen VC without claiming it; call ClaimHeadVC on
-// the winning flit.
-func (t *OutputTracker) AllocHeadVC(v VNet, sid int, rvcEligible bool) (int, bool) {
+// already be in flight to this input port) and offers the reserved VC only
+// when no ordinary VC is free: reserved then reports that the caller may use
+// the VC only if the flit is eligible (its exact (SID, sequence) is the ESID
+// of a NIC it will reach). Checking eligibility last keeps that scan off
+// every allocation an ordinary VC can serve. It returns the chosen VC without
+// claiming it; call ClaimHeadVC on the winning flit.
+func (t *OutputTracker) AllocHeadVC(v VNet, sid int) (vc int, reserved, ok bool) {
 	if v == GOReq {
 		if t.sidInFlight(sid) {
-			return 0, false
+			return 0, false, false
 		}
 		for i := 0; i < t.cfg.GOReqVCs; i++ {
 			if !t.vcBusy[v][i] && t.credits[v][i] > 0 {
-				return i, true
+				return i, false, true
 			}
 		}
-		if rvcEligible {
-			r := t.cfg.ReservedVC(v)
-			if !t.vcBusy[v][r] && t.credits[v][r] > 0 {
-				return r, true
-			}
+		r := t.cfg.ReservedVC(v)
+		if !t.vcBusy[v][r] && t.credits[v][r] > 0 {
+			return r, true, true
 		}
-		return 0, false
+		return 0, false, false
 	}
 	for i := 0; i < t.cfg.UORespVCs; i++ {
 		if !t.vcBusy[v][i] && t.credits[v][i] > 0 {
-			return i, true
+			return i, false, true
 		}
 	}
-	return 0, false
+	return 0, false, false
 }
 
 // ClaimHeadVC marks the VC busy, charges one credit and records the SID in
@@ -235,31 +235,29 @@ func (t *trackerTable) sidInFlight(p Port, sid int) bool {
 }
 
 // allocHeadVC mirrors OutputTracker.AllocHeadVC for one port.
-func (t *trackerTable) allocHeadVC(p Port, v VNet, sid int, rvcEligible bool) (int, bool) {
+func (t *trackerTable) allocHeadVC(p Port, v VNet, sid int) (int, bool, bool) {
 	base := int(p) * t.vcsPerPort
 	if v == GOReq {
 		if t.sidInFlight(p, sid) {
-			return 0, false
+			return 0, false, false
 		}
 		for vc := 0; vc < t.goVCs; vc++ {
 			if i := base + vc; !t.busy[i] && t.credits[i] > 0 {
-				return vc, true
+				return vc, false, true
 			}
 		}
-		if rvcEligible {
-			rvc := t.goVCs // reserved VC is the last GO-REQ index
-			if i := base + rvc; !t.busy[i] && t.credits[i] > 0 {
-				return rvc, true
-			}
+		rvc := t.goVCs // reserved VC is the last GO-REQ index
+		if i := base + rvc; !t.busy[i] && t.credits[i] > 0 {
+			return rvc, true, true
 		}
-		return 0, false
+		return 0, false, false
 	}
 	for vc := 0; vc < t.uoVCs; vc++ {
 		if i := base + t.split + vc; !t.busy[i] && t.credits[i] > 0 {
-			return vc, true
+			return vc, false, true
 		}
 	}
-	return 0, false
+	return 0, false, false
 }
 
 // claimHeadVC marks the VC busy, charges one credit and records the SID in

@@ -5,7 +5,7 @@ import "testing"
 func TestOutputTrackerCreditLifecycle(t *testing.T) {
 	cfg := DefaultConfig()
 	tr := NewOutputTracker(cfg)
-	vc, ok := tr.AllocHeadVC(UOResp, 0, false)
+	vc, _, ok := tr.AllocHeadVC(UOResp, 0)
 	if !ok {
 		t.Fatal("fresh tracker must have a free VC")
 	}
@@ -31,7 +31,7 @@ func TestOutputTrackerCreditLifecycle(t *testing.T) {
 
 func TestOutputTrackerSIDExclusion(t *testing.T) {
 	tr := NewOutputTracker(DefaultConfig())
-	vc, ok := tr.AllocHeadVC(GOReq, 7, false)
+	vc, _, ok := tr.AllocHeadVC(GOReq, 7)
 	if !ok {
 		t.Fatal("alloc failed")
 	}
@@ -39,17 +39,17 @@ func TestOutputTrackerSIDExclusion(t *testing.T) {
 	if tr.TrackedSID(vc) != 7 {
 		t.Fatal("SID tracker entry missing")
 	}
-	if _, ok := tr.AllocHeadVC(GOReq, 7, true); ok {
+	if _, _, ok := tr.AllocHeadVC(GOReq, 7); ok {
 		t.Fatal("a same-SID request must not be in flight twice to one port")
 	}
-	if _, ok := tr.AllocHeadVC(GOReq, 8, false); !ok {
+	if _, _, ok := tr.AllocHeadVC(GOReq, 8); !ok {
 		t.Fatal("a different SID must still be admitted")
 	}
 	tr.ProcessCredit(Credit{VNet: GOReq, VC: vc, FreeVC: true})
 	if tr.TrackedSID(vc) != -1 {
 		t.Fatal("SID tracker entry must clear with the credit")
 	}
-	if _, ok := tr.AllocHeadVC(GOReq, 7, false); !ok {
+	if _, _, ok := tr.AllocHeadVC(GOReq, 7); !ok {
 		t.Fatal("SID admissible again after the first request cleared")
 	}
 }
@@ -57,20 +57,28 @@ func TestOutputTrackerSIDExclusion(t *testing.T) {
 func TestOutputTrackerReservedVCEligibility(t *testing.T) {
 	cfg := DefaultConfig()
 	tr := NewOutputTracker(cfg)
-	// Exhaust the normal GO-REQ VCs with distinct SIDs.
+	// Exhaust the normal GO-REQ VCs with distinct SIDs; none of them may be
+	// reported as the reserved VC.
 	for i := 0; i < cfg.GOReqVCs; i++ {
-		vc, ok := tr.AllocHeadVC(GOReq, i, false)
-		if !ok {
-			t.Fatalf("normal VC %d not allocatable", i)
+		vc, reserved, ok := tr.AllocHeadVC(GOReq, i)
+		if !ok || reserved {
+			t.Fatalf("normal VC %d not allocatable (ok=%v reserved=%v)", i, ok, reserved)
 		}
 		tr.ClaimHeadVC(GOReq, vc, i)
 	}
-	if _, ok := tr.AllocHeadVC(GOReq, 99, false); ok {
-		t.Fatal("ineligible flit must not get the reserved VC")
+	// The reserved VC is offered last, flagged so the caller checks
+	// eligibility before taking it.
+	rvc, reserved, ok := tr.AllocHeadVC(GOReq, 99)
+	if !ok || !reserved || rvc != cfg.ReservedVC(GOReq) {
+		t.Fatalf("reserved VC not offered as the last option, got %d ok=%v reserved=%v", rvc, ok, reserved)
 	}
-	rvc, ok := tr.AllocHeadVC(GOReq, 99, true)
-	if !ok || rvc != cfg.ReservedVC(GOReq) {
-		t.Fatalf("eligible flit must get the reserved VC, got %d ok=%v", rvc, ok)
+	// A SID already in flight gets nothing, not even the reserved VC.
+	if _, _, ok := tr.AllocHeadVC(GOReq, 0); ok {
+		t.Fatal("a same-SID request must not reach the reserved VC")
+	}
+	tr.ClaimHeadVC(GOReq, rvc, 99)
+	if _, _, ok := tr.AllocHeadVC(GOReq, 100); ok {
+		t.Fatal("every GO-REQ VC is busy, allocation must fail")
 	}
 }
 

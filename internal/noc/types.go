@@ -187,15 +187,3 @@ func (c Config) Coord(node int) (x, y int) {
 func (c Config) NodeAt(x, y int) int {
 	return y*c.Width + x
 }
-
-// ESIDProvider exposes the expected request of a node's network interface
-// controller. Routers consult it when deciding whether a GO-REQ flit may
-// claim a reserved virtual channel: only the exact (SID, source-sequence)
-// occurrence a NIC in the flit's remaining delivery subtree is waiting for
-// is eligible.
-type ESIDProvider interface {
-	// ExpectedSID returns the SID the node's NIC is currently waiting for
-	// and the per-source sequence number of that occurrence; ok is false
-	// when the NIC has no pending global order (idle).
-	ExpectedSID() (sid int, seq uint64, ok bool)
-}

@@ -30,8 +30,8 @@ func (e *starvedEndpoint) Evaluate(cycle uint64) {
 	}
 	p := e.inFlight
 	if e.nextSeq == 0 {
-		vc, ok := e.tr.AllocHeadVC(p.VNet, p.SID, false)
-		if !ok {
+		vc, reserved, ok := e.tr.AllocHeadVC(p.VNet, p.SID)
+		if !ok || reserved {
 			return
 		}
 		e.tr.ClaimHeadVC(p.VNet, vc, p.SID)
@@ -69,7 +69,6 @@ func TestWatchdogNamesStarvedRouter(t *testing.T) {
 		if i == 3 {
 			ep = &starvedEndpoint{eps[i]}
 		}
-		m.AttachESID(i, eps[i])
 		k.Register(ep)
 	}
 	m.Register(k)

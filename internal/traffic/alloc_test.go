@@ -74,7 +74,6 @@ func warmMeshSized(t testing.TB, workers, w, h int, rate float64, idleSkip bool)
 			pkts:  &pktPool{},
 		}
 		nodes[i].armNext(0)
-		mesh.AttachESID(i, nodes[i])
 		nodes[i].BindActivity(k.Register(nodes[i]))
 	}
 	mesh.Register(k)

@@ -49,7 +49,6 @@ func arenaRun(t *testing.T, workers, w, h int, idleSkip bool) (idDigest, arenaDi
 			pkts:  &pktPool{},
 		}
 		nodes[i].armNext(0)
-		mesh.AttachESID(i, nodes[i])
 		nodes[i].BindActivity(k.Register(nodes[i]))
 	}
 	mesh.Register(k)

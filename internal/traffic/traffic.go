@@ -136,8 +136,6 @@ func (pp *pktPool) get() *noc.Packet {
 // put returns a delivered packet to the pool.
 func (pp *pktPool) put(p *noc.Packet) { pp.free = append(pp.free, p) }
 
-func (n *node) ExpectedSID() (int, uint64, bool) { return 0, 0, false }
-
 // armNext presamples the cycle of the next injection attempt by running the
 // exact Bernoulli trials per-cycle generation would run, starting at `from`.
 // The RNG stream is therefore bit-identical to drawing one trial per cycle,
@@ -231,7 +229,7 @@ func (n *node) Evaluate(cycle uint64) {
 	// Injection, one flit per cycle.
 	if n.cur == nil && !n.queue.Empty() {
 		p := n.queue.Front()
-		if vc, ok := n.tr.AllocHeadVC(p.VNet, p.SID, false); ok {
+		if vc, reserved, ok := n.tr.AllocHeadVC(p.VNet, p.SID); ok && !reserved {
 			n.tr.ClaimHeadVC(p.VNet, vc, p.SID)
 			n.vc = vc
 			n.cur = p
@@ -318,7 +316,6 @@ func Run(cfg Config) (Result, error) {
 			pkts:  pkts,
 		}
 		nodes[i].armNext(0)
-		mesh.AttachESID(i, nodes[i])
 		nodes[i].BindActivity(k.Register(nodes[i]))
 	}
 	mesh.Register(k)
