@@ -39,7 +39,8 @@ type goldenFile struct {
 
 // goldenConfigs lists the pinned runs: all five machines on three
 // benchmarks, the mesh-ordered ones at the chip's 6×6 and the Figure 7
-// baselines at their 4×4.
+// baselines at their 4×4, plus a 4×4 SCORPIO on two main networks, the one
+// pinned path through NIC.AddMesh and the send striping across meshes.
 func goldenConfigs() []Config {
 	var cfgs []Config
 	for _, p := range []Protocol{SCORPIO, LPDD, HTD, TokenB, INSO} {
@@ -52,7 +53,18 @@ func goldenConfigs() []Config {
 				WorkPerCore: 60, WarmupPerCore: 40})
 		}
 	}
-	return cfgs
+	return append(cfgs, Config{Protocol: SCORPIO, Benchmark: "barnes", Width: 4, Height: 4,
+		WorkPerCore: 60, WarmupPerCore: 40, MainNetworks: 2})
+}
+
+// goldenKey names a pinned run: protocol and benchmark, plus the mesh size
+// and network count where they differ from the single-network runs.
+func goldenKey(cfg Config) string {
+	key := fmt.Sprintf("%s/%s", cfg.Protocol, cfg.Benchmark)
+	if cfg.MainNetworks > 1 {
+		key += fmt.Sprintf("/%dx%d/nets=%d", cfg.Width, cfg.Height, cfg.MainNetworks)
+	}
+	return key
 }
 
 // pin splits a Results value into its named counters and a digest of
@@ -141,9 +153,9 @@ func TestGolden(t *testing.T) {
 	for _, cfg := range goldenConfigs() {
 		r, err := Run(cfg)
 		if err != nil {
-			t.Fatalf("%s/%s: %v", cfg.Protocol, cfg.Benchmark, err)
+			t.Fatalf("%s: %v", goldenKey(cfg), err)
 		}
-		got.Runs[fmt.Sprintf("%s/%s", cfg.Protocol, cfg.Benchmark)] = pin(t, r)
+		got.Runs[goldenKey(cfg)] = pin(t, r)
 	}
 	if *updateGolden {
 		data, err := json.MarshalIndent(got, "", "  ")

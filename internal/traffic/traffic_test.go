@@ -94,3 +94,23 @@ func TestHotspotSaturatesBelowUniform(t *testing.T) {
 		t.Fatal("a hotspot must saturate before uniform traffic")
 	}
 }
+
+// TestTrafficPinned pins the harness's results across commits; the
+// determinism tests compare runs within one process only. The literals are
+// the 6×6 arenaRun digests and two open-loop runs as this code produced them.
+// A change that moves one on purpose updates it and says why in CHANGES.md.
+func TestTrafficPinned(t *testing.T) {
+	const wantID, wantArena = 0xd9787e7fe535e3fe, 0xe5af6560b2c8b107
+	if id, arena, _ := arenaRun(t, 1, 6, 6, true); id != wantID || arena != wantArena {
+		t.Errorf("6x6 arenaRun: packet-ID digest %#x, arena digest %#x; pinned %#x, %#x", id, arena, uint64(wantID), uint64(wantArena))
+	}
+	for _, want := range []Result{
+		{Pattern: Broadcast, InjectionRate: 0.05, AcceptedRate: 0.02711607142857143, AvgLatency: 1265.071592336492, P99Latency: 4504, Delivered: 163998, Offered: 8525},
+		{Pattern: UniformRandom, InjectionRate: 0.05, AcceptedRate: 0.04788773148148148, AvgLatency: 18.762175226586102, P99Latency: 56, Delivered: 8275, Offered: 8283},
+	} {
+		got := mustRun(t, Config{Net: noc.DefaultConfig(), Pattern: want.Pattern, InjectionRate: 0.05, Flits: 3, Cycles: 6000, Seed: 3})
+		if got != want {
+			t.Errorf("%s, 3 flits, rate 0.05, seed 3:\ngot    %+v\npinned %+v", want.Pattern, got, want)
+		}
+	}
+}
