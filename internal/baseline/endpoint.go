@@ -59,18 +59,14 @@ type Endpoint struct {
 	// consumable (see ExpirySource).
 	expiry ExpirySource
 
-	tr       *noc.OutputTracker
-	reqQ     ring.Ring[*noc.Packet]
-	respQ    ring.Ring[*noc.Packet]
-	staged   []*noc.Packet
-	stagedR  []*noc.Packet
-	inFlight *noc.Packet
-	nextSeq  int
-	curVC    int
+	term    *noc.Terminal
+	reqQ    ring.Ring[*noc.Packet]
+	respQ   ring.Ring[*noc.Packet]
+	staged  []*noc.Packet
+	stagedR []*noc.Packet
 
 	reorder  reorderRing // order key -> packet awaiting delivery
 	nextKey  uint64
-	respAsm  []respAsm
 	doneResp ring.Ring[*noc.Packet]
 
 	// Stats
@@ -103,23 +99,15 @@ type reorderEntry struct {
 	arrive uint64
 }
 
-type respAsm struct {
-	pkt   *noc.Packet
-	flits int
-}
-
 // NewEndpoint builds a baseline endpoint on a mesh node.
 func NewEndpoint(node int, mesh *noc.Mesh, orderer Orderer, agent nic.Agent) *Endpoint {
-	cfg := mesh.Config()
-	e := &Endpoint{
+	return &Endpoint{
 		node: node, mesh: mesh, agent: agent, orderer: orderer,
-		tr:      noc.NewOutputTracker(cfg),
+		term:    noc.NewTerminal(mesh, node),
 		reorder: newReorderRing(64),
 		reqQ:    ring.New[*noc.Packet](8),
 		respQ:   ring.New[*noc.Packet](8),
-		respAsm: make([]respAsm, cfg.TotalVCs(noc.UOResp)),
 	}
-	return e
 }
 
 // reorderRing is the idealized (unbounded) reorder buffer, stored as a ring
@@ -191,7 +179,10 @@ func (r *reorderRing) grow() {
 func (e *Endpoint) SetAgent(a nic.Agent) { e.agent = a }
 
 // SetTracer attaches a lifecycle event tracer (nil disables tracing).
-func (e *Endpoint) SetTracer(t *obs.Tracer) { e.tracer = t }
+func (e *Endpoint) SetTracer(t *obs.Tracer) {
+	e.tracer = t
+	e.term.SetTracer(t)
+}
 
 // SetAuditor attaches the online auditor (nil disables auditing).
 func (e *Endpoint) SetAuditor(a *audit.Auditor) { e.auditor = a }
@@ -204,10 +195,7 @@ func (e *Endpoint) SetExpirySource(s ExpirySource) {
 
 // BindActivity wires the endpoint's scheduling unit as the wake target of
 // its mesh links: inject-link credits and eject-link flits both wake it.
-func (e *Endpoint) BindActivity(a *sim.Activity) {
-	e.mesh.InjectLink(e.node).SetCreditWake(a)
-	e.mesh.EjectLink(e.node).SetFlitWake(a)
-}
+func (e *Endpoint) BindActivity(a *sim.Activity) { e.term.Bind(a) }
 
 // Idle implements sim.Idler: the endpoint may be skipped while it holds no
 // packets, owes no expiry broadcast, and no value is in flight on its links.
@@ -218,13 +206,7 @@ func (e *Endpoint) Idle() bool {
 	if e.expiry != nil && e.expiry.OwesExpiry(e.node) {
 		return false
 	}
-	if e.mesh.EjectLink(e.node).FlitPendingAt(e.now) {
-		return false
-	}
-	if e.mesh.InjectLink(e.node).CreditsPendingAt(e.now) {
-		return false
-	}
-	return true
+	return e.term.Quiet(e.now)
 }
 
 // SendRequest implements coherence.NetPort: the request gets a global order
@@ -246,9 +228,7 @@ func (e *Endpoint) SendResponse(p *noc.Packet) bool {
 // Evaluate runs one endpoint cycle.
 func (e *Endpoint) Evaluate(cycle uint64) {
 	e.now = cycle
-	for _, c := range e.mesh.InjectLink(e.node).Credits(cycle) {
-		e.tr.ProcessCredit(c)
-	}
+	e.term.TakeCredits(cycle)
 	e.receive(cycle)
 	e.deliver(cycle)
 	e.inject(cycle)
@@ -291,36 +271,15 @@ func (e *Endpoint) receive(cycle uint64) {
 	case noc.GOReq:
 		ej.SendCredit(noc.Credit{VNet: noc.GOReq, VC: f.InVC(), FreeVC: true}, cycle)
 		if f.Pkt.Kind != KindExpiry {
-			if e.tracer != nil {
-				e.tracer.Record(obs.Event{
-					Cycle: cycle, Type: obs.EvNetArrive, Node: int32(e.node),
-					Src: int32(f.Pkt.Src), Pkt: f.Pkt.ID,
-					Port: -1, VNet: int8(noc.GOReq), VC: int16(f.InVC()),
-				})
-			}
+			e.term.Arrived(f, cycle)
 			if e.auditor != nil {
 				e.auditor.Arrive(e.node, f.Pkt.ID, f.Pkt.Src)
 			}
 			e.reorder.put(f.Pkt.SrcSeq, reorderEntry{pkt: f.Pkt, arrive: cycle})
 		}
 	case noc.UOResp:
-		ej.SendCredit(noc.Credit{VNet: noc.UOResp, VC: f.InVC(), FreeVC: f.IsTail()}, cycle)
-		as := &e.respAsm[f.InVC()]
-		if as.pkt == nil {
-			as.pkt = f.Pkt
-		}
-		as.flits++
-		if f.IsTail() {
-			if e.tracer != nil {
-				e.tracer.Record(obs.Event{
-					Cycle: cycle, Type: obs.EvNetArrive, Node: int32(e.node),
-					Src: int32(f.Pkt.Src), Pkt: f.Pkt.ID,
-					Port: -1, VNet: int8(noc.UOResp), VC: int16(f.InVC()),
-				})
-			}
-			e.doneResp.Push(f.Pkt)
-			as.pkt = nil
-			as.flits = 0
+		if p := e.term.Assemble(f, cycle); p != nil {
+			e.doneResp.Push(p)
 		}
 	}
 	// The packet (if any) is held by the reorder/assembly state; the link
@@ -384,74 +343,29 @@ func (e *Endpoint) deliver(cycle uint64) {
 	}
 }
 
-// inject serializes one flit per cycle, requests before responses.
+// inject serializes one flit per cycle, requests strictly first: a request
+// head with no VC holds back the responses behind it. A packet leaves its
+// queue, and counts as injected, once its head is out.
 func (e *Endpoint) inject(cycle uint64) {
-	if e.inFlight != nil {
-		if !e.tr.CanSendBody(e.inFlight.VNet, e.curVC) {
-			return
-		}
-		e.tr.ChargeBody(e.inFlight.VNet, e.curVC)
-		e.send(e.inFlight, e.nextSeq, cycle)
-		e.nextSeq++
-		if e.nextSeq == e.inFlight.Flits {
-			e.inFlight = nil
-		}
+	if e.term.Busy() {
+		e.term.Continue(cycle)
 		return
 	}
-	if !e.reqQ.Empty() {
-		p := e.reqQ.Front()
-		// Baselines never take the reserved VC: their reorder buffer is
-		// unbounded, so the network always drains.
-		if vc, reserved, ok := e.tr.AllocHeadVC(noc.GOReq, p.SID); ok && !reserved {
-			e.tr.ClaimHeadVC(noc.GOReq, vc, p.SID)
-			e.curVC = vc
-			p.NetworkEntry = cycle
-			e.Injected++
-			if e.tracer != nil {
-				e.tracer.Record(obs.Event{
-					Cycle: cycle, Type: obs.EvInject, Node: int32(e.node),
-					Src: int32(p.Src), Pkt: p.ID, Arg: uint64(p.Flits),
-					Port: -1, VNet: int8(noc.GOReq), VC: int16(vc),
-				})
-			}
-			e.send(p, 0, cycle)
-			e.reqQ.PopFront()
-		}
-		return
+	q := &e.reqQ
+	if q.Empty() {
+		q = &e.respQ
 	}
-	if !e.respQ.Empty() {
-		p := e.respQ.Front()
-		if vc, _, ok := e.tr.AllocHeadVC(noc.UOResp, p.SID); ok {
-			e.tr.ClaimHeadVC(noc.UOResp, vc, p.SID)
-			e.curVC = vc
-			p.NetworkEntry = cycle
-			e.Injected++
-			if e.tracer != nil {
-				e.tracer.Record(obs.Event{
-					Cycle: cycle, Type: obs.EvInject, Node: int32(e.node),
-					Src: int32(p.Src), Pkt: p.ID, Arg: uint64(p.Flits),
-					Port: -1, VNet: int8(noc.UOResp), VC: int16(vc),
-				})
-			}
-			e.send(p, 0, cycle)
-			e.respQ.PopFront()
-			if p.Flits > 1 {
-				e.inFlight = p
-				e.nextSeq = 1
-			}
-		}
+	if !q.Empty() && e.term.Start(q.Front(), cycle) {
+		q.PopFront()
+		e.Injected++
 	}
-}
-
-func (e *Endpoint) send(p *noc.Packet, seq int, cycle uint64) {
-	e.mesh.InjectLink(e.node).Send(noc.NewFlit(p, seq, e.curVC), cycle)
 }
 
 // HasPendingWork reports whether the endpoint holds any packet that has not
 // yet reached its agent (watchdog in-flight signal).
 func (e *Endpoint) HasPendingWork() bool {
 	return e.reorder.count > 0 || e.doneResp.Len() > 0 || e.reqQ.Len() > 0 ||
-		e.respQ.Len() > 0 || e.inFlight != nil || len(e.staged) > 0 || len(e.stagedR) > 0
+		e.respQ.Len() > 0 || e.term.Busy() || len(e.staged) > 0 || len(e.stagedR) > 0
 }
 
 // OrderingSnapshot renders the endpoint's reorder state for watchdog dumps.

@@ -115,24 +115,14 @@ type reqEntry struct {
 	arrive uint64
 }
 
-// respAssembly collects the flits of one in-progress UO-RESP packet.
-type respAssembly struct {
-	pkt   *noc.Packet
-	flits int
-}
-
-// meshPort is the NIC's attachment to one main-network mesh: its own
-// injection book-keeping and router-facing VC receive slots. The chip has
-// one; AddMesh stripes traffic over several (Section 5.3's multiple main
-// networks).
+// meshPort is the NIC's attachment to one main-network mesh: its terminal,
+// send queues and router-facing VC receive slots. The chip has one; AddMesh
+// stripes traffic over several (Section 5.3's multiple main networks).
 type meshPort struct {
 	mesh     *noc.Mesh
-	tr       *noc.OutputTracker
+	term     *noc.Terminal
 	reqQ     ring.Ring[*noc.Packet]
 	respQ    ring.Ring[*noc.Packet]
-	inFlight *noc.Packet
-	nextSeq  int
-	curVC    int
 	lastVNet noc.VNet
 
 	// reqBuf/respVCBuf mirror the router-facing VC slots; the credit protocol
@@ -141,21 +131,21 @@ type meshPort struct {
 	// stays growable (pre-sized to the total GO-REQ slot count).
 	reqBuf    []ring.Ring[reqEntry]
 	respVCBuf []ring.Ring[noc.Flit]
-	respBuf   []respAssembly
 	arrivalQ  ring.Ring[int] // unordered mode: VC indexes in arrival order
 }
 
-func newMeshPort(cfg noc.Config, injectDepth int, mesh *noc.Mesh) *meshPort {
+func (n *NIC) newMeshPort(mesh *noc.Mesh) *meshPort {
+	cfg := mesh.Config()
 	p := &meshPort{
 		mesh:      mesh,
-		tr:        noc.NewOutputTracker(cfg),
-		reqQ:      ring.New[*noc.Packet](injectDepth),
-		respQ:     ring.New[*noc.Packet](injectDepth),
+		term:      noc.NewTerminal(mesh, n.node),
+		reqQ:      ring.New[*noc.Packet](n.cfg.InjectQueueDepth),
+		respQ:     ring.New[*noc.Packet](n.cfg.InjectQueueDepth),
 		reqBuf:    make([]ring.Ring[reqEntry], cfg.TotalVCs(noc.GOReq)),
 		respVCBuf: make([]ring.Ring[noc.Flit], cfg.TotalVCs(noc.UOResp)),
-		respBuf:   make([]respAssembly, cfg.TotalVCs(noc.UOResp)),
 		arrivalQ:  ring.New[int](cfg.TotalVCs(noc.GOReq) * cfg.GOReqBufDepth),
 	}
+	p.term.SetTracer(n.tracer)
 	for i := range p.reqBuf {
 		p.reqBuf[i] = ring.NewFixed[reqEntry](cfg.GOReqBufDepth)
 	}
@@ -238,7 +228,7 @@ func New(node int, cfg Config, mesh *noc.Mesh, nnet *notif.Network, agent Agent)
 		netCfg: netCfg,
 		ownSID: node,
 	}
-	n.ports = []*meshPort{newMeshPort(netCfg, cfg.InjectQueueDepth, mesh)}
+	n.ports = []*meshPort{n.newMeshPort(mesh)}
 	n.deliveredSeq = make([]uint64, netCfg.Nodes())
 	n.reqHold = ring.NewFixed[reqEntry](cfg.ReqBufDepth)
 	n.doneResp = ring.New[*noc.Packet](4)
@@ -254,7 +244,7 @@ func New(node int, cfg Config, mesh *noc.Mesh, nnet *notif.Network, agent Agent)
 // AddMesh attaches an additional main network; injected packets stripe
 // round-robin across all attached meshes.
 func (n *NIC) AddMesh(mesh *noc.Mesh) {
-	n.ports = append(n.ports, newMeshPort(n.netCfg, n.cfg.InjectQueueDepth, mesh))
+	n.ports = append(n.ports, n.newMeshPort(mesh))
 }
 
 // Meshes reports the number of attached main networks.
@@ -264,7 +254,12 @@ func (n *NIC) Meshes() int { return len(n.ports) }
 func (n *NIC) SetAgent(a Agent) { n.agent = a }
 
 // SetTracer attaches a lifecycle event tracer (nil disables tracing).
-func (n *NIC) SetTracer(t *obs.Tracer) { n.tracer = t }
+func (n *NIC) SetTracer(t *obs.Tracer) {
+	n.tracer = t
+	for _, port := range n.ports {
+		port.term.SetTracer(t)
+	}
+}
 
 // SetAuditor attaches the online auditor (nil disables auditing).
 func (n *NIC) SetAuditor(a *audit.Auditor) { n.auditor = a }
@@ -343,8 +338,7 @@ func (n *NIC) SendResponse(p *noc.Packet) bool {
 // Call after every AddMesh.
 func (n *NIC) BindActivity(a *sim.Activity) {
 	for _, port := range n.ports {
-		port.mesh.InjectLink(n.node).SetCreditWake(a)
-		port.mesh.EjectLink(n.node).SetFlitWake(a)
+		port.term.Bind(a)
 	}
 }
 
@@ -357,9 +351,7 @@ func (n *NIC) SetNotifActivity(a *sim.Activity) { n.notifAct = a }
 func (n *NIC) Evaluate(cycle uint64) {
 	n.now = cycle
 	for _, port := range n.ports {
-		for _, c := range port.mesh.InjectLink(n.node).Credits(cycle) {
-			port.tr.ProcessCredit(c)
-		}
+		port.term.TakeCredits(cycle)
 	}
 	if n.cfg.Ordered {
 		n.processNotifications(cycle)
@@ -457,10 +449,7 @@ func (n *NIC) Idle() bool {
 		}
 	}
 	for _, port := range n.ports {
-		if port.mesh.EjectLink(n.node).FlitPendingAt(n.now) {
-			return false
-		}
-		if port.mesh.InjectLink(n.node).CreditsPendingAt(n.now) {
+		if !port.term.Quiet(n.now) {
 			return false
 		}
 	}
@@ -551,13 +540,7 @@ func (n *NIC) receive(cycle uint64) {
 					panic(fmt.Sprintf("nic: node %d GO-REQ VC %d overflow", n.node, vc))
 				}
 				n.Stats.NetworkLatency.Observe(float64(cycle - f.Pkt.NetworkEntry))
-				if n.tracer != nil {
-					n.tracer.Record(obs.Event{
-						Cycle: cycle, Type: obs.EvNetArrive, Node: int32(n.node),
-						Src: int32(f.Pkt.Src), Pkt: f.Pkt.ID,
-						Port: -1, VNet: int8(noc.GOReq), VC: int16(vc),
-					})
-				}
+				port.term.Arrived(f, cycle)
 				if n.auditor != nil {
 					n.auditor.Arrive(n.node, f.Pkt.ID, f.Pkt.Src)
 				}
@@ -592,27 +575,8 @@ func (n *NIC) receive(cycle uint64) {
 				continue
 			}
 			f := port.respVCBuf[vc].PopFront()
-			ej.SendCredit(noc.Credit{VNet: noc.UOResp, VC: vc, FreeVC: f.IsTail()}, cycle)
-			as := &port.respBuf[vc]
-			if as.pkt == nil {
-				as.pkt = f.Pkt
-			}
-			as.flits++
-			if f.IsTail() {
-				if as.flits != f.Pkt.Flits {
-					panic(fmt.Sprintf("nic: node %d UO-RESP packet %s assembled %d/%d flits", n.node, f.Pkt, as.flits, f.Pkt.Flits))
-				}
-				f.Pkt.ArriveCycle = cycle
-				if n.tracer != nil {
-					n.tracer.Record(obs.Event{
-						Cycle: cycle, Type: obs.EvNetArrive, Node: int32(n.node),
-						Src: int32(f.Pkt.Src), Pkt: f.Pkt.ID,
-						Port: -1, VNet: int8(noc.UOResp), VC: int16(vc),
-					})
-				}
-				n.doneResp.Push(f.Pkt)
-				as.pkt = nil
-				as.flits = 0
+			if p := port.term.Assemble(&f, cycle); p != nil {
+				n.doneResp.Push(p)
 			}
 		}
 	}
@@ -774,73 +738,32 @@ func (n *NIC) consumeExpected(sid int, cycle uint64) {
 }
 
 // inject serializes at most one flit per cycle into one port's router,
-// alternating between the two virtual networks when both have traffic.
+// alternating between the two virtual networks when both have traffic. A
+// packet leaves its queue once its tail is out, so a packet in flight still
+// counts against InjectQueueDepth.
 func (n *NIC) inject(port *meshPort, cycle uint64) {
-	if port.inFlight != nil {
-		n.continueInjection(port, cycle)
+	if port.term.Busy() {
+		if p := port.term.Continue(cycle); p != nil {
+			n.finishInjection(port, p.VNet)
+		}
 		return
 	}
 	first, second := noc.GOReq, noc.UOResp
 	if port.lastVNet == noc.GOReq {
-		first, second = noc.UOResp, noc.GOReq
+		first, second = second, first
 	}
-	if n.startInjection(port, first, cycle) {
-		port.lastVNet = first
-		return
-	}
-	if n.startInjection(port, second, cycle) {
-		port.lastVNet = second
-	}
-}
-
-// startInjection tries to begin serializing the head packet of a queue.
-func (n *NIC) startInjection(port *meshPort, v noc.VNet, cycle uint64) bool {
-	q := &port.reqQ
-	if v != noc.GOReq {
-		q = &port.respQ
-	}
-	if q.Empty() {
-		return false
-	}
-	p := q.Front()
-	// The reserved VC is the last option; a fresh broadcast covers every node
-	// but this one, so it is eligible when any other node expects it.
-	vc, reserved, ok := port.tr.AllocHeadVC(v, p.SID)
-	if !ok || reserved && !(n.cfg.Ordered && port.mesh.Expecting(p.SID, p.SrcSeq, n.node)) {
-		return false
-	}
-	port.tr.ClaimHeadVC(v, vc, p.SID)
-	port.curVC = vc
-	p.NetworkEntry = cycle
-	if n.tracer != nil {
-		n.tracer.Record(obs.Event{
-			Cycle: cycle, Type: obs.EvInject, Node: int32(n.node),
-			Src: int32(p.Src), Pkt: p.ID, Arg: uint64(p.Flits),
-			Port: -1, VNet: int8(v), VC: int16(vc),
-		})
-	}
-	port.mesh.InjectLink(n.node).Send(noc.NewFlit(p, 0, vc), cycle)
-	if p.Flits == 1 {
-		n.finishInjection(port, v)
-	} else {
-		port.inFlight = p
-		port.nextSeq = 1
-	}
-	return true
-}
-
-// continueInjection sends the next body flit of the in-flight packet.
-func (n *NIC) continueInjection(port *meshPort, cycle uint64) {
-	p := port.inFlight
-	if !port.tr.CanSendBody(p.VNet, port.curVC) {
-		return
-	}
-	port.tr.ChargeBody(p.VNet, port.curVC)
-	port.mesh.InjectLink(n.node).Send(noc.NewFlit(p, port.nextSeq, port.curVC), cycle)
-	port.nextSeq++
-	if port.nextSeq == p.Flits {
-		port.inFlight = nil
-		n.finishInjection(port, p.VNet)
+	for _, v := range [...]noc.VNet{first, second} {
+		q := &port.reqQ
+		if v != noc.GOReq {
+			q = &port.respQ
+		}
+		if !q.Empty() && port.term.Start(q.Front(), cycle) {
+			port.lastVNet = v
+			if !port.term.Busy() {
+				n.finishInjection(port, v)
+			}
+			return
+		}
 	}
 }
 
@@ -869,7 +792,7 @@ func (n *NIC) HasPendingWork() bool {
 		return true
 	}
 	for _, port := range n.ports {
-		if port.reqQ.Len() > 0 || port.respQ.Len() > 0 || port.inFlight != nil || port.arrivalQ.Len() > 0 {
+		if port.reqQ.Len() > 0 || port.respQ.Len() > 0 || port.term.Busy() || port.arrivalQ.Len() > 0 {
 			return true
 		}
 		for vc := range port.reqBuf {

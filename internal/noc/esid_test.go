@@ -130,29 +130,6 @@ func TestRouterReservedVCGoesOnlyToExpectedOccurrence(t *testing.T) {
 	}
 }
 
-// TestMeshExpectingIgnoresSource pins the injection-port check: a fresh
-// broadcast never reaches its own source, so the source's entry on the
-// board must not make it reserved-VC eligible.
-func TestMeshExpectingIgnoresSource(t *testing.T) {
-	cfg := DefaultConfig()
-	m, err := NewMesh(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const src, seq = 5, 2
-	m.PublishESID(src, src, seq, true)
-	if m.Expecting(src, seq, src) {
-		t.Fatal("the source's own ESID entry made its broadcast eligible")
-	}
-	m.PublishESID(cfg.Nodes()-1, src, seq, true)
-	if !m.Expecting(src, seq, src) {
-		t.Fatal("another node expecting the request must make it eligible")
-	}
-	if m.Expecting(src, seq+1, src) {
-		t.Fatal("only the exact expected occurrence is eligible")
-	}
-}
-
 // TestNewMeshAllocsLinearInNodes holds mesh construction to a constant
 // allocation cost per node: per-node allocations at 16×16 may not exceed
 // 1.2× those at 6×6.

@@ -77,7 +77,8 @@ func NewMesh(cfg Config) (*Mesh, error) {
 
 // PublishESID records on the board the request node's NIC expects next
 // (ok false: none). Each NIC writes only its own slot, in Commit, on every
-// mesh it is attached to; routers and NICs read the board in Evaluate.
+// mesh it is attached to; only routers read the board, in Evaluate, for
+// reserved-VC eligibility.
 func (m *Mesh) PublishESID(node, sid int, seq uint64, ok bool) {
 	m.board[node] = esidEntry{seq: seq, sid: int32(sid), valid: ok}
 }
@@ -86,18 +87,6 @@ func (m *Mesh) PublishESID(node, sid int, seq uint64, ok bool) {
 func (m *Mesh) ESID(node int) (sid int, seq uint64, ok bool) {
 	e := m.board[node]
 	return int(e.sid), e.seq, e.valid
-}
-
-// Expecting reports whether any node other than exclude is currently waiting
-// for the (sid, seq) request; NICs use it for reserved-VC eligibility at the
-// injection port (a fresh broadcast covers every node but its source).
-func (m *Mesh) Expecting(sid int, seq uint64, exclude int) bool {
-	for node := range m.board {
-		if node != exclude && m.board[node].expects(int32(sid), seq) {
-			return true
-		}
-	}
-	return false
 }
 
 // Config returns the mesh's configuration.

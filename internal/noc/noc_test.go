@@ -7,26 +7,22 @@ import (
 )
 
 // testEndpoint is a minimal agent for network-level tests: it injects queued
-// packets and consumes arriving flits immediately, returning credits.
+// packets through a Terminal and consumes arriving flits immediately,
+// returning credits.
 type testEndpoint struct {
-	cfg      Config
 	node     int
 	mesh     *Mesh
-	tr       *OutputTracker
+	term     *Terminal
 	sendQ    []*Packet
-	inFlight *Packet // packet currently being serialized
-	nextSeq  int
-	curVC    int
 	Received []*Packet
 	arrivals map[uint64]int // packet ID -> flits seen
 }
 
 func newTestEndpoint(mesh *Mesh, node int) *testEndpoint {
 	return &testEndpoint{
-		cfg:      mesh.Config(),
 		node:     node,
 		mesh:     mesh,
-		tr:       NewOutputTracker(mesh.Config()),
+		term:     NewTerminal(mesh, node),
 		arrivals: map[uint64]int{},
 	}
 }
@@ -34,10 +30,7 @@ func newTestEndpoint(mesh *Mesh, node int) *testEndpoint {
 func (e *testEndpoint) Queue(p *Packet) { e.sendQ = append(e.sendQ, p) }
 
 func (e *testEndpoint) Evaluate(cycle uint64) {
-	inj := e.mesh.InjectLink(e.node)
-	for _, c := range inj.Credits(cycle) {
-		e.tr.ProcessCredit(c)
-	}
+	e.term.TakeCredits(cycle)
 	// Consume arriving flits immediately (no ordering in pure-noc tests).
 	ej := e.mesh.EjectLink(e.node)
 	if f := ej.Flit(cycle); f != nil {
@@ -48,32 +41,14 @@ func (e *testEndpoint) Evaluate(cycle uint64) {
 			e.Received = append(e.Received, f.Pkt)
 		}
 	}
-	// Inject at most one flit per cycle.
-	if e.inFlight == nil && len(e.sendQ) > 0 {
-		e.inFlight = e.sendQ[0]
-		e.nextSeq = 0
-	}
-	if e.inFlight == nil {
-		return
-	}
-	p := e.inFlight
-	if e.nextSeq == 0 {
-		vc, reserved, ok := e.tr.AllocHeadVC(p.VNet, p.SID)
-		if !ok || reserved {
-			return
-		}
-		e.tr.ClaimHeadVC(p.VNet, vc, p.SID)
-		e.curVC = vc
-		p.NetworkEntry = cycle
-	} else if !e.tr.CanSendBody(p.VNet, e.curVC) {
-		return
-	} else {
-		e.tr.ChargeBody(p.VNet, e.curVC)
-	}
-	inj.Send(NewFlit(p, e.nextSeq, e.curVC), cycle)
-	e.nextSeq++
-	if e.nextSeq == p.Flits {
-		e.inFlight = nil
+	e.inject(cycle)
+}
+
+// inject sends at most one flit per cycle, in queue order.
+func (e *testEndpoint) inject(cycle uint64) {
+	if e.term.Busy() {
+		e.term.Continue(cycle)
+	} else if len(e.sendQ) > 0 && e.term.Start(e.sendQ[0], cycle) {
 		e.sendQ = e.sendQ[1:]
 	}
 }

@@ -76,8 +76,7 @@ type Router struct {
 	vcOutPort []int8
 	vcOutVC   []int8
 
-	// trk is the flattened per-output-port credit/VC/SID book-keeping (the
-	// SoA replacement for five per-port OutputTracker objects).
+	// trk is the flattened per-output-port credit/VC/SID book-keeping.
 	trk trackerTable
 
 	// arena holds every flit buffered in the input VCs (see Arena).
@@ -144,7 +143,7 @@ func newRouter(cfg Config, id int, board []esidEntry) *Router {
 	}
 	r.qbuf = make([]int32, total)
 	r.arena = NewArena(total)
-	r.trk = newTrackerTable(cfg)
+	r.trk = newTrackerTable(cfg, int(NumPorts))
 	return r
 }
 

@@ -18,142 +18,17 @@ func (c Config) ReservedVC(v VNet) int {
 	return -1
 }
 
-// OutputTracker is the upstream-side book-keeping for one downstream input
-// port: per-VC credit counts, VC allocation state, and the GO-REQ SID tracker
+// trackerTable is the upstream-side book-keeping for downstream input ports:
+// per-VC credit counts, VC allocation state, and the GO-REQ SID tracker
 // table that enforces point-to-point ordering of same-source requests
-// (Section 3.2 of the paper). Routers keep one per output port and the
-// network interface controller keeps one for its injection port.
-type OutputTracker struct {
-	cfg     Config
-	credits [NumVNets][]int
-	vcBusy  [NumVNets][]bool
-	sid     []int // per GO-REQ VC: SID in flight, or -1
-}
-
-// NewOutputTracker returns a tracker with all credits available, sized for
-// the downstream input port described by cfg.
-func NewOutputTracker(cfg Config) *OutputTracker {
-	t := &OutputTracker{cfg: cfg}
-	for v := VNet(0); v < NumVNets; v++ {
-		n := cfg.TotalVCs(v)
-		t.credits[v] = make([]int, n)
-		t.vcBusy[v] = make([]bool, n)
-		for i := 0; i < n; i++ {
-			t.credits[v][i] = cfg.BufDepthFor(v)
-		}
-	}
-	t.sid = make([]int, cfg.TotalVCs(GOReq))
-	for i := range t.sid {
-		t.sid[i] = -1
-	}
-	return t
-}
-
-// ProcessCredit applies one returned credit.
-func (t *OutputTracker) ProcessCredit(c Credit) {
-	t.credits[c.VNet][c.VC]++
-	if t.credits[c.VNet][c.VC] > t.cfg.BufDepthFor(c.VNet) {
-		panic("noc: credit overflow — downstream returned more credits than buffer slots")
-	}
-	if c.FreeVC {
-		t.vcBusy[c.VNet][c.VC] = false
-		if c.VNet == GOReq {
-			t.sid[c.VC] = -1
-		}
-	}
-}
-
-// sidInFlight reports whether any GO-REQ VC of this port currently holds a
-// request with the given SID.
-func (t *OutputTracker) sidInFlight(sid int) bool {
-	for _, s := range t.sid {
-		if s == sid {
-			return true
-		}
-	}
-	return false
-}
-
-// AllocHeadVC finds a free downstream VC with credit for a head flit.
-// For GO-REQ it enforces the SID tracker rule (a same-SID request must not
-// already be in flight to this input port) and offers the reserved VC only
-// when no ordinary VC is free: reserved then reports that the caller may use
-// the VC only if the flit is eligible (its exact (SID, sequence) is the ESID
-// of a NIC it will reach). Checking eligibility last keeps that scan off
-// every allocation an ordinary VC can serve. It returns the chosen VC without
-// claiming it; call ClaimHeadVC on the winning flit.
-func (t *OutputTracker) AllocHeadVC(v VNet, sid int) (vc int, reserved, ok bool) {
-	if v == GOReq {
-		if t.sidInFlight(sid) {
-			return 0, false, false
-		}
-		for i := 0; i < t.cfg.GOReqVCs; i++ {
-			if !t.vcBusy[v][i] && t.credits[v][i] > 0 {
-				return i, false, true
-			}
-		}
-		r := t.cfg.ReservedVC(v)
-		if !t.vcBusy[v][r] && t.credits[v][r] > 0 {
-			return r, true, true
-		}
-		return 0, false, false
-	}
-	for i := 0; i < t.cfg.UORespVCs; i++ {
-		if !t.vcBusy[v][i] && t.credits[v][i] > 0 {
-			return i, false, true
-		}
-	}
-	return 0, false, false
-}
-
-// ClaimHeadVC marks the VC busy, charges one credit and records the SID in
-// the tracker table for GO-REQ.
-func (t *OutputTracker) ClaimHeadVC(v VNet, vc, sid int) {
-	t.vcBusy[v][vc] = true
-	t.credits[v][vc]--
-	if t.credits[v][vc] < 0 {
-		panic("noc: sent flit without credit")
-	}
-	if v == GOReq {
-		t.sid[vc] = sid
-	}
-}
-
-// CanSendBody reports whether a body/tail flit may be sent on an already
-// allocated VC.
-func (t *OutputTracker) CanSendBody(v VNet, vc int) bool {
-	return t.credits[v][vc] > 0
-}
-
-// ChargeBody consumes one credit for a body/tail flit.
-func (t *OutputTracker) ChargeBody(v VNet, vc int) {
-	t.credits[v][vc]--
-	if t.credits[v][vc] < 0 {
-		panic("noc: sent body flit without credit")
-	}
-}
-
-// Credits exposes the current credit count (for tests and stats).
-func (t *OutputTracker) Credits(v VNet, vc int) int { return t.credits[v][vc] }
-
-// Busy exposes the VC allocation state (for tests and stats).
-func (t *OutputTracker) Busy(v VNet, vc int) bool { return t.vcBusy[v][vc] }
-
-// TrackedSID exposes the SID tracker entry for a GO-REQ VC (for tests).
-func (t *OutputTracker) TrackedSID(vc int) int { return t.sid[vc] }
-
-// trackerTable is the router's structure-of-arrays replacement for five
-// per-port OutputTracker objects: credits, busy flags and SID entries for
-// every (output port, VC) pair live in flat parallel slices indexed by
+// (Section 3.2 of the paper). A router keeps one row per output port and a
+// Terminal one row for its injection port. Credits, busy flags and SID
+// entries for every (port, VC) pair live in flat parallel slices indexed by
 //
 //	int(port)*vcsPerPort + flat VC
 //
 // with GO-REQ VCs (including the reserved one) below split and UO-RESP VCs
 // above it — the same flat VC numbering the router's input-side tables use.
-// Semantics are identical to OutputTracker's, per port. Single-port users
-// (the NIC's injection port, baseline endpoints, traffic sinks) keep using
-// OutputTracker; the table only pays off where one component owns several
-// ports.
 type trackerTable struct {
 	vcsPerPort int
 	split      int // GO-REQ VC count (ordinary + reserved)
@@ -166,7 +41,9 @@ type trackerTable struct {
 	sid        []int32 // GO-REQ entries only; -1 = none in flight
 }
 
-func newTrackerTable(cfg Config) trackerTable {
+// newTrackerTable returns a table for ports downstream input ports with
+// every credit available.
+func newTrackerTable(cfg Config, ports int) trackerTable {
 	t := trackerTable{
 		split:   cfg.TotalVCs(GOReq),
 		goVCs:   cfg.GOReqVCs,
@@ -175,7 +52,7 @@ func newTrackerTable(cfg Config) trackerTable {
 		uoDepth: int16(cfg.BufDepthFor(UOResp)),
 	}
 	t.vcsPerPort = t.split + t.uoVCs
-	n := int(NumPorts) * t.vcsPerPort
+	n := ports * t.vcsPerPort
 	t.credits = make([]int16, n)
 	t.busy = make([]bool, n)
 	t.sid = make([]int32, n)
@@ -234,7 +111,14 @@ func (t *trackerTable) sidInFlight(p Port, sid int) bool {
 	return false
 }
 
-// allocHeadVC mirrors OutputTracker.AllocHeadVC for one port.
+// allocHeadVC finds a free downstream VC of port p with credit for a head
+// flit. For GO-REQ it enforces the SID tracker rule (a same-SID request must
+// not already be in flight to this input port) and offers the reserved VC
+// only when no ordinary VC is free: reserved then reports that the caller
+// may use the VC only if the flit is eligible (its exact (SID, sequence) is
+// the ESID of a NIC it will reach). Checking eligibility last keeps that scan
+// off every allocation an ordinary VC can serve. It returns the chosen VC
+// without claiming it; call claimHeadVC on the winning flit.
 func (t *trackerTable) allocHeadVC(p Port, v VNet, sid int) (int, bool, bool) {
 	base := int(p) * t.vcsPerPort
 	if v == GOReq {
@@ -290,9 +174,8 @@ func (t *trackerTable) chargeBody(p Port, v VNet, vc int) {
 }
 
 // TrackerView is a read-only window onto one output port's slice of a
-// router's tracker table, with the same accessors OutputTracker exposes so
-// diagnostics (Mesh.Snapshot, watchdog reports) and tests are layout-
-// agnostic.
+// router's tracker table, so diagnostics (Mesh.Snapshot, watchdog reports)
+// and tests are layout-agnostic.
 type TrackerView struct {
 	r *Router
 	p Port

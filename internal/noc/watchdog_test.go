@@ -16,38 +16,9 @@ type starvedEndpoint struct {
 }
 
 func (e *starvedEndpoint) Evaluate(cycle uint64) {
-	inj := e.mesh.InjectLink(e.node)
-	for _, c := range inj.Credits(cycle) {
-		e.tr.ProcessCredit(c)
-	}
+	e.term.TakeCredits(cycle)
 	// Deliberately NOT draining the eject link.
-	if e.inFlight == nil && len(e.sendQ) > 0 {
-		e.inFlight = e.sendQ[0]
-		e.nextSeq = 0
-	}
-	if e.inFlight == nil {
-		return
-	}
-	p := e.inFlight
-	if e.nextSeq == 0 {
-		vc, reserved, ok := e.tr.AllocHeadVC(p.VNet, p.SID)
-		if !ok || reserved {
-			return
-		}
-		e.tr.ClaimHeadVC(p.VNet, vc, p.SID)
-		e.curVC = vc
-		p.NetworkEntry = cycle
-	} else if !e.tr.CanSendBody(p.VNet, e.curVC) {
-		return
-	} else {
-		e.tr.ChargeBody(p.VNet, e.curVC)
-	}
-	inj.Send(NewFlit(p, e.nextSeq, e.curVC), cycle)
-	e.nextSeq++
-	if e.nextSeq == p.Flits {
-		e.inFlight = nil
-		e.sendQ = e.sendQ[1:]
-	}
+	e.inject(cycle)
 }
 
 // TestWatchdogNamesStarvedRouter forces a credit-starved stall — node 3

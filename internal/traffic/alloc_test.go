@@ -9,9 +9,7 @@ import (
 	"scorpio/internal/obs/audit"
 	"scorpio/internal/obs/perfmon"
 	"scorpio/internal/obs/telemetry"
-	"scorpio/internal/ring"
 	"scorpio/internal/sim"
-	"scorpio/internal/stats"
 )
 
 // warmMesh builds a loaded 6×6 mesh and runs it past the pool/ring warmup
@@ -65,16 +63,7 @@ func warmMeshSized(t testing.TB, workers, w, h int, rate float64, idleSkip bool)
 		// free list may only be touched by its owning unit. Flits need no
 		// priming at all — they live in the routers' fixed-capacity arenas
 		// and cross links by value.
-		nodes[i] = &node{
-			id: i, cfg: cfg, mesh: mesh,
-			tr:    noc.NewOutputTracker(cfg.Net),
-			rng:   rng.Fork(),
-			lat:   stats.NewHistogram(4, 512),
-			queue: ring.New[*noc.Packet](8),
-			pkts:  &pktPool{},
-		}
-		nodes[i].armNext(0)
-		nodes[i].BindActivity(k.Register(nodes[i]))
+		nodes[i] = newNode(k, mesh, cfg, i, rng.Fork(), &pktPool{})
 	}
 	mesh.Register(k)
 	k.SetWorkers(workers)

@@ -5,9 +5,7 @@ import (
 	"testing"
 
 	"scorpio/internal/noc"
-	"scorpio/internal/ring"
 	"scorpio/internal/sim"
-	"scorpio/internal/stats"
 )
 
 // arenaRun drives a w×h mesh of synthetic nodes for 3000 loaded cycles, then
@@ -40,16 +38,7 @@ func arenaRun(t *testing.T, workers, w, h int, idleSkip bool) (idDigest, arenaDi
 	rng := sim.NewRNG(cfg.Seed + 1)
 	nodes := make([]*node, cfg.Net.Nodes())
 	for i := range nodes {
-		nodes[i] = &node{
-			id: i, cfg: cfg, mesh: mesh,
-			tr:    noc.NewOutputTracker(cfg.Net),
-			rng:   rng.Fork(),
-			lat:   stats.NewHistogram(4, 512),
-			queue: ring.New[*noc.Packet](8),
-			pkts:  &pktPool{},
-		}
-		nodes[i].armNext(0)
-		nodes[i].BindActivity(k.Register(nodes[i]))
+		nodes[i] = newNode(k, mesh, cfg, i, rng.Fork(), &pktPool{})
 	}
 	mesh.Register(k)
 	k.SetWorkers(workers)
@@ -68,8 +57,8 @@ func arenaRun(t *testing.T, workers, w, h int, idleSkip bool) (idDigest, arenaDi
 	}
 	k.Run(10) // let the last link-resident flits reach their sinks
 	for _, n := range nodes {
-		if n.cur != nil || !n.queue.Empty() {
-			t.Fatalf("node %d failed to drain (cur=%v queued=%d)", n.id, n.cur, n.queue.Len())
+		if n.term.Busy() || !n.queue.Empty() {
+			t.Fatalf("node %d failed to drain (busy=%v queued=%d)", n.id, n.term.Busy(), n.queue.Len())
 		}
 		idDigest = (idDigest ^ n.idDigest) * 1099511628211
 	}

@@ -70,6 +70,9 @@ type Config struct {
 	DisableIdleSkip bool
 }
 
+// warmup is the number of leading cycles excluded from measurement.
+func (c Config) warmup() uint64 { return c.Cycles / 5 }
+
 // Result is one run's measurement.
 type Result struct {
 	Pattern       Pattern
@@ -96,13 +99,10 @@ type Result struct {
 type node struct {
 	id      int
 	cfg     Config
-	mesh    *noc.Mesh
-	tr      *noc.OutputTracker
+	term    *noc.Terminal
+	ej      *noc.Link
 	rng     *sim.RNG
 	queue   ring.Ring[*noc.Packet]
-	cur     *noc.Packet
-	seq     int
-	vc      int
 	warm    uint64
 	now     uint64
 	issueAt uint64
@@ -114,6 +114,23 @@ type node struct {
 	// across worker counts and idle-skip modes.
 	idDigest uint64
 	pkts     *pktPool
+}
+
+// newNode builds the node at tile id and registers it with k. pkts is its
+// packet pool: Run shares one across nodes (see node), while tests that
+// shard nodes across workers give each node its own.
+func newNode(k *sim.Kernel, mesh *noc.Mesh, cfg Config, id int, rng *sim.RNG, pkts *pktPool) *node {
+	n := &node{
+		id: id, cfg: cfg, rng: rng, pkts: pkts,
+		term:  noc.NewTerminal(mesh, id),
+		ej:    mesh.EjectLink(id),
+		warm:  cfg.warmup(),
+		lat:   stats.NewHistogram(4, 512),
+		queue: ring.New[*noc.Packet](8),
+	}
+	n.armNext(0)
+	n.term.Bind(k.Register(n))
+	return n
 }
 
 // pktPool recycles unicast packets (see the sharing note on node).
@@ -154,22 +171,10 @@ func (n *node) armNext(from uint64) {
 	}
 }
 
-// BindActivity wires the node's scheduling unit to its mesh links so flit
-// deliveries and credit returns wake a parked node.
-func (n *node) BindActivity(a *sim.Activity) {
-	n.mesh.InjectLink(n.id).SetCreditWake(a)
-	n.mesh.EjectLink(n.id).SetFlitWake(a)
-}
-
-// Idle reports whether the node can park: nothing queued or mid-injection,
-// and — because link wakes are edge-triggered and dropped while the node is
-// active — no committed flit or credit awaiting next-cycle consumption.
+// Idle reports whether the node can park: nothing queued or mid-injection
+// and no value on its links awaiting next-cycle consumption.
 func (n *node) Idle() bool {
-	if n.cur != nil || !n.queue.Empty() {
-		return false
-	}
-	return !n.mesh.EjectLink(n.id).FlitPendingAt(n.now) &&
-		!n.mesh.InjectLink(n.id).CreditsPendingAt(n.now)
+	return !n.term.Busy() && n.queue.Empty() && n.term.Quiet(n.now)
 }
 
 // NextEventCycle names the presampled injection cycle as the node's wake.
@@ -183,14 +188,10 @@ func (n *node) NextEventCycle(cycle uint64) uint64 {
 // Evaluate generates, injects and sinks packets.
 func (n *node) Evaluate(cycle uint64) {
 	n.now = cycle
-	inj := n.mesh.InjectLink(n.id)
-	for _, c := range inj.Credits(cycle) {
-		n.tr.ProcessCredit(c)
-	}
+	n.term.TakeCredits(cycle)
 	// Sink.
-	ej := n.mesh.EjectLink(n.id)
-	if f := ej.Flit(cycle); f != nil {
-		ej.SendCredit(noc.Credit{VNet: f.Pkt.VNet, VC: f.InVC(), FreeVC: f.IsTail()}, cycle)
+	if f := n.ej.Flit(cycle); f != nil {
+		n.ej.SendCredit(noc.Credit{VNet: f.Pkt.VNet, VC: f.InVC(), FreeVC: f.IsTail()}, cycle)
 		if f.IsTail() {
 			n.idDigest = (n.idDigest ^ f.Pkt.ID) * 1099511628211
 			if cycle >= n.warm {
@@ -226,28 +227,11 @@ func (n *node) Evaluate(cycle uint64) {
 		}
 		n.armNext(cycle + 1)
 	}
-	// Injection, one flit per cycle.
-	if n.cur == nil && !n.queue.Empty() {
-		p := n.queue.Front()
-		if vc, reserved, ok := n.tr.AllocHeadVC(p.VNet, p.SID); ok && !reserved {
-			n.tr.ClaimHeadVC(p.VNet, vc, p.SID)
-			n.vc = vc
-			n.cur = p
-			n.seq = 0
-			n.queue.PopFront()
-		}
-	}
-	if n.cur != nil {
-		if n.seq == 0 || n.tr.CanSendBody(n.cur.VNet, n.vc) {
-			if n.seq > 0 {
-				n.tr.ChargeBody(n.cur.VNet, n.vc)
-			}
-			inj.Send(noc.NewFlit(n.cur, n.seq, n.vc), cycle)
-			n.seq++
-			if n.seq == n.cur.Flits {
-				n.cur = nil
-			}
-		}
+	// Injection, one flit per cycle, in queue order.
+	if n.term.Busy() {
+		n.term.Continue(cycle)
+	} else if !n.queue.Empty() && n.term.Start(n.queue.Front(), cycle) {
+		n.queue.PopFront()
 	}
 }
 
@@ -302,21 +286,10 @@ func Run(cfg Config) (Result, error) {
 	}
 	k := sim.NewKernel()
 	rng := sim.NewRNG(cfg.Seed + 1)
-	warm := cfg.Cycles / 5
 	nodes := make([]*node, cfg.Net.Nodes())
 	pkts := &pktPool{}
 	for i := range nodes {
-		nodes[i] = &node{
-			id: i, cfg: cfg, mesh: mesh,
-			tr:    noc.NewOutputTracker(cfg.Net),
-			rng:   rng.Fork(),
-			warm:  warm,
-			lat:   stats.NewHistogram(4, 512),
-			queue: ring.New[*noc.Packet](8),
-			pkts:  pkts,
-		}
-		nodes[i].armNext(0)
-		nodes[i].BindActivity(k.Register(nodes[i]))
+		nodes[i] = newNode(k, mesh, cfg, i, rng.Fork(), pkts)
 	}
 	mesh.Register(k)
 	k.SetIdleSkip(!cfg.DisableIdleSkip)
@@ -334,7 +307,7 @@ func Run(cfg Config) (Result, error) {
 			p99 = p
 		}
 	}
-	measured := float64(cfg.Cycles - warm)
+	measured := float64(cfg.Cycles - cfg.warmup())
 	// Broadcasts deliver N-1 copies; count packet-equivalents per source.
 	div := 1.0
 	if cfg.Pattern == Broadcast {
