@@ -3,9 +3,12 @@ package traffic
 import (
 	"fmt"
 	"os"
+	"sort"
 	"testing"
+	"time"
 
 	"scorpio/internal/noc"
+	"scorpio/internal/sim"
 )
 
 // TestTrafficIdleSkipEquivalence pins the open-loop harness's A/B contract:
@@ -82,28 +85,56 @@ func BenchmarkKernelThroughputIdle(b *testing.B) {
 // mesh (0.01 flits/node/cycle), and at most 5% overhead at saturation,
 // where no unit ever parks and the engine reduces to boundary scans and
 // demote polls.
+//
+// One benchmark pair per bound measured the host, not the engine: shared
+// hosts drift by more than 5% between two runs. So each bound steps a warm
+// skip-on and a warm skip-off mesh in back-to-back windows, alternating
+// which goes first, and takes the median of the per-pair on/off time
+// ratios (the estimator of TestTelemetryOverheadGuard): drift hits both
+// halves of a pair, alternation cancels any second-slot bias, and the
+// median sheds the pairs a descheduling spike lands in. Windows are short
+// so that drift within a pair stays small: on a shared 2-vCPU host, 321
+// pairs of 250 cycles read 1.01-1.04 at saturation, and 1.06-1.08 with a
+// busy loop worth 5% of a saturated cycle in the demote pass, where 21
+// pairs of 4,000 cycles read 0.98-1.13 either way.
 func TestIdleSkipSpeedupGuard(t *testing.T) {
 	if os.Getenv("SCORPIO_IDLESKIP_GUARD") == "" {
 		t.Skip("idle-skip guard runs from `make benchsmoke` (SCORPIO_IDLESKIP_GUARD=1)")
 	}
-	measure := func(rate float64, skip bool) float64 {
-		r := testing.Benchmark(func(b *testing.B) {
-			k, _ := warmMeshSized(b, 1, 6, 6, rate, skip)
-			b.ResetTimer()
-			k.Run(uint64(b.N))
-		})
-		return float64(r.NsPerOp())
+	const pairs, cycles = 321, 250
+	window := func(k *sim.Kernel) float64 {
+		start := time.Now()
+		k.Run(cycles)
+		return float64(time.Since(start))
 	}
-	idleOn, idleOff := measure(0.01, true), measure(0.01, false)
-	if idleOn*2 > idleOff {
-		t.Errorf("near-idle speedup %.2fx (on %.0f ns/cycle, off %.0f): the activity engine stopped paying (want >= 2x)",
-			idleOff/idleOn, idleOn, idleOff)
+	medianRatio := func(rate float64) float64 {
+		on, _ := warmMeshSized(t, 1, 6, 6, rate, true)
+		off, _ := warmMeshSized(t, 1, 6, 6, rate, false)
+		ratios := make([]float64, pairs)
+		for i := range ratios {
+			var a, b float64
+			if i%2 == 0 {
+				a = window(on)
+				b = window(off)
+			} else {
+				b = window(off)
+				a = window(on)
+			}
+			ratios[i] = a / b
+		}
+		sort.Float64s(ratios)
+		return ratios[pairs/2]
 	}
-	satOn, satOff := measure(0.30, true), measure(0.30, false)
-	if satOn > satOff*1.05 {
-		t.Errorf("saturation overhead %.1f%% (on %.0f ns/cycle, off %.0f): the engine must cost <= 5%% when nothing idles",
-			100*(satOn/satOff-1), satOn, satOff)
+	idle := medianRatio(0.01)
+	if idle > 0.5 {
+		t.Errorf("near-idle speedup %.2fx (median on/off time ratio %.3f): the activity engine stopped paying (want >= 2x)",
+			1/idle, idle)
 	}
-	t.Logf("near-idle %.2fx speedup (%.0f vs %.0f ns/cycle); saturation %+.1f%% (%.0f vs %.0f ns/cycle)",
-		idleOff/idleOn, idleOn, idleOff, 100*(satOn/satOff-1), satOn, satOff)
+	sat := medianRatio(0.30)
+	if sat > 1.05 {
+		t.Errorf("saturation overhead %+.1f%% (median on/off time ratio %.3f): the engine must cost <= 5%% when nothing idles",
+			100*(sat-1), sat)
+	}
+	t.Logf("near-idle %.2fx speedup (median on/off %.3f); saturation %+.1f%% (median on/off %.3f); %d pairs of %d cycles",
+		1/idle, idle, 100*(sat-1), sat, pairs, cycles)
 }
