@@ -70,8 +70,8 @@ func (t *Terminal) Busy() bool { return t.cur != nil }
 //
 // The reserved GO-REQ VC is never offered here: every GO-REQ packet a
 // terminal injects is single-flit and carries its own node's SID, so the SID
-// tracker admits one at a time and every ordinary VC has its credits back
-// when it does.
+// tracker admits one at a time, and when it does no GO-REQ VC is busy and
+// each has its credits back.
 func (t *Terminal) Start(p *Packet, cycle uint64) bool {
 	vc, reserved, ok := t.trk.allocHeadVC(Local, p.VNet, p.SID)
 	if !ok {
