@@ -58,7 +58,7 @@ func goldenConfigs() []Config {
 }
 
 // goldenKey names a pinned run: protocol and benchmark, plus the mesh size
-// and network count where they differ from the single-network runs.
+// and network count for a run on several main networks.
 func goldenKey(cfg Config) string {
 	key := fmt.Sprintf("%s/%s", cfg.Protocol, cfg.Benchmark)
 	if cfg.MainNetworks > 1 {
