@@ -13,6 +13,10 @@ import (
 	"reflect"
 	"sort"
 	"testing"
+
+	"scorpio/internal/directory"
+	"scorpio/internal/system"
+	"scorpio/internal/trace"
 )
 
 // updateGolden rewrites testdata/golden.json from the current code:
@@ -37,34 +41,103 @@ type goldenFile struct {
 	Metrics map[string]string    `json:"metrics"`
 }
 
-// goldenConfigs lists the pinned runs: all five machines on three
-// benchmarks, the mesh-ordered ones at the chip's 6×6 and the Figure 7
-// baselines at their 4×4, plus a 4×4 SCORPIO on two main networks, the one
-// pinned path through NIC.AddMesh and the send striping across meshes.
-func goldenConfigs() []Config {
-	var cfgs []Config
+// goldenCase is one pinned run: a facade Config, plus the L2 capacity of a
+// small-L2 run (0 keeps the machine's default L2).
+type goldenCase struct {
+	cfg     Config
+	l2Bytes int
+}
+
+// goldenCases lists the pinned runs: all five machines on three benchmarks,
+// the mesh-ordered ones at the chip's 6×6 and the Figure 7 baselines at
+// their 4×4, plus a 4×4 SCORPIO on two main networks, the one pinned path
+// through NIC.AddMesh and the send striping across meshes. The 4×4 fft runs
+// with a 1 KB L2 are the pinned dirty evictions: no default-size run evicts
+// a dirty line, so they alone carry writebacks through every machine.
+func goldenCases() []goldenCase {
+	var cases []goldenCase
 	for _, p := range []Protocol{SCORPIO, LPDD, HTD, TokenB, INSO} {
 		side := 6
 		if p == TokenB || p == INSO {
 			side = 4
 		}
 		for _, b := range []string{"barnes", "fft", "lu"} {
-			cfgs = append(cfgs, Config{Protocol: p, Benchmark: b, Width: side, Height: side,
-				WorkPerCore: 60, WarmupPerCore: 40})
+			cases = append(cases, goldenCase{cfg: Config{Protocol: p, Benchmark: b, Width: side, Height: side,
+				WorkPerCore: 60, WarmupPerCore: 40}})
 		}
 	}
-	return append(cfgs, Config{Protocol: SCORPIO, Benchmark: "barnes", Width: 4, Height: 4,
-		WorkPerCore: 60, WarmupPerCore: 40, MainNetworks: 2})
+	cases = append(cases, goldenCase{cfg: Config{Protocol: SCORPIO, Benchmark: "barnes", Width: 4, Height: 4,
+		WorkPerCore: 60, WarmupPerCore: 40, MainNetworks: 2}})
+	for _, p := range []Protocol{SCORPIO, LPDD, HTD, TokenB} {
+		cases = append(cases, goldenCase{cfg: Config{Protocol: p, Benchmark: "fft", Width: 4, Height: 4,
+			WorkPerCore: 60, WarmupPerCore: 40}, l2Bytes: 1024})
+	}
+	return cases
 }
 
 // goldenKey names a pinned run: protocol and benchmark, plus the mesh size
-// and network count for a run on several main networks.
-func goldenKey(cfg Config) string {
-	key := fmt.Sprintf("%s/%s", cfg.Protocol, cfg.Benchmark)
-	if cfg.MainNetworks > 1 {
-		key += fmt.Sprintf("/%dx%d/nets=%d", cfg.Width, cfg.Height, cfg.MainNetworks)
+// and the network count or L2 capacity of a run that sets either.
+func goldenKey(c goldenCase) string {
+	key := fmt.Sprintf("%s/%s", c.cfg.Protocol, c.cfg.Benchmark)
+	if c.cfg.MainNetworks > 1 {
+		key += fmt.Sprintf("/%dx%d/nets=%d", c.cfg.Width, c.cfg.Height, c.cfg.MainNetworks)
+	}
+	if c.l2Bytes > 0 {
+		key += fmt.Sprintf("/%dx%d/l2=%dKB", c.cfg.Width, c.cfg.Height, c.l2Bytes/1024)
 	}
 	return key
+}
+
+// run executes the case: through Run for a default L2, else through the
+// facade's option mappers with the L2 capacity overridden (Config has no L2
+// size knob).
+func (c goldenCase) run() (Result, error) {
+	if c.l2Bytes == 0 {
+		return Run(c.cfg)
+	}
+	return runL2Bytes(c.cfg, c.l2Bytes)
+}
+
+// runL2Bytes runs cfg with every L2 shrunk to l2Bytes, built through the
+// same option mappers Run uses.
+func runL2Bytes(cfg Config, l2Bytes int) (Result, error) {
+	if err := cfg.fill(); err != nil {
+		return Result{}, err
+	}
+	prof, err := trace.ByName(cfg.Benchmark)
+	if err != nil {
+		return Result{}, err
+	}
+	switch cfg.Protocol {
+	case SCORPIO:
+		opt := scorpioOptions(cfg, prof)
+		opt.L2.CapacityBytes = l2Bytes
+		s, err := system.NewScorpio(opt)
+		if err != nil {
+			return Result{}, err
+		}
+		return s.Run(cfg.CycleLimit)
+	case LPDD, HTD:
+		opt := directoryOptions(cfg, prof)
+		if opt.L2.Nodes == 0 {
+			opt.L2 = directory.DefaultL2Config(opt.Net.Nodes(), opt.Variant)
+			opt.L2.DataFlits = opt.Net.DataPacketFlits()
+		}
+		opt.L2.CapacityBytes = l2Bytes
+		d, err := system.NewDirectory(opt)
+		if err != nil {
+			return Result{}, err
+		}
+		return d.Run(cfg.CycleLimit)
+	default:
+		opt := baselineOptions(cfg, prof)
+		opt.L2.CapacityBytes = l2Bytes
+		b, err := system.NewBaseline(opt)
+		if err != nil {
+			return Result{}, err
+		}
+		return b.Run(cfg.CycleLimit)
+	}
 }
 
 // pin splits a Results value into its named counters and a digest of
@@ -150,12 +223,12 @@ func metricsDigests(t *testing.T) map[string]string {
 // purpose regenerates it with -update and says why in CHANGES.md.
 func TestGolden(t *testing.T) {
 	got := goldenFile{Runs: map[string]goldenRun{}, Metrics: metricsDigests(t)}
-	for _, cfg := range goldenConfigs() {
-		r, err := Run(cfg)
+	for _, c := range goldenCases() {
+		r, err := c.run()
 		if err != nil {
-			t.Fatalf("%s: %v", goldenKey(cfg), err)
+			t.Fatalf("%s: %v", goldenKey(c), err)
 		}
-		got.Runs[goldenKey(cfg)] = pin(t, r)
+		got.Runs[goldenKey(c)] = pin(t, r)
 	}
 	if *updateGolden {
 		data, err := json.MarshalIndent(got, "", "  ")
