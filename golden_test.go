@@ -68,7 +68,7 @@ func goldenCases() []goldenCase {
 	}
 	cases = append(cases, goldenCase{cfg: Config{Protocol: SCORPIO, Benchmark: "barnes", Width: 4, Height: 4,
 		WorkPerCore: 60, WarmupPerCore: 40, MainNetworks: 2}})
-	for _, p := range []Protocol{SCORPIO, LPDD, HTD, TokenB} {
+	for _, p := range []Protocol{SCORPIO, LPDD, HTD, TokenB, INSO} {
 		cases = append(cases, goldenCase{cfg: Config{Protocol: p, Benchmark: "fft", Width: 4, Height: 4,
 			WorkPerCore: 60, WarmupPerCore: 40}, l2Bytes: 1024})
 	}

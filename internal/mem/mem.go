@@ -81,6 +81,14 @@ type queuedReq struct {
 	ordered uint64
 }
 
+// earlyWB names writeback data that reached the controller before the
+// writer's PutM was processed in the global order here.
+type earlyWB struct {
+	addr  uint64
+	src   int
+	reqID uint64
+}
+
 // pendingSend is a scheduled response injection.
 type pendingSend struct {
 	readyAt uint64
@@ -98,9 +106,12 @@ type Controller struct {
 	dir    map[uint64]dirEntry
 	dirC   *cache.Array // finite directory cache (latency only)
 	held   map[uint64][]queuedReq
-	sendQ  []pendingSend
-	now    uint64 // cycle of the last Evaluate (idle-check reference)
-	Stats  Stats
+	// early lists writeback data whose PutM is still to be ordered here; it
+	// stays nil until the first such race.
+	early []earlyWB
+	sendQ []pendingSend
+	now   uint64 // cycle of the last Evaluate (idle-check reference)
+	Stats Stats
 }
 
 // New builds a memory-controller port at the given node.
@@ -168,7 +179,9 @@ func (c *Controller) ProcessOrdered(p *noc.Packet, arrive, cycle uint64) bool {
 			return true // stale writeback: ownership already moved on
 		}
 		e.owner = -1
-		e.valid = false // data still in flight on the response network
+		// Unless the data already arrived, it is still in flight on the
+		// response network.
+		e.valid = c.takeEarly(p.Addr, p.Src, p.ReqID)
 		c.dir[p.Addr] = e
 	}
 	return true
@@ -228,6 +241,11 @@ func (c *Controller) AcceptResponse(p *noc.Packet, cycle uint64) bool {
 		panic(fmt.Sprintf("mem: node %d got unexpected response kind %d", c.node, p.Kind))
 	}
 	e := c.entry(p.Addr)
+	if int(e.owner) == p.Src {
+		// The writer still owns the line here: its PutM is yet to be
+		// ordered, and must then find memory's copy valid.
+		c.early = append(c.early, earlyWB{addr: p.Addr, src: p.Src, reqID: p.ReqID})
+	}
 	e.valid = true
 	if ri, ok := p.Payload.(*coherence.RespInfo); ok {
 		e.value = ri.Value
@@ -248,6 +266,18 @@ func (c *Controller) AcceptResponse(p *noc.Packet, cycle uint64) bool {
 		}
 	}
 	return true
+}
+
+// takeEarly reports whether a writeback's data arrived before its PutM, and
+// forgets the arrival.
+func (c *Controller) takeEarly(addr uint64, src int, reqID uint64) bool {
+	for i, w := range c.early {
+		if w == (earlyWB{addr: addr, src: src, reqID: reqID}) {
+			c.early = append(c.early[:i], c.early[i+1:]...)
+			return true
+		}
+	}
+	return false
 }
 
 // Evaluate injects scheduled responses whose latency elapsed.

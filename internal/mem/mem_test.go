@@ -136,6 +136,37 @@ func TestWritebackRoundTrip(t *testing.T) {
 	}
 }
 
+// TestWritebackDataBeforePutM delivers a writeback's data before the
+// controller processes its PutM in the global order: the PutM must leave
+// memory's copy valid, so a later writer is served from DRAM rather than
+// held for data that already came.
+func TestWritebackDataBeforePutM(t *testing.T) {
+	r := newMCRig()
+	r.ordered(coherence.GetX, 4, 0x500, 1) // node 4 becomes the owner
+	r.step(120)
+	r.mc.AcceptResponse(&noc.Packet{VNet: noc.UOResp, Src: 4, Kind: int(coherence.WBData), Addr: 0x500, ReqID: 9, Flits: 3,
+		Payload: &coherence.RespInfo{Value: 0x77}}, r.cycle)
+	r.step(3)
+	r.ordered(coherence.PutM, 4, 0x500, 9)
+	if r.mc.OwnerOf(0x500) != -1 {
+		t.Fatal("PutM from the owner must return ownership to memory")
+	}
+	r.ordered(coherence.GetX, 6, 0x500, 10)
+	before := len(r.port.resps)
+	cfg := DefaultConfig()
+	r.step(cfg.DirAccessLatency + cfg.DRAMLatency + 1)
+	for _, p := range r.port.resps[before:] {
+		if coherence.Kind(p.Kind) == coherence.DataMem && p.Dst == 6 {
+			if v := p.Payload.(*coherence.RespInfo).Value; v != 0x77 {
+				t.Fatalf("writer got value %#x, want the written-back 0x77", v)
+			}
+			return
+		}
+	}
+	t.Fatalf("node 6's GetX not served within %d cycles (%d requests held)",
+		cfg.DirAccessLatency+cfg.DRAMLatency+1, r.mc.Stats.RacedRequests)
+}
+
 func TestStalePutMIgnored(t *testing.T) {
 	r := newMCRig()
 	r.ordered(coherence.GetX, 4, 0x400, 1)
