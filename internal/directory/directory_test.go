@@ -403,6 +403,71 @@ func TestL2ProbeSemantics(t *testing.T) {
 	}
 }
 
+// TestWritebackBufferSilentAfterPutM wires an HT home to an evicting L2: once
+// the home has processed the L2's PutM and memory owns the line again, the
+// probe of another node's GetX must not draw data from the L2's writeback
+// buffer, or the requester receives a second DataD.
+func TestWritebackBufferSilentAfterPutM(t *testing.T) {
+	const line, other = 0x22, 0x23 // one-line L2: other evicts line
+	h := newHomeRig(HT)            // HomeFor(line, 16) == 2, the rig's home
+	cfg := DefaultL2Config(16, HT)
+	cfg.CapacityBytes, cfg.Ways = 32, 1
+	r := &l2Rig{nic: &fakeNIC{}}
+	id := uint64(0)
+	r.l2 = NewL2(5, cfg, r.nic, func() uint64 { id++; return id })
+
+	// Node 5 owns the line, at the home and in its array.
+	h.request(ReqGetX, 5, line, 100)
+	h.step(250)
+	h.done(5, line, 100)
+	r.l2.Array().Insert(line, int32(coherence.Modified), 0)
+
+	// A read of the other line evicts it dirty.
+	r.l2.CoreRequest(other, false, r.cycle)
+	r.step(2)
+	r.l2.HandleResponse(&noc.Packet{Kind: int(DataD), Addr: other, ReqID: r.nic.reqs[0].ReqID,
+		Payload: &RespInfo{}, Flits: 3}, r.cycle)
+	var putm, data *noc.Packet
+	for _, p := range r.nic.reqs {
+		if Kind(p.Kind) == ReqPutM {
+			putm = p
+		}
+	}
+	for _, p := range r.nic.resps {
+		if Kind(p.Kind) == WBData {
+			data = p
+		}
+	}
+	if putm == nil || data == nil {
+		t.Fatal("the dirty eviction sent no PutM and data")
+	}
+
+	// The home processes the writeback, then node 9's GetX. The WBAck stays
+	// in flight, so node 5's buffer still holds the line.
+	h.home.Request(putm, h.cycle, h.cycle)
+	h.step(20)
+	h.home.WBDataArrived(data, h.cycle)
+	h.request(ReqGetX, 9, line, 200)
+	h.step(20)
+	var probe *noc.Packet
+	for _, p := range h.nic.reqs {
+		if Kind(p.Kind) == ProbeX && p.ReqID == 200 {
+			probe = p
+		}
+	}
+	if probe == nil {
+		t.Fatal("the home sent no probe for node 9's GetX")
+	}
+	n := len(r.nic.resps)
+	r.l2.HandleProbe(probe, r.cycle)
+	r.step(cfg.HitLatency + 5)
+	for _, p := range r.nic.resps[n:] {
+		if Kind(p.Kind) == DataD {
+			t.Fatalf("node 5 answered node 9's probe from its writeback buffer: %v", p)
+		}
+	}
+}
+
 func TestVariantAndKindStrings(t *testing.T) {
 	if LPD.String() != "LPD-D" || HT.String() != "HT-D" {
 		t.Fatal("variant names drifted from the paper")

@@ -242,7 +242,7 @@ func (h *Home) processGetS(l *line, q qreq, cycle uint64) {
 		if h.cfg.Variant == LPD {
 			h.forward(FwdGetS, l.owner, p, q.arrive, cycle, 0)
 		} else {
-			h.probe(ProbeS, p, q.arrive, cycle)
+			h.probe(ProbeS, l, p, q.arrive, cycle)
 		}
 		l.sharers.Add(p.Src)
 		h.checkOverflow(l)
@@ -265,7 +265,7 @@ func (h *Home) processGetX(l *line, q qreq, cycle uint64) {
 	case h.cfg.Variant == HT:
 		// Probe everyone; the owner (if any) sends data. The home is the
 		// ordering point, so invalidations carry no acks.
-		h.probe(ProbeX, p, q.arrive, cycle)
+		h.probe(ProbeX, l, p, q.arrive, cycle)
 		if l.owner < 0 {
 			h.serveFromMemory(l, q, cycle, 0)
 		}
@@ -274,7 +274,7 @@ func (h *Home) processGetX(l *line, q qreq, cycle uint64) {
 	case l.overflowed:
 		// LPD past its pointers: fall back to a broadcast, like the paper's
 		// "request is broadcast to all cores".
-		h.probe(ProbeX, p, q.arrive, cycle)
+		h.probe(ProbeX, l, p, q.arrive, cycle)
 		if l.owner < 0 {
 			h.serveFromMemory(l, q, cycle, 0)
 		} else if l.owner == p.Src {
@@ -416,11 +416,12 @@ func (h *Home) forward(kind Kind, owner int, p *noc.Packet, arrive, cycle uint64
 	h.queueSend(cycle, fwd, false, nil)
 }
 
-// probe broadcasts an HT-style probe on the request class and probes the
-// home tile's own L2 locally.
-func (h *Home) probe(kind Kind, p *noc.Packet, arrive, cycle uint64) {
+// probe broadcasts an HT-style probe for line l on the request class and
+// probes the home tile's own L2 locally.
+func (h *Home) probe(kind Kind, l *line, p *noc.Packet, arrive, cycle uint64) {
 	h.Stats.ProbeBcasts++
-	info := &FwdInfo{Requester: p.Src, ReqID: p.ReqID, ReqInject: p.InjectCycle, HomeArrive: arrive, Dispatch: cycle}
+	info := &FwdInfo{Requester: p.Src, ReqID: p.ReqID, ReqInject: p.InjectCycle, HomeArrive: arrive, Dispatch: cycle,
+		MemServes: l.owner < 0}
 	pr := &noc.Packet{
 		ID: h.newID(), VNet: noc.GOReq, Src: h.node, SID: h.node, Broadcast: true,
 		Kind: int(kind), Addr: p.Addr, ReqID: p.ReqID, Flits: 1, InjectCycle: cycle,

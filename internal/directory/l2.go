@@ -181,6 +181,12 @@ func (l *L2) HandleProbe(p *noc.Packet, cycle uint64) bool {
 		return true
 	}
 	owner := l.ownsLine(p.Addr)
+	if wb, ok := owner.(*dwb); ok && info.MemServes {
+		// The home already processed our PutM, so memory serves this
+		// probe; the buffer's claim on the line is void.
+		wb.hijacked = true
+		owner = nil
+	}
 	switch Kind(p.Kind) {
 	case ProbeS:
 		if owner != nil {

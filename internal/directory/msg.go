@@ -110,6 +110,10 @@ type FwdInfo struct {
 	HomeArrive uint64 // request arrival at the home NIC
 	Dispatch   uint64 // home sent the forward/probe/DRAM access
 	AckCount   int    // invalidation acks the requester must collect (FwdGetX)
+	// MemServes marks a probe the home answers from memory: no cache owns
+	// the line, so a writeback buffer whose PutM the home already processed
+	// must stay silent.
+	MemServes bool
 }
 
 // RespInfo rides in DataD responses for the Figure 6b/6c breakdown.
