@@ -5,9 +5,6 @@ import (
 
 	"scorpio/internal/cache"
 	"scorpio/internal/noc"
-	"scorpio/internal/obs"
-	"scorpio/internal/obs/audit"
-	"scorpio/internal/ring"
 	"scorpio/internal/stats"
 )
 
@@ -81,20 +78,12 @@ type Completion struct {
 
 // Stats counts protocol activity.
 type Stats struct {
-	CoreReads      uint64
-	CoreWrites     uint64
-	Hits           uint64
-	Misses         uint64
+	ReqStats
 	SnoopsSeen     uint64
 	SnoopsFiltered uint64
-	SnoopResponses uint64
 	FIDDeferrals   uint64
 	FIDStalls      uint64
-	Writebacks     uint64
 	StalePutM      uint64
-	Invalidations  uint64
-	ServiceLatency stats.Mean // issue→done for all core requests
-	MissLatency    stats.Mean
 }
 
 // fid is one deferred snoop awaiting our in-flight write (SID + request
@@ -105,124 +94,40 @@ type fid struct {
 	kind  Kind
 }
 
-// mshr tracks one outstanding miss.
-type mshr struct {
-	active           bool
-	addr             uint64
-	write            bool
-	issue            uint64
-	reqID            uint64
-	pkt              *noc.Packet
-	wantInject       bool
+// snoopMiss is the snoopy protocol's state for one outstanding miss.
+type snoopMiss struct {
 	ordered          bool
-	orderedCycle     uint64
-	arriveSelf       uint64
-	dataArrived      bool
-	dataCycle        uint64
-	resp             RespInfo
-	value            uint64 // value being written (write misses)
 	selfServed       bool
 	invalidateOnFill bool
-	fids             []fid
 	fidClosed        bool
+	orderedCycle     uint64
+	arriveSelf       uint64
+	resp             RespInfo
+	fids             []fid
 }
 
-// wbEntry tracks one dirty-line writeback in flight.
-type wbEntry struct {
-	addr        uint64
-	value       uint64
-	reqID       uint64
-	pkt         *noc.Packet
-	wantInject  bool
-	putmOrdered bool
-	hijacked    bool // a GetX took ownership before our PutM was ordered
-	awaitAck    bool
-}
-
-// pendingSend is a scheduled response injection.
-type pendingSend struct {
-	readyAt uint64
-	pkt     *noc.Packet
-	resp    *RespInfo // stamped with RespSent when injected
-}
-
-// coreReq is a buffered request from the core/trace injector.
-type coreReq struct {
-	addr  uint64
-	write bool
-	value uint64
-	issue uint64
-}
-
-// L2Controller is the tile's snoopy protocol engine. It implements the
-// split agent interface (CanAcceptOrdered/ProcessOrdered/AcceptResponse)
-// composed into a nic.Agent by the system layer, and sim.Component.
+// L2Controller is the tile's snoopy protocol engine: the shared Requester
+// front end plus ordered snoops, FID lists, its own PutM's ordering and the
+// Non-PL occupancy. It implements the split agent interface
+// (CanAcceptOrdered/ProcessOrdered/AcceptResponse) composed into a nic.Agent
+// by the system layer, and sim.Component.
 type L2Controller struct {
-	cfg    Config
-	node   int
-	nic    NetPort
-	newID  func() uint64
-	memMap MemMap
-	arr    *cache.Array
-	rt     *cache.RegionTracker
-	// InvalidateL1 is called whenever inclusion removes a line (optional).
-	InvalidateL1 func(addr uint64)
-	// OnComplete receives finished core requests.
-	OnComplete func(Completion)
-
-	mshrs      []mshr
-	wbs        []*wbEntry
-	sendQ      []pendingSend
-	coreQ      ring.Ring[coreReq]
-	stagedCore []coreReq
-	now        uint64 // cycle of the last Evaluate (idle-check reference)
-	busyUntil  uint64
-	reqIDNext  uint64
-	Stats      Stats
-	// tracer is nil unless lifecycle tracing is enabled; auditor likewise
-	// shadows every cache-array state change when auditing is on.
-	tracer  *obs.Tracer
-	auditor *audit.Auditor
-}
-
-// SetTracer attaches a lifecycle event tracer (nil disables tracing).
-func (l *L2Controller) SetTracer(t *obs.Tracer) { l.tracer = t }
-
-// SetAuditor attaches the online auditor (nil disables auditing).
-func (l *L2Controller) SetAuditor(a *audit.Auditor) { l.auditor = a }
-
-// auditState mirrors one array-state mutation into the auditor's MOSI
-// shadow.
-func (l *L2Controller) auditState(addr uint64, st State, cycle uint64) {
-	var as audit.LineState
-	switch st {
-	case Shared:
-		as = audit.LineShared
-	case OwnedDirty:
-		as = audit.LineOwned
-	case Modified:
-		as = audit.LineModified
-	default:
-		as = audit.LineInvalid
-	}
-	l.auditor.LineState(l.node, addr, as, cycle)
+	Requester[snoopMiss]
+	cfg       Config
+	newID     func() uint64
+	memMap    MemMap
+	busyUntil uint64
+	Stats     Stats
 }
 
 // NewL2 builds a controller for the given node.
 func NewL2(node int, cfg Config, n NetPort, newID func() uint64, mm MemMap) *L2Controller {
-	l := &L2Controller{
-		cfg:    cfg,
-		node:   node,
-		nic:    n,
-		newID:  newID,
-		memMap: mm,
-		arr:    cache.NewArrayBytes(cfg.CapacityBytes, cfg.LineBytes, cfg.Ways),
-		mshrs:  make([]mshr, cfg.MSHRs),
-		coreQ:  ring.New[coreReq](cfg.CoreQueueDepth),
-	}
+	l := &L2Controller{cfg: cfg, newID: newID, memMap: mm}
+	l.Requester = NewRequester[snoopMiss](node, n, cache.NewArrayBytes(cfg.CapacityBytes, cfg.LineBytes, cfg.Ways),
+		cfg.HitLatency, cfg.MSHRs, cfg.CoreQueueDepth, l, &l.Stats.ReqStats)
 	// Each MSHR keeps its FID list's backing array across reuse.
 	for i := range l.mshrs {
-		l.mshrs[i].fids = make([]fid, 0, cfg.FIDCapacity)
+		l.mshrs[i].P.fids = make([]fid, 0, cfg.FIDCapacity)
 	}
 	if cfg.UseRegionTracker {
 		l.rt = cache.NewRegionTracker(cfg.RegionBytes, cfg.LineBytes, cfg.RegionEntries)
@@ -230,61 +135,8 @@ func NewL2(node int, cfg Config, n NetPort, newID func() uint64, mm MemMap) *L2C
 	return l
 }
 
-// Node returns the tile ID.
-func (l *L2Controller) Node() int { return l.node }
-
-// Array exposes the L2 array (tests, stats).
-func (l *L2Controller) Array() *cache.Array { return l.arr }
-
 // RegionTracker exposes the snoop filter (may be nil).
 func (l *L2Controller) RegionTracker() *cache.RegionTracker { return l.rt }
-
-// ValueOf reports the data value of a resident line (0 if absent).
-func (l *L2Controller) ValueOf(addr uint64) uint64 {
-	if ln := l.arr.Lookup(addr); ln != nil {
-		return ln.Data
-	}
-	return 0
-}
-
-// LineState reports the coherence state of a line (tests).
-func (l *L2Controller) LineState(addr uint64) State {
-	if ln := l.arr.Lookup(addr); ln != nil {
-		return State(ln.State)
-	}
-	return Invalid
-}
-
-// Outstanding reports the number of active MSHRs.
-func (l *L2Controller) Outstanding() int {
-	n := 0
-	for i := range l.mshrs {
-		if l.mshrs[i].active {
-			n++
-		}
-	}
-	return n
-}
-
-// CoreRequest offers a memory request from the core/trace injector; addr is
-// a line address (the AHB adapter in front of the controller performs the
-// byte-to-line conversion). It reports false when the request queue is full
-// (the injector retries). The request is visible to the controller from the
-// next cycle.
-func (l *L2Controller) CoreRequest(addr uint64, write bool, cycle uint64) bool {
-	return l.CoreAccess(addr, write, 0, cycle)
-}
-
-// CoreAccess is CoreRequest with an explicit data value for stores; reads
-// report the observed value through Completion.Value. The consistency
-// verification suite (internal/litmus) uses it.
-func (l *L2Controller) CoreAccess(addr uint64, write bool, value uint64, cycle uint64) bool {
-	if l.coreQ.Len()+len(l.stagedCore) >= l.cfg.CoreQueueDepth {
-		return false
-	}
-	l.stagedCore = append(l.stagedCore, coreReq{addr: addr, write: write, value: value, issue: cycle})
-	return true
-}
 
 // CanAcceptOrdered reports whether the controller can consume an ordered
 // request this cycle (occupancy model for the Non-PL configuration).
@@ -309,27 +161,28 @@ func (l *L2Controller) ProcessOrdered(p *noc.Packet, arrive, cycle uint64) bool 
 	}
 	l.Stats.SnoopsSeen++
 	// Snoop against an outstanding miss to the same line.
-	if m := l.findMSHR(p.Addr); m != nil && m.ordered {
+	if m := l.FindMSHR(p.Addr); m != nil && m.P.ordered {
+		x := &m.P
 		switch {
-		case m.write && !m.fidClosed && kind != PutM:
-			if len(m.fids) >= l.cfg.FIDCapacity {
+		case m.Write && !x.fidClosed && kind != PutM:
+			if len(x.fids) >= l.cfg.FIDCapacity {
 				l.Stats.FIDStalls++
 				return false
 			}
-			m.fids = append(m.fids, fid{src: p.Src, reqID: p.ReqID, kind: kind})
+			x.fids = append(x.fids, fid{src: p.Src, reqID: p.ReqID, kind: kind})
 			if kind == GetX {
-				m.fidClosed = true
+				x.fidClosed = true
 			}
 			l.Stats.FIDDeferrals++
 			l.charge(cycle, 1)
 			return true
-		case m.write && m.fidClosed:
+		case m.Write && x.fidClosed:
 			// Ownership already promised onward; the next writer serves this.
 			l.charge(cycle, 1)
 			return true
-		case !m.write:
+		case !m.Write:
 			if kind == GetX {
-				m.invalidateOnFill = true
+				x.invalidateOnFill = true
 			}
 			l.charge(cycle, 1)
 			return true
@@ -337,10 +190,10 @@ func (l *L2Controller) ProcessOrdered(p *noc.Packet, arrive, cycle uint64) bool 
 	}
 	// Snoop against an in-flight writeback (still the dirty owner until the
 	// PutM is ordered).
-	if wb := l.findWB(p.Addr); wb != nil && !wb.putmOrdered && !wb.hijacked && kind != PutM {
-		l.respondData(p, arrive, cycle, cycle+uint64(l.cfg.HitLatency), wb.value)
+	if wb := l.FindWB(p.Addr); wb != nil && !wb.Released && kind != PutM {
+		l.respondData(p, arrive, cycle, cycle+uint64(l.cfg.HitLatency), wb.Value)
 		if kind == GetX {
-			wb.hijacked = true
+			wb.Released = true
 		}
 		l.charge(cycle, l.cfg.NonPLOccupancy)
 		return true
@@ -362,22 +215,19 @@ func (l *L2Controller) ProcessOrdered(p *noc.Packet, arrive, cycle uint64) bool 
 	case GetS:
 		if st.owner() {
 			l.respondData(p, arrive, cycle, cycle+uint64(l.cfg.HitLatency), ln.Data)
-			ln.State = int32(OwnedDirty)
-			if l.auditor != nil {
-				l.auditState(p.Addr, OwnedDirty, cycle)
-			}
+			l.SetState(ln, OwnedDirty, cycle)
 			l.charge(cycle, l.cfg.NonPLOccupancy)
 			return true
 		}
 	case GetX:
 		if st.owner() {
 			l.respondData(p, arrive, cycle, cycle+uint64(l.cfg.HitLatency), ln.Data)
-			l.invalidateLine(p.Addr, cycle)
+			l.Invalidate(p.Addr, cycle)
 			l.charge(cycle, l.cfg.NonPLOccupancy)
 			return true
 		}
 		if st == Shared {
-			l.invalidateLine(p.Addr, cycle)
+			l.Invalidate(p.Addr, cycle)
 		}
 	case PutM:
 		// Another tile's writeback: nothing to do.
@@ -390,42 +240,42 @@ func (l *L2Controller) ProcessOrdered(p *noc.Packet, arrive, cycle uint64) bool 
 // position.
 func (l *L2Controller) processOwnOrdered(p *noc.Packet, kind Kind, arrive, cycle uint64) {
 	if kind == PutM {
-		wb := l.findWBByReq(p.ReqID)
+		wb := l.FindWBByReq(p.ReqID)
 		if wb == nil {
 			panic(fmt.Sprintf("coherence: node %d saw own PutM for unknown reqID %d", l.node, p.ReqID))
 		}
-		wb.putmOrdered = true
-		if wb.hijacked {
-			// Ownership moved on before the PutM was ordered; the memory
+		if wb.Released {
+			// A GetX took ownership before the PutM was ordered; the memory
 			// controller ignores the stale PutM and no data is sent.
 			l.Stats.StalePutM++
-			l.freeWB(wb)
+			l.FreeWB(wb)
 			return
 		}
-		// Send the dirty data to the line's home memory controller.
+		// Ordered, the PutM hands the line to memory: send it the dirty data
+		// and stop answering snoops.
+		wb.Released = true
 		data := &noc.Packet{
 			ID: l.newID(), VNet: noc.UOResp, Src: l.node, Dst: l.memMap.HomeMC(p.Addr),
 			Kind: int(WBData), Addr: p.Addr, ReqID: p.ReqID, Flits: l.cfg.DataFlits, InjectCycle: cycle,
-			Payload: &RespInfo{Value: wb.value},
+			Payload: &RespInfo{Value: wb.Value},
 		}
-		l.sendQ = append(l.sendQ, pendingSend{readyAt: cycle + uint64(l.cfg.HitLatency), pkt: data})
-		wb.awaitAck = true
+		l.Send(cycle+uint64(l.cfg.HitLatency), data, nil)
 		return
 	}
-	m := l.findMSHRByReq(p.ReqID)
+	m := l.FindMSHRByReq(p.ReqID)
 	if m == nil {
 		panic(fmt.Sprintf("coherence: node %d saw own %s for unknown reqID %d", l.node, kind, p.ReqID))
 	}
-	m.ordered = true
-	m.orderedCycle = cycle
-	m.arriveSelf = arrive
-	if m.write {
+	m.P.ordered = true
+	m.P.orderedCycle = cycle
+	m.P.arriveSelf = arrive
+	if m.Write {
 		// An upgrade from an owned state self-serves the data.
-		if ln := l.arr.Lookup(m.addr); ln != nil && State(ln.State).owner() {
-			m.dataArrived = true
-			m.dataCycle = cycle
-			m.resp.Value = ln.Data
-			m.selfServed = true
+		if ln := l.arr.Lookup(m.Addr); ln != nil && State(ln.State).owner() {
+			m.DataArrived = true
+			m.DataCycle = cycle
+			m.P.resp.Value = ln.Data
+			m.P.selfServed = true
 		}
 	}
 }
@@ -444,178 +294,66 @@ func (l *L2Controller) respondData(p *noc.Packet, arrive, cycle, readyAt uint64,
 		Kind: int(Data), Addr: p.Addr, ReqID: p.ReqID, Flits: l.cfg.DataFlits,
 		InjectCycle: cycle, Payload: resp,
 	}
-	l.sendQ = append(l.sendQ, pendingSend{readyAt: readyAt, pkt: pkt, resp: resp})
-	l.Stats.SnoopResponses++
-}
-
-// invalidateLine removes a line (snoop invalidation), maintaining the region
-// tracker and L1 inclusion.
-func (l *L2Controller) invalidateLine(addr uint64, cycle uint64) {
-	if l.arr.Invalidate(addr) {
-		l.Stats.Invalidations++
-		if l.auditor != nil {
-			l.auditState(addr, Invalid, cycle)
-		}
-		if l.rt != nil {
-			l.rt.NoteEvict(addr)
-		}
-		if l.InvalidateL1 != nil {
-			l.InvalidateL1(addr)
-		}
-	}
+	l.Send(readyAt, pkt, &resp.RespSent)
 }
 
 // AcceptResponse consumes an unordered response delivered by the NIC.
 func (l *L2Controller) AcceptResponse(p *noc.Packet, cycle uint64) bool {
 	switch Kind(p.Kind) {
 	case Data, DataMem:
-		m := l.findMSHRByReq(p.ReqID)
+		m := l.FindMSHRByReq(p.ReqID)
 		if m == nil {
 			panic(fmt.Sprintf("coherence: node %d got %s for unknown reqID %d", l.node, Kind(p.Kind), p.ReqID))
 		}
-		m.dataArrived = true
-		m.dataCycle = cycle
+		m.DataArrived = true
+		m.DataCycle = cycle
 		if ri, ok := p.Payload.(*RespInfo); ok {
-			m.resp = *ri
+			m.P.resp = *ri
 		}
 		return true
 	case WBAck:
-		if wb := l.findWBByReq(p.ReqID); wb != nil {
-			l.freeWB(wb)
-		}
+		l.AckWriteback(p.ReqID)
 		return true
 	default:
 		panic(fmt.Sprintf("coherence: node %d got unexpected response kind %s", l.node, Kind(p.Kind)))
 	}
 }
 
-// Evaluate runs one controller cycle: inject retries, response sends,
-// completion checks and core-request processing.
-func (l *L2Controller) Evaluate(cycle uint64) {
-	l.now = cycle
-	l.drainSendQ(cycle)
-	l.retryInjects(cycle)
-	l.checkCompletions(cycle)
-	l.processCoreQueue(cycle)
-}
-
-// Commit merges staged core requests.
-func (l *L2Controller) Commit(cycle uint64) {
-	for _, r := range l.stagedCore {
-		l.coreQ.Push(r)
+// MissRequest implements Protocol: a broadcast GetS or GetX on the ordered
+// network.
+func (l *L2Controller) MissRequest(m *MSHR[snoopMiss], st State, cycle uint64) *noc.Packet {
+	m.P = snoopMiss{fids: m.P.fids[:0]}
+	kind := GetS
+	if m.Write {
+		kind = GetX
 	}
-	l.stagedCore = l.stagedCore[:0]
-}
-
-// Idle implements sim.Idler: the controller may be skipped while it has no
-// transaction in any stage — no queued or staged core requests, no active
-// MSHR, no writeback in flight, and no ripe scheduled response. A scheduled
-// response whose readyAt is still in the future (a sharer serving a snoop
-// after the array access latency) permits parking; NextEventCycle names the
-// send cycle. Every other term either makes Evaluate a no-op or is
-// re-established only while this tile's unit is running (core requests and
-// NIC deliveries both happen inside it).
-func (l *L2Controller) Idle() bool {
-	if len(l.stagedCore) > 0 || !l.coreQ.Empty() || len(l.wbs) > 0 {
-		return false
-	}
-	for i := range l.mshrs {
-		if l.mshrs[i].active {
-			return false
-		}
-	}
-	for i := range l.sendQ {
-		if l.sendQ[i].readyAt <= l.now {
-			return false
-		}
-	}
-	return true
-}
-
-// NextEventCycle implements sim.NextEventer: the earliest scheduled
-// response send.
-func (l *L2Controller) NextEventCycle(cycle uint64) uint64 {
-	next := uint64(0)
-	for i := range l.sendQ {
-		if r := l.sendQ[i].readyAt; next == 0 || r < next {
-			next = r
-		}
-	}
-	if next == 0 {
-		return ^uint64(0)
-	}
-	if next <= cycle {
-		return cycle + 1
-	}
-	return next
-}
-
-// drainSendQ injects scheduled responses whose latency elapsed.
-func (l *L2Controller) drainSendQ(cycle uint64) {
-	rest := l.sendQ[:0]
-	for _, s := range l.sendQ {
-		if s.readyAt <= cycle {
-			if s.resp != nil && s.resp.RespSent == 0 {
-				s.resp.RespSent = cycle
-			}
-			if !l.nic.SendResponse(s.pkt) {
-				rest = append(rest, s)
-			}
-			continue
-		}
-		rest = append(rest, s)
-	}
-	l.sendQ = rest
-}
-
-// retryInjects pushes pending ordered requests into the NIC.
-func (l *L2Controller) retryInjects(cycle uint64) {
-	for i := range l.mshrs {
-		m := &l.mshrs[i]
-		if m.active && m.wantInject {
-			if l.nic.SendRequest(m.pkt) {
-				m.wantInject = false
-			}
-		}
-	}
-	for _, wb := range l.wbs {
-		if wb.wantInject {
-			if l.nic.SendRequest(wb.pkt) {
-				wb.wantInject = false
-			}
-		}
+	return &noc.Packet{
+		ID: l.newID(), VNet: noc.GOReq, Src: l.node, SID: l.node, Broadcast: true,
+		Flits: 1, Kind: int(kind), Addr: m.Addr, ReqID: m.ReqID, InjectCycle: cycle,
 	}
 }
 
-// checkCompletions finishes misses whose order position and data both
-// arrived.
-func (l *L2Controller) checkCompletions(cycle uint64) {
-	for i := range l.mshrs {
-		m := &l.mshrs[i]
-		if !m.active || !m.ordered || !m.dataArrived {
-			continue
-		}
-		l.completeMiss(m, cycle)
-	}
-}
+// MissReady implements Protocol: a miss completes once its own request was
+// ordered and its data arrived.
+func (l *L2Controller) MissReady(m *MSHR[snoopMiss]) bool { return m.P.ordered && m.DataArrived }
 
-// completeMiss installs the line, serves deferred FIDs and reports the
-// completion.
-func (l *L2Controller) completeMiss(m *mshr, cycle uint64) {
-	if m.write {
+// MissDone implements Protocol: it installs the line, serves the deferred
+// FIDs and returns the completion with the Figure 6b/6c breakdown.
+func (l *L2Controller) MissDone(m *MSHR[snoopMiss], cycle uint64) Completion {
+	x := &m.P
+	if m.Write {
 		// Serve deferred snoops in their global order, each after a data
 		// access; every deferred reader/writer observes our new value.
 		final := Modified
-		for i, f := range m.fids {
+		for i, f := range x.fids {
 			readyAt := cycle + uint64((i+1)*l.cfg.HitLatency)
-			resp := &RespInfo{Value: m.value, ServedByCache: true, ReqArrive: m.arriveSelf, ReqOrdered: m.orderedCycle, Service: uint64(l.cfg.HitLatency)}
+			resp := &RespInfo{Value: m.Value, ServedByCache: true, ReqArrive: x.arriveSelf, ReqOrdered: x.orderedCycle, Service: uint64(l.cfg.HitLatency)}
 			pkt := &noc.Packet{
 				ID: l.newID(), VNet: noc.UOResp, Src: l.node, Dst: f.src,
-				Kind: int(Data), Addr: m.addr, ReqID: f.reqID, Flits: l.cfg.DataFlits,
+				Kind: int(Data), Addr: m.Addr, ReqID: f.reqID, Flits: l.cfg.DataFlits,
 				InjectCycle: cycle, Payload: resp,
 			}
-			l.sendQ = append(l.sendQ, pendingSend{readyAt: readyAt, pkt: pkt, resp: resp})
-			l.Stats.SnoopResponses++
+			l.Send(readyAt, pkt, &resp.RespSent)
 			switch f.kind {
 			case GetS:
 				final = OwnedDirty
@@ -624,232 +362,44 @@ func (l *L2Controller) completeMiss(m *mshr, cycle uint64) {
 			}
 		}
 		if final == Invalid {
-			l.invalidateLine(m.addr, cycle)
+			l.Invalidate(m.Addr, cycle)
 		} else {
-			l.install(m.addr, final, m.value, cycle)
+			l.Install(m.Addr, final, m.Value, cycle)
 		}
-	} else if m.invalidateOnFill {
-		// A later writer already claimed the line; deliver the data to the
-		// core but do not cache it.
-	} else {
-		l.install(m.addr, Shared, m.resp.Value, cycle)
-	}
-	l.report(m, cycle)
-	*m = mshr{fids: m.fids[:0]}
-}
-
-// report emits the completion callback with the Figure 6b/6c breakdown.
-func (l *L2Controller) report(m *mshr, cycle uint64) {
-	l.Stats.Misses++
-	l.Stats.ServiceLatency.Observe(float64(cycle - m.issue))
-	l.Stats.MissLatency.Observe(float64(cycle - m.issue))
-	if l.tracer != nil {
-		l.tracer.Record(obs.Event{
-			Cycle: cycle, Type: obs.EvMissDone, Node: int32(l.node),
-			Src: int32(l.node), Pkt: m.pkt.ID, Arg: m.addr,
-			Port: -1, VNet: -1, VC: -1,
-		})
-	}
-	if l.OnComplete == nil {
-		return
+	} else if !x.invalidateOnFill {
+		// Unless a later writer already claimed the line: then the data
+		// reaches the core but is not cached.
+		l.Install(m.Addr, Shared, x.resp.Value, cycle)
 	}
 	var bd [stats.NumBreakdownComponents]uint64
-	if m.selfServed {
-		bd[stats.ReqOrdering] = m.orderedCycle - m.pkt.InjectCycle
-	} else if m.resp.ServedByCache {
-		bd[stats.NetBcastReq] = sub(m.resp.ReqArrive, m.pkt.InjectCycle)
-		bd[stats.ReqOrdering] = sub(m.resp.ReqOrdered, m.resp.ReqArrive)
-		bd[stats.SharerAccess] = m.resp.Service
-		bd[stats.NetResp] = sub(m.dataCycle, m.resp.RespSent)
-	} else {
-		bd[stats.NetBcastReq] = sub(m.resp.ReqArrive, m.pkt.InjectCycle)
-		bd[stats.ReqOrdering] = sub(m.resp.ReqOrdered, m.resp.ReqArrive)
-		bd[stats.DirAccess] = m.resp.DirAccess
-		bd[stats.NetResp] = sub(m.dataCycle, m.resp.RespSent)
+	inj := m.Pkt.InjectCycle
+	switch {
+	case x.selfServed:
+		bd[stats.ReqOrdering] = x.orderedCycle - inj
+	case x.resp.ServedByCache:
+		bd[stats.NetBcastReq] = Sub(x.resp.ReqArrive, inj)
+		bd[stats.ReqOrdering] = Sub(x.resp.ReqOrdered, x.resp.ReqArrive)
+		bd[stats.SharerAccess] = x.resp.Service
+		bd[stats.NetResp] = Sub(m.DataCycle, x.resp.RespSent)
+	default:
+		bd[stats.NetBcastReq] = Sub(x.resp.ReqArrive, inj)
+		bd[stats.ReqOrdering] = Sub(x.resp.ReqOrdered, x.resp.ReqArrive)
+		bd[stats.DirAccess] = x.resp.DirAccess
+		bd[stats.NetResp] = Sub(m.DataCycle, x.resp.RespSent)
 	}
-	val := m.resp.Value
-	if m.write {
-		val = m.value
+	val := x.resp.Value
+	if m.Write {
+		val = m.Value
 	}
-	l.OnComplete(Completion{
-		Addr: m.addr, Write: m.write, Value: val, Issue: m.issue, Done: cycle,
-		Hit: false, ServedByCache: m.resp.ServedByCache || m.selfServed,
-		SelfServed: m.selfServed, Breakdown: bd,
-	})
+	return Completion{Value: val, ServedByCache: x.resp.ServedByCache || x.selfServed,
+		SelfServed: x.selfServed, Breakdown: bd}
 }
 
-// sub returns a-b, clamped at zero (stamps from different clock domains can
-// be equal).
-func sub(a, b uint64) uint64 {
-	if a < b {
-		return 0
-	}
-	return a - b
-}
-
-// processCoreQueue starts hits and allocates MSHRs for misses, in order.
-func (l *L2Controller) processCoreQueue(cycle uint64) {
-	for !l.coreQ.Empty() {
-		req := l.coreQ.Front()
-		// A same-line transaction in flight stalls the queue head.
-		if l.findMSHR(req.addr) != nil || l.findWB(req.addr) != nil {
-			return
-		}
-		if req.write {
-			l.Stats.CoreWrites++
-		} else {
-			l.Stats.CoreReads++
-		}
-		ln := l.arr.Lookup(req.addr)
-		st := Invalid
-		if ln != nil {
-			st = State(ln.State)
-		}
-		hit := st != Invalid && (!req.write || st == Modified)
-		if hit {
-			l.arr.Touch(req.addr)
-			l.Stats.Hits++
-			if req.write {
-				ln.Data = req.value
-			}
-			l.Stats.ServiceLatency.Observe(float64(cycle + uint64(l.cfg.HitLatency) - req.issue))
-			if l.OnComplete != nil {
-				l.OnComplete(Completion{Addr: req.addr, Write: req.write, Value: ln.Data, Issue: req.issue, Done: cycle + uint64(l.cfg.HitLatency), Hit: true})
-			}
-			l.coreQ.PopFront()
-			continue
-		}
-		m := l.freeMSHR()
-		if m == nil {
-			return
-		}
-		// Upgrades keep their line MRU so a concurrent fill can never evict
-		// the very line the in-flight write targets.
-		if st != Invalid {
-			l.arr.Touch(req.addr)
-		}
-		kind := GetS
-		if req.write {
-			kind = GetX
-		}
-		l.reqIDNext++
-		*m = mshr{
-			active: true, addr: req.addr, write: req.write, value: req.value, issue: req.issue,
-			reqID: l.reqIDNext, fids: m.fids,
-		}
-		m.pkt = &noc.Packet{
-			ID: l.newID(), VNet: noc.GOReq, Src: l.node, SID: l.node, Broadcast: true,
-			Flits: 1, Kind: int(kind), Addr: req.addr, ReqID: m.reqID, InjectCycle: cycle,
-		}
-		if l.tracer != nil {
-			l.tracer.Record(obs.Event{
-				Cycle: cycle, Type: obs.EvMissStart, Node: int32(l.node),
-				Src: int32(l.node), Pkt: m.pkt.ID, Arg: req.addr,
-				Port: -1, VNet: -1, VC: -1,
-			})
-		}
-		if !l.nic.SendRequest(m.pkt) {
-			m.wantInject = true
-		}
-		l.coreQ.PopFront()
-	}
-}
-
-// install places a line holding data, handling inclusion and dirty
-// evictions.
-func (l *L2Controller) install(addr uint64, st State, data uint64, cycle uint64) {
-	ev, did := l.arr.Insert(addr, int32(st), data)
-	if l.rt != nil {
-		l.rt.NoteFill(addr)
-	}
-	if l.auditor != nil {
-		l.auditState(addr, st, cycle)
-	}
-	if !did {
-		return
-	}
-	if l.auditor != nil {
-		// The evicted line leaves the array; an in-flight writeback still
-		// serves snoops from its wbEntry, but for shadow purposes the copy
-		// is gone.
-		l.auditState(ev.Addr, Invalid, cycle)
-	}
-	if l.rt != nil {
-		l.rt.NoteEvict(ev.Addr)
-	}
-	if l.InvalidateL1 != nil {
-		l.InvalidateL1(ev.Addr)
-	}
-	if State(ev.State).owner() {
-		l.startWriteback(ev.Addr, ev.Data, cycle)
-	}
-}
-
-// startWriteback announces a dirty eviction on the ordered network.
-func (l *L2Controller) startWriteback(addr, value uint64, cycle uint64) {
-	l.reqIDNext++
-	wb := &wbEntry{addr: addr, value: value, reqID: l.reqIDNext}
-	wb.pkt = &noc.Packet{
+// WritebackPackets implements Protocol: a broadcast PutM on the ordered
+// network; the data follows once the PutM is ordered.
+func (l *L2Controller) WritebackPackets(wb *Writeback, cycle uint64) (putm, data *noc.Packet) {
+	return &noc.Packet{
 		ID: l.newID(), VNet: noc.GOReq, Src: l.node, SID: l.node, Broadcast: true,
-		Flits: 1, Kind: int(PutM), Addr: addr, ReqID: wb.reqID, InjectCycle: cycle,
-	}
-	if !l.nic.SendRequest(wb.pkt) {
-		wb.wantInject = true
-	}
-	l.wbs = append(l.wbs, wb)
-	l.Stats.Writebacks++
-}
-
-func (l *L2Controller) findMSHR(addr uint64) *mshr {
-	for i := range l.mshrs {
-		if l.mshrs[i].active && l.mshrs[i].addr == addr {
-			return &l.mshrs[i]
-		}
-	}
-	return nil
-}
-
-func (l *L2Controller) findMSHRByReq(reqID uint64) *mshr {
-	for i := range l.mshrs {
-		if l.mshrs[i].active && l.mshrs[i].reqID == reqID {
-			return &l.mshrs[i]
-		}
-	}
-	return nil
-}
-
-func (l *L2Controller) freeMSHR() *mshr {
-	for i := range l.mshrs {
-		if !l.mshrs[i].active {
-			return &l.mshrs[i]
-		}
-	}
-	return nil
-}
-
-func (l *L2Controller) findWB(addr uint64) *wbEntry {
-	for _, wb := range l.wbs {
-		if wb.addr == addr {
-			return wb
-		}
-	}
-	return nil
-}
-
-func (l *L2Controller) findWBByReq(reqID uint64) *wbEntry {
-	for _, wb := range l.wbs {
-		if wb.reqID == reqID {
-			return wb
-		}
-	}
-	return nil
-}
-
-func (l *L2Controller) freeWB(wb *wbEntry) {
-	for i, w := range l.wbs {
-		if w == wb {
-			l.wbs = append(l.wbs[:i], l.wbs[i+1:]...)
-			return
-		}
-	}
+		Flits: 1, Kind: int(PutM), Addr: wb.Addr, ReqID: wb.ReqID, InjectCycle: cycle,
+	}, nil
 }

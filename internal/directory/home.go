@@ -122,13 +122,6 @@ type timer struct {
 	q  qreq
 }
 
-// pendingSend is a scheduled injection.
-type pendingSend struct {
-	readyAt uint64
-	pkt     *noc.Packet
-	isReq   bool // probes go out on the request class
-}
-
 // Home is one node's directory slice.
 type Home struct {
 	cfg   HomeConfig
@@ -145,7 +138,7 @@ type Home struct {
 	// due timers (which may append new ones), so the per-cycle detach does
 	// not reallocate.
 	timerScratch []timer
-	sendQ        []pendingSend
+	sendQ        coherence.SendQ
 	now          uint64 // cycle of the last Evaluate (idle-check reference)
 	Stats        HomeStats
 }
@@ -380,7 +373,7 @@ func (h *Home) serveFromMemory(l *line, q qreq, cycle uint64, acks int) {
 		Kind: int(DataD), Addr: p.Addr, ReqID: p.ReqID,
 		Flits: h.cfg.DataFlits, InjectCycle: cycle, Payload: resp,
 	}
-	h.queueSend(cycle+uint64(h.cfg.DRAMLatency), data, false, resp)
+	h.sendQ.Add(cycle+uint64(h.cfg.DRAMLatency), data, &resp.DataSent)
 }
 
 // drainParked serves requests that waited for writeback data.
@@ -402,7 +395,7 @@ func (h *Home) grant(p *noc.Packet, arrive, cycle, sendAt uint64, acks int) {
 		Kind: int(DataD), Addr: p.Addr, ReqID: p.ReqID, Flits: 1,
 		InjectCycle: cycle, Payload: resp,
 	}
-	h.queueSend(sendAt, g, false, resp)
+	h.sendQ.Add(sendAt, g, &resp.DataSent)
 }
 
 // forward sends an LPD Fwd to the owner.
@@ -413,7 +406,7 @@ func (h *Home) forward(kind Kind, owner int, p *noc.Packet, arrive, cycle uint64
 		Kind: int(kind), Addr: p.Addr, ReqID: p.ReqID, Flits: 1, InjectCycle: cycle,
 		Payload: &FwdInfo{Requester: p.Src, ReqID: p.ReqID, ReqInject: p.InjectCycle, HomeArrive: arrive, Dispatch: cycle, AckCount: acks},
 	}
-	h.queueSend(cycle, fwd, false, nil)
+	h.sendQ.Add(cycle, fwd, nil)
 }
 
 // probe broadcasts an HT-style probe for line l on the request class and
@@ -427,7 +420,7 @@ func (h *Home) probe(kind Kind, l *line, p *noc.Packet, arrive, cycle uint64) {
 		Kind: int(kind), Addr: p.Addr, ReqID: p.ReqID, Flits: 1, InjectCycle: cycle,
 		Payload: info,
 	}
-	h.queueSend(cycle, pr, true, nil)
+	h.sendQ.Add(cycle, pr, nil)
 	// The broadcast cannot loop back to this node, so probe the co-located
 	// L2 directly (it also closes the requester-is-home upgrade case).
 	if h.LocalProbe != nil {
@@ -447,7 +440,7 @@ func (h *Home) invalidate(sharer int, p *noc.Packet, arrive, cycle uint64) {
 		Kind: int(Inv), Addr: p.Addr, ReqID: p.ReqID, Flits: 1, InjectCycle: cycle,
 		Payload: &FwdInfo{Requester: p.Src, ReqID: p.ReqID, HomeArrive: arrive, Dispatch: cycle},
 	}
-	h.queueSend(cycle, inv, false, nil)
+	h.sendQ.Add(cycle, inv, nil)
 }
 
 // ack sends a single-flit acknowledgement.
@@ -456,7 +449,7 @@ func (h *Home) ack(kind Kind, dst int, p *noc.Packet, at uint64) {
 		ID: h.newID(), VNet: noc.UOResp, Src: h.node, Dst: dst,
 		Kind: int(kind), Addr: p.Addr, ReqID: p.ReqID, Flits: 1, InjectCycle: at,
 	}
-	h.queueSend(at, a, false, nil)
+	h.sendQ.Add(at, a, nil)
 }
 
 // checkOverflow latches LPD pointer overflow.
@@ -464,15 +457,6 @@ func (h *Home) checkOverflow(l *line) {
 	if h.cfg.Variant == LPD && l.sharers.Count() > h.cfg.Pointers {
 		l.overflowed = true
 	}
-}
-
-// queueSend schedules a packet injection.
-func (h *Home) queueSend(at uint64, p *noc.Packet, isReq bool, resp *RespInfo) {
-	if resp != nil && resp.DataSent == 0 {
-		// Stamp on actual injection; see Evaluate.
-		p.Payload = resp
-	}
-	h.sendQ = append(h.sendQ, pendingSend{readyAt: at, pkt: p, isReq: isReq})
 }
 
 // Evaluate fires due timers and drains the send queue.
@@ -493,28 +477,7 @@ func (h *Home) Evaluate(cycle uint64) {
 		}
 		h.timerScratch = due[:0]
 	}
-	if len(h.sendQ) > 0 {
-		rest := h.sendQ[:0]
-		for _, s := range h.sendQ {
-			if s.readyAt > cycle {
-				rest = append(rest, s)
-				continue
-			}
-			if ri, ok := s.pkt.Payload.(*RespInfo); ok && ri.DataSent == 0 {
-				ri.DataSent = cycle
-			}
-			var ok bool
-			if s.isReq {
-				ok = h.nic.SendRequest(s.pkt)
-			} else {
-				ok = h.nic.SendResponse(s.pkt)
-			}
-			if !ok {
-				rest = append(rest, s)
-			}
-		}
-		h.sendQ = rest
-	}
+	h.sendQ.Drain(h.nic, cycle)
 }
 
 // Commit implements sim.Component.
@@ -531,33 +494,15 @@ func (h *Home) Idle() bool {
 			return false
 		}
 	}
-	for i := range h.sendQ {
-		if h.sendQ[i].readyAt <= h.now {
-			return false
-		}
-	}
-	return true
+	return h.sendQ.Idle()
 }
 
 // NextEventCycle implements sim.NextEventer: the earliest pending timer or
 // scheduled send.
 func (h *Home) NextEventCycle(cycle uint64) uint64 {
-	next := uint64(0)
+	next := h.sendQ.NextEventCycle(cycle)
 	for i := range h.timers {
-		if a := h.timers[i].at; next == 0 || a < next {
-			next = a
-		}
-	}
-	for i := range h.sendQ {
-		if r := h.sendQ[i].readyAt; next == 0 || r < next {
-			next = r
-		}
-	}
-	if next == 0 {
-		return ^uint64(0)
-	}
-	if next <= cycle {
-		return cycle + 1
+		next = min(next, max(h.timers[i].at, cycle+1))
 	}
 	return next
 }

@@ -6,7 +6,6 @@ import (
 	"scorpio/internal/cache"
 	"scorpio/internal/coherence"
 	"scorpio/internal/noc"
-	"scorpio/internal/ring"
 	"scorpio/internal/stats"
 )
 
@@ -34,31 +33,8 @@ func DefaultL2Config(nodes int, v Variant) L2Config {
 	}
 }
 
-// L2Stats counts requester-side activity.
-type L2Stats struct {
-	CoreReads     uint64
-	CoreWrites    uint64
-	Hits          uint64
-	Misses        uint64
-	ProbesSeen    uint64
-	ProbeAcks     uint64
-	DataForwards  uint64
-	Invalidations uint64
-	Writebacks    uint64
-}
-
-// dmshr is one outstanding directory-protocol miss.
-type dmshr struct {
-	active       bool
-	addr         uint64
-	write        bool
-	issue        uint64
-	reqID        uint64
-	pkt          *noc.Packet
-	wantInject   bool
-	dataNeeded   bool
-	dataArrived  bool
-	dataCycle    uint64
+// dirMiss is the directory protocol's state for one outstanding miss.
+type dirMiss struct {
 	acksExpected int // -1 until the data response announces it
 	acksGot      int
 	selfOwned    bool // HT upgrade by the current owner: acks only
@@ -66,144 +42,69 @@ type dmshr struct {
 	resp         RespInfo
 }
 
-// dwb is one writeback in flight.
-type dwb struct {
-	addr     uint64
-	reqID    uint64
-	putm     *noc.Packet
-	data     *noc.Packet
-	wantPutM bool
-	wantData bool
-	hijacked bool
-}
-
-// dsend is a scheduled injection.
-type dsend struct {
-	readyAt uint64
-	pkt     *noc.Packet
-	isReq   bool
-	resp    *RespInfo
-}
-
-// dcoreReq is a buffered core access.
-type dcoreReq struct {
-	addr  uint64
-	write bool
-	issue uint64
-}
-
-// L2 is the requester-side cache controller of the directory baselines.
+// L2 is the requester-side cache controller of the directory baselines: the
+// snoopy L2's Requester front end plus probes, forwards, invalidations, ack
+// counting, the HT self-owned upgrade and the Done to the home.
 type L2 struct {
+	coherence.Requester[dirMiss]
 	cfg   L2Config
-	node  int
-	nic   coherence.NetPort
 	newID func() uint64
-	arr   *cache.Array
-	// OnComplete receives finished core requests (same shape as the snoopy
-	// controller so injectors are protocol-agnostic).
-	OnComplete func(coherence.Completion)
-
-	mshrs      []dmshr
-	wbs        []*dwb
-	sendQ      []dsend
-	coreQ      ring.Ring[dcoreReq]
-	stagedCore []dcoreReq
-	reqIDNext  uint64
-	now        uint64 // cycle of the last Evaluate (idle-check reference)
-	Stats      L2Stats
+	Stats coherence.ReqStats
 }
 
 // NewL2 builds a directory-protocol cache controller.
 func NewL2(node int, cfg L2Config, n coherence.NetPort, newID func() uint64) *L2 {
-	return &L2{
-		cfg: cfg, node: node, nic: n, newID: newID,
-		arr:   cache.NewArrayBytes(cfg.CapacityBytes, cfg.LineBytes, cfg.Ways),
-		mshrs: make([]dmshr, cfg.MSHRs),
-		coreQ: ring.New[dcoreReq](cfg.CoreQueueDepth),
-	}
-}
-
-// Node returns the tile ID.
-func (l *L2) Node() int { return l.node }
-
-// Outstanding reports the number of active MSHRs (occupancy gauge for the
-// metrics sampler).
-func (l *L2) Outstanding() int {
-	n := 0
-	for i := range l.mshrs {
-		if l.mshrs[i].active {
-			n++
-		}
-	}
-	return n
-}
-
-// Array exposes the cache array (tests).
-func (l *L2) Array() *cache.Array { return l.arr }
-
-// LineState reports a line's coherence state.
-func (l *L2) LineState(addr uint64) coherence.State {
-	if ln := l.arr.Lookup(addr); ln != nil {
-		return coherence.State(ln.State)
-	}
-	return coherence.Invalid
-}
-
-// CoreRequest offers a line-granular access from the trace injector.
-func (l *L2) CoreRequest(addr uint64, write bool, cycle uint64) bool {
-	if l.coreQ.Len()+len(l.stagedCore) >= l.cfg.CoreQueueDepth {
-		return false
-	}
-	l.stagedCore = append(l.stagedCore, dcoreReq{addr: addr, write: write, issue: cycle})
-	return true
+	l := &L2{cfg: cfg, newID: newID}
+	l.Requester = coherence.NewRequester[dirMiss](node, n, cache.NewArrayBytes(cfg.CapacityBytes, cfg.LineBytes, cfg.Ways),
+		cfg.HitLatency, cfg.MSHRs, cfg.CoreQueueDepth, l, &l.Stats)
+	return l
 }
 
 // HandleProbe consumes one HT broadcast probe (request class, also invoked
 // locally by the co-located home). It always succeeds.
 func (l *L2) HandleProbe(p *noc.Packet, cycle uint64) bool {
 	info := p.Payload.(*FwdInfo)
-	l.Stats.ProbesSeen++
-	if info.Requester == l.node {
+	if info.Requester == l.Node() {
 		// Our own transaction's probe returning: the ordering point has
 		// serialised our request, which completes data-less upgrades — but
 		// only if we still own the line. If an earlier-serialised write took
 		// our ownership first (its probe preceded ours on the same
 		// home-ordered path), the new owner's data response completes us
 		// instead.
-		if m := l.findMSHRByReq(info.ReqID); m != nil && m.selfOwned {
+		if m := l.FindMSHRByReq(info.ReqID); m != nil && m.P.selfOwned {
 			if l.ownsLine(p.Addr) != nil {
-				m.dataArrived = true
-				m.dataCycle = cycle
+				m.DataArrived = true
+				m.DataCycle = cycle
 			} else {
-				m.selfOwned = false
+				m.P.selfOwned = false
 			}
 		}
 		return true
 	}
 	owner := l.ownsLine(p.Addr)
-	if wb, ok := owner.(*dwb); ok && info.MemServes {
+	if wb, ok := owner.(*coherence.Writeback); ok && info.MemServes {
 		// The home already processed our PutM, so memory serves this
 		// probe; the buffer's claim on the line is void.
-		wb.hijacked = true
+		wb.Released = true
 		owner = nil
 	}
 	switch Kind(p.Kind) {
 	case ProbeS:
 		if owner != nil {
 			l.sendOwnerData(info, p.Addr, cycle, true, 0)
-			l.ownerToShared(p.Addr, owner)
+			l.ownerToShared(owner, cycle)
 		}
 	case ProbeX:
 		// The home is the ordering point, so invalidations need no acks
 		// (the paper's HT-D latency breakdown has no ack segment).
 		if owner != nil {
 			l.sendOwnerData(info, p.Addr, cycle, true, 0)
-			l.ownerGone(p.Addr, owner)
+			l.ownerGone(p.Addr, owner, cycle)
 		} else {
-			l.invalidateIfPresent(p.Addr)
+			l.Invalidate(p.Addr, cycle)
 		}
 	default:
-		panic(fmt.Sprintf("directory: node %d got %s as probe", l.node, Kind(p.Kind)))
+		panic(fmt.Sprintf("directory: node %d got %s as probe", l.Node(), Kind(p.Kind)))
 	}
 	return true
 }
@@ -213,32 +114,32 @@ func (l *L2) HandleFwd(p *noc.Packet, cycle uint64) {
 	info := p.Payload.(*FwdInfo)
 	owner := l.ownsLine(p.Addr)
 	if owner == nil {
-		panic(fmt.Sprintf("directory: node %d forwarded %s for line %#x it does not own", l.node, Kind(p.Kind), p.Addr))
+		panic(fmt.Sprintf("directory: node %d forwarded %s for line %#x it does not own", l.Node(), Kind(p.Kind), p.Addr))
 	}
 	switch Kind(p.Kind) {
 	case FwdGetS:
 		l.sendOwnerData(info, p.Addr, cycle, false, 0)
-		l.ownerToShared(p.Addr, owner)
+		l.ownerToShared(owner, cycle)
 	case FwdGetX:
 		l.sendOwnerData(info, p.Addr, cycle, false, info.AckCount)
-		l.ownerGone(p.Addr, owner)
+		l.ownerGone(p.Addr, owner, cycle)
 	}
 }
 
 // HandleInv consumes a home invalidation, acking the requester.
 func (l *L2) HandleInv(p *noc.Packet, cycle uint64) {
 	info := p.Payload.(*FwdInfo)
-	l.invalidateIfPresent(p.Addr)
+	l.Invalidate(p.Addr, cycle)
 	l.sendAck(InvAck, info.Requester, p.Addr, info.ReqID, cycle)
 }
 
 // ownsLine reports ownership: the cache line in M/O_D, or an active
 // writeback buffer still holding the dirty data; nil if neither.
 func (l *L2) ownsLine(addr uint64) any {
-	if wb := l.findWB(addr); wb != nil && !wb.hijacked {
+	if wb := l.FindWB(addr); wb != nil && !wb.Released {
 		return wb
 	}
-	if ln := l.arr.Lookup(addr); ln != nil {
+	if ln := l.Array().Lookup(addr); ln != nil {
 		st := coherence.State(ln.State)
 		if st == coherence.Modified || st == coherence.OwnedDirty {
 			return ln
@@ -249,404 +150,162 @@ func (l *L2) ownsLine(addr uint64) any {
 
 // ownerToShared applies a read-forward at the owner (M/O_D stays owner as
 // O_D; a WB buffer keeps the data).
-func (l *L2) ownerToShared(addr uint64, owner any) {
+func (l *L2) ownerToShared(owner any, cycle uint64) {
 	if ln, ok := owner.(*cache.Line); ok {
-		ln.State = int32(coherence.OwnedDirty)
+		l.SetState(ln, coherence.OwnedDirty, cycle)
 	}
 }
 
 // ownerGone applies a write-forward at the owner: the line (or WB entry)
 // surrenders ownership.
-func (l *L2) ownerGone(addr uint64, owner any) {
+func (l *L2) ownerGone(addr uint64, owner any, cycle uint64) {
 	switch o := owner.(type) {
 	case *cache.Line:
-		l.arr.Invalidate(addr)
-		l.Stats.Invalidations++
-	case *dwb:
-		o.hijacked = true
-	}
-}
-
-// invalidateIfPresent drops a shared copy.
-func (l *L2) invalidateIfPresent(addr uint64) {
-	if l.arr.Invalidate(addr) {
-		l.Stats.Invalidations++
+		l.Invalidate(addr, cycle)
+	case *coherence.Writeback:
+		o.Released = true
 	}
 }
 
 // sendOwnerData responds with the line to the transaction's requester.
 func (l *L2) sendOwnerData(info *FwdInfo, addr uint64, cycle uint64, broadcast bool, acks int) {
-	l.Stats.DataForwards++
 	resp := &RespInfo{
 		ServedByCache: true, Broadcast: broadcast,
 		HomeArrive: info.HomeArrive, Dispatch: info.Dispatch,
 		OwnerArrive: cycle, AckCount: acks,
 	}
 	pkt := &noc.Packet{
-		ID: l.newID(), VNet: noc.UOResp, Src: l.node, Dst: info.Requester,
+		ID: l.newID(), VNet: noc.UOResp, Src: l.Node(), Dst: info.Requester,
 		Kind: int(DataD), Addr: addr, ReqID: info.ReqID,
 		Flits: l.cfg.DataFlits, InjectCycle: cycle, Payload: resp,
 	}
-	l.sendQ = append(l.sendQ, dsend{readyAt: cycle + uint64(l.cfg.HitLatency), pkt: pkt, resp: resp})
+	l.Send(cycle+uint64(l.cfg.HitLatency), pkt, &resp.DataSent)
 }
 
 // sendAck sends a single-flit message.
 func (l *L2) sendAck(kind Kind, dst int, addr uint64, reqID uint64, cycle uint64) {
 	pkt := &noc.Packet{
-		ID: l.newID(), VNet: noc.UOResp, Src: l.node, Dst: dst,
+		ID: l.newID(), VNet: noc.UOResp, Src: l.Node(), Dst: dst,
 		Kind: int(kind), Addr: addr, ReqID: reqID, Flits: 1, InjectCycle: cycle,
 	}
-	l.sendQ = append(l.sendQ, dsend{readyAt: cycle, pkt: pkt})
+	l.Send(cycle, pkt, nil)
 }
 
 // HandleResponse consumes DataD/InvAck/WBAck (response class).
 func (l *L2) HandleResponse(p *noc.Packet, cycle uint64) {
 	switch Kind(p.Kind) {
 	case DataD:
-		m := l.findMSHRByReq(p.ReqID)
+		m := l.FindMSHRByReq(p.ReqID)
 		if m == nil {
-			panic(fmt.Sprintf("directory: node %d got DataD for unknown reqID %d", l.node, p.ReqID))
+			panic(fmt.Sprintf("directory: node %d got DataD for unknown reqID %d", l.Node(), p.ReqID))
 		}
-		m.dataArrived = true
-		m.dataCycle = cycle
+		m.DataArrived = true
+		m.DataCycle = cycle
 		if ri, ok := p.Payload.(*RespInfo); ok {
-			m.resp = *ri
-			m.acksExpected = ri.AckCount
+			m.P.resp = *ri
+			m.P.acksExpected = ri.AckCount
 		} else {
-			m.acksExpected = 0
+			m.P.acksExpected = 0
 		}
 		// Install and unblock the home at data arrival (GEMS-style
 		// non-blocking completion); the core-visible completion still waits
 		// for invalidation acks.
-		if m.write {
-			l.install(m.addr, coherence.Modified, cycle)
-		} else {
-			l.install(m.addr, coherence.Shared, cycle)
-		}
-		l.sendAck(Done, HomeFor(m.addr, l.cfg.Nodes), m.addr, m.reqID, cycle)
-		m.installed = true
+		l.install(m, cycle)
 	case InvAck:
-		m := l.findMSHRByReq(p.ReqID)
+		m := l.FindMSHRByReq(p.ReqID)
 		if m == nil {
-			panic(fmt.Sprintf("directory: node %d got InvAck for unknown reqID %d", l.node, p.ReqID))
+			panic(fmt.Sprintf("directory: node %d got InvAck for unknown reqID %d", l.Node(), p.ReqID))
 		}
-		m.acksGot++
+		m.P.acksGot++
 	case WBAck:
-		if wb := l.findWBByReq(p.ReqID); wb != nil {
-			l.freeWB(wb)
-		}
+		l.AckWriteback(p.ReqID)
 	default:
-		panic(fmt.Sprintf("directory: node %d got unexpected response %s", l.node, Kind(p.Kind)))
+		panic(fmt.Sprintf("directory: node %d got unexpected response %s", l.Node(), Kind(p.Kind)))
 	}
 }
 
-// Evaluate runs one controller cycle.
-func (l *L2) Evaluate(cycle uint64) {
-	l.now = cycle
-	l.drainSendQ(cycle)
-	l.retryInjects(cycle)
-	l.checkCompletions(cycle)
-	l.processCoreQueue(cycle)
+// install fills a miss's line (M for writes, S for reads) and sends the Done
+// that unblocks its home.
+func (l *L2) install(m *coherence.MSHR[dirMiss], cycle uint64) {
+	st := coherence.Shared
+	if m.Write {
+		st = coherence.Modified
+	}
+	l.Install(m.Addr, st, 0, cycle)
+	l.sendAck(Done, HomeFor(m.Addr, l.cfg.Nodes), m.Addr, m.ReqID, cycle)
+	m.P.installed = true
 }
 
-// Commit merges staged core requests.
-func (l *L2) Commit(cycle uint64) {
-	for _, r := range l.stagedCore {
-		l.coreQ.Push(r)
-	}
-	l.stagedCore = l.stagedCore[:0]
-}
-
-// Idle implements sim.Idler: the controller parks only when it is fully
-// drained apart from future-scheduled sends — no buffered or staged core
-// requests, no outstanding miss or writeback (responses unblock them through
-// the node's NIC, which runs inside this unit, but completion processing
-// happens on the following Evaluate, so an active MSHR keeps the unit live),
-// and no send whose latency already elapsed.
-func (l *L2) Idle() bool {
-	if len(l.stagedCore) > 0 || !l.coreQ.Empty() || len(l.wbs) > 0 {
-		return false
-	}
-	for i := range l.mshrs {
-		if l.mshrs[i].active {
-			return false
-		}
-	}
-	for i := range l.sendQ {
-		if l.sendQ[i].readyAt <= l.now {
-			return false
-		}
-	}
-	return true
-}
-
-// NextEventCycle implements sim.NextEventer: the earliest scheduled send.
-func (l *L2) NextEventCycle(cycle uint64) uint64 {
-	next := uint64(0)
-	for i := range l.sendQ {
-		if r := l.sendQ[i].readyAt; next == 0 || r < next {
-			next = r
-		}
-	}
-	if next == 0 {
-		return ^uint64(0)
-	}
-	if next <= cycle {
-		return cycle + 1
-	}
-	return next
-}
-
-func (l *L2) drainSendQ(cycle uint64) {
-	rest := l.sendQ[:0]
-	for _, s := range l.sendQ {
-		if s.readyAt > cycle {
-			rest = append(rest, s)
-			continue
-		}
-		if s.resp != nil && s.resp.DataSent == 0 {
-			s.resp.DataSent = cycle
-		}
-		var ok bool
-		if s.isReq {
-			ok = l.nic.SendRequest(s.pkt)
-		} else {
-			ok = l.nic.SendResponse(s.pkt)
-		}
-		if !ok {
-			rest = append(rest, s)
-		}
-	}
-	l.sendQ = rest
-}
-
-func (l *L2) retryInjects(cycle uint64) {
-	for i := range l.mshrs {
-		m := &l.mshrs[i]
-		if m.active && m.wantInject && l.nic.SendRequest(m.pkt) {
-			m.wantInject = false
-		}
-	}
-	for _, wb := range l.wbs {
-		if wb.wantPutM && l.nic.SendRequest(wb.putm) {
-			wb.wantPutM = false
-		}
-		if wb.wantData && l.nic.SendResponse(wb.data) {
-			wb.wantData = false
-		}
-	}
-}
-
-func (l *L2) checkCompletions(cycle uint64) {
-	for i := range l.mshrs {
-		m := &l.mshrs[i]
-		if !m.active {
-			continue
-		}
-		if m.dataNeeded && !m.dataArrived {
-			continue
-		}
-		if m.acksExpected < 0 || m.acksGot < m.acksExpected {
-			continue
-		}
-		l.completeMiss(m, cycle)
-	}
-}
-
-func (l *L2) completeMiss(m *dmshr, cycle uint64) {
-	if !m.installed {
-		// Data-less completions (self-owned upgrades): install now and
-		// unblock the home.
-		if m.write {
-			l.install(m.addr, coherence.Modified, cycle)
-		} else {
-			l.install(m.addr, coherence.Shared, cycle)
-		}
-		l.sendAck(Done, HomeFor(m.addr, l.cfg.Nodes), m.addr, m.reqID, cycle)
-	}
-	l.report(m, cycle)
-	*m = dmshr{}
-}
-
-// report emits the completion callback with the Figure 6b/6c breakdown.
-func (l *L2) report(m *dmshr, cycle uint64) {
-	l.Stats.Misses++
-	if l.OnComplete == nil {
-		return
-	}
-	var bd [stats.NumBreakdownComponents]uint64
-	inj := m.pkt.InjectCycle
-	switch {
-	case m.selfOwned:
-		// Upgrade completed on acks alone; only the round trip matters.
-	case m.resp.ServedByCache && m.resp.DataSent > 0 && m.resp.OwnerArrive > 0:
-		bd[stats.NetReqToDir] = sub(m.resp.HomeArrive, inj)
-		bd[stats.DirAccess] = sub(m.resp.Dispatch, m.resp.HomeArrive)
-		if m.resp.Broadcast {
-			bd[stats.NetBcastReq] = sub(m.resp.OwnerArrive, m.resp.Dispatch)
-		} else {
-			bd[stats.NetDirToSharer] = sub(m.resp.OwnerArrive, m.resp.Dispatch)
-		}
-		bd[stats.SharerAccess] = sub(m.resp.DataSent, m.resp.OwnerArrive)
-		bd[stats.NetResp] = sub(m.dataCycle, m.resp.DataSent)
-	case m.dataArrived:
-		bd[stats.NetReqToDir] = sub(m.resp.HomeArrive, inj)
-		bd[stats.DirAccess] = sub(m.resp.DataSent, m.resp.HomeArrive)
-		bd[stats.NetResp] = sub(m.dataCycle, m.resp.DataSent)
-	}
-	served := m.resp.ServedByCache || m.selfOwned
-	l.OnComplete(coherence.Completion{
-		Addr: m.addr, Write: m.write, Issue: m.issue, Done: cycle,
-		Hit: false, ServedByCache: served, SelfServed: m.selfOwned, Breakdown: bd,
-	})
-}
-
-func sub(a, b uint64) uint64 {
-	if a < b {
-		return 0
-	}
-	return a - b
-}
-
-func (l *L2) processCoreQueue(cycle uint64) {
-	for !l.coreQ.Empty() {
-		req := l.coreQ.Front()
-		if l.findMSHR(req.addr) != nil || l.findWB(req.addr) != nil {
-			return
-		}
-		if req.write {
-			l.Stats.CoreWrites++
-		} else {
-			l.Stats.CoreReads++
-		}
-		st := l.LineState(req.addr)
-		hit := st != coherence.Invalid && (!req.write || st == coherence.Modified)
-		if hit {
-			l.arr.Touch(req.addr)
-			l.Stats.Hits++
-			if l.OnComplete != nil {
-				l.OnComplete(coherence.Completion{Addr: req.addr, Write: req.write, Issue: req.issue, Done: cycle + uint64(l.cfg.HitLatency), Hit: true})
-			}
-			l.coreQ.PopFront()
-			continue
-		}
-		m := l.freeMSHR()
-		if m == nil {
-			return
-		}
-		// Upgrades keep their line MRU so a concurrent fill can never evict
-		// the very line the in-flight write targets.
-		if st != coherence.Invalid {
-			l.arr.Touch(req.addr)
-		}
-		kind := ReqGetS
-		if req.write {
-			kind = ReqGetX
-		}
-		l.reqIDNext++
-		*m = dmshr{
-			active: true, addr: req.addr, write: req.write, issue: req.issue,
-			reqID: l.reqIDNext, dataNeeded: true, acksExpected: -1,
-		}
-		if req.write && l.cfg.Variant == HT && st == coherence.OwnedDirty {
+// MissRequest implements coherence.Protocol: a unicast ReqGetS or ReqGetX to
+// the line's home.
+func (l *L2) MissRequest(m *coherence.MSHR[dirMiss], st coherence.State, cycle uint64) *noc.Packet {
+	m.P = dirMiss{acksExpected: -1}
+	kind := ReqGetS
+	if m.Write {
+		kind = ReqGetX
+		if l.cfg.Variant == HT && st == coherence.OwnedDirty {
 			// HT upgrade by the owner: nobody sends data; our own probe
 			// returning from the ordering point completes the upgrade.
-			m.selfOwned = true
-			m.acksExpected = 0
+			m.P.selfOwned = true
+			m.P.acksExpected = 0
 		}
-		m.pkt = &noc.Packet{
-			ID: l.newID(), VNet: noc.GOReq, Src: l.node, SID: l.node,
-			Dst:  HomeFor(req.addr, l.cfg.Nodes),
-			Kind: int(kind), Addr: req.addr, ReqID: m.reqID, Flits: 1, InjectCycle: cycle,
-		}
-		if !l.nic.SendRequest(m.pkt) {
-			m.wantInject = true
-		}
-		l.coreQ.PopFront()
+	}
+	return &noc.Packet{
+		ID: l.newID(), VNet: noc.GOReq, Src: l.Node(), SID: l.Node(),
+		Dst:  HomeFor(m.Addr, l.cfg.Nodes),
+		Kind: int(kind), Addr: m.Addr, ReqID: m.ReqID, Flits: 1, InjectCycle: cycle,
 	}
 }
 
-// install places a line, handling dirty evictions.
-func (l *L2) install(addr uint64, st coherence.State, cycle uint64) {
-	ev, did := l.arr.Insert(addr, int32(st), 0)
-	if !did {
-		return
-	}
-	es := coherence.State(ev.State)
-	if es == coherence.Modified || es == coherence.OwnedDirty {
-		l.startWriteback(ev.Addr, cycle)
-	}
+// MissReady implements coherence.Protocol: a miss completes once its data
+// (or, for a self-owned upgrade, its own probe) arrived and every
+// invalidation ack it was told to expect.
+func (l *L2) MissReady(m *coherence.MSHR[dirMiss]) bool {
+	return m.DataArrived && m.P.acksExpected >= 0 && m.P.acksGot >= m.P.acksExpected
 }
 
-// startWriteback sends PutM (request class) plus the data (response class).
-func (l *L2) startWriteback(addr uint64, cycle uint64) {
-	l.reqIDNext++
-	home := HomeFor(addr, l.cfg.Nodes)
-	wb := &dwb{addr: addr, reqID: l.reqIDNext}
-	wb.putm = &noc.Packet{
-		ID: l.newID(), VNet: noc.GOReq, Src: l.node, SID: l.node, Dst: home,
-		Kind: int(ReqPutM), Addr: addr, ReqID: wb.reqID, Flits: 1, InjectCycle: cycle,
+// MissDone implements coherence.Protocol: a data-less completion (a
+// self-owned upgrade) installs the line and unblocks the home now, and the
+// completion carries the Figure 6b/6c breakdown.
+func (l *L2) MissDone(m *coherence.MSHR[dirMiss], cycle uint64) coherence.Completion {
+	if !m.P.installed {
+		l.install(m, cycle)
 	}
-	wb.data = &noc.Packet{
-		ID: l.newID(), VNet: noc.UOResp, Src: l.node, Dst: home,
-		Kind: int(WBData), Addr: addr, ReqID: wb.reqID, Flits: l.cfg.DataFlits, InjectCycle: cycle,
-	}
-	wb.wantPutM = !l.nic.SendRequest(wb.putm)
-	wb.wantData = !l.nic.SendResponse(wb.data)
-	l.wbs = append(l.wbs, wb)
-	l.Stats.Writebacks++
-}
-
-func (l *L2) findMSHR(addr uint64) *dmshr {
-	for i := range l.mshrs {
-		if l.mshrs[i].active && l.mshrs[i].addr == addr {
-			return &l.mshrs[i]
+	var bd [stats.NumBreakdownComponents]uint64
+	inj := m.Pkt.InjectCycle
+	r := &m.P.resp
+	switch {
+	case m.P.selfOwned:
+		// Upgrade completed on acks alone; only the round trip matters.
+	case r.ServedByCache && r.DataSent > 0 && r.OwnerArrive > 0:
+		bd[stats.NetReqToDir] = coherence.Sub(r.HomeArrive, inj)
+		bd[stats.DirAccess] = coherence.Sub(r.Dispatch, r.HomeArrive)
+		if r.Broadcast {
+			bd[stats.NetBcastReq] = coherence.Sub(r.OwnerArrive, r.Dispatch)
+		} else {
+			bd[stats.NetDirToSharer] = coherence.Sub(r.OwnerArrive, r.Dispatch)
 		}
+		bd[stats.SharerAccess] = coherence.Sub(r.DataSent, r.OwnerArrive)
+		bd[stats.NetResp] = coherence.Sub(m.DataCycle, r.DataSent)
+	case m.DataArrived:
+		bd[stats.NetReqToDir] = coherence.Sub(r.HomeArrive, inj)
+		bd[stats.DirAccess] = coherence.Sub(r.DataSent, r.HomeArrive)
+		bd[stats.NetResp] = coherence.Sub(m.DataCycle, r.DataSent)
 	}
-	return nil
+	return coherence.Completion{ServedByCache: r.ServedByCache || m.P.selfOwned, SelfServed: m.P.selfOwned, Breakdown: bd}
 }
 
-func (l *L2) findMSHRByReq(reqID uint64) *dmshr {
-	for i := range l.mshrs {
-		if l.mshrs[i].active && l.mshrs[i].reqID == reqID {
-			return &l.mshrs[i]
-		}
+// WritebackPackets implements coherence.Protocol: the PutM to the home on
+// the request class and the data on the response class, both at once.
+func (l *L2) WritebackPackets(wb *coherence.Writeback, cycle uint64) (putm, data *noc.Packet) {
+	home := HomeFor(wb.Addr, l.cfg.Nodes)
+	putm = &noc.Packet{
+		ID: l.newID(), VNet: noc.GOReq, Src: l.Node(), SID: l.Node(), Dst: home,
+		Kind: int(ReqPutM), Addr: wb.Addr, ReqID: wb.ReqID, Flits: 1, InjectCycle: cycle,
 	}
-	return nil
-}
-
-func (l *L2) freeMSHR() *dmshr {
-	for i := range l.mshrs {
-		if !l.mshrs[i].active {
-			return &l.mshrs[i]
-		}
+	data = &noc.Packet{
+		ID: l.newID(), VNet: noc.UOResp, Src: l.Node(), Dst: home,
+		Kind: int(WBData), Addr: wb.Addr, ReqID: wb.ReqID, Flits: l.cfg.DataFlits, InjectCycle: cycle,
 	}
-	return nil
-}
-
-func (l *L2) findWB(addr uint64) *dwb {
-	for _, wb := range l.wbs {
-		if wb.addr == addr {
-			return wb
-		}
-	}
-	return nil
-}
-
-func (l *L2) findWBByReq(reqID uint64) *dwb {
-	for _, wb := range l.wbs {
-		if wb.reqID == reqID {
-			return wb
-		}
-	}
-	return nil
-}
-
-func (l *L2) freeWB(wb *dwb) {
-	for i, w := range l.wbs {
-		if w == wb {
-			l.wbs = append(l.wbs[:i], l.wbs[i+1:]...)
-			return
-		}
-	}
+	return putm, data
 }

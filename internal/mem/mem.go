@@ -89,13 +89,6 @@ type earlyWB struct {
 	reqID uint64
 }
 
-// pendingSend is a scheduled response injection.
-type pendingSend struct {
-	readyAt uint64
-	pkt     *noc.Packet
-	resp    *coherence.RespInfo
-}
-
 // Controller is one memory-controller port on the mesh.
 type Controller struct {
 	cfg    Config
@@ -109,8 +102,7 @@ type Controller struct {
 	// early lists writeback data whose PutM is still to be ordered here; it
 	// stays nil until the first such race.
 	early []earlyWB
-	sendQ []pendingSend
-	now   uint64 // cycle of the last Evaluate (idle-check reference)
+	sendQ coherence.SendQ
 	Stats Stats
 }
 
@@ -230,7 +222,7 @@ func (c *Controller) serve(src int, reqID uint64, addr uint64, arrive, ordered, 
 		Kind: int(coherence.DataMem), Addr: addr, ReqID: reqID,
 		Flits: c.cfg.DataFlits, InjectCycle: ordered, Payload: resp,
 	}
-	c.sendQ = append(c.sendQ, pendingSend{readyAt: start + lat, pkt: pkt, resp: resp})
+	c.sendQ.Add(start+lat, pkt, &resp.RespSent)
 	c.Stats.Reads++
 	c.Stats.ServiceLatency.Observe(float64(lat))
 }
@@ -257,7 +249,7 @@ func (c *Controller) AcceptResponse(p *noc.Packet, cycle uint64) bool {
 		ID: c.newID(), VNet: noc.UOResp, Src: c.node, Dst: p.Src,
 		Kind: int(coherence.WBAck), Addr: p.Addr, ReqID: p.ReqID, Flits: 1, InjectCycle: cycle,
 	}
-	c.sendQ = append(c.sendQ, pendingSend{readyAt: cycle + uint64(c.cfg.DRAMLatency), pkt: ack})
+	c.sendQ.Add(cycle+uint64(c.cfg.DRAMLatency), ack, nil)
 	// Release requests that raced the writeback.
 	if held := c.held[p.Addr]; len(held) > 0 {
 		delete(c.held, p.Addr)
@@ -281,23 +273,7 @@ func (c *Controller) takeEarly(addr uint64, src int, reqID uint64) bool {
 }
 
 // Evaluate injects scheduled responses whose latency elapsed.
-func (c *Controller) Evaluate(cycle uint64) {
-	c.now = cycle
-	rest := c.sendQ[:0]
-	for _, s := range c.sendQ {
-		if s.readyAt <= cycle {
-			if s.resp != nil && s.resp.RespSent == 0 {
-				s.resp.RespSent = cycle
-			}
-			if !c.nic.SendResponse(s.pkt) {
-				rest = append(rest, s)
-			}
-			continue
-		}
-		rest = append(rest, s)
-	}
-	c.sendQ = rest
-}
+func (c *Controller) Evaluate(cycle uint64) { c.sendQ.Drain(c.nic, cycle) }
 
 // Commit implements sim.Component.
 func (c *Controller) Commit(cycle uint64) {}
@@ -307,31 +283,10 @@ func (c *Controller) Commit(cycle uint64) {}
 // (a send whose latency elapsed but was rejected by the NIC must retry every
 // cycle). Held raced requests are released by AcceptResponse, which runs
 // inside this unit.
-func (c *Controller) Idle() bool {
-	for i := range c.sendQ {
-		if c.sendQ[i].readyAt <= c.now {
-			return false
-		}
-	}
-	return true
-}
+func (c *Controller) Idle() bool { return c.sendQ.Idle() }
 
 // NextEventCycle implements sim.NextEventer: the earliest scheduled send.
-func (c *Controller) NextEventCycle(cycle uint64) uint64 {
-	next := uint64(0)
-	for i := range c.sendQ {
-		if r := c.sendQ[i].readyAt; next == 0 || r < next {
-			next = r
-		}
-	}
-	if next == 0 {
-		return ^uint64(0)
-	}
-	if next <= cycle {
-		return cycle + 1
-	}
-	return next
-}
+func (c *Controller) NextEventCycle(cycle uint64) uint64 { return c.sendQ.NextEventCycle(cycle) }
 
 // OwnerOf reports the directory's view of a line's owner (-1 = memory) for
 // tests.
