@@ -1,6 +1,9 @@
 package coherence
 
 import (
+	"fmt"
+	"io"
+
 	"scorpio/internal/cache"
 	"scorpio/internal/noc"
 	"scorpio/internal/obs"
@@ -157,6 +160,20 @@ func (r *Requester[P]) Outstanding() int {
 		}
 	}
 	return n
+}
+
+// WriteMisses writes one line per outstanding miss, for hang reports: node,
+// read or write, line, request ID and issue cycle.
+func (r *Requester[P]) WriteMisses(w io.Writer) {
+	for i := range r.mshrs {
+		if m := &r.mshrs[i]; m.active {
+			op := "read"
+			if m.Write {
+				op = "write"
+			}
+			fmt.Fprintf(w, "  node %d %s line %#x reqID %d issued at cycle %d\n", r.node, op, m.Addr, m.ReqID, m.Issue)
+		}
+	}
 }
 
 // CoreRequest offers a memory request from the core/trace injector; addr is

@@ -4,19 +4,21 @@ import "fmt"
 
 // Watchdog is a forward-progress monitor. Each observed cycle it reads the
 // machine's cumulative delivery count; if that count stays flat for
-// Threshold cycles while packets are still in flight, the run is declared
-// stalled and Report captures a full network snapshot for diagnosis —
-// turning a silent deadlock (a hung run burning cycles to its limit) into
-// an immediate, named-culprit failure.
+// Threshold cycles while work is still pending — packets in flight, or L2
+// misses outstanding — the run is declared stalled and Report captures a
+// full machine snapshot for diagnosis, turning a silent deadlock (a hung run
+// burning cycles to its limit) into an immediate, named-culprit failure.
 //
 // A nil *Watchdog is inert.
 type Watchdog struct {
 	Threshold uint64
 	// progress reports the machine's cumulative deliveries and whether any
-	// packets are currently buffered in the network.
-	progress func() (delivered uint64, inflight bool)
-	// snapshot renders the full network state (every VC's head flit,
-	// credit counts, NIC ordering state) when a stall is detected.
+	// work is pending: packets in the network or endpoint queues, or a miss
+	// waiting on a held request with nothing in flight.
+	progress func() (delivered uint64, pending bool)
+	// snapshot renders the full machine state (every VC's head flit,
+	// credit counts, NIC ordering state, outstanding misses) when a stall
+	// is detected.
 	snapshot func() string
 
 	lastDelivered uint64
@@ -43,16 +45,16 @@ func (w *Watchdog) Observe(cycle uint64) {
 	if w == nil || w.stalled {
 		return
 	}
-	delivered, inflight := w.progress()
+	delivered, pending := w.progress()
 	if !w.primed || delivered != w.lastDelivered {
 		w.primed = true
 		w.lastDelivered = delivered
 		w.lastChange = cycle
 		return
 	}
-	if !inflight {
-		// Nothing buffered in the network: quiescence, not a stall (the
-		// cores may simply be computing between misses).
+	if !pending {
+		// Nothing in flight and no miss waiting: quiescence, not a stall
+		// (the cores may simply be computing between misses).
 		w.lastChange = cycle
 		return
 	}
@@ -64,7 +66,7 @@ func (w *Watchdog) Observe(cycle uint64) {
 			snap = w.snapshot()
 		}
 		w.report = fmt.Sprintf(
-			"watchdog: no ejections for %d cycles (cycle %d, %d delivered) with packets in flight\n%s",
+			"watchdog: no ejections for %d cycles (cycle %d, %d delivered) with packets in flight or misses outstanding\n%s",
 			cycle-w.lastChange, cycle, delivered, snap)
 	}
 }

@@ -182,7 +182,9 @@ func (b *Baseline) read(c *reading) {
 
 func (b *Baseline) inflight() bool { return meshInflight(b.Mesh, b.Endpoints) }
 
-func (b *Baseline) snapshot(now uint64) string { return meshSnapshot(b.Mesh, b.Endpoints, now) }
+func (b *Baseline) snapshot(now uint64) string {
+	return meshSnapshot(b.Mesh, b.Endpoints, now) + missReport(b.L2s)
+}
 
 // Run executes to completion and collects results. A watchdog stall aborts
 // the run with the full network snapshot in the error.

@@ -192,7 +192,9 @@ func (d *Directory) read(c *reading) {
 
 func (d *Directory) inflight() bool { return meshInflight(d.Mesh, d.NICs) }
 
-func (d *Directory) snapshot(now uint64) string { return meshSnapshot(d.Mesh, d.NICs, now) }
+func (d *Directory) snapshot(now uint64) string {
+	return meshSnapshot(d.Mesh, d.NICs, now) + missReport(d.L2s)
+}
 
 // Run executes to completion and collects results. A watchdog stall aborts
 // the run with the full network snapshot in the error.

@@ -2,6 +2,8 @@ package system
 
 import (
 	"fmt"
+	"io"
+	"strings"
 	"time"
 
 	"scorpio/internal/noc"
@@ -100,17 +102,37 @@ type probe interface {
 	// inflight reports whether undelivered packets exist anywhere (router
 	// buffers or endpoint queues).
 	inflight() bool
-	// snapshot renders the full network state at a cycle.
+	// snapshot renders the machine's state at a cycle: the network and
+	// every outstanding L2 miss.
 	snapshot(now uint64) string
 }
 
+// frontEnd is what the observers read from an L2: the coherence.Requester
+// both L2 types embed.
+type frontEnd interface {
+	Outstanding() int
+	WriteMisses(w io.Writer)
+}
+
 // outstanding sums the outstanding misses of a machine's L2s.
-func outstanding[L interface{ Outstanding() int }](l2s []L) int {
+func outstanding[L frontEnd](l2s []L) int {
 	n := 0
 	for _, l2 := range l2s {
 		n += l2.Outstanding()
 	}
 	return n
+}
+
+// missReport lists every outstanding miss of a machine's L2s ("" if none).
+func missReport[L frontEnd](l2s []L) string {
+	var b strings.Builder
+	for _, l2 := range l2s {
+		l2.WriteMisses(&b)
+	}
+	if b.Len() == 0 {
+		return ""
+	}
+	return "outstanding misses:\n" + b.String()
 }
 
 // endpoint is a directory NIC or a baseline endpoint: the per-node queue an
@@ -316,10 +338,12 @@ func buildObs(opt *obs.Options, m *machine, mesh *noc.Mesh, p probe) (*Observabi
 		o.Attrib = obs.NewAttribution()
 	}
 	if opt.Watchdog > 0 {
+		// An outstanding miss is pending work even with the network empty:
+		// a request held forever at its memory controller stalls its core.
 		progress := func() (uint64, bool) {
 			var c reading
 			p.read(&c)
-			return c.ejected, p.inflight()
+			return c.ejected, c.outstanding > 0 || p.inflight()
 		}
 		o.Watchdog = obs.NewWatchdog(opt.Watchdog, progress, snap)
 	}

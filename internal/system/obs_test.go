@@ -6,7 +6,9 @@ import (
 	"strings"
 	"testing"
 
+	"scorpio/internal/noc"
 	"scorpio/internal/obs"
+	"scorpio/internal/sim"
 )
 
 // TestHealthyRunWatchdogSilent arms every observability feature on a normal
@@ -143,5 +145,41 @@ func TestWatchdogStallErrorCarriesSnapshot(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "stalled") || !strings.Contains(err.Error(), "no ejections for") {
 		t.Fatalf("stall error missing diagnosis: %v", err)
+	}
+	if !strings.Contains(err.Error(), "outstanding misses:\n  node ") || !strings.Contains(err.Error(), " reqID ") {
+		t.Fatalf("stall error does not list the outstanding misses: %v", err)
+	}
+}
+
+// stuckMiss is a machine reader whose one L2 miss waits on a request held at
+// its memory controller: nothing is in flight and deliveries stay flat.
+type stuckMiss struct{}
+
+func (stuckMiss) read(c *reading) { c.ejected, c.outstanding = 7, 1 }
+func (stuckMiss) inflight() bool  { return false }
+func (stuckMiss) snapshot(uint64) string {
+	return "outstanding misses:\n  node 3 write line 0x40 reqID 9 issued at cycle 5\n"
+}
+
+// TestWatchdogTripsOnStuckMiss pins that an outstanding miss counts as
+// pending work: with the network empty, a miss that never completes must
+// still trip the watchdog, and the report must name it.
+func TestWatchdogTripsOnStuckMiss(t *testing.T) {
+	mesh, err := noc.NewMesh(noc.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	o, err := buildObs(&obs.Options{Watchdog: 50}, &machine{Kernel: sim.NewKernel()}, mesh, stuckMiss{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for cycle := uint64(0); cycle < 200 && !o.Stalled(); cycle++ {
+		o.Watchdog.Observe(cycle)
+	}
+	if !o.Stalled() {
+		t.Fatal("a miss outstanding for 200 cycles with nothing in flight did not trip a 50-cycle watchdog")
+	}
+	if !strings.Contains(o.StallReport(), "reqID 9") {
+		t.Fatalf("stall report does not name the miss:\n%s", o.StallReport())
 	}
 }

@@ -265,7 +265,7 @@ func (s *Scorpio) read(c *reading) {
 
 func (s *Scorpio) inflight() bool { return s.Net.BufferedFlits() > 0 || s.Net.HasPendingWork() }
 
-func (s *Scorpio) snapshot(now uint64) string { return s.Net.Snapshot(now) }
+func (s *Scorpio) snapshot(now uint64) string { return s.Net.Snapshot(now) + missReport(s.L2s) }
 
 // Run executes until all work completes or the cycle limit is reached and
 // returns the collected results. A watchdog stall aborts the run with the
