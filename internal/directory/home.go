@@ -404,7 +404,7 @@ func (h *Home) forward(kind Kind, owner int, p *noc.Packet, arrive, cycle uint64
 	fwd := &noc.Packet{
 		ID: h.newID(), VNet: noc.UOResp, Src: h.node, Dst: owner,
 		Kind: int(kind), Addr: p.Addr, ReqID: p.ReqID, Flits: 1, InjectCycle: cycle,
-		Payload: &FwdInfo{Requester: p.Src, ReqID: p.ReqID, ReqInject: p.InjectCycle, HomeArrive: arrive, Dispatch: cycle, AckCount: acks},
+		Payload: &FwdInfo{Requester: p.Src, ReqID: p.ReqID, HomeArrive: arrive, Dispatch: cycle, AckCount: acks},
 	}
 	h.sendQ.Add(cycle, fwd, nil)
 }
@@ -413,8 +413,7 @@ func (h *Home) forward(kind Kind, owner int, p *noc.Packet, arrive, cycle uint64
 // probes the home tile's own L2 locally.
 func (h *Home) probe(kind Kind, l *line, p *noc.Packet, arrive, cycle uint64) {
 	h.Stats.ProbeBcasts++
-	info := &FwdInfo{Requester: p.Src, ReqID: p.ReqID, ReqInject: p.InjectCycle, HomeArrive: arrive, Dispatch: cycle,
-		MemServes: l.owner < 0}
+	info := &FwdInfo{Requester: p.Src, ReqID: p.ReqID, HomeArrive: arrive, Dispatch: cycle, MemServes: l.owner < 0}
 	pr := &noc.Packet{
 		ID: h.newID(), VNet: noc.GOReq, Src: h.node, SID: h.node, Broadcast: true,
 		Kind: int(kind), Addr: p.Addr, ReqID: p.ReqID, Flits: 1, InjectCycle: cycle,

@@ -106,7 +106,6 @@ func (v Variant) String() string {
 type FwdInfo struct {
 	Requester  int
 	ReqID      uint64
-	ReqInject  uint64 // requester's injection cycle
 	HomeArrive uint64 // request arrival at the home NIC
 	Dispatch   uint64 // home sent the forward/probe/DRAM access
 	AckCount   int    // invalidation acks the requester must collect (FwdGetX)
