@@ -161,7 +161,7 @@ func (l *L2Controller) ProcessOrdered(p *noc.Packet, arrive, cycle uint64) bool 
 	}
 	l.Stats.SnoopsSeen++
 	// Snoop against an outstanding miss to the same line.
-	if m := l.FindMSHR(p.Addr); m != nil && m.P.ordered {
+	if m := l.findMSHR(p.Addr); m != nil && m.P.ordered {
 		x := &m.P
 		switch {
 		case m.Write && !x.fidClosed && kind != PutM:
@@ -240,7 +240,7 @@ func (l *L2Controller) ProcessOrdered(p *noc.Packet, arrive, cycle uint64) bool 
 // position.
 func (l *L2Controller) processOwnOrdered(p *noc.Packet, kind Kind, arrive, cycle uint64) {
 	if kind == PutM {
-		wb := l.FindWBByReq(p.ReqID)
+		wb := l.findWBByReq(p.ReqID)
 		if wb == nil {
 			panic(fmt.Sprintf("coherence: node %d saw own PutM for unknown reqID %d", l.node, p.ReqID))
 		}
@@ -248,7 +248,7 @@ func (l *L2Controller) processOwnOrdered(p *noc.Packet, kind Kind, arrive, cycle
 			// A GetX took ownership before the PutM was ordered; the memory
 			// controller ignores the stale PutM and no data is sent.
 			l.Stats.StalePutM++
-			l.FreeWB(wb)
+			l.freeWB(wb)
 			return
 		}
 		// Ordered, the PutM hands the line to memory: send it the dirty data

@@ -363,7 +363,7 @@ func TestEvictionWritesBackDirtyLine(t *testing.T) {
 	}
 	// WBAck retires the writeback entry.
 	r.l2.AcceptResponse(&noc.Packet{VNet: noc.UOResp, Kind: int(WBAck), ReqID: wbData.ReqID, Flits: 1}, r.cycle)
-	if r.l2.FindWBByReq(wbData.ReqID) != nil {
+	if r.l2.findWBByReq(wbData.ReqID) != nil {
 		t.Fatal("WB entry not freed by WBAck")
 	}
 }

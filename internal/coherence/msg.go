@@ -7,7 +7,9 @@
 // The L2Controller is the per-tile protocol engine. It consumes the globally
 // ordered request stream delivered by its network interface controller,
 // maintains the tile's L2 array and region-tracker snoop filter, and serves
-// the core (or trace injector) through CoreRequest/completion callbacks.
+// the core (or trace injector) through CoreRequest/completion callbacks. Its
+// core-facing half, the Requester, is shared with the directory baselines'
+// L2, and SendQ is the send queue every controller drains.
 package coherence
 
 import (

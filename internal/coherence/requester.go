@@ -268,7 +268,7 @@ func (r *Requester[P]) processCoreQueue(cycle uint64) {
 	for !r.coreQ.Empty() {
 		req := r.coreQ.Front()
 		// A same-line transaction in flight stalls the queue head.
-		if r.FindMSHR(req.addr) != nil || r.FindWB(req.addr) != nil {
+		if r.findMSHR(req.addr) != nil || r.FindWB(req.addr) != nil {
 			return
 		}
 		ln := r.arr.Lookup(req.addr)
@@ -424,13 +424,13 @@ func (r *Requester[P]) startWriteback(addr, value uint64, cycle uint64) {
 
 // AckWriteback retires the writeback a WBAck closes, if still listed.
 func (r *Requester[P]) AckWriteback(reqID uint64) {
-	if wb := r.FindWBByReq(reqID); wb != nil {
-		r.FreeWB(wb)
+	if wb := r.findWBByReq(reqID); wb != nil {
+		r.freeWB(wb)
 	}
 }
 
-// FindMSHR returns the active miss to a line, or nil.
-func (r *Requester[P]) FindMSHR(addr uint64) *MSHR[P] {
+// findMSHR returns the active miss to a line, or nil.
+func (r *Requester[P]) findMSHR(addr uint64) *MSHR[P] {
 	for i := range r.mshrs {
 		if r.mshrs[i].active && r.mshrs[i].Addr == addr {
 			return &r.mshrs[i]
@@ -469,8 +469,8 @@ func (r *Requester[P]) FindWB(addr uint64) *Writeback {
 	return nil
 }
 
-// FindWBByReq returns the writeback with a request ID, or nil.
-func (r *Requester[P]) FindWBByReq(reqID uint64) *Writeback {
+// findWBByReq returns the writeback with a request ID, or nil.
+func (r *Requester[P]) findWBByReq(reqID uint64) *Writeback {
 	for _, wb := range r.wbs {
 		if wb.ReqID == reqID {
 			return wb
@@ -479,8 +479,8 @@ func (r *Requester[P]) FindWBByReq(reqID uint64) *Writeback {
 	return nil
 }
 
-// FreeWB drops a finished writeback.
-func (r *Requester[P]) FreeWB(wb *Writeback) {
+// freeWB drops a finished writeback.
+func (r *Requester[P]) freeWB(wb *Writeback) {
 	for i, w := range r.wbs {
 		if w == wb {
 			r.wbs = append(r.wbs[:i], r.wbs[i+1:]...)

@@ -169,10 +169,10 @@ func NewDirectory(opt DirectoryOptions) (*Directory, error) {
 	if d.Obs, err = buildObs(opt.Obs, &d.machine, mesh, d); err != nil {
 		return nil, err
 	}
-	// Directory machines have no ordered stream and a distinct L2 type
-	// without shadow-state hooks, so the auditor covers delivery sanity
-	// only: flit dedup/coverage in the routers and duplicate arrivals / sink
-	// accounting in the NICs.
+	// The auditor covers delivery sanity only: flit dedup/coverage in the
+	// routers and duplicate arrivals / sink accounting in the NICs. The L2s
+	// carry the shadow hook, but its stale-sharer rule is qualified by
+	// global-order commit positions, which directory NICs never advance.
 	hook(d.Obs, mesh)
 	hook(d.Obs, d.NICs...)
 	d.attribute()
