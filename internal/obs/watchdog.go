@@ -13,8 +13,8 @@ import "fmt"
 type Watchdog struct {
 	Threshold uint64
 	// progress reports the machine's cumulative deliveries and whether any
-	// work is pending: packets in the network or endpoint queues, or a miss
-	// waiting on a held request with nothing in flight.
+	// work is pending: packets in the network or endpoint queues, or L2
+	// misses outstanding.
 	progress func() (delivered uint64, pending bool)
 	// snapshot renders the full machine state (every VC's head flit,
 	// credit counts, NIC ordering state, outstanding misses) when a stall
