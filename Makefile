@@ -1,9 +1,9 @@
 GO ?= go
 
 # Bump per PR that re-baselines the benchmark report.
-BENCH_JSON ?= BENCH_6.json
+BENCH_JSON ?= BENCH_7.json
 # The previous baseline, compared against by benchsmoke when both exist.
-BENCH_PREV ?= BENCH_5.json
+BENCH_PREV ?= BENCH_6.json
 
 .PHONY: build test vet fmt race check bench benchtest benchsmoke tracesmoke auditsmoke perfsmoke telemetrysmoke layoutcheck
 

@@ -54,6 +54,9 @@ type Endpoint struct {
 	mesh    *noc.Mesh
 	agent   nic.Agent
 	orderer Orderer
+	// pool takes back every response the agent accepts (nil keeps them);
+	// requests are broadcasts and never recycled.
+	pool nic.Recycler
 	// expiry, when set (INSO), supplies owed expiry broadcasts. OwesExpiry
 	// keeps the endpoint awake while a broadcast is owed but not yet
 	// consumable (see ExpirySource).
@@ -177,6 +180,10 @@ func (r *reorderRing) grow() {
 
 // SetAgent attaches the consumer.
 func (e *Endpoint) SetAgent(a nic.Agent) { e.agent = a }
+
+// SetRecycler hands every response the agent accepts to r, once the
+// endpoint's tracer and auditor have read it: the node's message pool.
+func (e *Endpoint) SetRecycler(r nic.Recycler) { e.pool = r }
 
 // SetTracer attaches a lifecycle event tracer (nil disables tracing).
 func (e *Endpoint) SetTracer(t *obs.Tracer) {
@@ -338,6 +345,9 @@ func (e *Endpoint) deliver(cycle uint64) {
 			}
 			if e.auditor != nil {
 				e.auditor.Sink(e.node, p.ID, false)
+			}
+			if e.pool != nil {
+				e.pool.Recycle(p)
 			}
 		}
 	}

@@ -15,8 +15,11 @@ type Set []uint64
 
 // New returns an empty set able to hold bits [0, n).
 func New(n int) Set {
-	return make(Set, (n+63)/64)
+	return make(Set, Words(n))
 }
+
+// Words returns how many words a set holding bits [0, n) takes.
+func Words(n int) int { return (n + 63) / 64 }
 
 // Add sets bit i.
 func (s Set) Add(i int) { s[i>>6] |= 1 << uint(i&63) }

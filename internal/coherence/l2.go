@@ -116,13 +116,15 @@ type L2Controller struct {
 	cfg       Config
 	newID     func() uint64
 	memMap    MemMap
+	pool      *Pool[RespInfo]
 	busyUntil uint64
 	Stats     Stats
 }
 
-// NewL2 builds a controller for the given node.
-func NewL2(node int, cfg Config, n NetPort, newID func() uint64, mm MemMap) *L2Controller {
-	l := &L2Controller{cfg: cfg, newID: newID, memMap: mm}
+// NewL2 builds a controller for the given node; it builds its unicast
+// messages from pool, the node's (nil allocates each one).
+func NewL2(node int, cfg Config, n NetPort, newID func() uint64, mm MemMap, pool *Pool[RespInfo]) *L2Controller {
+	l := &L2Controller{cfg: cfg, newID: newID, memMap: mm, pool: pool}
 	l.Requester = NewRequester[snoopMiss](node, n, cache.NewArrayBytes(cfg.CapacityBytes, cfg.LineBytes, cfg.Ways),
 		cfg.HitLatency, cfg.MSHRs, cfg.CoreQueueDepth, l, &l.Stats.ReqStats)
 	// Each MSHR keeps its FID list's backing array across reuse.
@@ -254,12 +256,11 @@ func (l *L2Controller) processOwnOrdered(p *noc.Packet, kind Kind, arrive, cycle
 		// Ordered, the PutM hands the line to memory: send it the dirty data
 		// and stop answering snoops.
 		wb.Released = true
-		data := &noc.Packet{
+		data := l.pool.New(noc.Packet{
 			ID: l.newID(), VNet: noc.UOResp, Src: l.node, Dst: l.memMap.HomeMC(p.Addr),
 			Kind: int(WBData), Addr: p.Addr, ReqID: p.ReqID, Flits: l.cfg.DataFlits, InjectCycle: cycle,
-			Payload: &RespInfo{Value: wb.Value},
-		}
-		l.Send(cycle+uint64(l.cfg.HitLatency), data, nil)
+		}, RespInfo{Value: wb.Value})
+		l.Send(cycle+uint64(l.cfg.HitLatency), &data.Packet, nil)
 		return
 	}
 	m := l.FindMSHRByReq(p.ReqID)
@@ -282,19 +283,18 @@ func (l *L2Controller) processOwnOrdered(p *noc.Packet, kind Kind, arrive, cycle
 
 // respondData schedules a cache-to-cache data response for an ordered snoop.
 func (l *L2Controller) respondData(p *noc.Packet, arrive, cycle, readyAt uint64, value uint64) {
-	resp := &RespInfo{
+	m := l.pool.New(noc.Packet{
+		ID: l.newID(), VNet: noc.UOResp, Src: l.node, Dst: p.Src,
+		Kind: int(Data), Addr: p.Addr, ReqID: p.ReqID, Flits: l.cfg.DataFlits,
+		InjectCycle: cycle,
+	}, RespInfo{
 		Value:         value,
 		ServedByCache: true,
 		ReqArrive:     arrive,
 		ReqOrdered:    cycle,
 		Service:       readyAt - cycle,
-	}
-	pkt := &noc.Packet{
-		ID: l.newID(), VNet: noc.UOResp, Src: l.node, Dst: p.Src,
-		Kind: int(Data), Addr: p.Addr, ReqID: p.ReqID, Flits: l.cfg.DataFlits,
-		InjectCycle: cycle, Payload: resp,
-	}
-	l.Send(readyAt, pkt, &resp.RespSent)
+	})
+	l.Send(readyAt, &m.Packet, &m.Info.RespSent)
 }
 
 // AcceptResponse consumes an unordered response delivered by the NIC.
@@ -307,7 +307,7 @@ func (l *L2Controller) AcceptResponse(p *noc.Packet, cycle uint64) bool {
 		}
 		m.DataArrived = true
 		m.DataCycle = cycle
-		if ri, ok := p.Payload.(*RespInfo); ok {
+		if ri := InfoOf[RespInfo](p); ri != nil {
 			m.P.resp = *ri
 		}
 		return true
@@ -347,13 +347,12 @@ func (l *L2Controller) MissDone(m *MSHR[snoopMiss], cycle uint64) Completion {
 		final := Modified
 		for i, f := range x.fids {
 			readyAt := cycle + uint64((i+1)*l.cfg.HitLatency)
-			resp := &RespInfo{Value: m.Value, ServedByCache: true, ReqArrive: x.arriveSelf, ReqOrdered: x.orderedCycle, Service: uint64(l.cfg.HitLatency)}
-			pkt := &noc.Packet{
+			d := l.pool.New(noc.Packet{
 				ID: l.newID(), VNet: noc.UOResp, Src: l.node, Dst: f.src,
 				Kind: int(Data), Addr: m.Addr, ReqID: f.reqID, Flits: l.cfg.DataFlits,
-				InjectCycle: cycle, Payload: resp,
-			}
-			l.Send(readyAt, pkt, &resp.RespSent)
+				InjectCycle: cycle,
+			}, RespInfo{Value: m.Value, ServedByCache: true, ReqArrive: x.arriveSelf, ReqOrdered: x.orderedCycle, Service: uint64(l.cfg.HitLatency)})
+			l.Send(readyAt, &d.Packet, &d.Info.RespSent)
 			switch f.kind {
 			case GetS:
 				final = OwnedDirty
@@ -372,7 +371,7 @@ func (l *L2Controller) MissDone(m *MSHR[snoopMiss], cycle uint64) Completion {
 		l.Install(m.Addr, Shared, x.resp.Value, cycle)
 	}
 	var bd [stats.NumBreakdownComponents]uint64
-	inj := m.Pkt.InjectCycle
+	inj := m.InjectCycle
 	switch {
 	case x.selfServed:
 		bd[stats.ReqOrdering] = x.orderedCycle - inj

@@ -50,7 +50,7 @@ func newRig(t *testing.T, mutate func(*Config)) *rig {
 	}
 	port := &fakePort{}
 	id := uint64(1000)
-	l2 := NewL2(3, cfg, port, func() uint64 { id++; return id }, fakeMap{mc: 0})
+	l2 := NewL2(3, cfg, port, func() uint64 { id++; return id }, fakeMap{mc: 0}, nil)
 	r := &rig{l2: l2, port: port}
 	l2.OnComplete = func(c Completion) { r.done = append(r.done, c) }
 	return r
@@ -89,16 +89,21 @@ func (r *rig) snoop(kind Kind, src int, addr uint64, reqID uint64) bool {
 	return r.l2.ProcessOrdered(p, r.cycle, r.cycle)
 }
 
+// respMsg builds a response carrying ri, as a sender's pool would.
+func respMsg(p noc.Packet, ri RespInfo) *noc.Packet {
+	var pool *Pool[RespInfo]
+	return &pool.New(p, ri).Packet
+}
+
 // data delivers a data response for the outstanding request.
 func (r *rig) data(t *testing.T, reqID uint64, fromMem bool) {
 	t.Helper()
 	kind := Data
-	ri := &RespInfo{ServedByCache: true}
 	if fromMem {
 		kind = DataMem
-		ri = &RespInfo{ServedByCache: false}
 	}
-	r.l2.AcceptResponse(&noc.Packet{VNet: noc.UOResp, Kind: int(kind), ReqID: reqID, Payload: ri, Flits: 3}, r.cycle)
+	r.l2.AcceptResponse(respMsg(noc.Packet{VNet: noc.UOResp, Kind: int(kind), ReqID: reqID, Flits: 3},
+		RespInfo{ServedByCache: !fromMem}), r.cycle)
 }
 
 func TestReadMissFillsShared(t *testing.T) {
@@ -301,7 +306,7 @@ func TestDeferredGetXLeavesNoStaleData(t *testing.T) {
 	if len(r.port.resps) != 1 {
 		t.Fatalf("expected 1 forwarded response, got %d", len(r.port.resps))
 	}
-	if v := r.port.resps[0].Payload.(*RespInfo).Value; v != 0xbeef {
+	if v := InfoOf[RespInfo](r.port.resps[0]).Value; v != 0xbeef {
 		t.Fatalf("forwarded value = %#x, want 0xbeef", v)
 	}
 }
@@ -409,7 +414,7 @@ func TestWritebackCarriesLineData(t *testing.T) {
 	r.step(15)
 	for _, p := range r.port.resps {
 		if Kind(p.Kind) == WBData {
-			if v := p.Payload.(*RespInfo).Value; v != 0x77 {
+			if v := InfoOf[RespInfo](p).Value; v != 0x77 {
 				t.Fatalf("WBData value = %#x, want 0x77", v)
 			}
 			return
@@ -547,10 +552,8 @@ func TestBreakdownReportedForCacheServedMiss(t *testing.T) {
 	r.step(2)
 	req := r.lastReq(t)
 	r.ownOrdered(t, req)
-	r.l2.AcceptResponse(&noc.Packet{
-		VNet: noc.UOResp, Kind: int(Data), ReqID: req.ReqID, Flits: 3,
-		Payload: &RespInfo{ServedByCache: true, ReqArrive: 5, ReqOrdered: 9, Service: 10, RespSent: 20},
-	}, r.cycle)
+	r.l2.AcceptResponse(respMsg(noc.Packet{VNet: noc.UOResp, Kind: int(Data), ReqID: req.ReqID, Flits: 3},
+		RespInfo{ServedByCache: true, ReqArrive: 5, ReqOrdered: 9, Service: 10, RespSent: 20}), r.cycle)
 	r.step(2)
 	if len(r.done) != 1 {
 		t.Fatal("no completion")

@@ -9,7 +9,8 @@
 // maintains the tile's L2 array and region-tracker snoop filter, and serves
 // the core (or trace injector) through CoreRequest/completion callbacks. Its
 // core-facing half, the Requester, is shared with the directory baselines'
-// L2, and SendQ is the send queue every controller drains.
+// L2, SendQ is the send queue every controller drains, and Pool is each
+// node's free list of protocol messages.
 package coherence
 
 import (
@@ -103,8 +104,9 @@ func (s State) String() string {
 // data.
 func (s State) owner() bool { return s == Modified || s == OwnedDirty }
 
-// RespInfo rides in data-response payloads so the requester can reconstruct
-// the latency breakdown of Figures 6b/6c, and carries the line's data value
+// RespInfo is the info of the snoopy protocol's unicast messages (their
+// Msg[RespInfo]): data responses carry it so the requester can reconstruct
+// the latency breakdown of Figures 6b/6c, and data carries the line's value
 // for the consistency-verification suite (internal/litmus).
 type RespInfo struct {
 	// Value is the cache line's data (modelled as one word).

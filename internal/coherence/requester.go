@@ -76,15 +76,20 @@ type MSHR[P any] struct {
 	Addr  uint64
 	Issue uint64
 	ReqID uint64
-	Value uint64      // the value being written (write misses)
-	Pkt   *noc.Packet // the request; its InjectCycle starts the breakdown
+	Value uint64 // the value being written (write misses)
+	// Pkt is the request until the NIC accepts it, then nil: a delivered
+	// unicast request goes back to the pool of the node that took it.
+	Pkt *noc.Packet
+	// PktID and InjectCycle are the request's, kept for the miss's whole
+	// life: InjectCycle starts the breakdown, PktID names it in traces.
+	PktID       uint64
+	InjectCycle uint64
 	// DataCycle is when DataArrived was set: the data response, or the
 	// point at which the protocol let the miss proceed without one.
 	DataCycle   uint64
 	Write       bool
 	DataArrived bool
 	active      bool
-	wantInject  bool
 	// P is the protocol's own state for the miss.
 	P P
 }
@@ -96,9 +101,9 @@ type Writeback struct {
 	ReqID uint64
 	// Released marks a buffer that no longer answers for the line:
 	// ownership moved on, or memory took the line back.
-	Released   bool
-	wantPutM   bool
-	wantData   bool
+	Released bool
+	// putm and data are the packets the NIC has yet to accept (data is nil
+	// too while the protocol holds it back).
 	putm, data *noc.Packet
 }
 
@@ -246,20 +251,26 @@ func (r *Requester[P]) Idle() bool {
 func (r *Requester[P]) NextEventCycle(cycle uint64) uint64 { return r.sendQ.NextEventCycle(cycle) }
 
 // retryInjects offers the NIC the requests it refused: misses in slot
-// order, then writebacks in list order, each PutM before its data.
+// order, then writebacks in list order.
 func (r *Requester[P]) retryInjects() {
 	for i := range r.mshrs {
-		if m := &r.mshrs[i]; m.active && m.wantInject && r.nic.SendRequest(m.Pkt) {
-			m.wantInject = false
+		if m := &r.mshrs[i]; m.active && m.Pkt != nil && r.nic.SendRequest(m.Pkt) {
+			m.Pkt = nil
 		}
 	}
 	for _, wb := range r.wbs {
-		if wb.wantPutM && r.nic.SendRequest(wb.putm) {
-			wb.wantPutM = false
-		}
-		if wb.wantData && r.nic.SendResponse(wb.data) {
-			wb.wantData = false
-		}
+		r.offerWriteback(wb)
+	}
+}
+
+// offerWriteback offers the NIC a writeback's packets it has yet to accept,
+// the PutM before the data, and drops each one it takes.
+func (r *Requester[P]) offerWriteback(wb *Writeback) {
+	if wb.putm != nil && r.nic.SendRequest(wb.putm) {
+		wb.putm = nil
+	}
+	if wb.data != nil && r.nic.SendResponse(wb.data) {
+		wb.data = nil
 	}
 }
 
@@ -302,15 +313,16 @@ func (r *Requester[P]) processCoreQueue(cycle uint64) {
 		*m = MSHR[P]{active: true, Addr: req.addr, Write: req.write, Value: req.value, Issue: req.issue,
 			ReqID: r.reqIDNext, P: m.P}
 		m.Pkt = r.proto.MissRequest(m, st, cycle)
+		m.PktID, m.InjectCycle = m.Pkt.ID, m.Pkt.InjectCycle
 		if r.tracer != nil {
 			r.tracer.Record(obs.Event{
 				Cycle: cycle, Type: obs.EvMissStart, Node: int32(r.node),
-				Src: int32(r.node), Pkt: m.Pkt.ID, Arg: req.addr,
+				Src: int32(r.node), Pkt: m.PktID, Arg: req.addr,
 				Port: -1, VNet: -1, VC: -1,
 			})
 		}
-		if !r.nic.SendRequest(m.Pkt) {
-			m.wantInject = true
+		if r.nic.SendRequest(m.Pkt) {
+			m.Pkt = nil
 		}
 		r.coreQ.PopFront()
 	}
@@ -324,7 +336,7 @@ func (r *Requester[P]) complete(m *MSHR[P], cycle uint64) {
 	if r.tracer != nil {
 		r.tracer.Record(obs.Event{
 			Cycle: cycle, Type: obs.EvMissDone, Node: int32(r.node),
-			Src: int32(r.node), Pkt: m.Pkt.ID, Arg: m.Addr,
+			Src: int32(r.node), Pkt: m.PktID, Arg: m.Addr,
 			Port: -1, VNet: -1, VC: -1,
 		})
 	}
@@ -414,10 +426,7 @@ func (r *Requester[P]) startWriteback(addr, value uint64, cycle uint64) {
 	r.reqIDNext++
 	wb := &Writeback{Addr: addr, Value: value, ReqID: r.reqIDNext}
 	wb.putm, wb.data = r.proto.WritebackPackets(wb, cycle)
-	wb.wantPutM = !r.nic.SendRequest(wb.putm)
-	if wb.data != nil {
-		wb.wantData = !r.nic.SendResponse(wb.data)
-	}
+	r.offerWriteback(wb)
 	r.wbs = append(r.wbs, wb)
 	r.stats.Writebacks++
 }

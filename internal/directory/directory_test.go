@@ -39,8 +39,14 @@ func newHomeRig(v Variant) *homeRig {
 	}
 	n := &fakeNIC{}
 	id := uint64(0)
-	h := NewHome(2, cfg, n, func() uint64 { id++; return id })
+	h := NewHome(2, cfg, n, func() uint64 { id++; return id }, nil)
 	return &homeRig{home: h, nic: n}
+}
+
+// msg builds a message carrying info, as a sender's pool would.
+func msg(p noc.Packet, info Info) *noc.Packet {
+	var pool *coherence.Pool[Info]
+	return &pool.New(p, info).Packet
 }
 
 func (r *homeRig) step(n int) {
@@ -86,8 +92,7 @@ func TestHomeServesUncachedFromMemory(t *testing.T) {
 	if data.Dst != 5 || data.ReqID != 1 {
 		t.Fatalf("bad data %v", data)
 	}
-	ri := data.Payload.(*RespInfo)
-	if ri.ServedByCache {
+	if coherence.InfoOf[Info](data).ServedByCache {
 		t.Fatal("memory-served response mislabelled")
 	}
 }
@@ -107,8 +112,8 @@ func TestLPDForwardsToOwner(t *testing.T) {
 	if fwd.Dst != 3 {
 		t.Fatalf("forward to %d, want owner 3", fwd.Dst)
 	}
-	info := fwd.Payload.(*FwdInfo)
-	if info.Requester != 7 || info.ReqID != 2 {
+	info := coherence.InfoOf[Info](fwd)
+	if info.Requester != 7 || fwd.ReqID != 2 {
 		t.Fatalf("bad forward info %+v", info)
 	}
 }
@@ -145,7 +150,7 @@ func TestLPDInvalidatesTrackedSharers(t *testing.T) {
 	if data == nil {
 		t.Fatal("writer needs data")
 	}
-	if got := data.Payload.(*RespInfo).AckCount; got != 3 {
+	if got := coherence.InfoOf[Info](data).AckCount; got != 3 {
 		t.Fatalf("ack count = %d, want 3", got)
 	}
 }
@@ -277,7 +282,7 @@ type l2Rig struct {
 func newL2Rig(v Variant) *l2Rig {
 	n := &fakeNIC{}
 	id := uint64(0)
-	l2 := NewL2(5, DefaultL2Config(16, v), n, func() uint64 { id++; return id })
+	l2 := NewL2(5, DefaultL2Config(16, v), n, func() uint64 { id++; return id }, nil)
 	r := &l2Rig{l2: l2, nic: n}
 	l2.OnComplete = func(c coherence.Completion) { r.done = append(r.done, c) }
 	return r
@@ -309,8 +314,7 @@ func TestL2DataInstallsAndSendsDone(t *testing.T) {
 	r.l2.CoreRequest(0x21, true, r.cycle)
 	r.step(2)
 	req := r.nic.reqs[0]
-	r.l2.HandleResponse(&noc.Packet{Kind: int(DataD), Addr: 0x21, ReqID: req.ReqID,
-		Payload: &RespInfo{ServedByCache: false, AckCount: 0}, Flits: 3}, r.cycle)
+	r.l2.HandleResponse(msg(noc.Packet{Kind: int(DataD), Addr: 0x21, ReqID: req.ReqID, Flits: 3}, Info{ServedByCache: false, AckCount: 0}), r.cycle)
 	r.step(3)
 	if r.l2.LineState(0x21) != coherence.Modified {
 		t.Fatal("write fill must install M")
@@ -334,8 +338,7 @@ func TestL2WaitsForInvAcks(t *testing.T) {
 	r.l2.CoreRequest(0x21, true, r.cycle)
 	r.step(2)
 	req := r.nic.reqs[0]
-	r.l2.HandleResponse(&noc.Packet{Kind: int(DataD), Addr: 0x21, ReqID: req.ReqID,
-		Payload: &RespInfo{ServedByCache: true, AckCount: 2, DataSent: 1, OwnerArrive: 1}, Flits: 3}, r.cycle)
+	r.l2.HandleResponse(msg(noc.Packet{Kind: int(DataD), Addr: 0x21, ReqID: req.ReqID, Flits: 3}, Info{ServedByCache: true, AckCount: 2, DataSent: 1, OwnerArrive: 1}), r.cycle)
 	r.step(3)
 	if len(r.done) != 0 {
 		t.Fatal("completion before acks collected")
@@ -351,8 +354,7 @@ func TestL2WaitsForInvAcks(t *testing.T) {
 func TestL2FwdGetSMakesOwnerDirtyShared(t *testing.T) {
 	r := newL2Rig(LPD)
 	r.l2.Array().Insert(0x30, int32(coherence.Modified), 0)
-	r.l2.HandleFwd(&noc.Packet{Kind: int(FwdGetS), Addr: 0x30,
-		Payload: &FwdInfo{Requester: 9, ReqID: 7}}, r.cycle)
+	r.l2.HandleFwd(msg(noc.Packet{Kind: int(FwdGetS), Addr: 0x30, ReqID: 7}, Info{Requester: 9}), r.cycle)
 	r.step(15)
 	if r.l2.LineState(0x30) != coherence.OwnedDirty {
 		t.Fatal("owner must downgrade to O_D on a read forward")
@@ -365,8 +367,7 @@ func TestL2FwdGetSMakesOwnerDirtyShared(t *testing.T) {
 func TestL2InvAcksRequester(t *testing.T) {
 	r := newL2Rig(LPD)
 	r.l2.Array().Insert(0x31, int32(coherence.Shared), 0)
-	r.l2.HandleInv(&noc.Packet{Kind: int(Inv), Addr: 0x31,
-		Payload: &FwdInfo{Requester: 12, ReqID: 8}}, r.cycle)
+	r.l2.HandleInv(msg(noc.Packet{Kind: int(Inv), Addr: 0x31, ReqID: 8}, Info{Requester: 12}), r.cycle)
 	r.step(2)
 	if r.l2.LineState(0x31) != coherence.Invalid {
 		t.Fatal("sharer must invalidate")
@@ -384,8 +385,7 @@ func TestL2ProbeSemantics(t *testing.T) {
 	r := newL2Rig(HT)
 	r.l2.Array().Insert(0x40, int32(coherence.OwnedDirty), 0)
 	// A write probe from another requester takes the line.
-	r.l2.HandleProbe(&noc.Packet{Kind: int(ProbeX), Addr: 0x40,
-		Payload: &FwdInfo{Requester: 2, ReqID: 3}}, r.cycle)
+	r.l2.HandleProbe(msg(noc.Packet{Kind: int(ProbeX), Addr: 0x40, ReqID: 3}, Info{Requester: 2}), r.cycle)
 	r.step(15)
 	if r.l2.LineState(0x40) != coherence.Invalid {
 		t.Fatal("ProbeX must take ownership")
@@ -395,8 +395,7 @@ func TestL2ProbeSemantics(t *testing.T) {
 	}
 	// A probe for a line we do not have is silent (no acks in HT).
 	n := len(r.nic.resps)
-	r.l2.HandleProbe(&noc.Packet{Kind: int(ProbeX), Addr: 0x41,
-		Payload: &FwdInfo{Requester: 2, ReqID: 4}}, r.cycle)
+	r.l2.HandleProbe(msg(noc.Packet{Kind: int(ProbeX), Addr: 0x41, ReqID: 4}, Info{Requester: 2}), r.cycle)
 	r.step(5)
 	if len(r.nic.resps) != n {
 		t.Fatal("non-owner must stay silent")
@@ -414,7 +413,7 @@ func TestWritebackBufferSilentAfterPutM(t *testing.T) {
 	cfg.CapacityBytes, cfg.Ways = 32, 1
 	r := &l2Rig{nic: &fakeNIC{}}
 	id := uint64(0)
-	r.l2 = NewL2(5, cfg, r.nic, func() uint64 { id++; return id })
+	r.l2 = NewL2(5, cfg, r.nic, func() uint64 { id++; return id }, nil)
 
 	// Node 5 owns the line, at the home and in its array.
 	h.request(ReqGetX, 5, line, 100)
@@ -425,8 +424,7 @@ func TestWritebackBufferSilentAfterPutM(t *testing.T) {
 	// A read of the other line evicts it dirty.
 	r.l2.CoreRequest(other, false, r.cycle)
 	r.step(2)
-	r.l2.HandleResponse(&noc.Packet{Kind: int(DataD), Addr: other, ReqID: r.nic.reqs[0].ReqID,
-		Payload: &RespInfo{}, Flits: 3}, r.cycle)
+	r.l2.HandleResponse(msg(noc.Packet{Kind: int(DataD), Addr: other, ReqID: r.nic.reqs[0].ReqID, Flits: 3}, Info{}), r.cycle)
 	var putm, data *noc.Packet
 	for _, p := range r.nic.reqs {
 		if Kind(p.Kind) == ReqPutM {

@@ -67,10 +67,15 @@ type HomeStats struct {
 	QueueWait     stats.Mean
 }
 
-// qreq is a queued (or parked) transaction.
+// qreq is a queued (or parked) transaction: its request's fields by value,
+// since the request packet goes back to the node's pool at delivery.
 type qreq struct {
-	pkt    *noc.Packet
+	kind   Kind
+	src    int
+	addr   uint64
+	reqID  uint64
 	arrive uint64
+	acks   int  // invalidation acks a parked memory read announces
 	seen   bool // the line has directory history (a cache miss may recur)
 }
 
@@ -122,14 +127,23 @@ type timer struct {
 	q  qreq
 }
 
+// lineBlock is how many lines a home carves from one allocation.
+const lineBlock = 64
+
 // Home is one node's directory slice.
 type Home struct {
 	cfg   HomeConfig
 	node  int
 	nic   coherence.NetPort
 	newID func() uint64
+	pool  *coherence.Pool[Info]
 	lines map[uint64]*line
-	dirC  *cache.Array
+	// spare and spareWords are the unused rest of the current blocks that
+	// lines and their sharer sets are carved from. Timers hold *line, so a
+	// block never moves; a full one is left to its lines and a new one made.
+	spare      []line
+	spareWords []uint64
+	dirC       *cache.Array
 	// LocalProbe lets HT probes reach the home tile's own L2 (the broadcast
 	// does not loop back in unordered mode). It must return true.
 	LocalProbe func(p *noc.Packet, cycle uint64) bool
@@ -143,15 +157,16 @@ type Home struct {
 	Stats        HomeStats
 }
 
-// NewHome builds a directory slice.
-func NewHome(node int, cfg HomeConfig, n coherence.NetPort, newID func() uint64) *Home {
+// NewHome builds a directory slice; it builds its messages from pool, the
+// node's (nil allocates each one).
+func NewHome(node int, cfg HomeConfig, n coherence.NetPort, newID func() uint64, pool *coherence.Pool[Info]) *Home {
 	perNode := cfg.TotalDirCacheBytes / cfg.Nodes
 	entries := perNode / cfg.EntryBytes
 	if entries < 4 {
 		entries = 4
 	}
 	return &Home{
-		cfg: cfg, node: node, nic: n, newID: newID,
+		cfg: cfg, node: node, nic: n, newID: newID, pool: pool,
 		lines: map[uint64]*line{},
 		dirC:  cache.NewArrayBytes(entries*cfg.EntryBytes, cfg.EntryBytes, 4),
 	}
@@ -164,7 +179,15 @@ func HomeFor(addr uint64, nodes int) int { return int(addr % uint64(nodes)) }
 func (h *Home) line(addr uint64) *line {
 	l, ok := h.lines[addr]
 	if !ok {
-		l = &line{owner: -1, memValid: true, sharers: bitset.New(h.cfg.Nodes)}
+		words := bitset.Words(h.cfg.Nodes)
+		if len(h.spare) == 0 {
+			h.spare = make([]line, lineBlock)
+			h.spareWords = make([]uint64, lineBlock*words)
+		}
+		l = &h.spare[0]
+		h.spare = h.spare[1:]
+		*l = line{owner: -1, memValid: true, sharers: h.spareWords[:words:words]}
+		h.spareWords = h.spareWords[words:]
 		h.lines[addr] = l
 	}
 	return l
@@ -174,7 +197,7 @@ func (h *Home) line(addr uint64) *line {
 func (h *Home) Request(p *noc.Packet, arrive, cycle uint64) bool {
 	_, seen := h.lines[p.Addr]
 	l := h.line(p.Addr)
-	q := qreq{pkt: p, arrive: arrive, seen: seen}
+	q := qreq{kind: Kind(p.Kind), src: p.Src, addr: p.Addr, reqID: p.ReqID, arrive: arrive, seen: seen}
 	if l.busy {
 		l.queue = append(l.queue, q)
 		h.Stats.Queued++
@@ -206,15 +229,14 @@ func (h *Home) dirLatency(addr uint64, seen bool) uint64 {
 func (h *Home) dispatch(l *line, q qreq, cycle uint64) {
 	h.Stats.Transactions++
 	h.Stats.QueueWait.Observe(float64(cycle - q.arrive))
-	lat := h.dirLatency(q.pkt.Addr, q.seen)
+	lat := h.dirLatency(q.addr, q.seen)
 	l.busy = true
 	h.timers = append(h.timers, timer{at: cycle + lat, l: l, q: q})
 }
 
 // process applies the protocol action for one transaction.
 func (h *Home) process(l *line, q qreq, cycle uint64) {
-	p := q.pkt
-	switch Kind(p.Kind) {
+	switch q.kind {
 	case ReqGetS:
 		h.processGetS(l, q, cycle)
 	case ReqGetX:
@@ -224,55 +246,53 @@ func (h *Home) process(l *line, q qreq, cycle uint64) {
 		// Writebacks complete at the home; no Done follows.
 		h.unblock(l, cycle)
 	default:
-		panic(fmt.Sprintf("directory: home %d got %s as a request", h.node, Kind(p.Kind)))
+		panic(fmt.Sprintf("directory: home %d got %s as a request", h.node, q.kind))
 	}
 }
 
 func (h *Home) processGetS(l *line, q qreq, cycle uint64) {
-	p := q.pkt
-	if l.owner >= 0 && l.owner != p.Src {
+	if l.owner >= 0 && l.owner != q.src {
 		// An on-chip owner supplies the data.
 		if h.cfg.Variant == LPD {
-			h.forward(FwdGetS, l.owner, p, q.arrive, cycle, 0)
+			h.forward(FwdGetS, l.owner, q, cycle, 0)
 		} else {
-			h.probe(ProbeS, l, p, q.arrive, cycle)
+			h.probe(ProbeS, l, q, cycle)
 		}
-		l.sharers.Add(p.Src)
+		l.sharers.Add(q.src)
 		h.checkOverflow(l)
 		return
 	}
-	if l.owner == p.Src {
+	if l.owner == q.src {
 		// Redundant GetS from the owner (lost race); grant without data.
-		h.grant(p, q.arrive, cycle, cycle, 0)
+		h.grant(q, cycle, 0)
 		return
 	}
 	// Memory supplies the data.
-	l.sharers.Add(p.Src)
+	l.sharers.Add(q.src)
 	h.checkOverflow(l)
 	h.serveFromMemory(l, q, cycle, 0)
 }
 
 func (h *Home) processGetX(l *line, q qreq, cycle uint64) {
-	p := q.pkt
 	switch {
 	case h.cfg.Variant == HT:
 		// Probe everyone; the owner (if any) sends data. The home is the
 		// ordering point, so invalidations carry no acks.
-		h.probe(ProbeX, l, p, q.arrive, cycle)
+		h.probe(ProbeX, l, q, cycle)
 		if l.owner < 0 {
 			h.serveFromMemory(l, q, cycle, 0)
 		}
-		// An upgrade by the owner (l.owner == p.Src) completes when the
+		// An upgrade by the owner (l.owner == q.src) completes when the
 		// requester's own probe returns to it.
 	case l.overflowed:
 		// LPD past its pointers: fall back to a broadcast, like the paper's
 		// "request is broadcast to all cores".
-		h.probe(ProbeX, l, p, q.arrive, cycle)
+		h.probe(ProbeX, l, q, cycle)
 		if l.owner < 0 {
 			h.serveFromMemory(l, q, cycle, 0)
-		} else if l.owner == p.Src {
+		} else if l.owner == q.src {
 			// Upgrade by the owner under overflow: data-less grant.
-			h.grant(p, q.arrive, cycle, cycle, 0)
+			h.grant(q, cycle, 0)
 		}
 	default:
 		// LPD with precise sharers. Invalidations go out in ascending node
@@ -280,47 +300,46 @@ func (h *Home) processGetX(l *line, q qreq, cycle uint64) {
 		// sorted map scan it replaced.
 		invs := 0
 		for s := l.sharers.Next(0); s >= 0; s = l.sharers.Next(s + 1) {
-			if s == p.Src || s == l.owner {
+			if s == q.src || s == l.owner {
 				continue
 			}
-			h.invalidate(s, p, q.arrive, cycle)
+			h.invalidate(s, q, cycle)
 			invs++
 		}
 		switch {
-		case l.owner >= 0 && l.owner != p.Src:
-			h.forward(FwdGetX, l.owner, p, q.arrive, cycle, invs)
-		case l.owner == p.Src:
+		case l.owner >= 0 && l.owner != q.src:
+			h.forward(FwdGetX, l.owner, q, cycle, invs)
+		case l.owner == q.src:
 			// Upgrade by the owner: grant, no data movement.
-			h.grant(p, q.arrive, cycle, cycle, invs)
+			h.grant(q, cycle, invs)
 		default:
 			h.serveFromMemory(l, q, cycle, invs)
 		}
 	}
-	l.owner = p.Src
-	l.sharers.SetOnly(p.Src)
+	l.owner = q.src
+	l.sharers.SetOnly(q.src)
 	l.overflowed = false
 }
 
 func (h *Home) processPutM(l *line, q qreq, cycle uint64) {
-	p := q.pkt
-	if l.owner != p.Src {
+	if l.owner != q.src {
 		// Stale: ownership moved before the PutM was processed.
 		h.Stats.StalePutM++
-		l.wbEarlyDel(p.ReqID)
-		h.ack(WBAck, p.Src, p, cycle)
+		l.wbEarlyDel(q.reqID)
+		h.ackWB(q, cycle)
 		return
 	}
 	l.owner = -1
 	h.Stats.Writebacks++
-	if l.wbEarlyHas(p.ReqID) {
-		l.wbEarlyDel(p.ReqID)
+	if l.wbEarlyHas(q.reqID) {
+		l.wbEarlyDel(q.reqID)
 		l.memValid = true
-		h.ack(WBAck, p.Src, p, cycle+uint64(h.cfg.DRAMLatency))
+		h.ackWB(q, cycle+uint64(h.cfg.DRAMLatency))
 		h.drainParked(l, cycle+uint64(h.cfg.DRAMLatency))
 		return
 	}
 	l.memValid = false
-	l.expectWB = p.ReqID
+	l.expectWB = q.reqID
 }
 
 // WBDataArrived consumes writeback data from the response network.
@@ -329,7 +348,7 @@ func (h *Home) WBDataArrived(p *noc.Packet, cycle uint64) {
 	if l.expectWB == p.ReqID && l.expectWB != 0 {
 		l.expectWB = 0
 		l.memValid = true
-		h.ack(WBAck, p.Src, p, cycle+uint64(h.cfg.DRAMLatency))
+		h.ackWB(qreq{src: p.Src, addr: p.Addr, reqID: p.ReqID}, cycle+uint64(h.cfg.DRAMLatency))
 		h.drainParked(l, cycle+uint64(h.cfg.DRAMLatency))
 		return
 	}
@@ -346,12 +365,13 @@ func (h *Home) DoneArrived(p *noc.Packet, cycle uint64) {
 	h.unblock(l, cycle)
 }
 
-// unblock frees a line and dispatches the next queued transaction.
+// unblock frees a line and dispatches the next queued transaction. The
+// queue is copied down rather than resliced, so it keeps its backing array.
 func (h *Home) unblock(l *line, cycle uint64) {
 	l.busy = false
 	if len(l.queue) > 0 {
 		next := l.queue[0]
-		l.queue = l.queue[1:]
+		l.queue = l.queue[:copy(l.queue, l.queue[1:])]
 		h.dispatch(l, next, cycle)
 	}
 }
@@ -360,20 +380,14 @@ func (h *Home) unblock(l *line, cycle uint64) {
 // request while writeback data is in flight.
 func (h *Home) serveFromMemory(l *line, q qreq, cycle uint64, acks int) {
 	if !l.memValid {
+		q.acks = acks
 		l.parked = append(l.parked, q)
-		// Remember the ack count in the parked packet's payload slot.
-		q.pkt.Payload = acks
 		return
 	}
-	p := q.pkt
 	h.Stats.DRAMReads++
-	resp := &RespInfo{ServedByCache: false, HomeArrive: q.arrive, Dispatch: cycle, AckCount: acks}
-	data := &noc.Packet{
-		ID: h.newID(), VNet: noc.UOResp, Src: h.node, Dst: p.Src,
-		Kind: int(DataD), Addr: p.Addr, ReqID: p.ReqID,
-		Flits: h.cfg.DataFlits, InjectCycle: cycle, Payload: resp,
-	}
-	h.sendQ.Add(cycle+uint64(h.cfg.DRAMLatency), data, &resp.DataSent)
+	data := h.msg(DataD, q.src, q, cycle, h.cfg.DataFlits,
+		Info{ServedByCache: false, HomeArrive: q.arrive, Dispatch: cycle, AckCount: acks})
+	h.sendQ.Add(cycle+uint64(h.cfg.DRAMLatency), &data.Packet, &data.Info.DataSent)
 }
 
 // drainParked serves requests that waited for writeback data.
@@ -381,74 +395,67 @@ func (h *Home) drainParked(l *line, cycle uint64) {
 	parked := l.parked
 	l.parked = nil
 	for _, q := range parked {
-		acks, _ := q.pkt.Payload.(int)
-		q.pkt.Payload = nil
-		h.serveFromMemory(l, q, cycle, acks)
+		h.serveFromMemory(l, q, cycle, q.acks)
 	}
+}
+
+// msg builds a response-class message about transaction q from the node's
+// pool.
+func (h *Home) msg(kind Kind, dst int, q qreq, cycle uint64, flits int, info Info) *coherence.Msg[Info] {
+	return h.pool.New(noc.Packet{
+		ID: h.newID(), VNet: noc.UOResp, Src: h.node, Dst: dst,
+		Kind: int(kind), Addr: q.addr, ReqID: q.reqID, Flits: flits, InjectCycle: cycle,
+	}, info)
 }
 
 // grant sends a data-less completion (upgrade by the current owner).
-func (h *Home) grant(p *noc.Packet, arrive, cycle, sendAt uint64, acks int) {
-	resp := &RespInfo{ServedByCache: true, HomeArrive: arrive, Dispatch: cycle, DataSent: sendAt, AckCount: acks}
-	g := &noc.Packet{
-		ID: h.newID(), VNet: noc.UOResp, Src: h.node, Dst: p.Src,
-		Kind: int(DataD), Addr: p.Addr, ReqID: p.ReqID, Flits: 1,
-		InjectCycle: cycle, Payload: resp,
-	}
-	h.sendQ.Add(sendAt, g, &resp.DataSent)
+func (h *Home) grant(q qreq, cycle uint64, acks int) {
+	g := h.msg(DataD, q.src, q, cycle, 1,
+		Info{ServedByCache: true, HomeArrive: q.arrive, Dispatch: cycle, DataSent: cycle, AckCount: acks})
+	h.sendQ.Add(cycle, &g.Packet, &g.Info.DataSent)
 }
 
 // forward sends an LPD Fwd to the owner.
-func (h *Home) forward(kind Kind, owner int, p *noc.Packet, arrive, cycle uint64, acks int) {
+func (h *Home) forward(kind Kind, owner int, q qreq, cycle uint64, acks int) {
 	h.Stats.Forwards++
-	fwd := &noc.Packet{
-		ID: h.newID(), VNet: noc.UOResp, Src: h.node, Dst: owner,
-		Kind: int(kind), Addr: p.Addr, ReqID: p.ReqID, Flits: 1, InjectCycle: cycle,
-		Payload: &FwdInfo{Requester: p.Src, ReqID: p.ReqID, HomeArrive: arrive, Dispatch: cycle, AckCount: acks},
-	}
-	h.sendQ.Add(cycle, fwd, nil)
+	fwd := h.msg(kind, owner, q, cycle, 1,
+		Info{Requester: q.src, HomeArrive: q.arrive, Dispatch: cycle, AckCount: acks})
+	h.sendQ.Add(cycle, &fwd.Packet, nil)
 }
 
 // probe broadcasts an HT-style probe for line l on the request class and
 // probes the home tile's own L2 locally.
-func (h *Home) probe(kind Kind, l *line, p *noc.Packet, arrive, cycle uint64) {
+func (h *Home) probe(kind Kind, l *line, q qreq, cycle uint64) {
 	h.Stats.ProbeBcasts++
-	info := &FwdInfo{Requester: p.Src, ReqID: p.ReqID, HomeArrive: arrive, Dispatch: cycle, MemServes: l.owner < 0}
-	pr := &noc.Packet{
+	pr := h.pool.New(noc.Packet{
 		ID: h.newID(), VNet: noc.GOReq, Src: h.node, SID: h.node, Broadcast: true,
-		Kind: int(kind), Addr: p.Addr, ReqID: p.ReqID, Flits: 1, InjectCycle: cycle,
-		Payload: info,
-	}
-	h.sendQ.Add(cycle, pr, nil)
+		Kind: int(kind), Addr: q.addr, ReqID: q.reqID, Flits: 1, InjectCycle: cycle,
+	}, Info{Requester: q.src, HomeArrive: q.arrive, Dispatch: cycle, MemServes: l.owner < 0})
+	h.sendQ.Add(cycle, &pr.Packet, nil)
 	// The broadcast cannot loop back to this node, so probe the co-located
-	// L2 directly (it also closes the requester-is-home upgrade case).
+	// L2 directly (it also closes the requester-is-home upgrade case). Only
+	// the home holds the copy, so it goes straight back to the pool.
 	if h.LocalProbe != nil {
-		local := *pr
+		local := h.pool.New(pr.Packet, pr.Info)
 		local.ID = h.newID()
-		if !h.LocalProbe(&local, cycle) {
+		if !h.LocalProbe(&local.Packet, cycle) {
 			panic("directory: local probe refused")
 		}
+		h.pool.Recycle(&local.Packet)
 	}
 }
 
 // invalidate sends an Inv to one sharer; the sharer acks the requester.
-func (h *Home) invalidate(sharer int, p *noc.Packet, arrive, cycle uint64) {
+func (h *Home) invalidate(sharer int, q qreq, cycle uint64) {
 	h.Stats.Invalidations++
-	inv := &noc.Packet{
-		ID: h.newID(), VNet: noc.UOResp, Src: h.node, Dst: sharer,
-		Kind: int(Inv), Addr: p.Addr, ReqID: p.ReqID, Flits: 1, InjectCycle: cycle,
-		Payload: &FwdInfo{Requester: p.Src, ReqID: p.ReqID, HomeArrive: arrive, Dispatch: cycle},
-	}
-	h.sendQ.Add(cycle, inv, nil)
+	inv := h.msg(Inv, sharer, q, cycle, 1, Info{Requester: q.src, HomeArrive: q.arrive, Dispatch: cycle})
+	h.sendQ.Add(cycle, &inv.Packet, nil)
 }
 
-// ack sends a single-flit acknowledgement.
-func (h *Home) ack(kind Kind, dst int, p *noc.Packet, at uint64) {
-	a := &noc.Packet{
-		ID: h.newID(), VNet: noc.UOResp, Src: h.node, Dst: dst,
-		Kind: int(kind), Addr: p.Addr, ReqID: p.ReqID, Flits: 1, InjectCycle: at,
-	}
-	h.sendQ.Add(at, a, nil)
+// ackWB closes writeback q at its evicting tile.
+func (h *Home) ackWB(q qreq, at uint64) {
+	a := h.msg(WBAck, q.src, q, at, 1, Info{})
+	h.sendQ.Add(at, &a.Packet, nil)
 }
 
 // checkOverflow latches LPD pointer overflow.

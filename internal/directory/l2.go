@@ -39,7 +39,7 @@ type dirMiss struct {
 	acksGot      int
 	selfOwned    bool // HT upgrade by the current owner: acks only
 	installed    bool // line installed and home unblocked at data arrival
-	resp         RespInfo
+	resp         Info
 }
 
 // L2 is the requester-side cache controller of the directory baselines: the
@@ -49,12 +49,14 @@ type L2 struct {
 	coherence.Requester[dirMiss]
 	cfg   L2Config
 	newID func() uint64
+	pool  *coherence.Pool[Info]
 	Stats coherence.ReqStats
 }
 
-// NewL2 builds a directory-protocol cache controller.
-func NewL2(node int, cfg L2Config, n coherence.NetPort, newID func() uint64) *L2 {
-	l := &L2{cfg: cfg, newID: newID}
+// NewL2 builds a directory-protocol cache controller; it builds its
+// messages from pool, the node's (nil allocates each one).
+func NewL2(node int, cfg L2Config, n coherence.NetPort, newID func() uint64, pool *coherence.Pool[Info]) *L2 {
+	l := &L2{cfg: cfg, newID: newID, pool: pool}
 	l.Requester = coherence.NewRequester[dirMiss](node, n, cache.NewArrayBytes(cfg.CapacityBytes, cfg.LineBytes, cfg.Ways),
 		cfg.HitLatency, cfg.MSHRs, cfg.CoreQueueDepth, l, &l.Stats)
 	return l
@@ -63,7 +65,7 @@ func NewL2(node int, cfg L2Config, n coherence.NetPort, newID func() uint64) *L2
 // HandleProbe consumes one HT broadcast probe (request class, also invoked
 // locally by the co-located home). It always succeeds.
 func (l *L2) HandleProbe(p *noc.Packet, cycle uint64) bool {
-	info := p.Payload.(*FwdInfo)
+	info := coherence.InfoOf[Info](p)
 	if info.Requester == l.Node() {
 		// Our own transaction's probe returning: the ordering point has
 		// serialised our request, which completes data-less upgrades — but
@@ -71,7 +73,7 @@ func (l *L2) HandleProbe(p *noc.Packet, cycle uint64) bool {
 		// our ownership first (its probe preceded ours on the same
 		// home-ordered path), the new owner's data response completes us
 		// instead.
-		if m := l.FindMSHRByReq(info.ReqID); m != nil && m.P.selfOwned {
+		if m := l.FindMSHRByReq(p.ReqID); m != nil && m.P.selfOwned {
 			if l.ownsLine(p.Addr) != nil {
 				m.DataArrived = true
 				m.DataCycle = cycle
@@ -91,14 +93,14 @@ func (l *L2) HandleProbe(p *noc.Packet, cycle uint64) bool {
 	switch Kind(p.Kind) {
 	case ProbeS:
 		if owner != nil {
-			l.sendOwnerData(info, p.Addr, cycle, true, 0)
+			l.sendOwnerData(p, info, cycle, true, 0)
 			l.ownerToShared(owner, cycle)
 		}
 	case ProbeX:
 		// The home is the ordering point, so invalidations need no acks
 		// (the paper's HT-D latency breakdown has no ack segment).
 		if owner != nil {
-			l.sendOwnerData(info, p.Addr, cycle, true, 0)
+			l.sendOwnerData(p, info, cycle, true, 0)
 			l.ownerGone(p.Addr, owner, cycle)
 		} else {
 			l.Invalidate(p.Addr, cycle)
@@ -111,26 +113,25 @@ func (l *L2) HandleProbe(p *noc.Packet, cycle uint64) bool {
 
 // HandleFwd consumes an LPD forward (response class).
 func (l *L2) HandleFwd(p *noc.Packet, cycle uint64) {
-	info := p.Payload.(*FwdInfo)
+	info := coherence.InfoOf[Info](p)
 	owner := l.ownsLine(p.Addr)
 	if owner == nil {
 		panic(fmt.Sprintf("directory: node %d forwarded %s for line %#x it does not own", l.Node(), Kind(p.Kind), p.Addr))
 	}
 	switch Kind(p.Kind) {
 	case FwdGetS:
-		l.sendOwnerData(info, p.Addr, cycle, false, 0)
+		l.sendOwnerData(p, info, cycle, false, 0)
 		l.ownerToShared(owner, cycle)
 	case FwdGetX:
-		l.sendOwnerData(info, p.Addr, cycle, false, info.AckCount)
+		l.sendOwnerData(p, info, cycle, false, info.AckCount)
 		l.ownerGone(p.Addr, owner, cycle)
 	}
 }
 
 // HandleInv consumes a home invalidation, acking the requester.
 func (l *L2) HandleInv(p *noc.Packet, cycle uint64) {
-	info := p.Payload.(*FwdInfo)
 	l.Invalidate(p.Addr, cycle)
-	l.sendAck(InvAck, info.Requester, p.Addr, info.ReqID, cycle)
+	l.sendAck(InvAck, coherence.InfoOf[Info](p).Requester, p.Addr, p.ReqID, cycle)
 }
 
 // ownsLine reports ownership: the cache line in M/O_D, or an active
@@ -167,28 +168,28 @@ func (l *L2) ownerGone(addr uint64, owner any, cycle uint64) {
 	}
 }
 
-// sendOwnerData responds with the line to the transaction's requester.
-func (l *L2) sendOwnerData(info *FwdInfo, addr uint64, cycle uint64, broadcast bool, acks int) {
-	resp := &RespInfo{
+// sendOwnerData answers forward or probe p, whose info is info, with the
+// line to the transaction's requester.
+func (l *L2) sendOwnerData(p *noc.Packet, info *Info, cycle uint64, broadcast bool, acks int) {
+	m := l.pool.New(noc.Packet{
+		ID: l.newID(), VNet: noc.UOResp, Src: l.Node(), Dst: info.Requester,
+		Kind: int(DataD), Addr: p.Addr, ReqID: p.ReqID,
+		Flits: l.cfg.DataFlits, InjectCycle: cycle,
+	}, Info{
 		ServedByCache: true, Broadcast: broadcast,
 		HomeArrive: info.HomeArrive, Dispatch: info.Dispatch,
 		OwnerArrive: cycle, AckCount: acks,
-	}
-	pkt := &noc.Packet{
-		ID: l.newID(), VNet: noc.UOResp, Src: l.Node(), Dst: info.Requester,
-		Kind: int(DataD), Addr: addr, ReqID: info.ReqID,
-		Flits: l.cfg.DataFlits, InjectCycle: cycle, Payload: resp,
-	}
-	l.Send(cycle+uint64(l.cfg.HitLatency), pkt, &resp.DataSent)
+	})
+	l.Send(cycle+uint64(l.cfg.HitLatency), &m.Packet, &m.Info.DataSent)
 }
 
 // sendAck sends a single-flit message.
 func (l *L2) sendAck(kind Kind, dst int, addr uint64, reqID uint64, cycle uint64) {
-	pkt := &noc.Packet{
+	m := l.pool.New(noc.Packet{
 		ID: l.newID(), VNet: noc.UOResp, Src: l.Node(), Dst: dst,
 		Kind: int(kind), Addr: addr, ReqID: reqID, Flits: 1, InjectCycle: cycle,
-	}
-	l.Send(cycle, pkt, nil)
+	}, Info{})
+	l.Send(cycle, &m.Packet, nil)
 }
 
 // HandleResponse consumes DataD/InvAck/WBAck (response class).
@@ -201,7 +202,7 @@ func (l *L2) HandleResponse(p *noc.Packet, cycle uint64) {
 		}
 		m.DataArrived = true
 		m.DataCycle = cycle
-		if ri, ok := p.Payload.(*RespInfo); ok {
+		if ri := coherence.InfoOf[Info](p); ri != nil {
 			m.P.resp = *ri
 			m.P.acksExpected = ri.AckCount
 		} else {
@@ -250,11 +251,11 @@ func (l *L2) MissRequest(m *coherence.MSHR[dirMiss], st coherence.State, cycle u
 			m.P.acksExpected = 0
 		}
 	}
-	return &noc.Packet{
+	return &l.pool.New(noc.Packet{
 		ID: l.newID(), VNet: noc.GOReq, Src: l.Node(), SID: l.Node(),
 		Dst:  HomeFor(m.Addr, l.cfg.Nodes),
 		Kind: int(kind), Addr: m.Addr, ReqID: m.ReqID, Flits: 1, InjectCycle: cycle,
-	}
+	}, Info{}).Packet
 }
 
 // MissReady implements coherence.Protocol: a miss completes once its data
@@ -272,7 +273,7 @@ func (l *L2) MissDone(m *coherence.MSHR[dirMiss], cycle uint64) coherence.Comple
 		l.install(m, cycle)
 	}
 	var bd [stats.NumBreakdownComponents]uint64
-	inj := m.Pkt.InjectCycle
+	inj := m.InjectCycle
 	r := &m.P.resp
 	switch {
 	case m.P.selfOwned:
@@ -299,13 +300,13 @@ func (l *L2) MissDone(m *coherence.MSHR[dirMiss], cycle uint64) coherence.Comple
 // the request class and the data on the response class, both at once.
 func (l *L2) WritebackPackets(wb *coherence.Writeback, cycle uint64) (putm, data *noc.Packet) {
 	home := HomeFor(wb.Addr, l.cfg.Nodes)
-	putm = &noc.Packet{
+	putm = &l.pool.New(noc.Packet{
 		ID: l.newID(), VNet: noc.GOReq, Src: l.Node(), SID: l.Node(), Dst: home,
 		Kind: int(ReqPutM), Addr: wb.Addr, ReqID: wb.ReqID, Flits: 1, InjectCycle: cycle,
-	}
-	data = &noc.Packet{
+	}, Info{}).Packet
+	data = &l.pool.New(noc.Packet{
 		ID: l.newID(), VNet: noc.UOResp, Src: l.Node(), Dst: home,
 		Kind: int(WBData), Addr: wb.Addr, ReqID: wb.ReqID, Flits: l.cfg.DataFlits, InjectCycle: cycle,
-	}
+	}, Info{}).Packet
 	return putm, data
 }

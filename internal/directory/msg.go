@@ -101,27 +101,20 @@ func (v Variant) String() string {
 	return "HT-D"
 }
 
-// FwdInfo rides in forwards/probes so the eventual data response carries the
-// full latency trail.
-type FwdInfo struct {
-	Requester  int
-	ReqID      uint64
-	HomeArrive uint64 // request arrival at the home NIC
-	Dispatch   uint64 // home sent the forward/probe/DRAM access
-	AckCount   int    // invalidation acks the requester must collect (FwdGetX)
+// Info rides in every directory-protocol message. A forward, probe or
+// invalidation carries the transaction's trail so far; a DataD response
+// extends it with the owner's stamps for the Figure 6b/6c breakdown.
+type Info struct {
+	Requester   int    // the transaction's requester (forwards, probes, Invs)
+	HomeArrive  uint64 // request arrival at the home NIC
+	Dispatch    uint64 // home sent the forward/probe/DRAM access
+	OwnerArrive uint64 // forward/probe reached the owner
+	DataSent    uint64
+	AckCount    int // invalidation acks the requester must collect
 	// MemServes marks a probe the home answers from memory: no cache owns
 	// the line, so a writeback buffer whose PutM the home already processed
 	// must stay silent.
-	MemServes bool
-}
-
-// RespInfo rides in DataD responses for the Figure 6b/6c breakdown.
-type RespInfo struct {
+	MemServes     bool
 	ServedByCache bool
 	Broadcast     bool // HT probe path (Network: Bcast Req segment)
-	HomeArrive    uint64
-	Dispatch      uint64 // forward/probe/DRAM issued by home
-	OwnerArrive   uint64 // forward/probe reached the owner
-	DataSent      uint64
-	AckCount      int // invalidation acks the requester must collect
 }

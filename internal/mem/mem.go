@@ -96,6 +96,7 @@ type Controller struct {
 	nic    coherence.NetPort
 	newID  func() uint64
 	memMap coherence.MemMap
+	pool   *coherence.Pool[coherence.RespInfo]
 	dir    map[uint64]dirEntry
 	dirC   *cache.Array // finite directory cache (latency only)
 	held   map[uint64][]queuedReq
@@ -106,8 +107,15 @@ type Controller struct {
 	Stats Stats
 }
 
-// New builds a memory-controller port at the given node.
-func New(node int, cfg Config, n coherence.NetPort, newID func() uint64, mm coherence.MemMap) *Controller {
+// mapPresize caps the directory map's initial size: the map holds every
+// line a run touches, which no budget bounds, so it starts at the size the
+// facade's default budget gives and grows from there.
+const mapPresize = 1024
+
+// New builds a memory-controller port at the given node; it builds its
+// messages from pool, the node's (nil allocates each one).
+func New(node int, cfg Config, n coherence.NetPort, newID func() uint64, mm coherence.MemMap,
+	pool *coherence.Pool[coherence.RespInfo]) *Controller {
 	if cfg.Ports <= 0 {
 		cfg.Ports = 1
 	}
@@ -115,11 +123,9 @@ func New(node int, cfg Config, n coherence.NetPort, newID func() uint64, mm cohe
 	if entries < 4 {
 		entries = 4
 	}
-	// Pre-size the directory map to the directory-cache footprint (the
-	// working set it converges to) so steady-state growth rehashes are rare.
 	return &Controller{
-		cfg: cfg, node: node, nic: n, newID: newID, memMap: mm,
-		dir:  make(map[uint64]dirEntry, entries),
+		cfg: cfg, node: node, nic: n, newID: newID, memMap: mm, pool: pool,
+		dir:  make(map[uint64]dirEntry, min(entries, mapPresize)),
 		dirC: cache.NewArrayBytes(entries*cfg.EntryBytes, cfg.EntryBytes, 4),
 		held: make(map[uint64][]queuedReq, 16),
 	}
@@ -209,20 +215,19 @@ func (c *Controller) serve(src int, reqID uint64, addr uint64, arrive, ordered, 
 	}
 	e.touched = true
 	c.dir[addr] = e
-	resp := &coherence.RespInfo{
+	m := c.pool.New(noc.Packet{
+		ID: c.newID(), VNet: noc.UOResp, Src: c.node, Dst: src,
+		Kind: int(coherence.DataMem), Addr: addr, ReqID: reqID,
+		Flits: c.cfg.DataFlits, InjectCycle: ordered,
+	}, coherence.RespInfo{
 		Value:         e.value,
 		ServedByCache: false,
 		ReqArrive:     arrive,
 		ReqOrdered:    ordered,
 		DirAccess:     (start - ordered) + lat,
 		Service:       uint64(c.cfg.DRAMLatency),
-	}
-	pkt := &noc.Packet{
-		ID: c.newID(), VNet: noc.UOResp, Src: c.node, Dst: src,
-		Kind: int(coherence.DataMem), Addr: addr, ReqID: reqID,
-		Flits: c.cfg.DataFlits, InjectCycle: ordered, Payload: resp,
-	}
-	c.sendQ.Add(start+lat, pkt, &resp.RespSent)
+	})
+	c.sendQ.Add(start+lat, &m.Packet, &m.Info.RespSent)
 	c.Stats.Reads++
 	c.Stats.ServiceLatency.Observe(float64(lat))
 }
@@ -239,17 +244,17 @@ func (c *Controller) AcceptResponse(p *noc.Packet, cycle uint64) bool {
 		c.early = append(c.early, earlyWB{addr: p.Addr, src: p.Src, reqID: p.ReqID})
 	}
 	e.valid = true
-	if ri, ok := p.Payload.(*coherence.RespInfo); ok {
+	if ri := coherence.InfoOf[coherence.RespInfo](p); ri != nil {
 		e.value = ri.Value
 	}
 	c.dir[p.Addr] = e
 	c.Stats.Writebacks++
 	// Acknowledge the writeback after the DRAM write completes.
-	ack := &noc.Packet{
+	ack := c.pool.New(noc.Packet{
 		ID: c.newID(), VNet: noc.UOResp, Src: c.node, Dst: p.Src,
 		Kind: int(coherence.WBAck), Addr: p.Addr, ReqID: p.ReqID, Flits: 1, InjectCycle: cycle,
-	}
-	c.sendQ.Add(cycle+uint64(c.cfg.DRAMLatency), ack, nil)
+	}, coherence.RespInfo{})
+	c.sendQ.Add(cycle+uint64(c.cfg.DRAMLatency), &ack.Packet, nil)
 	// Release requests that raced the writeback.
 	if held := c.held[p.Addr]; len(held) > 0 {
 		delete(c.held, p.Addr)

@@ -30,7 +30,7 @@ type mcRig struct {
 func newMCRig() *mcRig {
 	port := &fakePort{}
 	id := uint64(0)
-	mc := New(0, DefaultConfig(), port, func() uint64 { id++; return id }, fakeMap{mc: 0})
+	mc := New(0, DefaultConfig(), port, func() uint64 { id++; return id }, fakeMap{mc: 0}, nil)
 	return &mcRig{mc: mc, port: port}
 }
 
@@ -40,6 +40,13 @@ func (r *mcRig) step(n int) {
 		r.mc.Commit(r.cycle)
 		r.cycle++
 	}
+}
+
+// wbData builds writeback data carrying value, as the evicting tile's pool
+// would.
+func wbData(p noc.Packet, value uint64) *noc.Packet {
+	var pool *coherence.Pool[coherence.RespInfo]
+	return &pool.New(p, coherence.RespInfo{Value: value}).Packet
 }
 
 func (r *mcRig) ordered(kind coherence.Kind, src int, addr, reqID uint64) {
@@ -87,7 +94,7 @@ func TestCacheOwnedLineNotServedByMemory(t *testing.T) {
 func TestForeignAddressesIgnored(t *testing.T) {
 	port := &fakePort{}
 	id := uint64(0)
-	mc := New(0, DefaultConfig(), port, func() uint64 { id++; return id }, fakeMap{mc: 9})
+	mc := New(0, DefaultConfig(), port, func() uint64 { id++; return id }, fakeMap{mc: 9}, nil)
 	p := &noc.Packet{VNet: noc.GOReq, Src: 1, Kind: int(coherence.GetS), Addr: 5, ReqID: 1, Flits: 1, Broadcast: true}
 	mc.ProcessOrdered(p, 0, 0)
 	for c := uint64(0); c < 150; c++ {
@@ -114,8 +121,8 @@ func TestWritebackRoundTrip(t *testing.T) {
 		t.Fatalf("raced requests = %d, want 1", got)
 	}
 	before := len(r.port.resps)
-	r.mc.AcceptResponse(&noc.Packet{VNet: noc.UOResp, Src: 4, Kind: int(coherence.WBData), Addr: 0x300, ReqID: 9, Flits: 3,
-		Payload: &coherence.RespInfo{Value: 0x5a}}, r.cycle)
+	r.mc.AcceptResponse(wbData(noc.Packet{VNet: noc.UOResp, Src: 4, Kind: int(coherence.WBData), Addr: 0x300, ReqID: 9, Flits: 3},
+		0x5a), r.cycle)
 	r.step(250)
 	// WBAck to the evictor plus DataMem, carrying the written-back data, to
 	// the raced reader.
@@ -126,7 +133,7 @@ func TestWritebackRoundTrip(t *testing.T) {
 			ack++
 		case coherence.DataMem:
 			data++
-			if v := p.Payload.(*coherence.RespInfo).Value; v != 0x5a {
+			if v := coherence.InfoOf[coherence.RespInfo](p).Value; v != 0x5a {
 				t.Fatalf("raced reader got value %#x, want the written-back 0x5a", v)
 			}
 		}
@@ -144,8 +151,8 @@ func TestWritebackDataBeforePutM(t *testing.T) {
 	r := newMCRig()
 	r.ordered(coherence.GetX, 4, 0x500, 1) // node 4 becomes the owner
 	r.step(120)
-	r.mc.AcceptResponse(&noc.Packet{VNet: noc.UOResp, Src: 4, Kind: int(coherence.WBData), Addr: 0x500, ReqID: 9, Flits: 3,
-		Payload: &coherence.RespInfo{Value: 0x77}}, r.cycle)
+	r.mc.AcceptResponse(wbData(noc.Packet{VNet: noc.UOResp, Src: 4, Kind: int(coherence.WBData), Addr: 0x500, ReqID: 9, Flits: 3},
+		0x77), r.cycle)
 	r.step(3)
 	r.ordered(coherence.PutM, 4, 0x500, 9)
 	if r.mc.OwnerOf(0x500) != -1 {
@@ -157,7 +164,7 @@ func TestWritebackDataBeforePutM(t *testing.T) {
 	r.step(cfg.DirAccessLatency + cfg.DRAMLatency + 1)
 	for _, p := range r.port.resps[before:] {
 		if coherence.Kind(p.Kind) == coherence.DataMem && p.Dst == 6 {
-			if v := p.Payload.(*coherence.RespInfo).Value; v != 0x77 {
+			if v := coherence.InfoOf[coherence.RespInfo](p).Value; v != 0x77 {
 				t.Fatalf("writer got value %#x, want the written-back 0x77", v)
 			}
 			return
@@ -187,7 +194,7 @@ func TestDirCacheMissPenaltyOnlyOnRefetch(t *testing.T) {
 	cfg.Ports = 1
 	port := &fakePort{}
 	id := uint64(0)
-	mc := New(0, cfg, port, func() uint64 { id++; return id }, fakeMap{mc: 0})
+	mc := New(0, cfg, port, func() uint64 { id++; return id }, fakeMap{mc: 0}, nil)
 	cycle := uint64(0)
 	serve := func(addr uint64) {
 		p := &noc.Packet{VNet: noc.GOReq, Src: 1, SID: 1, Broadcast: true, Flits: 1,

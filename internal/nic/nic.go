@@ -48,6 +48,12 @@ type Agent interface {
 	AcceptResponse(p *noc.Packet, cycle uint64) bool
 }
 
+// Recycler takes back a delivered unicast packet once nothing reads it
+// any more; coherence.Pool implements it.
+type Recycler interface {
+	Recycle(p *noc.Packet)
+}
+
 // Config holds NIC parameters.
 type Config struct {
 	// Ordered enables global ordering of the GO-REQ class via the
@@ -166,7 +172,10 @@ type NIC struct {
 	netCfg noc.Config
 	ncfg   notif.Config
 	ownSID int
-	Stats  Stats
+	// pool takes back every unicast packet the agent accepts (nil keeps
+	// them); broadcasts are shared by every node and never recycled.
+	pool  Recycler
+	Stats Stats
 
 	// Send staging (committed into port queues for determinism).
 	stagedReq  []*noc.Packet
@@ -252,6 +261,10 @@ func (n *NIC) Meshes() int { return len(n.ports) }
 
 // SetAgent attaches the tile-side consumer.
 func (n *NIC) SetAgent(a Agent) { n.agent = a }
+
+// SetRecycler hands every unicast packet the agent accepts to r, once the
+// NIC's own stats, tracer and auditor have read it: the node's message pool.
+func (n *NIC) SetRecycler(r Recycler) { n.pool = r }
 
 // SetTracer attaches a lifecycle event tracer (nil disables tracing).
 func (n *NIC) SetTracer(t *obs.Tracer) {
@@ -617,6 +630,7 @@ func (n *NIC) deliver(cycle uint64) {
 				if n.auditor != nil {
 					n.auditor.Sink(n.node, e.pkt.ID, false)
 				}
+				n.recycle(e.pkt)
 				delivered = true
 			}
 			break
@@ -672,11 +686,20 @@ func (n *NIC) deliver(cycle uint64) {
 			if n.auditor != nil {
 				n.auditor.Sink(n.node, p.ID, false)
 			}
+			n.recycle(p)
 			delivered = true
 		}
 	}
 	if delivered {
 		n.busy = n.cfg.EjectOccupancy
+	}
+}
+
+// recycle hands a delivered packet to the node's pool unless it is a
+// broadcast, which every node shares.
+func (n *NIC) recycle(p *noc.Packet) {
+	if n.pool != nil && !p.Broadcast {
+		n.pool.Recycle(p)
 	}
 }
 

@@ -123,17 +123,19 @@ func NewBaseline(opt BaselineOptions) (*Baseline, error) {
 	for _, n := range mcNodes {
 		mcAt[n] = true
 	}
-	for node := 0; node < opt.Net.Nodes(); node++ {
-		ep := baseline.NewEndpoint(node, mesh, orderer, nil)
+	pools := make([]coherence.Pool[coherence.RespInfo], opt.Net.Nodes())
+	for node := range pools {
+		ep, pool := baseline.NewEndpoint(node, mesh, orderer, nil), &pools[node]
 		if b.INSO != nil {
 			ep.SetExpirySource(b.INSO)
 		}
+		ep.SetRecycler(pool)
 		b.Endpoints = append(b.Endpoints, ep)
-		l2 := coherence.NewL2(node, opt.L2, ep, mesh.NextPacketID, mm)
+		l2 := coherence.NewL2(node, opt.L2, ep, mesh.NextPacketID, mm, pool)
 		b.L2s = append(b.L2s, l2)
 		agent := &tileAgent{l2: l2}
 		if mcAt[node] {
-			mc := mem.New(node, opt.Mem, ep, mesh.NextPacketID, mm)
+			mc := mem.New(node, opt.Mem, ep, mesh.NextPacketID, mm, pool)
 			agent.mc = mc
 			k.RegisterGroup(node, mc)
 		}

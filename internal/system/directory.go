@@ -140,11 +140,13 @@ func NewDirectory(opt DirectoryOptions) (*Directory, error) {
 	k := sim.NewKernel()
 	d := &Directory{machine: machine{Kernel: k, label: opt.Variant.String() + "/" + opt.Profile.Name}, opt: opt, Mesh: mesh}
 	nodes := opt.Net.Nodes()
+	pools := make([]coherence.Pool[directory.Info], nodes)
 	for node := 0; node < nodes; node++ {
-		n := nic.New(node, nic.UnorderedConfig(), mesh, nil, nil)
+		n, pool := nic.New(node, nic.UnorderedConfig(), mesh, nil, nil), &pools[node]
+		n.SetRecycler(pool)
 		d.NICs = append(d.NICs, n)
-		l2 := directory.NewL2(node, opt.L2, n, packetIDStream(node))
-		home := directory.NewHome(node, opt.Home, n, packetIDStream(nodes+node))
+		l2 := directory.NewL2(node, opt.L2, n, packetIDStream(node), pool)
+		home := directory.NewHome(node, opt.Home, n, packetIDStream(nodes+node), pool)
 		home.LocalProbe = l2.HandleProbe
 		n.SetAgent(&dirTileAgent{l2: l2, home: home})
 		d.L2s = append(d.L2s, l2)

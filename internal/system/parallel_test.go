@@ -49,39 +49,45 @@ func TestParallelDeterminism(t *testing.T) {
 	}
 }
 
-// TestParallelDeterminismDirectory covers the directory machine's sharding
-// (one unit per node: injector, L2, home slice, NIC).
+// TestParallelDeterminismDirectory covers the directory machines' sharding
+// (one unit per node: injector, L2, home slice, NIC), which also shares
+// each node's message pool: LPD-D's unicast traffic, and HT-D's probe
+// broadcasts with the home's pooled local probe copy.
 func TestParallelDeterminismDirectory(t *testing.T) {
 	forceProcs(t, 4)
-	run := func(workers int) Results {
-		prof, err := trace.ByName("lu")
-		if err != nil {
-			t.Fatal(err)
-		}
-		opt := DefaultDirectoryOptions(directory.LPD, prof)
-		opt.Net.Width, opt.Net.Height = 4, 4
-		opt.L2.Nodes, opt.Home.Nodes = 0, 0 // re-derive for the smaller mesh
-		opt.fillDefaults()
-		opt.WorkPerCore, opt.WarmupPerCore = 60, 100
-		opt.Workers = workers
-		d, err := NewDirectory(opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := d.Run(10_000_000)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	serial := run(0)
-	if serial.Completed == 0 {
-		t.Fatalf("degenerate reference run: %+v", serial)
-	}
-	for _, workers := range []int{2, 8} {
-		if got := run(workers); !reflect.DeepEqual(serial, got) {
-			t.Errorf("workers=%d diverged from serial:\nserial:   %+v\nparallel: %+v", workers, serial, got)
-		}
+	for _, v := range []directory.Variant{directory.LPD, directory.HT} {
+		t.Run(v.String(), func(t *testing.T) {
+			run := func(workers int) Results {
+				prof, err := trace.ByName("lu")
+				if err != nil {
+					t.Fatal(err)
+				}
+				opt := DefaultDirectoryOptions(v, prof)
+				opt.Net.Width, opt.Net.Height = 4, 4
+				opt.L2.Nodes, opt.Home.Nodes = 0, 0 // re-derive for the smaller mesh
+				opt.fillDefaults()
+				opt.WorkPerCore, opt.WarmupPerCore = 60, 100
+				opt.Workers = workers
+				d, err := NewDirectory(opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := d.Run(10_000_000)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res
+			}
+			serial := run(0)
+			if serial.Completed == 0 {
+				t.Fatalf("degenerate reference run: %+v", serial)
+			}
+			for _, workers := range []int{2, 8} {
+				if got := run(workers); !reflect.DeepEqual(serial, got) {
+					t.Errorf("workers=%d diverged from serial:\nserial:   %+v\nparallel: %+v", workers, serial, got)
+				}
+			}
+		})
 	}
 }
 

@@ -226,13 +226,15 @@ func NewScorpioBare(opt Options) (*Scorpio, error) {
 		}
 		mcAt[n] = true
 	}
+	pools := make([]coherence.Pool[coherence.RespInfo], nodes)
 	for node := 0; node < nodes; node++ {
-		n := net.NIC(node)
-		l2 := coherence.NewL2(node, opt.L2, n, packetIDStream(node), mm)
+		n, pool := net.NIC(node), &pools[node]
+		n.SetRecycler(pool)
+		l2 := coherence.NewL2(node, opt.L2, n, packetIDStream(node), mm, pool)
 		s.L2s = append(s.L2s, l2)
 		agent := &tileAgent{l2: l2}
 		if mcAt[node] {
-			mc := mem.New(node, opt.Mem, n, packetIDStream(nodes+node), mm)
+			mc := mem.New(node, opt.Mem, n, packetIDStream(nodes+node), mm, pool)
 			agent.mc = mc
 			s.MCs = append(s.MCs, mc)
 			k.RegisterGroup(node, mc)

@@ -32,7 +32,7 @@ func newTileRig(t *testing.T) *tileRig {
 	t.Helper()
 	port := &fakePort{}
 	id := uint64(0)
-	l2 := coherence.NewL2(1, coherence.DefaultConfig(), port, func() uint64 { id++; return id }, fakeMap{})
+	l2 := coherence.NewL2(1, coherence.DefaultConfig(), port, func() uint64 { id++; return id }, fakeMap{}, nil)
 	tl := New(1, DefaultConfig(), l2)
 	r := &tileRig{tile: tl, l2: l2, port: port}
 	tl.OnComplete = func(c Completion) { r.done = append(r.done, c) }
@@ -59,10 +59,10 @@ func (r *tileRig) completeL2(t *testing.T) {
 	if !r.l2.ProcessOrdered(req, r.cycle, r.cycle) {
 		t.Fatal("own ordered request rejected")
 	}
-	r.l2.AcceptResponse(&noc.Packet{
+	var pool *coherence.Pool[coherence.RespInfo]
+	r.l2.AcceptResponse(&pool.New(noc.Packet{
 		VNet: noc.UOResp, Kind: int(coherence.DataMem), ReqID: req.ReqID, Flits: 3,
-		Payload: &coherence.RespInfo{Value: 7},
-	}, r.cycle)
+	}, coherence.RespInfo{Value: 7}).Packet, r.cycle)
 	r.step(2)
 }
 
