@@ -106,7 +106,7 @@ func main() {
 	for _, v := range []any{
 		cache.Line{},
 		noc.Flit{}, noc.Credit{}, noc.Link{}, noc.Packet{},
-		noc.RouterStats{}, noc.Arena{}, noc.Config{}, noc.Terminal{},
+		noc.RouterStats{}, noc.Config{}, noc.Terminal{},
 		sim.Activity{}, sim.RNG{},
 		stats.Counter{}, stats.Mean{}, stats.Histogram{}, stats.Breakdown{},
 	} {

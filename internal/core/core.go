@@ -141,12 +141,8 @@ func (o *OrderedNet) NetStats() noc.RouterStats {
 	var total noc.RouterStats
 	for _, m := range o.meshes {
 		s := m.Stats()
-		total.FlitsAccepted += s.FlitsAccepted
 		total.FlitsRouted += s.FlitsRouted
 		total.Bypasses += s.Bypasses
-		total.Forks += s.Forks
-		total.BufferReads += s.BufferReads
-		total.BufferWrites += s.BufferWrites
 		total.AllocStalls += s.AllocStalls
 	}
 	return total
@@ -196,16 +192,6 @@ func (o *OrderedNet) HasPendingWork() bool {
 		}
 	}
 	return false
-}
-
-// DeliveredCount sums delivered requests and responses across all NICs —
-// the watchdog's forward-progress signal.
-func (o *OrderedNet) DeliveredCount() uint64 {
-	var total uint64
-	for _, n := range o.nics {
-		total += n.Stats.DeliveredRequests + n.Stats.DeliveredResponses
-	}
-	return total
 }
 
 // Snapshot renders the full network state (mesh occupancy plus every NIC's

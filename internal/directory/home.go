@@ -7,7 +7,6 @@ import (
 	"scorpio/internal/cache"
 	"scorpio/internal/coherence"
 	"scorpio/internal/noc"
-	"scorpio/internal/stats"
 )
 
 // HomeConfig parameterises the distributed directory slice at each node.
@@ -54,17 +53,12 @@ func HTConfig(nodes int) HomeConfig {
 
 // HomeStats counts directory activity.
 type HomeStats struct {
-	Transactions  uint64
-	Queued        uint64
-	DirCacheHits  uint64
-	DirCacheMiss  uint64
-	DRAMReads     uint64
-	Forwards      uint64
-	ProbeBcasts   uint64
-	Invalidations uint64
-	Writebacks    uint64
-	StalePutM     uint64
-	QueueWait     stats.Mean
+	Transactions uint64
+	Queued       uint64
+	DirCacheHits uint64
+	DirCacheMiss uint64
+	ProbeBcasts  uint64
+	StalePutM    uint64
 }
 
 // qreq is a queued (or parked) transaction: its request's fields by value,
@@ -228,7 +222,6 @@ func (h *Home) dirLatency(addr uint64, seen bool) uint64 {
 // dispatch begins processing one transaction after the directory access.
 func (h *Home) dispatch(l *line, q qreq, cycle uint64) {
 	h.Stats.Transactions++
-	h.Stats.QueueWait.Observe(float64(cycle - q.arrive))
 	lat := h.dirLatency(q.addr, q.seen)
 	l.busy = true
 	h.timers = append(h.timers, timer{at: cycle + lat, l: l, q: q})
@@ -330,7 +323,6 @@ func (h *Home) processPutM(l *line, q qreq, cycle uint64) {
 		return
 	}
 	l.owner = -1
-	h.Stats.Writebacks++
 	if l.wbEarlyHas(q.reqID) {
 		l.wbEarlyDel(q.reqID)
 		l.memValid = true
@@ -384,7 +376,6 @@ func (h *Home) serveFromMemory(l *line, q qreq, cycle uint64, acks int) {
 		l.parked = append(l.parked, q)
 		return
 	}
-	h.Stats.DRAMReads++
 	data := h.msg(DataD, q.src, q, cycle, h.cfg.DataFlits,
 		Info{ServedByCache: false, HomeArrive: q.arrive, Dispatch: cycle, AckCount: acks})
 	h.sendQ.Add(cycle+uint64(h.cfg.DRAMLatency), &data.Packet, &data.Info.DataSent)
@@ -417,7 +408,6 @@ func (h *Home) grant(q qreq, cycle uint64, acks int) {
 
 // forward sends an LPD Fwd to the owner.
 func (h *Home) forward(kind Kind, owner int, q qreq, cycle uint64, acks int) {
-	h.Stats.Forwards++
 	fwd := h.msg(kind, owner, q, cycle, 1,
 		Info{Requester: q.src, HomeArrive: q.arrive, Dispatch: cycle, AckCount: acks})
 	h.sendQ.Add(cycle, &fwd.Packet, nil)
@@ -447,7 +437,6 @@ func (h *Home) probe(kind Kind, l *line, q qreq, cycle uint64) {
 
 // invalidate sends an Inv to one sharer; the sharer acks the requester.
 func (h *Home) invalidate(sharer int, q qreq, cycle uint64) {
-	h.Stats.Invalidations++
 	inv := h.msg(Inv, sharer, q, cycle, 1, Info{Requester: q.src, HomeArrive: q.arrive, Dispatch: cycle})
 	h.sendQ.Add(cycle, &inv.Packet, nil)
 }

@@ -16,7 +16,6 @@ import (
 	"scorpio/internal/cache"
 	"scorpio/internal/coherence"
 	"scorpio/internal/noc"
-	"scorpio/internal/stats"
 )
 
 // Config holds memory-controller parameters.
@@ -53,13 +52,9 @@ func DefaultConfig() Config {
 
 // Stats counts memory activity.
 type Stats struct {
-	Reads          uint64 // DRAM line reads served
-	Writebacks     uint64
 	StalePutM      uint64
 	RacedRequests  uint64 // requests held for an in-flight writeback
-	DirCacheHits   uint64
 	DirCacheMisses uint64
-	ServiceLatency stats.Mean
 }
 
 // dirEntry is one directory-cache record: memory's data word for the line,
@@ -207,11 +202,7 @@ func (c *Controller) serve(src int, reqID uint64, addr uint64, arrive, ordered, 
 		if e.touched {
 			c.Stats.DirCacheMisses++
 			lat += uint64(c.cfg.DirMissPenalty)
-		} else {
-			c.Stats.DirCacheHits++
 		}
-	} else {
-		c.Stats.DirCacheHits++
 	}
 	e.touched = true
 	c.dir[addr] = e
@@ -228,8 +219,6 @@ func (c *Controller) serve(src int, reqID uint64, addr uint64, arrive, ordered, 
 		Service:       uint64(c.cfg.DRAMLatency),
 	})
 	c.sendQ.Add(start+lat, &m.Packet, &m.Info.RespSent)
-	c.Stats.Reads++
-	c.Stats.ServiceLatency.Observe(float64(lat))
 }
 
 // AcceptResponse consumes writeback data arriving on the response network.
@@ -248,7 +237,6 @@ func (c *Controller) AcceptResponse(p *noc.Packet, cycle uint64) bool {
 		e.value = ri.Value
 	}
 	c.dir[p.Addr] = e
-	c.Stats.Writebacks++
 	// Acknowledge the writeback after the DRAM write completes.
 	ack := c.pool.New(noc.Packet{
 		ID: c.newID(), VNet: noc.UOResp, Src: c.node, Dst: p.Src,

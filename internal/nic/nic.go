@@ -105,7 +105,6 @@ type Stats struct {
 	StoppedResends     uint64 // announcements voided by a stop window
 	OrderingLatency    stats.Mean
 	NetworkLatency     stats.Mean // injection to NIC arrival, GO-REQ
-	ResponseLatency    stats.Mean // injection to delivery, UO-RESP
 }
 
 // sidRun is one entry of the expanded ESID sequence: count requests expected
@@ -675,7 +674,6 @@ func (n *NIC) deliver(cycle uint64) {
 		if n.agent.AcceptResponse(p, cycle) {
 			n.doneResp.PopFront()
 			n.Stats.DeliveredResponses++
-			n.Stats.ResponseLatency.Observe(float64(cycle - p.InjectCycle))
 			if n.tracer != nil {
 				n.tracer.Record(obs.Event{
 					Cycle: cycle, Type: obs.EvSink, Node: int32(n.node),
@@ -855,9 +853,3 @@ func (n *NIC) OrderingSnapshot() string {
 	}
 	return b.String()
 }
-
-// PendingNotifications exposes the unannounced counter (for tests).
-func (n *NIC) PendingNotifications() int { return n.unannounced + len(n.stagedReq) }
-
-// TrackerOccupancy exposes the notification tracker queue depth (for tests).
-func (n *NIC) TrackerOccupancy() int { return n.trackerQ.Len() }

@@ -5,12 +5,9 @@ import "scorpio/internal/sim"
 // Credit is the flow-control return channel token: the downstream buffer
 // freed one slot of the given virtual channel, and, when FreeVC is set, the
 // tail flit departed so the VC itself may be reallocated to a new packet.
-//
-// Credits used to carry a "carcass" — a consumed *Flit riding back upstream
-// to rebalance the sender's free-list pool. The arena/value model (see Arena)
-// removed the need: flits cross links by value and buffered flits live in
-// the receiving router's own slab, so there is no cross-component object
-// flow to balance and a credit is pure flow-control state again.
+// A credit carries no flit: flits cross links by value and buffered flits
+// live in the receiving router's own VC rings, so no object flows back
+// upstream.
 type Credit struct {
 	VNet   VNet
 	VC     int
@@ -35,8 +32,8 @@ const noStamp = ^uint64(0)
 // mailbox slot and Flit returns a pointer into that slot. The pointer is
 // valid only during the reading cycle's evaluate phase — the slot is next
 // overwritten at cycle+1, after the epoch barrier — so a consumer that keeps
-// a flit across cycles must copy the value out (router input buffers copy
-// into their arena; the NIC's response reassembly rings hold values).
+// a flit across cycles must copy the value out (router input VC rings and
+// the NIC's response reassembly rings hold values).
 //
 // Links are also the activity engine's wake edges: a flit write wakes the
 // downstream reader's scheduling unit for the arrival cycle, a credit write

@@ -120,36 +120,6 @@ func (m *Mesh) EjectLink(node int) *Link { return m.eject[node] }
 // Router returns the router at the given node (for stats and tests).
 func (m *Mesh) Router(node int) *Router { return m.routers[node] }
 
-// ArenaDigest folds every router's arena free-list digest into one value
-// (FNV-1a over the per-router digests, in node order). Two runs that
-// performed identical per-router alloc/free sequences — the handle-level
-// determinism property — have equal digests regardless of worker count or
-// idle-skip mode.
-func (m *Mesh) ArenaDigest() uint64 {
-	const prime64 = 1099511628211
-	h := uint64(14695981039346656037)
-	for _, r := range m.routers {
-		d := r.arena.StateDigest()
-		for i := 0; i < 8; i++ {
-			h ^= d & 0xff
-			h *= prime64
-			d >>= 8
-		}
-	}
-	return h
-}
-
-// ArenaLive sums the live (allocated, not yet freed) arena handles across
-// all routers — the mesh-wide leak gauge: it must equal BufferedFlits at all
-// times, and zero once the network drains.
-func (m *Mesh) ArenaLive() int {
-	n := 0
-	for _, r := range m.routers {
-		n += r.arena.Live()
-	}
-	return n
-}
-
 // NextPacketID issues a unique packet ID.
 func (m *Mesh) NextPacketID() uint64 {
 	m.nextPktID++
@@ -261,12 +231,8 @@ func (m *Mesh) Snapshot(now uint64) string {
 func (m *Mesh) Stats() RouterStats {
 	var s RouterStats
 	for _, r := range m.routers {
-		s.FlitsAccepted += r.Stats.FlitsAccepted
 		s.FlitsRouted += r.Stats.FlitsRouted
 		s.Bypasses += r.Stats.Bypasses
-		s.Forks += r.Stats.Forks
-		s.BufferReads += r.Stats.BufferReads
-		s.BufferWrites += r.Stats.BufferWrites
 		s.AllocStalls += r.Stats.AllocStalls
 	}
 	return s
@@ -297,11 +263,6 @@ func (m *Mesh) CheckInvariants() error {
 					}
 				}
 			}
-		}
-		// Arena leak invariant: a handle is live exactly while its flit sits
-		// in an input VC ring.
-		if live := r.arena.Live(); live != r.buffered {
-			return fmt.Errorf("router %d arena holds %d live handles but %d flits buffered (leak)", r.id, live, r.buffered)
 		}
 	}
 	return nil

@@ -40,7 +40,6 @@ type Packet struct {
 	InjectCycle  uint64 // handed to the NIC by the agent
 	NetworkEntry uint64 // first flit left the source NIC into the router
 	ArriveCycle  uint64 // last flit reached the destination NIC buffers
-	OrderedCycle uint64 // GO-REQ only: released to the agent in global order
 }
 
 // String identifies the packet for diagnostics.
@@ -54,11 +53,11 @@ func (p *Packet) String() string {
 
 // Flit is one link-level transfer unit of a packet. It is a small value type
 // — 32 bytes, two per cache line — moved by copy: links latch flit values in
-// their mailboxes and router input buffers hold flits in a per-router Arena
-// slab addressed by int32 handles, so the datapath walks contiguous memory
-// instead of a heap object graph (see DESIGN.md §7). The packed field types
-// (int16 VC, int8 port) are private and never overflow: VC counts and port
-// numbers are single digits by construction.
+// their mailboxes and each router input VC is a fixed ring of flit values, so
+// the datapath walks contiguous memory instead of a heap object graph (see
+// DESIGN.md §7). The packed field types (int16 VC, int8 port) are private and
+// never overflow: VC counts and port numbers are single digits by
+// construction.
 type Flit struct {
 	Pkt *Packet
 	// Seq is the flit's index within the packet (0 = head).
@@ -89,11 +88,6 @@ func NewFlit(p *Packet, seq, vc int) Flit {
 
 // InVC returns the input virtual channel the sender assigned to the flit.
 func (f *Flit) InVC() int { return int(f.inVC) }
-
-// Arrival returns the cycle the flit was written into its current input
-// buffer (diagnostics: watchdog snapshots report how long a flit has been
-// stuck).
-func (f *Flit) Arrival() uint64 { return f.arrival }
 
 // IsHead reports whether the flit carries the packet header.
 func (f *Flit) IsHead() bool { return f.Seq == 0 }

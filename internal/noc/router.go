@@ -7,15 +7,11 @@ import (
 	"scorpio/internal/obs/audit"
 )
 
-// RouterStats counts router activity for the power model and tests.
+// RouterStats counts router activity for results, metrics and tests.
 type RouterStats struct {
-	FlitsAccepted uint64 // flits written into input buffers
-	FlitsRouted   uint64 // flit-traversals through the crossbar (forks count each)
-	Bypasses      uint64 // traversals that used the single-cycle bypass path
-	Forks         uint64 // extra traversals produced by multicast forking
-	BufferReads   uint64
-	BufferWrites  uint64
-	AllocStalls   uint64 // cycles a head flit lost allocation or lacked a VC/credit
+	FlitsRouted uint64 // flit-traversals through the crossbar (forks count each)
+	Bypasses    uint64 // traversals that used the single-cycle bypass path
+	AllocStalls uint64 // cycles a head flit lost allocation or lacked a VC/credit
 }
 
 // grant describes one (input flit → output port) crossbar traversal decided
@@ -40,10 +36,10 @@ type grant struct {
 //	fv = int(port)*vcsPerPort + idx
 //
 // where idx enumerates GO-REQ VCs first (including the reserved VC) and then
-// UO-RESP VCs — the same order the SA-I round-robin already walked. Buffered
-// flits live in the router's Arena slab and the VC queues are rings of int32
-// handles packed in one shared backing array (qbuf), so a full router cycle
-// touches a handful of contiguous allocations instead of ~50 heap objects.
+// UO-RESP VCs — the same order the SA-I round-robin already walked. The VC
+// queues are rings of flit values packed in one shared backing array (qbuf),
+// so a full router cycle touches a handful of contiguous allocations instead
+// of ~50 heap objects.
 type Router struct {
 	cfg  Config
 	id   int
@@ -63,11 +59,11 @@ type Router struct {
 	vcsPerPort int
 	splitVC    int
 
-	// Input VC queues: per flat VC a fixed ring of arena handles occupying
+	// Input VC queues: per flat VC a fixed ring of buffered flits occupying
 	// qbuf[qoff : qoff+qcap]. qhead is the ring read position, qlen the
 	// occupancy. The credit protocol guarantees qcap is never exceeded, so an
 	// overflow stays a panic rather than a silent reallocation.
-	qbuf  []int32
+	qbuf  []Flit
 	qoff  []int32
 	qcap  []int32
 	qhead []int32
@@ -78,9 +74,6 @@ type Router struct {
 
 	// trk is the flattened per-output-port credit/VC/SID book-keeping.
 	trk trackerTable
-
-	// arena holds every flit buffered in the input VCs (see Arena).
-	arena Arena
 
 	saPtr  [NumPorts]int // SA-O round-robin pointer per output port
 	saiPtr [NumPorts]int // SA-I round-robin pointer per input port
@@ -106,7 +99,7 @@ func (r *Router) SetTracer(t *obs.Tracer) { r.tracer = t }
 // SetAuditor attaches the online auditor (nil disables auditing).
 func (r *Router) SetAuditor(a *audit.Auditor) { r.auditor = a }
 
-// newRouter builds a router with its full SoA tables and arena sized up
+// newRouter builds a router with its full SoA tables and VC rings sized up
 // front (uniformly for NumPorts ports — absent edge ports leave their share
 // unused but keep the flat indexing stride-regular); links are attached by
 // the mesh.
@@ -141,8 +134,7 @@ func newRouter(cfg Config, id int, board []esidEntry) *Router {
 		r.qcap[fv] = int32(depth)
 		total += depth
 	}
-	r.qbuf = make([]int32, total)
-	r.arena = NewArena(total)
+	r.qbuf = make([]Flit, total)
 	r.trk = newTrackerTable(cfg, int(NumPorts))
 	return r
 }
@@ -164,30 +156,33 @@ func (r *Router) flatVC(p Port, v VNet, vc int) int {
 	return fv
 }
 
-// qFront returns the handle at the head of a VC queue (qlen must be > 0).
-func (r *Router) qFront(fv int) int32 {
-	return r.qbuf[r.qoff[fv]+r.qhead[fv]]
+// qFront returns the head slot of a VC queue (qlen must be > 0). The pointer
+// stays valid until the slot is popped: the ring never moves.
+func (r *Router) qFront(fv int) *Flit {
+	return &r.qbuf[r.qoff[fv]+r.qhead[fv]]
 }
 
-// qPush appends a handle to a VC queue.
-func (r *Router) qPush(fv int, h int32) {
+// qPush copies a flit into the tail slot of a VC queue and returns the slot.
+func (r *Router) qPush(fv int, f *Flit) *Flit {
 	pos := r.qhead[fv] + r.qlen[fv]
 	if pos >= r.qcap[fv] {
 		pos -= r.qcap[fv]
 	}
-	r.qbuf[r.qoff[fv]+pos] = h
+	slot := &r.qbuf[r.qoff[fv]+pos]
+	*slot = *f
 	r.qlen[fv]++
+	return slot
 }
 
-// qPop removes and returns the head handle of a VC queue.
-func (r *Router) qPop(fv int) int32 {
-	h := r.qbuf[r.qoff[fv]+r.qhead[fv]]
+// qPop zeroes the head slot of a VC queue and advances past it, so no packet
+// outlives its flit in the router.
+func (r *Router) qPop(fv int) {
+	r.qbuf[r.qoff[fv]+r.qhead[fv]] = Flit{}
 	r.qhead[fv]++
 	if r.qhead[fv] == r.qcap[fv] {
 		r.qhead[fv] = 0
 	}
 	r.qlen[fv]--
-	return h
 }
 
 // ID returns the router's node ID.
@@ -248,22 +243,21 @@ func (r *Router) Idle() bool {
 }
 
 // acceptFlit performs buffer write (BW) and, for head flits, route
-// computation: the link's flit value is copied into an arena slot and the
-// slot's handle queued on the addressed input VC.
+// computation: the link's flit value is copied into the tail slot of the
+// addressed input VC.
 func (r *Router) acceptFlit(p Port, f *Flit) {
 	vnet := f.Pkt.VNet
 	if f.Pkt.Broadcast && f.Pkt.Flits != 1 {
 		panic(fmt.Sprintf("noc: router %d received multi-flit broadcast %s; broadcasts must be single-flit", r.id, f.Pkt))
 	}
 	fv := r.flatVC(p, vnet, int(f.inVC))
-	if r.qlen[fv] >= r.qcap[fv] {
+	ahead := r.qlen[fv]
+	if ahead >= r.qcap[fv] {
 		panic(fmt.Sprintf("noc: router %d port %s VC overflow — credit protocol violated", r.id, p))
 	}
-	h := r.arena.Alloc()
-	buf := r.arena.At(h)
-	*buf = *f
+	buf := r.qPush(fv, f)
 	buf.arrival = r.now
-	buf.bypassCandidate = r.cfg.Bypass && r.qlen[fv] == 0
+	buf.bypassCandidate = r.cfg.Bypass && ahead == 0
 	if buf.IsHead() {
 		if buf.Pkt.Broadcast {
 			buf.outPorts = r.broadcastMask(p)
@@ -271,10 +265,7 @@ func (r *Router) acceptFlit(p Port, f *Flit) {
 			buf.outPorts = portMask(r.routeUnicast(buf.Pkt.Dst))
 		}
 	}
-	r.qPush(fv, h)
 	r.buffered++
-	r.Stats.FlitsAccepted++
-	r.Stats.BufferWrites++
 	if r.tracer != nil {
 		r.tracer.Record(obs.Event{
 			Cycle: r.now, Type: obs.EvBufWrite, Node: int32(r.id),
@@ -357,8 +348,8 @@ type candidate struct {
 	in     Port
 	vnet   VNet
 	vcIdx  int
-	fv     int // flat VC index
-	flit   *Flit
+	fv     int   // flat VC index
+	flit   *Flit // the VC's head slot; valid until dequeue pops it
 	wants  uint8 // output ports requested (after resource precheck)
 	isRVC  bool
 	isHead bool
@@ -433,22 +424,16 @@ func (r *Router) allocate() {
 		r.traverse(g)
 		granted[c.in] |= portMask(o)
 	}
-	// Dequeue flits whose pending output set is exhausted, count extra
-	// branches of multicast forks, and demote lookaheads that failed to
-	// claim the switch back to the buffered pipeline (Section 3.2). The
-	// dequeue (which frees the flit's arena slot, zeroing it) must come
-	// after the last read of the flit.
+	// Dequeue flits whose pending output set is exhausted, and demote
+	// lookaheads that failed to claim the switch back to the buffered
+	// pipeline (Section 3.2). The dequeue (which zeroes the flit's VC slot)
+	// must come after the last read of the flit.
 	for p := Port(0); p < NumPorts; p++ {
 		c := cands[p]
 		if c == nil {
 			continue
 		}
-		if mask := granted[p]; mask != 0 {
-			if n := popcount8(mask); n > 1 {
-				r.Stats.Forks += uint64(n - 1)
-			}
-			c.flit.outPorts &^= mask
-		}
+		c.flit.outPorts &^= granted[p]
 		if c.flit.bypassCandidate && (granted[p] == 0 || c.flit.outPorts != 0) {
 			c.flit.bypassCandidate = false
 			r.Stats.AllocStalls++
@@ -483,7 +468,7 @@ func (r *Router) pickInputWinner(p Port) *candidate {
 		if r.qlen[fv] == 0 {
 			continue
 		}
-		f := r.arena.At(r.qFront(fv))
+		f := r.qFront(fv)
 		if !r.eligible(f) {
 			continue
 		}
@@ -516,7 +501,7 @@ func (r *Router) pickInputWinner(p Port) *candidate {
 	// The winner lives in the router's reusable per-port buffer: the hot
 	// path allocates nothing per cycle.
 	c := &r.candBuf[p]
-	head := r.arena.At(r.qFront(fv))
+	head := r.qFront(fv)
 	*c = candidate{in: p, vnet: v, vcIdx: i, fv: fv, flit: head, wants: bestWants, isRVC: v == GOReq && i == r.cfg.ReservedVC(v), isHead: head.IsHead()}
 	if c.priorityClass() == 2 {
 		next := bestFlat + 1
@@ -622,7 +607,6 @@ func (r *Router) traverse(g grant) {
 	g.flit.lastPort = int8(g.out)
 	g.flit.lastDstVC = int8(g.dstVC)
 	r.Stats.FlitsRouted++
-	r.Stats.BufferReads++
 	if g.flit.bypassCandidate {
 		r.Stats.Bypasses++
 	}
@@ -646,12 +630,9 @@ func (r *Router) traverse(g grant) {
 }
 
 // dequeue removes a fully-serviced flit from its input VC, returns a credit
-// upstream, frees the arena slot, and maintains wormhole state for
-// multi-flit packets.
+// upstream, and maintains wormhole state for multi-flit packets.
 func (r *Router) dequeue(c *candidate) {
-	h := r.qPop(c.fv)
-	r.buffered--
-	f := r.arena.At(h)
+	f := c.flit
 	tail := f.IsTail()
 	if f.IsHead() && !tail {
 		// Record the wormhole route for the packet's body flits. Multi-flit
@@ -662,9 +643,9 @@ func (r *Router) dequeue(c *candidate) {
 	}
 	r.inLink[c.in].SendCredit(Credit{VNet: c.vnet, VC: c.vcIdx, FreeVC: tail}, r.now)
 	// The buffered flit is fully serviced (every output branch traversed a
-	// value copy); its slab slot is zeroed and recycled for the next
-	// arrival. Freed last: the free must follow the flit's final read.
-	r.arena.Free(h)
+	// value copy). Popped last: the pop zeroes the slot f points at.
+	r.qPop(c.fv)
+	r.buffered--
 }
 
 // ForEachBufferedFlit calls fn for every flit buffered in the router's input
@@ -686,7 +667,7 @@ func (r *Router) ForEachBufferedFlit(fn func(p Port, v VNet, vc int, f *Flit)) {
 				if pos >= r.qcap[fv] {
 					pos -= r.qcap[fv]
 				}
-				fn(p, v, i, r.arena.At(r.qbuf[r.qoff[fv]+pos]))
+				fn(p, v, i, &r.qbuf[r.qoff[fv]+pos])
 			}
 		}
 	}
@@ -699,20 +680,4 @@ func (r *Router) OutputState(p Port) (TrackerView, bool) {
 		return TrackerView{}, false
 	}
 	return TrackerView{r: r, p: p}, true
-}
-
-// Arena exposes the router's flit arena (leak and determinism tests).
-func (r *Router) ArenaState() *Arena { return &r.arena }
-
-// PendingPorts returns a flit's unserved output-port mask (diagnostics).
-func (f *Flit) PendingPorts() uint8 { return f.outPorts }
-
-// popcount8 counts the set bits of a port mask.
-func popcount8(m uint8) int {
-	n := 0
-	for m != 0 {
-		m &= m - 1
-		n++
-	}
-	return n
 }

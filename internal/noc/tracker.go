@@ -190,9 +190,3 @@ func (tv TrackerView) Credits(v VNet, vc int) int {
 func (tv TrackerView) Busy(v VNet, vc int) bool {
 	return tv.r.trk.busy[tv.r.trk.flat(tv.p, v, vc)]
 }
-
-// TrackedSID exposes the SID tracker entry for a GO-REQ VC of the viewed
-// port.
-func (tv TrackerView) TrackedSID(vc int) int {
-	return int(tv.r.trk.sid[tv.r.trk.flat(tv.p, GOReq, vc)])
-}

@@ -161,14 +161,6 @@ func (c Config) DataPacketFlits() int {
 	return 1 + (c.LineBytes+c.ChannelBytes-1)/c.ChannelBytes
 }
 
-// VCsFor returns the number of ordinary VCs for a virtual network.
-func (c Config) VCsFor(v VNet) int {
-	if v == GOReq {
-		return c.GOReqVCs
-	}
-	return c.UORespVCs
-}
-
 // BufDepthFor returns the per-VC buffer depth for a virtual network.
 func (c Config) BufDepthFor(v VNet) int {
 	if v == GOReq {

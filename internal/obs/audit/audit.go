@@ -522,16 +522,6 @@ func (a *Auditor) FrontPos() uint64 {
 	return a.maxPos
 }
 
-// ShadowLines returns the live MOSI shadow population.
-func (a *Auditor) ShadowLines() int {
-	if a == nil {
-		return 0
-	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return len(a.lines)
-}
-
 // FlitsChecked returns how many locally-delivered flits were verified.
 func (a *Auditor) FlitsChecked() uint64 {
 	if a == nil {

@@ -26,7 +26,6 @@ type Watchdog struct {
 	primed        bool
 	stalled       bool
 	report        string
-	stallCycle    uint64
 }
 
 // NewWatchdog builds a monitor that trips after threshold cycles without
@@ -60,7 +59,6 @@ func (w *Watchdog) Observe(cycle uint64) {
 	}
 	if cycle-w.lastChange >= w.Threshold {
 		w.stalled = true
-		w.stallCycle = cycle
 		snap := "(no snapshot available)"
 		if w.snapshot != nil {
 			snap = w.snapshot()
@@ -82,12 +80,4 @@ func (w *Watchdog) Report() string {
 		return ""
 	}
 	return w.report
-}
-
-// StallCycle returns the cycle at which the stall was detected.
-func (w *Watchdog) StallCycle() uint64 {
-	if w == nil {
-		return 0
-	}
-	return w.stallCycle
 }

@@ -621,9 +621,6 @@ func (k *Kernel) SetPerfMon(m *perfmon.Mon) {
 	k.dirty = true
 }
 
-// PerfMon returns the attached monitor (nil when detached).
-func (k *Kernel) PerfMon() *perfmon.Mon { return k.pm }
-
 // ActivityCounters snapshots the activity engine's cumulative event census,
 // folding the shared per-edge wake atomics into the copy. Driver-side
 // between cycles (the observer hook, or after a run).

@@ -11,7 +11,7 @@ import (
 // step on a warm 6×6 machine under the barnes workload. The network layer
 // (flits, VC rings, credit buffers, NIC staging) is allocation-free —
 // TestMeshSteadyStateAllocs in internal/traffic pins that at exactly zero;
-// flits live in the routers' fixed-capacity arenas and cross links by
+// flits live in the routers' fixed-capacity VC rings and cross links by
 // value, so even broadcast forking allocates nothing. The tile is
 // allocation-free per access too: line data lives in the cache array's
 // slots, the injector holds its pending access by value, and the core

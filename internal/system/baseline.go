@@ -97,6 +97,10 @@ func NewBaseline(opt BaselineOptions) (*Baseline, error) {
 	if err != nil {
 		return nil, err
 	}
+	mm, mcAt, err := mcLayout(opt.MCNodes, opt.Net.Width, opt.Net.Height)
+	if err != nil {
+		return nil, err
+	}
 	k := sim.NewKernel()
 	b := &Baseline{machine: machine{Kernel: k, label: opt.Scheme.String() + "/" + opt.Profile.Name}, opt: opt, Mesh: mesh}
 	var orderer baseline.Orderer
@@ -113,15 +117,6 @@ func NewBaseline(opt BaselineOptions) (*Baseline, error) {
 		orderer = ins
 		b.INSO = ins
 		ins.BindActivity(k.Register(ins))
-	}
-	mcNodes := opt.MCNodes
-	if mcNodes == nil {
-		mcNodes = DefaultMCNodes(opt.Net.Width, opt.Net.Height)
-	}
-	mm := memMap{nodes: mcNodes}
-	mcAt := map[int]bool{}
-	for _, n := range mcNodes {
-		mcAt[n] = true
 	}
 	pools := make([]coherence.Pool[coherence.RespInfo], opt.Net.Nodes())
 	for node := range pools {

@@ -39,7 +39,8 @@ type Options struct {
 	// Seed drives all stochastic workload decisions.
 	Seed uint64
 	// MCNodes lists the memory-controller attach nodes; nil selects the four
-	// corner-adjacent edge routers like the chip.
+	// corner-adjacent edge routers like the chip, and an empty list is an
+	// error.
 	MCNodes []int
 	// UseL1 interposes the tile layer (split write-through L1s behind the
 	// AHB single-transaction rule) between the injectors and the L2s,
@@ -105,6 +106,26 @@ func DefaultMCNodes(w, h int) []int {
 // memMap interleaves line addresses across the MC ports.
 type memMap struct {
 	nodes []int
+}
+
+// mcLayout resolves the memory-controller attach nodes of a w×h mesh (nil
+// selects DefaultMCNodes) into the address interleaving and a per-node flag
+// marking the nodes that host a controller.
+func mcLayout(nodes []int, w, h int) (memMap, []bool, error) {
+	if nodes == nil {
+		nodes = DefaultMCNodes(w, h)
+	}
+	if len(nodes) == 0 {
+		return memMap{}, nil, fmt.Errorf("system: MCNodes is empty; nil selects the default memory controllers")
+	}
+	at := make([]bool, w*h)
+	for _, n := range nodes {
+		if n < 0 || n >= len(at) {
+			return memMap{}, nil, fmt.Errorf("system: MC node %d out of range", n)
+		}
+		at[n] = true
+	}
+	return memMap{nodes: nodes}, at, nil
 }
 
 // HomeMC implements coherence.MemMap.
@@ -173,7 +194,7 @@ func NewScorpio(opt Options) (*Scorpio, error) {
 			s.Kernel.RegisterGroup(node, tl)
 			port = &tilePort{t: tl}
 		}
-		inj := trace.NewInjector(node, opt.Profile, opt.Seed, port, opt.MaxOutstanding, opt.WarmupPerCore, opt.WorkPerCore)
+		inj := trace.NewInjector(node, opt.Profile, opt.Seed, port, s.opt.MaxOutstanding, opt.WarmupPerCore, opt.WorkPerCore)
 		s.Injectors = append(s.Injectors, inj)
 		if opt.UseL1 {
 			tl.OnComplete = func(c tile.Completion) {
@@ -212,20 +233,12 @@ func NewScorpioBare(opt Options) (*Scorpio, error) {
 	if err != nil {
 		return nil, err
 	}
+	mm, mcAt, err := mcLayout(opt.MCNodes, opt.Core.Net.Width, opt.Core.Net.Height)
+	if err != nil {
+		return nil, err
+	}
 	nodes := net.Nodes()
-	mcNodes := opt.MCNodes
-	if mcNodes == nil {
-		mcNodes = DefaultMCNodes(opt.Core.Net.Width, opt.Core.Net.Height)
-	}
-	mm := memMap{nodes: mcNodes}
 	s := &Scorpio{machine: machine{Kernel: k, label: "SCORPIO/" + opt.Profile.Name}, opt: opt, Net: net}
-	mcAt := map[int]bool{}
-	for _, n := range mcNodes {
-		if n < 0 || n >= nodes {
-			return nil, fmt.Errorf("system: MC node %d out of range", n)
-		}
-		mcAt[n] = true
-	}
 	pools := make([]coherence.Pool[coherence.RespInfo], nodes)
 	for node := 0; node < nodes; node++ {
 		n, pool := net.NIC(node), &pools[node]

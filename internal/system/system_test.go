@@ -55,6 +55,55 @@ func TestScorpioRunsBenchmarkToCompletion(t *testing.T) {
 		res.Cycles, res.Service.Value(), res.HitLat.Value(), res.MissLat.Value(), 100*res.ServedByCacheFrac())
 }
 
+// TestNewScorpioDefaultsMaxOutstanding checks that NewScorpio drives its
+// injectors with the defaulted MaxOutstanding, as NewDirectory and
+// NewBaseline do: a negative value runs exactly like the default of 2.
+func TestNewScorpioDefaultsMaxOutstanding(t *testing.T) {
+	run := func(maxOut int) Results {
+		opt := smallOptions(t, "fft", 16)
+		opt.MaxOutstanding = maxOut
+		s, err := NewScorpio(opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := s.Run(1_000_000)
+		if err != nil {
+			t.Fatalf("MaxOutstanding %d: %v", maxOut, err)
+		}
+		return res
+	}
+	got, want := run(-1), run(2)
+	if got.Cycles != want.Cycles || got.Completed != want.Completed || got.FlitsRouted != want.FlitsRouted {
+		t.Fatalf("MaxOutstanding -1: %d cycles, %d completed, %d flits; MaxOutstanding 2: %d, %d, %d",
+			got.Cycles, got.Completed, got.FlitsRouted, want.Cycles, want.Completed, want.FlitsRouted)
+	}
+}
+
+// TestMCNodesValidated checks that the snoopy machines reject a
+// memory-controller list they cannot run, a node outside the mesh or an
+// empty list (nil selects the defaults), instead of building a machine that
+// never completes a miss.
+func TestMCNodesValidated(t *testing.T) {
+	prof, err := trace.ByName("fft")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, mc := range [][]int{{99}, {-1}, {0, 16}, {}} {
+		opt := smallOptions(t, "fft", 16)
+		opt.MCNodes = mc
+		if _, err := NewScorpioBare(opt); err == nil {
+			t.Errorf("SCORPIO accepted MCNodes %v on a 4x4 mesh", mc)
+		}
+		for _, scheme := range []OrderingScheme{SchemeTokenB, SchemeINSO} {
+			bopt := DefaultBaselineOptions(scheme, prof)
+			bopt.MCNodes = mc
+			if _, err := NewBaseline(bopt); err == nil {
+				t.Errorf("%s accepted MCNodes %v on a 4x4 mesh", scheme, mc)
+			}
+		}
+	}
+}
+
 func TestScorpio36CoreChipConfig(t *testing.T) {
 	if testing.Short() {
 		t.Skip("36-core run is slow")

@@ -52,13 +52,9 @@ type Completion struct {
 
 // Stats counts tile activity.
 type Stats struct {
-	Reads          uint64
-	Writes         uint64
-	L1Hits         uint64
-	L1Misses       uint64
-	WriteThroughs  uint64
-	Invalidations  uint64 // external invalidation port activations
-	InclusionDrops uint64 // L1 lines dropped because the L2 evicted them
+	L1Hits        uint64
+	WriteThroughs uint64
+	Invalidations uint64 // external invalidation port activations
 }
 
 // pendingTxn is one outstanding AHB transaction.
@@ -125,7 +121,6 @@ func (t *Tile) Access(p Port, addr uint64, write bool, value uint64, cycle uint6
 	}
 	l1 := t.l1for(p)
 	if write {
-		t.Stats.Writes++
 		// Write-through: update the L1 copy if present and always forward
 		// the store to the L2; the transaction completes when the L2 does.
 		l1.Write(addr)
@@ -136,7 +131,6 @@ func (t *Tile) Access(p Port, addr uint64, write bool, value uint64, cycle uint6
 		t.pending[p] = pendingTxn{active: true, addr: addr, write: true, value: value, issue: cycle}
 		return true
 	}
-	t.Stats.Reads++
 	if l1.Read(addr) {
 		t.Stats.L1Hits++
 		// L1 hit: completes after the L1 latency with the L2's coherent
@@ -147,7 +141,6 @@ func (t *Tile) Access(p Port, addr uint64, write bool, value uint64, cycle uint6
 		})
 		return true
 	}
-	t.Stats.L1Misses++
 	if !t.l2.CoreAccess(addr, false, 0, cycle) {
 		return false
 	}

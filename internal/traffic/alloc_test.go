@@ -61,7 +61,7 @@ func warmMeshSized(t testing.TB, workers, w, h int, rate float64, idleSkip bool)
 		// Packet lists are per node here, unlike traffic.Run's shared list:
 		// node units shard across workers in the parallel variants, and a
 		// free list may only be touched by its owning unit. Flits need no
-		// priming at all — they live in the routers' fixed-capacity arenas
+		// priming at all — they live in the routers' fixed-capacity VC rings
 		// and cross links by value.
 		nodes[i] = newNode(k, mesh, cfg, i, rng.Fork(), &pktPool{})
 	}
@@ -88,7 +88,7 @@ func warmMeshSized(t testing.TB, workers, w, h int, rate float64, idleSkip bool)
 // TestMeshSteadyStateAllocs pins the allocation-free hot path: after the
 // packet free lists and ring buffers warm up, stepping a loaded 6×6 mesh
 // must not touch the heap at all. Flits live in the routers' fixed-capacity
-// arenas and cross links by value, unicast packets are recycled by the node
+// VC rings and cross links by value, unicast packets are recycled by the node
 // free lists, VC queues and staging queues are fixed rings, and Link.Commit
 // swaps its credit buffers — so a steady-state cycle has nothing left to
 // allocate. With tracing off (the default), every observability hook

@@ -294,6 +294,9 @@ func (c *Config) fill() error {
 	if c.WarmupPerCore == 0 {
 		c.WarmupPerCore = 300
 	}
+	if c.MaxOutstanding < 0 {
+		return fmt.Errorf("scorpio: Config.MaxOutstanding must not be negative, got %d", c.MaxOutstanding)
+	}
 	if c.MaxOutstanding == 0 {
 		c.MaxOutstanding = 2
 	}

@@ -28,6 +28,11 @@ func TestRunRejectsBadInput(t *testing.T) {
 	if _, err := Run(Config{Benchmark: "lu", Protocol: Protocol("weird")}); err == nil {
 		t.Fatal("unknown protocol accepted")
 	}
+	// The cycle limit keeps a machine that accepted the value and then issued
+	// nothing from running long; its "did not finish" error must not pass.
+	if _, err := Run(Config{Benchmark: "fft", MaxOutstanding: -1, CycleLimit: 100_000}); err == nil || !strings.Contains(err.Error(), "MaxOutstanding") {
+		t.Fatalf("negative MaxOutstanding: got %v, want an error naming MaxOutstanding", err)
+	}
 }
 
 func TestEveryProtocolRuns(t *testing.T) {
