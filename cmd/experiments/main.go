@@ -25,7 +25,6 @@ func main() {
 		quick   = flag.Bool("quick", false, "reduced workloads (CI-sized)")
 		seed    = flag.Uint64("seed", 1, "workload seed")
 		workers = flag.Int("workers", 0, "concurrent simulations per sweep (0 = GOMAXPROCS)")
-		noSkip  = flag.Bool("no-idle-skip", false, "step every component every cycle (disable the activity engine; results are identical)")
 
 		tracePath  = flag.String("trace", "", "run one traced SCORPIO point and write Chrome trace-event JSON to this path")
 		metricsIvl = flag.Uint64("metrics-interval", 0, "metrics sampling interval for the traced/instrumented point (0 = off)")
@@ -65,7 +64,6 @@ func main() {
 	scale.Workers = *workers
 	scale.WatchdogCycles = *watchdog
 	scale.Audit = *audit
-	scale.DisableIdleSkip = *noSkip
 
 	if instrumented() {
 		// One dedicated instrumented 36-core SCORPIO run; the sweeps below

@@ -37,7 +37,6 @@ func main() {
 		nonPL    = flag.Bool("non-pipelined", false, "use the non-pipelined uncore (Figure 10's Non-PL)")
 		noBypass = flag.Bool("no-bypass", false, "disable lookahead bypassing")
 		workers  = flag.Int("workers", 1, "simulation kernel worker goroutines (0 = GOMAXPROCS; TokenB/INSO always serial)")
-		noSkip   = flag.Bool("no-idle-skip", false, "step every component every cycle (disable the activity engine; results are identical)")
 		list     = flag.Bool("list", false, "list benchmarks and exit")
 
 		tracePath   = flag.String("trace", "", "write a Chrome trace-event JSON lifecycle trace to this path (view in Perfetto)")
@@ -87,21 +86,20 @@ func main() {
 	}
 	w, h := dims(*nodes)
 	cfg := scorpio.Config{
-		Protocol:        scorpio.Protocol(*protocol),
-		Benchmark:       *bench,
-		Width:           w,
-		Height:          h,
-		WorkPerCore:     *work,
-		WarmupPerCore:   *warmup,
-		Seed:            *seed,
-		ExpiryWindow:    *expiry,
-		ChannelBytes:    *channel,
-		GOReqVCs:        *goreqVCs,
-		UORespVCs:       *uoVCs,
-		NotifBits:       *notif,
-		MaxOutstanding:  *outst,
-		Workers:         *workers,
-		DisableIdleSkip: *noSkip,
+		Protocol:       scorpio.Protocol(*protocol),
+		Benchmark:      *bench,
+		Width:          w,
+		Height:         h,
+		WorkPerCore:    *work,
+		WarmupPerCore:  *warmup,
+		Seed:           *seed,
+		ExpiryWindow:   *expiry,
+		ChannelBytes:   *channel,
+		GOReqVCs:       *goreqVCs,
+		UORespVCs:      *uoVCs,
+		NotifBits:      *notif,
+		MaxOutstanding: *outst,
+		Workers:        *workers,
 
 		TracePath:       *tracePath,
 		MetricsInterval: *metricsIvl,

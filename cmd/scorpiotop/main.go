@@ -24,6 +24,8 @@ import (
 	"strconv"
 	"strings"
 	"time"
+
+	"scorpio/internal/obs"
 )
 
 // tick mirrors the exporter's SSE data frame.
@@ -33,10 +35,6 @@ type tick struct {
 	Tick   uint64             `json:"tick"`
 	Series map[string]float64 `json:"series"`
 }
-
-// heatGlyphs is the utilization ramp, darkest last — the same ramp the
-// metrics sampler's end-of-run heatmap uses.
-const heatGlyphs = " .:-=+*#%@"
 
 func main() {
 	var (
@@ -175,9 +173,10 @@ func render(base string, prev, cur tick, heat heatmap, once bool) {
 	line("engine             %.1f parks, %.1f wakes per kcycle (totals %.0f / %.0f)",
 		rate("parks"), rate("wakes"), cur.Series["parks"], cur.Series["wakes"])
 	if len(heat.util) > 0 {
+		rows, peak := obs.HeatRows(heat.w, heat.h, heat.util)
 		line("")
-		line("router utilization (flits/cycle, last window; max %.3f)", heat.max())
-		for _, row := range heat.rows() {
+		line("router utilization (flits/cycle, last window; max %.3f)", peak)
+		for _, row := range rows {
 			line("  %s", row)
 		}
 	}
@@ -188,36 +187,6 @@ func render(base string, prev, cur tick, heat heatmap, once bool) {
 type heatmap struct {
 	w, h int
 	util []float64 // row-major
-}
-
-func (h heatmap) max() float64 {
-	m := 0.0
-	for _, v := range h.util {
-		if v > m {
-			m = v
-		}
-	}
-	return m
-}
-
-// rows renders the grid with the shared glyph ramp, normalized to the
-// current maximum (a flat idle mesh renders as all-blank).
-func (h heatmap) rows() []string {
-	m := h.max()
-	out := make([]string, 0, h.h)
-	for y := 0; y < h.h; y++ {
-		var r strings.Builder
-		for x := 0; x < h.w; x++ {
-			g := 0
-			if m > 0 {
-				g = int(h.util[y*h.w+x] / m * float64(len(heatGlyphs)-1))
-			}
-			r.WriteByte(heatGlyphs[g])
-			r.WriteByte(' ')
-		}
-		out = append(out, r.String())
-	}
-	return out
 }
 
 // fetchHeat scrapes the scorpio_router_utilization family from /metrics.

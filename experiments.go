@@ -33,9 +33,6 @@ type Scale struct {
 	// Audit attaches the online ordering/coherence auditor to every point;
 	// the first invariant violation aborts the sweep with a diagnosis.
 	Audit bool
-	// DisableIdleSkip turns off the kernel's activity engine on every point
-	// (results are bit-identical either way; the flag is for A/B validation).
-	DisableIdleSkip bool
 }
 
 // FullScale is the EXPERIMENTS.md reproduction scale.
@@ -56,9 +53,8 @@ func (s Scale) config(p Protocol, bench string) Config {
 		Protocol: p, Benchmark: bench,
 		WorkPerCore: s.Work, WarmupPerCore: s.Warmup,
 		Seed: s.Seed, CycleLimit: s.CycleLimit,
-		WatchdogCycles:  s.WatchdogCycles,
-		Audit:           s.Audit,
-		DisableIdleSkip: s.DisableIdleSkip,
+		WatchdogCycles: s.WatchdogCycles,
+		Audit:          s.Audit,
 	}
 }
 

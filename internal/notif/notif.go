@@ -396,12 +396,6 @@ func (n *Network) Idle() bool {
 // Latch exposes a node's current latch value (for tests).
 func (n *Network) Latch(node int) Vector { return n.cur[node].Clone() }
 
-// PhaseCost seeds the parallel kernel's cost-balanced sharder: the OR-mesh
-// is one component doing a whole mesh's worth of per-cycle work, so it
-// weighs in proportional to the node count until measured phase times take
-// over.
-func (n *Network) PhaseCost() int { return 1 + n.cfg.Nodes()/4 }
-
 func clearVector(v *Vector) {
 	for i := range v.Words {
 		v.Words[i] = 0

@@ -125,9 +125,33 @@ func (m *Metrics) WriteJSON(w io.Writer) error {
 	return bw.Flush()
 }
 
-// heatGlyphs maps utilization deciles to a density ramp for the ASCII
-// heatmap.
-var heatGlyphs = []byte(" .:-=+*#%@")
+// heatGlyphs maps utilization deciles to a density ramp, darkest last.
+const heatGlyphs = " .:-=+*#%@"
+
+// HeatRows renders a row-major w×h utilization grid as one string per row
+// (a glyph and a space per router), scaled by the grid's maximum, which it
+// also returns, onto the ten-glyph ramp; an all-zero grid renders blank.
+func HeatRows(w, h int, util []float64) (rows []string, peak float64) {
+	for _, v := range util {
+		if v > peak {
+			peak = v
+		}
+	}
+	rows = make([]string, h)
+	for y := range rows {
+		var b strings.Builder
+		for x := 0; x < w; x++ {
+			g := 0
+			if peak > 0 {
+				g = int(util[y*w+x] / peak * float64(len(heatGlyphs)-1))
+			}
+			b.WriteByte(heatGlyphs[g])
+			b.WriteByte(' ')
+		}
+		rows[y] = b.String()
+	}
+	return rows, peak
+}
 
 // Heatmap renders the per-router utilization grid as ASCII art, one glyph
 // per router plus the numeric scale, or "" if no heatmap was attached.
@@ -135,28 +159,14 @@ func (m *Metrics) Heatmap() string {
 	if m == nil || m.heat == nil || m.heatW == 0 {
 		return ""
 	}
+	rows, peak := HeatRows(m.heatW, m.heatH, m.heat)
 	var b strings.Builder
-	max := 0.0
-	for _, v := range m.heat {
-		if v > max {
-			max = v
-		}
-	}
-	fmt.Fprintf(&b, "router utilization heatmap (flits routed per cycle, max %.3f):\n", max)
-	for y := 0; y < m.heatH; y++ {
+	fmt.Fprintf(&b, "router utilization heatmap (flits routed per cycle, max %.3f):\n", peak)
+	for _, r := range rows {
 		b.WriteString("  ")
-		for x := 0; x < m.heatW; x++ {
-			v := m.heat[y*m.heatW+x]
-			g := 0
-			if max > 0 {
-				g = int(v / max * float64(len(heatGlyphs)-1))
-			}
-			b.WriteByte(heatGlyphs[g])
-			b.WriteByte(' ')
-		}
+		b.WriteString(r)
 		b.WriteByte('\n')
 	}
-	b.WriteString("  scale: ' '=idle")
-	fmt.Fprintf(&b, " '@'=%.3f\n", max)
+	fmt.Fprintf(&b, "  scale: ' '=idle '@'=%.3f\n", peak)
 	return b.String()
 }

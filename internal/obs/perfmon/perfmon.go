@@ -83,7 +83,7 @@ const DefaultStride = 13
 type Worker struct {
 	EvalNs   atomic.Int64
 	CommitNs atomic.Int64
-	SpinNs   atomic.Int64 // barrier busy-spin + yield time
+	SpinNs   atomic.Int64 // barrier yield time
 	ParkNs   atomic.Int64 // barrier futex-park time
 	StepNs   atomic.Int64 // participant 0 only: full Step span
 	Sampled  atomic.Uint64

@@ -45,9 +45,6 @@ func NewFixed[T any](capacity int) Ring[T] {
 // Len reports the number of queued elements.
 func (r *Ring[T]) Len() int { return r.n }
 
-// Cap reports the current capacity.
-func (r *Ring[T]) Cap() int { return len(r.buf) }
-
 // Empty reports whether the ring holds no elements.
 func (r *Ring[T]) Empty() bool { return r.n == 0 }
 

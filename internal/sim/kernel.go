@@ -17,8 +17,8 @@
 // relative order inside the unit matches their registration order.
 //
 // Scheduling units are packed onto workers longest-processing-time-first
-// (see pool.go): the first pack uses each unit's static PhaseCost seed; after
-// that every unit carries an EWMA of its observed per-cycle phase time,
+// (see pool.go): the first pack weighs each unit by its component count;
+// after that every unit carries an EWMA of its observed per-cycle phase time,
 // refreshed on periodic profiling cycles, and the pool repacks whenever the
 // shards drift out of balance. Assignment never affects results — only which
 // goroutine happens to execute a unit. A host that cannot run two goroutines
@@ -57,17 +57,6 @@ type Component interface {
 	Commit(cycle uint64)
 }
 
-// PhaseCoster is optionally implemented by components whose per-cycle cost is
-// far from the average (the notification network's single component does a
-// whole mesh's worth of work, for example). The static weight seeds the
-// cost-balanced sharder before any profiling cycle has measured real phase
-// times; afterwards the measured EWMA takes over entirely.
-type PhaseCoster interface {
-	// PhaseCost returns a relative per-cycle cost estimate; ordinary
-	// components default to 1.
-	PhaseCost() int
-}
-
 // Idle-skip engine constants: the demotion pass that parks newly-idle units
 // runs every demoteEvery cycles while units are parking or waking (lazy — an
 // idle unit burns at most demoteEvery no-op cycles before parking), and backs
@@ -103,7 +92,7 @@ type unit struct {
 	// wheelAt is the cycle of the unit's live timing-wheel entry (NoEvent =
 	// none).
 	wheelAt uint64
-	// cost is the balancing weight: the static seed until the first
+	// cost is the balancing weight: the component count until the first
 	// profiling cycle, then an EWMA of measured phase nanoseconds.
 	cost float64
 	// sampleNs/sampleCnt accumulate profiling-cycle measurements; written
@@ -122,8 +111,8 @@ type unit struct {
 	canIdle bool
 	// active mirrors act.state==0 for the driver and, via the pool's epoch
 	// publication, the workers.
-	active bool
-	seeded bool // cost holds measured time, not the static seed
+	active   bool
+	measured bool // cost holds measured time, not the component count
 }
 
 // Kernel drives a set of components with a shared synchronous clock.
@@ -345,26 +334,21 @@ func (k *Kernel) stepList(cyc uint64, due bool) {
 	}
 }
 
-// Run executes n cycles. Worker goroutines stay warm on return so repeated
-// runs (sweeps, litmus sequences) never pay pool start/stop; they are
-// released by StopWorkers, by the next reshard, or by a GC cleanup when the
-// kernel itself becomes unreachable. Fully-quiescent spans are fast-forwarded
-// (see fastForward).
+// Run executes n cycles: RunUntil with a condition that never holds.
 func (k *Kernel) Run(n uint64) {
-	end := k.cycle + n
-	for k.cycle < end {
-		if k.fastForward(end) {
-			continue
-		}
-		k.Step()
-	}
+	k.RunUntil(never, k.cycle+n)
 }
 
+func never() bool { return false }
+
 // RunUntil steps the kernel until done reports true or the cycle limit is
-// reached, and reports whether done became true. Like Run, worker goroutines
-// stay warm on return. Quiescent spans are fast-forwarded; done cannot change
-// while no component runs, so it is re-checked at every executed cycle
-// exactly as the stepwise path would.
+// reached, and reports whether done became true. Worker goroutines stay warm
+// on return so repeated runs (sweeps, litmus sequences) never pay pool
+// start/stop; they are released by StopWorkers, by the next reshard, or by a
+// GC cleanup when the kernel itself becomes unreachable. Quiescent spans are
+// fast-forwarded (see fastForward); done cannot change while no component
+// runs, so it is re-checked at every executed cycle exactly as the stepwise
+// path would.
 func (k *Kernel) RunUntil(done func() bool, limit uint64) bool {
 	for k.cycle < limit {
 		if done() {
@@ -765,9 +749,8 @@ func (k *Kernel) ensureEngine() *phasePool {
 }
 
 // buildUnits groups components into scheduling units (registration order
-// within a unit, first-appearance order across units), seeds each unit's
-// balancing cost from the components' static weights, and resets every
-// unit's activity to active.
+// within a unit, first-appearance order across units), weighs each unit by
+// its component count, and resets every unit's activity to active.
 func (k *Kernel) buildUnits() []unit {
 	unitOf := make(map[int]int)
 	var units []unit
@@ -784,14 +767,8 @@ func (k *Kernel) buildUnits() []unit {
 	}
 	for i := range units {
 		u := &units[i]
-		w := 0.0
 		u.canIdle = true
 		for _, c := range u.comps {
-			if h, ok := c.(PhaseCoster); ok {
-				w += float64(h.PhaseCost())
-			} else {
-				w++
-			}
 			if d, ok := c.(Idler); ok {
 				u.idlers = append(u.idlers, d)
 			} else {
@@ -801,7 +778,7 @@ func (k *Kernel) buildUnits() []unit {
 				u.nexters = append(u.nexters, nx)
 			}
 		}
-		u.cost = w
+		u.cost = float64(len(u.comps))
 		u.active = true
 		u.wheelAt = NoEvent
 		u.wheelNext, u.wheelPrev = -1, -1

@@ -4,6 +4,9 @@ import (
 	"fmt"
 	"runtime"
 	"testing"
+	"time"
+
+	"scorpio/internal/obs/perfmon"
 )
 
 // forceProcs pins GOMAXPROCS for the duration of a test so both execution
@@ -187,11 +190,10 @@ func TestKernelStepRestartsPool(t *testing.T) {
 }
 
 // spinComp burns a deterministic amount of CPU per evaluate proportional to
-// weight, counts committed cycles, and advertises a static cost seed that is
-// deliberately allowed to lie — the profiling rebalance must correct it.
+// weight and counts committed cycles. Its unit's first cost is its component
+// count, 1, whatever the weight — the profiling rebalance must correct it.
 type spinComp struct {
 	weight int
-	seed   int
 	sink   uint64
 	value  int
 }
@@ -205,22 +207,22 @@ func (c *spinComp) Evaluate(cycle uint64) {
 	c.sink = h
 }
 func (c *spinComp) Commit(cycle uint64) { c.value++ }
-func (c *spinComp) PhaseCost() int      { return c.seed }
 
 // TestShardRebalanceUnderReshard drives the cost-balanced sharder end to end:
-// a unit whose static seed wildly understates its measured cost must be
+// a unit whose component count wildly understates its measured cost must be
 // migrated off its overloaded shard by a profiling rebalance, and a mid-run
-// registration — which tears the pool down and rebuilds it from static seeds
-// — must leave every component's cycle count exact and balancing alive.
+// registration — which tears the pool down and rebuilds it from component
+// counts — must leave every component's cycle count exact and balancing
+// alive.
 func TestShardRebalanceUnderReshard(t *testing.T) {
 	forceProcs(t, 4)
 	k := NewKernel()
 	var comps []*spinComp
-	heavy := &spinComp{weight: 50, seed: 1} // lies: claims to cost the same as the rest
+	heavy := &spinComp{weight: 50} // one component, so it first weighs the same as the rest
 	comps = append(comps, heavy)
 	k.Register(heavy)
 	for i := 0; i < 7; i++ {
-		c := &spinComp{weight: 1, seed: 1}
+		c := &spinComp{weight: 1}
 		comps = append(comps, c)
 		k.Register(c)
 	}
@@ -234,7 +236,7 @@ func TestShardRebalanceUnderReshard(t *testing.T) {
 	if mig == 0 {
 		t.Fatal("rebalance fired but migrated no units")
 	}
-	late := &spinComp{weight: 1, seed: 1}
+	late := &spinComp{weight: 1}
 	comps = append(comps, late)
 	k.Register(late) // reshard: the pool is rebuilt from scratch
 	const second = rebalanceEvery + sampleEvery + 2
@@ -254,15 +256,21 @@ func TestShardRebalanceUnderReshard(t *testing.T) {
 	k.StopWorkers()
 }
 
-// TestInitialPackBalancesSeeds pins the pool's first pack: before any
-// profiling cycle it packs the static PhaseCost seeds longest-processing-
-// time-first, so one heavy unit gets a shard to itself and the light ones
-// fill the other to the same load.
-func TestInitialPackBalancesSeeds(t *testing.T) {
+// TestInitialPackBalancesComponentCounts pins the pool's first pack: before
+// any profiling cycle it packs units by component count longest-processing-
+// time-first, so a six-component group gets a shard to itself and six
+// singletons fill the other to the same load.
+func TestInitialPackBalancesComponentCounts(t *testing.T) {
 	forceProcs(t, 4)
 	k := NewKernel()
-	for _, seed := range []int{1, 1, 1, 6, 1, 1, 1} {
-		k.Register(&spinComp{seed: seed})
+	for i := 0; i < 3; i++ {
+		k.Register(&spinComp{})
+	}
+	for i := 0; i < 6; i++ {
+		k.RegisterGroup(0, &spinComp{})
+	}
+	for i := 0; i < 3; i++ {
+		k.Register(&spinComp{})
 	}
 	k.SetWorkers(2)
 	k.Step()
@@ -277,7 +285,59 @@ func TestInitialPackBalancesSeeds(t *testing.T) {
 			load += p.units[ui].cost
 		}
 		if load != 6 {
-			t.Errorf("shard %d holds seeded cost %v (units %v), want 6", w, load, shard)
+			t.Errorf("shard %d holds first-pack cost %v (units %v), want 6", w, load, shard)
+		}
+	}
+}
+
+// sleeper holds its unit's evaluate phase for about a millisecond, far
+// longer than a barrier waiter's yield budget, and counts committed cycles.
+type sleeper struct{ value int }
+
+func (s *sleeper) Evaluate(cycle uint64) { time.Sleep(time.Millisecond) }
+func (s *sleeper) Commit(cycle uint64)   { s.value++ }
+
+// TestBarrierWaitersPark pins the barrier's last tier: a participant that
+// outwaits its yield budget parks on its wake channel. With one unit asleep
+// in every evaluate phase, its peers run out of yields every cycle, so a
+// stride-1 monitor must record park time on some participant, and the state
+// must match a serial run's.
+func TestBarrierWaitersPark(t *testing.T) {
+	forceProcs(t, 4)
+	const n, cycles = 16, 20
+	build := func(workers int) (*Kernel, []*stage, *sleeper) {
+		k, stages := buildChain(n, nil, workers)
+		s := &sleeper{}
+		k.Register(s)
+		return k, stages, s
+	}
+	kRef, ref, _ := build(1)
+	kRef.Run(cycles)
+	for _, workers := range []int{2, 4} {
+		k, stages, s := build(workers)
+		m := perfmon.New()
+		m.Stride = 1
+		k.SetPerfMon(m)
+		k.Run(cycles)
+		if k.ExecMode() != "parallel" {
+			t.Fatalf("workers=%d: ExecMode() = %q, want parallel", workers, k.ExecMode())
+		}
+		want, got := chainValues(ref), chainValues(stages)
+		for i := range want {
+			if want[i] != got[i] {
+				t.Fatalf("workers=%d stage %d: got %d want %d", workers, i, got[i], want[i])
+			}
+		}
+		if s.value != cycles {
+			t.Fatalf("workers=%d: sleeper committed %d cycles, want %d", workers, s.value, cycles)
+		}
+		var park int64
+		for i := 0; i < m.Workers(); i++ {
+			park += m.Worker(i).ParkNs.Load()
+		}
+		k.StopWorkers()
+		if park <= 0 {
+			t.Errorf("workers=%d: no participant parked in %d cycles of a 1 ms evaluate phase", workers, cycles)
 		}
 	}
 }

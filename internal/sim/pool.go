@@ -1,8 +1,9 @@
 package sim
 
 import (
+	"cmp"
 	"runtime"
-	"sort"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -26,11 +27,13 @@ const (
 	// cause churn, low enough that one heavy router cannot serialize a
 	// cycle for long.
 	imbalanceTrigger = 1.15
+	// yieldSpins bounds a barrier waiter's yield loop before it parks.
+	yieldSpins = 128
 )
 
 // participant is one executor's parking slot: the driving goroutine is
 // participant 0, worker goroutines are 1..nw-1. parked+wake implement a
-// futex-style sleep: a waiter that exhausts its spin budget publishes
+// futex-style sleep: a waiter that exhausts its yield budget publishes
 // parked=true and blocks on wake; a waker transfers exactly one token per
 // successful parked CAS, so tokens are never lost or duplicated.
 type participant struct {
@@ -45,8 +48,8 @@ type participant struct {
 // evaluate barrier, commits its shard, and arrives at the cycle barrier.
 // Both barriers are monotone atomic counters — generation g is complete
 // when a counter reaches g*nw — so they are never reset and need no
-// coordination beyond the counter itself. Waiters spin briefly, then yield,
-// then park; the last arriver wakes anyone parked.
+// coordination beyond the counter itself. Waiters yield, then park; the
+// last arriver wakes anyone parked.
 type phasePool struct {
 	units  []unit
 	nw     int
@@ -63,14 +66,11 @@ type phasePool struct {
 	doneN   atomic.Uint64 // arrivals at the end-of-cycle barrier, monotone
 	stopped atomic.Bool
 
-	fastSpin, yieldSpin int
-
 	// Rebalancing state (driver-only between cycles). The two counters are
 	// atomics so BalanceStats may read them mid-run from any goroutine;
 	// writes stay driver-only.
 	load       []float64
 	order      []int
-	sorter     *costSorter
 	rebalances atomic.Uint64
 	migrations atomic.Uint64
 	cleanup    runtime.Cleanup
@@ -83,8 +83,8 @@ type phasePool struct {
 	pmw      []*perfmon.Worker
 }
 
-// newPhasePool builds the pool, packs the initial shards from the seeded
-// costs (see repack), and launches nw-1 worker goroutines (the driver is
+// newPhasePool builds the pool, packs the initial shards by component count
+// (see repack), and launches nw-1 worker goroutines (the driver is
 // participant 0). A non-nil pm attaches sampled self-observability at the
 // given stride.
 func newPhasePool(units []unit, nw int, pm *perfmon.Mon, stride uint64) *phasePool {
@@ -97,7 +97,6 @@ func newPhasePool(units []unit, nw int, pm *perfmon.Mon, stride uint64) *phasePo
 		load:   make([]float64, nw),
 		order:  make([]int, len(units)),
 	}
-	p.sorter = &costSorter{p: p}
 	if pm != nil {
 		p.pm, p.pmStride = pm, stride
 		pm.EnsureWorkers(nw)
@@ -123,14 +122,6 @@ func newPhasePool(units []unit, nw int, pm *perfmon.Mon, stride uint64) *phasePo
 		p.units[i].owner = -1
 	}
 	p.repack()
-	// A host with spare cores can afford to burn cycles busy-waiting at the
-	// barriers; an oversubscribed one must yield immediately so the sibling
-	// shards actually run.
-	if runtime.GOMAXPROCS(0) >= nw {
-		p.fastSpin, p.yieldSpin = 2048, 64
-	} else {
-		p.fastSpin, p.yieldSpin = 0, 128
-	}
 	for i := 1; i < nw; i++ {
 		go p.workerLoop(i)
 	}
@@ -286,22 +277,17 @@ func (p *phasePool) profileShard(self int, cyc uint64, commit bool) {
 	}
 }
 
-// wait blocks participant self until ctr reaches target: a bounded
-// busy-spin, then yield-spins, then a futex-style park. Spurious wakeups
-// (a stale token from an earlier barrier) simply re-enter the loop. It
-// returns the nanoseconds spent blocked on the wake channel, so a sampled
-// wait splits into spin (busy + yield) and park (futex-sleep) time; a wait
-// that never parks reads no clock.
+// wait blocks participant self until ctr reaches target: bounded
+// yield-spins, then a futex-style park. Spurious wakeups (a stale token from
+// an earlier barrier) simply re-enter the loop. It returns the nanoseconds
+// spent blocked on the wake channel, so a sampled wait splits into spin
+// (yield) and park (futex-sleep) time; a wait that never parks reads no
+// clock.
 func (p *phasePool) wait(ctr *atomic.Uint64, target uint64, self int) int64 {
 	var park int64
-	for n := 0; n < p.fastSpin; n++ {
-		if ctr.Load() >= target {
-			return park
-		}
-	}
 	w := p.parts[self]
 	for {
-		for n := 0; n < p.yieldSpin; n++ {
+		for n := 0; n < yieldSpins; n++ {
 			if ctr.Load() >= target {
 				return park
 			}
@@ -367,12 +353,12 @@ func (p *phasePool) maybeRebalance() {
 		u := &p.units[i]
 		if u.sampleCnt > 0 {
 			s := u.sampleNs / float64(u.sampleCnt)
-			if u.seeded {
+			if u.measured {
 				u.cost = ewmaOld*u.cost + (1-ewmaOld)*s
 			} else {
-				// First real measurement replaces the static seed outright —
-				// the two are not in the same unit system.
-				u.cost, u.seeded = s, true
+				// First real measurement replaces the component count
+				// outright — the two are not in the same unit system.
+				u.cost, u.measured = s, true
 			}
 			u.sampleNs, u.sampleCnt = 0, 0
 		}
@@ -416,16 +402,18 @@ func (p *phasePool) maybeRebalance() {
 
 // repack reassigns units to shards longest-processing-time-first: units in
 // descending cost order, each onto the currently lightest shard. It packs
-// the pool's first shards from the static PhaseCost seeds and every
-// rebalance from the measured EWMA costs. Ties break deterministically
-// (stable sort, lowest shard index), though assignment never affects
-// simulation results — phases are isolated by construction. Returns the
-// number of units that changed shard.
+// the pool's first shards by component count and every rebalance from the
+// measured EWMA costs. Ties break deterministically (stable sort, lowest
+// shard index), though assignment never affects simulation results — phases
+// are isolated by construction. Returns the number of units that changed
+// shard.
 func (p *phasePool) repack() uint64 {
 	for i := range p.order {
 		p.order[i] = i
 	}
-	sort.Stable(p.sorter)
+	slices.SortStableFunc(p.order, func(a, b int) int {
+		return cmp.Compare(p.units[b].cost, p.units[a].cost)
+	})
 	for w := range p.assign {
 		p.assign[w] = p.assign[w][:0]
 		p.load[w] = 0
@@ -466,16 +454,4 @@ func (p *phasePool) rebuildActive() {
 			}
 		}
 	}
-}
-
-// costSorter orders pool.order by descending unit cost (stable, so equal
-// costs keep first-appearance order).
-type costSorter struct{ p *phasePool }
-
-func (s *costSorter) Len() int { return len(s.p.order) }
-func (s *costSorter) Less(i, j int) bool {
-	return s.p.units[s.p.order[i]].cost > s.p.units[s.p.order[j]].cost
-}
-func (s *costSorter) Swap(i, j int) {
-	s.p.order[i], s.p.order[j] = s.p.order[j], s.p.order[i]
 }

@@ -45,9 +45,6 @@ type BaselineOptions struct {
 	MaxOutstanding int
 	Seed           uint64
 	MCNodes        []int
-	// DisableIdleSkip forces every component to step every cycle (results
-	// are bit-identical either way).
-	DisableIdleSkip bool
 	// Obs enables tracing, metrics sampling and the watchdog (nil = off).
 	Obs *obs.Options
 }
@@ -155,7 +152,6 @@ func NewBaseline(opt BaselineOptions) (*Baseline, error) {
 		}
 	}
 	mesh.Register(k)
-	k.SetIdleSkip(!opt.DisableIdleSkip)
 	if b.Obs, err = buildObs(opt.Obs, &b.machine, mesh, b); err != nil {
 		return nil, err
 	}

@@ -33,9 +33,6 @@ type DirectoryOptions struct {
 	Seed           uint64
 	// Workers mirrors Options.Workers (0 or 1 = serial kernel).
 	Workers int
-	// DisableIdleSkip forces every component to step every cycle (mirrors
-	// Options.DisableIdleSkip; results are bit-identical either way).
-	DisableIdleSkip bool
 	// Obs enables tracing, metrics sampling and the watchdog (nil = off).
 	Obs *obs.Options
 }
@@ -167,7 +164,6 @@ func NewDirectory(opt DirectoryOptions) (*Directory, error) {
 	}
 	mesh.Register(k)
 	k.SetWorkers(opt.Workers)
-	k.SetIdleSkip(!opt.DisableIdleSkip)
 	if d.Obs, err = buildObs(opt.Obs, &d.machine, mesh, d); err != nil {
 		return nil, err
 	}

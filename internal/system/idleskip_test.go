@@ -19,11 +19,11 @@ func runScorpioSkip(t *testing.T, workers int, disable bool) Results {
 	opt := smallOptions(t, "fft", 16)
 	opt.WorkPerCore, opt.WarmupPerCore = 60, 100
 	opt.Workers = workers
-	opt.DisableIdleSkip = disable
 	s, err := NewScorpio(opt)
 	if err != nil {
 		t.Fatal(err)
 	}
+	s.Kernel.SetIdleSkip(!disable)
 	res, err := s.Run(10_000_000)
 	if err != nil {
 		t.Fatal(err)
@@ -62,11 +62,11 @@ func TestIdleSkipBitIdenticalDirectory(t *testing.T) {
 		opt.fillDefaults()
 		opt.WorkPerCore, opt.WarmupPerCore = 60, 100
 		opt.Workers = workers
-		opt.DisableIdleSkip = disable
 		d, err := NewDirectory(opt)
 		if err != nil {
 			t.Fatal(err)
 		}
+		d.Kernel.SetIdleSkip(!disable)
 		res, err := d.Run(10_000_000)
 		if err != nil {
 			t.Fatal(err)
@@ -95,11 +95,11 @@ func TestIdleSkipBitIdenticalBaselines(t *testing.T) {
 		opt := DefaultBaselineOptions(scheme, prof)
 		opt.ExpiryWindow = window
 		opt.WorkPerCore, opt.WarmupPerCore = 60, 100
-		opt.DisableIdleSkip = disable
 		b, err := NewBaseline(opt)
 		if err != nil {
 			t.Fatal(err)
 		}
+		b.Kernel.SetIdleSkip(!disable)
 		res, err := b.Run(10_000_000)
 		if err != nil {
 			t.Fatal(err)
@@ -133,12 +133,12 @@ func TestIdleSkipAuditClean(t *testing.T) {
 		t.Helper()
 		opt := smallOptions(t, "barnes", 16)
 		opt.WorkPerCore, opt.WarmupPerCore = 60, 100
-		opt.DisableIdleSkip = disable
 		opt.Obs = &obs.Options{Audit: true}
 		s, err := NewScorpio(opt)
 		if err != nil {
 			t.Fatal(err)
 		}
+		s.Kernel.SetIdleSkip(!disable)
 		res, err := s.Run(10_000_000)
 		if err != nil {
 			t.Fatal(err)

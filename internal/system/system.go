@@ -50,11 +50,6 @@ type Options struct {
 	// Workers sets the kernel's parallel worker count; 0 or 1 runs the
 	// classic serial tick loop. Results are identical either way.
 	Workers int
-	// DisableIdleSkip forces every component to step every cycle instead of
-	// parking quiescent nodes on the kernel's activity engine. Results are
-	// bit-identical either way; the flag exists for A/B validation and
-	// overhead measurement.
-	DisableIdleSkip bool
 	// Obs selects observability features (tracing, metrics, watchdog);
 	// nil disables everything at zero per-step cost.
 	Obs *obs.Options
@@ -256,7 +251,6 @@ func NewScorpioBare(opt Options) (*Scorpio, error) {
 		k.RegisterGroup(node, l2)
 	}
 	k.SetWorkers(opt.Workers)
-	k.SetIdleSkip(!opt.DisableIdleSkip)
 	if s.Obs, err = buildObs(opt.Obs, &s.machine, net.Mesh(), s); err != nil {
 		return nil, err
 	}

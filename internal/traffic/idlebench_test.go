@@ -26,8 +26,11 @@ func TestTrafficIdleSkipEquivalence(t *testing.T) {
 				Cycles:        8000,
 				Seed:          11,
 			}
-			ref := mustRun(t, withSkip(cfg, true))
-			got := mustRun(t, withSkip(cfg, false))
+			ref, err := run(cfg, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := mustRun(t, cfg)
 			if ref != got {
 				t.Errorf("%v rate=%.2f diverged:\nskip-off: %+v\nskip-on:  %+v", pattern, rate, ref, got)
 			}
@@ -36,11 +39,6 @@ func TestTrafficIdleSkipEquivalence(t *testing.T) {
 			}
 		}
 	}
-}
-
-func withSkip(cfg Config, disable bool) Config {
-	cfg.DisableIdleSkip = disable
-	return cfg
 }
 
 func mustRun(t *testing.T, cfg Config) Result {

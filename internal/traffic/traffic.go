@@ -65,9 +65,6 @@ type Config struct {
 	// Cycles is the measurement length; the first Cycles/5 are warmup.
 	Cycles uint64
 	Seed   uint64
-	// DisableIdleSkip steps every component every cycle instead of parking
-	// idle ones; results are identical either way (A/B validation).
-	DisableIdleSkip bool
 }
 
 // warmup is the number of leading cycles excluded from measurement.
@@ -273,7 +270,11 @@ func (n *node) destination() (int, bool, bool) {
 }
 
 // Run executes one open-loop measurement.
-func Run(cfg Config) (Result, error) {
+func Run(cfg Config) (Result, error) { return run(cfg, true) }
+
+// run is Run with the kernel's activity engine on or off; the two give
+// identical results, and the tests compare them.
+func run(cfg Config, idleSkip bool) (Result, error) {
 	if cfg.Flits <= 0 {
 		cfg.Flits = 1
 	}
@@ -292,7 +293,7 @@ func Run(cfg Config) (Result, error) {
 		nodes[i] = newNode(k, mesh, cfg, i, rng.Fork(), pkts)
 	}
 	mesh.Register(k)
-	k.SetIdleSkip(!cfg.DisableIdleSkip)
+	k.SetIdleSkip(idleSkip)
 	k.Run(cfg.Cycles)
 	res := Result{Pattern: cfg.Pattern, InjectionRate: cfg.InjectionRate}
 	var latSum float64

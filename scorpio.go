@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
+	"math"
 	"os"
 	"strings"
 
@@ -117,11 +118,6 @@ type Config struct {
 	// shards the components over N goroutines with identical results.
 	// TokenB/INSO always run serially (their orderers are shared state).
 	Workers int
-	// DisableIdleSkip turns off the kernel's activity engine, stepping every
-	// component every cycle instead of parking quiescent nodes and
-	// fast-forwarding fully idle epochs. Results are bit-identical either
-	// way; the flag exists for A/B validation and overhead measurement.
-	DisableIdleSkip bool
 
 	// Observability (PR 3). All default to off; when off the hooks compile
 	// to a nil-check and the hot path stays allocation-free.
@@ -294,8 +290,25 @@ func (c *Config) fill() error {
 	if c.WarmupPerCore == 0 {
 		c.WarmupPerCore = 300
 	}
-	if c.MaxOutstanding < 0 {
-		return fmt.Errorf("scorpio: Config.MaxOutstanding must not be negative, got %d", c.MaxOutstanding)
+	// A negative size or count would otherwise fall through to a default or
+	// to the nearest legal value and silently run a different machine.
+	for _, f := range []struct {
+		name string
+		v    int
+	}{
+		{"MaxOutstanding", c.MaxOutstanding},
+		{"DirCacheBytes", c.DirCacheBytes},
+		{"MainNetworks", c.MainNetworks},
+		{"Workers", c.Workers},
+		{"AuditEvery", c.AuditEvery},
+		{"TelemetrySSEQueue", c.TelemetrySSEQueue},
+	} {
+		if f.v < 0 {
+			return fmt.Errorf("scorpio: Config.%s must not be negative, got %d", f.name, f.v)
+		}
+	}
+	if c.IntensityScale < 0 || math.IsNaN(c.IntensityScale) {
+		return fmt.Errorf("scorpio: Config.IntensityScale must be a non-negative number, got %g", c.IntensityScale)
 	}
 	if c.MaxOutstanding == 0 {
 		c.MaxOutstanding = 2
@@ -385,7 +398,6 @@ func scorpioOptions(cfg Config, prof trace.Profile) system.Options {
 	opt.MaxOutstanding = cfg.MaxOutstanding
 	opt.Seed = cfg.Seed
 	opt.Workers = cfg.Workers
-	opt.DisableIdleSkip = cfg.DisableIdleSkip
 	if cfg.ChannelBytes != 0 {
 		opt.Core.Net.ChannelBytes = cfg.ChannelBytes
 	}
@@ -444,7 +456,6 @@ func directoryOptions(cfg Config, prof trace.Profile) system.DirectoryOptions {
 	opt.MaxOutstanding = cfg.MaxOutstanding
 	opt.Seed = cfg.Seed
 	opt.Workers = cfg.Workers
-	opt.DisableIdleSkip = cfg.DisableIdleSkip
 	if cfg.MaxOutstanding > 2 {
 		opt.L2 = directory.DefaultL2Config(opt.Net.Nodes(), v)
 		opt.L2.DataFlits = opt.Net.DataPacketFlits()
@@ -469,7 +480,6 @@ func baselineOptions(cfg Config, prof trace.Profile) system.BaselineOptions {
 	opt.WarmupPerCore = cfg.WarmupPerCore
 	opt.MaxOutstanding = cfg.MaxOutstanding
 	opt.Seed = cfg.Seed
-	opt.DisableIdleSkip = cfg.DisableIdleSkip
 	opt.L2.DataFlits = opt.Net.DataPacketFlits()
 	if cfg.MaxOutstanding > opt.L2.MSHRs {
 		opt.L2.MSHRs = cfg.MaxOutstanding

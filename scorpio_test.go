@@ -1,6 +1,7 @@
 package scorpio
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -30,8 +31,23 @@ func TestRunRejectsBadInput(t *testing.T) {
 	}
 	// The cycle limit keeps a machine that accepted the value and then issued
 	// nothing from running long; its "did not finish" error must not pass.
-	if _, err := Run(Config{Benchmark: "fft", MaxOutstanding: -1, CycleLimit: 100_000}); err == nil || !strings.Contains(err.Error(), "MaxOutstanding") {
-		t.Fatalf("negative MaxOutstanding: got %v, want an error naming MaxOutstanding", err)
+	for _, tc := range []struct {
+		field string
+		cfg   Config
+	}{
+		{"MaxOutstanding", Config{MaxOutstanding: -1}},
+		{"IntensityScale", Config{IntensityScale: -1}},
+		{"IntensityScale", Config{IntensityScale: math.NaN()}},
+		{"DirCacheBytes", Config{DirCacheBytes: -1}},
+		{"MainNetworks", Config{MainNetworks: -3}},
+		{"Workers", Config{Workers: -4}},
+		{"AuditEvery", Config{Audit: true, AuditEvery: -3}},
+		{"TelemetrySSEQueue", Config{TelemetryAddr: "127.0.0.1:0", TelemetrySSEQueue: -1}},
+	} {
+		tc.cfg.Benchmark, tc.cfg.WorkPerCore, tc.cfg.CycleLimit = "fft", 10, 100_000
+		if _, err := Run(tc.cfg); err == nil || !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("bad %s: got %v, want an error naming it", tc.field, err)
+		}
 	}
 }
 
