@@ -77,8 +77,10 @@ type Endpoint struct {
 	Delivered    uint64
 	OrderingWait stats.Mean
 
+	// check is the machine's global-order check (nil checks nothing).
 	// tracer is nil unless lifecycle tracing is enabled; auditor likewise
 	// for the online order/coherence monitor.
+	check   *audit.OrderCheck
 	tracer  *obs.Tracer
 	auditor *audit.Auditor
 
@@ -193,6 +195,9 @@ func (e *Endpoint) SetTracer(t *obs.Tracer) {
 
 // SetAuditor attaches the online auditor (nil disables auditing).
 func (e *Endpoint) SetAuditor(a *audit.Auditor) { e.auditor = a }
+
+// SetOrderCheck reports every ordered request the agent accepts to c.
+func (e *Endpoint) SetOrderCheck(c *audit.OrderCheck) { e.check = c }
 
 // SetExpirySource wires the INSO orderer's expiry broadcasts through this
 // endpoint's injection port.
@@ -309,6 +314,7 @@ func (e *Endpoint) deliver(cycle uint64) {
 	}
 	if entry, ok := e.reorder.get(e.nextKey); ok {
 		if e.agent.AcceptOrderedRequest(entry.pkt, entry.arrive, cycle) {
+			e.check.Commit(e.node, entry.pkt.ID, cycle)
 			if e.tracer != nil {
 				e.tracer.Record(obs.Event{
 					Cycle: cycle, Type: obs.EvOrderCommit, Node: int32(e.node),

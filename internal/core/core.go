@@ -72,7 +72,7 @@ type OrderedNet struct {
 	meshes []*noc.Mesh
 	nnet   *notif.Network
 	nics   []*nic.NIC
-	check  *orderChecker
+	check  *audit.OrderCheck
 	pktID  uint64
 }
 
@@ -98,10 +98,18 @@ func NewOrderedNet(cfg Config, k *sim.Kernel) (*OrderedNet, error) {
 	if err != nil {
 		return nil, err
 	}
-	on := &OrderedNet{cfg: cfg, meshes: meshes, nnet: nnet}
-	on.check = newOrderChecker(cfg.Net.Nodes())
-	for node := 0; node < cfg.Net.Nodes(); node++ {
+	// Every NIC reads each notification window in the same cycle and holds
+	// at most TrackerDepth unconsumed windows besides the one it is
+	// expanding (the tracker panics on overflow), and a window announces at
+	// most MaxPerWindow requests per node. So no node trails another by
+	// more than TrackerDepth+1 windows' worth of positions: 612 on the 6×6
+	// chip, 4,352 at 16×16.
+	nodes := cfg.Net.Nodes()
+	window := (cfg.NIC.TrackerDepth + 1) * nodes * cfg.Notif.MaxPerWindow()
+	on := &OrderedNet{cfg: cfg, meshes: meshes, nnet: nnet, check: audit.NewOrderCheck(nodes, window)}
+	for node := 0; node < nodes; node++ {
 		n := nic.New(node, cfg.NIC, meshes[0], nnet, nil)
+		n.SetOrderCheck(on.check)
 		for _, extra := range meshes[1:] {
 			n.AddMesh(extra)
 		}
@@ -218,11 +226,8 @@ func (o *OrderedNet) NIC(node int) *nic.NIC { return o.nics[node] }
 // Nodes returns the number of nodes.
 func (o *OrderedNet) Nodes() int { return o.cfg.Net.Nodes() }
 
-// AttachAgent wires a node's agent behind an order-recording shim so the
-// global-order invariant can be verified at any time.
-func (o *OrderedNet) AttachAgent(node int, a nic.Agent) {
-	o.nics[node].SetAgent(&checkedAgent{inner: a, node: node, check: o.check})
-}
+// AttachAgent attaches a node's agent to its NIC.
+func (o *OrderedNet) AttachAgent(node int, a nic.Agent) { o.nics[node].SetAgent(a) }
 
 // NewPacketID issues a unique packet ID across all attached networks.
 func (o *OrderedNet) NewPacketID() uint64 {
@@ -230,75 +235,18 @@ func (o *OrderedNet) NewPacketID() uint64 {
 	return o.pktID
 }
 
-// VerifyGlobalOrder returns an error if any two nodes observed different
-// ordered-request sequences (compared over the shared prefix; nodes progress
-// at different speeds).
-func (o *OrderedNet) VerifyGlobalOrder() error { return o.check.verify() }
+// OrderCheck returns the global-order check every NIC reports its accepted
+// ordered requests to.
+func (o *OrderedNet) OrderCheck() *audit.OrderCheck { return o.check }
+
+// VerifyGlobalOrder returns the check's first failure: two nodes that
+// accepted different ordered requests at the same position, or a node that
+// fell further behind than the check's window. Nil while they agree.
+func (o *OrderedNet) VerifyGlobalOrder() error { return o.check.Err() }
 
 // OrderedDeliveries returns how many ordered requests the slowest node has
 // observed.
 func (o *OrderedNet) OrderedDeliveries() uint64 {
-	min := ^uint64(0)
-	for _, seq := range o.check.perNode {
-		if uint64(len(seq)) < min {
-			min = uint64(len(seq))
-		}
-	}
-	if min == ^uint64(0) {
-		return 0
-	}
-	return min
-}
-
-// orderChecker records each node's observed ordered sequence (packet IDs).
-type orderChecker struct {
-	perNode [][]uint64
-}
-
-func newOrderChecker(nodes int) *orderChecker {
-	return &orderChecker{perNode: make([][]uint64, nodes)}
-}
-
-func (c *orderChecker) record(node int, id uint64) {
-	c.perNode[node] = append(c.perNode[node], id)
-}
-
-func (c *orderChecker) verify() error {
-	var ref []uint64
-	refNode := -1
-	for node, seq := range c.perNode {
-		if len(seq) > len(ref) {
-			ref = seq
-			refNode = node
-		}
-	}
-	for node, seq := range c.perNode {
-		for i, id := range seq {
-			if id != ref[i] {
-				return fmt.Errorf("core: global order diverged at position %d: node %d saw packet %d, node %d saw packet %d",
-					i, node, id, refNode, ref[i])
-			}
-		}
-	}
-	return nil
-}
-
-// checkedAgent forwards deliveries to the real agent, recording accepted
-// ordered requests for invariant verification.
-type checkedAgent struct {
-	inner nic.Agent
-	node  int
-	check *orderChecker
-}
-
-func (c *checkedAgent) AcceptOrderedRequest(p *noc.Packet, arrive, cycle uint64) bool {
-	if !c.inner.AcceptOrderedRequest(p, arrive, cycle) {
-		return false
-	}
-	c.check.record(c.node, p.ID)
-	return true
-}
-
-func (c *checkedAgent) AcceptResponse(p *noc.Packet, cycle uint64) bool {
-	return c.inner.AcceptResponse(p, cycle)
+	_, slowest := o.check.Positions()
+	return slowest
 }

@@ -202,9 +202,11 @@ type NIC struct {
 	srcSeqNext   uint64   // next sequence number for own ordered requests
 	deliveredSeq []uint64 // per source: ordered requests already delivered here
 
+	// check is the machine's global-order check (nil checks nothing).
 	// tracer is nil unless lifecycle tracing is enabled; every hook site
 	// guards on it so the disabled path is one branch. auditor follows the
 	// same discipline for the online order/coherence monitor.
+	check   *audit.OrderCheck
 	tracer  *obs.Tracer
 	auditor *audit.Auditor
 
@@ -275,6 +277,9 @@ func (n *NIC) SetTracer(t *obs.Tracer) {
 
 // SetAuditor attaches the online auditor (nil disables auditing).
 func (n *NIC) SetAuditor(a *audit.Auditor) { n.auditor = a }
+
+// SetOrderCheck reports every ordered request the agent accepts to c.
+func (n *NIC) SetOrderCheck(c *audit.OrderCheck) { n.check = c }
 
 // Node returns the NIC's node ID.
 func (n *NIC) Node() int { return n.node }
@@ -640,6 +645,7 @@ func (n *NIC) deliver(cycle uint64) {
 		run := &n.order[n.orderPos]
 		if p, arrive, ok := n.expectedPacket(run.sid); ok {
 			if n.agent.AcceptOrderedRequest(p, arrive, cycle) {
+				n.check.Commit(n.node, p.ID, cycle)
 				n.consumeExpected(run.sid, cycle)
 				if n.tracer != nil {
 					n.tracer.Record(obs.Event{

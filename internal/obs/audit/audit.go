@@ -5,8 +5,8 @@
 // spot-check after the fact:
 //
 //	(a) global-order consistency — every NIC commits the ordered request
-//	    stream in an identical total order, checked incrementally against a
-//	    bounded canonical ring plus per-NIC watermarks (never full history);
+//	    stream in an identical total order, read from the machine's
+//	    OrderCheck (which runs on every run, audited or not);
 //	(b) MOSI invariants — at most one owner per line, no Modified copy
 //	    coexisting with up-to-date sharers, every ordered invalidation
 //	    eventually clears its sharer bit, tracked in a compact per-line
@@ -64,10 +64,6 @@ func (s LineState) String() string {
 
 // Options tunes the auditor's bounded-memory structures.
 type Options struct {
-	// Window is how many canonical commit positions stay comparable. A NIC
-	// lagging the front-runner by more than Window commits is itself a
-	// violation (the machine's skew is bounded far below this in practice).
-	Window int
 	// SweepEvery is the cycle interval between full shadow sweeps (the
 	// eventually-clears-its-sharer-bit check). 0 keeps the default.
 	SweepEvery int
@@ -75,22 +71,12 @@ type Options struct {
 
 // Defaults for Options fields left zero.
 const (
-	DefaultWindow     = 1 << 14
 	DefaultSweepEvery = 1 << 10
-
-	// recentDepth is the per-NIC ring of recent commits kept solely for
-	// divergence reports.
-	recentDepth = 16
 
 	// maxFlitSeq bounds the per-packet flit bitmask; packets are a handful
 	// of flits, so 64 is generous.
 	maxFlitSeq = 64
 )
-
-// commitRec is one remembered commit for the per-NIC report ring.
-type commitRec struct {
-	pos, pkt, cycle uint64
-}
 
 // lineShadow is the compact per-line MOSI shadow. own is owner+1 (0 = no
 // owner) so the map's zero value means "no information". grantPos is the
@@ -116,22 +102,17 @@ type pktNode struct {
 type Auditor struct {
 	mu       sync.Mutex
 	nodes    int
-	window   uint64
 	sweep    uint64
 	snapshot func() string
 
 	violated bool
 	report   string
 
-	// (a) global order: ring[p%window] holds the canonical packet ID at
-	// position p, established by whichever NIC reached p first.
-	ring     []uint64
-	ringNode []int32
-	pos      []uint64 // per-NIC commits so far (= next expected position)
-	maxPos   uint64   // front-runner watermark
-	minCache uint64   // stale lower bound on min(pos), monotone
-	recent   []commitRec
-	recentN  []uint32
+	// (a) global order: the machine's check (nil for unordered machines),
+	// plus each NIC's commits so far, which qualify the MOSI shadow's
+	// cross-node checks and the notification bound.
+	order *OrderCheck
+	pos   []uint64
 
 	// (b) MOSI shadow.
 	lines map[uint64]lineShadow
@@ -155,26 +136,20 @@ type Auditor struct {
 	arriveAtEnd  int
 }
 
-// New builds an auditor for an n-node machine. snapshot (may be nil)
-// renders the network state for violation reports, exactly like the
-// watchdog's closure.
-func New(n int, opt Options, snapshot func() string) *Auditor {
-	if opt.Window <= 0 {
-		opt.Window = DefaultWindow
-	}
+// New builds an auditor for an n-node machine. order is the machine's
+// global-order check (nil when it has none); snapshot (may be nil) renders
+// the network state for violation reports, exactly like the watchdog's
+// closure.
+func New(n int, order *OrderCheck, opt Options, snapshot func() string) *Auditor {
 	if opt.SweepEvery <= 0 {
 		opt.SweepEvery = DefaultSweepEvery
 	}
 	return &Auditor{
 		nodes:        n,
-		window:       uint64(opt.Window),
 		sweep:        uint64(opt.SweepEvery),
 		snapshot:     snapshot,
-		ring:         make([]uint64, opt.Window),
-		ringNode:     make([]int32, opt.Window),
+		order:        order,
 		pos:          make([]uint64, n),
-		recent:       make([]commitRec, n*recentDepth),
-		recentN:      make([]uint32, n),
 		lines:        make(map[uint64]lineShadow, 1<<15),
 		lastCommit:   make([]uint64, n),
 		lastCommitOK: make([]bool, n),
@@ -198,26 +173,9 @@ func (a *Auditor) failf(format string, args ...any) {
 	a.report = b.String()
 }
 
-// historyLocked renders one NIC's recent-commit ring for divergence reports.
-func (a *Auditor) historyLocked(node int) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "  NIC %d recent commits (pos:pkt@cycle):", node)
-	n := a.recentN[node]
-	depth := uint32(recentDepth)
-	if n < depth {
-		depth = n
-	}
-	for i := uint32(0); i < depth; i++ {
-		r := a.recent[node*recentDepth+int((n-depth+i)%recentDepth)]
-		fmt.Fprintf(&b, " %d:%#x@%d", r.pos, r.pkt, r.cycle)
-	}
-	b.WriteString("\n")
-	return b.String()
-}
-
 // OrderCommit records that a NIC committed pkt as its next global-order
-// slot. The first NIC to reach a position establishes the canonical packet
-// for it; every other NIC must match.
+// slot, right after the NIC reported it to the order check: a check failure
+// latches here, at the commit that caused it.
 func (a *Auditor) OrderCommit(node int, pkt uint64, src int, cycle uint64) {
 	if a == nil {
 		return
@@ -227,39 +185,11 @@ func (a *Auditor) OrderCommit(node int, pkt uint64, src int, cycle uint64) {
 	if a.violated || node < 0 || node >= a.nodes {
 		return
 	}
-	p := a.pos[node]
-	slot := p % a.window
-	if p == a.maxPos {
-		// Front-runner: before overwriting the slot, make sure no laggard
-		// still needs the position it held.
-		if a.maxPos-a.minCache >= a.window {
-			min := a.pos[0]
-			lag := 0
-			for i, v := range a.pos {
-				if v < min {
-					min, lag = v, i
-				}
-			}
-			a.minCache = min
-			if a.maxPos-min >= a.window {
-				a.failf("global-order audit window exceeded: NIC %d is %d commits behind the front (window %d)",
-					lag, a.maxPos-min, a.window)
-				return
-			}
-		}
-		a.ring[slot] = pkt
-		a.ringNode[slot] = int32(node)
-		a.maxPos++
-	} else if a.ring[slot] != pkt {
-		want, wantNode := a.ring[slot], int(a.ringNode[slot])
-		detail := a.historyLocked(node)
-		if wantNode != node {
-			detail += a.historyLocked(wantNode)
-		}
-		a.failf("global order diverged at position %d: NIC %d committed packet %#x but NIC %d established packet %#x (cycle %d)\n%s",
-			p, node, pkt, wantNode, want, cycle, detail)
+	if err := a.order.Err(); err != nil {
+		a.failf("%v", err)
 		return
 	}
+	p := a.pos[node]
 	if src != node {
 		if _, ok := a.arrivals[pktNode{pkt, int32(node)}]; !ok {
 			a.failf("NIC %d order-committed packet %#x (src %d, position %d, cycle %d) with no prior network arrival",
@@ -267,8 +197,6 @@ func (a *Auditor) OrderCommit(node int, pkt uint64, src int, cycle uint64) {
 			return
 		}
 	}
-	a.recent[node*recentDepth+int(a.recentN[node]%recentDepth)] = commitRec{pos: p, pkt: pkt, cycle: cycle}
-	a.recentN[node]++
 	a.pos[node] = p + 1
 	a.lastCommit[node] = pkt
 	a.lastCommitOK[node] = true
@@ -512,16 +440,6 @@ func (a *Auditor) Commits() uint64 {
 	return a.ncommits
 }
 
-// FrontPos returns the canonical order watermark (positions established).
-func (a *Auditor) FrontPos() uint64 {
-	if a == nil {
-		return 0
-	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.maxPos
-}
-
 // FlitsChecked returns how many locally-delivered flits were verified.
 func (a *Auditor) FlitsChecked() uint64 {
 	if a == nil {
@@ -542,6 +460,7 @@ func (a *Auditor) Summary() string {
 	if a.violated {
 		return "audit: VIOLATED"
 	}
+	front, _ := a.order.Positions()
 	return fmt.Sprintf("audit: ok — %d order commits cross-checked over %d positions, %d flits verified, %d shadow lines live, %d sweeps",
-		a.ncommits, a.maxPos, a.nflits, len(a.lines), a.nsweeps)
+		a.ncommits, front, a.nflits, len(a.lines), a.nsweeps)
 }

@@ -7,23 +7,26 @@ import (
 
 // commitAll commits pkt at every node in order, feeding arrivals first the
 // way the NIC hooks do (the source node self-loops without a network
-// arrival).
-func commitAll(a *Auditor, nodes int, pkt uint64, src int, cycle uint64) {
+// arrival): each node reports the commit to the order check, then to the
+// auditor.
+func commitAll(a *Auditor, c *OrderCheck, nodes int, pkt uint64, src int, cycle uint64) {
 	for n := 0; n < nodes; n++ {
 		if n != src {
 			a.Arrive(n, pkt, src)
 		}
 	}
 	for n := 0; n < nodes; n++ {
+		c.Commit(n, pkt, cycle)
 		a.OrderCommit(n, pkt, src, cycle)
 		a.Sink(n, pkt, true)
 	}
 }
 
 func TestHealthySequenceStaysSilent(t *testing.T) {
-	a := New(4, Options{}, nil)
+	c := NewOrderCheck(4, 8)
+	a := New(4, c, Options{}, nil)
 	for i := uint64(1); i <= 100; i++ {
-		commitAll(a, 4, 0x1000+i, int(i%4), i)
+		commitAll(a, c, 4, 0x1000+i, int(i%4), i)
 	}
 	// A well-behaved MOSI episode: read-share, then upgrade with the sharers
 	// dropping their copies before anyone commits past the grant.
@@ -47,21 +50,30 @@ func TestHealthySequenceStaysSilent(t *testing.T) {
 	if got := a.Commits(); got != 400 {
 		t.Fatalf("Commits() = %d, want 400", got)
 	}
-	if !strings.HasPrefix(a.Summary(), "audit: ok") {
+	if !strings.HasPrefix(a.Summary(), "audit: ok") || !strings.Contains(a.Summary(), "over 100 positions") {
 		t.Fatalf("Summary() = %q", a.Summary())
 	}
 }
 
-func TestDivergentCommitNamesBothNICs(t *testing.T) {
-	a := New(2, Options{}, func() string { return "SNAPSHOT" })
+// TestAuditorLatchesOrderCheckFailure: an audited run aborts at the commit
+// that broke the global order, with the check's diagnosis and the network
+// snapshot in the report.
+func TestAuditorLatchesOrderCheckFailure(t *testing.T) {
+	c := NewOrderCheck(2, 8)
+	a := New(2, c, Options{}, func() string { return "SNAPSHOT" })
+	c.Commit(0, 0xaaa, 5)
 	a.OrderCommit(0, 0xaaa, 0, 5)
+	if a.Violated() {
+		t.Fatalf("healthy commit flagged: %s", a.Report())
+	}
 	a.Arrive(1, 0xbbb, 0)
+	c.Commit(1, 0xbbb, 6)
 	a.OrderCommit(1, 0xbbb, 0, 6)
 	if !a.Violated() {
-		t.Fatal("divergent commit not flagged")
+		t.Fatal("order-check failure not latched")
 	}
 	r := a.Report()
-	for _, want := range []string{"position 0", "NIC 1", "NIC 0", "0xbbb", "0xaaa", "SNAPSHOT"} {
+	for _, want := range []string{"audit: global order diverged at position 0", "SNAPSHOT"} {
 		if !strings.Contains(r, want) {
 			t.Errorf("report missing %q:\n%s", want, r)
 		}
@@ -69,7 +81,7 @@ func TestDivergentCommitNamesBothNICs(t *testing.T) {
 }
 
 func TestCommitWithoutArrival(t *testing.T) {
-	a := New(2, Options{}, nil)
+	a := New(2, nil, Options{}, nil)
 	a.OrderCommit(1, 0xccc, 0, 5) // src 0, never arrived at node 1
 	if !a.Violated() || !strings.Contains(a.Report(), "no prior network arrival") {
 		t.Fatalf("missing-arrival commit not flagged: %s", a.Report())
@@ -77,7 +89,7 @@ func TestCommitWithoutArrival(t *testing.T) {
 }
 
 func TestTwoOwnersNamesLineAndNICs(t *testing.T) {
-	a := New(4, Options{}, nil)
+	a := New(4, nil, Options{}, nil)
 	a.LineState(0, 0xdead, LineModified, 10)
 	a.LineState(2, 0xdead, LineModified, 11)
 	if !a.Violated() {
@@ -92,7 +104,7 @@ func TestTwoOwnersNamesLineAndNICs(t *testing.T) {
 }
 
 func TestSharedInstallWhileModified(t *testing.T) {
-	a := New(2, Options{}, nil)
+	a := New(2, nil, Options{}, nil)
 	a.LineState(0, 0xf00, LineModified, 5) // grantPos = pos[0] = 0
 	a.OrderCommit(1, 0x1, 1, 6)            // pos[1] = 1 > grantPos
 	a.LineState(1, 0xf00, LineShared, 7)
@@ -102,7 +114,7 @@ func TestSharedInstallWhileModified(t *testing.T) {
 }
 
 func TestLaggingSharedInstallIsNotAViolation(t *testing.T) {
-	a := New(2, Options{}, nil)
+	a := New(2, nil, Options{}, nil)
 	a.LineState(0, 0xf00, LineModified, 5)
 	// Node 1 has not committed past the grant — it legitimately has not
 	// processed the invalidation yet.
@@ -113,7 +125,7 @@ func TestLaggingSharedInstallIsNotAViolation(t *testing.T) {
 }
 
 func TestSweepCatchesStaleSharer(t *testing.T) {
-	a := New(2, Options{SweepEvery: 8}, nil)
+	a := New(2, nil, Options{SweepEvery: 8}, nil)
 	a.LineState(1, 0xbeef, LineShared, 1)
 	a.LineState(0, 0xbeef, LineModified, 2) // install while sharer lags: fine
 	if a.Violated() {
@@ -133,7 +145,7 @@ func TestSweepCatchesStaleSharer(t *testing.T) {
 }
 
 func TestDuplicateFlit(t *testing.T) {
-	a := New(4, Options{}, nil)
+	a := New(4, nil, Options{}, nil)
 	a.FlitDelivered(2, 0x77, 0, 3)
 	a.FlitDelivered(2, 0x77, 1, 3)
 	a.FlitDelivered(2, 0x77, 1, 3)
@@ -146,7 +158,7 @@ func TestDuplicateFlit(t *testing.T) {
 }
 
 func TestDuplicateArrival(t *testing.T) {
-	a := New(4, Options{}, nil)
+	a := New(4, nil, Options{}, nil)
 	a.Arrive(3, 0x55, 1)
 	a.Arrive(3, 0x55, 1)
 	if !a.Violated() || !strings.Contains(a.Report(), "duplicate network arrival") {
@@ -155,28 +167,15 @@ func TestDuplicateArrival(t *testing.T) {
 }
 
 func TestOrderedSinkBeforeCommit(t *testing.T) {
-	a := New(2, Options{}, nil)
+	a := New(2, nil, Options{}, nil)
 	a.Sink(0, 0x42, true)
 	if !a.Violated() || !strings.Contains(a.Report(), "before its order-commit") {
 		t.Fatalf("premature ordered sink not flagged: %s", a.Report())
 	}
 }
 
-func TestWindowExceededNamesLaggard(t *testing.T) {
-	a := New(2, Options{Window: 8}, nil)
-	for i := uint64(0); i < 9; i++ {
-		a.OrderCommit(0, 0x100+i, 0, i)
-	}
-	if !a.Violated() || !strings.Contains(a.Report(), "window exceeded") {
-		t.Fatalf("window overflow not flagged: %s", a.Report())
-	}
-	if !strings.Contains(a.Report(), "NIC 1") {
-		t.Errorf("report does not name the laggard:\n%s", a.Report())
-	}
-}
-
 func TestNotificationUndercount(t *testing.T) {
-	a := New(1, Options{}, nil)
+	a := New(1, nil, Options{}, nil)
 	a.NotifWindow(1)
 	a.OrderCommit(0, 0x1, 0, 10)
 	a.OrderCommit(0, 0x2, 0, 11)
@@ -201,7 +200,7 @@ func TestNilAuditorIsInert(t *testing.T) {
 }
 
 func TestFirstViolationLatches(t *testing.T) {
-	a := New(2, Options{}, nil)
+	a := New(2, nil, Options{}, nil)
 	a.Sink(0, 0x1, true)
 	first := a.Report()
 	a.LineState(0, 0x2, LineModified, 1)

@@ -1,6 +1,7 @@
 package system
 
 import (
+	"runtime"
 	"testing"
 
 	"scorpio/internal/directory"
@@ -92,5 +93,31 @@ func TestDirectorySteadyStateAllocs(t *testing.T) {
 				t.Fatalf("%s steady state allocates %.2f times per step, bound %.1f", tc.v, per, tc.bound)
 			}
 		})
+	}
+}
+
+// TestScorpioLiveHeapFlat: a long run keeps no per-request history. On a
+// warm 6×6 chip with endless work, 20,000 cycles after the first 22,000 must
+// raise the live heap (after GC) by less than 256 KB. A log of every
+// accepted ordered request at every node grew it by 2.66 MB.
+func TestScorpioLiveHeapFlat(t *testing.T) {
+	if testing.Short() {
+		t.Skip("42,000 cycles of a loaded 6×6 chip")
+	}
+	live := func() int64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	s := warmScorpioMesh(t, 6, 6, 1)
+	s.Kernel.Run(22_000 - s.Kernel.Cycle())
+	before := live()
+	s.Kernel.Run(20_000)
+	grew := live() - before
+	runtime.KeepAlive(s)
+	t.Logf("live heap +%d bytes over cycles 22,000-42,000", grew)
+	if grew >= 256<<10 {
+		t.Fatalf("live heap grew %d bytes over 20,000 cycles, want < 256 KB", grew)
 	}
 }

@@ -31,7 +31,8 @@ func TestAuditedScorpioHealthy(t *testing.T) {
 	if a.Violated() {
 		t.Fatalf("healthy run flagged: %s", a.Report())
 	}
-	if a.Commits() == 0 || a.FrontPos() == 0 {
+	front, slowest := s.order.Positions()
+	if a.Commits() == 0 || front == 0 {
 		t.Fatal("auditor cross-checked no order commits")
 	}
 	if a.FlitsChecked() == 0 {
@@ -42,8 +43,8 @@ func TestAuditedScorpioHealthy(t *testing.T) {
 	}
 	// Every NIC must have committed the same number of ordered requests by
 	// run end (the network drains), so commits = nodes × positions.
-	if a.Commits() != uint64(36)*a.FrontPos() {
-		t.Fatalf("commits %d != 36 × %d positions: NICs ended out of step", a.Commits(), a.FrontPos())
+	if a.Commits() != uint64(36)*front || slowest != front {
+		t.Fatalf("commits %d, slowest %d, front %d: NICs ended out of step", a.Commits(), slowest, front)
 	}
 	at := res.Obs.Attrib
 	if at == nil {
@@ -63,7 +64,7 @@ func TestAuditedScorpioHealthy(t *testing.T) {
 }
 
 // TestAuditedBaselinesHealthy attaches the auditor to each baseline machine:
-// TokenB and INSO commit through the same canonical-ring checker as SCORPIO,
+// TokenB and INSO commit through the same global-order check as SCORPIO,
 // and the directory machine gets the delivery-sanity subset.
 func TestAuditedBaselinesHealthy(t *testing.T) {
 	prof, err := trace.ByName("blackscholes")
@@ -142,26 +143,89 @@ func auditedPartialRun(t *testing.T) *Scorpio {
 	return s
 }
 
+// corruptOrder reports a packet no other node will ever accept as NIC 3's
+// next ordered request, once the machine has checked some real traffic: the
+// mutation a real ordering bug would produce.
+func corruptOrder(t *testing.T, m *machine) {
+	t.Helper()
+	front := func() uint64 { f, _ := m.order.Positions(); return f }
+	m.Kernel.RunUntil(func() bool { return front() >= 32 }, 3_000_000)
+	if front() < 32 {
+		t.Fatal("partial run produced no ordered traffic")
+	}
+	m.order.Commit(3, 0xdeadbeef, m.Kernel.Cycle())
+}
+
 // TestAuditDetectsCorruptedCommitOrder corrupts one NIC's commit stream
-// mid-run (the mutation a real ordering bug would produce) and checks the
-// run aborts with a divergence diagnosis naming the culprit.
+// mid-run and checks the audited run aborts with a divergence diagnosis
+// naming the culprit.
 func TestAuditDetectsCorruptedCommitOrder(t *testing.T) {
 	s := auditedPartialRun(t)
-	// NIC 3 commits a packet no other NIC will ever see in that slot.
-	s.Obs.Auditor.OrderCommit(3, 0xdeadbeef, 3, s.Kernel.Cycle())
+	corruptOrder(t, &s.machine)
 	_, err := s.Run(3_000_000)
 	if err == nil {
 		t.Fatal("corrupted commit order did not abort the run")
 	}
-	msg := err.Error()
-	if !strings.Contains(msg, "audit violation") || !strings.Contains(msg, "NIC 3") {
-		t.Fatalf("error does not name the culprit NIC: %v", err)
+	for _, want := range []string{"audit violation", "global order diverged", "NIC 3"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Fatalf("error missing %q: %v", want, err)
+		}
 	}
-	// Depending on where NIC 3 sat relative to the canonical front, the fake
-	// commit either diverges from the established order or overruns the
-	// notification announcements; both are correct detections of the mutation.
-	if !strings.Contains(msg, "global order diverged") && !strings.Contains(msg, "notification network announced") {
-		t.Fatalf("error missing ordering diagnosis: %v", err)
+}
+
+// TestOrderCheckFailsUnauditedRuns: every ordered machine checks its global
+// order on every run, so a corrupted commit fails a run with no auditor
+// attached too, at its end.
+func TestOrderCheckFailsUnauditedRuns(t *testing.T) {
+	prof, err := trace.ByName("blackscholes")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Run("SCORPIO", func(t *testing.T) {
+		s, err := NewScorpio(smallOptions(t, "barnes", 16))
+		if err != nil {
+			t.Fatal(err)
+		}
+		corruptOrder(t, &s.machine)
+		_, err = s.Run(3_000_000)
+		if err == nil || !strings.Contains(err.Error(), "system: SCORPIO/barnes global order diverged") {
+			t.Fatalf("corrupted order not reported: %v", err)
+		}
+	})
+	for _, scheme := range []OrderingScheme{SchemeTokenB, SchemeINSO} {
+		t.Run(scheme.String(), func(t *testing.T) {
+			opt := DefaultBaselineOptions(scheme, prof)
+			opt.WorkPerCore = 40
+			opt.WarmupPerCore = 60
+			b, err := NewBaseline(opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			corruptOrder(t, &b.machine)
+			_, err = b.Run(3_000_000)
+			if err == nil || !strings.Contains(err.Error(), "global order diverged") {
+				t.Fatalf("corrupted order not reported: %v", err)
+			}
+		})
+	}
+}
+
+// TestOrderCheckCleanAtSmallTracker runs the chip with the shallowest
+// tracker and multi-bit notifications, the settings that let nodes drift
+// furthest apart relative to the check's derived window.
+func TestOrderCheckCleanAtSmallTracker(t *testing.T) {
+	opt := smallOptions(t, "fft", 36)
+	opt.Core.NIC.TrackerDepth = 2
+	opt.Core.Notif.BitsPerCore = 3
+	s, err := NewScorpio(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Run(3_000_000); err != nil {
+		t.Fatal(err)
+	}
+	if front, slowest := s.order.Positions(); front == 0 || slowest != front {
+		t.Fatalf("front %d, slowest %d: want equal and nonzero", front, slowest)
 	}
 }
 
@@ -189,12 +253,14 @@ func TestAuditDetectsTwoOwners(t *testing.T) {
 // network-state snapshot the watchdog would dump.
 func TestAuditViolationCarriesSnapshot(t *testing.T) {
 	s := auditedPartialRun(t)
-	s.Obs.Auditor.OrderCommit(3, 0xdeadbeef, 3, s.Kernel.Cycle())
+	corruptOrder(t, &s.machine)
 	_, err := s.Run(3_000_000)
 	if err == nil {
 		t.Fatal("violation did not abort")
 	}
-	if !strings.Contains(err.Error(), "mesh snapshot @cycle") {
-		t.Fatalf("violation report missing network snapshot: %v", err)
+	for _, want := range []string{"global order diverged", "NIC 3", "mesh snapshot @cycle"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Fatalf("violation report missing %q: %v", want, err)
+		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"scorpio/internal/mem"
 	"scorpio/internal/noc"
 	"scorpio/internal/obs"
+	"scorpio/internal/obs/audit"
 	"scorpio/internal/sim"
 	"scorpio/internal/trace"
 )
@@ -69,6 +70,12 @@ func DefaultBaselineOptions(scheme OrderingScheme, prof trace.Profile) BaselineO
 	}
 }
 
+// baselineOrderWindow is the TokenB and INSO global-order check's window.
+// Their reorder buffers are unbounded by design, so no skew bound follows
+// from the hardware; every audited baseline run has stayed within 16K
+// positions.
+const baselineOrderWindow = 1 << 14
+
 // Baseline is an assembled TokenB or INSO machine.
 type Baseline struct {
 	machine
@@ -99,7 +106,10 @@ func NewBaseline(opt BaselineOptions) (*Baseline, error) {
 		return nil, err
 	}
 	k := sim.NewKernel()
-	b := &Baseline{machine: machine{Kernel: k, label: opt.Scheme.String() + "/" + opt.Profile.Name}, opt: opt, Mesh: mesh}
+	b := &Baseline{opt: opt, Mesh: mesh, machine: machine{
+		Kernel: k, label: opt.Scheme.String() + "/" + opt.Profile.Name,
+		order: audit.NewOrderCheck(opt.Net.Nodes(), baselineOrderWindow),
+	}}
 	var orderer baseline.Orderer
 	switch opt.Scheme {
 	case SchemeTokenB:
@@ -122,6 +132,7 @@ func NewBaseline(opt BaselineOptions) (*Baseline, error) {
 			ep.SetExpirySource(b.INSO)
 		}
 		ep.SetRecycler(pool)
+		ep.SetOrderCheck(b.order)
 		b.Endpoints = append(b.Endpoints, ep)
 		l2 := coherence.NewL2(node, opt.L2, ep, mesh.NextPacketID, mm, pool)
 		b.L2s = append(b.L2s, l2)
@@ -180,9 +191,10 @@ func (b *Baseline) snapshot(now uint64) string {
 }
 
 // Run executes to completion and collects results. A watchdog stall aborts
-// the run with the full network snapshot in the error.
+// the run with the full network snapshot in the error; a run whose nodes
+// disagree on the global order fails its final check.
 func (b *Baseline) Run(limit uint64) (Results, error) {
-	r, err := b.run(limit, nil)
+	r, err := b.run(limit)
 	if err != nil {
 		return r, err
 	}

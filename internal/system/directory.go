@@ -197,7 +197,7 @@ func (d *Directory) snapshot(now uint64) string {
 // Run executes to completion and collects results. A watchdog stall aborts
 // the run with the full network snapshot in the error.
 func (d *Directory) Run(limit uint64) (Results, error) {
-	r, err := d.run(limit, nil)
+	r, err := d.run(limit)
 	if err != nil {
 		return r, err
 	}

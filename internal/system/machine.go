@@ -15,13 +15,15 @@ import (
 // machine is the run core Scorpio, Directory and Baseline embed, so all five
 // protocols are run, checked and reported by the same code: it owns
 // completion, the end-of-run sequence and the injector half of Results.
-// label names the run ("SCORPIO/fft", "LPD-D/lu", "INSO/barnes").
+// label names the run ("SCORPIO/fft", "LPD-D/lu", "INSO/barnes"); order is
+// the global-order check of an ordered machine (nil for the directories).
 type machine struct {
 	Kernel    *sim.Kernel
 	Injectors []*trace.Injector
 	Obs       *Observability // nil unless the options enabled something
 
 	label string
+	order *audit.OrderCheck
 }
 
 // Done reports whether every core finished its work quota.
@@ -37,12 +39,12 @@ func (m *machine) Done() bool {
 // run executes until every core finishes or the cycle limit is reached and
 // drains the perf monitor into the RunReport (only when one was asked for:
 // a telemetry-only monitor stays off the Result). An audit violation, a
-// watchdog stall (with the full network snapshot) or an unfinished run is an
-// error; then verify (the machine's own final check, nil for none) and the
-// auditor's end-of-run sweep run. A successful run attaches the whole-run
-// router-utilization heat map to the metrics store and returns the injector
-// half of the results.
-func (m *machine) run(limit uint64, verify func() error) (Results, error) {
+// watchdog stall (with the full network snapshot), an unfinished run or a
+// failed global-order check is an error; then the auditor's end-of-run
+// sweep runs. A successful run attaches the whole-run router-utilization
+// heat map to the metrics store and returns the injector half of the
+// results.
+func (m *machine) run(limit uint64) (Results, error) {
 	o := m.Obs
 	done := m.Done
 	if o != nil && (o.Watchdog != nil || o.Auditor != nil) {
@@ -64,10 +66,8 @@ func (m *machine) run(limit uint64, verify func() error) (Results, error) {
 		return Results{}, fmt.Errorf("system: %s did not finish within %d cycles (completed %d)",
 			m.label, limit, completed)
 	}
-	if verify != nil {
-		if err := verify(); err != nil {
-			return Results{}, err
-		}
+	if err := m.order.Err(); err != nil {
+		return Results{}, fmt.Errorf("system: %s %w", m.label, err)
 	}
 	if o != nil {
 		o.Auditor.Finish(m.Kernel.Cycle())

@@ -334,7 +334,7 @@ func buildObs(opt *obs.Options, m *machine, mesh *noc.Mesh, p probe) (*Observabi
 	// snapshot, so a wedged-while-parked unit names its missing wake edge.
 	snap := func() string { return p.snapshot(k.Cycle()) + k.ActivityReport() }
 	if opt.Audit {
-		o.Auditor = audit.New(cfg.Nodes(), audit.Options{SweepEvery: opt.AuditEvery}, snap)
+		o.Auditor = audit.New(cfg.Nodes(), m.order, audit.Options{SweepEvery: opt.AuditEvery}, snap)
 		o.Attrib = obs.NewAttribution()
 	}
 	if opt.Watchdog > 0 {

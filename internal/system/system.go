@@ -233,7 +233,7 @@ func NewScorpioBare(opt Options) (*Scorpio, error) {
 		return nil, err
 	}
 	nodes := net.Nodes()
-	s := &Scorpio{machine: machine{Kernel: k, label: "SCORPIO/" + opt.Profile.Name}, opt: opt, Net: net}
+	s := &Scorpio{machine: machine{Kernel: k, label: "SCORPIO/" + opt.Profile.Name, order: net.OrderCheck()}, opt: opt, Net: net}
 	pools := make([]coherence.Pool[coherence.RespInfo], nodes)
 	for node := 0; node < nodes; node++ {
 		n, pool := net.NIC(node), &pools[node]
@@ -281,7 +281,7 @@ func (s *Scorpio) snapshot(now uint64) string { return s.Net.Snapshot(now) + mis
 // full network snapshot in the error; a run whose nodes disagree on the
 // global order fails its final check.
 func (s *Scorpio) Run(limit uint64) (Results, error) {
-	r, err := s.run(limit, s.Net.VerifyGlobalOrder)
+	r, err := s.run(limit)
 	if err != nil {
 		return r, err
 	}

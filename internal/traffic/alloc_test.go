@@ -132,7 +132,7 @@ func TestMeshSteadyStateAllocsTracerAttached(t *testing.T) {
 // ejection a steady-state step still never touches the heap.
 func TestMeshSteadyStateAllocsAuditorAttached(t *testing.T) {
 	k, mesh := warmMesh(t)
-	a := audit.New(36, audit.Options{}, nil)
+	a := audit.New(36, nil, audit.Options{}, nil)
 	mesh.SetAuditor(a)
 	allocs := testing.AllocsPerRun(3, func() {
 		for i := 0; i < 500; i++ {
@@ -334,7 +334,7 @@ func TestMeshSteadyStateAllocsParallelObserved(t *testing.T) {
 	k, mesh := warmMeshWorkers(t, 4)
 	tr := obs.NewTracer(1 << 14)
 	mesh.SetTracer(tr)
-	a := audit.New(36, audit.Options{}, nil)
+	a := audit.New(36, nil, audit.Options{}, nil)
 	mesh.SetAuditor(a)
 	allocs := testing.AllocsPerRun(3, func() {
 		for i := 0; i < 500; i++ {
