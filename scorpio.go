@@ -481,6 +481,7 @@ func baselineOptions(cfg Config, prof trace.Profile) system.BaselineOptions {
 	opt.MaxOutstanding = cfg.MaxOutstanding
 	opt.Seed = cfg.Seed
 	opt.L2.DataFlits = opt.Net.DataPacketFlits()
+	opt.Mem.TotalDirCacheBytes = cfg.DirCacheBytes
 	if cfg.MaxOutstanding > opt.L2.MSHRs {
 		opt.L2.MSHRs = cfg.MaxOutstanding
 		opt.L2.CoreQueueDepth = 2 * cfg.MaxOutstanding

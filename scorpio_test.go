@@ -4,6 +4,8 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"scorpio/internal/trace"
 )
 
 func TestRunDefaultsToScorpio(t *testing.T) {
@@ -47,6 +49,34 @@ func TestRunRejectsBadInput(t *testing.T) {
 		tc.cfg.Benchmark, tc.cfg.WorkPerCore, tc.cfg.CycleLimit = "fft", 10, 100_000
 		if _, err := Run(tc.cfg); err == nil || !strings.Contains(err.Error(), tc.field) {
 			t.Errorf("bad %s: got %v, want an error naming it", tc.field, err)
+		}
+	}
+}
+
+// TestMappersCarryDirCacheBytes: every machine gets the directory-cache
+// budget the Config names, so Figure 7 compares the ordering schemes at the
+// same budget.
+func TestMappersCarryDirCacheBytes(t *testing.T) {
+	prof, err := trace.ByName("fft")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []Protocol{SCORPIO, LPDD, HTD, TokenB, INSO} {
+		cfg := Config{Protocol: p, Benchmark: "fft", DirCacheBytes: 4096}
+		if err := cfg.fill(); err != nil {
+			t.Fatal(err)
+		}
+		var got int
+		switch p {
+		case SCORPIO:
+			got = scorpioOptions(cfg, prof).Mem.TotalDirCacheBytes
+		case LPDD, HTD:
+			got = directoryOptions(cfg, prof).DirCacheBytes
+		default:
+			got = baselineOptions(cfg, prof).Mem.TotalDirCacheBytes
+		}
+		if got != cfg.DirCacheBytes {
+			t.Errorf("%s machine gets a %d-byte directory cache, want %d", p, got, cfg.DirCacheBytes)
 		}
 	}
 }
