@@ -112,10 +112,12 @@ telemetrysmoke: build
 
 # The trace-format smoke: produce a lifecycle trace from a short 36-core run
 # and validate it parses as Chrome trace-event JSON with at least one fully
-# reconstructable transaction.
+# reconstructable transaction. Then a sampled-metrics run must print its
+# end-of-run router utilization heatmap.
 tracesmoke: build
 	$(GO) run ./cmd/scorpiosim -bench barnes -work 50 -warmup 50 -trace /tmp/scorpio-tracesmoke.json > /dev/null
 	$(GO) run ./cmd/traceq check /tmp/scorpio-tracesmoke.json
+	$(GO) run ./cmd/scorpiosim -bench barnes -work 50 -warmup 50 -metrics-interval 1000 -metrics-out /tmp/scorpio-metricssmoke.csv | grep 'router utilization heatmap'
 
 # The auditor smoke: short audited runs of the ordered machine and of a
 # baseline must complete with zero violations (a violation aborts the run,

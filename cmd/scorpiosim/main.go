@@ -152,6 +152,9 @@ func main() {
 	if res.DirTransactions > 0 {
 		fmt.Printf("directory          %d transactions, %d cache misses\n", res.DirTransactions, res.DirCacheMisses)
 	}
+	if res.Obs != nil {
+		fmt.Print(res.Obs.Metrics.Heatmap())
+	}
 	if res.Obs != nil && res.Obs.Auditor != nil {
 		fmt.Println(res.Obs.Auditor.Summary())
 	}
