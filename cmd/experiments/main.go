@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"slices"
 	"strings"
 	"time"
 
@@ -19,9 +20,82 @@ import (
 	"scorpio/internal/cli"
 )
 
+// section is one table or figure: its -only name and how to render it.
+type section struct {
+	name string
+	run  func(scorpio.Scale) (string, error)
+}
+
+// sections lists every table and figure in the order they print.
+var sections = []section{
+	{"table1", func(scorpio.Scale) (string, error) { return scorpio.Table1(), nil }},
+	{"service", func(s scorpio.Scale) (string, error) { return str(scorpio.ServiceLatencySummary(s)) }},
+	{"table2", func(scorpio.Scale) (string, error) { return scorpio.Table2(), nil }},
+	{"fig6a", func(s scorpio.Scale) (string, error) {
+		fig, err := scorpio.Figure6a(s, 36)
+		if err != nil {
+			return "", err
+		}
+		return fig.String() + "\n" + fig.Chart() + "\n" + scorpio.Headline(fig), nil
+	}},
+	{"fig6a64", func(s scorpio.Scale) (string, error) {
+		fig, err := scorpio.Figure6a(s, 64)
+		if err != nil {
+			return "", err
+		}
+		return fig.String() + "\n" + scorpio.Headline(fig), nil
+	}},
+	{"fig6b", func(s scorpio.Scale) (string, error) { return str(scorpio.Figure6b(s)) }},
+	{"fig6c", func(s scorpio.Scale) (string, error) { return str(scorpio.Figure6c(s)) }},
+	{"fig7", func(s scorpio.Scale) (string, error) { return str(scorpio.Figure7(s)) }},
+	{"fig8a", func(s scorpio.Scale) (string, error) { return str(scorpio.Figure8a(s)) }},
+	{"fig8b", func(s scorpio.Scale) (string, error) { return str(scorpio.Figure8b(s)) }},
+	{"fig8c", func(s scorpio.Scale) (string, error) { return str(scorpio.Figure8c(s)) }},
+	{"fig8d", func(s scorpio.Scale) (string, error) { return str(scorpio.Figure8d(s)) }},
+	{"fig9", func(scorpio.Scale) (string, error) {
+		p, a := scorpio.Figure9()
+		return p.String() + "\n" + a.String(), nil
+	}},
+	{"fig10", func(s scorpio.Scale) (string, error) { return str(scorpio.Figure10(s)) }},
+}
+
+// str renders a figure a sweep returned, passing its error through.
+func str(fig scorpio.Figure, err error) (string, error) {
+	if err != nil {
+		return "", err
+	}
+	return fig.String(), nil
+}
+
+// sectionNames lists the -only names, comma-separated.
+func sectionNames() string {
+	names := make([]string, len(sections))
+	for i, s := range sections {
+		names[i] = s.name
+	}
+	return strings.Join(names, ",")
+}
+
+// selection parses -only: nil selects every section, and a name that is
+// not a section is an error listing the valid ones.
+func selection(only string) (map[string]bool, error) {
+	if only == "" {
+		return nil, nil
+	}
+	want := map[string]bool{}
+	for _, name := range strings.Split(only, ",") {
+		name = strings.TrimSpace(name)
+		if !slices.ContainsFunc(sections, func(s section) bool { return s.name == name }) {
+			return nil, fmt.Errorf("-only: unknown name %q; valid names: %s", name, sectionNames())
+		}
+		want[name] = true
+	}
+	return want, nil
+}
+
 func main() {
 	var (
-		only    = flag.String("only", "", "comma-separated subset: table1,table2,service,fig6a,fig6a64,fig6b,fig6c,fig7,fig8a,fig8b,fig8c,fig8d,fig9,fig10")
+		only    = flag.String("only", "", "comma-separated subset: "+sectionNames())
 		quick   = flag.Bool("quick", false, "reduced workloads (CI-sized)")
 		seed    = flag.Uint64("seed", 1, "workload seed")
 		workers = flag.Int("workers", 0, "concurrent simulations per sweep (0 = GOMAXPROCS)")
@@ -45,6 +119,11 @@ func main() {
 		{Flag: "telemetry-interval", Requires: func() bool { return *telemetry != "" },
 			Msg: "-telemetry-interval has no effect without -telemetry ADDR"},
 	}); err != nil {
+		fmt.Fprintln(os.Stderr, "experiments:", err)
+		os.Exit(2)
+	}
+	want, err := selection(*only)
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
 		os.Exit(2)
 	}
@@ -110,111 +189,17 @@ func main() {
 	}
 	fmt.Printf("experiments: up to %d concurrent simulations per sweep\n\n", effective)
 
-	want := map[string]bool{}
-	if *only != "" {
-		for _, s := range strings.Split(*only, ",") {
-			want[strings.TrimSpace(s)] = true
-		}
-	}
-	sel := func(name string) bool { return len(want) == 0 || want[name] }
-	fail := func(name string, err error) {
-		fmt.Fprintf(os.Stderr, "experiments: %s: %v\n", name, err)
-		os.Exit(1)
-	}
-	section := func(name string, run func() (string, error)) {
-		if !sel(name) {
-			return
+	for _, sec := range sections {
+		if want != nil && !want[sec.name] {
+			continue
 		}
 		start := time.Now()
-		out, err := run()
+		out, err := sec.run(scale)
 		if err != nil {
-			fail(name, err)
+			fmt.Fprintf(os.Stderr, "experiments: %s: %v\n", sec.name, err)
+			os.Exit(1)
 		}
 		fmt.Println(out)
-		fmt.Printf("[%s finished in %s]\n\n", name, time.Since(start).Round(time.Millisecond))
+		fmt.Printf("[%s finished in %s]\n\n", sec.name, time.Since(start).Round(time.Millisecond))
 	}
-
-	section("table1", func() (string, error) { return scorpio.Table1(), nil })
-	section("service", func() (string, error) {
-		fig, err := scorpio.ServiceLatencySummary(scale)
-		if err != nil {
-			return "", err
-		}
-		return fig.String(), nil
-	})
-	section("table2", func() (string, error) { return scorpio.Table2(), nil })
-	section("fig6a", func() (string, error) {
-		fig, err := scorpio.Figure6a(scale, 36)
-		if err != nil {
-			return "", err
-		}
-		return fig.String() + "\n" + fig.Chart() + "\n" + scorpio.Headline(fig), nil
-	})
-	section("fig6a64", func() (string, error) {
-		fig, err := scorpio.Figure6a(scale, 64)
-		if err != nil {
-			return "", err
-		}
-		return fig.String() + "\n" + scorpio.Headline(fig), nil
-	})
-	section("fig6b", func() (string, error) {
-		fig, err := scorpio.Figure6b(scale)
-		if err != nil {
-			return "", err
-		}
-		return fig.String(), nil
-	})
-	section("fig6c", func() (string, error) {
-		fig, err := scorpio.Figure6c(scale)
-		if err != nil {
-			return "", err
-		}
-		return fig.String(), nil
-	})
-	section("fig7", func() (string, error) {
-		fig, err := scorpio.Figure7(scale)
-		if err != nil {
-			return "", err
-		}
-		return fig.String(), nil
-	})
-	section("fig8a", func() (string, error) {
-		fig, err := scorpio.Figure8a(scale)
-		if err != nil {
-			return "", err
-		}
-		return fig.String(), nil
-	})
-	section("fig8b", func() (string, error) {
-		fig, err := scorpio.Figure8b(scale)
-		if err != nil {
-			return "", err
-		}
-		return fig.String(), nil
-	})
-	section("fig8c", func() (string, error) {
-		fig, err := scorpio.Figure8c(scale)
-		if err != nil {
-			return "", err
-		}
-		return fig.String(), nil
-	})
-	section("fig8d", func() (string, error) {
-		fig, err := scorpio.Figure8d(scale)
-		if err != nil {
-			return "", err
-		}
-		return fig.String(), nil
-	})
-	section("fig9", func() (string, error) {
-		p, a := scorpio.Figure9()
-		return p.String() + "\n" + a.String(), nil
-	})
-	section("fig10", func() (string, error) {
-		fig, err := scorpio.Figure10(scale)
-		if err != nil {
-			return "", err
-		}
-		return fig.String(), nil
-	})
 }
