@@ -137,12 +137,13 @@ type Config struct {
 	// no packet is delivered for this many cycles while traffic is in
 	// flight (0 = disabled).
 	WatchdogCycles uint64
-	// Audit attaches the online ordering/coherence auditor: every NIC's
-	// commit stream is cross-checked against a canonical total order, MOSI
-	// line states against a shadow directory, and flit delivery against
-	// duplicate/drop invariants. The first violation aborts the run with a
-	// diagnosis naming the culprit NICs/line. Also enables the per-miss
-	// latency attributor (Result.Obs.Attrib).
+	// Audit attaches the online ordering/coherence auditor: MOSI line
+	// states are checked against a shadow directory and flit delivery
+	// against duplicate/drop invariants, and the run stops at the commit
+	// that breaks the global order (which every ordered machine checks at
+	// the end of every run anyway). The first violation aborts the run
+	// with a diagnosis naming the culprit NICs/line. Also enables the
+	// per-miss latency attributor (Result.Obs.Attrib).
 	Audit bool
 	// AuditEvery sets the auditor's stale-sharer sweep period in cycles
 	// (0 = the auditor's default). Requires Audit.
