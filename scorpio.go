@@ -423,6 +423,7 @@ func scorpioOptions(cfg Config, prof trace.Profile) system.Options {
 	opt.Core.MainNetworks = cfg.MainNetworks
 	opt.UseL1 = cfg.UseL1
 	opt.L2.DataFlits = opt.Core.Net.DataPacketFlits()
+	opt.Mem.DataFlits = opt.Core.Net.DataPacketFlits()
 	opt.Mem.TotalDirCacheBytes = cfg.DirCacheBytes
 	// Aggressive cores (Figure 8d's study) need matching miss resources.
 	if cfg.MaxOutstanding > opt.L2.MSHRs {

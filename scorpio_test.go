@@ -81,6 +81,28 @@ func TestMappersCarryDirCacheBytes(t *testing.T) {
 	}
 }
 
+// TestMapperSizesDataForTheMesh: at every channel width the L2 and the
+// memory controllers send data packets of the mesh's size, so memory-served
+// misses pay the same serialisation as cache-served ones (Figures 8a, 8c).
+func TestMapperSizesDataForTheMesh(t *testing.T) {
+	prof, err := trace.ByName("fft")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cw := range []int{8, 16, 32} {
+		cfg := Config{Benchmark: "fft", ChannelBytes: cw}
+		if err := cfg.fill(); err != nil {
+			t.Fatal(err)
+		}
+		opt := scorpioOptions(cfg, prof)
+		want := opt.Core.Net.DataPacketFlits()
+		if opt.L2.DataFlits != want || opt.Mem.DataFlits != want {
+			t.Errorf("CW=%dB: L2 sends %d-flit data, memory %d, mesh packets are %d flits",
+				cw, opt.L2.DataFlits, opt.Mem.DataFlits, want)
+		}
+	}
+}
+
 func TestEveryProtocolRuns(t *testing.T) {
 	for _, p := range []Protocol{SCORPIO, LPDD, HTD, TokenB, INSO} {
 		res, err := Run(Config{Protocol: p, Benchmark: "swaptions", Width: 4, Height: 4, WorkPerCore: 40, WarmupPerCore: 60})
