@@ -6,6 +6,8 @@ import (
 
 	"scorpio/internal/noc"
 	"scorpio/internal/obs"
+	"scorpio/internal/system"
+	"scorpio/internal/trace"
 	"scorpio/internal/traffic"
 )
 
@@ -246,14 +248,14 @@ func BenchmarkAblationWindow(b *testing.B) {
 	for _, window := range []int{13, 26, 52} {
 		b.Run(fmt.Sprintf("window=%d", window), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				prof, err := ProfileByName("barnes")
+				prof, err := trace.ByName("barnes")
 				if err != nil {
 					b.Fatal(err)
 				}
-				opt := DefaultScorpioOptions(prof)
+				opt := system.DefaultOptions(prof)
 				opt.Core.Notif.WindowCycles = window
 				opt.WorkPerCore, opt.WarmupPerCore = 100, 150
-				s, err := NewScorpioSystem(opt)
+				s, err := system.NewScorpio(opt)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -272,13 +274,13 @@ func BenchmarkAblationWindow(b *testing.B) {
 // BenchmarkRouterThroughput measures raw simulator speed (cycles/sec) on the
 // 36-core machine — the engineering metric for the simulator itself.
 func BenchmarkRouterThroughput(b *testing.B) {
-	prof, err := ProfileByName("fft")
+	prof, err := trace.ByName("fft")
 	if err != nil {
 		b.Fatal(err)
 	}
-	opt := DefaultScorpioOptions(prof)
+	opt := system.DefaultOptions(prof)
 	opt.WorkPerCore, opt.WarmupPerCore = 1<<40, 0 // never finishes; we count cycles
-	s, err := NewScorpioSystem(opt)
+	s, err := system.NewScorpio(opt)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -292,14 +294,14 @@ func BenchmarkRouterThroughput(b *testing.B) {
 // Comparing the two bounds the cost of tracing when ON; the tracing-OFF cost
 // is pinned to zero by the alloc tests (every hook is a nil check).
 func BenchmarkRouterThroughputTraced(b *testing.B) {
-	prof, err := ProfileByName("fft")
+	prof, err := trace.ByName("fft")
 	if err != nil {
 		b.Fatal(err)
 	}
-	opt := DefaultScorpioOptions(prof)
+	opt := system.DefaultOptions(prof)
 	opt.WorkPerCore, opt.WarmupPerCore = 1<<40, 0 // never finishes; we count cycles
 	opt.Obs = &obs.Options{Trace: true, TraceCapacity: 1 << 16}
-	s, err := NewScorpioSystem(opt)
+	s, err := system.NewScorpio(opt)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -28,7 +28,7 @@ func main() {
 		work     = flag.Uint64("work", 400, "measured accesses per core")
 		warmup   = flag.Uint64("warmup", 300, "cache-warming accesses per core")
 		seed     = flag.Uint64("seed", 1, "workload seed")
-		expiry   = flag.Int("expiry", 20, "INSO expiration window (cycles)")
+		expiry   = flag.Int("expiry", 0, "INSO expiration window in cycles (0 = INSO's 20)")
 		channel  = flag.Int("channel", 0, "channel width in bytes (0 = chip's 16)")
 		goreqVCs = flag.Int("goreq-vcs", 0, "GO-REQ virtual channels (0 = chip's 4)")
 		uoVCs    = flag.Int("uoresp-vcs", 0, "UO-RESP virtual channels (0 = chip's 2)")
@@ -36,7 +36,7 @@ func main() {
 		outst    = flag.Int("outstanding", 2, "max outstanding misses per core")
 		nonPL    = flag.Bool("non-pipelined", false, "use the non-pipelined uncore (Figure 10's Non-PL)")
 		noBypass = flag.Bool("no-bypass", false, "disable lookahead bypassing")
-		workers  = flag.Int("workers", 1, "simulation kernel worker goroutines (0 = GOMAXPROCS; TokenB/INSO always serial)")
+		workers  = flag.Int("workers", 1, "simulation kernel worker goroutines (0 = GOMAXPROCS; TokenB and INSO reject more than one)")
 		list     = flag.Bool("list", false, "list benchmarks and exit")
 
 		tracePath   = flag.String("trace", "", "write a Chrome trace-event JSON lifecycle trace to this path (view in Perfetto)")

@@ -14,7 +14,6 @@ import (
 	"sort"
 	"testing"
 
-	"scorpio/internal/directory"
 	"scorpio/internal/system"
 	"scorpio/internal/trace"
 )
@@ -119,10 +118,6 @@ func runL2Bytes(cfg Config, l2Bytes int) (Result, error) {
 		return s.Run(cfg.CycleLimit)
 	case LPDD, HTD:
 		opt := directoryOptions(cfg, prof)
-		if opt.L2.Nodes == 0 {
-			opt.L2 = directory.DefaultL2Config(opt.Net.Nodes(), opt.Variant)
-			opt.L2.DataFlits = opt.Net.DataPacketFlits()
-		}
 		opt.L2.CapacityBytes = l2Bytes
 		d, err := system.NewDirectory(opt)
 		if err != nil {

@@ -160,7 +160,6 @@ type BakeryResult struct {
 func RunBakery(w, h, threads, rounds int, seed uint64) (BakeryResult, error) {
 	opt := system.DefaultOptions(trace.All()[0])
 	opt.Core = core.DefaultConfig().WithMeshSize(w, h)
-	opt.L2.DataFlits = opt.Core.Net.DataPacketFlits()
 	s, err := system.NewScorpioBare(opt)
 	if err != nil {
 		return BakeryResult{}, err

@@ -104,7 +104,6 @@ func RunOn(test Test, w, h int, runs int, seed uint64, mainNetworks int) (Result
 		opt := system.DefaultOptions(trace.All()[0])
 		opt.Core = core.DefaultConfig().WithMeshSize(w, h)
 		opt.Core.MainNetworks = mainNetworks
-		opt.L2.DataFlits = opt.Core.Net.DataPacketFlits()
 		s, err := system.NewScorpioBare(opt)
 		if err != nil {
 			return res, err

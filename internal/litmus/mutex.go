@@ -148,7 +148,6 @@ func (d *mutexDriver) onComplete(c coherence.Completion) {
 func RunMutex(w, h, rounds int, seed uint64) (MutexResult, error) {
 	opt := system.DefaultOptions(trace.All()[0])
 	opt.Core = core.DefaultConfig().WithMeshSize(w, h)
-	opt.L2.DataFlits = opt.Core.Net.DataPacketFlits()
 	s, err := system.NewScorpioBare(opt)
 	if err != nil {
 		return MutexResult{}, err

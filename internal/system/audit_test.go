@@ -89,9 +89,6 @@ func TestAuditedBaselinesHealthy(t *testing.T) {
 	}
 	dopt := DefaultDirectoryOptions(directory.LPD, prof)
 	dopt.Net.Width, dopt.Net.Height = 4, 4
-	dopt.L2 = directory.L2Config{}
-	dopt.Home = directory.HomeConfig{}
-	dopt.fillDefaults()
 	dopt.WorkPerCore = 40
 	dopt.WarmupPerCore = 60
 	dopt.Obs = &obs.Options{Audit: true}

@@ -7,7 +7,6 @@ import (
 	"scorpio/internal/coherence"
 	"scorpio/internal/mem"
 	"scorpio/internal/noc"
-	"scorpio/internal/obs"
 	"scorpio/internal/obs/audit"
 	"scorpio/internal/sim"
 	"scorpio/internal/trace"
@@ -34,40 +33,37 @@ func (s OrderingScheme) String() string {
 // BaselineOptions configures a TokenB or INSO machine (Figure 7 runs these
 // at 16 cores with the same snoopy protocol and mesh as SCORPIO).
 type BaselineOptions struct {
+	Workload
 	Scheme OrderingScheme
 	// ExpiryWindow is INSO's expiration window in cycles (20/40/80).
-	ExpiryWindow   int
-	Net            noc.Config
-	L2             coherence.Config
-	Mem            mem.Config
-	Profile        trace.Profile
-	WorkPerCore    uint64
-	WarmupPerCore  uint64
-	MaxOutstanding int
-	Seed           uint64
-	MCNodes        []int
-	// Obs enables tracing, metrics sampling and the watchdog (nil = off).
-	Obs *obs.Options
+	ExpiryWindow int
+	Net          noc.Config
+	L2           coherence.Config
+	Mem          mem.Config
+	MCNodes      []int
 }
 
 // DefaultBaselineOptions mirrors the paper's 16-core Figure 7 setup.
 func DefaultBaselineOptions(scheme OrderingScheme, prof trace.Profile) BaselineOptions {
 	net := noc.DefaultConfig()
 	net.Width, net.Height = 4, 4
-	l2 := coherence.DefaultConfig()
-	l2.DataFlits = net.DataPacketFlits()
 	return BaselineOptions{
-		Scheme:         scheme,
-		ExpiryWindow:   20,
-		Net:            net,
-		L2:             l2,
-		Mem:            mem.DefaultConfig(),
-		Profile:        prof,
-		WorkPerCore:    400,
-		WarmupPerCore:  300,
-		MaxOutstanding: 2,
-		Seed:           1,
+		Workload:     DefaultWorkload(prof),
+		Scheme:       scheme,
+		ExpiryWindow: 20,
+		Net:          net,
+		L2:           coherence.DefaultConfig(),
+		Mem:          mem.DefaultConfig(),
 	}
+}
+
+// fill derives what follows from the mesh and the outstanding-miss limit:
+// every data packet's size and the miss resources.
+func (o *BaselineOptions) fill() {
+	o.Workload.fill()
+	o.L2.DataFlits = o.Net.DataPacketFlits()
+	o.Mem.DataFlits = o.Net.DataPacketFlits()
+	o.holdMisses(&o.L2.MSHRs, &o.L2.CoreQueueDepth)
 }
 
 // baselineOrderWindow is the TokenB and INSO global-order check's window.
@@ -94,9 +90,10 @@ func NewBaseline(opt BaselineOptions) (*Baseline, error) {
 	if err := opt.Profile.Validate(); err != nil {
 		return nil, err
 	}
-	if opt.MaxOutstanding <= 0 {
-		opt.MaxOutstanding = 2
+	if opt.Workers > 1 {
+		return nil, fmt.Errorf("system: %s runs on the serial kernel only, so Workers = %d does not apply", opt.Scheme, opt.Workers)
 	}
+	opt.fill()
 	mesh, err := noc.NewMesh(opt.Net)
 	if err != nil {
 		return nil, err
@@ -143,17 +140,13 @@ func NewBaseline(opt BaselineOptions) (*Baseline, error) {
 			k.RegisterGroup(node, mc)
 		}
 		ep.SetAgent(agent)
-		inj := trace.NewInjector(node, opt.Profile, opt.Seed, l2, opt.MaxOutstanding, opt.WarmupPerCore, opt.WorkPerCore)
-		b.Injectors = append(b.Injectors, inj)
-		l2.OnComplete = func(c coherence.Completion) {
-			inj.OnComplete(c.Addr, c.Write, c.Issue, c.Done, c.Hit, c.ServedByCache, &c.Breakdown)
-		}
 		// One scheduling unit per node (the machine is serial anyway, but the
 		// activity engine parks and wakes whole units): the endpoint delivers
 		// straight into the L2 and memory controller, and the injector drives
-		// the L2.
-		act := k.RegisterGroup(node, inj)
-		k.RegisterGroup(node, l2)
+		// the L2. The unit's order (memory controller, injector, L2,
+		// endpoint) is part of the model.
+		l2.OnComplete = completesTo(b.inject(node, &opt.Workload, l2))
+		act := k.RegisterGroup(node, l2)
 		k.RegisterGroup(node, ep)
 		// The node's unit is woken by its link traffic and, under INSO, by
 		// expiry broadcasts it owes.

@@ -7,72 +7,60 @@ import (
 	"scorpio/internal/directory"
 	"scorpio/internal/nic"
 	"scorpio/internal/noc"
-	"scorpio/internal/obs"
 	"scorpio/internal/sim"
 	"scorpio/internal/trace"
 )
 
 // DirectoryOptions configures an LPD-D or HT-D baseline machine.
 type DirectoryOptions struct {
+	Workload
 	Variant directory.Variant
 	// Net is the main-network configuration — the identical mesh SCORPIO
 	// uses, minus ordering (Section 5.1).
 	Net noc.Config
-	// L2 and Home parameterise the controllers; zero values select the
-	// chip-faithful defaults for the mesh size.
+	// L2 and Home parameterise the controllers; a zero value selects the
+	// variant's defaults. The builder sizes both for Net and Variant.
+	// DefaultDirectoryOptions leaves Home zero, so a variant switched after
+	// it gets that variant's directory entries.
 	L2   directory.L2Config
 	Home directory.HomeConfig
 	// DirCacheBytes overrides the machine-wide directory cache budget when
 	// non-zero (the paper's comparisons equalise it across protocols).
 	DirCacheBytes int
-	// Workload parameters mirror Options.
-	Profile        trace.Profile
-	WorkPerCore    uint64
-	WarmupPerCore  uint64
-	MaxOutstanding int
-	Seed           uint64
-	// Workers mirrors Options.Workers (0 or 1 = serial kernel).
-	Workers int
-	// Obs enables tracing, metrics sampling and the watchdog (nil = off).
-	Obs *obs.Options
 }
 
 // DefaultDirectoryOptions mirrors DefaultOptions for a directory baseline.
 func DefaultDirectoryOptions(v directory.Variant, prof trace.Profile) DirectoryOptions {
 	net := noc.DefaultConfig()
-	opt := DirectoryOptions{
-		Variant:        v,
-		Net:            net,
-		Profile:        prof,
-		WorkPerCore:    400,
-		WarmupPerCore:  300,
-		MaxOutstanding: 2,
-		Seed:           1,
+	return DirectoryOptions{
+		Workload: DefaultWorkload(prof),
+		Variant:  v,
+		Net:      net,
+		L2:       directory.DefaultL2Config(net.Nodes(), v),
 	}
-	opt.fillDefaults()
-	return opt
 }
 
-func (o *DirectoryOptions) fillDefaults() {
-	nodes := o.Net.Nodes()
-	if o.L2.Nodes == 0 {
+// fill derives what follows from the mesh, the variant and the
+// outstanding-miss limit: the controllers' node count, variant and data
+// packet size, the directory budget and the miss resources.
+func (o *DirectoryOptions) fill() {
+	o.Workload.fill()
+	nodes, flits := o.Net.Nodes(), o.Net.DataPacketFlits()
+	if o.L2 == (directory.L2Config{}) {
 		o.L2 = directory.DefaultL2Config(nodes, o.Variant)
-		o.L2.DataFlits = o.Net.DataPacketFlits()
 	}
-	if o.Home.Nodes == 0 {
-		if o.Variant == directory.LPD {
-			o.Home = directory.LPDConfig(nodes)
-		} else {
+	if o.Home == (directory.HomeConfig{}) {
+		o.Home = directory.LPDConfig(nodes)
+		if o.Variant == directory.HT {
 			o.Home = directory.HTConfig(nodes)
 		}
-		o.Home.DataFlits = o.Net.DataPacketFlits()
 	}
-	if o.MaxOutstanding <= 0 {
-		o.MaxOutstanding = 2
-	}
+	o.L2.Nodes, o.L2.Variant, o.L2.DataFlits = nodes, o.Variant, flits
+	o.Home.Nodes, o.Home.Variant, o.Home.DataFlits = nodes, o.Variant, flits
 	if o.DirCacheBytes != 0 {
 		o.Home.TotalDirCacheBytes = o.DirCacheBytes
 	}
+	o.holdMisses(&o.L2.MSHRs, &o.L2.CoreQueueDepth)
 }
 
 // dirTileAgent routes packets to the node's cache controller and directory
@@ -129,7 +117,7 @@ func NewDirectory(opt DirectoryOptions) (*Directory, error) {
 	if err := opt.Profile.Validate(); err != nil {
 		return nil, err
 	}
-	opt.fillDefaults()
+	opt.fill()
 	mesh, err := noc.NewMesh(opt.Net)
 	if err != nil {
 		return nil, err
@@ -148,15 +136,11 @@ func NewDirectory(opt DirectoryOptions) (*Directory, error) {
 		n.SetAgent(&dirTileAgent{l2: l2, home: home})
 		d.L2s = append(d.L2s, l2)
 		d.Homes = append(d.Homes, home)
-		inj := trace.NewInjector(node, opt.Profile, opt.Seed, l2, opt.MaxOutstanding, opt.WarmupPerCore, opt.WorkPerCore)
-		d.Injectors = append(d.Injectors, inj)
-		l2.OnComplete = func(c coherence.Completion) {
-			inj.OnComplete(c.Addr, c.Write, c.Issue, c.Done, c.Hit, c.ServedByCache, &c.Breakdown)
-		}
 		// One scheduling unit per node: the NIC's deliveries call straight
-		// into the L2 and home slice, and the injector into the L2.
-		act := k.RegisterGroup(node, inj)
-		k.RegisterGroup(node, l2)
+		// into the L2 and home slice, and the injector into the L2. The
+		// unit's order (injector, L2, home, NIC) is part of the model.
+		l2.OnComplete = completesTo(d.inject(node, &opt.Workload, l2))
+		act := k.RegisterGroup(node, l2)
 		k.RegisterGroup(node, home)
 		k.RegisterGroup(node, n)
 		// The node's unit is woken by its link traffic.

@@ -18,9 +18,6 @@ func smallDirOptions(t *testing.T, v directory.Variant, bench string, nodes int)
 	opt := DefaultDirectoryOptions(v, prof)
 	if nodes == 16 {
 		opt.Net.Width, opt.Net.Height = 4, 4
-		opt.L2 = directory.L2Config{}
-		opt.Home = directory.HomeConfig{}
-		opt.fillDefaults()
 	}
 	opt.WorkPerCore = 60
 	opt.WarmupPerCore = 120

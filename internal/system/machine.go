@@ -12,6 +12,56 @@ import (
 	"scorpio/internal/trace"
 )
 
+// Workload is what a machine runs and how the run is watched. Options,
+// DirectoryOptions and BaselineOptions embed it, so all five protocols run
+// the same workload from the same fields.
+type Workload struct {
+	// Profile selects the benchmark workload.
+	Profile trace.Profile
+	// WorkPerCore is the number of measured L2 accesses each core completes.
+	WorkPerCore uint64
+	// WarmupPerCore is the number of cache-warming accesses completed before
+	// statistics engage (the paper's RTL runs discard a 20K-cycle warmup).
+	WarmupPerCore uint64
+	// MaxOutstanding bounds in-flight accesses per core (2 on the chip; 0
+	// selects 2). The builders raise each L2's MSHRs and core queue, and
+	// SCORPIO's pending notifications, to hold it.
+	MaxOutstanding int
+	// Seed drives all stochastic workload decisions.
+	Seed uint64
+	// Workers sets the kernel's parallel worker count; 0 or 1 runs the
+	// classic serial tick loop. Results are identical either way. TokenB
+	// and INSO reject more than one.
+	Workers int
+	// Obs selects observability features (tracing, metrics, watchdog,
+	// auditor); nil disables everything at zero per-step cost.
+	Obs *obs.Options
+}
+
+// DefaultWorkload returns the chip's workload for a benchmark: 400 measured
+// and 300 warm-up accesses per core, two outstanding, seed 1.
+func DefaultWorkload(prof trace.Profile) Workload {
+	return Workload{Profile: prof, WorkPerCore: 400, WarmupPerCore: 300, MaxOutstanding: 2, Seed: 1}
+}
+
+// fill selects the default outstanding-miss limit.
+func (w *Workload) fill() {
+	if w.MaxOutstanding <= 0 {
+		w.MaxOutstanding = 2
+	}
+}
+
+// holdMisses raises an L2's MSHRs and core-queue depth to hold the
+// workload's outstanding misses (Figure 8d's aggressive cores) and reports
+// whether it had to.
+func (w *Workload) holdMisses(mshrs, queue *int) bool {
+	if w.MaxOutstanding <= *mshrs {
+		return false
+	}
+	*mshrs, *queue = w.MaxOutstanding, 2*w.MaxOutstanding
+	return true
+}
+
 // machine is the run core Scorpio, Directory and Baseline embed, so all five
 // protocols are run, checked and reported by the same code: it owns
 // completion, the end-of-run sequence and the injector half of Results.
@@ -113,6 +163,21 @@ func (r *Results) addSnoopyL2s(l2s []*coherence.L2Controller) {
 		r.SnoopsSeen += l2.Stats.SnoopsSeen
 		r.Writebacks += l2.Stats.Writebacks
 		r.FIDDeferrals += l2.Stats.FIDDeferrals
+	}
+}
+
+// inject registers a trace injector driving port in node's scheduling unit.
+func (m *machine) inject(node int, w *Workload, port trace.RequestPort) *trace.Injector {
+	inj := trace.NewInjector(node, w.Profile, w.Seed, port, w.MaxOutstanding, w.WarmupPerCore, w.WorkPerCore)
+	m.Injectors = append(m.Injectors, inj)
+	m.Kernel.RegisterGroup(node, inj)
+	return inj
+}
+
+// completesTo returns the L2 completion hook that reports to inj.
+func completesTo(inj *trace.Injector) func(coherence.Completion) {
+	return func(c coherence.Completion) {
+		inj.OnComplete(c.Addr, c.Write, c.Issue, c.Done, c.Hit, c.ServedByCache, &c.Breakdown)
 	}
 }
 

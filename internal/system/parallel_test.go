@@ -64,8 +64,6 @@ func TestParallelDeterminismDirectory(t *testing.T) {
 				}
 				opt := DefaultDirectoryOptions(v, prof)
 				opt.Net.Width, opt.Net.Height = 4, 4
-				opt.L2.Nodes, opt.Home.Nodes = 0, 0 // re-derive for the smaller mesh
-				opt.fillDefaults()
 				opt.WorkPerCore, opt.WarmupPerCore = 60, 100
 				opt.Workers = workers
 				d, err := NewDirectory(opt)

@@ -76,8 +76,6 @@ func TestDirectoryMachine100Nodes(t *testing.T) {
 		}
 		opt := DefaultDirectoryOptions(v, prof)
 		opt.Net.Width, opt.Net.Height = 10, 10
-		opt.L2.Nodes, opt.Home.Nodes = 0, 0 // re-derive for the larger mesh
-		opt.fillDefaults()
 		opt.WorkPerCore, opt.WarmupPerCore = 4, 6
 		d, err := NewDirectory(opt)
 		if err != nil {

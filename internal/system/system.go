@@ -12,7 +12,6 @@ import (
 	"scorpio/internal/core"
 	"scorpio/internal/mem"
 	"scorpio/internal/noc"
-	"scorpio/internal/obs"
 	"scorpio/internal/sim"
 	"scorpio/internal/stats"
 	"scorpio/internal/tile"
@@ -21,23 +20,13 @@ import (
 
 // Options configures a SCORPIO system build.
 type Options struct {
+	Workload
 	// Core is the ordered-network configuration (mesh size, VCs, window).
 	Core core.Config
 	// L2 is the per-tile controller configuration.
 	L2 coherence.Config
 	// Mem is the memory-controller configuration.
 	Mem mem.Config
-	// Profile selects the benchmark workload.
-	Profile trace.Profile
-	// WorkPerCore is the number of measured L2 accesses each core completes.
-	WorkPerCore uint64
-	// WarmupPerCore is the number of cache-warming accesses completed before
-	// statistics engage (the paper's RTL runs discard a 20K-cycle warmup).
-	WarmupPerCore uint64
-	// MaxOutstanding bounds in-flight accesses per core (2 on the chip).
-	MaxOutstanding int
-	// Seed drives all stochastic workload decisions.
-	Seed uint64
 	// MCNodes lists the memory-controller attach nodes; nil selects the four
 	// corner-adjacent edge routers like the chip, and an empty list is an
 	// error.
@@ -47,12 +36,17 @@ type Options struct {
 	// matching the fabricated tile rather than the paper's trace-driven RTL
 	// methodology (which injected straight into the L2's AHB interface).
 	UseL1 bool
-	// Workers sets the kernel's parallel worker count; 0 or 1 runs the
-	// classic serial tick loop. Results are identical either way.
-	Workers int
-	// Obs selects observability features (tracing, metrics, watchdog);
-	// nil disables everything at zero per-step cost.
-	Obs *obs.Options
+}
+
+// fill derives what follows from the mesh and the outstanding-miss limit:
+// every data packet's size and the miss resources.
+func (o *Options) fill() {
+	o.Workload.fill()
+	o.L2.DataFlits = o.Core.Net.DataPacketFlits()
+	o.Mem.DataFlits = o.Core.Net.DataPacketFlits()
+	if o.holdMisses(&o.L2.MSHRs, &o.L2.CoreQueueDepth) {
+		o.Core.NIC.MaxPendingNotifs = o.MaxOutstanding
+	}
 }
 
 // packetIDStream returns an allocator of packet IDs private to one issuing
@@ -72,18 +66,11 @@ func packetIDStream(stream int) func() uint64 {
 
 // DefaultOptions returns chip-faithful options for a benchmark.
 func DefaultOptions(prof trace.Profile) Options {
-	c := core.DefaultConfig()
-	l2 := coherence.DefaultConfig()
-	l2.DataFlits = c.Net.DataPacketFlits()
 	return Options{
-		Core:           c,
-		L2:             l2,
-		Mem:            mem.DefaultConfig(),
-		Profile:        prof,
-		WorkPerCore:    400,
-		WarmupPerCore:  300,
-		MaxOutstanding: 2,
-		Seed:           1,
+		Workload: DefaultWorkload(prof),
+		Core:     core.DefaultConfig(),
+		L2:       coherence.DefaultConfig(),
+		Mem:      mem.DefaultConfig(),
 	}
 }
 
@@ -189,18 +176,14 @@ func NewScorpio(opt Options) (*Scorpio, error) {
 			s.Kernel.RegisterGroup(node, tl)
 			port = &tilePort{t: tl}
 		}
-		inj := trace.NewInjector(node, opt.Profile, opt.Seed, port, s.opt.MaxOutstanding, opt.WarmupPerCore, opt.WorkPerCore)
-		s.Injectors = append(s.Injectors, inj)
+		inj := s.inject(node, &s.opt.Workload, port)
 		if opt.UseL1 {
 			tl.OnComplete = func(c tile.Completion) {
 				inj.OnComplete(c.Addr, c.Write, c.Issue, c.Done, c.L1Hit, false, nil)
 			}
 		} else {
-			l2.OnComplete = func(c coherence.Completion) {
-				inj.OnComplete(c.Addr, c.Write, c.Issue, c.Done, c.Hit, c.ServedByCache, &c.Breakdown)
-			}
+			l2.OnComplete = completesTo(inj)
 		}
-		s.Kernel.RegisterGroup(node, inj)
 	}
 	s.attribute()
 	return s, nil
@@ -220,9 +203,7 @@ func (p *tilePort) CoreRequest(addr uint64, write bool, cycle uint64) bool {
 // controllers and networks only. The consistency-verification suite and
 // custom drivers attach through L2s[n].CoreAccess / OnComplete.
 func NewScorpioBare(opt Options) (*Scorpio, error) {
-	if opt.MaxOutstanding <= 0 {
-		opt.MaxOutstanding = 2
-	}
+	opt.fill()
 	k := sim.NewKernel()
 	net, err := core.NewOrderedNet(opt.Core, k)
 	if err != nil {

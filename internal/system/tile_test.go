@@ -52,7 +52,6 @@ func TestFullStackTileIntegration(t *testing.T) {
 	}
 	opt := DefaultOptions(prof)
 	opt.Core = core.DefaultConfig().WithMeshSize(4, 4)
-	opt.L2.DataFlits = opt.Core.Net.DataPacketFlits()
 	s, err := NewScorpioBare(opt)
 	if err != nil {
 		t.Fatal(err)
@@ -132,7 +131,6 @@ func TestScorpioWithL1Tiles(t *testing.T) {
 	}
 	opt := DefaultOptions(prof)
 	opt.Core = core.DefaultConfig().WithMeshSize(4, 4)
-	opt.L2.DataFlits = opt.Core.Net.DataPacketFlits()
 	opt.UseL1 = true
 	opt.WorkPerCore, opt.WarmupPerCore = 60, 100
 	s, err := NewScorpio(opt)

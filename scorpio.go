@@ -9,8 +9,8 @@
 //   - The Figure*/Table* functions in experiments.go regenerate every table
 //     and figure of the paper's evaluation (Section 5).
 //   - The underlying building blocks (ordered network, snoopy protocol,
-//     directory baselines, workload profiles) live in internal/ packages and
-//     are assembled through the option types aliased here.
+//     directory baselines, workload profiles) live in internal/ packages;
+//     Run maps a Config onto the machine builders of internal/system.
 package scorpio
 
 import (
@@ -21,9 +21,8 @@ import (
 	"os"
 	"strings"
 
-	"scorpio/internal/coherence"
-	"scorpio/internal/core"
 	"scorpio/internal/directory"
+	"scorpio/internal/noc"
 	"scorpio/internal/obs"
 	"scorpio/internal/system"
 	"scorpio/internal/trace"
@@ -55,16 +54,6 @@ type Result = system.Results
 // Profile aliases a benchmark workload profile.
 type Profile = trace.Profile
 
-// ScorpioOptions aliases the full SCORPIO machine options for advanced use.
-type ScorpioOptions = system.Options
-
-// ChipConfig aliases the ordered-network configuration (Table 1 defaults
-// via DefaultChipConfig).
-type ChipConfig = core.Config
-
-// DefaultChipConfig returns the fabricated chip's configuration.
-func DefaultChipConfig() ChipConfig { return core.DefaultConfig() }
-
 // Config describes one simulation run.
 type Config struct {
 	// Protocol selects the machine; default SCORPIO.
@@ -82,7 +71,8 @@ type Config struct {
 	// Seed drives the workload; equal seeds give identical streams across
 	// protocols.
 	Seed uint64
-	// ExpiryWindow is INSO's expiration window in cycles (default 20).
+	// ExpiryWindow is INSO's expiration window in cycles (default 20); INSO
+	// only.
 	ExpiryWindow int
 	// IntensityScale multiplies the benchmark's issue intensity (1.0 when
 	// zero). The aggressive-core study (Figure 8d) runs at 0.5 so that
@@ -97,26 +87,32 @@ type Config struct {
 	DirCacheBytes int
 
 	// Design-exploration knobs (Section 5.2); zero values keep the chip's.
+	// All five machines route on the same router, so the channel width,
+	// both VC counts and bypassing apply to every protocol.
 	ChannelBytes int
 	GOReqVCs     int
 	UORespVCs    int
-	NotifBits    int
 	Bypass       *bool // nil = chip default (enabled)
-	PipelinedL2  *bool // nil = pipelined (Figure 10's PL)
+	// NotifBits widens the notification network (Figure 8d); SCORPIO only.
+	NotifBits int
+	// PipelinedL2 selects Figure 10's PL (nil = pipelined) or Non-PL
+	// uncore; SCORPIO only.
+	PipelinedL2 *bool
 	// MainNetworks replicates the main mesh (Section 5.3's throughput
-	// extension); 0 or 1 is the chip's single network.
+	// extension); 0 or 1 is the chip's single network, and more is
+	// SCORPIO only.
 	MainNetworks int
 	// UseL1 interposes the tile layer (split write-through L1s behind the
-	// AHB single-transaction rule) between the cores and the L2s. The
-	// default matches the paper's trace-driven methodology (inject straight
-	// into the L2's AHB interface).
+	// AHB single-transaction rule) between the cores and the L2s; SCORPIO
+	// only. The default matches the paper's trace-driven methodology
+	// (inject straight into the L2's AHB interface).
 	UseL1 bool
 	// CycleLimit aborts runaway runs (default 50M cycles).
 	CycleLimit uint64
-	// Workers sets the simulation kernel's worker count for SCORPIO and
-	// directory runs. 0 or 1 keeps the classic serial tick loop; N > 1
-	// shards the components over N goroutines with identical results.
-	// TokenB/INSO always run serially (their orderers are shared state).
+	// Workers sets the simulation kernel's worker count. 0 or 1 keeps the
+	// classic serial tick loop; N > 1 shards the components over N
+	// goroutines with identical results. TokenB and INSO reject N > 1:
+	// their orderers are shared state.
 	Workers int
 
 	// Observability (PR 3). All default to off; when off the hooks compile
@@ -271,10 +267,33 @@ func BenchmarksOf(suite string) []string {
 	return names
 }
 
-// fill applies defaults.
+// fill checks the Config and applies defaults.
 func (c *Config) fill() error {
 	if c.Protocol == "" {
 		c.Protocol = SCORPIO
+	}
+	switch c.Protocol {
+	case SCORPIO, LPDD, HTD, TokenB, INSO:
+	default:
+		return fmt.Errorf("scorpio: unknown protocol %q", c.Protocol)
+	}
+	// The knobs only some machines have, checked as given: a knob set for a
+	// protocol that ignores it would run some other machine than the one
+	// asked for. Workers > 1 on TokenB or INSO is rejected by their builder.
+	for _, k := range []struct {
+		name string
+		set  bool
+		only Protocol
+	}{
+		{"NotifBits", c.NotifBits != 0, SCORPIO},
+		{"MainNetworks", c.MainNetworks > 1, SCORPIO},
+		{"PipelinedL2", c.PipelinedL2 != nil, SCORPIO},
+		{"UseL1", c.UseL1, SCORPIO},
+		{"ExpiryWindow", c.ExpiryWindow != 0, INSO},
+	} {
+		if k.set && c.Protocol != k.only {
+			return fmt.Errorf("scorpio: Config.%s does not apply to %s", k.name, c.Protocol)
+		}
 	}
 	if c.Benchmark == "" {
 		return fmt.Errorf("scorpio: Config.Benchmark is required (one of %v)", Benchmarks())
@@ -372,14 +391,12 @@ func Run(cfg Config) (Result, error) {
 			return Result{}, err
 		}
 		run, o = d.Run, d.Obs
-	case TokenB, INSO:
+	default:
 		b, err := system.NewBaseline(baselineOptions(cfg, prof))
 		if err != nil {
 			return Result{}, err
 		}
 		run, o = b.Run, b.Obs
-	default:
-		return Result{}, fmt.Errorf("scorpio: unknown protocol %q", cfg.Protocol)
 	}
 	defer o.CloseTelemetry()
 	r, err := run(cfg.CycleLimit)
@@ -389,30 +406,43 @@ func Run(cfg Config) (Result, error) {
 	return r, writeObsArtifacts(cfg, r)
 }
 
+// workload maps a filled Config onto the workload every machine runs.
+func workload(cfg Config, prof trace.Profile) system.Workload {
+	return system.Workload{
+		Profile: prof, WorkPerCore: cfg.WorkPerCore, WarmupPerCore: cfg.WarmupPerCore,
+		MaxOutstanding: cfg.MaxOutstanding, Seed: cfg.Seed, Workers: cfg.Workers,
+		Obs: cfg.obsOptions(),
+	}
+}
+
+// mesh maps a filled Config's mesh size and router knobs onto net: all five
+// machines route on the same router.
+func mesh(cfg Config, net noc.Config) noc.Config {
+	net.Width, net.Height = cfg.Width, cfg.Height
+	if cfg.ChannelBytes != 0 {
+		net.ChannelBytes = cfg.ChannelBytes
+	}
+	if cfg.GOReqVCs != 0 {
+		net.GOReqVCs = cfg.GOReqVCs
+	}
+	if cfg.UORespVCs != 0 {
+		net.UORespVCs = cfg.UORespVCs
+	}
+	if cfg.Bypass != nil {
+		net.Bypass = *cfg.Bypass
+	}
+	return net
+}
+
 // scorpioOptions maps a filled Config onto the machine options Run builds a
 // SCORPIO machine from.
 func scorpioOptions(cfg Config, prof trace.Profile) system.Options {
 	opt := system.DefaultOptions(prof)
+	opt.Workload = workload(cfg, prof)
 	opt.Core = opt.Core.WithMeshSize(cfg.Width, cfg.Height)
-	opt.WorkPerCore = cfg.WorkPerCore
-	opt.WarmupPerCore = cfg.WarmupPerCore
-	opt.MaxOutstanding = cfg.MaxOutstanding
-	opt.Seed = cfg.Seed
-	opt.Workers = cfg.Workers
-	if cfg.ChannelBytes != 0 {
-		opt.Core.Net.ChannelBytes = cfg.ChannelBytes
-	}
-	if cfg.GOReqVCs != 0 {
-		opt.Core.Net.GOReqVCs = cfg.GOReqVCs
-	}
-	if cfg.UORespVCs != 0 {
-		opt.Core.Net.UORespVCs = cfg.UORespVCs
-	}
+	opt.Core.Net = mesh(cfg, opt.Core.Net)
 	if cfg.NotifBits != 0 {
 		opt.Core.Notif.BitsPerCore = cfg.NotifBits
-	}
-	if cfg.Bypass != nil {
-		opt.Core.Net.Bypass = *cfg.Bypass
 	}
 	if cfg.PipelinedL2 != nil {
 		opt.L2.Pipelined = *cfg.PipelinedL2
@@ -422,16 +452,7 @@ func scorpioOptions(cfg Config, prof trace.Profile) system.Options {
 	}
 	opt.Core.MainNetworks = cfg.MainNetworks
 	opt.UseL1 = cfg.UseL1
-	opt.L2.DataFlits = opt.Core.Net.DataPacketFlits()
-	opt.Mem.DataFlits = opt.Core.Net.DataPacketFlits()
 	opt.Mem.TotalDirCacheBytes = cfg.DirCacheBytes
-	// Aggressive cores (Figure 8d's study) need matching miss resources.
-	if cfg.MaxOutstanding > opt.L2.MSHRs {
-		opt.L2.MSHRs = cfg.MaxOutstanding
-		opt.L2.CoreQueueDepth = 2 * cfg.MaxOutstanding
-		opt.Core.NIC.MaxPendingNotifs = cfg.MaxOutstanding
-	}
-	opt.Obs = cfg.obsOptions()
 	return opt
 }
 
@@ -443,28 +464,9 @@ func directoryOptions(cfg Config, prof trace.Profile) system.DirectoryOptions {
 		v = directory.HT
 	}
 	opt := system.DefaultDirectoryOptions(v, prof)
-	opt.Net.Width, opt.Net.Height = cfg.Width, cfg.Height
-	if cfg.ChannelBytes != 0 {
-		opt.Net.ChannelBytes = cfg.ChannelBytes
-	}
-	if cfg.Bypass != nil {
-		opt.Net.Bypass = *cfg.Bypass
-	}
-	opt.L2 = directory.L2Config{}
-	opt.Home = directory.HomeConfig{}
+	opt.Workload = workload(cfg, prof)
+	opt.Net = mesh(cfg, opt.Net)
 	opt.DirCacheBytes = cfg.DirCacheBytes
-	opt.WorkPerCore = cfg.WorkPerCore
-	opt.WarmupPerCore = cfg.WarmupPerCore
-	opt.MaxOutstanding = cfg.MaxOutstanding
-	opt.Seed = cfg.Seed
-	opt.Workers = cfg.Workers
-	if cfg.MaxOutstanding > 2 {
-		opt.L2 = directory.DefaultL2Config(opt.Net.Nodes(), v)
-		opt.L2.DataFlits = opt.Net.DataPacketFlits()
-		opt.L2.MSHRs = cfg.MaxOutstanding
-		opt.L2.CoreQueueDepth = 2 * cfg.MaxOutstanding
-	}
-	opt.Obs = cfg.obsOptions()
 	return opt
 }
 
@@ -476,33 +478,9 @@ func baselineOptions(cfg Config, prof trace.Profile) system.BaselineOptions {
 		scheme = system.SchemeINSO
 	}
 	opt := system.DefaultBaselineOptions(scheme, prof)
-	opt.Net.Width, opt.Net.Height = cfg.Width, cfg.Height
+	opt.Workload = workload(cfg, prof)
+	opt.Net = mesh(cfg, opt.Net)
 	opt.ExpiryWindow = cfg.ExpiryWindow
-	opt.WorkPerCore = cfg.WorkPerCore
-	opt.WarmupPerCore = cfg.WarmupPerCore
-	opt.MaxOutstanding = cfg.MaxOutstanding
-	opt.Seed = cfg.Seed
-	opt.L2.DataFlits = opt.Net.DataPacketFlits()
 	opt.Mem.TotalDirCacheBytes = cfg.DirCacheBytes
-	if cfg.MaxOutstanding > opt.L2.MSHRs {
-		opt.L2.MSHRs = cfg.MaxOutstanding
-		opt.L2.CoreQueueDepth = 2 * cfg.MaxOutstanding
-	}
-	opt.Obs = cfg.obsOptions()
 	return opt
 }
-
-// NewScorpioSystem exposes the full machine for programmatic use (the
-// examples drive it directly).
-func NewScorpioSystem(opt ScorpioOptions) (*system.Scorpio, error) {
-	return system.NewScorpio(opt)
-}
-
-// ProfileByName returns a benchmark profile.
-func ProfileByName(name string) (Profile, error) { return trace.ByName(name) }
-
-// DefaultScorpioOptions returns chip-faithful options for a profile.
-func DefaultScorpioOptions(prof Profile) ScorpioOptions { return system.DefaultOptions(prof) }
-
-// L2Config aliases the snoopy controller configuration.
-type L2Config = coherence.Config

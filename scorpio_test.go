@@ -2,9 +2,11 @@ package scorpio
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
+	"scorpio/internal/noc"
 	"scorpio/internal/trace"
 )
 
@@ -51,6 +53,30 @@ func TestRunRejectsBadInput(t *testing.T) {
 			t.Errorf("bad %s: got %v, want an error naming it", tc.field, err)
 		}
 	}
+	// A knob set for a protocol that ignores it names both.
+	off := false
+	for _, tc := range []struct {
+		field string
+		cfg   Config
+		on    []Protocol // the protocols that ignore it
+	}{
+		{"NotifBits", Config{NotifBits: 2}, []Protocol{LPDD, HTD, TokenB, INSO}},
+		{"MainNetworks", Config{MainNetworks: 2}, []Protocol{LPDD, HTD, TokenB, INSO}},
+		{"PipelinedL2", Config{PipelinedL2: &off}, []Protocol{LPDD, HTD, TokenB, INSO}},
+		{"UseL1", Config{UseL1: true}, []Protocol{LPDD, HTD, TokenB, INSO}},
+		{"ExpiryWindow", Config{ExpiryWindow: 40}, []Protocol{SCORPIO, LPDD, HTD, TokenB}},
+		{"Workers", Config{Workers: 2}, []Protocol{TokenB, INSO}},
+	} {
+		for _, p := range tc.on {
+			cfg := tc.cfg
+			cfg.Protocol, cfg.Benchmark, cfg.Width, cfg.Height = p, "fft", 4, 4
+			cfg.WorkPerCore, cfg.CycleLimit = 10, 100_000
+			_, err := Run(cfg)
+			if err == nil || !strings.Contains(err.Error(), tc.field) || !strings.Contains(err.Error(), string(p)) {
+				t.Errorf("%s on %s: got %v, want an error naming both", tc.field, p, err)
+			}
+		}
+	}
 }
 
 // TestMappersCarryDirCacheBytes: every machine gets the directory-cache
@@ -81,24 +107,33 @@ func TestMappersCarryDirCacheBytes(t *testing.T) {
 	}
 }
 
-// TestMapperSizesDataForTheMesh: at every channel width the L2 and the
-// memory controllers send data packets of the mesh's size, so memory-served
-// misses pay the same serialisation as cache-served ones (Figures 8a, 8c).
-func TestMapperSizesDataForTheMesh(t *testing.T) {
+// TestMappersShareTheMesh: all five machines route on the same router, so
+// the channel width, both VC counts and bypassing reach every protocol's
+// mesh.
+func TestMappersShareTheMesh(t *testing.T) {
 	prof, err := trace.ByName("fft")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, cw := range []int{8, 16, 32} {
-		cfg := Config{Benchmark: "fft", ChannelBytes: cw}
+	off := false
+	for _, p := range []Protocol{SCORPIO, LPDD, HTD, TokenB, INSO} {
+		cfg := Config{Protocol: p, Benchmark: "fft", Width: 5, Height: 3,
+			ChannelBytes: 8, GOReqVCs: 2, UORespVCs: 4, Bypass: &off}
 		if err := cfg.fill(); err != nil {
 			t.Fatal(err)
 		}
-		opt := scorpioOptions(cfg, prof)
-		want := opt.Core.Net.DataPacketFlits()
-		if opt.L2.DataFlits != want || opt.Mem.DataFlits != want {
-			t.Errorf("CW=%dB: L2 sends %d-flit data, memory %d, mesh packets are %d flits",
-				cw, opt.L2.DataFlits, opt.Mem.DataFlits, want)
+		var got noc.Config
+		switch p {
+		case SCORPIO:
+			got = scorpioOptions(cfg, prof).Core.Net
+		case LPDD, HTD:
+			got = directoryOptions(cfg, prof).Net
+		default:
+			got = baselineOptions(cfg, prof).Net
+		}
+		if got.Width != 5 || got.Height != 3 || got.ChannelBytes != 8 || got.GOReqVCs != 2 || got.UORespVCs != 4 || got.Bypass {
+			t.Errorf("%s mesh %dx%d, %d-byte channels, %d GO-REQ and %d UO-RESP VCs, bypass %v; want 5x3, 8, 2, 4, false",
+				p, got.Width, got.Height, got.ChannelBytes, got.GOReqVCs, got.UORespVCs, got.Bypass)
 		}
 	}
 }
@@ -122,8 +157,8 @@ func TestBenchmarksCatalog(t *testing.T) {
 	if len(BenchmarksOf("splash2")) != 8 || len(BenchmarksOf("parsec")) != 6 {
 		t.Fatal("suite split wrong")
 	}
-	if _, err := ProfileByName("radix"); err != nil {
-		t.Fatal(err)
+	if !slices.Contains(Benchmarks(), "radix") {
+		t.Fatal("radix missing from the catalog")
 	}
 }
 
