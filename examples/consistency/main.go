@@ -19,7 +19,7 @@ func main() {
 	fmt.Println("Running SC litmus tests on a 16-core SCORPIO machine (25 randomized runs each):")
 	var rows [][]string
 	for _, test := range litmus.Suite() {
-		res, err := litmus.Run(test, 4, 4, 25, 42)
+		res, err := litmus.Run(litmus.Machine{Width: 4, Height: 4}, test, 25, 42)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -4,9 +4,6 @@ import (
 	"fmt"
 
 	"scorpio/internal/coherence"
-	"scorpio/internal/core"
-	"scorpio/internal/system"
-	"scorpio/internal/trace"
 )
 
 // Lamport's bakery algorithm generalises the mutual-exclusion verification
@@ -156,28 +153,26 @@ type BakeryResult struct {
 }
 
 // RunBakery races `threads` bakery contenders for `rounds` critical sections
-// each on a w×h SCORPIO machine.
-func RunBakery(w, h, threads, rounds int, seed uint64) (BakeryResult, error) {
-	opt := system.DefaultOptions(trace.All()[0])
-	opt.Core = core.DefaultConfig().WithMeshSize(w, h)
-	s, err := system.NewScorpioBare(opt)
+// each on machine m.
+func RunBakery(m Machine, threads, rounds int, seed uint64) (BakeryResult, error) {
+	b, err := m.build()
 	if err != nil {
 		return BakeryResult{}, err
 	}
-	if threads > len(s.L2s) {
-		return BakeryResult{}, fmt.Errorf("litmus: %d threads exceed %d cores", threads, len(s.L2s))
+	if threads > len(b.l2s) {
+		return BakeryResult{}, fmt.Errorf("litmus: %d threads exceed %d cores", threads, len(b.l2s))
 	}
-	stride := len(s.L2s) / threads
+	stride := len(b.l2s) / threads
 	drivers := make([]*bakeryDriver, threads)
 	for i := 0; i < threads; i++ {
-		d := &bakeryDriver{l2: s.L2s[i*stride], id: i, n: threads, rounds: rounds}
-		s.L2s[i*stride].OnComplete = d.onComplete
+		d := &bakeryDriver{l2: b.l2s[i*stride], id: i, n: threads, rounds: rounds}
+		b.l2s[i*stride].OnComplete = d.onComplete
 		drivers[i] = d
-		// Share the node's scheduling unit (see RunOn): the driver calls the
+		// Share the node's scheduling unit (see Run): the driver calls the
 		// L2 directly and has no Idle(), keeping the unit permanently active.
-		s.Kernel.RegisterGroup(i*stride, d)
+		b.kernel.RegisterGroup(i*stride, d)
 	}
-	ok := s.Kernel.RunUntil(func() bool {
+	ok := b.kernel.RunUntil(func() bool {
 		for _, d := range drivers {
 			if !d.done {
 				return false
@@ -188,18 +183,12 @@ func RunBakery(w, h, threads, rounds int, seed uint64) (BakeryResult, error) {
 	if !ok {
 		return BakeryResult{}, fmt.Errorf("litmus: bakery contenders did not finish")
 	}
-	if err := s.Net.VerifyGlobalOrder(); err != nil {
+	if err := b.verify(); err != nil {
 		return BakeryResult{}, err
 	}
-	final := uint64(0)
-	for _, l2 := range s.L2s {
-		if l2.LineState(bakeryCounter) != coherence.Invalid {
-			final = l2.ValueOf(bakeryCounter)
-		}
-	}
 	res := BakeryResult{
-		Threads: threads, Rounds: rounds, Final: final,
-		Expected: uint64(threads * rounds), Cycles: s.Kernel.Cycle(),
+		Threads: threads, Rounds: rounds, Final: finalValue(b.l2s, bakeryCounter),
+		Expected: uint64(threads * rounds), Cycles: b.kernel.Cycle(),
 	}
 	for _, d := range drivers {
 		res.SpinLoops += d.spins

@@ -16,7 +16,6 @@ import (
 	"fmt"
 
 	"scorpio/internal/coherence"
-	"scorpio/internal/core"
 	"scorpio/internal/sim"
 	"scorpio/internal/system"
 	"scorpio/internal/trace"
@@ -88,44 +87,87 @@ type Result struct {
 	Outcomes map[string]int
 }
 
-// Run executes the test `runs` times on a w×h SCORPIO machine with seeded
-// random start skews, and reports any sequentially inconsistent outcome.
-func Run(test Test, w, h int, runs int, seed uint64) (Result, error) {
-	return RunOn(test, w, h, runs, seed, 1)
+// Machine names the bare machine a campaign runs on: one of the three
+// snoopy machines, whose L2s carry line values.
+type Machine struct {
+	// Protocol is "SCORPIO" (the default), "TokenB" or "INSO".
+	Protocol string
+	// Width and Height set the mesh.
+	Width, Height int
+	// MainNetworks replicates SCORPIO's main mesh (Section 5.3); 0 or 1 is
+	// the chip's single network.
+	MainNetworks int
 }
 
-// RunOn is Run with an explicit main-network count, so the multiple-main-
-// networks extension is verified to preserve sequential consistency too.
-func RunOn(test Test, w, h int, runs int, seed uint64, mainNetworks int) (Result, error) {
+// bare is a built Machine: the parts a campaign drives and checks.
+type bare struct {
+	kernel *sim.Kernel
+	l2s    []*coherence.L2Controller
+	// verify returns the global-order check's first failure.
+	verify func() error
+}
+
+// build assembles m without injectors; drivers attach to its L2s.
+func (m Machine) build() (bare, error) {
+	// The profile is irrelevant: bare machines carry no injectors.
+	var prof trace.Profile
+	switch m.Protocol {
+	case "", "SCORPIO":
+		opt := system.DefaultOptions(prof)
+		opt.Core = opt.Core.WithMeshSize(m.Width, m.Height)
+		opt.Core.MainNetworks = m.MainNetworks
+		s, err := system.NewScorpioBare(opt)
+		if err != nil {
+			return bare{}, err
+		}
+		return bare{s.Kernel, s.L2s, s.Net.VerifyGlobalOrder}, nil
+	case "TokenB", "INSO":
+		if m.MainNetworks > 1 {
+			return bare{}, fmt.Errorf("litmus: MainNetworks does not apply to %s", m.Protocol)
+		}
+		scheme := system.SchemeTokenB
+		if m.Protocol == "INSO" {
+			scheme = system.SchemeINSO
+		}
+		opt := system.DefaultBaselineOptions(scheme, prof)
+		opt.Net.Width, opt.Net.Height = m.Width, m.Height
+		b, err := system.NewBaselineBare(opt)
+		if err != nil {
+			return bare{}, err
+		}
+		return bare{b.Kernel, b.L2s, b.VerifyGlobalOrder}, nil
+	}
+	return bare{}, fmt.Errorf("litmus: unknown protocol %q (SCORPIO, TokenB or INSO)", m.Protocol)
+}
+
+// Run executes the test `runs` times on machine m with seeded random start
+// skews, and reports any sequentially inconsistent outcome.
+func Run(m Machine, test Test, runs int, seed uint64) (Result, error) {
 	res := Result{Test: test.Name, Runs: runs, Outcomes: map[string]int{}}
 	rng := sim.NewRNG(seed)
 	for run := 0; run < runs; run++ {
-		// The profile is irrelevant: bare machines carry no injectors.
-		opt := system.DefaultOptions(trace.All()[0])
-		opt.Core = core.DefaultConfig().WithMeshSize(w, h)
-		opt.Core.MainNetworks = mainNetworks
-		s, err := system.NewScorpioBare(opt)
+		b, err := m.build()
 		if err != nil {
 			return res, err
 		}
-		if len(test.Threads) > len(s.L2s) {
-			return res, fmt.Errorf("litmus: %s needs %d cores, machine has %d", test.Name, len(test.Threads), len(s.L2s))
+		if len(test.Threads) > len(b.l2s) {
+			return res, fmt.Errorf("litmus: %s needs %d cores, machine has %d", test.Name, len(test.Threads), len(b.l2s))
 		}
 		drivers := make([]*driver, len(test.Threads))
 		// Spread threads across the mesh so requests take different paths.
-		stride := len(s.L2s) / len(test.Threads)
+		stride := len(b.l2s) / len(test.Threads)
 		for t, ops := range test.Threads {
 			node := t * stride
-			d := &driver{l2: s.L2s[node], ops: ops, startAt: uint64(rng.Intn(250))}
-			s.L2s[node].OnComplete = d.onComplete
+			d := &driver{l2: b.l2s[node], ops: ops, startAt: uint64(rng.Intn(250))}
+			b.l2s[node].OnComplete = d.onComplete
 			drivers[t] = d
 			// The driver calls straight into the node's L2, so it must share
 			// that node's scheduling unit: the driver has no Idle() method,
 			// which pins the whole unit active and guarantees staged core
 			// accesses are always merged even with idle-skip enabled.
-			s.Kernel.RegisterGroup(node, d)
+			b.kernel.RegisterGroup(node, d)
 		}
-		ok := s.Kernel.RunUntil(func() bool {
+		ok := b.kernel.RunUntil(func() bool {
 			for _, d := range drivers {
 				if !d.done() {
 					return false
@@ -136,7 +178,7 @@ func RunOn(test Test, w, h int, runs int, seed uint64, mainNetworks int) (Result
 		if !ok {
 			return res, fmt.Errorf("litmus: %s run %d did not finish", test.Name, run)
 		}
-		if err := s.Net.VerifyGlobalOrder(); err != nil {
+		if err := b.verify(); err != nil {
 			return res, err
 		}
 		loads := make([][]uint64, len(drivers))

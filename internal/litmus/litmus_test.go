@@ -2,6 +2,14 @@ package litmus
 
 import "testing"
 
+// machines are the three snoopy machines, at 4×4, that every campaign
+// runs on.
+var machines = []Machine{
+	{Protocol: "SCORPIO", Width: 4, Height: 4},
+	{Protocol: "TokenB", Width: 4, Height: 4},
+	{Protocol: "INSO", Width: 4, Height: 4},
+}
+
 func TestSuiteHoldsSequentialConsistency(t *testing.T) {
 	runs := 12
 	if testing.Short() {
@@ -10,16 +18,20 @@ func TestSuiteHoldsSequentialConsistency(t *testing.T) {
 	for _, test := range Suite() {
 		test := test
 		t.Run(test.Name, func(t *testing.T) {
-			res, err := Run(test, 4, 4, runs, 0xC0FFEE)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.Violations != 0 {
-				t.Fatalf("%s: %d/%d runs violated sequential consistency; outcomes: %v",
-					test.Name, res.Violations, res.Runs, res.Outcomes)
-			}
-			if len(res.Outcomes) == 0 {
-				t.Fatal("no outcomes recorded")
+			for _, m := range machines {
+				t.Run(m.Protocol, func(t *testing.T) {
+					res, err := Run(m, test, runs, 0xC0FFEE)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if res.Violations != 0 {
+						t.Fatalf("%s: %d/%d runs violated sequential consistency; outcomes: %v",
+							test.Name, res.Violations, res.Runs, res.Outcomes)
+					}
+					if len(res.Outcomes) == 0 {
+						t.Fatal("no outcomes recorded")
+					}
+				})
 			}
 		})
 	}
@@ -34,7 +46,7 @@ func TestOutcomesVaryAcrossRuns(t *testing.T) {
 			sb = test
 		}
 	}
-	res, err := Run(sb, 4, 4, 25, 7)
+	res, err := Run(machines[0], sb, 25, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +87,7 @@ func TestForbiddenPredicatesFire(t *testing.T) {
 
 func TestRunRejectsOversizedTests(t *testing.T) {
 	big := Test{Name: "too-big", Threads: make([][]Op, 50)}
-	if _, err := Run(big, 4, 4, 1, 1); err == nil {
+	if _, err := Run(machines[0], big, 1, 1); err == nil {
 		t.Fatal("a 50-thread test cannot fit a 16-core machine")
 	}
 }
@@ -84,7 +96,7 @@ func TestSuiteHoldsOnMultipleMainNetworks(t *testing.T) {
 	// Section 5.3: striping over several main networks must not affect
 	// correctness because delivery is decoupled from ordering.
 	for _, test := range Suite() {
-		res, err := RunOn(test, 4, 4, 6, 99, 2)
+		res, err := Run(Machine{Width: 4, Height: 4, MainNetworks: 2}, test, 6, 99)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -99,17 +111,21 @@ func TestPetersonMutualExclusion(t *testing.T) {
 	if testing.Short() {
 		rounds = 8
 	}
-	res, err := RunMutex(4, 4, rounds, 1)
-	if err != nil {
-		t.Fatal(err)
+	for _, m := range machines {
+		t.Run(m.Protocol, func(t *testing.T) {
+			res, err := RunMutex(m, rounds, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Final != res.Expected {
+				t.Fatalf("lost updates: counter = %d, want %d (spins %d)", res.Final, res.Expected, res.SpinLoops)
+			}
+			if res.SpinLoops == 0 {
+				t.Log("note: contenders never overlapped; mutual exclusion untested under contention this run")
+			}
+			t.Logf("Peterson: %d increments correct in %d cycles, %d spin iterations", res.Final, res.Cycles, res.SpinLoops)
+		})
 	}
-	if res.Final != res.Expected {
-		t.Fatalf("lost updates: counter = %d, want %d (spins %d)", res.Final, res.Expected, res.SpinLoops)
-	}
-	if res.SpinLoops == 0 {
-		t.Log("note: contenders never overlapped; mutual exclusion untested under contention this run")
-	}
-	t.Logf("Peterson: %d increments correct in %d cycles, %d spin iterations", res.Final, res.Cycles, res.SpinLoops)
 }
 
 func TestBakeryMutualExclusionFourThreads(t *testing.T) {
@@ -117,21 +133,25 @@ func TestBakeryMutualExclusionFourThreads(t *testing.T) {
 	if testing.Short() {
 		rounds = 4
 	}
-	res, err := RunBakery(4, 4, 4, rounds, 3)
-	if err != nil {
-		t.Fatal(err)
+	for _, m := range machines {
+		t.Run(m.Protocol, func(t *testing.T) {
+			res, err := RunBakery(m, 4, rounds, 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Final != res.Expected {
+				t.Fatalf("lost updates: counter = %d, want %d (spins %d)", res.Final, res.Expected, res.SpinLoops)
+			}
+			t.Logf("bakery 4x%d: counter %d correct in %d cycles, %d spins", rounds, res.Final, res.Cycles, res.SpinLoops)
+		})
 	}
-	if res.Final != res.Expected {
-		t.Fatalf("lost updates: counter = %d, want %d (spins %d)", res.Final, res.Expected, res.SpinLoops)
-	}
-	t.Logf("bakery 4x%d: counter %d correct in %d cycles, %d spins", rounds, res.Final, res.Cycles, res.SpinLoops)
 }
 
 func TestBakeryEightThreads(t *testing.T) {
 	if testing.Short() {
 		t.Skip("heavier contention run")
 	}
-	res, err := RunBakery(4, 4, 8, 6, 5)
+	res, err := RunBakery(machines[0], 8, 6, 5)
 	if err != nil {
 		t.Fatal(err)
 	}

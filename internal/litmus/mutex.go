@@ -4,10 +4,7 @@ import (
 	"fmt"
 
 	"scorpio/internal/coherence"
-	"scorpio/internal/core"
 	"scorpio/internal/sim"
-	"scorpio/internal/system"
-	"scorpio/internal/trace"
 )
 
 // MutexResult summarises a Peterson mutual-exclusion campaign.
@@ -143,48 +140,50 @@ func (d *mutexDriver) onComplete(c coherence.Completion) {
 }
 
 // RunMutex races two Peterson contenders for `rounds` critical sections each
-// on a w×h SCORPIO machine and returns the final counter (Expected =
-// 2*rounds under correct mutual exclusion).
-func RunMutex(w, h, rounds int, seed uint64) (MutexResult, error) {
-	opt := system.DefaultOptions(trace.All()[0])
-	opt.Core = core.DefaultConfig().WithMeshSize(w, h)
-	s, err := system.NewScorpioBare(opt)
+// on machine m and returns the final counter (Expected = 2*rounds under
+// correct mutual exclusion).
+func RunMutex(m Machine, rounds int, seed uint64) (MutexResult, error) {
+	b, err := m.build()
 	if err != nil {
 		return MutexResult{}, err
 	}
 	// Place the contenders far apart for maximal transfer latency; the seed
 	// staggers their starts to vary the interleaving.
-	nodes := [2]int{0, len(s.L2s) - 1}
+	nodes := [2]int{0, len(b.l2s) - 1}
 	drivers := [2]*mutexDriver{}
 	for i := 0; i < 2; i++ {
-		d := &mutexDriver{l2: s.L2s[nodes[i]], id: i, rounds: rounds}
-		s.L2s[nodes[i]].OnComplete = d.onComplete
+		d := &mutexDriver{l2: b.l2s[nodes[i]], id: i, rounds: rounds}
+		b.l2s[nodes[i]].OnComplete = d.onComplete
 		drivers[i] = d
-		// Share the node's scheduling unit (see RunOn): the driver calls the
+		// Share the node's scheduling unit (see Run): the driver calls the
 		// L2 directly and has no Idle(), keeping the unit permanently active.
-		s.Kernel.RegisterGroup(nodes[i], d)
+		b.kernel.RegisterGroup(nodes[i], d)
 	}
 	// Stagger thread 1 by a seed-derived offset.
-	s.Kernel.Run(sim.NewRNG(seed).Uint64() % 64)
-	ok := s.Kernel.RunUntil(func() bool { return drivers[0].done && drivers[1].done }, 5_000_000)
+	b.kernel.Run(sim.NewRNG(seed).Uint64() % 64)
+	ok := b.kernel.RunUntil(func() bool { return drivers[0].done && drivers[1].done }, 5_000_000)
 	if !ok {
 		return MutexResult{}, fmt.Errorf("litmus: Peterson contenders did not finish (livelock?)")
 	}
-	if err := s.Net.VerifyGlobalOrder(); err != nil {
+	if err := b.verify(); err != nil {
 		return MutexResult{}, err
-	}
-	// Read the final counter value from whichever cache owns it.
-	final := uint64(0)
-	for _, l2 := range s.L2s {
-		if l2.LineState(addrCounter) != coherence.Invalid {
-			final = l2.ValueOf(addrCounter)
-		}
 	}
 	return MutexResult{
 		Rounds:    rounds,
-		Final:     final,
+		Final:     finalValue(b.l2s, addrCounter),
 		Expected:  uint64(2 * rounds),
 		SpinLoops: drivers[0].spins + drivers[1].spins,
-		Cycles:    s.Kernel.Cycle(),
+		Cycles:    b.kernel.Cycle(),
 	}, nil
+}
+
+// finalValue reads addr's value from whichever cache holds it.
+func finalValue(l2s []*coherence.L2Controller, addr uint64) uint64 {
+	final := uint64(0)
+	for _, l2 := range l2s {
+		if l2.LineState(addr) != coherence.Invalid {
+			final = l2.ValueOf(addr)
+		}
+	}
+	return final
 }

@@ -82,14 +82,27 @@ type Baseline struct {
 	INSO      *baseline.INSO // nil for TokenB
 }
 
-// NewBaseline builds the machine. Baseline machines always run on the serial
-// kernel: both orderers hand out global sequence numbers from a shared
-// counter during Endpoint.Commit, so their results depend on commit order and
-// cannot be sharded across workers without changing behaviour.
+// NewBaseline builds the machine with trace injectors attached.
 func NewBaseline(opt BaselineOptions) (*Baseline, error) {
 	if err := opt.Profile.Validate(); err != nil {
 		return nil, err
 	}
+	return newBaseline(opt, true)
+}
+
+// NewBaselineBare builds the machine without workload drivers, as
+// NewScorpioBare does: custom drivers attach through L2s[n].CoreAccess /
+// OnComplete.
+func NewBaselineBare(opt BaselineOptions) (*Baseline, error) {
+	return newBaseline(opt, false)
+}
+
+// newBaseline builds the machine, with an injector driving each L2 when
+// drive is set. Baseline machines always run on the serial kernel: both
+// orderers hand out global sequence numbers from a shared counter during
+// Endpoint.Commit, so their results depend on commit order and cannot be
+// sharded across workers without changing behaviour.
+func newBaseline(opt BaselineOptions, drive bool) (*Baseline, error) {
 	if opt.Workers > 1 {
 		return nil, fmt.Errorf("system: %s runs on the serial kernel only, so Workers = %d does not apply", opt.Scheme, opt.Workers)
 	}
@@ -145,7 +158,9 @@ func NewBaseline(opt BaselineOptions) (*Baseline, error) {
 		// straight into the L2 and memory controller, and the injector drives
 		// the L2. The unit's order (memory controller, injector, L2,
 		// endpoint) is part of the model.
-		l2.OnComplete = completesTo(b.inject(node, &opt.Workload, l2))
+		if drive {
+			l2.OnComplete = completesTo(b.inject(node, &opt.Workload, l2))
+		}
 		act := k.RegisterGroup(node, l2)
 		k.RegisterGroup(node, ep)
 		// The node's unit is woken by its link traffic and, under INSO, by
@@ -165,6 +180,10 @@ func NewBaseline(opt BaselineOptions) (*Baseline, error) {
 	b.attribute()
 	return b, nil
 }
+
+// VerifyGlobalOrder returns the global-order check's first failure: two
+// nodes whose L2s accepted different requests at the same position.
+func (b *Baseline) VerifyGlobalOrder() error { return b.order.Err() }
 
 // read, inflight and snapshot implement probe.
 func (b *Baseline) read(c *reading) {
