@@ -92,6 +92,21 @@ func TestRunRejectsOversizedTests(t *testing.T) {
 	}
 }
 
+// TestRunRejectsMachinesItCannotBuild: an unknown protocol, or a second
+// main network on a machine that has one mesh, is an error rather than a
+// campaign on some other machine.
+func TestRunRejectsMachinesItCannotBuild(t *testing.T) {
+	for _, m := range []Machine{
+		{Protocol: "MESI", Width: 4, Height: 4},
+		{Protocol: "TokenB", Width: 4, Height: 4, MainNetworks: 2},
+		{Protocol: "INSO", Width: 4, Height: 4, MainNetworks: 2},
+	} {
+		if _, err := Run(m, Suite()[0], 1, 1); err == nil {
+			t.Errorf("%+v: campaign ran, want an error", m)
+		}
+	}
+}
+
 func TestSuiteHoldsOnMultipleMainNetworks(t *testing.T) {
 	// Section 5.3: striping over several main networks must not affect
 	// correctness because delivery is decoupled from ordering.
