@@ -7,35 +7,38 @@ package cache
 import "fmt"
 
 // Line is one cache entry: its address tag, the line's data (modelled as one
-// word) and a caller-defined state value. It packs into 32 bytes, two lines
-// per 64-byte host cache line.
+// word), a caller-defined state value and the line's recency rank within its
+// set. It packs into 24 bytes, so a 4-way set takes 96.
 type Line struct {
 	Addr  uint64 // full line address (already shifted by offset bits)
 	Data  uint64
-	lru   uint64
 	State int32
+	age   uint8 // recency rank among the set's valid lines, 0 = most recent
 	valid bool
 }
 
-// Array is a set-associative array indexed by line address. The zero state
-// value is reserved for "invalid is fine but explicit": callers define their
-// own state encodings.
+// Array is a set-associative array indexed by line address, with exact LRU
+// replacement within each set. The zero state value is reserved for
+// "invalid is fine but explicit": callers define their own state encodings.
+//
+// Each set keeps its valid lines' ranks at exactly 0..n-1 for n valid lines,
+// 0 the most recent, so a full set's victim (rank ways-1) is the least
+// recently used line. A fresh array is all invalid with every rank 0, which
+// already satisfies that rule, so building one writes nothing.
 type Array struct {
 	sets  int
 	ways  int
 	lines []Line
-	tick  uint64
-	// Stats
-	Hits      uint64
-	Misses    uint64
-	Evictions uint64
 }
 
 // NewArray builds an array with the given geometry. Sets must be a power of
-// two.
+// two, and a set holds at most 256 ways (one byte of rank).
 func NewArray(sets, ways int) *Array {
 	if sets <= 0 || ways <= 0 || sets&(sets-1) != 0 {
 		panic(fmt.Sprintf("cache: invalid geometry %d sets x %d ways (sets must be a power of two)", sets, ways))
+	}
+	if ways > 256 {
+		panic(fmt.Sprintf("cache: %d ways, at most 256 (the recency rank is one byte)", ways))
 	}
 	return &Array{sets: sets, ways: ways, lines: make([]Line, sets*ways)}
 }
@@ -82,67 +85,85 @@ func (a *Array) Lookup(addr uint64) *Line {
 	return nil
 }
 
-// Get looks up addr, counts hit/miss statistics and updates LRU on hit.
-func (a *Array) Get(addr uint64) *Line {
-	l := a.Lookup(addr)
-	if l == nil {
-		a.Misses++
-		return nil
+// promote makes set[i], a valid line, the most recent of its set: every
+// valid line more recent than it ages by one.
+func promote(set []Line, i int) {
+	r := set[i].age
+	for j := range set {
+		if set[j].valid && set[j].age < r {
+			set[j].age++
+		}
 	}
-	a.Hits++
-	a.tick++
-	l.lru = a.tick
-	return l
+	set[i].age = 0
+}
+
+// Get looks up addr and, on a hit, makes the line the most recent of its set.
+func (a *Array) Get(addr uint64) *Line {
+	set := a.set(addr)
+	for i := range set {
+		if set[i].valid && set[i].Addr == addr {
+			promote(set, i)
+			return &set[i]
+		}
+	}
+	return nil
 }
 
 // Touch refreshes the LRU position of addr if present.
-func (a *Array) Touch(addr uint64) {
-	if l := a.Lookup(addr); l != nil {
-		a.tick++
-		l.lru = a.tick
-	}
-}
+func (a *Array) Touch(addr uint64) { a.Get(addr) }
 
 // Insert places addr with the given state and data, evicting the LRU line of
 // the set if necessary. It returns the evicted line, data included (valid
 // only if eviction happened).
 func (a *Array) Insert(addr uint64, state int32, data uint64) (evicted Line, didEvict bool) {
 	set := a.set(addr)
-	a.tick++
-	// Reuse an existing entry or a free way first.
+	// Reuse an existing entry or the first free way; otherwise the victim
+	// is the valid line of highest rank.
+	free, oldest, n := -1, -1, 0
 	for i := range set {
-		if set[i].valid && set[i].Addr == addr {
+		switch {
+		case !set[i].valid:
+			if free < 0 {
+				free = i
+			}
+		case set[i].Addr == addr:
 			set[i].State = state
 			set[i].Data = data
-			set[i].lru = a.tick
+			promote(set, i)
 			return Line{}, false
+		default:
+			n++
+			if oldest < 0 || set[i].age > set[oldest].age {
+				oldest = i
+			}
 		}
 	}
-	for i := range set {
-		if !set[i].valid {
-			set[i] = Line{Addr: addr, Data: data, State: state, valid: true, lru: a.tick}
-			return Line{}, false
-		}
+	way := free
+	if way < 0 {
+		way, n = oldest, n-1
+		evicted, didEvict = set[way], true
 	}
-	// Evict LRU.
-	victim := 0
-	for i := 1; i < len(set); i++ {
-		if set[i].lru < set[victim].lru {
-			victim = i
-		}
-	}
-	evicted = set[victim]
-	set[victim] = Line{Addr: addr, Data: data, State: state, valid: true, lru: a.tick}
-	a.Evictions++
-	return evicted, true
+	// The new line enters below the n lines that stay and is promoted over
+	// them.
+	set[way] = Line{Addr: addr, Data: data, State: state, age: uint8(n), valid: true}
+	promote(set, way)
+	return evicted, didEvict
 }
 
 // Invalidate removes addr from the array and reports whether it was present.
+// Every valid line less recent than it gets younger by one, closing the gap
+// in the set's ranks.
 func (a *Array) Invalidate(addr uint64) bool {
 	set := a.set(addr)
 	for i := range set {
 		if set[i].valid && set[i].Addr == addr {
 			set[i].valid = false
+			r := set[i].age
+			for j := range set {
+				if set[j].valid && set[j].age > r {
+					set[j].age--
+				}
+			}
 			return true
 		}
 	}
