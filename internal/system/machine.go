@@ -52,14 +52,11 @@ func (w *Workload) fill() {
 }
 
 // holdMisses raises an L2's MSHRs and core-queue depth to hold the
-// workload's outstanding misses (Figure 8d's aggressive cores) and reports
-// whether it had to.
-func (w *Workload) holdMisses(mshrs, queue *int) bool {
-	if w.MaxOutstanding <= *mshrs {
-		return false
+// workload's outstanding misses (Figure 8d's aggressive cores).
+func (w *Workload) holdMisses(mshrs, queue *int) {
+	if w.MaxOutstanding > *mshrs {
+		*mshrs, *queue = w.MaxOutstanding, 2*w.MaxOutstanding
 	}
-	*mshrs, *queue = w.MaxOutstanding, 2*w.MaxOutstanding
-	return true
 }
 
 // machine is the run core Scorpio, Directory and Baseline embed, so all five

@@ -10,14 +10,18 @@ import (
 
 // TestBuildersDeriveControllerSizes: whatever the caller left in the options,
 // every controller of every machine sends data packets of its mesh's size,
-// and its L2 holds the workload's outstanding misses.
+// and its L2 holds the workload's outstanding misses. SCORPIO's
+// pending-notification budget is raised to the outstanding limit, never
+// lowered: at 3 outstanding misses, one above the L2's 2 MSHRs, it keeps the
+// chip's 4.
 func TestBuildersDeriveControllerSizes(t *testing.T) {
 	prof, err := trace.ByName("fft")
 	if err != nil {
 		t.Fatal(err)
 	}
+	chipNotifs := DefaultOptions(prof).Core.NIC.MaxPendingNotifs
 	for _, cw := range []int{8, 16, 32} {
-		for _, maxOut := range []int{2, 6} {
+		for _, maxOut := range []int{2, 3, 6} {
 			sopt := DefaultOptions(prof)
 			sopt.Core = sopt.Core.WithMeshSize(4, 4)
 			sopt.Core.Net.ChannelBytes, sopt.MaxOutstanding = cw, maxOut
@@ -29,7 +33,7 @@ func TestBuildersDeriveControllerSizes(t *testing.T) {
 			if got := s.opt; got.L2.DataFlits != want || got.Mem.DataFlits != want {
 				t.Errorf("SCORPIO CW=%dB: L2 %d-flit data, memory %d, mesh %d", cw, got.L2.DataFlits, got.Mem.DataFlits, want)
 			}
-			if got := s.opt; got.L2.MSHRs < maxOut || got.L2.CoreQueueDepth < 2*maxOut || got.Core.NIC.MaxPendingNotifs < maxOut {
+			if got := s.opt; got.L2.MSHRs < maxOut || got.L2.CoreQueueDepth < 2*maxOut || got.Core.NIC.MaxPendingNotifs != max(chipNotifs, maxOut) {
 				t.Errorf("SCORPIO %d outstanding: %d MSHRs, core queue %d, %d pending notifications",
 					maxOut, got.L2.MSHRs, got.L2.CoreQueueDepth, got.Core.NIC.MaxPendingNotifs)
 			}

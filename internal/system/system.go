@@ -44,9 +44,8 @@ func (o *Options) fill() {
 	o.Workload.fill()
 	o.L2.DataFlits = o.Core.Net.DataPacketFlits()
 	o.Mem.DataFlits = o.Core.Net.DataPacketFlits()
-	if o.holdMisses(&o.L2.MSHRs, &o.L2.CoreQueueDepth) {
-		o.Core.NIC.MaxPendingNotifs = o.MaxOutstanding
-	}
+	o.holdMisses(&o.L2.MSHRs, &o.L2.CoreQueueDepth)
+	o.Core.NIC.MaxPendingNotifs = max(o.Core.NIC.MaxPendingNotifs, o.MaxOutstanding)
 }
 
 // packetIDStream returns an allocator of packet IDs private to one issuing
