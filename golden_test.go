@@ -14,6 +14,7 @@ import (
 	"sort"
 	"testing"
 
+	"scorpio/internal/stats"
 	"scorpio/internal/system"
 	"scorpio/internal/trace"
 )
@@ -41,10 +42,12 @@ type goldenFile struct {
 }
 
 // goldenCase is one pinned run: a facade Config, plus the L2 capacity of a
-// small-L2 run (0 keeps the machine's default L2).
+// small-L2 run (0 keeps the machine's default L2) or the cycle count of a
+// SCORPIO window stepped short of completion (0 runs to completion).
 type goldenCase struct {
 	cfg     Config
 	l2Bytes int
+	window  uint64
 }
 
 // goldenCases lists the pinned runs: all five machines on three benchmarks,
@@ -52,7 +55,12 @@ type goldenCase struct {
 // their 4×4, plus a 4×4 SCORPIO on two main networks, the one pinned path
 // through NIC.AddMesh and the send striping across meshes. The 4×4 fft runs
 // with a 1 KB L2 are the pinned dirty evictions: no default-size run evicts
-// a dirty line, so they alone carry writebacks through every machine.
+// a dirty line, so they alone carry writebacks through every machine. One
+// 600-cycle window of a 16×16 SCORPIO fft on two kernel workers is the
+// bench's mesh256-fft point at seed 1 and the only pinned mesh past 6×6 (a
+// run to completion there takes tens of seconds). No core gets past its 5
+// warm-up accesses in the window, so its service histogram is empty and its
+// counters carry the pin.
 func goldenCases() []goldenCase {
 	var cases []goldenCase
 	for _, p := range []Protocol{SCORPIO, LPDD, HTD, TokenB, INSO} {
@@ -71,11 +79,13 @@ func goldenCases() []goldenCase {
 		cases = append(cases, goldenCase{cfg: Config{Protocol: p, Benchmark: "fft", Width: 4, Height: 4,
 			WorkPerCore: 60, WarmupPerCore: 40}, l2Bytes: 1024})
 	}
+	cases = append(cases, goldenCase{cfg: Config{Protocol: SCORPIO, Benchmark: "fft", Width: 16, Height: 16,
+		WorkPerCore: 60, WarmupPerCore: 5, Workers: 2}, window: 600})
 	return cases
 }
 
 // goldenKey names a pinned run: protocol and benchmark, plus the mesh size
-// and the network count or L2 capacity of a run that sets either.
+// and the network count, L2 capacity or window of a run that sets one.
 func goldenKey(c goldenCase) string {
 	key := fmt.Sprintf("%s/%s", c.cfg.Protocol, c.cfg.Benchmark)
 	if c.cfg.MainNetworks > 1 {
@@ -83,6 +93,9 @@ func goldenKey(c goldenCase) string {
 	}
 	if c.l2Bytes > 0 {
 		key += fmt.Sprintf("/%dx%d/l2=%dKB", c.cfg.Width, c.cfg.Height, c.l2Bytes/1024)
+	}
+	if c.window > 0 {
+		key += fmt.Sprintf("/%dx%d/window=%d", c.cfg.Width, c.cfg.Height, c.window)
 	}
 	return key
 }
@@ -133,6 +146,44 @@ func runL2Bytes(cfg Config, l2Bytes int) (Result, error) {
 		}
 		return b.Run(cfg.CycleLimit)
 	}
+}
+
+// pinWindow builds c's SCORPIO machine through the facade's mapper, steps
+// it c.window cycles, checks the global order, and pins what the bench
+// digest of such a window covers: cycles, completed accesses, flits routed,
+// L2 hits and misses, and a digest of the service histogram.
+func pinWindow(t *testing.T, c goldenCase) goldenRun {
+	cfg := c.cfg
+	if err := cfg.fill(); err != nil {
+		t.Fatal(err)
+	}
+	prof, err := trace.ByName(cfg.Benchmark)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := system.NewScorpio(scorpioOptions(cfg, prof))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Kernel.StopWorkers()
+	s.Kernel.Run(c.window)
+	if err := s.Net.VerifyGlobalOrder(); err != nil {
+		t.Fatalf("%s: %v", goldenKey(c), err)
+	}
+	g := goldenRun{Counters: map[string]uint64{"Cycles": s.Kernel.Cycle(), "FlitsRouted": s.Net.NetStats().FlitsRouted}}
+	hist := stats.NewHistogram(4, 512)
+	for _, in := range s.Injectors {
+		g.Counters["Completed"] += in.Completed
+		hist.Merge(in.ServiceHist)
+	}
+	for _, l2 := range s.L2s {
+		g.Counters["L2Hits"] += l2.Stats.Hits
+		g.Counters["L2Misses"] += l2.Stats.Misses
+	}
+	h := fnv.New64a()
+	digestValue(t, h, reflect.ValueOf(hist))
+	g.Digest = fmt.Sprintf("%016x", h.Sum64())
+	return g
 }
 
 // pin splits a Results value into its named counters and a digest of
@@ -219,6 +270,10 @@ func metricsDigests(t *testing.T) map[string]string {
 func TestGolden(t *testing.T) {
 	got := goldenFile{Runs: map[string]goldenRun{}, Metrics: metricsDigests(t)}
 	for _, c := range goldenCases() {
+		if c.window > 0 {
+			got.Runs[goldenKey(c)] = pinWindow(t, c)
+			continue
+		}
 		r, err := c.run()
 		if err != nil {
 			t.Fatalf("%s: %v", goldenKey(c), err)
