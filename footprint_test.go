@@ -10,14 +10,14 @@ import (
 
 // footprintBoundMB bounds the live heap a freshly built default 6×6 SCORPIO
 // machine holds (measured 4.62 MB; the 36 L2 arrays of 24-byte lines are
-// 3.5 MB of it; 5.83 MB while each line carried a 64-bit LRU stamp).
+// 3.5 MB of it). The bound fails a 32-byte cache.Line, which reads 5.83 MB.
 const footprintBoundMB = 5.2
 
 // defaultOptionsBoundMB bounds the same machine built from
 // system.DefaultOptions, whose 256 KB memory-controller directory budget
-// gives four 768 KB directory-cache arrays (measured 7.66 MB; 9.89 MB with
-// 32-byte lines, 16.7 MB while each controller pre-sized its directory map
-// to that budget).
+// gives four 768 KB directory-cache arrays (measured 7.66 MB). The bound
+// fails a 32-byte cache.Line (9.89 MB) and directory maps pre-sized to the
+// directory budget (16.7 MB).
 const defaultOptionsBoundMB = 8.8
 
 // builtMB builds a SCORPIO machine from opt and returns the live heap it
