@@ -119,7 +119,7 @@ func (a *Array) Insert(addr uint64, state int32, data uint64) (evicted Line, did
 	set := a.set(addr)
 	// Reuse an existing entry or the first free way; otherwise the victim
 	// is the valid line of highest rank.
-	free, oldest, n := -1, -1, 0
+	free, oldest, n := -1, 0, 0
 	for i := range set {
 		switch {
 		case !set[i].valid:
@@ -133,7 +133,7 @@ func (a *Array) Insert(addr uint64, state int32, data uint64) (evicted Line, did
 			return Line{}, false
 		default:
 			n++
-			if oldest < 0 || set[i].age > set[oldest].age {
+			if set[i].age > set[oldest].age {
 				oldest = i
 			}
 		}
