@@ -101,7 +101,7 @@ perfsmoke: build
 
 # The live-telemetry smoke: a real scorpiosim run serves telemetry on an
 # ephemeral port; the script curls /healthz and /metrics (OpenMetrics shape),
-# renders one scorpiotop frame over SSE, and proves shutdown released the
+# renders one scorpiotop frame from /metrics, and proves shutdown released the
 # port. Then the ≤2% no-client overhead guard and the 0-allocs/step pins with
 # the publisher attached (serial and 4 workers) hold the exporter to the
 # hot-path budget.

@@ -100,28 +100,12 @@ func main() {
 		seed    = flag.Uint64("seed", 1, "workload seed")
 		workers = flag.Int("workers", 0, "concurrent simulations per sweep (0 = GOMAXPROCS)")
 
-		tracePath  = flag.String("trace", "", "run one traced SCORPIO point and write Chrome trace-event JSON to this path")
-		metricsIvl = flag.Uint64("metrics-interval", 0, "metrics sampling interval for the traced/instrumented point (0 = off)")
-		watchdog   = flag.Uint64("watchdog", 0, "arm the forward-progress watchdog on every run (cycles without progress; 0 = off)")
-		audit      = flag.Bool("audit", false, "attach the online ordering/coherence auditor to every run")
-		perfPath   = flag.String("perf-report", "", "run one instrumented SCORPIO point and write its perf RunReport JSON to this path")
-		pprofPath  = flag.String("pprof", "", "write a CPU profile to this path")
-
-		telemetry    = flag.String("telemetry", "", "run one instrumented SCORPIO point serving live telemetry on this HTTP address (attach scorpiotop or curl /metrics)")
-		telemetryIvl = flag.Uint64("telemetry-interval", 0, "telemetry sample period in cycles (0 = default 1024; requires -telemetry)")
+		watchdog  = flag.Uint64("watchdog", 0, "arm the forward-progress watchdog on every run (cycles without progress; 0 = off)")
+		audit     = flag.Bool("audit", false, "attach the online ordering/coherence auditor to every run")
+		pprofPath = flag.String("pprof", "", "write a CPU profile to this path")
 	)
 	flag.Parse()
 
-	instrumented := func() bool { return *tracePath != "" || *perfPath != "" || *telemetry != "" }
-	if err := cli.CheckFlags(flag.CommandLine, []cli.FlagRule{
-		{Flag: "metrics-interval", Requires: instrumented,
-			Msg: "-metrics-interval only applies to the traced/instrumented point; it needs -trace PATH, -perf-report PATH or -telemetry ADDR"},
-		{Flag: "telemetry-interval", Requires: func() bool { return *telemetry != "" },
-			Msg: "-telemetry-interval has no effect without -telemetry ADDR"},
-	}); err != nil {
-		fmt.Fprintln(os.Stderr, "experiments:", err)
-		os.Exit(2)
-	}
 	want, err := selection(*only)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
@@ -144,45 +128,6 @@ func main() {
 	scale.WatchdogCycles = *watchdog
 	scale.Audit = *audit
 
-	if instrumented() {
-		// One dedicated instrumented 36-core SCORPIO run; the sweeps below
-		// stay uninstrumented so tracing/monitoring never perturbs the
-		// figures.
-		cfg := scorpio.Config{
-			Protocol: scorpio.SCORPIO, Benchmark: "barnes",
-			WorkPerCore: scale.Work, WarmupPerCore: scale.Warmup,
-			Seed: scale.Seed, WatchdogCycles: *watchdog,
-			TracePath:       *tracePath,
-			MetricsInterval: *metricsIvl,
-			Audit:           *audit,
-			PerfReportPath:  *perfPath,
-
-			TelemetryAddr:     *telemetry,
-			TelemetryInterval: *telemetryIvl,
-		}
-		if *metricsIvl > 0 {
-			base := *tracePath
-			if base == "" {
-				base = *perfPath
-			}
-			if base != "" {
-				// Telemetry-only instrumented runs keep the series in memory
-				// (and live on /metrics) instead of inventing a file name.
-				cfg.MetricsPath = strings.TrimSuffix(base, ".json") + "-metrics.csv"
-			}
-		}
-		res, err := scorpio.Run(cfg)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: instrumented run: %v\n", err)
-			os.Exit(1)
-		}
-		if *tracePath != "" {
-			fmt.Printf("traced SCORPIO/barnes run: %d cycles, trace written to %s\n\n", res.Cycles, *tracePath)
-		}
-		if res.Obs != nil && res.Obs.PerfReport != nil {
-			fmt.Printf("instrumented SCORPIO/barnes run: report written to %s\n%s\n", *perfPath, res.Obs.PerfReport.Table())
-		}
-	}
 	effective := *workers
 	if effective <= 0 {
 		effective = runtime.GOMAXPROCS(0)

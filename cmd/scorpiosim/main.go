@@ -44,13 +44,11 @@ func main() {
 		metricsPath = flag.String("metrics-out", "scorpio-metrics.csv", "metrics output path (.json selects JSON, else CSV)")
 		watchdog    = flag.Uint64("watchdog", 0, "abort with a network snapshot after N cycles without progress (0 = off)")
 		audit       = flag.Bool("audit", false, "attach the online ordering/coherence auditor and latency attributor")
-		auditEvery  = flag.Int("audit-every", 0, "auditor stale-sharer sweep period in cycles (0 = default; requires -audit)")
 		perfPath    = flag.String("perf-report", "", "attach the engine perf monitor and write its RunReport JSON to this path (\"-\" prints the table only)")
 		pprofPath   = flag.String("pprof", "", "write a CPU profile to this path")
 
-		telemetry    = flag.String("telemetry", "", "serve live telemetry on this HTTP address for the duration of the run (\":8090\", or \":0\" for an ephemeral port printed to stderr); attach scorpiotop, curl /metrics, or stream /stream")
+		telemetry    = flag.String("telemetry", "", "serve live telemetry on this HTTP address for the duration of the run (\":8090\", or \":0\" for an ephemeral port printed to stderr); attach scorpiotop or curl /metrics")
 		telemetryIvl = flag.Uint64("telemetry-interval", 0, "telemetry sample period in cycles (0 = default 1024; requires -telemetry)")
-		sseQueue     = flag.Int("sse-queue", 0, "per-client SSE event queue depth (0 = default 16; requires -telemetry)")
 	)
 	flag.Parse()
 
@@ -58,12 +56,8 @@ func main() {
 	if err := cli.CheckFlags(flag.CommandLine, []cli.FlagRule{
 		{Flag: "metrics-out", Requires: func() bool { return *metricsIvl > 0 },
 			Msg: "-metrics-out has no effect without -metrics-interval N"},
-		{Flag: "audit-every", Requires: func() bool { return *audit },
-			Msg: "-audit-every has no effect without -audit"},
 		{Flag: "telemetry-interval", Requires: func() bool { return *telemetry != "" },
 			Msg: "-telemetry-interval has no effect without -telemetry ADDR"},
-		{Flag: "sse-queue", Requires: func() bool { return *telemetry != "" },
-			Msg: "-sse-queue has no effect without -telemetry ADDR"},
 	}); err != nil {
 		fmt.Fprintln(os.Stderr, "scorpiosim:", err)
 		os.Exit(2)
@@ -105,12 +99,10 @@ func main() {
 		MetricsInterval: *metricsIvl,
 		WatchdogCycles:  *watchdog,
 		Audit:           *audit,
-		AuditEvery:      *auditEvery,
 		PerfReportPath:  *perfPath,
 
 		TelemetryAddr:     *telemetry,
 		TelemetryInterval: *telemetryIvl,
-		TelemetrySSEQueue: *sseQueue,
 	}
 	if *metricsIvl > 0 {
 		cfg.MetricsPath = *metricsPath

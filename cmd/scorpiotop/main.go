@@ -1,26 +1,23 @@
 // Command scorpiotop is a terminal live dashboard for a running simulation.
 // It attaches to the telemetry exporter of any run started with a telemetry
-// address (scorpiosim -telemetry :8090, experiments -telemetry :8090, or a
-// scorpio.Config with TelemetryAddr), streams sample ticks over SSE, and
-// renders cycles/s, p50/p99 service latency, parks/wakes/active-units and the
-// ASCII router-utilization heatmap, refreshing in place.
+// address (scorpiosim -telemetry :8090, or a scorpio.Config with
+// TelemetryAddr), polls its /metrics page, and renders cycles/s, p50/p99
+// service latency, parks/wakes/active-units and the ASCII router-utilization
+// heatmap, refreshing in place.
 //
 //	scorpiosim -bench barnes -work 100000 -telemetry :8090 &
 //	scorpiotop :8090
 //
-// The dashboard is read-only and disposable: closing it (or falling behind
-// the stream) never affects the simulation — the exporter drops slow clients
-// instead of stalling the kernel.
+// The dashboard is read-only and disposable: a scrape copies the exporter's
+// published page and never waits on the simulation.
 package main
 
 import (
 	"bufio"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"net/http"
 	"os"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -28,19 +25,11 @@ import (
 	"scorpio/internal/obs"
 )
 
-// tick mirrors the exporter's SSE data frame.
-type tick struct {
-	Cycle  uint64             `json:"cycle"`
-	WallNs int64              `json:"wall_ns"`
-	Tick   uint64             `json:"tick"`
-	Series map[string]float64 `json:"series"`
-}
-
 func main() {
 	var (
 		once    = flag.Bool("once", false, "render one frame and exit (CI/smoke mode)")
-		heatIvl = flag.Duration("heat-every", time.Second, "router-heatmap refresh period (polls /metrics)")
-		timeout = flag.Duration("timeout", 10*time.Second, "give up if no SSE tick arrives within this window")
+		every   = flag.Duration("every", time.Second, "refresh period (one /metrics scrape per frame)")
+		timeout = flag.Duration("timeout", 10*time.Second, "give up if no sample tick is published within this window")
 	)
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: scorpiotop [flags] ADDR\n\nADDR is the -telemetry address of a running simulation (\":8090\",\n\"host:8090\" or \"http://host:8090\").\n\n")
@@ -54,7 +43,7 @@ func main() {
 	}
 	base := normalize(flag.Arg(0))
 
-	if err := run(base, *once, *heatIvl, *timeout); err != nil {
+	if err := run(base, *once, *every, *timeout); err != nil {
 		fmt.Fprintln(os.Stderr, "scorpiotop:", err)
 		os.Exit(1)
 	}
@@ -71,65 +60,32 @@ func normalize(addr string) string {
 	return "http://" + addr
 }
 
-func run(base string, once bool, heatIvl, timeout time.Duration) error {
-	resp, err := http.Get(base + "/stream")
-	if err != nil {
-		return fmt.Errorf("attach %s: %w (is the sim running with -telemetry?)", base, err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("attach %s/stream: %s", base, resp.Status)
-	}
-
-	ticks := make(chan tick)
-	errc := make(chan error, 1)
-	go func() {
-		sc := bufio.NewScanner(resp.Body)
-		sc.Buffer(make([]byte, 64<<10), 1<<20)
-		for sc.Scan() {
-			line := sc.Text()
-			if !strings.HasPrefix(line, "data: ") {
-				continue
-			}
-			var t tick
-			if err := json.Unmarshal([]byte(line[len("data: "):]), &t); err != nil {
-				continue
-			}
-			ticks <- t
-		}
-		errc <- fmt.Errorf("stream closed: %v", sc.Err())
-	}()
-
+// run scrapes base every period and renders a frame per scrape, once the
+// exporter has published its first sample tick.
+func run(base string, once bool, every, timeout time.Duration) error {
 	if !once {
 		fmt.Print("\x1b[2J") // clear once; frames repaint from home
 	}
-	var prev, cur tick
-	var heat heatmap
-	lastHeat := time.Time{}
+	deadline := time.Now().Add(timeout)
+	var prev, cur page
 	frames := 0
-	for {
-		select {
-		case t := <-ticks:
-			prev, cur = cur, t
-		case err := <-errc:
+	for ; ; time.Sleep(every) {
+		pg, err := scrape(base)
+		if err != nil {
 			if frames > 0 {
 				fmt.Println()
-				return nil // sim finished while we watched; not a failure
+				return nil // the run finished and closed its exporter
 			}
-			return err
-		case <-time.After(timeout):
-			return fmt.Errorf("no sample tick within %s (is the run long enough for the telemetry interval?)", timeout)
+			return fmt.Errorf("%w (is the sim running with -telemetry?)", err)
 		}
-		if cur.Tick == 0 {
+		if pg.vals["sample_ticks"] == 0 {
+			if time.Now().After(deadline) {
+				return fmt.Errorf("no sample tick within %s (is the run long enough for the telemetry interval?)", timeout)
+			}
 			continue
 		}
-		if time.Since(lastHeat) >= heatIvl {
-			if h, err := fetchHeat(base); err == nil {
-				heat = h
-			}
-			lastHeat = time.Now()
-		}
-		render(base, prev, cur, heat, once)
+		prev, cur = cur, pg
+		render(base, prev, cur, once)
 		frames++
 		if once {
 			return nil
@@ -137,9 +93,10 @@ func run(base string, once bool, heatIvl, timeout time.Duration) error {
 	}
 }
 
-// render paints one dashboard frame. In live mode the cursor homes first so
-// the frame overwrites the previous one in place.
-func render(base string, prev, cur tick, heat heatmap, once bool) {
+// render paints one dashboard frame; prev is the previous scrape (zero on
+// the first frame), which the rates need. In live mode the cursor homes
+// first so the frame overwrites the previous one in place.
+func render(base string, prev, cur page, once bool) {
 	var b strings.Builder
 	if !once {
 		b.WriteString("\x1b[H")
@@ -152,28 +109,32 @@ func render(base string, prev, cur tick, heat heatmap, once bool) {
 		b.WriteByte('\n')
 	}
 
+	v := cur.vals
+	cycles := 0.0
+	if prev.vals != nil {
+		cycles = v["cycle"] - prev.vals["cycle"]
+	}
 	line("scorpiotop — %s", base)
 	cps := 0.0
-	if prev.Tick > 0 && cur.WallNs > prev.WallNs {
-		cps = float64(cur.Cycle-prev.Cycle) / (float64(cur.WallNs-prev.WallNs) / 1e9)
+	if cycles > 0 && cur.at.After(prev.at) {
+		cps = cycles / cur.at.Sub(prev.at).Seconds()
 	}
-	line("cycle %-12d %10.0f cycles/s", cur.Cycle, cps)
-	line("service latency    p50 %4.0f  p99 %4.0f cycles",
-		cur.Series["lat_p50"], cur.Series["lat_p99"])
+	line("cycle %-12.0f %10.0f cycles/s", v["cycle"], cps)
+	line("service latency    p50 %4.0f  p99 %4.0f cycles", v["lat_p50"], v["lat_p99"])
 	line("network            %.0f injected, %.0f ejected, %.0f flits routed, %.0f buffered",
-		cur.Series["injected"], cur.Series["ejected"], cur.Series["flits_routed"], cur.Series["buffered_flits"])
+		v["injected"], v["ejected"], v["flits_routed"], v["buffered_flits"])
 	line("activity           %.0f units active, %.0f outstanding misses, wheel %.0f",
-		cur.Series["active_units"], cur.Series["outstanding"], cur.Series["wheel_pending"])
+		v["active_units"], v["outstanding"], v["wheel_pending"])
 	rate := func(name string) float64 {
-		if prev.Tick == 0 || cur.Cycle <= prev.Cycle {
+		if cycles <= 0 {
 			return 0
 		}
-		return (cur.Series[name] - prev.Series[name]) / float64(cur.Cycle-prev.Cycle) * 1000
+		return (v[name] - prev.vals[name]) / cycles * 1000
 	}
 	line("engine             %.1f parks, %.1f wakes per kcycle (totals %.0f / %.0f)",
-		rate("parks"), rate("wakes"), cur.Series["parks"], cur.Series["wakes"])
-	if len(heat.util) > 0 {
-		rows, peak := obs.HeatRows(heat.w, heat.h, heat.util)
+		rate("parks"), rate("wakes"), v["parks"], v["wakes"])
+	if h := cur.heat; len(h.util) > 0 {
+		rows, peak := obs.HeatRows(h.w, h.h, h.util)
 		line("")
 		line("router utilization (flits/cycle, last window; max %.3f)", peak)
 		for _, row := range rows {
@@ -183,45 +144,63 @@ func render(base string, prev, cur tick, heat heatmap, once bool) {
 	os.Stdout.WriteString(b.String())
 }
 
+// page is one parsed /metrics scrape.
+type page struct {
+	at time.Time // the client's clock when the scrape returned
+	// vals holds every unlabelled sample, keyed by its name without the
+	// "scorpio_" prefix or a counter's "_total" suffix ("cycle",
+	// "sample_ticks", "injected", "lat_p50", ...).
+	vals map[string]float64
+	heat heatmap
+}
+
 // heatmap is the parsed scorpio_router_utilization grid.
 type heatmap struct {
 	w, h int
 	util []float64 // row-major
 }
 
-// fetchHeat scrapes the scorpio_router_utilization family from /metrics.
-// Parsing the exposition beats /snapshot here: a page read never waits on the
-// simulation driver.
-func fetchHeat(base string) (heatmap, error) {
+// scrape GETs base/metrics and parses the exposition. Labelled samples other
+// than the router-utilization grid (per-worker counters, wake edges, the run
+// label) are skipped.
+func scrape(base string) (page, error) {
 	resp, err := http.Get(base + "/metrics")
 	if err != nil {
-		return heatmap{}, err
+		return page{}, err
 	}
 	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return page{}, fmt.Errorf("GET %s/metrics: %s", base, resp.Status)
+	}
+	pg := page{vals: map[string]float64{}}
 	type cell struct {
 		x, y int
 		v    float64
 	}
 	var cells []cell
-	maxX, maxY := -1, -1
 	sc := bufio.NewScanner(resp.Body)
 	for sc.Scan() {
 		line := sc.Text()
-		if !strings.HasPrefix(line, "scorpio_router_utilization{") {
+		sp := strings.LastIndexByte(line, ' ')
+		if strings.HasPrefix(line, "#") || sp < 0 {
 			continue
 		}
-		rest := line[len("scorpio_router_utilization{"):]
-		end := strings.IndexByte(rest, '}')
-		if end < 0 {
+		v, err := strconv.ParseFloat(line[sp+1:], 64)
+		if err != nil {
+			return page{}, fmt.Errorf("bad sample %q: %v", line, err)
+		}
+		name, labels, labelled := strings.Cut(line[:sp], "{")
+		if !labelled {
+			pg.vals[strings.TrimSuffix(strings.TrimPrefix(name, "scorpio_"), "_total")] = v
 			continue
 		}
-		var c cell
-		for _, kv := range strings.Split(rest[:end], ",") {
-			k, v, ok := strings.Cut(kv, "=")
-			if !ok {
-				continue
-			}
-			n, _ := strconv.Atoi(strings.Trim(v, `"`))
+		if name != "scorpio_router_utilization" {
+			continue
+		}
+		c := cell{v: v}
+		for _, kv := range strings.Split(strings.TrimSuffix(labels, "}"), ",") {
+			k, val, _ := strings.Cut(kv, "=")
+			n, _ := strconv.Atoi(strings.Trim(val, `"`))
 			switch k {
 			case "x":
 				c.x = n
@@ -229,28 +208,19 @@ func fetchHeat(base string) (heatmap, error) {
 				c.y = n
 			}
 		}
-		c.v, _ = strconv.ParseFloat(strings.TrimSpace(rest[end+1:]), 64)
 		cells = append(cells, c)
-		if c.x > maxX {
-			maxX = c.x
-		}
-		if c.y > maxY {
-			maxY = c.y
-		}
+		pg.heat.w = max(pg.heat.w, c.x+1)
+		pg.heat.h = max(pg.heat.h, c.y+1)
 	}
 	if err := sc.Err(); err != nil {
-		return heatmap{}, err
+		return page{}, err
 	}
-	if len(cells) == 0 {
-		return heatmap{}, fmt.Errorf("no utilization series")
+	pg.at = time.Now()
+	if len(cells) > 0 {
+		pg.heat.util = make([]float64, pg.heat.w*pg.heat.h)
+		for _, c := range cells {
+			pg.heat.util[c.y*pg.heat.w+c.x] = c.v
+		}
 	}
-	h := heatmap{w: maxX + 1, h: maxY + 1}
-	h.util = make([]float64, h.w*h.h)
-	sort.Slice(cells, func(i, j int) bool {
-		return cells[i].y*h.w+cells[i].x < cells[j].y*h.w+cells[j].x
-	})
-	for _, c := range cells {
-		h.util[c.y*h.w+c.x] = c.v
-	}
-	return h, nil
+	return pg, nil
 }

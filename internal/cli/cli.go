@@ -45,7 +45,8 @@ type FlagRule struct {
 	// Requires reports whether the combination is valid (evaluated only when
 	// Flag was set).
 	Requires func() bool
-	// Msg explains the failure ("-audit-every has no effect without -audit").
+	// Msg explains the failure ("-metrics-out has no effect without
+	// -metrics-interval N").
 	Msg string
 }
 

@@ -9,9 +9,9 @@ import (
 	"testing"
 )
 
-// newTestFlagSet builds the flag surface the simulator tools share, parsed
-// over args. The rule set mirrors cmd/scorpiosim's: dependent observability
-// flags require their primary.
+// newTestFlagSet builds a flag surface for the validator, parsed over args:
+// two primaries (-audit, -telemetry) and dependent flags that require them.
+// The names are the validator's fixtures; no tool needs to define them.
 func newTestFlagSet(t *testing.T, args []string) (*flag.FlagSet, []FlagRule) {
 	t.Helper()
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)

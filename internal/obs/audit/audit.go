@@ -62,16 +62,10 @@ func (s LineState) String() string {
 	return "?"
 }
 
-// Options tunes the auditor's bounded-memory structures.
-type Options struct {
-	// SweepEvery is the cycle interval between full shadow sweeps (the
-	// eventually-clears-its-sharer-bit check). 0 keeps the default.
-	SweepEvery int
-}
-
-// Defaults for Options fields left zero.
 const (
-	DefaultSweepEvery = 1 << 10
+	// SweepEvery is the cycle interval between full shadow sweeps (the
+	// eventually-clears-its-sharer-bit check).
+	SweepEvery = 1 << 10
 
 	// maxFlitSeq bounds the per-packet flit bitmask; packets are a handful
 	// of flits, so 64 is generous.
@@ -102,7 +96,6 @@ type pktNode struct {
 type Auditor struct {
 	mu       sync.Mutex
 	nodes    int
-	sweep    uint64
 	snapshot func() string
 
 	violated bool
@@ -140,13 +133,9 @@ type Auditor struct {
 // global-order check (nil when it has none); snapshot (may be nil) renders
 // the network state for violation reports, exactly like the watchdog's
 // closure.
-func New(n int, order *OrderCheck, opt Options, snapshot func() string) *Auditor {
-	if opt.SweepEvery <= 0 {
-		opt.SweepEvery = DefaultSweepEvery
-	}
+func New(n int, order *OrderCheck, snapshot func() string) *Auditor {
 	return &Auditor{
 		nodes:        n,
-		sweep:        uint64(opt.SweepEvery),
 		snapshot:     snapshot,
 		order:        order,
 		pos:          make([]uint64, n),
@@ -375,7 +364,7 @@ func (a *Auditor) Observe(cycle uint64) {
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if a.violated || cycle%a.sweep != 0 {
+	if a.violated || cycle%SweepEvery != 0 {
 		return
 	}
 	a.nsweeps++

@@ -24,7 +24,7 @@ func commitAll(a *Auditor, c *OrderCheck, nodes int, pkt uint64, src int, cycle 
 
 func TestHealthySequenceStaysSilent(t *testing.T) {
 	c := NewOrderCheck(4, 8)
-	a := New(4, c, Options{}, nil)
+	a := New(4, c, nil)
 	for i := uint64(1); i <= 100; i++ {
 		commitAll(a, c, 4, 0x1000+i, int(i%4), i)
 	}
@@ -42,7 +42,7 @@ func TestHealthySequenceStaysSilent(t *testing.T) {
 		a.FlitDelivered(n, 0x99, 0, 2)
 		a.FlitDelivered(n, 0x99, 1, 2)
 	}
-	a.Observe(DefaultSweepEvery)
+	a.Observe(SweepEvery)
 	a.Finish(200)
 	if a.Violated() {
 		t.Fatalf("healthy sequence flagged: %s", a.Report())
@@ -60,7 +60,7 @@ func TestHealthySequenceStaysSilent(t *testing.T) {
 // snapshot in the report.
 func TestAuditorLatchesOrderCheckFailure(t *testing.T) {
 	c := NewOrderCheck(2, 8)
-	a := New(2, c, Options{}, func() string { return "SNAPSHOT" })
+	a := New(2, c, func() string { return "SNAPSHOT" })
 	c.Commit(0, 0xaaa, 5)
 	a.OrderCommit(0, 0xaaa, 0, 5)
 	if a.Violated() {
@@ -81,7 +81,7 @@ func TestAuditorLatchesOrderCheckFailure(t *testing.T) {
 }
 
 func TestCommitWithoutArrival(t *testing.T) {
-	a := New(2, nil, Options{}, nil)
+	a := New(2, nil, nil)
 	a.OrderCommit(1, 0xccc, 0, 5) // src 0, never arrived at node 1
 	if !a.Violated() || !strings.Contains(a.Report(), "no prior network arrival") {
 		t.Fatalf("missing-arrival commit not flagged: %s", a.Report())
@@ -89,7 +89,7 @@ func TestCommitWithoutArrival(t *testing.T) {
 }
 
 func TestTwoOwnersNamesLineAndNICs(t *testing.T) {
-	a := New(4, nil, Options{}, nil)
+	a := New(4, nil, nil)
 	a.LineState(0, 0xdead, LineModified, 10)
 	a.LineState(2, 0xdead, LineModified, 11)
 	if !a.Violated() {
@@ -104,7 +104,7 @@ func TestTwoOwnersNamesLineAndNICs(t *testing.T) {
 }
 
 func TestSharedInstallWhileModified(t *testing.T) {
-	a := New(2, nil, Options{}, nil)
+	a := New(2, nil, nil)
 	a.LineState(0, 0xf00, LineModified, 5) // grantPos = pos[0] = 0
 	a.OrderCommit(1, 0x1, 1, 6)            // pos[1] = 1 > grantPos
 	a.LineState(1, 0xf00, LineShared, 7)
@@ -114,7 +114,7 @@ func TestSharedInstallWhileModified(t *testing.T) {
 }
 
 func TestLaggingSharedInstallIsNotAViolation(t *testing.T) {
-	a := New(2, nil, Options{}, nil)
+	a := New(2, nil, nil)
 	a.LineState(0, 0xf00, LineModified, 5)
 	// Node 1 has not committed past the grant — it legitimately has not
 	// processed the invalidation yet.
@@ -125,14 +125,14 @@ func TestLaggingSharedInstallIsNotAViolation(t *testing.T) {
 }
 
 func TestSweepCatchesStaleSharer(t *testing.T) {
-	a := New(2, nil, Options{SweepEvery: 8}, nil)
+	a := New(2, nil, nil)
 	a.LineState(1, 0xbeef, LineShared, 1)
 	a.LineState(0, 0xbeef, LineModified, 2) // install while sharer lags: fine
 	if a.Violated() {
 		t.Fatalf("install wrongly flagged: %s", a.Report())
 	}
 	a.OrderCommit(1, 0x1, 1, 3) // sharer commits past the grant, bit uncleared
-	a.Observe(16)
+	a.Observe(SweepEvery)
 	if !a.Violated() {
 		t.Fatal("stale sharer not flagged by sweep")
 	}
@@ -145,7 +145,7 @@ func TestSweepCatchesStaleSharer(t *testing.T) {
 }
 
 func TestDuplicateFlit(t *testing.T) {
-	a := New(4, nil, Options{}, nil)
+	a := New(4, nil, nil)
 	a.FlitDelivered(2, 0x77, 0, 3)
 	a.FlitDelivered(2, 0x77, 1, 3)
 	a.FlitDelivered(2, 0x77, 1, 3)
@@ -158,7 +158,7 @@ func TestDuplicateFlit(t *testing.T) {
 }
 
 func TestDuplicateArrival(t *testing.T) {
-	a := New(4, nil, Options{}, nil)
+	a := New(4, nil, nil)
 	a.Arrive(3, 0x55, 1)
 	a.Arrive(3, 0x55, 1)
 	if !a.Violated() || !strings.Contains(a.Report(), "duplicate network arrival") {
@@ -167,7 +167,7 @@ func TestDuplicateArrival(t *testing.T) {
 }
 
 func TestOrderedSinkBeforeCommit(t *testing.T) {
-	a := New(2, nil, Options{}, nil)
+	a := New(2, nil, nil)
 	a.Sink(0, 0x42, true)
 	if !a.Violated() || !strings.Contains(a.Report(), "before its order-commit") {
 		t.Fatalf("premature ordered sink not flagged: %s", a.Report())
@@ -175,7 +175,7 @@ func TestOrderedSinkBeforeCommit(t *testing.T) {
 }
 
 func TestNotificationUndercount(t *testing.T) {
-	a := New(1, nil, Options{}, nil)
+	a := New(1, nil, nil)
 	a.NotifWindow(1)
 	a.OrderCommit(0, 0x1, 0, 10)
 	a.OrderCommit(0, 0x2, 0, 11)
@@ -200,7 +200,7 @@ func TestNilAuditorIsInert(t *testing.T) {
 }
 
 func TestFirstViolationLatches(t *testing.T) {
-	a := New(2, nil, Options{}, nil)
+	a := New(2, nil, nil)
 	a.Sink(0, 0x1, true)
 	first := a.Report()
 	a.LineState(0, 0x2, LineModified, 1)

@@ -34,9 +34,6 @@ type Options struct {
 	// Audit enables the online ordering/coherence auditor and the
 	// per-transaction latency attributor.
 	Audit bool
-	// AuditEvery overrides the auditor's shadow-sweep interval in cycles
-	// (the auditor's default when zero).
-	AuditEvery int
 	// Perf attaches the engine self-observability monitor (internal/obs/
 	// perfmon): sampled per-worker phase timing plus the activity-engine
 	// event census, drained into a RunReport at the end of the run.
@@ -48,15 +45,11 @@ type Options struct {
 	// TelemetryAddr, when non-empty, starts the embeddable live HTTP exporter
 	// (internal/obs/telemetry) on this listen address (":0" picks an
 	// ephemeral port, printed to stderr): /metrics OpenMetrics exposition,
-	// /stream SSE ticks, /snapshot deep state, /healthz, and the pprof mux.
+	// /snapshot deep state, /healthz, and the pprof mux.
 	TelemetryAddr string
 	// TelemetryInterval is the exporter's sample period in cycles
 	// (telemetry.DefaultInterval when zero).
 	TelemetryInterval uint64
-	// TelemetrySSEQueue bounds each /stream client's event queue
-	// (telemetry.DefaultQueue when zero); slow clients drop ticks and are
-	// eventually disconnected rather than ever stalling the kernel.
-	TelemetrySSEQueue int
 }
 
 // Enabled reports whether any feature is on.

@@ -58,9 +58,8 @@ func (e *expo) sample(name, labels string, v float64) {
 }
 
 // writeMetrics renders the full exposition: the published page series, the
-// perfmon worker counters and wake-edge census, shard-balance stats, the
-// router-utilization grid, and the exporter's own SSE hub stats, terminated
-// by the mandatory # EOF line.
+// perfmon worker counters and wake-edge census, shard-balance stats and the
+// router-utilization grid, terminated by the mandatory # EOF line.
 func writeMetrics(w io.Writer, pub *Publisher, opt Options, snap *Snapshot) error {
 	e := &expo{w: w}
 
@@ -143,14 +142,6 @@ func writeMetrics(w io.Writer, pub *Publisher, opt Options, snap *Snapshot) erro
 			}
 		}
 	}
-
-	hub := pub.Hub()
-	e.family("scorpio_sse_clients", Gauge, "Connected /stream clients.")
-	e.sample("scorpio_sse_clients", "", float64(hub.Clients()))
-	e.family("scorpio_sse_dropped_events", Counter, "Sample events dropped on full client queues.")
-	e.sample("scorpio_sse_dropped_events_total", "", float64(hub.TotalDropped()))
-	e.family("scorpio_sse_kicked_clients", Counter, "Clients disconnected for falling behind.")
-	e.sample("scorpio_sse_kicked_clients_total", "", float64(hub.Kicks()))
 
 	e.printf("# EOF\n")
 	return e.err

@@ -18,8 +18,7 @@ import (
 // in this codebase that means atomics-only accessors (perfmon Worker slots,
 // Kernel.WakeEdges, Kernel.BalanceStats).
 type Options struct {
-	// Label identifies the run (machine/profile name) in /metrics and
-	// /snapshot.
+	// Label identifies the run (machine/profile name) in /metrics.
 	Label string
 	// Mon exposes the per-worker perf counters; nil when no monitor is
 	// attached.
@@ -33,7 +32,7 @@ type Options struct {
 }
 
 // snapshotTimeout bounds how long /snapshot waits for the driver to fulfil a
-// deep-snapshot request before degrading to the page snapshot.
+// deep-snapshot request before answering 503.
 const snapshotTimeout = 2 * time.Second
 
 // Server is the embeddable HTTP exporter. Construct with NewServer, start
@@ -51,7 +50,6 @@ type Server struct {
 func NewServer(pub *Publisher, opt Options) *Server {
 	s := &Server{pub: pub, opt: opt, mux: http.NewServeMux()}
 	s.mux.HandleFunc("/metrics", s.handleMetrics)
-	s.mux.HandleFunc("/stream", s.handleStream)
 	s.mux.HandleFunc("/snapshot", s.handleSnapshot)
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
 	s.mux.HandleFunc("/debug/pprof/", pprof.Index)
@@ -92,8 +90,8 @@ func (s *Server) Addr() string {
 	return s.ln.Addr().String()
 }
 
-// Close stops the listener and all active connections (including /stream
-// clients), releasing the port. Safe to call more than once and on nil.
+// Close stops the listener and all active connections, releasing the port.
+// Safe to call more than once and on nil.
 func (s *Server) Close() error {
 	if s == nil || s.srv == nil {
 		return nil
@@ -116,86 +114,14 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	_ = writeMetrics(w, s.pub, s.opt, &snap)
 }
 
-// streamEvent is the JSON shape of one SSE data frame.
-type streamEvent struct {
-	Cycle  uint64             `json:"cycle"`
-	WallNs int64              `json:"wall_ns"`
-	Tick   uint64             `json:"tick"`
-	Series map[string]float64 `json:"series"`
-}
-
-func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
-	fl, ok := w.(http.Flusher)
-	if !ok {
-		http.Error(w, "streaming unsupported", http.StatusInternalServerError)
-		return
-	}
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.Header().Set("Connection", "keep-alive")
-	w.WriteHeader(http.StatusOK)
-	fl.Flush()
-
-	hub := s.pub.Hub()
-	c := hub.Subscribe()
-	defer hub.Unsubscribe(c)
-
-	series := s.pub.Series()
-	payload := streamEvent{Series: make(map[string]float64, len(series))}
-	for {
-		select {
-		case <-r.Context().Done():
-			return
-		case ev, open := <-c.Events:
-			if !open {
-				// Kicked for falling behind; tell the client why and hang up.
-				fmt.Fprint(w, "event: kicked\ndata: {\"reason\":\"slow consumer\"}\n\n")
-				fl.Flush()
-				return
-			}
-			payload.Cycle = ev.Cycle
-			payload.WallNs = ev.WallNs
-			payload.Tick = ev.Tick
-			for i := 0; i < ev.NVals && i < len(series); i++ {
-				payload.Series[series[i].Name] = ev.Vals[i]
-			}
-			buf, err := json.Marshal(payload)
-			if err != nil {
-				return
-			}
-			if _, err := fmt.Fprintf(w, "data: %s\n\n", buf); err != nil {
-				return
-			}
-			fl.Flush()
-		}
-	}
-}
-
 func (s *Server) handleSnapshot(w http.ResponseWriter, _ *http.Request) {
 	d := s.pub.RequestDeep(snapshotTimeout)
 	if d == nil {
-		// The driver is not currently observing (between runs, finished, or
-		// no deep hook installed): degrade to the page snapshot so the
-		// endpoint still answers.
-		var snap Snapshot
-		if !s.pub.Read(&snap) {
-			http.Error(w, "telemetry page unstable", http.StatusServiceUnavailable)
-			return
-		}
-		d = &DeepSnapshot{
-			Cycle:  snap.Cycle,
-			WallNs: snap.WallNs,
-			Label:  s.opt.Label,
-			Vals:   make(map[string]float64, len(snap.Vals)),
-		}
-		for i, sr := range s.pub.Series() {
-			d.Vals[sr.Name] = snap.Vals[i]
-		}
-		if hw, hh := s.pub.HeatDims(); hw > 0 && hh > 0 {
-			heat := make([]float64, len(snap.Heat))
-			copy(heat, snap.Heat)
-			d.Heat = &HeatGrid{Width: hw, Height: hh, Util: heat}
-		}
+		// The driver is not stepping (between runs, finished, or no deep hook
+		// installed). The sampled series never wait on it: /metrics has them.
+		http.Error(w, "simulation not stepping; the sampled series are on /metrics",
+			http.StatusServiceUnavailable)
+		return
 	}
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)

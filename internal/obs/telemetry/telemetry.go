@@ -1,8 +1,8 @@
 // Package telemetry is the simulator's live-export layer: an embeddable
 // HTTP exporter any run can attach with one flag, serving the observability
 // layer's sampled metrics while the simulation is still in flight —
-// OpenMetrics text for scrapers, server-sent events for live dashboards
-// (cmd/scorpiotop), an on-demand deep snapshot, and the stdlib pprof mux.
+// OpenMetrics text for scrapers and live dashboards (cmd/scorpiotop polls
+// it), an on-demand deep snapshot, and the stdlib pprof mux.
 //
 // The design constraint is the same zero-cost discipline as the rest of
 // internal/obs, but for a *concurrent* reader: HTTP handlers run on their own
@@ -11,13 +11,12 @@
 //
 //   - The driver (the kernel's post-commit observer, which already runs the
 //     metrics sampler) writes each sample into a fixed set of atomic words
-//     guarded by a seqlock-style version counter, then pokes the SSE hub with
-//     one atomic pointer load and per-client non-blocking channel sends.
-//     Every store is to a preallocated word: publishing allocates nothing and
-//     adds no lock to the evaluate/commit path.
+//     guarded by a seqlock-style version counter. Every store is to a
+//     preallocated word: publishing allocates nothing and adds no lock to the
+//     evaluate/commit path.
 //   - Readers copy the page out under the version counter, retrying the rare
-//     torn read. Rendering (JSON, OpenMetrics text) happens entirely on the
-//     HTTP goroutine, where allocation is free.
+//     torn read. Rendering (OpenMetrics text) happens entirely on the HTTP
+//     goroutine, where allocation is free.
 //   - Expensive state that only the driver may touch (the watchdog-style
 //     network snapshot, the activity report, the perf RunReport-so-far) is
 //     exported on demand: a handler raises a request flag, and the driver
@@ -65,10 +64,6 @@ type Series struct {
 	Help string
 }
 
-// MaxSeries bounds the per-tick SSE event payload so events cross the hub's
-// channels as fixed-size values (no per-event allocation on the driver).
-const MaxSeries = 32
-
 // DefaultInterval is the sample period in cycles when the attach options
 // leave it zero: frequent enough for a live dashboard at simulator speeds of
 // ~10^5..10^7 cycles/s, sparse enough to stay invisible in the overhead
@@ -79,16 +74,14 @@ const DefaultInterval = 1024
 // Publisher.Read. The slices are owned by the caller and reused across
 // reads.
 type Snapshot struct {
-	Cycle  uint64
-	WallNs int64 // unix nanoseconds at publish time
-	Tick   uint64
-	Vals   []float64 // one per Series
-	Heat   []float64 // row-major heatW×heatH router utilization
+	Cycle uint64
+	Tick  uint64
+	Vals  []float64 // one per Series
+	Heat  []float64 // row-major heatW×heatH router utilization
 }
 
 // Publisher is the driver-side half of the exporter: a fixed page of atomic
-// words the sampler publishes into, plus the SSE hub and the deep-snapshot
-// request door. Create one per run with NewPublisher; the HTTP server reads
+// words the sampler publishes into, plus the deep-snapshot request door. Create one per run with NewPublisher; the HTTP server reads
 // it concurrently.
 type Publisher struct {
 	series   []Series
@@ -99,14 +92,11 @@ type Publisher struct {
 	// The seqlock page. seq is odd while a publish is in flight; every field
 	// is an atomic word, so torn reads are impossible at the word level and
 	// cross-field consistency comes from retrying on a changed seq.
-	seq    atomic.Uint64
-	cycle  atomic.Uint64
-	wallNs atomic.Int64
-	tick   atomic.Uint64
-	vals   []atomic.Uint64 // float64 bits
-	heat   []atomic.Uint64 // float64 bits
-
-	hub *Hub
+	seq   atomic.Uint64
+	cycle atomic.Uint64
+	tick  atomic.Uint64
+	vals  []atomic.Uint64 // float64 bits
+	heat  []atomic.Uint64 // float64 bits
 
 	// Deep-snapshot door: a handler stores 1 into deepReq and waits on
 	// deepCh; the driver's ServeDeep fulfils between cycles. deepMu
@@ -119,12 +109,8 @@ type Publisher struct {
 
 // NewPublisher returns a publisher for the given schema. interval is the
 // sample period in cycles (DefaultInterval when 0); heatW×heatH sizes the
-// router-utilization grid (0×0 disables it). queue is the per-SSE-client
-// event buffer (DefaultQueue when 0).
-func NewPublisher(series []Series, interval uint64, heatW, heatH, queue int) *Publisher {
-	if len(series) > MaxSeries {
-		panic("telemetry: series schema exceeds MaxSeries")
-	}
+// router-utilization grid (0×0 disables it).
+func NewPublisher(series []Series, interval uint64, heatW, heatH int) *Publisher {
 	if interval == 0 {
 		interval = DefaultInterval
 	}
@@ -135,7 +121,6 @@ func NewPublisher(series []Series, interval uint64, heatW, heatH, queue int) *Pu
 		heatH:    heatH,
 		vals:     make([]atomic.Uint64, len(series)),
 		heat:     make([]atomic.Uint64, heatW*heatH),
-		hub:      NewHub(queue),
 		deepCh:   make(chan *DeepSnapshot, 1),
 	}
 }
@@ -143,28 +128,22 @@ func NewPublisher(series []Series, interval uint64, heatW, heatH, queue int) *Pu
 // Series returns the published schema.
 func (p *Publisher) Series() []Series { return p.series }
 
-// Interval returns the sample period in cycles.
-func (p *Publisher) Interval() uint64 { return p.interval }
-
 // HeatDims returns the utilization grid dimensions.
 func (p *Publisher) HeatDims() (w, h int) { return p.heatW, p.heatH }
-
-// Hub returns the SSE broadcast hub.
-func (p *Publisher) Hub() *Hub { return p.hub }
 
 // Due reports whether a sample should be published at cycle. Safe on nil.
 func (p *Publisher) Due(cycle uint64) bool {
 	return p != nil && cycle%p.interval == 0
 }
 
-// Publish writes one sample into the page and broadcasts it to SSE clients.
-// Driver-side only (the kernel's post-commit observer); it never blocks and
-// never allocates. vals must have len(Series()) entries; heat may be nil to
-// keep the previous grid, else heatW*heatH entries.
+// Publish writes one sample into the page. Driver-side only (the kernel's
+// post-commit observer); it never blocks and never allocates. vals must have
+// len(Series()) entries; heat may be nil to keep the previous grid, else
+// heatW*heatH entries.
 func (p *Publisher) Publish(cycle uint64, vals, heat []float64) {
 	p.seq.Add(1) // odd: write in progress
 	p.cycle.Store(cycle)
-	p.wallNs.Store(time.Now().UnixNano())
+	p.tick.Add(1)
 	for i := range p.vals {
 		v := 0.0
 		if i < len(vals) {
@@ -182,18 +161,6 @@ func (p *Publisher) Publish(cycle uint64, vals, heat []float64) {
 		}
 	}
 	p.seq.Add(1) // even: stable
-	tick := p.tick.Add(1)
-
-	var ev Event
-	ev.Cycle = cycle
-	ev.WallNs = p.wallNs.Load()
-	ev.Tick = tick
-	ev.NVals = len(vals)
-	if ev.NVals > MaxSeries {
-		ev.NVals = MaxSeries
-	}
-	copy(ev.Vals[:ev.NVals], vals)
-	p.hub.Broadcast(ev)
 }
 
 // Read copies a consistent snapshot of the page into s, growing s's slices
@@ -216,7 +183,6 @@ func (p *Publisher) Read(s *Snapshot) bool {
 			continue
 		}
 		s.Cycle = p.cycle.Load()
-		s.WallNs = p.wallNs.Load()
 		s.Tick = p.tick.Load()
 		for i := range p.vals {
 			s.Vals[i] = math.Float64frombits(p.vals[i].Load())
@@ -233,13 +199,12 @@ func (p *Publisher) Read(s *Snapshot) bool {
 
 // DeepSnapshot is the on-demand /snapshot payload: everything only the
 // driving goroutine may assemble, rendered between cycles when a handler
-// asks. Building one allocates freely — it only happens per request.
+// asks. Building one allocates freely — it only happens per request. The
+// sampled series live on /metrics alone.
 type DeepSnapshot struct {
-	Cycle  uint64             `json:"cycle"`
-	WallNs int64              `json:"wall_ns"`
-	Label  string             `json:"label,omitempty"`
-	Vals   map[string]float64 `json:"series"`
-	Heat   *HeatGrid          `json:"heatmap,omitempty"`
+	Cycle  uint64 `json:"cycle"`
+	WallNs int64  `json:"wall_ns"`
+	Label  string `json:"label,omitempty"`
 	// Network is the watchdog-style network snapshot (oldest stuck flit,
 	// credit state, per-NIC ordering dumps).
 	Network string `json:"network_snapshot"`
@@ -250,13 +215,6 @@ type DeepSnapshot struct {
 	// Typed as any to keep this leaf package free of report imports; the
 	// system layer stores a *perfmon.Report.
 	Perf any `json:"perf_report,omitempty"`
-}
-
-// HeatGrid is the router-utilization grid in the deep snapshot.
-type HeatGrid struct {
-	Width  int       `json:"width"`
-	Height int       `json:"height"`
-	Util   []float64 `json:"util"`
 }
 
 // SetDeep installs the driver-side deep-snapshot builder. Must be set before
@@ -284,7 +242,7 @@ func (p *Publisher) ServeDeep(cycle uint64) {
 // RequestDeep asks the driver for a deep snapshot and waits up to timeout
 // for fulfilment. HTTP-goroutine side. Returns nil if the simulation is not
 // currently stepping (between runs, finished, or fast-forwarding with no
-// observer) — the caller should degrade to the page snapshot.
+// observer).
 func (p *Publisher) RequestDeep(timeout time.Duration) *DeepSnapshot {
 	p.deepMu.Lock()
 	defer p.deepMu.Unlock()

@@ -42,7 +42,7 @@ const (
 // telemetrySeries is the series table shared by every machine; index i
 // describes row[i] of one cumulative reading. Every counter series holds its
 // *cumulative* value — OpenMetrics counters must be monotonic, and rates
-// fall out of consecutive SSE ticks on the client side.
+// fall out of consecutive scrapes on the client side.
 var telemetrySeries = []telemetry.Series{
 	tsInjected:          {Name: "injected", Kind: telemetry.Counter, Help: "Packets injected into the network (requests + responses)."},
 	tsEjected:           {Name: "ejected", Kind: telemetry.Counter, Help: "Packets delivered to their destination agents."},
@@ -296,9 +296,9 @@ func (o *Observability) failure(label string) error {
 	return nil
 }
 
-// CloseTelemetry shuts down the telemetry HTTP server (disconnecting any
-// /stream clients) and releases its port. Safe on nil and when telemetry was
-// never enabled; safe to call more than once.
+// CloseTelemetry shuts down the telemetry HTTP server and releases its port.
+// Safe on nil and when telemetry was never enabled; safe to call more than
+// once.
 func (o *Observability) CloseTelemetry() {
 	if o != nil {
 		_ = o.Telemetry.Close()
@@ -334,7 +334,7 @@ func buildObs(opt *obs.Options, m *machine, mesh *noc.Mesh, p probe) (*Observabi
 	// snapshot, so a wedged-while-parked unit names its missing wake edge.
 	snap := func() string { return p.snapshot(k.Cycle()) + k.ActivityReport() }
 	if opt.Audit {
-		o.Auditor = audit.New(cfg.Nodes(), m.order, audit.Options{SweepEvery: opt.AuditEvery}, snap)
+		o.Auditor = audit.New(cfg.Nodes(), m.order, snap)
 		o.Attrib = obs.NewAttribution()
 	}
 	if opt.Watchdog > 0 {
@@ -351,31 +351,15 @@ func buildObs(opt *obs.Options, m *machine, mesh *noc.Mesh, p probe) (*Observabi
 	// at its own interval, plus the HTTP server reading it. Built before the
 	// observer closure so the closure can capture the publisher.
 	var pub *telemetry.Publisher
-	var live func(row []float64)
 	if opt.TelemetryAddr != "" {
-		pub = telemetry.NewPublisher(telemetrySeries, opt.TelemetryInterval,
-			cfg.Width, cfg.Height, opt.TelemetrySSEQueue)
-		latency := m.latency()
-		live = func(row []float64) {
-			fill(row, k, p)
-			row[tsLatP50], row[tsLatP99] = latency()
-		}
+		pub = telemetry.NewPublisher(telemetrySeries, opt.TelemetryInterval, cfg.Width, cfg.Height)
 		pub.SetDeep(func(cycle uint64) *telemetry.DeepSnapshot {
-			row := make([]float64, numTelemetrySeries)
-			live(row)
 			d := &telemetry.DeepSnapshot{
 				Cycle:    cycle,
 				WallNs:   time.Now().UnixNano(),
 				Label:    m.label,
-				Vals:     make(map[string]float64, numTelemetrySeries),
 				Network:  p.snapshot(cycle),
 				Activity: k.ActivityReport(),
-			}
-			for i, s := range telemetrySeries {
-				d.Vals[s.Name] = row[i]
-			}
-			if cycle > 0 {
-				d.Heat = &telemetry.HeatGrid{Width: cfg.Width, Height: cfg.Height, Util: heat(mesh, nil, nil, cycle)}
 			}
 			if o.Perf != nil {
 				d.Perf = k.PerfReport(m.label, o.configDigest, 0)
@@ -408,9 +392,11 @@ func buildObs(opt *obs.Options, m *machine, mesh *noc.Mesh, p probe) (*Observabi
 	var heatBuf []float64
 	var heatFlits []uint64
 	var heatCycle uint64
+	var latency func() (p50, p99 float64)
 	if pub != nil {
 		heatBuf = make([]float64, cfg.Nodes())
 		heatFlits = make([]uint64, cfg.Nodes())
+		latency = m.latency()
 	}
 	k.SetObserver(func(cycle uint64) {
 		o.Watchdog.Observe(cycle)
@@ -428,7 +414,8 @@ func buildObs(opt *obs.Options, m *machine, mesh *noc.Mesh, p probe) (*Observabi
 			cur, prev = prev, cur
 		}
 		if pub.Due(cycle) {
-			live(telRow)
+			fill(telRow, k, p)
+			telRow[tsLatP50], telRow[tsLatP99] = latency()
 			// Per-router utilization over the last sample window, not the
 			// cumulative average — a live dashboard wants to see hotspots
 			// move. The first tick at cycle 0 has no window yet.

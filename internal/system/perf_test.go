@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"sort"
 	"strconv"
 	"strings"
 	"testing"
@@ -179,36 +180,56 @@ func TestPerfReportAccounting(t *testing.T) {
 // TestPerfmonOverheadGuard holds the monitor to its ≤2% cost budget at the
 // default sparse stride. A wall-clock comparison inside the ordinary suite
 // would be noise, so it only runs from `make perfsmoke`
-// (SCORPIO_PERF_GUARD=1) and takes the minimum of several windows on each
-// side.
+// (SCORPIO_PERF_GUARD=1).
+//
+// It uses TestIdleSkipSpeedupGuard's estimator: a warm bare machine and a
+// warm monitored one step back-to-back 250-cycle windows, alternating which
+// goes first, and the guard reads the median of the 321 per-pair time
+// ratios. Drift hits both halves of a pair, alternation cancels any
+// second-slot bias, and the median sheds the pairs a descheduling spike
+// lands in. Best-of-5 windows from two builds failed 8 of 20 runs of
+// unchanged code on a shared 2-vCPU host (−24% to +31%); this estimator
+// read 0.988-1.014 over 20 runs there, and 1.027-1.040 over 10 runs with a
+// 1 µs busy wait after each monitored step.
 func TestPerfmonOverheadGuard(t *testing.T) {
 	if os.Getenv("SCORPIO_PERF_GUARD") == "" {
 		t.Skip("overhead guard runs from `make perfsmoke` (SCORPIO_PERF_GUARD=1)")
 	}
-	const rounds, cycles = 5, 2000
-	measure := func(attach bool) float64 {
-		s := warmScorpioMesh(t, 6, 6, 1)
-		defer s.Kernel.StopWorkers()
-		if attach {
-			s.Kernel.SetPerfMon(perfmon.New()) // default stride
-			s.Kernel.Run(100)                  // settle the rebuild
-		}
-		best := math.MaxFloat64
-		for i := 0; i < rounds; i++ {
-			start := time.Now()
-			s.Kernel.Run(cycles)
-			if d := float64(time.Since(start).Nanoseconds()) / cycles; d < best {
-				best = d
-			}
-		}
-		return best
+	const pairs, cycles = 321, 250
+	bare := warmScorpioMesh(t, 6, 6, 1)
+	defer bare.Kernel.StopWorkers()
+	mon := warmScorpioMesh(t, 6, 6, 1)
+	defer mon.Kernel.StopWorkers()
+	mon.Kernel.SetPerfMon(perfmon.New()) // default stride
+	mon.Kernel.Run(100)                  // settle the rebuild
+	window := func(s *Scorpio) float64 {
+		start := time.Now()
+		s.Kernel.Run(cycles)
+		return float64(time.Since(start))
 	}
-	base := measure(false)
-	instr := measure(true)
-	t.Logf("per-cycle: %.0fns bare, %.0fns with perfmon (%.2f%%)", base, instr, 100*(instr-base)/base)
-	// 2% relative budget plus a small absolute allowance for clock
-	// granularity on very fast steps.
-	if instr > base*1.02+200 {
-		t.Fatalf("perfmon costs %.0fns/cycle over a %.0fns/cycle baseline (>2%%); the sampled-stride discipline broke", instr-base, base)
+	ratios := make([]float64, pairs)
+	bareNs := make([]float64, pairs)
+	for i := range ratios {
+		var b, m float64
+		if i%2 == 0 {
+			b = window(bare)
+			m = window(mon)
+		} else {
+			m = window(mon)
+			b = window(bare)
+		}
+		ratios[i], bareNs[i] = m/b, b/cycles
+	}
+	sort.Float64s(ratios)
+	sort.Float64s(bareNs)
+	ratio, base := ratios[pairs/2], bareNs[pairs/2]
+	// 2% relative budget plus a small absolute allowance (200 ns per cycle)
+	// for clock granularity on very fast steps.
+	limit := 1.02 + 200/base
+	t.Logf("median monitored/bare time ratio %.4f over %d pairs of %d cycles (%.0fns/cycle bare); limit %.4f",
+		ratio, pairs, cycles, base, limit)
+	if ratio > limit {
+		t.Fatalf("perfmon costs %+.2f%% over a %.0fns/cycle baseline (median ratio %.4f > %.4f); the sampled-stride discipline broke",
+			100*(ratio-1), base, ratio, limit)
 	}
 }

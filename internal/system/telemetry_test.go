@@ -1,8 +1,8 @@
 package system
 
 import (
-	"bufio"
 	"encoding/json"
+	"io"
 	"math"
 	"net/http"
 	"os"
@@ -17,10 +17,10 @@ import (
 )
 
 // TestTelemetryEndToEnd drives the whole live-export path against a real
-// SCORPIO machine: the exporter binds an ephemeral port at construction, a
-// dashboard-style client attaches to /stream before the run starts, and the
-// run publishes sample ticks the client decodes while /metrics, /snapshot and
-// /healthz answer concurrently. Closing releases the port.
+// SCORPIO machine: the exporter binds an ephemeral port at construction and
+// answers before the first cycle, a dashboard-style client polls /metrics
+// until the run has published a sample tick, and /snapshot and /healthz
+// answer while the run steps. Closing releases the port.
 func TestTelemetryEndToEnd(t *testing.T) {
 	opt := smallOptions(t, "barnes", 16)
 	opt.Obs = &obs.Options{TelemetryAddr: "127.0.0.1:0", TelemetryInterval: 64}
@@ -49,12 +49,6 @@ func TestTelemetryEndToEnd(t *testing.T) {
 		t.Fatalf("/healthz before run: %s", resp.Status)
 	}
 
-	stream, err := http.Get(base + "/stream")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer stream.Body.Close()
-
 	runDone := make(chan error, 1)
 	go func() {
 		res, err := s.Run(3_000_000)
@@ -64,103 +58,68 @@ func TestTelemetryEndToEnd(t *testing.T) {
 		runDone <- err
 	}()
 
-	// One decoded SSE tick proves the observer publishes and the hub
-	// delivers. The scan runs on this goroutine; the sim runs on its own.
-	type frame struct {
-		Cycle  uint64             `json:"cycle"`
-		Tick   uint64             `json:"tick"`
-		Series map[string]float64 `json:"series"`
-	}
-	var got frame
-	sc := bufio.NewScanner(stream.Body)
-	for sc.Scan() {
-		line := sc.Text()
-		if !strings.HasPrefix(line, "data: ") {
-			continue
-		}
-		if err := json.Unmarshal([]byte(line[len("data: "):]), &got); err != nil {
-			t.Fatalf("bad SSE frame %q: %v", line, err)
-		}
-		if got.Tick > 0 {
+	// Poll /metrics as scorpiotop does until the observer has published a
+	// tick; the page carries the whole series table.
+	var page string
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		page = scrapeMetrics(t, base)
+		if sampleValue(t, page, "scorpio_sample_ticks_total") > 0 {
 			break
 		}
-	}
-	if got.Tick == 0 {
-		t.Fatalf("stream delivered no tick before the run finished: %v", sc.Err())
-	}
-	for _, key := range []string{"injected", "active_units", "steps_executed", "lat_p50"} {
-		if _, ok := got.Series[key]; !ok {
-			t.Fatalf("SSE frame lacks series %q (has %v)", key, got.Series)
+		if time.Now().After(deadline) {
+			t.Fatal("no sample tick published within 10s")
 		}
 	}
+	for _, name := range []string{"scorpio_injected_total", "scorpio_active_units", "scorpio_steps_executed_total", "scorpio_lat_p50"} {
+		sampleValue(t, page, name)
+	}
 
-	// /snapshot while the run may still be stepping: either the deep door is
-	// fulfilled by the driver or the handler degrades to the page — both are
-	// valid JSON carrying the published series.
+	// /snapshot while the run may still be stepping: either the driver
+	// fulfils the deep door, or the run has finished and the handler says so.
 	resp, err = http.Get(base + "/snapshot")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var snap struct {
-		Cycle  uint64             `json:"cycle"`
-		Series map[string]float64 `json:"series"`
+	switch resp.StatusCode {
+	case http.StatusOK:
+		var snap struct {
+			Network string `json:"network_snapshot"`
+		}
+		err = json.NewDecoder(resp.Body).Decode(&snap)
+		if err != nil {
+			t.Fatalf("bad /snapshot JSON: %v", err)
+		}
+		if snap.Network == "" {
+			t.Fatal("/snapshot carries no network snapshot")
+		}
+	case http.StatusServiceUnavailable:
+	default:
+		t.Fatalf("/snapshot: %s", resp.Status)
 	}
-	err = json.NewDecoder(resp.Body).Decode(&snap)
 	resp.Body.Close()
-	if err != nil {
-		t.Fatalf("bad /snapshot JSON: %v", err)
-	}
-	if len(snap.Series) == 0 {
-		t.Fatal("/snapshot carries no series")
-	}
 
 	if err := <-runDone; err != nil {
 		t.Fatal(err)
 	}
 
 	// Post-run /metrics: the full exposition with final cumulative counters.
-	resp, err = http.Get(base + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ct := resp.Header.Get("Content-Type"); !strings.Contains(ct, "openmetrics-text") {
-		t.Fatalf("/metrics content type %q", ct)
-	}
-	var body strings.Builder
-	sc = bufio.NewScanner(resp.Body)
-	var ticks, ejected float64
-	sawHeat := false
-	for sc.Scan() {
-		line := sc.Text()
-		body.WriteString(line)
-		body.WriteByte('\n')
-		if strings.HasPrefix(line, "scorpio_sample_ticks_total ") {
-			ticks = parseValue(t, line)
-		}
-		if strings.HasPrefix(line, "scorpio_ejected_total ") {
-			ejected = parseValue(t, line)
-		}
-		if strings.HasPrefix(line, "scorpio_router_utilization{") {
-			sawHeat = true
-		}
-	}
-	resp.Body.Close()
-	if !strings.HasSuffix(strings.TrimRight(body.String(), "\n"), "# EOF") {
+	body := scrapeMetrics(t, base)
+	if !strings.HasSuffix(strings.TrimRight(body, "\n"), "# EOF") {
 		t.Fatal("/metrics exposition not terminated by # EOF")
 	}
-	if ticks == 0 {
+	if sampleValue(t, body, "scorpio_sample_ticks_total") == 0 {
 		t.Fatal("no sample ticks were published during the run")
 	}
-	if ejected == 0 {
+	if sampleValue(t, body, "scorpio_ejected_total") == 0 {
 		t.Fatal("scorpio_ejected_total stayed 0 over a full benchmark run")
 	}
-	if !sawHeat {
+	if !strings.Contains(body, "\nscorpio_router_utilization{") {
 		t.Fatal("no router-utilization samples in /metrics")
 	}
-	if !strings.Contains(body.String(), `scorpio_run{label="SCORPIO/barnes"}`) {
+	if !strings.Contains(body, `scorpio_run{label="SCORPIO/barnes"}`) {
 		t.Fatal("/metrics run label missing or wrong")
 	}
-	if !strings.Contains(body.String(), `scorpio_worker_eval_ns_total{worker="0"}`) {
+	if !strings.Contains(body, `scorpio_worker_eval_ns_total{worker="0"}`) {
 		t.Fatal("/metrics lacks the per-worker perf counters")
 	}
 
@@ -175,14 +134,39 @@ func TestTelemetryEndToEnd(t *testing.T) {
 	waitRefused(t, base)
 }
 
-func parseValue(t *testing.T, line string) float64 {
+// scrapeMetrics GETs base/metrics and returns the OpenMetrics exposition.
+func scrapeMetrics(t *testing.T, base string) string {
 	t.Helper()
-	fields := strings.Fields(line)
-	v, err := strconv.ParseFloat(fields[len(fields)-1], 64)
+	resp, err := http.Get(base + "/metrics")
 	if err != nil {
-		t.Fatalf("bad value in %q: %v", line, err)
+		t.Fatal(err)
 	}
-	return v
+	defer resp.Body.Close()
+	if ct := resp.Header.Get("Content-Type"); !strings.Contains(ct, "openmetrics-text") {
+		t.Fatalf("/metrics content type %q", ct)
+	}
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(body)
+}
+
+// sampleValue returns the value of the unlabelled sample name in an
+// exposition, failing the test when it is absent.
+func sampleValue(t *testing.T, body, name string) float64 {
+	t.Helper()
+	for _, line := range strings.Split(body, "\n") {
+		if v, ok := strings.CutPrefix(line, name+" "); ok {
+			f, err := strconv.ParseFloat(v, 64)
+			if err != nil {
+				t.Fatalf("bad value in %q: %v", line, err)
+			}
+			return f
+		}
+	}
+	t.Fatalf("/metrics lacks %s", name)
+	return 0
 }
 
 func waitRefused(t *testing.T, base string) {

@@ -132,7 +132,7 @@ func TestMeshSteadyStateAllocsTracerAttached(t *testing.T) {
 // ejection a steady-state step still never touches the heap.
 func TestMeshSteadyStateAllocsAuditorAttached(t *testing.T) {
 	k, mesh := warmMesh(t)
-	a := audit.New(36, nil, audit.Options{}, nil)
+	a := audit.New(36, nil, nil)
 	mesh.SetAuditor(a)
 	allocs := testing.AllocsPerRun(3, func() {
 		for i := 0; i < 500; i++ {
@@ -253,18 +253,18 @@ func TestMeshSteadyStateAllocsPerfmonParallel(t *testing.T) {
 // attachTelemetry installs a telemetry publisher as the kernel's observer,
 // the way the system layer's buildObs does: a reused row filled from
 // driver-context reads, published into the seqlock page every interval
-// cycles, with the deep-snapshot door served every cycle. No SSE client is
-// connected — AllocsPerRun counts global mallocs, so a consuming goroutine
+// cycles, with the deep-snapshot door served every cycle. No client scrapes
+// the page — AllocsPerRun counts global mallocs, so a scraping goroutine
 // would pollute the measurement; the no-client case is exactly what the
-// 0-allocs pin is about (client rendering happens on HTTP goroutines and is
-// allowed to allocate).
+// 0-allocs pin is about (rendering happens on HTTP goroutines and is allowed
+// to allocate).
 func attachTelemetry(k *sim.Kernel) *telemetry.Publisher {
 	series := []telemetry.Series{
 		{Name: "steps", Kind: telemetry.Counter, Help: "observer invocations"},
 		{Name: "active_units", Kind: telemetry.Gauge, Help: "unparked scheduling units"},
 		{Name: "wheel_pending", Kind: telemetry.Gauge, Help: "timing-wheel residents"},
 	}
-	pub := telemetry.NewPublisher(series, 64, 0, 0, 0)
+	pub := telemetry.NewPublisher(series, 64, 0, 0)
 	row := make([]float64, len(series))
 	steps := 0.0
 	k.SetObserver(func(cycle uint64) {
@@ -285,8 +285,7 @@ func attachTelemetry(k *sim.Kernel) *telemetry.Publisher {
 // TestMeshSteadyStateAllocsTelemetryAttached pins the live exporter's
 // driver-side cost: with the publisher sampling every 64 cycles and the
 // deep-snapshot door armed, a steady-state step still never touches the heap.
-// Publishing is atomic stores into a preallocated page; broadcasting to zero
-// clients is one atomic pointer load over an empty list.
+// Publishing is atomic stores into a preallocated page.
 func TestMeshSteadyStateAllocsTelemetryAttached(t *testing.T) {
 	k, _ := warmMesh(t)
 	pub := attachTelemetry(k)
@@ -334,7 +333,7 @@ func TestMeshSteadyStateAllocsParallelObserved(t *testing.T) {
 	k, mesh := warmMeshWorkers(t, 4)
 	tr := obs.NewTracer(1 << 14)
 	mesh.SetTracer(tr)
-	a := audit.New(36, nil, audit.Options{}, nil)
+	a := audit.New(36, nil, nil)
 	mesh.SetAuditor(a)
 	allocs := testing.AllocsPerRun(3, func() {
 		for i := 0; i < 500; i++ {

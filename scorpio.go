@@ -141,9 +141,6 @@ type Config struct {
 	// with a diagnosis naming the culprit NICs/line. Also enables the
 	// per-miss latency attributor (Result.Obs.Attrib).
 	Audit bool
-	// AuditEvery sets the auditor's stale-sharer sweep period in cycles
-	// (0 = the auditor's default). Requires Audit.
-	AuditEvery int
 	// PerfReportPath attaches the engine self-observability monitor
 	// (internal/obs/perfmon) and writes its RunReport JSON — per-worker
 	// phase-time decomposition, barrier spin/park split, activity-engine
@@ -153,17 +150,13 @@ type Config struct {
 	PerfReportPath string
 	// TelemetryAddr starts the live HTTP exporter on this listen address for
 	// the duration of the run (":8090", or ":0" for an ephemeral port printed
-	// to stderr): /metrics OpenMetrics text, /stream SSE sample ticks,
-	// /snapshot deep state, /healthz, /debug/pprof. Attach cmd/scorpiotop to
+	// to stderr): /metrics OpenMetrics text, /snapshot deep state, /healthz,
+	// /debug/pprof. Attach cmd/scorpiotop to
 	// watch the run live. The server shuts down when the run returns.
 	TelemetryAddr string
 	// TelemetryInterval is the exporter's sample period in cycles (default
 	// 1024). Requires TelemetryAddr.
 	TelemetryInterval uint64
-	// TelemetrySSEQueue bounds each /stream client's event queue (default
-	// 16); a client that falls this far behind drops ticks and is eventually
-	// disconnected — the simulation never waits. Requires TelemetryAddr.
-	TelemetrySSEQueue int
 }
 
 // configDigest fingerprints the simulation-relevant configuration (protocol,
@@ -194,11 +187,9 @@ func (c *Config) obsOptions() *obs.Options {
 		MetricsInterval:   c.MetricsInterval,
 		Watchdog:          c.WatchdogCycles,
 		Audit:             c.Audit,
-		AuditEvery:        c.AuditEvery,
 		Perf:              c.PerfReportPath != "",
 		TelemetryAddr:     c.TelemetryAddr,
 		TelemetryInterval: c.TelemetryInterval,
-		TelemetrySSEQueue: c.TelemetrySSEQueue,
 	}
 	if !o.Enabled() {
 		return nil
@@ -320,8 +311,6 @@ func (c *Config) fill() error {
 		{"DirCacheBytes", c.DirCacheBytes},
 		{"MainNetworks", c.MainNetworks},
 		{"Workers", c.Workers},
-		{"AuditEvery", c.AuditEvery},
-		{"TelemetrySSEQueue", c.TelemetrySSEQueue},
 	} {
 		if f.v < 0 {
 			return fmt.Errorf("scorpio: Config.%s must not be negative, got %d", f.name, f.v)
@@ -347,17 +336,11 @@ func (c *Config) fill() error {
 	}
 	// Observability flag combinations that silently do nothing are almost
 	// always operator mistakes; reject them before building a machine.
-	if c.AuditEvery != 0 && !c.Audit {
-		return fmt.Errorf("scorpio: Config.AuditEvery requires Config.Audit")
-	}
 	if c.MetricsPath != "" && c.MetricsInterval == 0 {
 		return fmt.Errorf("scorpio: Config.MetricsPath requires Config.MetricsInterval > 0")
 	}
 	if c.TelemetryInterval != 0 && c.TelemetryAddr == "" {
 		return fmt.Errorf("scorpio: Config.TelemetryInterval requires Config.TelemetryAddr")
-	}
-	if c.TelemetrySSEQueue != 0 && c.TelemetryAddr == "" {
-		return fmt.Errorf("scorpio: Config.TelemetrySSEQueue requires Config.TelemetryAddr")
 	}
 	return nil
 }

@@ -45,8 +45,6 @@ func TestRunRejectsBadInput(t *testing.T) {
 		{"DirCacheBytes", Config{DirCacheBytes: -1}},
 		{"MainNetworks", Config{MainNetworks: -3}},
 		{"Workers", Config{Workers: -4}},
-		{"AuditEvery", Config{Audit: true, AuditEvery: -3}},
-		{"TelemetrySSEQueue", Config{TelemetryAddr: "127.0.0.1:0", TelemetrySSEQueue: -1}},
 	} {
 		tc.cfg.Benchmark, tc.cfg.WorkPerCore, tc.cfg.CycleLimit = "fft", 10, 100_000
 		if _, err := Run(tc.cfg); err == nil || !strings.Contains(err.Error(), tc.field) {

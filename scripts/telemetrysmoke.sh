@@ -6,8 +6,8 @@
 # A real scorpiosim run serves telemetry on an ephemeral port; the script
 # discovers the bound address from the exporter's stderr announcement, curls
 # /healthz and /metrics (validating the OpenMetrics shape), attaches the real
-# scorpiotop dashboard for one rendered frame over SSE, then waits for the
-# run to finish and proves shutdown released the port.
+# scorpiotop dashboard for one frame rendered from /metrics, then waits for
+# the run to finish and proves shutdown released the port.
 set -eu
 
 GO=${GO:-go}
@@ -54,8 +54,8 @@ grep -q '^scorpio_run{label=' "$DIR/metrics.txt" \
 grep -q '^# EOF$' "$DIR/metrics.txt" \
     || { echo "telemetrysmoke: /metrics exposition not terminated by # EOF"; exit 1; }
 
-# The real dashboard renders one live frame from the SSE stream (proving an
-# actual tick crossed the hub), then detaches.
+# The real dashboard polls /metrics until a sample tick has been published,
+# renders one frame from it, then detaches.
 "$DIR/scorpiotop" -once -timeout 60s "$ADDR" >"$DIR/frame.txt"
 grep -q 'cycles/s' "$DIR/frame.txt" \
     || { echo "telemetrysmoke: scorpiotop rendered no throughput line"; cat "$DIR/frame.txt"; exit 1; }
