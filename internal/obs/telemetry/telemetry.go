@@ -81,8 +81,9 @@ type Snapshot struct {
 }
 
 // Publisher is the driver-side half of the exporter: a fixed page of atomic
-// words the sampler publishes into, plus the deep-snapshot request door. Create one per run with NewPublisher; the HTTP server reads
-// it concurrently.
+// words the sampler publishes into, plus the deep-snapshot request door.
+// Create one per run with NewPublisher; the HTTP server reads it
+// concurrently.
 type Publisher struct {
 	series   []Series
 	interval uint64

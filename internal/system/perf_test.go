@@ -187,10 +187,9 @@ func TestPerfReportAccounting(t *testing.T) {
 // goes first, and the guard reads the median of the 321 per-pair time
 // ratios. Drift hits both halves of a pair, alternation cancels any
 // second-slot bias, and the median sheds the pairs a descheduling spike
-// lands in. Best-of-5 windows from two builds failed 8 of 20 runs of
-// unchanged code on a shared 2-vCPU host (−24% to +31%); this estimator
-// read 0.988-1.014 over 20 runs there, and 1.027-1.040 over 10 runs with a
-// 1 µs busy wait after each monitored step.
+// lands in. On a shared 2-vCPU host, 20 runs read 0.997-1.011 against a
+// limit near 1.025, and 10 runs with a 1 µs busy wait in each monitored
+// step (2-3% of a 6×6 cycle) read 1.022-1.037, 9 of them failing.
 func TestPerfmonOverheadGuard(t *testing.T) {
 	if os.Getenv("SCORPIO_PERF_GUARD") == "" {
 		t.Skip("overhead guard runs from `make perfsmoke` (SCORPIO_PERF_GUARD=1)")
