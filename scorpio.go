@@ -151,8 +151,8 @@ type Config struct {
 	// TelemetryAddr starts the live HTTP exporter on this listen address for
 	// the duration of the run (":8090", or ":0" for an ephemeral port printed
 	// to stderr): /metrics OpenMetrics text, /snapshot deep state, /healthz,
-	// /debug/pprof. Attach cmd/scorpiotop to
-	// watch the run live. The server shuts down when the run returns.
+	// /debug/pprof. Attach cmd/scorpiotop to watch the run live. The server
+	// shuts down when the run returns.
 	TelemetryAddr string
 	// TelemetryInterval is the exporter's sample period in cycles (default
 	// 1024). Requires TelemetryAddr.
