@@ -54,8 +54,9 @@ type Endpoint struct {
 	mesh    *noc.Mesh
 	agent   nic.Agent
 	orderer Orderer
-	// pool takes back every response the agent accepts (nil keeps them);
-	// requests are broadcasts and never recycled.
+	// pool takes back every packet whose last delivery happens here (nil
+	// keeps them): each response the agent accepts, and each request
+	// broadcast this node is the last to deliver.
 	pool nic.Recycler
 	// expiry, when set (INSO), supplies owed expiry broadcasts. OwesExpiry
 	// keeps the endpoint awake while a broadcast is owed but not yet
@@ -183,8 +184,9 @@ func (r *reorderRing) grow() {
 // SetAgent attaches the consumer.
 func (e *Endpoint) SetAgent(a nic.Agent) { e.agent = a }
 
-// SetRecycler hands every response the agent accepts to r, once the
-// endpoint's tracer and auditor have read it: the node's message pool.
+// SetRecycler hands every packet whose last delivery happens here to r,
+// once the endpoint's tracer and auditor have read it: the machine's
+// message pool.
 func (e *Endpoint) SetRecycler(r nic.Recycler) { e.pool = r }
 
 // SetTracer attaches a lifecycle event tracer (nil disables tracing).
@@ -227,6 +229,8 @@ func (e *Endpoint) SendRequest(p *noc.Packet) bool {
 	if p.VNet != noc.GOReq || !p.Broadcast || p.Flits != 1 {
 		panic(fmt.Sprintf("baseline: SendRequest wants a single-flit broadcast, got %s", p))
 	}
+	// N-1 nodes deliver it off the mesh, and this one from its loopback.
+	p.ExpectDeliveries(e.mesh.Config().Nodes())
 	e.staged = append(e.staged, p)
 	return true
 }
@@ -261,8 +265,9 @@ func (e *Endpoint) Commit(cycle uint64) {
 	}
 	e.stagedR = e.stagedR[:0]
 	// Owed INSO expiry broadcasts consume real request-class bandwidth.
-	// Expiry packets stay heap-allocated: a broadcast is one shared object
-	// delivered at every node, so no single endpoint may recycle it.
+	// Expiry packets stay with the garbage collector: receive drops them
+	// off the mesh and no agent is ever offered one, so no delivery ends
+	// their life.
 	if e.expiry != nil && e.expiry.TakeExpiryBroadcast(e.node, cycle) {
 		e.reqQ.Push(&noc.Packet{
 			ID: e.mesh.NextPacketID(), VNet: noc.GOReq, Src: e.node, SID: e.node,
@@ -331,6 +336,7 @@ func (e *Endpoint) deliver(cycle uint64) {
 				e.auditor.OrderCommit(e.node, entry.pkt.ID, entry.pkt.Src, cycle)
 				e.auditor.Sink(e.node, entry.pkt.ID, true)
 			}
+			e.recycle(entry.pkt)
 			e.reorder.del(e.nextKey)
 			e.nextKey++
 			e.reorder.advance(e.nextKey)
@@ -352,10 +358,17 @@ func (e *Endpoint) deliver(cycle uint64) {
 			if e.auditor != nil {
 				e.auditor.Sink(e.node, p.ID, false)
 			}
-			if e.pool != nil {
-				e.pool.Recycle(p)
-			}
+			e.recycle(p)
 		}
+	}
+}
+
+// recycle counts one delivery of p and hands it to the pool if it was the
+// last: a response's only one, or a request broadcast's final one on any
+// node. Call it after everything on this node has read the packet.
+func (e *Endpoint) recycle(p *noc.Packet) {
+	if p.Delivered() && e.pool != nil {
+		e.pool.Recycle(p)
 	}
 }
 

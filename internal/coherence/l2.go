@@ -121,8 +121,8 @@ type L2Controller struct {
 	Stats     Stats
 }
 
-// NewL2 builds a controller for the given node; it builds its unicast
-// messages from pool, the node's (nil allocates each one).
+// NewL2 builds a controller for the given node; it builds its messages
+// from pool, the machine's (nil allocates each one).
 func NewL2(node int, cfg Config, n NetPort, newID func() uint64, mm MemMap, pool *Pool[RespInfo]) *L2Controller {
 	l := &L2Controller{cfg: cfg, newID: newID, memMap: mm, pool: pool}
 	l.Requester = NewRequester[snoopMiss](node, n, cache.NewArrayBytes(cfg.CapacityBytes, cfg.LineBytes, cfg.Ways),
@@ -327,10 +327,10 @@ func (l *L2Controller) MissRequest(m *MSHR[snoopMiss], st State, cycle uint64) *
 	if m.Write {
 		kind = GetX
 	}
-	return &noc.Packet{
+	return &l.pool.New(noc.Packet{
 		ID: l.newID(), VNet: noc.GOReq, Src: l.node, SID: l.node, Broadcast: true,
 		Flits: 1, Kind: int(kind), Addr: m.Addr, ReqID: m.ReqID, InjectCycle: cycle,
-	}
+	}, RespInfo{}).Packet
 }
 
 // MissReady implements Protocol: a miss completes once its own request was
@@ -397,8 +397,8 @@ func (l *L2Controller) MissDone(m *MSHR[snoopMiss], cycle uint64) Completion {
 // WritebackPackets implements Protocol: a broadcast PutM on the ordered
 // network; the data follows once the PutM is ordered.
 func (l *L2Controller) WritebackPackets(wb *Writeback, cycle uint64) (putm, data *noc.Packet) {
-	return &noc.Packet{
+	return &l.pool.New(noc.Packet{
 		ID: l.newID(), VNet: noc.GOReq, Src: l.node, SID: l.node, Broadcast: true,
 		Flits: 1, Kind: int(PutM), Addr: wb.Addr, ReqID: wb.ReqID, InjectCycle: cycle,
-	}, nil
+	}, RespInfo{}).Packet, nil
 }

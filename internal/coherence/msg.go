@@ -9,8 +9,8 @@
 // maintains the tile's L2 array and region-tracker snoop filter, and serves
 // the core (or trace injector) through CoreRequest/completion callbacks. Its
 // core-facing half, the Requester, is shared with the directory baselines'
-// L2, SendQ is the send queue every controller drains, and Pool is each
-// node's free list of protocol messages.
+// L2, SendQ is the send queue every controller drains, and Pool is the
+// machine's free list of protocol messages.
 package coherence
 
 import (

@@ -1,6 +1,10 @@
 package coherence
 
-import "scorpio/internal/noc"
+import (
+	"sync"
+
+	"scorpio/internal/noc"
+)
 
 // Msg is one protocol message as a single heap object: the network packet
 // plus the protocol's info T. Its Payload points back at the Msg, so a
@@ -11,30 +15,32 @@ type Msg[T any] struct {
 	next *Msg[T] // free-list link while pooled
 }
 
-// poolCap bounds each free list. A SCORPIO tile receives memory data it
-// never sends back, so an unbounded list would grow for the whole run.
-const poolCap = 64
-
-// Pool is one node's free list of messages. The node's controllers build
-// their messages from it, and the node's NIC hands back every unicast
-// packet it delivers once nothing reads it any more: a unicast message has
-// exactly one last holder. Broadcasts are never recycled, since every node
-// shares the one object. Only the node's scheduling unit touches its pool,
-// so pools need no locking. A nil *Pool allocates every message and keeps
-// none.
+// Pool is one machine's free list of messages. Every controller builds its
+// messages from it, and every NIC hands a delivered packet back once
+// nothing reads it any more: a unicast packet at its one delivery, a
+// broadcast at the last of its deliveries (noc.Packet.Delivered). The
+// message's builder and its last deliverer may run on different kernel
+// workers, so a mutex guards the list. Every message on the list was built
+// by the machine, so the list never holds more than the machine's peak
+// number of messages in flight. A nil *Pool allocates every message and
+// keeps none.
 type Pool[T any] struct {
+	mu   sync.Mutex
 	free *Msg[T]
-	n    int
 }
 
 // New returns a message holding p and info, equal to a freshly allocated
 // one whether or not it was reused.
 func (pl *Pool[T]) New(p noc.Packet, info T) *Msg[T] {
 	var m *Msg[T]
-	if pl != nil && pl.free != nil {
-		m, pl.free = pl.free, pl.free.next
-		pl.n--
-	} else {
+	if pl != nil {
+		pl.mu.Lock()
+		if m = pl.free; m != nil {
+			pl.free = m.next
+		}
+		pl.mu.Unlock()
+	}
+	if m == nil {
 		m = new(Msg[T])
 	}
 	*m = Msg[T]{Packet: p, Info: info}
@@ -42,21 +48,21 @@ func (pl *Pool[T]) New(p noc.Packet, info T) *Msg[T] {
 	return m
 }
 
-// Recycle takes back a delivered packet built by some node's Pool[T] and
-// ignores any other packet. The packet is poisoned with Kind -1, so a
-// stale reader hits its protocol's unknown-kind panic; past the cap it is
-// left to the garbage collector.
+// Recycle takes back a delivered packet built by a Pool[T] and ignores any
+// other packet. The packet is poisoned with Kind -1, so a stale reader hits
+// its protocol's unknown-kind panic.
 func (pl *Pool[T]) Recycle(p *noc.Packet) {
 	m, ok := p.Payload.(*Msg[T])
 	if !ok {
 		return
 	}
 	*m = Msg[T]{Packet: noc.Packet{Kind: -1}}
-	if pl == nil || pl.n >= poolCap {
+	if pl == nil {
 		return
 	}
+	pl.mu.Lock()
 	m.next, pl.free = pl.free, m
-	pl.n++
+	pl.mu.Unlock()
 }
 
 // InfoOf returns the info of a packet built as a Msg[T], or nil.

@@ -55,30 +55,56 @@ func TestPoolRecyclePoisonsPacket(t *testing.T) {
 	}
 }
 
-func TestPoolCap(t *testing.T) {
+// TestPoolConcurrentBuildAndRecycle runs the machine pool's two sides on
+// different goroutines, as a message's builder and its last deliverer run
+// on different kernel workers: one builds messages, the other recycles
+// them. Every recycled message must be reused, so the messages ever built
+// number no more than those out of the pool at once, and at the end the
+// free list must hold each of them exactly once.
+func TestPoolConcurrentBuildAndRecycle(t *testing.T) {
+	const builds, inFlight = 20000, 8
 	pool := &Pool[RespInfo]{}
-	var none *Pool[RespInfo]
-	msgs := make([]*Msg[RespInfo], poolCap+10)
-	for i := range msgs {
-		msgs[i] = none.New(noc.Packet{}, RespInfo{})
-	}
-	for _, m := range msgs {
-		pool.Recycle(&m.Packet)
-	}
-	if pool.n != poolCap {
-		t.Fatalf("pool holds %d messages, cap %d", pool.n, poolCap)
-	}
-	kept := map[*Msg[RespInfo]]bool{}
-	for _, m := range msgs[:poolCap] {
-		kept[m] = true
-	}
-	for i := 0; i < poolCap; i++ {
-		if m := pool.New(noc.Packet{}, RespInfo{}); !kept[m] {
-			t.Fatalf("reuse %d returned a message the pool never kept", i)
+	sent := make(chan *Msg[RespInfo], inFlight)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		want := uint64(1)
+		for m := range sent {
+			if m.ID != want || m.Info.Value != want || m.Payload != m {
+				t.Errorf("message %d arrived as ID %d value %d: handed out twice", want, m.ID, m.Info.Value)
+				for range sent { // let the builder finish
+				}
+				return
+			}
+			want++
+			pool.Recycle(&m.Packet)
 		}
+	}()
+	built := map[*Msg[RespInfo]]bool{}
+	for id := uint64(1); id <= builds; id++ {
+		m := pool.New(noc.Packet{ID: id, Kind: int(Data)}, RespInfo{Value: id})
+		built[m] = true
+		sent <- m
 	}
-	if m := pool.New(noc.Packet{}, RespInfo{}); kept[m] {
-		t.Fatal("a drained pool must allocate")
+	close(sent)
+	<-done
+	// At most inFlight messages wait in the channel, one is being built and
+	// one recycled; a pool that lost a recycled message would build more.
+	if len(built) > inFlight+2 {
+		t.Fatalf("%d builds made %d distinct messages, want at most %d", builds, len(built), inFlight+2)
+	}
+	listed := map[*Msg[RespInfo]]bool{}
+	for m := pool.free; m != nil; m = m.next {
+		if listed[m] {
+			t.Fatal("the free list holds a message twice")
+		}
+		if !built[m] {
+			t.Fatal("the free list holds a message the pool never built")
+		}
+		listed[m] = true
+	}
+	if len(listed) != len(built) {
+		t.Fatalf("the free list holds %d of the %d messages built", len(listed), len(built))
 	}
 }
 

@@ -62,7 +62,7 @@ type HomeStats struct {
 }
 
 // qreq is a queued (or parked) transaction: its request's fields by value,
-// since the request packet goes back to the node's pool at delivery.
+// since the request packet goes back to the machine's pool at delivery.
 type qreq struct {
 	kind   Kind
 	src    int
@@ -152,7 +152,7 @@ type Home struct {
 }
 
 // NewHome builds a directory slice; it builds its messages from pool, the
-// node's (nil allocates each one).
+// machine's (nil allocates each one).
 func NewHome(node int, cfg HomeConfig, n coherence.NetPort, newID func() uint64, pool *coherence.Pool[Info]) *Home {
 	perNode := cfg.TotalDirCacheBytes / cfg.Nodes
 	entries := perNode / cfg.EntryBytes
@@ -390,8 +390,8 @@ func (h *Home) drainParked(l *line, cycle uint64) {
 	}
 }
 
-// msg builds a response-class message about transaction q from the node's
-// pool.
+// msg builds a response-class message about transaction q from the
+// machine's pool.
 func (h *Home) msg(kind Kind, dst int, q qreq, cycle uint64, flits int, info Info) *coherence.Msg[Info] {
 	return h.pool.New(noc.Packet{
 		ID: h.newID(), VNet: noc.UOResp, Src: h.node, Dst: dst,

@@ -54,7 +54,7 @@ type L2 struct {
 }
 
 // NewL2 builds a directory-protocol cache controller; it builds its
-// messages from pool, the node's (nil allocates each one).
+// messages from pool, the machine's (nil allocates each one).
 func NewL2(node int, cfg L2Config, n coherence.NetPort, newID func() uint64, pool *coherence.Pool[Info]) *L2 {
 	l := &L2{cfg: cfg, newID: newID, pool: pool}
 	l.Requester = coherence.NewRequester[dirMiss](node, n, cache.NewArrayBytes(cfg.CapacityBytes, cfg.LineBytes, cfg.Ways),

@@ -108,7 +108,7 @@ type Controller struct {
 const mapPresize = 1024
 
 // New builds a memory-controller port at the given node; it builds its
-// messages from pool, the node's (nil allocates each one).
+// messages from pool, the machine's (nil allocates each one).
 func New(node int, cfg Config, n coherence.NetPort, newID func() uint64, mm coherence.MemMap,
 	pool *coherence.Pool[coherence.RespInfo]) *Controller {
 	if cfg.Ports <= 0 {

@@ -48,8 +48,9 @@ type Agent interface {
 	AcceptResponse(p *noc.Packet, cycle uint64) bool
 }
 
-// Recycler takes back a delivered unicast packet once nothing reads it
-// any more; coherence.Pool implements it.
+// Recycler takes back a delivered packet once nothing reads it any more: a
+// unicast packet at its delivery, a broadcast at its last delivery on any
+// node. coherence.Pool implements it.
 type Recycler interface {
 	Recycle(p *noc.Packet)
 }
@@ -171,8 +172,9 @@ type NIC struct {
 	netCfg noc.Config
 	ncfg   notif.Config
 	ownSID int
-	// pool takes back every unicast packet the agent accepts (nil keeps
-	// them); broadcasts are shared by every node and never recycled.
+	// pool takes back every packet whose last delivery happens here (nil
+	// keeps them): each unicast packet the agent accepts, and each
+	// broadcast this node is the last to deliver.
 	pool  Recycler
 	Stats Stats
 
@@ -263,8 +265,9 @@ func (n *NIC) Meshes() int { return len(n.ports) }
 // SetAgent attaches the tile-side consumer.
 func (n *NIC) SetAgent(a Agent) { n.agent = a }
 
-// SetRecycler hands every unicast packet the agent accepts to r, once the
-// NIC's own stats, tracer and auditor have read it: the node's message pool.
+// SetRecycler hands every packet whose last delivery happens here to r,
+// once the NIC's own stats, tracer and auditor have read it: the machine's
+// message pool.
 func (n *NIC) SetRecycler(r Recycler) { n.pool = r }
 
 // SetTracer attaches a lifecycle event tracer (nil disables tracing).
@@ -324,6 +327,10 @@ func (n *NIC) SendRequest(p *noc.Packet) bool {
 			n.Stats.SendBlocked++
 			return false
 		}
+		if p.Broadcast {
+			// Every other node delivers it; the source never sees its own.
+			p.ExpectDeliveries(n.netCfg.Nodes() - 1)
+		}
 		n.stagedReq = append(n.stagedReq, p)
 		return true
 	}
@@ -333,6 +340,8 @@ func (n *NIC) SendRequest(p *noc.Packet) bool {
 	}
 	p.SrcSeq = n.srcSeqNext
 	n.srcSeqNext++
+	// N-1 nodes deliver it off the mesh, and this one from its loopback.
+	p.ExpectDeliveries(n.netCfg.Nodes())
 	n.stagedReq = append(n.stagedReq, p)
 	return true
 }
@@ -663,6 +672,7 @@ func (n *NIC) deliver(cycle uint64) {
 					n.auditor.OrderCommit(n.node, p.ID, p.Src, cycle)
 					n.auditor.Sink(n.node, p.ID, true)
 				}
+				n.recycle(p)
 				n.deliveredSeq[run.sid]++
 				n.Stats.DeliveredRequests++
 				n.Stats.OrderingLatency.Observe(float64(cycle - arrive))
@@ -699,10 +709,11 @@ func (n *NIC) deliver(cycle uint64) {
 	}
 }
 
-// recycle hands a delivered packet to the node's pool unless it is a
-// broadcast, which every node shares.
+// recycle counts one delivery of p and hands it to the pool if it was the
+// last: a unicast packet's only one, or a broadcast's final one on any
+// node. Call it after everything on this node has read the packet.
 func (n *NIC) recycle(p *noc.Packet) {
-	if n.pool != nil && !p.Broadcast {
+	if p.Delivered() && n.pool != nil {
 		n.pool.Recycle(p)
 	}
 }

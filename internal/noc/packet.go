@@ -1,6 +1,9 @@
 package noc
 
-import "fmt"
+import (
+	"fmt"
+	"sync/atomic"
+)
 
 // Packet is one message on the main network. GO-REQ packets are single-flit
 // and may be broadcast; UO-RESP packets are unicast and may span several
@@ -17,6 +20,10 @@ type Packet struct {
 	// Broadcast requests delivery to every node (including the source, whose
 	// copy is looped back locally by the NIC).
 	Broadcast bool
+	// left counts a broadcast's deliveries still to come (ExpectDeliveries,
+	// Delivered). It sits in the padding after Broadcast, and is a plain
+	// int32 updated with sync/atomic because packets are copied by value.
+	left int32
 	// SID is the source ID used for global ordering; GO-REQ only.
 	SID int
 	// SrcSeq numbers the source's ordered requests (0, 1, 2, …). Together
@@ -40,6 +47,30 @@ type Packet struct {
 	InjectCycle  uint64 // handed to the NIC by the agent
 	NetworkEntry uint64 // first flit left the source NIC into the router
 	ArriveCycle  uint64 // last flit reached the destination NIC buffers
+}
+
+// ExpectDeliveries sets how many deliveries a broadcast will see: the
+// sender calls it once, when it accepts the packet, before any copy leaves.
+func (p *Packet) ExpectDeliveries(n int) { p.left = int32(n) }
+
+// Delivered records one delivery of p to an agent and reports whether it
+// was the last, so the caller may recycle the packet: always for a unicast
+// packet, and for a broadcast only at the delivery that brings its
+// ExpectDeliveries count to zero. Every node delivers a broadcast after
+// its own copy arrived, so at the last delivery no router, link or NIC
+// still holds it. Concurrent calls from different kernel workers are safe;
+// exactly one of them sees true.
+func (p *Packet) Delivered() bool {
+	if !p.Broadcast {
+		return true
+	}
+	switch left := atomic.AddInt32(&p.left, -1); {
+	case left == 0:
+		return true
+	case left < 0:
+		panic(fmt.Sprintf("noc: %s delivered more often than expected", p))
+	}
+	return false
 }
 
 // String identifies the packet for diagnostics.

@@ -135,9 +135,9 @@ func newBaseline(opt BaselineOptions, drive bool) (*Baseline, error) {
 		b.INSO = ins
 		ins.BindActivity(k.Register(ins))
 	}
-	pools := make([]coherence.Pool[coherence.RespInfo], opt.Net.Nodes())
-	for node := range pools {
-		ep, pool := baseline.NewEndpoint(node, mesh, orderer, nil), &pools[node]
+	pool := new(coherence.Pool[coherence.RespInfo])
+	for node := 0; node < opt.Net.Nodes(); node++ {
+		ep := baseline.NewEndpoint(node, mesh, orderer, nil)
 		if b.INSO != nil {
 			ep.SetExpirySource(b.INSO)
 		}

@@ -125,9 +125,9 @@ func NewDirectory(opt DirectoryOptions) (*Directory, error) {
 	k := sim.NewKernel()
 	d := &Directory{machine: machine{Kernel: k, label: opt.Variant.String() + "/" + opt.Profile.Name}, opt: opt, Mesh: mesh}
 	nodes := opt.Net.Nodes()
-	pools := make([]coherence.Pool[directory.Info], nodes)
+	pool := new(coherence.Pool[directory.Info])
 	for node := 0; node < nodes; node++ {
-		n, pool := nic.New(node, nic.UnorderedConfig(), mesh, nil, nil), &pools[node]
+		n := nic.New(node, nic.UnorderedConfig(), mesh, nil, nil)
 		n.SetRecycler(pool)
 		d.NICs = append(d.NICs, n)
 		l2 := directory.NewL2(node, opt.L2, n, packetIDStream(node), pool)

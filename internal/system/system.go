@@ -214,9 +214,9 @@ func NewScorpioBare(opt Options) (*Scorpio, error) {
 	}
 	nodes := net.Nodes()
 	s := &Scorpio{machine: machine{Kernel: k, label: "SCORPIO/" + opt.Profile.Name, order: net.OrderCheck()}, opt: opt, Net: net}
-	pools := make([]coherence.Pool[coherence.RespInfo], nodes)
+	pool := new(coherence.Pool[coherence.RespInfo])
 	for node := 0; node < nodes; node++ {
-		n, pool := net.NIC(node), &pools[node]
+		n := net.NIC(node)
 		n.SetRecycler(pool)
 		l2 := coherence.NewL2(node, opt.L2, n, packetIDStream(node), mm, pool)
 		s.L2s = append(s.L2s, l2)

@@ -105,6 +105,28 @@ func TestMeshSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// TestMeshSteadyStateAllocsBroadcast pins the broadcast half of packet
+// recycling: under the Broadcast pattern, on a serial 6×6 mesh sharing one
+// packet list as Run builds it, the last of a broadcast's N-1 sinks returns
+// it to the list, so a warm step never touches the heap.
+func TestMeshSteadyStateAllocsBroadcast(t *testing.T) {
+	netCfg := noc.DefaultConfig()
+	netCfg.Width, netCfg.Height = 6, 6
+	k, _, err := build(Config{Net: netCfg, Pattern: Broadcast, InjectionRate: 0.005, Flits: 1, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	k.Run(4000)
+	allocs := testing.AllocsPerRun(3, func() {
+		for i := 0; i < 500; i++ {
+			k.Step()
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("warm broadcast mesh allocated %.1f times per 500 steps, want 0", allocs)
+	}
+}
+
 // TestMeshSteadyStateAllocsTracerAttached proves the tracer's record path is
 // itself allocation-free: with a lifecycle tracer attached to every router,
 // a steady-state step still never touches the heap (events land in the

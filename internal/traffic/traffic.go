@@ -84,15 +84,15 @@ type Result struct {
 	Offered    uint64
 }
 
-// node is the open-loop source/sink at one tile. It recycles its flits and
-// (unicast) packets so the harness runs allocation-free in steady state (see
-// TestMeshSteadyStateAllocs). Both pools are SHARED across all nodes: a
-// packet is freed at its sink but drawn at a (different) source, so per-node
-// free lists would drift apart as a random walk and keep allocating forever;
-// the shared lists are bounded by the flits/packets in flight. Sharing is
-// race-free because the traffic harness always runs the kernel serially
-// (Run never calls SetWorkers). Broadcast packets stay heap-allocated: one
-// shared object is delivered at every node, so no single sink may recycle it.
+// node is the open-loop source/sink at one tile. It recycles its packets so
+// the harness runs allocation-free in steady state (see
+// TestMeshSteadyStateAllocs): a unicast packet at its sink, a broadcast at
+// the last of its N-1 sinks (noc.Packet.Delivered). The packet list is
+// SHARED across all nodes: a packet is freed at its sink but drawn at a
+// (different) source, so per-node free lists would drift apart as a random
+// walk and keep allocating forever; the shared list is bounded by the
+// packets in flight. Sharing is race-free because the traffic harness
+// always runs the kernel serially (Run never calls SetWorkers).
 type node struct {
 	id      int
 	cfg     Config
@@ -130,7 +130,7 @@ func newNode(k *sim.Kernel, mesh *noc.Mesh, cfg Config, id int, rng *sim.RNG, pk
 	return n
 }
 
-// pktPool recycles unicast packets (see the sharing note on node).
+// pktPool recycles delivered packets (see the sharing note on node).
 type pktPool struct {
 	free []*noc.Packet
 }
@@ -195,7 +195,7 @@ func (n *node) Evaluate(cycle uint64) {
 				n.recv++
 				n.lat.Observe(cycle - f.Pkt.InjectCycle)
 			}
-			if !f.Pkt.Broadcast {
+			if f.Pkt.Delivered() {
 				n.pkts.put(f.Pkt)
 			}
 		}
@@ -216,6 +216,7 @@ func (n *node) Evaluate(cycle uint64) {
 			p.Dst, p.Broadcast, p.Flits, p.InjectCycle = dst, bcast, n.cfg.Flits, cycle
 			if bcast {
 				p.Flits = 1
+				p.ExpectDeliveries(n.cfg.Net.Nodes() - 1)
 			}
 			n.queue.Push(p)
 			if cycle >= n.warm {
@@ -281,18 +282,10 @@ func run(cfg Config, idleSkip bool) (Result, error) {
 	if cfg.Cycles == 0 {
 		cfg.Cycles = 20000
 	}
-	mesh, err := noc.NewMesh(cfg.Net)
+	k, nodes, err := build(cfg)
 	if err != nil {
 		return Result{}, err
 	}
-	k := sim.NewKernel()
-	rng := sim.NewRNG(cfg.Seed + 1)
-	nodes := make([]*node, cfg.Net.Nodes())
-	pkts := &pktPool{}
-	for i := range nodes {
-		nodes[i] = newNode(k, mesh, cfg, i, rng.Fork(), pkts)
-	}
-	mesh.Register(k)
 	k.SetIdleSkip(idleSkip)
 	k.Run(cfg.Cycles)
 	res := Result{Pattern: cfg.Pattern, InjectionRate: cfg.InjectionRate}
@@ -320,6 +313,24 @@ func run(cfg Config, idleSkip bool) (Result, error) {
 	}
 	res.P99Latency = p99
 	return res, nil
+}
+
+// build assembles cfg's mesh on a serial kernel with a node at every tile,
+// all sharing one packet list (see node).
+func build(cfg Config) (*sim.Kernel, []*node, error) {
+	mesh, err := noc.NewMesh(cfg.Net)
+	if err != nil {
+		return nil, nil, err
+	}
+	k := sim.NewKernel()
+	rng := sim.NewRNG(cfg.Seed + 1)
+	nodes := make([]*node, cfg.Net.Nodes())
+	pkts := &pktPool{}
+	for i := range nodes {
+		nodes[i] = newNode(k, mesh, cfg, i, rng.Fork(), pkts)
+	}
+	mesh.Register(k)
+	return k, nodes, nil
 }
 
 // SaturationThroughput sweeps the injection rate upward until accepted
