@@ -20,6 +20,9 @@ SIM=
 $GO build -o "$DIR/scorpiosim" ./cmd/scorpiosim
 $GO build -o "$DIR/scorpiotop" ./cmd/scorpiotop
 
+# Create the log first: the backgrounded shell opens its redirections only
+# after the fork, and the first poll below may run before that.
+: >"$DIR/stderr.log"
 "$DIR/scorpiosim" -bench fft -work 4000 -warmup 100 \
     -telemetry 127.0.0.1:0 -telemetry-interval 256 \
     >"$DIR/stdout.log" 2>"$DIR/stderr.log" &
