@@ -1,9 +1,9 @@
 GO ?= go
 
 # Bump per PR that re-baselines the benchmark report.
-BENCH_JSON ?= BENCH_9.json
+BENCH_JSON ?= BENCH_10.json
 # The previous baseline, compared against by benchsmoke when both exist.
-BENCH_PREV ?= BENCH_8.json
+BENCH_PREV ?= BENCH_9.json
 
 .PHONY: build test vet fmt race check bench benchtest benchsmoke tracesmoke auditsmoke perfsmoke telemetrysmoke layoutcheck
 
@@ -26,9 +26,12 @@ fmt:
 # The parallel kernel's data-race guard: short-mode race run over the
 # packages that execute under the worker pool. traffic is included because
 # its parallel tests exercise the activity engine's park/wake churn across
-# shards, the path most likely to hide an ordering race.
+# shards, the path most likely to hide an ordering race; coherence, nic and
+# baseline because the machine's message pool and the broadcast delivery
+# countdown are reached from every shard.
 race:
-	$(GO) test -race -short ./internal/sim ./internal/system ./internal/noc ./internal/traffic ./internal/obs/telemetry
+	$(GO) test -race -short ./internal/sim ./internal/system ./internal/noc ./internal/traffic ./internal/obs/telemetry \
+		./internal/coherence ./internal/nic ./internal/baseline
 
 # The full local CI gate.
 check: fmt vet layoutcheck test benchtest race benchsmoke tracesmoke auditsmoke perfsmoke telemetrysmoke
