@@ -43,11 +43,13 @@ type goldenFile struct {
 
 // goldenCase is one pinned run: a facade Config, plus the L2 capacity of a
 // small-L2 run (0 keeps the machine's default L2) or the cycle count of a
-// SCORPIO window stepped short of completion (0 runs to completion).
+// SCORPIO window stepped short of completion (0 runs to completion). A
+// measured window fails unless every core completes measured accesses in it.
 type goldenCase struct {
-	cfg     Config
-	l2Bytes int
-	window  uint64
+	cfg      Config
+	l2Bytes  int
+	window   uint64
+	measured bool
 }
 
 // goldenCases lists the pinned runs: all five machines on three benchmarks,
@@ -60,7 +62,11 @@ type goldenCase struct {
 // bench's mesh256-fft point at seed 1 and the only pinned mesh past 6×6 (a
 // run to completion there takes tens of seconds). No core gets past its 5
 // warm-up accesses in the window, so its service histogram is empty and its
-// counters carry the pin.
+// counters carry the pin. Two measured 6×6 windows pin the machines of the
+// bench's chip36-fft and chip36-sparse points (seed 1, one worker, swaptions
+// at a tenth of its issue rate) with warm-ups short enough that every core
+// completes measured accesses; cores never reach their work quota inside
+// either window, as in the bench, where work is unbounded.
 func goldenCases() []goldenCase {
 	var cases []goldenCase
 	for _, p := range []Protocol{SCORPIO, LPDD, HTD, TokenB, INSO} {
@@ -81,11 +87,17 @@ func goldenCases() []goldenCase {
 	}
 	cases = append(cases, goldenCase{cfg: Config{Protocol: SCORPIO, Benchmark: "fft", Width: 16, Height: 16,
 		WorkPerCore: 60, WarmupPerCore: 5, Workers: 2}, window: 600})
+	cases = append(cases,
+		goldenCase{cfg: Config{Protocol: SCORPIO, Benchmark: "fft", Width: 6, Height: 6,
+			WorkPerCore: 400, WarmupPerCore: 10}, window: 3000, measured: true},
+		goldenCase{cfg: Config{Protocol: SCORPIO, Benchmark: "swaptions", Width: 6, Height: 6,
+			WorkPerCore: 400, WarmupPerCore: 10, IntensityScale: 0.1}, window: 20000, measured: true})
 	return cases
 }
 
 // goldenKey names a pinned run: protocol and benchmark, plus the mesh size
-// and the network count, L2 capacity or window of a run that sets one.
+// and the network count, L2 capacity, or issue intensity and window of a run
+// that sets one.
 func goldenKey(c goldenCase) string {
 	key := fmt.Sprintf("%s/%s", c.cfg.Protocol, c.cfg.Benchmark)
 	if c.cfg.MainNetworks > 1 {
@@ -95,7 +107,11 @@ func goldenKey(c goldenCase) string {
 		key += fmt.Sprintf("/%dx%d/l2=%dKB", c.cfg.Width, c.cfg.Height, c.l2Bytes/1024)
 	}
 	if c.window > 0 {
-		key += fmt.Sprintf("/%dx%d/window=%d", c.cfg.Width, c.cfg.Height, c.window)
+		key += fmt.Sprintf("/%dx%d", c.cfg.Width, c.cfg.Height)
+		if c.cfg.IntensityScale > 0 {
+			key += fmt.Sprintf("/intensity=%g", c.cfg.IntensityScale)
+		}
+		key += fmt.Sprintf("/window=%d", c.window)
 	}
 	return key
 }
@@ -161,6 +177,9 @@ func pinWindow(t *testing.T, c goldenCase) goldenRun {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if cfg.IntensityScale > 0 {
+		prof.IssueProb *= cfg.IntensityScale
+	}
 	s, err := system.NewScorpio(scorpioOptions(cfg, prof))
 	if err != nil {
 		t.Fatal(err)
@@ -172,7 +191,10 @@ func pinWindow(t *testing.T, c goldenCase) goldenRun {
 	}
 	g := goldenRun{Counters: map[string]uint64{"Cycles": s.Kernel.Cycle(), "FlitsRouted": s.Net.NetStats().FlitsRouted}}
 	hist := stats.NewHistogram(4, 512)
-	for _, in := range s.Injectors {
+	for i, in := range s.Injectors {
+		if c.measured && in.ServiceHist.Count() == 0 {
+			t.Fatalf("%s: core %d completed no measured access (%d in all) in the window", goldenKey(c), i, in.Completed)
+		}
 		g.Counters["Completed"] += in.Completed
 		hist.Merge(in.ServiceHist)
 	}
