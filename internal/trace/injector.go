@@ -40,8 +40,9 @@ type Injector struct {
 	armed    bool
 	issueAt  uint64
 	coldNext uint64
-	history  []uint64 // recently touched lines (temporal locality)
+	history  []uint64 // recently touched lines (temporal locality), over histBuf
 	histPos  int
+	histBuf  [historyDepth]uint64
 
 	// Issued/Completed count accesses; the run loop ends when every
 	// injector completes its limit.
@@ -79,11 +80,14 @@ const (
 	coldSpan    = uint64(1) << 24
 )
 
+// historyDepth is the number of recently touched lines a core may revisit.
+const historyDepth = 128
+
 // NewInjector builds an injector for a node. The first warmup completions
 // fill the caches without recording statistics (the paper's RTL runs omit
 // the first 20K cycles the same way); limit accesses are then measured.
 func NewInjector(node int, prof Profile, seed uint64, port RequestPort, maxOutstanding int, warmup, limit uint64) *Injector {
-	return &Injector{
+	in := &Injector{
 		node:           node,
 		prof:           prof,
 		rng:            sim.NewRNG(seed ^ (uint64(node)+1)*0x9e3779b97f4a7c15),
@@ -95,6 +99,8 @@ func NewInjector(node int, prof Profile, seed uint64, port RequestPort, maxOutst
 		CacheServed:    &stats.Breakdown{},
 		MemServed:      &stats.Breakdown{},
 	}
+	in.history = in.histBuf[:0]
+	return in
 }
 
 // Done reports whether the injector completed its warmup and work quota.
@@ -245,13 +251,13 @@ func (in *Injector) generate() access {
 	return access{addr: addr, write: write}
 }
 
-// remember records a fresh address in the reuse history ring.
+// remember records a fresh address in the reuse history ring. The ring
+// fills in place in histBuf, so it never allocates.
 func (in *Injector) remember(addr uint64) {
-	const depth = 128
-	if len(in.history) < depth {
+	if len(in.history) < historyDepth {
 		in.history = append(in.history, addr)
 		return
 	}
 	in.history[in.histPos] = addr
-	in.histPos = (in.histPos + 1) % depth
+	in.histPos = (in.histPos + 1) % historyDepth
 }

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"runtime"
 	"testing"
 
 	"scorpio/internal/stats"
@@ -218,6 +219,35 @@ func TestBreakdownAccountingFlows(t *testing.T) {
 	inj.OnComplete(2, false, 0, 150, false, false, &bd2)
 	if inj.MemServed.Count() != 1 {
 		t.Fatal("memory-served breakdown not recorded")
+	}
+}
+
+// TestInjectorHistoryDoesNotAllocate checks that filling a fresh injector's
+// reuse history allocates nothing. testing.AllocsPerRun would fill the
+// history in its warm-up call, so the count comes from the heap statistics
+// around the first historyDepth addresses; the fewest over three fresh
+// injectors discounts a stray allocation elsewhere in the process.
+func TestInjectorHistoryDoesNotAllocate(t *testing.T) {
+	prof, _ := ByName("fft")
+	fewest := ^uint64(0)
+	for try := 0; try < 3; try++ {
+		in := NewInjector(0, prof, 1, &recorderPort{}, 2, 0, 0)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < historyDepth; i++ {
+			in.remember(uint64(i))
+		}
+		runtime.ReadMemStats(&after)
+		if n := after.Mallocs - before.Mallocs; n < fewest {
+			fewest = n
+		}
+		if len(in.history) != historyDepth || in.history[historyDepth-1] != historyDepth-1 {
+			t.Fatalf("history holds %d addresses, last %d; want %d ending in %d",
+				len(in.history), in.history[len(in.history)-1], historyDepth, historyDepth-1)
+		}
+	}
+	if fewest != 0 {
+		t.Fatalf("remembering %d addresses allocated %d objects, want 0", historyDepth, fewest)
 	}
 }
 
