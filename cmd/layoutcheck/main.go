@@ -2,9 +2,9 @@
 // structs. It fails (exit 1) when:
 //
 //   - a struct with a pinned size contract drifts (Flit must stay 32 bytes —
-//     two per cache line — cache.Line 24 bytes, so a 4-way set takes 96, and
-//     the false-sharing-padded Link and Activity must stay cache-line
-//     multiples), or
+//     two per cache line — cache.Line 16 bytes, so a 4-way set takes 64, one
+//     cache line, and the false-sharing-padded Link and Activity must stay
+//     cache-line multiples), or
 //   - a checked struct wastes alignment padding that a field reorder would
 //     reclaim (compiler-inserted holes not covered by an explicit blank
 //     `_ [N]byte` pad, which marks deliberate false-sharing padding).
@@ -93,8 +93,8 @@ func main() {
 	if s := reflect.TypeOf(noc.Flit{}).Size(); s != 32 {
 		bad("noc.Flit is %d bytes, want 32 (two per 64-byte cache line)", s)
 	}
-	if s := reflect.TypeOf(cache.Line{}).Size(); s != 24 {
-		bad("cache.Line is %d bytes, want 24 (a 4-way set takes 96 bytes)", s)
+	if s := reflect.TypeOf(cache.Line{}).Size(); s != 16 {
+		bad("cache.Line is %d bytes, want 16 (a 4-way set takes one 64-byte cache line)", s)
 	}
 	if s := reflect.TypeOf(noc.Link{}).Size(); s%64 != 0 {
 		bad("noc.Link is %d bytes, want a cache-line multiple (false-sharing pad)", s)

@@ -6,15 +6,52 @@ package cache
 
 import "fmt"
 
-// Line is one cache entry: its address tag, the line's data (modelled as one
-// word), a caller-defined state value and the line's recency rank within its
-// set. It packs into 24 bytes, so a 4-way set takes 96.
+// Line is one cache entry: the line's data (modelled as one word) and a key
+// word that packs the line address (bits 0-47), the caller's state (bits
+// 48-54), the valid bit (55) and the line's recency rank within its set
+// (bits 56-63). It is 16 bytes, so the chip's 4-way set takes 64, one host
+// cache line, and a lookup tests each way with one masked compare. Line
+// addresses must be below 2^48 and states within 0-127: Insert and SetState
+// panic otherwise.
 type Line struct {
-	Addr  uint64 // full line address (already shifted by offset bits)
-	Data  uint64
-	State int32
-	age   uint8 // recency rank among the set's valid lines, 0 = most recent
-	valid bool
+	Data uint64
+	key  uint64
+}
+
+// The key word's fields.
+const (
+	addrBits   = 48
+	addrMask   = 1<<addrBits - 1
+	stateShift = addrBits
+	maxState   = 127
+	stateMask  = maxState << stateShift
+	lineValid  = 1 << 55
+	tagMask    = addrMask | lineValid // the bits a lookup compares
+	rankShift  = 56
+	rankOne    = 1 << rankShift
+	rankMask   = 0xff << rankShift
+)
+
+// Addr returns the line address.
+func (l Line) Addr() uint64 { return l.key & addrMask }
+
+// State returns the caller's state value.
+func (l Line) State() int32 { return int32(l.key & stateMask >> stateShift) }
+
+// SetState replaces the caller's state value; it panics outside 0-127.
+func (l *Line) SetState(state int32) { l.key = l.key&^stateMask | stateBits(state) }
+
+func (l Line) valid() bool { return l.key&lineValid != 0 }
+
+// rank is the line's recency rank among its set's valid lines, 0 = most
+// recent.
+func (l Line) rank() uint64 { return l.key >> rankShift }
+
+func stateBits(state int32) uint64 {
+	if state < 0 || state > maxState {
+		panic(fmt.Sprintf("cache: state %d outside 0-%d (the state field is 7 bits)", state, maxState))
+	}
+	return uint64(state) << stateShift
 }
 
 // Array is a set-associative array indexed by line address, with exact LRU
@@ -77,36 +114,48 @@ func (a *Array) set(addr uint64) []Line {
 // LRU state (use Touch or Get for accesses).
 func (a *Array) Lookup(addr uint64) *Line {
 	set := a.set(addr)
-	for i := range set {
-		if set[i].valid && set[i].Addr == addr {
-			return &set[i]
-		}
+	if i := find(set, addr); i >= 0 {
+		return &set[i]
 	}
 	return nil
+}
+
+// find returns the way holding addr as a valid line, or -1. An address of
+// 2^48 or more is never present.
+func find(set []Line, addr uint64) int {
+	if addr > addrMask {
+		return -1
+	}
+	tag := addr | lineValid
+	for i := range set {
+		if set[i].key&tagMask == tag {
+			return i
+		}
+	}
+	return -1
 }
 
 // promote makes set[i], a valid line, the most recent of its set: every
 // valid line more recent than it ages by one.
 func promote(set []Line, i int) {
-	r := set[i].age
+	r := set[i].rank()
 	for j := range set {
-		if set[j].valid && set[j].age < r {
-			set[j].age++
+		if set[j].valid() && set[j].rank() < r {
+			set[j].key += rankOne
 		}
 	}
-	set[i].age = 0
+	set[i].key &^= rankMask
 }
 
 // Get looks up addr and, on a hit, makes the line the most recent of its set.
 func (a *Array) Get(addr uint64) *Line {
 	set := a.set(addr)
-	for i := range set {
-		if set[i].valid && set[i].Addr == addr {
-			promote(set, i)
-			return &set[i]
-		}
+	i := find(set, addr)
+	if i < 0 {
+		return nil
 	}
-	return nil
+	promote(set, i)
+	return &set[i]
 }
 
 // Touch refreshes the LRU position of addr if present.
@@ -114,26 +163,31 @@ func (a *Array) Touch(addr uint64) { a.Get(addr) }
 
 // Insert places addr with the given state and data, evicting the LRU line of
 // the set if necessary. It returns the evicted line, data included (valid
-// only if eviction happened).
+// only if eviction happened). It panics on a line address of 2^48 or more or
+// a state outside 0-127.
 func (a *Array) Insert(addr uint64, state int32, data uint64) (evicted Line, didEvict bool) {
+	if addr > addrMask {
+		panic(fmt.Sprintf("cache: line address %#x needs more than %d bits", addr, addrBits))
+	}
+	key := addr | stateBits(state) | lineValid
 	set := a.set(addr)
 	// Reuse an existing entry or the first free way; otherwise the victim
 	// is the valid line of highest rank.
 	free, oldest, n := -1, 0, 0
 	for i := range set {
 		switch {
-		case !set[i].valid:
+		case !set[i].valid():
 			if free < 0 {
 				free = i
 			}
-		case set[i].Addr == addr:
-			set[i].State = state
+		case set[i].Addr() == addr:
+			set[i].key = set[i].key&^stateMask | key&stateMask
 			set[i].Data = data
 			promote(set, i)
 			return Line{}, false
 		default:
 			n++
-			if set[i].age > set[oldest].age {
+			if set[i].rank() > set[oldest].rank() {
 				oldest = i
 			}
 		}
@@ -145,7 +199,7 @@ func (a *Array) Insert(addr uint64, state int32, data uint64) (evicted Line, did
 	}
 	// The new line enters below the n lines that stay and is promoted over
 	// them.
-	set[way] = Line{Addr: addr, Data: data, State: state, age: uint8(n), valid: true}
+	set[way] = Line{Data: data, key: key | uint64(n)<<rankShift}
 	promote(set, way)
 	return evicted, didEvict
 }
@@ -155,26 +209,25 @@ func (a *Array) Insert(addr uint64, state int32, data uint64) (evicted Line, did
 // in the set's ranks.
 func (a *Array) Invalidate(addr uint64) bool {
 	set := a.set(addr)
-	for i := range set {
-		if set[i].valid && set[i].Addr == addr {
-			set[i].valid = false
-			r := set[i].age
-			for j := range set {
-				if set[j].valid && set[j].age > r {
-					set[j].age--
-				}
-			}
-			return true
+	i := find(set, addr)
+	if i < 0 {
+		return false
+	}
+	set[i].key &^= lineValid
+	r := set[i].rank()
+	for j := range set {
+		if set[j].valid() && set[j].rank() > r {
+			set[j].key -= rankOne
 		}
 	}
-	return false
+	return true
 }
 
 // Occupancy returns the number of valid lines.
 func (a *Array) Occupancy() int {
 	n := 0
 	for i := range a.lines {
-		if a.lines[i].valid {
+		if a.lines[i].valid() {
 			n++
 		}
 	}
@@ -184,7 +237,7 @@ func (a *Array) Occupancy() int {
 // ForEach calls fn for every valid line.
 func (a *Array) ForEach(fn func(l *Line)) {
 	for i := range a.lines {
-		if a.lines[i].valid {
+		if a.lines[i].valid() {
 			fn(&a.lines[i])
 		}
 	}

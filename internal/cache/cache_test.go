@@ -27,11 +27,11 @@ func TestArrayInsertLookupInvalidate(t *testing.T) {
 		t.Fatal("insert into empty set must not evict")
 	}
 	l := a.Lookup(0x100)
-	if l == nil || l.State != 7 {
+	if l == nil || l.State() != 7 {
 		t.Fatalf("lookup returned %+v", l)
 	}
-	l.State = 9
-	if a.Lookup(0x100).State != 9 {
+	l.SetState(9)
+	if a.Lookup(0x100).State() != 9 {
 		t.Fatal("state mutation lost")
 	}
 	if !a.Invalidate(0x100) {
@@ -51,7 +51,7 @@ func TestArrayLRUEviction(t *testing.T) {
 	a.Insert(2, 0, 0)
 	a.Get(1) // make 1 most recent
 	ev, did := a.Insert(3, 0, 0)
-	if !did || ev.Addr != 2 {
+	if !did || ev.Addr() != 2 {
 		t.Fatalf("evicted %+v (did=%v), want addr 2", ev, did)
 	}
 	if a.Lookup(1) == nil || a.Lookup(3) == nil {
@@ -68,7 +68,7 @@ func TestArrayLineData(t *testing.T) {
 	a.Insert(1, 0, 11)
 	a.Insert(2, 0, 22)
 	ev, did := a.Insert(3, 0, 33) // evicts 1, the LRU line
-	if !did || ev.Addr != 1 || ev.Data != 11 {
+	if !did || ev.Addr() != 1 || ev.Data != 11 {
 		t.Fatalf("evicted %+v (did=%v), want addr 1 with data 11", ev, did)
 	}
 	if got := a.Lookup(3).Data; got != 33 {
@@ -91,7 +91,7 @@ func TestArrayReinsertUpdatesState(t *testing.T) {
 	if _, did := a.Insert(4, 2, 0); did {
 		t.Fatal("reinsert must not evict")
 	}
-	if got := a.Lookup(4).State; got != 2 {
+	if got := a.Lookup(4).State(); got != 2 {
 		t.Fatalf("state = %d, want 2", got)
 	}
 	if a.Occupancy() != 1 {
@@ -110,14 +110,60 @@ func TestArrayOccupancyNeverExceedsCapacity(t *testing.T) {
 	}
 }
 
+// TestArrayPropertyInsertThenLookup draws line addresses over the array's
+// whole range, below 2^48, and states over 0-127: each inserted line must be
+// found with its address, state and data.
 func TestArrayPropertyInsertThenLookup(t *testing.T) {
 	a := NewArrayBytes(4096, 32, 2)
-	if err := quick.Check(func(addr uint64) bool {
-		a.Insert(addr, 3, 0)
+	if err := quick.Check(func(addr, data uint64, state uint8) bool {
+		addr &= addrMask
+		st := int32(state & maxState)
+		a.Insert(addr, st, data)
 		l := a.Lookup(addr)
-		return l != nil && l.State == 3 && l.Addr == addr
+		return l != nil && l.State() == st && l.Addr() == addr && l.Data == data
 	}, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestArrayRejectsOutOfRange checks the key word's range contract: Insert
+// and SetState panic on a line address of 2^48 or more or a state outside
+// 0-127, and an address of 2^48 or more is never found, even one whose top
+// bits are the valid bit's.
+func TestArrayRejectsOutOfRange(t *testing.T) {
+	a := NewArray(4, 2)
+	a.Insert(addrMask, maxState, 1)
+	a.Insert(5, 0, 2)
+	for name, f := range map[string]func(){
+		"Insert(2^48)":     func() { a.Insert(1<<48, 0, 0) },
+		"Insert(2^64-1)":   func() { a.Insert(^uint64(0), 0, 0) },
+		"Insert(state128)": func() { a.Insert(6, 128, 0) },
+		"Insert(state-1)":  func() { a.Insert(6, -1, 0) },
+		"SetState(128)":    func() { a.Lookup(5).SetState(128) },
+		"SetState(-1)":     func() { a.Lookup(5).SetState(-1) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s did not panic", name)
+				}
+			}()
+			f()
+		}()
+	}
+	if l := a.Lookup(addrMask); l == nil || l.State() != maxState || l.Data != 1 {
+		t.Fatalf("line at the top address = %+v, want state %d, data 1", l, maxState)
+	}
+	if l := a.Lookup(5); l == nil || l.State() != 0 {
+		t.Fatalf("a refused SetState changed the line: %+v", l)
+	}
+	for _, addr := range []uint64{5 | lineValid, 5 | 1<<48, addrMask | lineValid} {
+		if a.Lookup(addr) != nil || a.Get(addr) != nil || a.Invalidate(addr) {
+			t.Errorf("out-of-range address %#x was found", addr)
+		}
+	}
+	if a.Occupancy() != 2 {
+		t.Fatalf("occupancy = %d, want 2", a.Occupancy())
 	}
 }
 

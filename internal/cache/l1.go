@@ -43,7 +43,7 @@ func (l *L1) Write(lineAddr uint64) {
 // eviction needs no writeback.
 func (l *L1) Fill(lineAddr uint64) (evictedAddr uint64, ok bool) {
 	ev, did := l.arr.Insert(lineAddr, 0, 0)
-	return ev.Addr, did
+	return ev.Addr(), did
 }
 
 // Invalidate services the external invalidation port: the L2 calls it when

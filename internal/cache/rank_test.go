@@ -92,15 +92,15 @@ func checkRanks(t *testing.T, a *Array, step int) {
 		clear(seen)
 		n := 0
 		for i := range set {
-			if set[i].valid {
+			if set[i].valid() {
 				n++
 			}
 		}
 		for i := range set {
-			if !set[i].valid {
+			if !set[i].valid() {
 				continue
 			}
-			r := int(set[i].age)
+			r := int(set[i].rank())
 			if r >= n || seen[r] {
 				t.Fatalf("step %d: set %d's valid ranks are not a permutation of 0..%d: way %d holds rank %d", step, s, n-1, i, r)
 			}
@@ -111,9 +111,10 @@ func checkRanks(t *testing.T, a *Array, step int) {
 
 // TestArrayRanksMatchStamps drives the rank array and the stamp reference
 // with one random Get/Touch/Insert/Invalidate sequence per geometry, over an
-// address pool twice the capacity so sets fill, evict and drain. Every
-// answer and every evicted line must agree, and after every step each set's
-// ranks must stay exact.
+// address pool twice the capacity so sets fill, evict and drain. Each address
+// repeats its pool index in its top bits and states span 0-127, so every bit
+// of the packed key word is exercised. Every answer and every evicted line
+// must agree, and after every step each set's ranks must stay exact.
 func TestArrayRanksMatchStamps(t *testing.T) {
 	const ops = 100_000
 	for _, g := range []struct{ sets, ways int }{
@@ -125,23 +126,24 @@ func TestArrayRanksMatchStamps(t *testing.T) {
 			pool := 2 * a.Capacity()
 			for step := 0; step < ops; step++ {
 				addr := uint64(rng.Intn(pool))
+				addr |= addr << (addrBits - 9) & addrMask // pools hold at most 512 addresses
 				switch op := rng.Intn(10); {
 				case op < 3: // Get
 					l, rl := a.Get(addr), ref.Get(addr)
 					if (l == nil) != (rl == nil) {
 						t.Fatalf("step %d: Get(%d) hit %v, reference %v", step, addr, l != nil, rl != nil)
 					}
-					if l != nil && (l.Addr != rl.Addr || l.Data != rl.Data || l.State != rl.State) {
+					if l != nil && (l.Addr() != rl.Addr || l.Data != rl.Data || l.State() != rl.State) {
 						t.Fatalf("step %d: Get(%d) = %+v, reference %+v", step, addr, *l, *rl)
 					}
 				case op < 4: // Touch
 					a.Touch(addr)
 					ref.Get(addr)
 				case op < 8: // Insert
-					state, data := int32(rng.Intn(4)), rng.Uint64()
+					state, data := int32(rng.Intn(maxState+1)), rng.Uint64()
 					ev, did := a.Insert(addr, state, data)
 					rev, rdid := ref.Insert(addr, state, data)
-					if did != rdid || ev.Addr != rev.Addr || ev.Data != rev.Data || ev.State != rev.State {
+					if did != rdid || ev.Addr() != rev.Addr || ev.Data != rev.Data || ev.State() != rev.State {
 						t.Fatalf("step %d: Insert(%d) evicted %+v (%v), reference %+v (%v)", step, addr, ev, did, rev, rdid)
 					}
 				default: // Invalidate

@@ -211,7 +211,7 @@ func (l *L2Controller) ProcessOrdered(p *noc.Packet, arrive, cycle uint64) bool 
 	ln := l.arr.Lookup(p.Addr)
 	st := Invalid
 	if ln != nil {
-		st = State(ln.State)
+		st = State(ln.State())
 	}
 	switch kind {
 	case GetS:
@@ -272,7 +272,7 @@ func (l *L2Controller) processOwnOrdered(p *noc.Packet, kind Kind, arrive, cycle
 	m.P.arriveSelf = arrive
 	if m.Write {
 		// An upgrade from an owned state self-serves the data.
-		if ln := l.arr.Lookup(m.Addr); ln != nil && State(ln.State).owner() {
+		if ln := l.arr.Lookup(m.Addr); ln != nil && State(ln.State()).owner() {
 			m.DataArrived = true
 			m.DataCycle = cycle
 			m.P.resp.Value = ln.Data

@@ -151,7 +151,7 @@ func (r *Requester[P]) ValueOf(addr uint64) uint64 {
 // LineState reports the coherence state of a line.
 func (r *Requester[P]) LineState(addr uint64) State {
 	if ln := r.arr.Lookup(addr); ln != nil {
-		return State(ln.State)
+		return State(ln.State())
 	}
 	return Invalid
 }
@@ -285,7 +285,7 @@ func (r *Requester[P]) processCoreQueue(cycle uint64) {
 		ln := r.arr.Lookup(req.addr)
 		st := Invalid
 		if ln != nil {
-			st = State(ln.State)
+			st = State(ln.State())
 		}
 		if st != Invalid && (!req.write || st == Modified) {
 			r.arr.Touch(req.addr)
@@ -365,16 +365,16 @@ func (r *Requester[P]) Install(addr uint64, st State, data uint64, cycle uint64)
 		// The evicted line leaves the array; an in-flight writeback still
 		// answers for it from its buffer, but for shadow purposes the copy
 		// is gone.
-		r.auditState(ev.Addr, Invalid, cycle)
+		r.auditState(ev.Addr(), Invalid, cycle)
 	}
 	if r.rt != nil {
-		r.rt.NoteEvict(ev.Addr)
+		r.rt.NoteEvict(ev.Addr())
 	}
 	if r.InvalidateL1 != nil {
-		r.InvalidateL1(ev.Addr)
+		r.InvalidateL1(ev.Addr())
 	}
-	if State(ev.State).owner() {
-		r.startWriteback(ev.Addr, ev.Data, cycle)
+	if State(ev.State()).owner() {
+		r.startWriteback(ev.Addr(), ev.Data, cycle)
 	}
 }
 
@@ -398,9 +398,9 @@ func (r *Requester[P]) Invalidate(addr uint64, cycle uint64) {
 // SetState moves a resident line to st (an owner's downgrade to O_D),
 // mirroring it into the auditor's shadow.
 func (r *Requester[P]) SetState(ln *cache.Line, st State, cycle uint64) {
-	ln.State = int32(st)
+	ln.SetState(int32(st))
 	if r.auditor != nil {
-		r.auditState(ln.Addr, st, cycle)
+		r.auditState(ln.Addr(), st, cycle)
 	}
 }
 

@@ -141,7 +141,7 @@ func (l *L2) ownsLine(addr uint64) any {
 		return wb
 	}
 	if ln := l.Array().Lookup(addr); ln != nil {
-		st := coherence.State(ln.State)
+		st := coherence.State(ln.State())
 		if st == coherence.Modified || st == coherence.OwnedDirty {
 			return ln
 		}

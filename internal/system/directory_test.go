@@ -43,13 +43,13 @@ func runDir(t *testing.T, v directory.Variant, bench string, nodes int) Results 
 	lines := map[uint64]*own{}
 	for _, l2 := range d.L2s {
 		l2.Array().ForEach(func(ln *cache.Line) {
-			o := lines[ln.Addr]
+			o := lines[ln.Addr()]
 			if o == nil {
 				o = &own{}
-				lines[ln.Addr] = o
+				lines[ln.Addr()] = o
 			}
 			o.copies++
-			switch coherence.State(ln.State) {
+			switch coherence.State(ln.State()) {
 			case coherence.Modified:
 				o.owners++
 				o.hasM = true

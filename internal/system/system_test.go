@@ -149,13 +149,13 @@ func TestScorpioCoherenceInvariantSingleOwner(t *testing.T) {
 	lines := map[uint64]*ownership{}
 	for _, l2 := range s.L2s {
 		l2.Array().ForEach(func(ln *cache.Line) {
-			o := lines[ln.Addr]
+			o := lines[ln.Addr()]
 			if o == nil {
 				o = &ownership{}
-				lines[ln.Addr] = o
+				lines[ln.Addr()] = o
 			}
 			o.copies++
-			switch coherence.State(ln.State) {
+			switch coherence.State(ln.State()) {
 			case coherence.Modified:
 				o.owners++
 				o.hasM = true
