@@ -51,7 +51,7 @@ func filledConfig(t *testing.T, p Protocol) (Config, trace.Profile) {
 	if err := cfg.fill(); err != nil {
 		t.Fatal(err)
 	}
-	prof, err := trace.ByName(cfg.Benchmark)
+	prof, err := profile(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,7 +16,6 @@ import (
 
 	"scorpio/internal/stats"
 	"scorpio/internal/system"
-	"scorpio/internal/trace"
 )
 
 // updateGolden rewrites testdata/golden.json from the current code:
@@ -132,7 +131,7 @@ func runL2Bytes(cfg Config, l2Bytes int) (Result, error) {
 	if err := cfg.fill(); err != nil {
 		return Result{}, err
 	}
-	prof, err := trace.ByName(cfg.Benchmark)
+	prof, err := profile(cfg)
 	if err != nil {
 		return Result{}, err
 	}
@@ -173,12 +172,9 @@ func pinWindow(t *testing.T, c goldenCase) goldenRun {
 	if err := cfg.fill(); err != nil {
 		t.Fatal(err)
 	}
-	prof, err := trace.ByName(cfg.Benchmark)
+	prof, err := profile(cfg)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if cfg.IntensityScale > 0 {
-		prof.IssueProb *= cfg.IntensityScale
 	}
 	s, err := system.NewScorpio(scorpioOptions(cfg, prof))
 	if err != nil {

@@ -169,7 +169,7 @@ func (a *Array) Insert(addr uint64, state int32, data uint64) (evicted Line, did
 	if addr > addrMask {
 		panic(fmt.Sprintf("cache: line address %#x needs more than %d bits", addr, addrBits))
 	}
-	key := addr | stateBits(state) | lineValid
+	st := stateBits(state)
 	set := a.set(addr)
 	// Reuse an existing entry or the first free way; otherwise the victim
 	// is the valid line of highest rank.
@@ -181,7 +181,7 @@ func (a *Array) Insert(addr uint64, state int32, data uint64) (evicted Line, did
 				free = i
 			}
 		case set[i].Addr() == addr:
-			set[i].key = set[i].key&^stateMask | key&stateMask
+			set[i].key = set[i].key&^stateMask | st
 			set[i].Data = data
 			promote(set, i)
 			return Line{}, false
@@ -199,7 +199,7 @@ func (a *Array) Insert(addr uint64, state int32, data uint64) (evicted Line, did
 	}
 	// The new line enters below the n lines that stay and is promoted over
 	// them.
-	set[way] = Line{Data: data, key: key | uint64(n)<<rankShift}
+	set[way] = Line{Data: data, key: addr | st | lineValid | uint64(n)<<rankShift}
 	promote(set, way)
 	return evicted, didEvict
 }

@@ -352,12 +352,9 @@ func Run(cfg Config) (Result, error) {
 	if err := cfg.fill(); err != nil {
 		return Result{}, err
 	}
-	prof, err := trace.ByName(cfg.Benchmark)
+	prof, err := profile(cfg)
 	if err != nil {
 		return Result{}, err
-	}
-	if cfg.IntensityScale > 0 {
-		prof.IssueProb *= cfg.IntensityScale
 	}
 	var run func(limit uint64) (Result, error)
 	var o *system.Observability
@@ -387,6 +384,19 @@ func Run(cfg Config) (Result, error) {
 		return r, err
 	}
 	return r, writeObsArtifacts(cfg, r)
+}
+
+// profile returns the benchmark profile a filled Config names, at its issue
+// intensity.
+func profile(cfg Config) (trace.Profile, error) {
+	prof, err := trace.ByName(cfg.Benchmark)
+	if err != nil {
+		return trace.Profile{}, err
+	}
+	if cfg.IntensityScale > 0 {
+		prof.IssueProb *= cfg.IntensityScale
+	}
+	return prof, nil
 }
 
 // workload maps a filled Config onto the workload every machine runs.
