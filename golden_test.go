@@ -43,12 +43,15 @@ type goldenFile struct {
 // goldenCase is one pinned run: a facade Config, plus the L2 capacity of a
 // small-L2 run (0 keeps the machine's default L2) or the cycle count of a
 // SCORPIO window stepped short of completion (0 runs to completion). A
-// measured window fails unless every core completes measured accesses in it.
+// measured window fails unless every core completes measured accesses in it;
+// a serviced window fails unless some core does, and its key names the
+// warm-up that lets it.
 type goldenCase struct {
 	cfg      Config
 	l2Bytes  int
 	window   uint64
 	measured bool
+	serviced bool
 }
 
 // goldenCases lists the pinned runs: all five machines on three benchmarks,
@@ -61,7 +64,8 @@ type goldenCase struct {
 // bench's mesh256-fft point at seed 1 and the only pinned mesh past 6×6 (a
 // run to completion there takes tens of seconds). No core gets past its 5
 // warm-up accesses in the window, so its service histogram is empty and its
-// counters carry the pin. Two measured 6×6 windows pin the machines of the
+// counters carry the pin; the same window at warm-up 1 pins the 16×16
+// service path, where some cores complete measured accesses. Two measured 6×6 windows pin the machines of the
 // bench's chip36-fft and chip36-sparse points (seed 1, one worker, swaptions
 // at a tenth of its issue rate) with warm-ups short enough that every core
 // completes measured accesses; cores never reach their work quota inside
@@ -86,6 +90,8 @@ func goldenCases() []goldenCase {
 	}
 	cases = append(cases, goldenCase{cfg: Config{Protocol: SCORPIO, Benchmark: "fft", Width: 16, Height: 16,
 		WorkPerCore: 60, WarmupPerCore: 5, Workers: 2}, window: 600})
+	cases = append(cases, goldenCase{cfg: Config{Protocol: SCORPIO, Benchmark: "fft", Width: 16, Height: 16,
+		WorkPerCore: 60, WarmupPerCore: 1, Workers: 2}, window: 600, serviced: true})
 	cases = append(cases,
 		goldenCase{cfg: Config{Protocol: SCORPIO, Benchmark: "fft", Width: 6, Height: 6,
 			WorkPerCore: 400, WarmupPerCore: 10}, window: 3000, measured: true},
@@ -96,7 +102,7 @@ func goldenCases() []goldenCase {
 
 // goldenKey names a pinned run: protocol and benchmark, plus the mesh size
 // and the network count, L2 capacity, or issue intensity and window of a run
-// that sets one.
+// that sets one, and the warm-up of a serviced window.
 func goldenKey(c goldenCase) string {
 	key := fmt.Sprintf("%s/%s", c.cfg.Protocol, c.cfg.Benchmark)
 	if c.cfg.MainNetworks > 1 {
@@ -109,6 +115,9 @@ func goldenKey(c goldenCase) string {
 		key += fmt.Sprintf("/%dx%d", c.cfg.Width, c.cfg.Height)
 		if c.cfg.IntensityScale > 0 {
 			key += fmt.Sprintf("/intensity=%g", c.cfg.IntensityScale)
+		}
+		if c.serviced {
+			key += fmt.Sprintf("/warmup=%d", c.cfg.WarmupPerCore)
 		}
 		key += fmt.Sprintf("/window=%d", c.window)
 	}
@@ -193,6 +202,9 @@ func pinWindow(t *testing.T, c goldenCase) goldenRun {
 		}
 		g.Counters["Completed"] += in.Completed
 		hist.Merge(in.ServiceHist)
+	}
+	if c.serviced && hist.Count() == 0 {
+		t.Fatalf("%s: no core completed a measured access in the window", goldenKey(c))
 	}
 	for _, l2 := range s.L2s {
 		g.Counters["L2Hits"] += l2.Stats.Hits
