@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"testing"
 
+	"scorpio/internal/sim"
 	"scorpio/internal/system"
 	"scorpio/internal/trace"
 )
@@ -96,6 +97,89 @@ func TestDirectoryBuildFootprint(t *testing.T) {
 		t.Logf("default 6×6 %s machine holds %.2f MB (bound %.1f)", p, mb, directoryBoundMB)
 		if mb > directoryBoundMB {
 			t.Errorf("built %s machine holds %.2f MB of live heap, bound %.1f MB", p, mb, directoryBoundMB)
+		}
+	}
+}
+
+// buildAllocsBound6x6 and buildAllocsBound16x16 bound the heap allocations
+// of one machine build plus its first kernel step. Every component kind
+// that exists once per node, port or link is one slice per machine, so the
+// count no longer grows with the mesh: 178-179 at 6×6 and 215 at 16×16,
+// against 3,236-3,390 and 23,349 when each router, link, ring, controller
+// and injector was its own object. A kind allocated once per node again
+// adds 36 at 6×6 and 256 at 16×16; links one by one add 576 and 4,416.
+const (
+	buildAllocsBound6x6   = 500
+	buildAllocsBound16x16 = 1500
+)
+
+// buildAllocs counts the heap allocations of build and the first Step of
+// the kernel it returns.
+func buildAllocs(t *testing.T, build func() (*sim.Kernel, error)) uint64 {
+	t.Helper()
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	k, err := build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	k.Step()
+	runtime.ReadMemStats(&after)
+	k.StopWorkers()
+	return after.Mallocs - before.Mallocs
+}
+
+// TestBuildAllocs pins the allocations of building the machines Run builds
+// and stepping them once.
+func TestBuildAllocs(t *testing.T) {
+	scorpioBuild := func(cfg Config) func() (*sim.Kernel, error) {
+		return func() (*sim.Kernel, error) {
+			prof, err := profile(cfg)
+			if err != nil {
+				return nil, err
+			}
+			s, err := system.NewScorpio(scorpioOptions(cfg, prof))
+			if err != nil {
+				return nil, err
+			}
+			return s.Kernel, nil
+		}
+	}
+	directoryBuild := func(cfg Config) func() (*sim.Kernel, error) {
+		return func() (*sim.Kernel, error) {
+			prof, err := profile(cfg)
+			if err != nil {
+				return nil, err
+			}
+			d, err := system.NewDirectory(directoryOptions(cfg, prof))
+			if err != nil {
+				return nil, err
+			}
+			return d.Kernel, nil
+		}
+	}
+	big := Config{Protocol: SCORPIO, Benchmark: "fft", Width: 16, Height: 16, Workers: 2}
+	if err := big.fill(); err != nil {
+		t.Fatal(err)
+	}
+	scorpio36, _ := filledConfig(t, SCORPIO)
+	lpd36, _ := filledConfig(t, LPDD)
+	ht36, _ := filledConfig(t, HTD)
+	for _, c := range []struct {
+		name  string
+		build func() (*sim.Kernel, error)
+		bound uint64
+	}{
+		{"SCORPIO/6x6", scorpioBuild(scorpio36), buildAllocsBound6x6},
+		{"LPD-D/6x6", directoryBuild(lpd36), buildAllocsBound6x6},
+		{"HT-D/6x6", directoryBuild(ht36), buildAllocsBound6x6},
+		{"SCORPIO/16x16/workers=2", scorpioBuild(big), buildAllocsBound16x16},
+	} {
+		n := buildAllocs(t, c.build)
+		t.Logf("%s: %d allocations to build and step once (bound %d)", c.name, n, c.bound)
+		if n > c.bound {
+			t.Errorf("%s: building and stepping once made %d allocations, bound %d", c.name, n, c.bound)
 		}
 	}
 }

@@ -109,7 +109,7 @@ type reorderEntry struct {
 func NewEndpoint(node int, mesh *noc.Mesh, orderer Orderer, agent nic.Agent) *Endpoint {
 	return &Endpoint{
 		node: node, mesh: mesh, agent: agent, orderer: orderer,
-		term:    noc.NewTerminal(mesh, node),
+		term:    mesh.Terminal(node),
 		reorder: newReorderRing(64),
 		reqQ:    ring.New[*noc.Packet](8),
 		respQ:   ring.New[*noc.Packet](8),

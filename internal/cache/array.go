@@ -4,7 +4,11 @@
 // filter of [Moshovos, ISCA 2005] used for destination filtering.
 package cache
 
-import "fmt"
+import (
+	"fmt"
+
+	"scorpio/internal/slab"
+)
 
 // Line is one cache entry: the line's data (modelled as one word) and a key
 // word that packs the line address (bits 0-47), the caller's state (bits
@@ -71,19 +75,35 @@ type Array struct {
 // NewArray builds an array with the given geometry. Sets must be a power of
 // two, and a set holds at most 256 ways (one byte of rank).
 func NewArray(sets, ways int) *Array {
+	return &newArrays(1, sets, ways)[0]
+}
+
+// newArrays builds n arrays of one geometry, their lines cut from one slab.
+func newArrays(n, sets, ways int) []Array {
 	if sets <= 0 || ways <= 0 || sets&(sets-1) != 0 {
 		panic(fmt.Sprintf("cache: invalid geometry %d sets x %d ways (sets must be a power of two)", sets, ways))
 	}
 	if ways > 256 {
 		panic(fmt.Sprintf("cache: %d ways, at most 256 (the recency rank is one byte)", ways))
 	}
-	return &Array{sets: sets, ways: ways, lines: make([]Line, sets*ways)}
+	lines := slab.Make[Line](n * sets * ways)
+	arrs := make([]Array, n)
+	for i := range arrs {
+		arrs[i] = Array{sets: sets, ways: ways, lines: lines.Cut(sets * ways)}
+	}
+	return arrs
 }
 
 // NewArrayBytes builds an array sized for capacityBytes with the given line
 // size and associativity (the chip's L2: 128KB, 32B lines, 4 ways → 1024
 // sets).
 func NewArrayBytes(capacityBytes, lineBytes, ways int) *Array {
+	return &NewArraysBytes(1, capacityBytes, lineBytes, ways)[0]
+}
+
+// NewArraysBytes builds n arrays as NewArrayBytes builds one, one machine's
+// worth of tiles: the arrays are one slice, their lines one slab.
+func NewArraysBytes(n, capacityBytes, lineBytes, ways int) []Array {
 	sets := capacityBytes / lineBytes / ways
 	if sets == 0 {
 		sets = 1
@@ -93,7 +113,7 @@ func NewArrayBytes(capacityBytes, lineBytes, ways int) *Array {
 	for p*2 <= sets {
 		p *= 2
 	}
-	return NewArray(p, ways)
+	return newArrays(n, p, ways)
 }
 
 // Sets returns the number of sets.

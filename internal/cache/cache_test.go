@@ -286,3 +286,36 @@ func TestL1FillEviction(t *testing.T) {
 		t.Fatalf("evicted address %d was never inserted", ev)
 	}
 }
+
+// TestRegionTrackerMatchesCounts drives one tracker through enough distinct
+// regions to grow its table several times and drains it again, checking the
+// live count and every region's presence against a map after each step.
+func TestRegionTrackerMatchesCounts(t *testing.T) {
+	rng := sim.NewRNG(5)
+	rt := NewRegionTracker(4096, 32, 4)
+	want := map[uint64]int{}
+	for i := 0; i < 40000; i++ {
+		reg := uint64(rng.Intn(300))
+		if i > 20000 || (want[reg] > 0 && rng.Bernoulli(0.4)) {
+			if want[reg] > 0 {
+				if want[reg]--; want[reg] == 0 {
+					delete(want, reg)
+				}
+			}
+			rt.NoteEvict(reg << 7)
+		} else {
+			want[reg]++
+			rt.NoteFill(reg << 7)
+		}
+		if rt.Occupancy() != len(want) {
+			t.Fatalf("step %d: occupancy %d, want %d", i, rt.Occupancy(), len(want))
+		}
+		if i%97 == 0 {
+			for r := uint64(0); r < 300; r++ {
+				if got := rt.slots[rt.find(r)].count; int(got) != want[r] {
+					t.Fatalf("step %d: region %d counts %d, want %d", i, r, got, want[r])
+				}
+			}
+		}
+	}
+}

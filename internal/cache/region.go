@@ -1,5 +1,11 @@
 package cache
 
+import (
+	"math/bits"
+
+	"scorpio/internal/slab"
+)
+
 // RegionTracker is the tile's snoop filter (Table 1: 4KB regions, 128
 // entries): it tracks which coarse address regions have any line cached in
 // the local L2, so incoming snoop requests whose region is absent can be
@@ -10,50 +16,135 @@ package cache
 // while more distinct regions are live than it has entries for, it stops
 // filtering entirely (every snoop gets an L2 lookup), which preserves
 // correctness — a region that may be cached is never filtered.
+//
+// The entries live in an open-addressed table (linear probing, deletion by
+// backward shift, so no tombstones). It is built with the first power of
+// two above the capacity, so it is at most half full where filtering stops,
+// and doubles when it is seven-eighths full. A machine cuts every tile's
+// table from one slab (NewRegionTrackers).
 type RegionTracker struct {
+	slots       []regionSlot
 	regionShift uint
-	entries     map[uint64]int
 	capacity    int
+	live        int // regions with a cached line
 	// Stats
 	Filtered   uint64 // snoops answered without an L2 lookup
 	Unfiltered uint64
+}
+
+// regionSlot is one table entry; count 0 marks an empty slot.
+type regionSlot struct {
+	region uint64
+	count  uint64
+}
+
+// regionSlots returns the table size built for capacity: the first power
+// of two above it.
+func regionSlots(capacity int) int { return 1 << bits.Len(uint(capacity)) }
+
+// regionShift returns log2 of the lines per region.
+func regionShift(regionBytes, lineBytes int) uint {
+	shift := uint(0)
+	for (lineBytes << shift) < regionBytes {
+		shift++
+	}
+	return shift
 }
 
 // NewRegionTracker builds a tracker for the given region size in line
 // addresses. The chip uses 4KB regions and 32B lines: 128 lines per region,
 // shift 7.
 func NewRegionTracker(regionBytes, lineBytes, capacity int) *RegionTracker {
-	shift := uint(0)
-	for (lineBytes << shift) < regionBytes {
-		shift++
+	return &NewRegionTrackers(1, regionBytes, lineBytes, capacity)[0]
+}
+
+// NewRegionTrackers builds n trackers as NewRegionTracker builds one, their
+// tables cut from one slab.
+func NewRegionTrackers(n, regionBytes, lineBytes, capacity int) []RegionTracker {
+	size := regionSlots(capacity)
+	slots := slab.Make[regionSlot](n * size)
+	rts := make([]RegionTracker, n)
+	for i := range rts {
+		rts[i] = RegionTracker{slots: slots.Cut(size), regionShift: regionShift(regionBytes, lineBytes), capacity: capacity}
 	}
-	// One extra slot: the tracker holds capacity+1 live regions while it is
-	// deciding it saturated.
-	return &RegionTracker{regionShift: shift, entries: make(map[uint64]int, capacity+1), capacity: capacity}
+	return rts
 }
 
 func (r *RegionTracker) region(lineAddr uint64) uint64 { return lineAddr >> r.regionShift }
 
+// home returns the region's preferred slot (Fibonacci hashing).
+func (r *RegionTracker) home(region uint64) int {
+	return int((region * 0x9e3779b97f4a7c15) >> (64 - bits.TrailingZeros(uint(len(r.slots)))))
+}
+
+// find returns the region's slot, or the empty slot where it would go.
+func (r *RegionTracker) find(region uint64) int {
+	mask := len(r.slots) - 1
+	i := r.home(region)
+	for r.slots[i].count != 0 && r.slots[i].region != region {
+		i = (i + 1) & mask
+	}
+	return i
+}
+
 // NoteFill records that a line of the region is now cached.
 func (r *RegionTracker) NoteFill(lineAddr uint64) {
-	r.entries[r.region(lineAddr)]++
+	reg := r.region(lineAddr)
+	i := r.find(reg)
+	if r.slots[i].count == 0 {
+		if 8*(r.live+1) > 7*len(r.slots) {
+			r.grow()
+			i = r.find(reg)
+		}
+		r.slots[i].region = reg
+		r.live++
+	}
+	r.slots[i].count++
 }
 
 // NoteEvict records that a line of the region left the cache.
 func (r *RegionTracker) NoteEvict(lineAddr uint64) {
-	reg := r.region(lineAddr)
-	if c, ok := r.entries[reg]; ok {
-		if c <= 1 {
-			delete(r.entries, reg)
-		} else {
-			r.entries[reg] = c - 1
+	i := r.find(r.region(lineAddr))
+	switch r.slots[i].count {
+	case 0:
+		return
+	case 1:
+		r.remove(i)
+	default:
+		r.slots[i].count--
+	}
+}
+
+// remove empties slot i and shifts back the entries of its probe run that
+// would otherwise no longer be found.
+func (r *RegionTracker) remove(i int) {
+	mask := len(r.slots) - 1
+	r.live--
+	for j := (i + 1) & mask; r.slots[j].count != 0; j = (j + 1) & mask {
+		// The entry at j may fill the hole at i unless its home lies
+		// cyclically in (i, j].
+		if h := r.home(r.slots[j].region); (j-h)&mask >= (j-i)&mask {
+			r.slots[i] = r.slots[j]
+			i = j
+		}
+	}
+	r.slots[i] = regionSlot{}
+}
+
+// grow doubles the table into an array of its own.
+func (r *RegionTracker) grow() {
+	old := r.slots
+	r.slots = make([]regionSlot, 2*len(old))
+	for _, s := range old {
+		if s.count != 0 {
+			r.slots[r.find(s.region)] = s
 		}
 	}
 }
 
 // Saturated reports whether the working set exceeds the tracker's capacity,
 // in which case filtering is suspended.
-func (r *RegionTracker) Saturated() bool { return len(r.entries) > r.capacity }
+func (r *RegionTracker) Saturated() bool { return r.live > r.capacity }
 
 // MayBeCached reports whether a snoop for the line needs an L2 lookup; a
 // false result is a guaranteed miss (filtered).
@@ -62,7 +153,7 @@ func (r *RegionTracker) MayBeCached(lineAddr uint64) bool {
 		r.Unfiltered++
 		return true
 	}
-	if _, ok := r.entries[r.region(lineAddr)]; ok {
+	if r.slots[r.find(r.region(lineAddr))].count != 0 {
 		r.Unfiltered++
 		return true
 	}
@@ -71,4 +162,4 @@ func (r *RegionTracker) MayBeCached(lineAddr uint64) bool {
 }
 
 // Occupancy returns the number of live region entries.
-func (r *RegionTracker) Occupancy() int { return len(r.entries) }
+func (r *RegionTracker) Occupancy() int { return r.live }

@@ -5,6 +5,7 @@ import (
 
 	"scorpio/internal/cache"
 	"scorpio/internal/noc"
+	"scorpio/internal/slab"
 	"scorpio/internal/stats"
 )
 
@@ -65,6 +66,7 @@ func DefaultConfig() Config {
 
 // Completion reports a finished core request to the trace injector.
 type Completion struct {
+	Node          int // the tile whose core issued the request
 	Addr          uint64
 	Write         bool
 	Value         uint64 // value read (loads) or written (stores)
@@ -114,27 +116,79 @@ type snoopMiss struct {
 type L2Controller struct {
 	Requester[snoopMiss]
 	cfg       Config
-	newID     func() uint64
+	ids       IDSource
 	memMap    MemMap
 	pool      *Pool[RespInfo]
 	busyUntil uint64
 	Stats     Stats
+	// filter is the snoop filter the front end's rt points at when on.
+	filter cache.RegionTracker
+
+	// Controllers sit side by side in one slab and belong to different
+	// shards; the pad rounds the stride to whole cache lines.
+	_ [56]byte
 }
 
-// NewL2 builds a controller for the given node; it builds its messages
-// from pool, the machine's (nil allocates each one).
-func NewL2(node int, cfg Config, n NetPort, newID func() uint64, mm MemMap, pool *Pool[RespInfo]) *L2Controller {
-	l := &L2Controller{cfg: cfg, newID: newID, memMap: mm, pool: pool}
-	l.Requester = NewRequester[snoopMiss](node, n, cache.NewArrayBytes(cfg.CapacityBytes, cfg.LineBytes, cfg.Ways),
-		cfg.HitLatency, cfg.MSHRs, cfg.CoreQueueDepth, l, &l.Stats.ReqStats)
-	// Each MSHR keeps its FID list's backing array across reuse.
-	for i := range l.mshrs {
-		l.mshrs[i].P.fids = make([]fid, 0, cfg.FIDCapacity)
+// IDSource issues the IDs of the packets a controller builds: a stream of
+// its own on a parallel machine, or a serial machine's mesh-wide counter.
+type IDSource interface {
+	NextPacketID() uint64
+}
+
+// l2Slabs is what a machine's L2 controllers are cut from, besides the
+// controllers themselves.
+type l2Slabs struct {
+	fe      *FrontEnds[snoopMiss]
+	fids    slab.Slab[fid]
+	filters slab.Slab[cache.RegionTracker]
+}
+
+func makeL2Slabs(n int, cfg Config) l2Slabs {
+	s := l2Slabs{
+		fe:   NewFrontEnds[snoopMiss](n, cfg.CapacityBytes, cfg.LineBytes, cfg.Ways, cfg.MSHRs, cfg.CoreQueueDepth),
+		fids: slab.Make[fid](n * cfg.MSHRs * cfg.FIDCapacity),
 	}
 	if cfg.UseRegionTracker {
-		l.rt = cache.NewRegionTracker(cfg.RegionBytes, cfg.LineBytes, cfg.RegionEntries)
+		s.filters = cache.NewRegionTrackers(n, cfg.RegionBytes, cfg.LineBytes, cfg.RegionEntries)
 	}
+	return s
+}
+
+// NewL2 builds a controller for the given node; it draws packet IDs from
+// ids and builds its messages from pool, the machine's (nil allocates each
+// one).
+func NewL2(node int, cfg Config, n NetPort, ids IDSource, mm MemMap, pool *Pool[RespInfo]) *L2Controller {
+	s := makeL2Slabs(1, cfg)
+	l := new(L2Controller)
+	l.init(node, cfg, n, ids, mm, pool, &s)
 	return l
+}
+
+// NewL2s builds the controllers of nodes 0..len(ports)-1 as NewL2 builds
+// one, node i sending through ports[i] and drawing IDs from ids[i]. The
+// controllers are one slice, and their arrays, lines, MSHRs, FID lists,
+// core queues and snoop-filter tables one slab per kind.
+func NewL2s(cfg Config, ports []NetPort, ids []IDSource, mm MemMap, pool *Pool[RespInfo]) []L2Controller {
+	s := makeL2Slabs(len(ports), cfg)
+	l2s := make([]L2Controller, len(ports))
+	for i := range l2s {
+		l2s[i].init(i, cfg, ports[i], ids[i], mm, pool, &s)
+	}
+	return l2s
+}
+
+// init builds node's controller, cut from s.
+func (l *L2Controller) init(node int, cfg Config, n NetPort, ids IDSource, mm MemMap, pool *Pool[RespInfo], s *l2Slabs) {
+	l.cfg, l.ids, l.memMap, l.pool = cfg, ids, mm, pool
+	l.Requester = NewRequester[snoopMiss](node, n, s.fe, cfg.HitLatency, l, &l.Stats.ReqStats)
+	// Each MSHR keeps its FID list's backing array across reuse.
+	for i := range l.mshrs {
+		l.mshrs[i].P.fids = s.fids.Cut(cfg.FIDCapacity)[:0]
+	}
+	if cfg.UseRegionTracker {
+		l.filter = *s.filters.Next()
+		l.rt = &l.filter
+	}
 }
 
 // RegionTracker exposes the snoop filter (may be nil).
@@ -257,7 +311,7 @@ func (l *L2Controller) processOwnOrdered(p *noc.Packet, kind Kind, arrive, cycle
 		// and stop answering snoops.
 		wb.Released = true
 		data := l.pool.New(noc.Packet{
-			ID: l.newID(), VNet: noc.UOResp, Src: l.node, Dst: l.memMap.HomeMC(p.Addr),
+			ID: l.ids.NextPacketID(), VNet: noc.UOResp, Src: l.node, Dst: l.memMap.HomeMC(p.Addr),
 			Kind: int(WBData), Addr: p.Addr, ReqID: p.ReqID, Flits: l.cfg.DataFlits, InjectCycle: cycle,
 		}, RespInfo{Value: wb.Value})
 		l.Send(cycle+uint64(l.cfg.HitLatency), &data.Packet, nil)
@@ -284,7 +338,7 @@ func (l *L2Controller) processOwnOrdered(p *noc.Packet, kind Kind, arrive, cycle
 // respondData schedules a cache-to-cache data response for an ordered snoop.
 func (l *L2Controller) respondData(p *noc.Packet, arrive, cycle, readyAt uint64, value uint64) {
 	m := l.pool.New(noc.Packet{
-		ID: l.newID(), VNet: noc.UOResp, Src: l.node, Dst: p.Src,
+		ID: l.ids.NextPacketID(), VNet: noc.UOResp, Src: l.node, Dst: p.Src,
 		Kind: int(Data), Addr: p.Addr, ReqID: p.ReqID, Flits: l.cfg.DataFlits,
 		InjectCycle: cycle,
 	}, RespInfo{
@@ -328,7 +382,7 @@ func (l *L2Controller) MissRequest(m *MSHR[snoopMiss], st State, cycle uint64) *
 		kind = GetX
 	}
 	return &l.pool.New(noc.Packet{
-		ID: l.newID(), VNet: noc.GOReq, Src: l.node, SID: l.node, Broadcast: true,
+		ID: l.ids.NextPacketID(), VNet: noc.GOReq, Src: l.node, SID: l.node, Broadcast: true,
 		Flits: 1, Kind: int(kind), Addr: m.Addr, ReqID: m.ReqID, InjectCycle: cycle,
 	}, RespInfo{}).Packet
 }
@@ -348,7 +402,7 @@ func (l *L2Controller) MissDone(m *MSHR[snoopMiss], cycle uint64) Completion {
 		for i, f := range x.fids {
 			readyAt := cycle + uint64((i+1)*l.cfg.HitLatency)
 			d := l.pool.New(noc.Packet{
-				ID: l.newID(), VNet: noc.UOResp, Src: l.node, Dst: f.src,
+				ID: l.ids.NextPacketID(), VNet: noc.UOResp, Src: l.node, Dst: f.src,
 				Kind: int(Data), Addr: m.Addr, ReqID: f.reqID, Flits: l.cfg.DataFlits,
 				InjectCycle: cycle,
 			}, RespInfo{Value: m.Value, ServedByCache: true, ReqArrive: x.arriveSelf, ReqOrdered: x.orderedCycle, Service: uint64(l.cfg.HitLatency)})
@@ -398,7 +452,7 @@ func (l *L2Controller) MissDone(m *MSHR[snoopMiss], cycle uint64) Completion {
 // network; the data follows once the PutM is ordered.
 func (l *L2Controller) WritebackPackets(wb *Writeback, cycle uint64) (putm, data *noc.Packet) {
 	return &l.pool.New(noc.Packet{
-		ID: l.newID(), VNet: noc.GOReq, Src: l.node, SID: l.node, Broadcast: true,
+		ID: l.ids.NextPacketID(), VNet: noc.GOReq, Src: l.node, SID: l.node, Broadcast: true,
 		Flits: 1, Kind: int(PutM), Addr: wb.Addr, ReqID: wb.ReqID, InjectCycle: cycle,
 	}, RespInfo{}).Packet, nil
 }

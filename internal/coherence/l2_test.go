@@ -42,6 +42,11 @@ type rig struct {
 	done  []Completion
 }
 
+// idCounter issues sequential packet IDs.
+type idCounter uint64
+
+func (c *idCounter) NextPacketID() uint64 { *c++; return uint64(*c) }
+
 func newRig(t *testing.T, mutate func(*Config)) *rig {
 	t.Helper()
 	cfg := DefaultConfig()
@@ -49,8 +54,8 @@ func newRig(t *testing.T, mutate func(*Config)) *rig {
 		mutate(&cfg)
 	}
 	port := &fakePort{}
-	id := uint64(1000)
-	l2 := NewL2(3, cfg, port, func() uint64 { id++; return id }, fakeMap{mc: 0}, nil)
+	ids := idCounter(1000)
+	l2 := NewL2(3, cfg, port, &ids, fakeMap{mc: 0}, nil)
 	r := &rig{l2: l2, port: port}
 	l2.OnComplete = func(c Completion) { r.done = append(r.done, c) }
 	return r

@@ -9,6 +9,7 @@ import (
 	"scorpio/internal/obs"
 	"scorpio/internal/obs/audit"
 	"scorpio/internal/ring"
+	"scorpio/internal/slab"
 )
 
 // Requester is the core-facing half of an L2 controller, shared by the
@@ -115,16 +116,37 @@ type coreReq struct {
 	issue uint64
 }
 
-// NewRequester builds the front end of an L2 with mshrs miss registers and a
-// core queue of queueDepth; proto is the L2 itself and stats the ReqStats in
-// its Stats.
-func NewRequester[P any](node int, n NetPort, arr *cache.Array, hitLatency, mshrs, queueDepth int,
-	proto Protocol[P], stats *ReqStats) Requester[P] {
+// FrontEnds is what the front ends of a machine's L2s are cut from: their
+// cache arrays, and one slab each of MSHRs and core-queue slots.
+type FrontEnds[P any] struct {
+	arrays     slab.Slab[cache.Array]
+	mshrs      slab.Slab[MSHR[P]]
+	coreQ      slab.Slab[coreReq]
+	nMSHRs     int
+	queueDepth int
+}
+
+// NewFrontEnds sizes the slabs for n front ends, each with an array of
+// capacityBytes in lines of lineBytes and the given associativity, mshrs
+// miss registers and a core queue of queueDepth.
+func NewFrontEnds[P any](n, capacityBytes, lineBytes, ways, mshrs, queueDepth int) *FrontEnds[P] {
+	return &FrontEnds[P]{
+		arrays:     cache.NewArraysBytes(n, capacityBytes, lineBytes, ways),
+		mshrs:      slab.Make[MSHR[P]](n * mshrs),
+		coreQ:      slab.Make[coreReq](n * ring.Slots(queueDepth)),
+		nMSHRs:     mshrs,
+		queueDepth: queueDepth,
+	}
+}
+
+// NewRequester builds node's L2 front end from the next pieces of fe; proto
+// is the L2 itself and stats the ReqStats in its Stats.
+func NewRequester[P any](node int, n NetPort, fe *FrontEnds[P], hitLatency int, proto Protocol[P], stats *ReqStats) Requester[P] {
 	return Requester[P]{
-		node: node, nic: n, arr: arr, proto: proto, stats: stats,
-		hitLatency: uint64(hitLatency), queueDepth: queueDepth,
-		mshrs: make([]MSHR[P], mshrs),
-		coreQ: ring.New[coreReq](queueDepth),
+		node: node, nic: n, arr: fe.arrays.Next(), proto: proto, stats: stats,
+		hitLatency: uint64(hitLatency), queueDepth: fe.queueDepth,
+		mshrs: fe.mshrs.Cut(fe.nMSHRs),
+		coreQ: ring.In(fe.coreQ.Cut(ring.Slots(fe.queueDepth))),
 	}
 }
 
@@ -294,7 +316,7 @@ func (r *Requester[P]) processCoreQueue(cycle uint64) {
 				ln.Data = req.value
 			}
 			if r.OnComplete != nil {
-				r.OnComplete(Completion{Addr: req.addr, Write: req.write, Value: ln.Data, Issue: req.issue,
+				r.OnComplete(Completion{Node: r.node, Addr: req.addr, Write: req.write, Value: ln.Data, Issue: req.issue,
 					Done: cycle + r.hitLatency, Hit: true})
 			}
 			r.coreQ.PopFront()
@@ -341,7 +363,7 @@ func (r *Requester[P]) complete(m *MSHR[P], cycle uint64) {
 		})
 	}
 	if r.OnComplete != nil {
-		c.Addr, c.Write, c.Issue, c.Done = m.Addr, m.Write, m.Issue, cycle
+		c.Node, c.Addr, c.Write, c.Issue, c.Done = r.node, m.Addr, m.Write, m.Issue, cycle
 		r.OnComplete(c)
 	}
 	m.active = false

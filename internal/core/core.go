@@ -71,7 +71,7 @@ type OrderedNet struct {
 	cfg    Config
 	meshes []*noc.Mesh
 	nnet   *notif.Network
-	nics   []*nic.NIC
+	nics   []nic.NIC
 	check  *audit.OrderCheck
 	pktID  uint64
 }
@@ -86,13 +86,13 @@ func NewOrderedNet(cfg Config, k *sim.Kernel) (*OrderedNet, error) {
 	if k2 < 1 {
 		k2 = 1
 	}
-	var meshes []*noc.Mesh
-	for i := 0; i < k2; i++ {
+	meshes := make([]*noc.Mesh, k2)
+	for i := range meshes {
 		mesh, err := noc.NewMesh(cfg.Net)
 		if err != nil {
 			return nil, err
 		}
-		meshes = append(meshes, mesh)
+		meshes[i] = mesh
 	}
 	nnet, err := notif.NewNetwork(cfg.Notif)
 	if err != nil {
@@ -107,13 +107,10 @@ func NewOrderedNet(cfg Config, k *sim.Kernel) (*OrderedNet, error) {
 	nodes := cfg.Net.Nodes()
 	window := (cfg.NIC.TrackerDepth + 1) * nodes * cfg.Notif.MaxPerWindow()
 	on := &OrderedNet{cfg: cfg, meshes: meshes, nnet: nnet, check: audit.NewOrderCheck(nodes, window)}
-	for node := 0; node < nodes; node++ {
-		n := nic.New(node, cfg.NIC, meshes[0], nnet, nil)
+	on.nics = nic.NewNICs(cfg.NIC, meshes, nnet)
+	for node := range on.nics {
+		n := &on.nics[node]
 		n.SetOrderCheck(on.check)
-		for _, extra := range meshes[1:] {
-			n.AddMesh(extra)
-		}
-		on.nics = append(on.nics, n)
 		// The NIC shares a scheduling unit with the node's agents (L2,
 		// memory controller, injector): a delivery calls straight into
 		// them, so the kernel must never split the node across workers.
@@ -127,10 +124,10 @@ func NewOrderedNet(cfg Config, k *sim.Kernel) (*OrderedNet, error) {
 		mesh.Register(k)
 	}
 	nnetAct := k.Register(nnet)
-	for _, n := range on.nics {
+	for i := range on.nics {
 		// NICs holding a pending offer wake the OR-mesh for the sampling
 		// window start.
-		n.SetNotifActivity(nnetAct)
+		on.nics[i].SetNotifActivity(nnetAct)
 	}
 	return on, nil
 }
@@ -165,8 +162,8 @@ func (o *OrderedNet) SetTracer(t *obs.Tracer) {
 	for _, m := range o.meshes {
 		m.SetTracer(t)
 	}
-	for _, n := range o.nics {
-		n.SetTracer(t)
+	for i := range o.nics {
+		o.nics[i].SetTracer(t)
 	}
 	o.nnet.SetTracer(t)
 }
@@ -177,8 +174,8 @@ func (o *OrderedNet) SetAuditor(a *audit.Auditor) {
 	for _, m := range o.meshes {
 		m.SetAuditor(a)
 	}
-	for _, n := range o.nics {
-		n.SetAuditor(a)
+	for i := range o.nics {
+		o.nics[i].SetAuditor(a)
 	}
 	o.nnet.SetAuditor(a)
 }
@@ -194,8 +191,8 @@ func (o *OrderedNet) BufferedFlits() int {
 
 // HasPendingWork reports whether any NIC still holds undelivered packets.
 func (o *OrderedNet) HasPendingWork() bool {
-	for _, n := range o.nics {
-		if n.HasPendingWork() {
+	for i := range o.nics {
+		if o.nics[i].HasPendingWork() {
 			return true
 		}
 	}
@@ -212,8 +209,8 @@ func (o *OrderedNet) Snapshot(now uint64) string {
 		}
 		s += m.Snapshot(now)
 	}
-	for _, n := range o.nics {
-		if n.HasPendingWork() {
+	for i := range o.nics {
+		if n := &o.nics[i]; n.HasPendingWork() {
 			s += n.OrderingSnapshot() + "\n"
 		}
 	}
@@ -221,7 +218,7 @@ func (o *OrderedNet) Snapshot(now uint64) string {
 }
 
 // NIC returns the node's network interface controller.
-func (o *OrderedNet) NIC(node int) *nic.NIC { return o.nics[node] }
+func (o *OrderedNet) NIC(node int) *nic.NIC { return &o.nics[node] }
 
 // Nodes returns the number of nodes.
 func (o *OrderedNet) Nodes() int { return o.cfg.Net.Nodes() }

@@ -32,14 +32,18 @@ type homeRig struct {
 	cycle uint64
 }
 
+// idCounter issues sequential packet IDs.
+type idCounter uint64
+
+func (c *idCounter) NextPacketID() uint64 { *c++; return uint64(*c) }
+
 func newHomeRig(v Variant) *homeRig {
 	cfg := LPDConfig(16)
 	if v == HT {
 		cfg = HTConfig(16)
 	}
 	n := &fakeNIC{}
-	id := uint64(0)
-	h := NewHome(2, cfg, n, func() uint64 { id++; return id }, nil)
+	h := NewHome(2, cfg, n, new(idCounter), nil)
 	return &homeRig{home: h, nic: n}
 }
 
@@ -281,8 +285,7 @@ type l2Rig struct {
 
 func newL2Rig(v Variant) *l2Rig {
 	n := &fakeNIC{}
-	id := uint64(0)
-	l2 := NewL2(5, DefaultL2Config(16, v), n, func() uint64 { id++; return id }, nil)
+	l2 := NewL2(5, DefaultL2Config(16, v), n, new(idCounter), nil)
 	r := &l2Rig{l2: l2, nic: n}
 	l2.OnComplete = func(c coherence.Completion) { r.done = append(r.done, c) }
 	return r
@@ -412,8 +415,7 @@ func TestWritebackBufferSilentAfterPutM(t *testing.T) {
 	cfg := DefaultL2Config(16, HT)
 	cfg.CapacityBytes, cfg.Ways = 32, 1
 	r := &l2Rig{nic: &fakeNIC{}}
-	id := uint64(0)
-	r.l2 = NewL2(5, cfg, r.nic, func() uint64 { id++; return id }, nil)
+	r.l2 = NewL2(5, cfg, r.nic, new(idCounter), nil)
 
 	// Node 5 owns the line, at the home and in its array.
 	h.request(ReqGetX, 5, line, 100)

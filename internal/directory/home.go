@@ -129,7 +129,7 @@ type Home struct {
 	cfg   HomeConfig
 	node  int
 	nic   coherence.NetPort
-	newID func() uint64
+	ids   coherence.IDSource
 	pool  *coherence.Pool[Info]
 	lines map[uint64]*line
 	// spare and spareWords are the unused rest of the current blocks that
@@ -151,19 +151,42 @@ type Home struct {
 	Stats        HomeStats
 }
 
-// NewHome builds a directory slice; it builds its messages from pool, the
-// machine's (nil allocates each one).
-func NewHome(node int, cfg HomeConfig, n coherence.NetPort, newID func() uint64, pool *coherence.Pool[Info]) *Home {
+// NewHome builds a directory slice; it draws packet IDs from ids and builds
+// its messages from pool, the machine's (nil allocates each one).
+func NewHome(node int, cfg HomeConfig, n coherence.NetPort, ids coherence.IDSource, pool *coherence.Pool[Info]) *Home {
+	h := new(Home)
+	h.init(node, cfg, n, ids, pool, &dirCaches(1, cfg)[0])
+	return h
+}
+
+// NewHomes builds the slices of nodes 0..len(ports)-1 as NewHome builds one,
+// node i sending through ports[i] and drawing IDs from ids[i]. The homes are
+// one slice, and their directory caches' lines one slab.
+func NewHomes(cfg HomeConfig, ports []coherence.NetPort, ids []coherence.IDSource, pool *coherence.Pool[Info]) []Home {
+	dirC := dirCaches(len(ports), cfg)
+	homes := make([]Home, len(ports))
+	for i := range homes {
+		homes[i].init(i, cfg, ports[i], ids[i], pool, &dirC[i])
+	}
+	return homes
+}
+
+// dirCaches builds n homes' directory-cache arrays: each node's share of
+// the machine's budget, at least four entries.
+func dirCaches(n int, cfg HomeConfig) []cache.Array {
 	perNode := cfg.TotalDirCacheBytes / cfg.Nodes
 	entries := perNode / cfg.EntryBytes
 	if entries < 4 {
 		entries = 4
 	}
-	return &Home{
-		cfg: cfg, node: node, nic: n, newID: newID, pool: pool,
-		lines: map[uint64]*line{},
-		dirC:  cache.NewArrayBytes(entries*cfg.EntryBytes, cfg.EntryBytes, 4),
-	}
+	return cache.NewArraysBytes(n, entries*cfg.EntryBytes, cfg.EntryBytes, 4)
+}
+
+// init builds node's slice over its directory cache dirC.
+func (h *Home) init(node int, cfg HomeConfig, n coherence.NetPort, ids coherence.IDSource, pool *coherence.Pool[Info], dirC *cache.Array) {
+	h.cfg, h.node, h.nic, h.ids, h.pool = cfg, node, n, ids, pool
+	h.lines = map[uint64]*line{}
+	h.dirC = dirC
 }
 
 // HomeFor returns the home node of a line in an N-node machine.
@@ -394,7 +417,7 @@ func (h *Home) drainParked(l *line, cycle uint64) {
 // machine's pool.
 func (h *Home) msg(kind Kind, dst int, q qreq, cycle uint64, flits int, info Info) *coherence.Msg[Info] {
 	return h.pool.New(noc.Packet{
-		ID: h.newID(), VNet: noc.UOResp, Src: h.node, Dst: dst,
+		ID: h.ids.NextPacketID(), VNet: noc.UOResp, Src: h.node, Dst: dst,
 		Kind: int(kind), Addr: q.addr, ReqID: q.reqID, Flits: flits, InjectCycle: cycle,
 	}, info)
 }
@@ -418,7 +441,7 @@ func (h *Home) forward(kind Kind, owner int, q qreq, cycle uint64, acks int) {
 func (h *Home) probe(kind Kind, l *line, q qreq, cycle uint64) {
 	h.Stats.ProbeBcasts++
 	pr := h.pool.New(noc.Packet{
-		ID: h.newID(), VNet: noc.GOReq, Src: h.node, SID: h.node, Broadcast: true,
+		ID: h.ids.NextPacketID(), VNet: noc.GOReq, Src: h.node, SID: h.node, Broadcast: true,
 		Kind: int(kind), Addr: q.addr, ReqID: q.reqID, Flits: 1, InjectCycle: cycle,
 	}, Info{Requester: q.src, HomeArrive: q.arrive, Dispatch: cycle, MemServes: l.owner < 0})
 	h.sendQ.Add(cycle, &pr.Packet, nil)
@@ -427,7 +450,7 @@ func (h *Home) probe(kind Kind, l *line, q qreq, cycle uint64) {
 	// the home holds the copy, so it goes straight back to the pool.
 	if h.LocalProbe != nil {
 		local := h.pool.New(pr.Packet, pr.Info)
-		local.ID = h.newID()
+		local.ID = h.ids.NextPacketID()
 		if !h.LocalProbe(&local.Packet, cycle) {
 			panic("directory: local probe refused")
 		}

@@ -48,18 +48,46 @@ type dirMiss struct {
 type L2 struct {
 	coherence.Requester[dirMiss]
 	cfg   L2Config
-	newID func() uint64
+	ids   coherence.IDSource
 	pool  *coherence.Pool[Info]
 	Stats coherence.ReqStats
+
+	// Controllers sit side by side in one slab and belong to different
+	// shards; the pad rounds the stride to whole cache lines.
+	_ [40]byte
 }
 
-// NewL2 builds a directory-protocol cache controller; it builds its
-// messages from pool, the machine's (nil allocates each one).
-func NewL2(node int, cfg L2Config, n coherence.NetPort, newID func() uint64, pool *coherence.Pool[Info]) *L2 {
-	l := &L2{cfg: cfg, newID: newID, pool: pool}
-	l.Requester = coherence.NewRequester[dirMiss](node, n, cache.NewArrayBytes(cfg.CapacityBytes, cfg.LineBytes, cfg.Ways),
-		cfg.HitLatency, cfg.MSHRs, cfg.CoreQueueDepth, l, &l.Stats)
+// newFrontEnds sizes the front-end slabs for n controllers.
+func newFrontEnds(n int, cfg L2Config) *coherence.FrontEnds[dirMiss] {
+	return coherence.NewFrontEnds[dirMiss](n, cfg.CapacityBytes, cfg.LineBytes, cfg.Ways, cfg.MSHRs, cfg.CoreQueueDepth)
+}
+
+// NewL2 builds a directory-protocol cache controller; it draws packet IDs
+// from ids and builds its messages from pool, the machine's (nil allocates
+// each one).
+func NewL2(node int, cfg L2Config, n coherence.NetPort, ids coherence.IDSource, pool *coherence.Pool[Info]) *L2 {
+	l := new(L2)
+	l.init(node, cfg, n, ids, pool, newFrontEnds(1, cfg))
 	return l
+}
+
+// NewL2s builds the controllers of nodes 0..len(ports)-1 as NewL2 builds
+// one, node i sending through ports[i] and drawing IDs from ids[i]. The
+// controllers are one slice, and their arrays, lines, MSHRs and core queues
+// one slab per kind.
+func NewL2s(cfg L2Config, ports []coherence.NetPort, ids []coherence.IDSource, pool *coherence.Pool[Info]) []L2 {
+	fe := newFrontEnds(len(ports), cfg)
+	l2s := make([]L2, len(ports))
+	for i := range l2s {
+		l2s[i].init(i, cfg, ports[i], ids[i], pool, fe)
+	}
+	return l2s
+}
+
+// init builds node's controller, cut from fe.
+func (l *L2) init(node int, cfg L2Config, n coherence.NetPort, ids coherence.IDSource, pool *coherence.Pool[Info], fe *coherence.FrontEnds[dirMiss]) {
+	l.cfg, l.ids, l.pool = cfg, ids, pool
+	l.Requester = coherence.NewRequester[dirMiss](node, n, fe, cfg.HitLatency, l, &l.Stats)
 }
 
 // HandleProbe consumes one HT broadcast probe (request class, also invoked
@@ -172,7 +200,7 @@ func (l *L2) ownerGone(addr uint64, owner any, cycle uint64) {
 // line to the transaction's requester.
 func (l *L2) sendOwnerData(p *noc.Packet, info *Info, cycle uint64, broadcast bool, acks int) {
 	m := l.pool.New(noc.Packet{
-		ID: l.newID(), VNet: noc.UOResp, Src: l.Node(), Dst: info.Requester,
+		ID: l.ids.NextPacketID(), VNet: noc.UOResp, Src: l.Node(), Dst: info.Requester,
 		Kind: int(DataD), Addr: p.Addr, ReqID: p.ReqID,
 		Flits: l.cfg.DataFlits, InjectCycle: cycle,
 	}, Info{
@@ -186,7 +214,7 @@ func (l *L2) sendOwnerData(p *noc.Packet, info *Info, cycle uint64, broadcast bo
 // sendAck sends a single-flit message.
 func (l *L2) sendAck(kind Kind, dst int, addr uint64, reqID uint64, cycle uint64) {
 	m := l.pool.New(noc.Packet{
-		ID: l.newID(), VNet: noc.UOResp, Src: l.Node(), Dst: dst,
+		ID: l.ids.NextPacketID(), VNet: noc.UOResp, Src: l.Node(), Dst: dst,
 		Kind: int(kind), Addr: addr, ReqID: reqID, Flits: 1, InjectCycle: cycle,
 	}, Info{})
 	l.Send(cycle, &m.Packet, nil)
@@ -252,7 +280,7 @@ func (l *L2) MissRequest(m *coherence.MSHR[dirMiss], st coherence.State, cycle u
 		}
 	}
 	return &l.pool.New(noc.Packet{
-		ID: l.newID(), VNet: noc.GOReq, Src: l.Node(), SID: l.Node(),
+		ID: l.ids.NextPacketID(), VNet: noc.GOReq, Src: l.Node(), SID: l.Node(),
 		Dst:  HomeFor(m.Addr, l.cfg.Nodes),
 		Kind: int(kind), Addr: m.Addr, ReqID: m.ReqID, Flits: 1, InjectCycle: cycle,
 	}, Info{}).Packet
@@ -301,11 +329,11 @@ func (l *L2) MissDone(m *coherence.MSHR[dirMiss], cycle uint64) coherence.Comple
 func (l *L2) WritebackPackets(wb *coherence.Writeback, cycle uint64) (putm, data *noc.Packet) {
 	home := HomeFor(wb.Addr, l.cfg.Nodes)
 	putm = &l.pool.New(noc.Packet{
-		ID: l.newID(), VNet: noc.GOReq, Src: l.Node(), SID: l.Node(), Dst: home,
+		ID: l.ids.NextPacketID(), VNet: noc.GOReq, Src: l.Node(), SID: l.Node(), Dst: home,
 		Kind: int(ReqPutM), Addr: wb.Addr, ReqID: wb.ReqID, Flits: 1, InjectCycle: cycle,
 	}, Info{}).Packet
 	data = &l.pool.New(noc.Packet{
-		ID: l.newID(), VNet: noc.UOResp, Src: l.Node(), Dst: home,
+		ID: l.ids.NextPacketID(), VNet: noc.UOResp, Src: l.Node(), Dst: home,
 		Kind: int(WBData), Addr: wb.Addr, ReqID: wb.ReqID, Flits: l.cfg.DataFlits, InjectCycle: cycle,
 	}, Info{}).Packet
 	return putm, data

@@ -89,7 +89,7 @@ type Controller struct {
 	cfg    Config
 	node   int
 	nic    coherence.NetPort
-	newID  func() uint64
+	ids    coherence.IDSource
 	memMap coherence.MemMap
 	pool   *coherence.Pool[coherence.RespInfo]
 	dir    map[uint64]dirEntry
@@ -107,10 +107,19 @@ type Controller struct {
 // facade's default budget gives and grows from there.
 const mapPresize = 1024
 
-// New builds a memory-controller port at the given node; it builds its
-// messages from pool, the machine's (nil allocates each one).
-func New(node int, cfg Config, n coherence.NetPort, newID func() uint64, mm coherence.MemMap,
+// New builds a memory-controller port at the given node; it draws packet
+// IDs from ids and builds its messages from pool, the machine's (nil
+// allocates each one).
+func New(node int, cfg Config, n coherence.NetPort, ids coherence.IDSource, mm coherence.MemMap,
 	pool *coherence.Pool[coherence.RespInfo]) *Controller {
+	return &NewControllers([]int{node}, cfg, []coherence.NetPort{n}, []coherence.IDSource{ids}, mm, pool)[0]
+}
+
+// NewControllers builds the ports at nodes as New builds one, port i
+// sending through ports[i] and drawing IDs from ids[i]. The controllers are
+// one slice, and their directory caches' lines one slab.
+func NewControllers(nodes []int, cfg Config, ports []coherence.NetPort, ids []coherence.IDSource, mm coherence.MemMap,
+	pool *coherence.Pool[coherence.RespInfo]) []Controller {
 	if cfg.Ports <= 0 {
 		cfg.Ports = 1
 	}
@@ -118,12 +127,17 @@ func New(node int, cfg Config, n coherence.NetPort, newID func() uint64, mm cohe
 	if entries < 4 {
 		entries = 4
 	}
-	return &Controller{
-		cfg: cfg, node: node, nic: n, newID: newID, memMap: mm, pool: pool,
-		dir:  make(map[uint64]dirEntry, min(entries, mapPresize)),
-		dirC: cache.NewArrayBytes(entries*cfg.EntryBytes, cfg.EntryBytes, 4),
-		held: make(map[uint64][]queuedReq, 16),
+	dirC := cache.NewArraysBytes(len(nodes), entries*cfg.EntryBytes, cfg.EntryBytes, 4)
+	mcs := make([]Controller, len(nodes))
+	for i, node := range nodes {
+		mcs[i] = Controller{
+			cfg: cfg, node: node, nic: ports[i], ids: ids[i], memMap: mm, pool: pool,
+			dir:  make(map[uint64]dirEntry, min(entries, mapPresize)),
+			dirC: &dirC[i],
+			held: make(map[uint64][]queuedReq, 16),
+		}
 	}
+	return mcs
 }
 
 // Node returns the attach node.
@@ -207,7 +221,7 @@ func (c *Controller) serve(src int, reqID uint64, addr uint64, arrive, ordered, 
 	e.touched = true
 	c.dir[addr] = e
 	m := c.pool.New(noc.Packet{
-		ID: c.newID(), VNet: noc.UOResp, Src: c.node, Dst: src,
+		ID: c.ids.NextPacketID(), VNet: noc.UOResp, Src: c.node, Dst: src,
 		Kind: int(coherence.DataMem), Addr: addr, ReqID: reqID,
 		Flits: c.cfg.DataFlits, InjectCycle: ordered,
 	}, coherence.RespInfo{
@@ -239,7 +253,7 @@ func (c *Controller) AcceptResponse(p *noc.Packet, cycle uint64) bool {
 	c.dir[p.Addr] = e
 	// Acknowledge the writeback after the DRAM write completes.
 	ack := c.pool.New(noc.Packet{
-		ID: c.newID(), VNet: noc.UOResp, Src: c.node, Dst: p.Src,
+		ID: c.ids.NextPacketID(), VNet: noc.UOResp, Src: c.node, Dst: p.Src,
 		Kind: int(coherence.WBAck), Addr: p.Addr, ReqID: p.ReqID, Flits: 1, InjectCycle: cycle,
 	}, coherence.RespInfo{})
 	c.sendQ.Add(cycle+uint64(c.cfg.DRAMLatency), &ack.Packet, nil)

@@ -21,6 +21,11 @@ type fakeMap struct{ mc int }
 
 func (m fakeMap) HomeMC(addr uint64) int { return m.mc }
 
+// idCounter issues sequential packet IDs.
+type idCounter uint64
+
+func (c *idCounter) NextPacketID() uint64 { *c++; return uint64(*c) }
+
 type mcRig struct {
 	mc    *Controller
 	port  *fakePort
@@ -29,8 +34,8 @@ type mcRig struct {
 
 func newMCRig() *mcRig {
 	port := &fakePort{}
-	id := uint64(0)
-	mc := New(0, DefaultConfig(), port, func() uint64 { id++; return id }, fakeMap{mc: 0}, nil)
+	ids := idCounter(0)
+	mc := New(0, DefaultConfig(), port, &ids, fakeMap{mc: 0}, nil)
 	return &mcRig{mc: mc, port: port}
 }
 
@@ -93,8 +98,8 @@ func TestCacheOwnedLineNotServedByMemory(t *testing.T) {
 
 func TestForeignAddressesIgnored(t *testing.T) {
 	port := &fakePort{}
-	id := uint64(0)
-	mc := New(0, DefaultConfig(), port, func() uint64 { id++; return id }, fakeMap{mc: 9}, nil)
+	ids := idCounter(0)
+	mc := New(0, DefaultConfig(), port, &ids, fakeMap{mc: 9}, nil)
 	p := &noc.Packet{VNet: noc.GOReq, Src: 1, Kind: int(coherence.GetS), Addr: 5, ReqID: 1, Flits: 1, Broadcast: true}
 	mc.ProcessOrdered(p, 0, 0)
 	for c := uint64(0); c < 150; c++ {
@@ -193,12 +198,12 @@ func TestDirCacheMissPenaltyOnlyOnRefetch(t *testing.T) {
 	cfg.TotalDirCacheBytes = 64 // tiny: 8 entries per 1 port
 	cfg.Ports = 1
 	port := &fakePort{}
-	id := uint64(0)
-	mc := New(0, cfg, port, func() uint64 { id++; return id }, fakeMap{mc: 0}, nil)
+	ids := idCounter(0)
+	mc := New(0, cfg, port, &ids, fakeMap{mc: 0}, nil)
 	cycle := uint64(0)
 	serve := func(addr uint64) {
 		p := &noc.Packet{VNet: noc.GOReq, Src: 1, SID: 1, Broadcast: true, Flits: 1,
-			Kind: int(coherence.GetS), Addr: addr, ReqID: id + 500}
+			Kind: int(coherence.GetS), Addr: addr, ReqID: uint64(ids) + 500}
 		mc.ProcessOrdered(p, cycle, cycle)
 	}
 	// First touches across a large footprint: no penalties.

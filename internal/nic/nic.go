@@ -15,7 +15,7 @@
 // the packet whose SID matches the current ESID may be forwarded. UO-RESP
 // packets are forwarded in arrival order.
 //
-// A NIC may attach to several main-network meshes (AddMesh): the
+// A NIC may attach to several main-network meshes (NewNICs): the
 // multiple-main-networks throughput extension of Section 5.3, which is
 // correct precisely because delivery is decoupled from ordering.
 package nic
@@ -30,6 +30,7 @@ import (
 	"scorpio/internal/obs/audit"
 	"scorpio/internal/ring"
 	"scorpio/internal/sim"
+	"scorpio/internal/slab"
 	"scorpio/internal/stats"
 )
 
@@ -122,8 +123,9 @@ type reqEntry struct {
 }
 
 // meshPort is the NIC's attachment to one main-network mesh: its terminal,
-// send queues and router-facing VC receive slots. The chip has one; AddMesh
-// stripes traffic over several (Section 5.3's multiple main networks).
+// send queues and router-facing VC receive slots. The chip has one; a NIC
+// built on several meshes stripes traffic over them (Section 5.3's multiple
+// main networks).
 type meshPort struct {
 	mesh     *noc.Mesh
 	term     *noc.Terminal
@@ -138,27 +140,73 @@ type meshPort struct {
 	reqBuf    []ring.Ring[reqEntry]
 	respVCBuf []ring.Ring[noc.Flit]
 	arrivalQ  ring.Ring[int] // unordered mode: VC indexes in arrival order
+
+	// Ports of different nodes sit side by side in one slab and belong to
+	// different shards; the pad rounds the stride to whole cache lines.
+	_ [40]byte
 }
 
-func (n *NIC) newMeshPort(mesh *noc.Mesh) *meshPort {
-	cfg := mesh.Config()
-	p := &meshPort{
-		mesh:      mesh,
-		term:      noc.NewTerminal(mesh, n.node),
-		reqQ:      ring.New[*noc.Packet](n.cfg.InjectQueueDepth),
-		respQ:     ring.New[*noc.Packet](n.cfg.InjectQueueDepth),
-		reqBuf:    make([]ring.Ring[reqEntry], cfg.TotalVCs(noc.GOReq)),
-		respVCBuf: make([]ring.Ring[noc.Flit], cfg.TotalVCs(noc.UOResp)),
-		arrivalQ:  ring.New[int](cfg.TotalVCs(noc.GOReq) * cfg.GOReqBufDepth),
+// slabs holds what a set of NICs cuts its mesh ports, rings and order state
+// from: one slice per kind for the whole set.
+type slabs struct {
+	ports     slab.Slab[meshPort]
+	portPtrs  slab.Slab[*meshPort]
+	pkts      slab.Slab[*noc.Packet] // reqQ, respQ, doneResp, loopback
+	reqs      slab.Slab[reqEntry]    // reqBuf rings, reqHold
+	reqRings  slab.Slab[ring.Ring[reqEntry]]
+	flits     slab.Slab[noc.Flit]
+	flitRings slab.Slab[ring.Ring[noc.Flit]]
+	vcs       slab.Slab[int] // arrivalQ
+	vectors   slab.Slab[notif.Vector]
+	seqs      slab.Slab[uint64] // deliveredSeq
+}
+
+// makeSlabs sizes the slabs for nics NICs of configuration cfg, each
+// attached to meshes meshes of configuration net.
+func makeSlabs(cfg Config, net noc.Config, nics, meshes int) slabs {
+	goVCs, uoVCs := net.TotalVCs(noc.GOReq), net.TotalVCs(noc.UOResp)
+	ports := nics * meshes
+	return slabs{
+		ports:    slab.Make[meshPort](ports),
+		portPtrs: slab.Make[*meshPort](ports),
+		pkts: slab.Make[*noc.Packet](ports*2*ring.Slots(cfg.InjectQueueDepth) +
+			nics*(ring.Slots(doneRespSlots)+ring.Slots(cfg.MaxPendingNotifs))),
+		reqs:      slab.Make[reqEntry](ports*goVCs*ring.Slots(net.GOReqBufDepth) + nics*ring.Slots(cfg.ReqBufDepth)),
+		reqRings:  slab.Make[ring.Ring[reqEntry]](ports * goVCs),
+		flits:     slab.Make[noc.Flit](ports * uoVCs * ring.Slots(net.UORespBufDepth)),
+		flitRings: slab.Make[ring.Ring[noc.Flit]](ports * uoVCs),
+		vcs:       slab.Make[int](ports * ring.Slots(goVCs*net.GOReqBufDepth)),
+		vectors:   slab.Make[notif.Vector](nics * ring.Slots(cfg.TrackerDepth)),
+		seqs:      slab.Make[uint64](nics * net.Nodes()),
 	}
-	p.term.SetTracer(n.tracer)
+}
+
+// cutRing cuts a ring of the expected capacity from s.
+func cutRing[T any](s *slab.Slab[T], capacity int) ring.Ring[T] {
+	return ring.In(s.Cut(ring.Slots(capacity)))
+}
+
+// cutFixed cuts a fixed-capacity ring from s.
+func cutFixed[T any](s *slab.Slab[T], capacity int) ring.Ring[T] {
+	return ring.FixedIn(s.Cut(ring.Slots(capacity)))
+}
+
+// init attaches p to node's terminal on mesh, its queues cut from s.
+func (p *meshPort) init(cfg Config, mesh *noc.Mesh, node int, s *slabs) {
+	net := mesh.Config()
+	p.mesh = mesh
+	p.term = mesh.Terminal(node)
+	p.reqQ = cutRing(&s.pkts, cfg.InjectQueueDepth)
+	p.respQ = cutRing(&s.pkts, cfg.InjectQueueDepth)
+	p.reqBuf = s.reqRings.Cut(net.TotalVCs(noc.GOReq))
 	for i := range p.reqBuf {
-		p.reqBuf[i] = ring.NewFixed[reqEntry](cfg.GOReqBufDepth)
+		p.reqBuf[i] = cutFixed(&s.reqs, net.GOReqBufDepth)
 	}
+	p.respVCBuf = s.flitRings.Cut(net.TotalVCs(noc.UOResp))
 	for i := range p.respVCBuf {
-		p.respVCBuf[i] = ring.NewFixed[noc.Flit](cfg.UORespBufDepth)
+		p.respVCBuf[i] = cutFixed(&s.flits, net.UORespBufDepth)
 	}
-	return p
+	p.arrivalQ = cutRing(&s.vcs, net.TotalVCs(noc.GOReq)*net.GOReqBufDepth)
 }
 
 // NIC is one tile's network interface controller.
@@ -221,42 +269,64 @@ type NIC struct {
 	// the offer.
 	now      uint64
 	notifAct *sim.Activity
+
+	// NICs sit side by side in one slab and belong to different shards; the
+	// pad rounds the stride to whole cache lines.
+	_ [24]byte
 }
 
-// New builds a NIC for the given node and wires it to the two networks. The
-// agent may be nil initially and set later with SetAgent (systems with
-// circular construction order need this). nnet may be nil when cfg.Ordered
-// is false.
+// doneRespSlots is the expected depth of the assembled-response queue.
+const doneRespSlots = 4
+
+// NewNICs builds one NIC per node of meshes[0], each attached to every mesh
+// of meshes (injected packets stripe round-robin across them) and to nnet,
+// which may be nil when cfg.Ordered is false. The NICs, their mesh ports and
+// every ring they hold are cut from one slice per kind. Agents are attached
+// afterwards with SetAgent.
+func NewNICs(cfg Config, meshes []*noc.Mesh, nnet *notif.Network) []NIC {
+	nodes := meshes[0].Config().Nodes()
+	s := makeSlabs(cfg, meshes[0].Config(), nodes, len(meshes))
+	nics := make([]NIC, nodes)
+	for node := range nics {
+		nics[node].init(node, cfg, meshes, nnet, &s)
+	}
+	return nics
+}
+
+// New builds a single NIC for the given node on one mesh and wires it to
+// the two networks, as NewNICs does for a machine. The agent may be nil
+// initially and set later with SetAgent (systems with circular construction
+// order need this). nnet may be nil when cfg.Ordered is false.
 func New(node int, cfg Config, mesh *noc.Mesh, nnet *notif.Network, agent Agent) *NIC {
+	meshes := []*noc.Mesh{mesh}
+	s := makeSlabs(cfg, mesh.Config(), 1, 1)
+	n := &NIC{agent: agent}
+	n.init(node, cfg, meshes, nnet, &s)
+	return n
+}
+
+// init builds node's NIC on meshes, cut from s.
+func (n *NIC) init(node int, cfg Config, meshes []*noc.Mesh, nnet *notif.Network, s *slabs) {
 	if cfg.Ordered && nnet == nil {
 		panic("nic: ordered mode requires a notification network")
 	}
-	netCfg := mesh.Config()
-	n := &NIC{
-		cfg:    cfg,
-		node:   node,
-		nnet:   nnet,
-		agent:  agent,
-		netCfg: netCfg,
-		ownSID: node,
+	n.cfg, n.node, n.nnet, n.ownSID = cfg, node, nnet, node
+	n.netCfg = meshes[0].Config()
+	n.ports = s.portPtrs.Cut(len(meshes))
+	for i, mesh := range meshes {
+		p := s.ports.Next()
+		p.init(cfg, mesh, node, s)
+		n.ports[i] = p
 	}
-	n.ports = []*meshPort{n.newMeshPort(mesh)}
-	n.deliveredSeq = make([]uint64, netCfg.Nodes())
-	n.reqHold = ring.NewFixed[reqEntry](cfg.ReqBufDepth)
-	n.doneResp = ring.New[*noc.Packet](4)
-	n.loopback = ring.New[*noc.Packet](cfg.MaxPendingNotifs)
-	n.trackerQ = ring.NewFixed[notif.Vector](cfg.TrackerDepth)
+	n.deliveredSeq = s.seqs.Cut(n.netCfg.Nodes())
+	n.reqHold = cutFixed(&s.reqs, cfg.ReqBufDepth)
+	n.doneResp = cutRing(&s.pkts, doneRespSlots)
+	n.loopback = cutRing(&s.pkts, cfg.MaxPendingNotifs)
+	n.trackerQ = cutFixed(&s.vectors, cfg.TrackerDepth)
 	if nnet != nil {
 		n.ncfg = nnet.Config()
 		nnet.AttachSource(node, n)
 	}
-	return n
-}
-
-// AddMesh attaches an additional main network; injected packets stripe
-// round-robin across all attached meshes.
-func (n *NIC) AddMesh(mesh *noc.Mesh) {
-	n.ports = append(n.ports, n.newMeshPort(mesh))
 }
 
 // Meshes reports the number of attached main networks.
@@ -361,7 +431,6 @@ func (n *NIC) SendResponse(p *noc.Packet) bool {
 
 // BindActivity wires the NIC's scheduling unit as the wake target of its
 // attached links: inject-link credits and eject-link flits both wake it.
-// Call after every AddMesh.
 func (n *NIC) BindActivity(a *sim.Activity) {
 	for _, port := range n.ports {
 		port.term.Bind(a)

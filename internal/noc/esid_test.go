@@ -59,7 +59,8 @@ func TestCoverageRectanglesAreBroadcastSubtrees(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for id, r := range m.routers {
+		for id := range m.routers {
+			r := &m.routers[id]
 			for p := Port(0); p < NumPorts; p++ {
 				if r.outLink[p] == nil {
 					continue
@@ -109,7 +110,7 @@ func TestRouterReservedVCGoesOnlyToExpectedOccurrence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			r := m.routers[at]
+			r := &m.routers[at]
 			for vc := 0; vc < cfg.GOReqVCs; vc++ {
 				r.trk.claimHeadVC(East, GOReq, vc, 8+vc)
 			}

@@ -1,6 +1,9 @@
 package noc
 
-import "scorpio/internal/sim"
+import (
+	"scorpio/internal/sim"
+	"scorpio/internal/slab"
+)
 
 // Credit is the flow-control return channel token: the downstream buffer
 // freed one slot of the given virtual channel, and, when FreeVC is set, the
@@ -58,17 +61,20 @@ type Link struct {
 	_ [32]byte // pad 160 → 192 bytes (3 cache lines)
 }
 
-// NewLink returns an idle link. The credit slices are presized to the
+// linkCredits is the capacity of each of a link's two credit slices: the
 // largest burst a port produces in one cycle (one credit per VC dequeue,
 // bounded by the handful of VCs behind a port), so the credit path never
-// allocates — not even the slow high-water trickle a near-idle mesh would
+// allocates, not even the slow high-water trickle a near-idle mesh would
 // otherwise pay for thousands of cycles.
-func NewLink() *Link {
-	return &Link{
-		stamp:  [2]uint64{noStamp, noStamp},
-		cstamp: [2]uint64{noStamp, noStamp},
-		cred:   [2][]Credit{make([]Credit, 0, 8), make([]Credit, 0, 8)},
-	}
+const linkCredits = 8
+
+// init makes l an idle link whose two credit slices are cut from cs. A
+// burst larger than a slice grows it into an array of its own (the cut's
+// capacity ends with the slice), never into the next link's credits.
+func (l *Link) init(cs *slab.Slab[Credit]) {
+	l.stamp = [2]uint64{noStamp, noStamp}
+	l.cstamp = [2]uint64{noStamp, noStamp}
+	l.cred = [2][]Credit{cs.Cut(linkCredits)[:0], cs.Cut(linkCredits)[:0]}
 }
 
 // SetFlitWake wires the scheduling unit woken by flit arrivals (the

@@ -7,16 +7,22 @@ import (
 	"scorpio/internal/obs"
 	"scorpio/internal/obs/audit"
 	"scorpio/internal/sim"
+	"scorpio/internal/slab"
 )
 
 // Mesh is the assembled main network: k×k routers, the links between them,
 // and per-node injection/ejection links where network interface controllers
 // attach.
+//
+// Each component kind is one slice per mesh (see NewMesh): routers, links,
+// terminals, and the tables and rings they cut their state from.
 type Mesh struct {
-	cfg       Config
-	routers   []*Router
-	inject    []*Link
-	eject     []*Link
+	cfg     Config
+	routers []Router
+	// links holds every node's injection link, then every node's ejection
+	// link, then the channels between routers.
+	links     []Link
+	terms     []Terminal
 	board     []esidEntry
 	nextPktID uint64
 }
@@ -35,39 +41,53 @@ func (e *esidEntry) expects(sid int32, seq uint64) bool {
 	return e.valid && e.sid == sid && e.seq == seq
 }
 
-// NewMesh builds the mesh described by cfg.
+// NewMesh builds the mesh described by cfg. Routers, links and terminals
+// are value slices, and every router's and terminal's tables, VC rings and
+// credit slices are pieces of one slab per kind, so the build makes the same
+// dozen allocations at any mesh size.
 func NewMesh(cfg Config) (*Mesh, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	nodes := cfg.Nodes()
+	channels := (cfg.Width-1)*cfg.Height + cfg.Width*(cfg.Height-1)
 	m := &Mesh{
-		cfg:    cfg,
-		inject: make([]*Link, cfg.Nodes()),
-		eject:  make([]*Link, cfg.Nodes()),
-		board:  make([]esidEntry, cfg.Nodes()),
+		cfg:     cfg,
+		routers: make([]Router, nodes),
+		links:   make([]Link, 2*nodes+2*channels),
+		terms:   make([]Terminal, nodes),
+		board:   make([]esidEntry, nodes),
 	}
-	for id := 0; id < cfg.Nodes(); id++ {
-		m.routers = append(m.routers, newRouter(cfg, id, m.board))
+	credits := slab.Make[Credit](2 * linkCredits * len(m.links))
+	for i := range m.links {
+		m.links[i].init(&credits)
 	}
-	newLink := func() *Link { return NewLink() }
-	// Local ports.
-	for id, r := range m.routers {
-		m.inject[id] = newLink()
-		m.eject[id] = newLink()
-		r.attach(Local, m.inject[id], m.eject[id])
+	trk := makeTrackerSlabs(cfg, nodes*int(NumPorts)+nodes)
+	rs := makeRouterSlabs(cfg, nodes, &trk)
+	asm := slab.Make[int](nodes * cfg.UORespVCs)
+	for id := range m.routers {
+		r := &m.routers[id]
+		r.init(cfg, id, m.board, &rs)
+		// Local ports.
+		r.attach(Local, m.InjectLink(id), m.EjectLink(id))
+		m.terms[id].init(m, id, &trk, &asm)
 	}
 	// Mesh channels: one link per direction per neighbour pair.
-	for id, r := range m.routers {
+	ch := m.links[2*nodes:]
+	for id := range m.routers {
+		r := &m.routers[id]
 		x, y := cfg.Coord(id)
 		if x+1 < cfg.Width {
-			e := m.routers[cfg.NodeAt(x+1, y)]
-			ab, ba := newLink(), newLink()
+			e := &m.routers[cfg.NodeAt(x+1, y)]
+			ab, ba := &ch[0], &ch[1]
+			ch = ch[2:]
 			r.attach(East, ba, ab)
 			e.attach(West, ab, ba)
 		}
 		if y+1 < cfg.Height {
-			s := m.routers[cfg.NodeAt(x, y+1)]
-			ab, ba := newLink(), newLink()
+			s := &m.routers[cfg.NodeAt(x, y+1)]
+			ab, ba := &ch[0], &ch[1]
+			ch = ch[2:]
 			r.attach(South, ba, ab)
 			s.attach(North, ab, ba)
 		}
@@ -96,7 +116,8 @@ func (m *Mesh) Config() Config { return m.cfg }
 // each link's readers are woken by writes so routers can park when quiescent.
 // Links themselves are passive mailboxes, not components (see Link).
 func (m *Mesh) Register(k *sim.Kernel) {
-	for _, r := range m.routers {
+	for i := range m.routers {
+		r := &m.routers[i]
 		a := k.Register(r)
 		for p := Port(0); p < NumPorts; p++ {
 			if il := r.inLink[p]; il != nil {
@@ -111,14 +132,18 @@ func (m *Mesh) Register(k *sim.Kernel) {
 
 // InjectLink returns the link a node's NIC sends flits on (into the router's
 // local input port). Credits for the NIC flow back on the same link.
-func (m *Mesh) InjectLink(node int) *Link { return m.inject[node] }
+func (m *Mesh) InjectLink(node int) *Link { return &m.links[node] }
 
 // EjectLink returns the link a node's NIC receives flits on (from the
 // router's local output port).
-func (m *Mesh) EjectLink(node int) *Link { return m.eject[node] }
+func (m *Mesh) EjectLink(node int) *Link { return &m.links[len(m.routers)+node] }
+
+// Terminal returns node's terminal, the attachment its NIC or endpoint
+// drives the injection and ejection links through.
+func (m *Mesh) Terminal(node int) *Terminal { return &m.terms[node] }
 
 // Router returns the router at the given node (for stats and tests).
-func (m *Mesh) Router(node int) *Router { return m.routers[node] }
+func (m *Mesh) Router(node int) *Router { return &m.routers[node] }
 
 // NextPacketID issues a unique packet ID.
 func (m *Mesh) NextPacketID() uint64 {
@@ -128,15 +153,15 @@ func (m *Mesh) NextPacketID() uint64 {
 
 // SetTracer attaches a lifecycle tracer to every router (nil disables).
 func (m *Mesh) SetTracer(t *obs.Tracer) {
-	for _, r := range m.routers {
-		r.SetTracer(t)
+	for i := range m.routers {
+		m.routers[i].SetTracer(t)
 	}
 }
 
 // SetAuditor attaches the online auditor to every router (nil disables).
 func (m *Mesh) SetAuditor(a *audit.Auditor) {
-	for _, r := range m.routers {
-		r.SetAuditor(a)
+	for i := range m.routers {
+		m.routers[i].SetAuditor(a)
 	}
 }
 
@@ -146,8 +171,8 @@ func (m *Mesh) SetAuditor(a *audit.Auditor) {
 // or metrics interval costs O(routers) instead of a full VC-ring rescan.
 func (m *Mesh) BufferedFlits() int {
 	n := 0
-	for _, r := range m.routers {
-		n += r.buffered
+	for i := range m.routers {
+		n += m.routers[i].buffered
 	}
 	return n
 }
@@ -167,7 +192,8 @@ func (m *Mesh) Snapshot(now uint64) string {
 	}
 	var oldest *stuck
 	total := 0
-	for _, r := range m.routers {
+	for i := range m.routers {
+		r := &m.routers[i]
 		r.ForEachBufferedFlit(func(p Port, v VNet, vc int, f *Flit) {
 			total++
 			if !f.IsHead() {
@@ -197,7 +223,8 @@ func (m *Mesh) Snapshot(now uint64) string {
 		}
 	}
 	// Full per-router VC occupancy with head flits and output credit state.
-	for _, r := range m.routers {
+	for i := range m.routers {
+		r := &m.routers[i]
 		headerDone := false
 		r.ForEachBufferedFlit(func(p Port, v VNet, vc int, f *Flit) {
 			if !headerDone {
@@ -230,7 +257,8 @@ func (m *Mesh) Snapshot(now uint64) string {
 // Stats sums router statistics across the mesh.
 func (m *Mesh) Stats() RouterStats {
 	var s RouterStats
-	for _, r := range m.routers {
+	for i := range m.routers {
+		r := &m.routers[i]
 		s.FlitsRouted += r.Stats.FlitsRouted
 		s.Bypasses += r.Stats.Bypasses
 		s.AllocStalls += r.Stats.AllocStalls
@@ -242,7 +270,8 @@ func (m *Mesh) Stats() RouterStats {
 // violates the credit or buffer-occupancy invariants; tests call it after
 // runs.
 func (m *Mesh) CheckInvariants() error {
-	for _, r := range m.routers {
+	for i := range m.routers {
+		r := &m.routers[i]
 		for p := Port(0); p < NumPorts; p++ {
 			if r.inLink[p] == nil {
 				continue

@@ -22,7 +22,7 @@ func newTestEndpoint(mesh *Mesh, node int) *testEndpoint {
 	return &testEndpoint{
 		node:     node,
 		mesh:     mesh,
-		term:     NewTerminal(mesh, node),
+		term:     mesh.Terminal(node),
 		arrivals: map[uint64]int{},
 	}
 }
@@ -404,7 +404,7 @@ func TestBroadcastCoverageProperty(t *testing.T) {
 		}
 		src := rng.Intn(cfg.Nodes())
 		covered := map[int]int{}
-		r := m.routers[src]
+		r := &m.routers[src]
 		for p := Port(North); p < NumPorts; p++ {
 			if r.outLink[p] == nil {
 				continue

@@ -5,6 +5,7 @@ import (
 
 	"scorpio/internal/obs"
 	"scorpio/internal/obs/audit"
+	"scorpio/internal/slab"
 )
 
 // RouterStats counts router activity for results, metrics and tests.
@@ -91,6 +92,11 @@ type Router struct {
 	// same discipline for the online multicast-fork checker.
 	tracer  *obs.Tracer
 	auditor *audit.Auditor
+
+	// Routers sit side by side in the mesh's slab and belong to different
+	// shards under the parallel kernel; the pad rounds the stride to whole
+	// cache lines, so no router's per-cycle writes land on a neighbour's.
+	_ [40]byte
 }
 
 // SetTracer attaches a lifecycle event tracer (nil disables tracing).
@@ -99,13 +105,35 @@ func (r *Router) SetTracer(t *obs.Tracer) { r.tracer = t }
 // SetAuditor attaches the online auditor (nil disables auditing).
 func (r *Router) SetAuditor(a *audit.Auditor) { r.auditor = a }
 
-// newRouter builds a router with its full SoA tables and VC rings sized up
-// front (uniformly for NumPorts ports — absent edge ports leave their share
-// unused but keep the flat indexing stride-regular); links are attached by
-// the mesh.
-func newRouter(cfg Config, id int, board []esidEntry) *Router {
+// routerSlabs holds the slabs a mesh's routers cut their SoA tables and VC
+// rings from.
+type routerSlabs struct {
+	i32   slab.Slab[int32] // qoff, qcap, qhead, qlen
+	i8    slab.Slab[int8]  // vcOutPort, vcOutVC
+	flits slab.Slab[Flit]
+	trk   *trackerSlabs
+}
+
+// makeRouterSlabs sizes the slabs for n routers; trk also holds their
+// tracker tables.
+func makeRouterSlabs(cfg Config, n int, trk *trackerSlabs) routerSlabs {
+	vcs := int(NumPorts) * (cfg.TotalVCs(GOReq) + cfg.TotalVCs(UOResp))
+	depth := int(NumPorts) * (cfg.TotalVCs(GOReq)*cfg.BufDepthFor(GOReq) + cfg.TotalVCs(UOResp)*cfg.BufDepthFor(UOResp))
+	return routerSlabs{
+		i32:   slab.Make[int32](4 * n * vcs),
+		i8:    slab.Make[int8](2 * n * vcs),
+		flits: slab.Make[Flit](n * depth),
+		trk:   trk,
+	}
+}
+
+// init builds the router at node id with its full SoA tables and VC rings,
+// cut from s and sized up front (uniformly for NumPorts ports: absent edge
+// ports leave their share unused but keep the flat indexing
+// stride-regular); links are attached by the mesh.
+func (r *Router) init(cfg Config, id int, board []esidEntry, s *routerSlabs) {
 	x, y := cfg.Coord(id)
-	r := &Router{cfg: cfg, id: id, x: x, y: y, board: board}
+	r.cfg, r.id, r.x, r.y, r.board = cfg, id, x, y, board
 	// The XY multicast subtree behind each output port (see broadcastMask):
 	// a branch sent East or West forks into every row of the columns beyond,
 	// one sent North or South runs straight along the column. Ports absent
@@ -121,12 +149,12 @@ func newRouter(cfg Config, id int, board []esidEntry) *Router {
 	r.vcsPerPort = cfg.TotalVCs(GOReq) + cfg.TotalVCs(UOResp)
 	r.splitVC = cfg.TotalVCs(GOReq)
 	n := int(NumPorts) * r.vcsPerPort
-	r.qoff = make([]int32, n)
-	r.qcap = make([]int32, n)
-	r.qhead = make([]int32, n)
-	r.qlen = make([]int32, n)
-	r.vcOutPort = make([]int8, n)
-	r.vcOutVC = make([]int8, n)
+	r.qoff = s.i32.Cut(n)
+	r.qcap = s.i32.Cut(n)
+	r.qhead = s.i32.Cut(n)
+	r.qlen = s.i32.Cut(n)
+	r.vcOutPort = s.i8.Cut(n)
+	r.vcOutVC = s.i8.Cut(n)
 	total := 0
 	for fv := 0; fv < n; fv++ {
 		depth := cfg.BufDepthFor(r.vnetOf(fv % r.vcsPerPort))
@@ -134,9 +162,8 @@ func newRouter(cfg Config, id int, board []esidEntry) *Router {
 		r.qcap[fv] = int32(depth)
 		total += depth
 	}
-	r.qbuf = make([]Flit, total)
-	r.trk = newTrackerTable(cfg, int(NumPorts))
-	return r
+	r.qbuf = s.flits.Cut(total)
+	r.trk = newTrackerTable(cfg, int(NumPorts), s.trk)
 }
 
 // vnetOf maps a per-port flat VC index to its virtual network.

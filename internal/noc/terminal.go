@@ -5,13 +5,21 @@ import (
 
 	"scorpio/internal/obs"
 	"scorpio/internal/sim"
+	"scorpio/internal/slab"
 )
 
 // Terminal is a component's attachment to one mesh node: the injection
 // link's credit, VC and SID state, the serializer that sends one flit per
 // cycle onto that link, and the UO-RESP assembly registers behind the
-// ejection link. The NIC, the baseline endpoint and the traffic harness's
-// node each own one per attached mesh and keep only their queue policy.
+// ejection link. The mesh builds one per node (Mesh.Terminal); the NIC, the
+// baseline endpoint and the traffic harness's node each drive the one of
+// every mesh they attach to and keep only their queue policy.
+//
+// Terminals sit side by side in the mesh's slab and are driven by different
+// shards. The stride is three cache lines, and the last word, node, is
+// written only at build: where the allocator starts a slab 8 bytes past a
+// line boundary, the word that spills onto the next terminal's first line
+// is never written while the machine runs.
 type Terminal struct {
 	trk    trackerTable // one row: the router's Local input port
 	inj    *Link
@@ -19,20 +27,18 @@ type Terminal struct {
 	cur    *Packet // packet being serialized, nil between packets
 	tracer *obs.Tracer
 	asm    []int // per UO-RESP VC: flits of the current packet received
+	seq    int   // next flit of cur
+	vc     int   // downstream VC cur holds
 	node   int
-	seq    int // next flit of cur
-	vc     int // downstream VC cur holds
 }
 
-// NewTerminal attaches a terminal to node's injection and ejection links.
-func NewTerminal(m *Mesh, node int) *Terminal {
-	return &Terminal{
-		trk:  newTrackerTable(m.cfg, 1),
-		inj:  m.InjectLink(node),
-		ej:   m.EjectLink(node),
-		asm:  make([]int, m.cfg.UORespVCs),
-		node: node,
-	}
+// init attaches t to node's injection and ejection links, its tables cut
+// from the mesh's slabs.
+func (t *Terminal) init(m *Mesh, node int, trk *trackerSlabs, asm *slab.Slab[int]) {
+	t.trk = newTrackerTable(m.cfg, 1, trk)
+	t.inj, t.ej = m.InjectLink(node), m.EjectLink(node)
+	t.asm = asm.Cut(m.cfg.UORespVCs)
+	t.node = node
 }
 
 // SetTracer attaches a lifecycle event tracer (nil disables tracing).

@@ -28,7 +28,7 @@ func TestTerminalSerializesMultiFlitPacket(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.UORespBufDepth = 2
 	m := terminalMesh(t, cfg)
-	term := NewTerminal(m, 0)
+	term := m.Terminal(0)
 	tr := obs.NewTracer(16)
 	term.SetTracer(tr)
 	inj := m.InjectLink(0)
@@ -77,7 +77,7 @@ func TestTerminalSerializesMultiFlitPacket(t *testing.T) {
 // never reaches the reserved VC and never panics.
 func TestTerminalHoldsSameSIDBroadcasts(t *testing.T) {
 	m := terminalMesh(t, DefaultConfig())
-	term := NewTerminal(m, 2)
+	term := m.Terminal(2)
 	defer func() {
 		if r := recover(); r != nil {
 			t.Fatalf("Start panicked: %v", r)
@@ -100,7 +100,7 @@ func TestTerminalHoldsSameSIDBroadcasts(t *testing.T) {
 // naming the node.
 func TestTerminalAssemblyChecksFlitCount(t *testing.T) {
 	m := terminalMesh(t, DefaultConfig())
-	term := NewTerminal(m, 3)
+	term := m.Terminal(3)
 	for id := uint64(1); id <= 2; id++ {
 		whole := &Packet{ID: id, VNet: UOResp, Src: 0, Dst: 3, Flits: 3}
 		for seq := 0; seq < 3; seq++ {

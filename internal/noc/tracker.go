@@ -1,5 +1,7 @@
 package noc
 
+import "scorpio/internal/slab"
+
 // TotalVCs returns the number of virtual channels for a virtual network
 // including the reserved deadlock-avoidance VC of GO-REQ.
 func (c Config) TotalVCs(v VNet) int {
@@ -41,9 +43,23 @@ type trackerTable struct {
 	sid        []int32 // GO-REQ entries only; -1 = none in flight
 }
 
+// trackerSlabs holds the slabs a mesh's tracker tables, its routers' and
+// its terminals', are cut from.
+type trackerSlabs struct {
+	credits slab.Slab[int16]
+	busy    slab.Slab[bool]
+	sid     slab.Slab[int32]
+}
+
+// makeTrackerSlabs sizes the slabs for ports downstream input ports in all.
+func makeTrackerSlabs(cfg Config, ports int) trackerSlabs {
+	n := ports * (cfg.TotalVCs(GOReq) + cfg.TotalVCs(UOResp))
+	return trackerSlabs{credits: slab.Make[int16](n), busy: slab.Make[bool](n), sid: slab.Make[int32](n)}
+}
+
 // newTrackerTable returns a table for ports downstream input ports with
-// every credit available.
-func newTrackerTable(cfg Config, ports int) trackerTable {
+// every credit available, cut from s.
+func newTrackerTable(cfg Config, ports int, s *trackerSlabs) trackerTable {
 	t := trackerTable{
 		split:   cfg.TotalVCs(GOReq),
 		goVCs:   cfg.GOReqVCs,
@@ -53,9 +69,9 @@ func newTrackerTable(cfg Config, ports int) trackerTable {
 	}
 	t.vcsPerPort = t.split + t.uoVCs
 	n := ports * t.vcsPerPort
-	t.credits = make([]int16, n)
-	t.busy = make([]bool, n)
-	t.sid = make([]int32, n)
+	t.credits = s.credits.Cut(n)
+	t.busy = s.busy.Cut(n)
+	t.sid = s.sid.Cut(n)
 	for i := range t.credits {
 		if i%t.vcsPerPort < t.split {
 			t.credits[i] = t.goDepth

@@ -4,7 +4,8 @@ import "testing"
 
 func TestTrackerTableCreditLifecycle(t *testing.T) {
 	cfg := DefaultConfig()
-	tr := newTrackerTable(cfg, 1)
+	ts := makeTrackerSlabs(cfg, 1)
+	tr := newTrackerTable(cfg, 1, &ts)
 	vc, _, ok := tr.allocHeadVC(Local, UOResp, 0)
 	if !ok {
 		t.Fatal("fresh tracker must have a free VC")
@@ -31,7 +32,8 @@ func TestTrackerTableCreditLifecycle(t *testing.T) {
 }
 
 func TestTrackerTableSIDExclusion(t *testing.T) {
-	tr := newTrackerTable(DefaultConfig(), 1)
+	ts := makeTrackerSlabs(DefaultConfig(), 1)
+	tr := newTrackerTable(DefaultConfig(), 1, &ts)
 	vc, _, ok := tr.allocHeadVC(Local, GOReq, 7)
 	if !ok {
 		t.Fatal("alloc failed")
@@ -57,7 +59,8 @@ func TestTrackerTableSIDExclusion(t *testing.T) {
 
 func TestTrackerTableReservedVCOfferedLast(t *testing.T) {
 	cfg := DefaultConfig()
-	tr := newTrackerTable(cfg, 1)
+	ts := makeTrackerSlabs(cfg, 1)
+	tr := newTrackerTable(cfg, 1, &ts)
 	// Exhaust the normal GO-REQ VCs with distinct SIDs; none of them may be
 	// reported as the reserved VC.
 	for i := 0; i < cfg.GOReqVCs; i++ {

@@ -17,6 +17,7 @@ import (
 	"scorpio/internal/obs"
 	"scorpio/internal/obs/audit"
 	"scorpio/internal/sim"
+	"scorpio/internal/slab"
 )
 
 // Config describes a notification network.
@@ -233,9 +234,12 @@ func NewNetwork(cfg Config) (*Network, error) {
 	n := &Network{cfg: cfg, sources: make([]Source, cfg.Nodes())}
 	n.cur = make([]Vector, cfg.Nodes())
 	n.next = make([]Vector, cfg.Nodes())
+	// Every node's two vectors share one slab of words.
+	proto := NewVector(cfg.Nodes(), cfg.BitsPerCore)
+	words := slab.Make[uint64](2 * cfg.Nodes() * len(proto.Words))
 	for i := range n.cur {
-		n.cur[i] = NewVector(cfg.Nodes(), cfg.BitsPerCore)
-		n.next[i] = NewVector(cfg.Nodes(), cfg.BitsPerCore)
+		n.cur[i] = proto.CloneUsing(words.Cut(len(proto.Words)))
+		n.next[i] = proto.CloneUsing(words.Cut(len(proto.Words)))
 	}
 	n.pendingDelivery = NewVector(cfg.Nodes(), cfg.BitsPerCore)
 	n.delivered = NewVector(cfg.Nodes(), cfg.BitsPerCore)

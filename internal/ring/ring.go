@@ -29,18 +29,25 @@ type Ring[T any] struct {
 
 // New returns a growable ring pre-sized to the expected capacity.
 func New[T any](capacity int) Ring[T] {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return Ring[T]{buf: make([]T, capacity)}
+	return In(make([]T, Slots(capacity)))
 }
 
 // NewFixed returns a fixed-capacity ring; Push past the capacity panics.
 func NewFixed[T any](capacity int) Ring[T] {
-	r := New[T](capacity)
-	r.fixed = true
-	return r
+	return FixedIn(make([]T, Slots(capacity)))
 }
+
+// Slots returns the backing length New and NewFixed give a ring of the
+// expected capacity: at least one slot.
+func Slots(capacity int) int { return max(capacity, 1) }
+
+// In returns an empty growable ring over buf, a piece its owner cut from a
+// slab; growth moves the ring to a new array of its own.
+func In[T any](buf []T) Ring[T] { return Ring[T]{buf: buf} }
+
+// FixedIn returns an empty ring of capacity len(buf) over buf; Push past
+// the capacity panics.
+func FixedIn[T any](buf []T) Ring[T] { return Ring[T]{buf: buf, fixed: true} }
 
 // Len reports the number of queued elements.
 func (r *Ring[T]) Len() int { return r.n }

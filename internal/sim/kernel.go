@@ -120,9 +120,13 @@ type Kernel struct {
 	components []Component
 	groupKeys  []int // per-component group key; negative = singleton unit
 	acts       []*Activity
-	groupActs  map[int]*Activity
-	nextAuto   int
-	cycle      uint64
+	groupActs  []*Activity // per group key; nil = no unit yet
+	// actBlock is the unused rest of the block Register and RegisterGroup
+	// hand mailboxes out of: a block never moves, so each mailbox keeps its
+	// address for the kernel's life.
+	actBlock []Activity
+	nextAuto int
+	cycle    uint64
 
 	workers int
 	dirty   bool // units stale: registration or worker count changed
@@ -160,10 +164,27 @@ func NewKernel() *Kernel {
 	return &Kernel{nextAuto: -1, idleSkip: true}
 }
 
+// actBlockLen is the number of wake mailboxes allocated at once: 32 KB,
+// the smallest block the allocator starts on a page (a smaller one that
+// holds pointers starts 8 bytes past a cache-line boundary, behind its
+// malloc header). A 16×16 machine's 513 units take two blocks.
+const actBlockLen = 512
+
+// newActivity hands out the next wake mailbox of the current block.
+func (k *Kernel) newActivity() *Activity {
+	if len(k.actBlock) == 0 {
+		k.actBlock = make([]Activity, actBlockLen)
+	}
+	a := &k.actBlock[0]
+	k.actBlock = k.actBlock[1:]
+	a.sig, a.edges = &k.wakeSignal, &k.wakeEdges
+	return a
+}
+
 // Register adds a component to the kernel's tick list as its own scheduling
 // unit and returns the unit's wake mailbox (stable for the kernel's life).
 func (k *Kernel) Register(c Component) *Activity {
-	a := &Activity{sig: &k.wakeSignal, edges: &k.wakeEdges}
+	a := k.newActivity()
 	k.components = append(k.components, c)
 	k.groupKeys = append(k.groupKeys, k.nextAuto)
 	k.acts = append(k.acts, a)
@@ -180,12 +201,12 @@ func (k *Kernel) RegisterGroup(key int, c Component) *Activity {
 	if key < 0 {
 		panic("sim: RegisterGroup key must be non-negative")
 	}
-	if k.groupActs == nil {
-		k.groupActs = make(map[int]*Activity)
+	for len(k.groupActs) <= key {
+		k.groupActs = append(k.groupActs, nil)
 	}
 	a := k.groupActs[key]
 	if a == nil {
-		a = &Activity{sig: &k.wakeSignal, edges: &k.wakeEdges}
+		a = k.newActivity()
 		k.groupActs[key] = a
 	}
 	k.components = append(k.components, c)
@@ -750,34 +771,72 @@ func (k *Kernel) ensureEngine() *phasePool {
 
 // buildUnits groups components into scheduling units (registration order
 // within a unit, first-appearance order across units), weighs each unit by
-// its component count, and resets every unit's activity to active.
+// its component count, and resets every unit's activity to active. Every
+// unit's comps, idlers and nexters are cut from three shared slices.
 func (k *Kernel) buildUnits() []unit {
-	unitOf := make(map[int]int)
-	var units []unit
-	for i, c := range k.components {
+	// unitOf maps a group key to its unit (-1 = none yet); of maps each
+	// component to its unit.
+	unitOf := make([]int32, len(k.groupActs))
+	for i := range unitOf {
+		unitOf[i] = -1
+	}
+	of := make([]int32, len(k.components))
+	n := int32(0)
+	for i := range k.components {
 		key := k.groupKeys[i]
-		if key >= 0 {
-			if u, ok := unitOf[key]; ok {
-				units[u].comps = append(units[u].comps, c)
-				continue
-			}
-			unitOf[key] = len(units)
+		if key >= 0 && unitOf[key] >= 0 {
+			of[i] = unitOf[key]
+			continue
 		}
-		units = append(units, unit{comps: []Component{c}, act: k.acts[i]})
+		if key >= 0 {
+			unitOf[key] = n
+		}
+		of[i] = n
+		n++
+	}
+	units := make([]unit, n)
+	// Count each unit's members, then cut its pieces in unit order.
+	nComps := make([]int32, n)
+	nIdlers := make([]int32, n)
+	nNexters := make([]int32, n)
+	idlers, nexters := 0, 0
+	for i, c := range k.components {
+		u := of[i]
+		if nComps[u] == 0 {
+			units[u].act = k.acts[i]
+		}
+		nComps[u]++
+		if _, ok := c.(Idler); ok {
+			nIdlers[u]++
+			idlers++
+		}
+		if _, ok := c.(NextEventer); ok {
+			nNexters[u]++
+			nexters++
+		}
+	}
+	compSlab := make([]Component, len(k.components))
+	idlerSlab := make([]Idler, idlers)
+	nexterSlab := make([]NextEventer, nexters)
+	for i := range units {
+		u := &units[i]
+		u.comps, compSlab = compSlab[:0:nComps[i]], compSlab[nComps[i]:]
+		u.idlers, idlerSlab = idlerSlab[:0:nIdlers[i]], idlerSlab[nIdlers[i]:]
+		u.nexters, nexterSlab = nexterSlab[:0:nNexters[i]], nexterSlab[nNexters[i]:]
+		u.canIdle = nIdlers[i] == nComps[i]
+	}
+	for i, c := range k.components {
+		u := &units[of[i]]
+		u.comps = append(u.comps, c)
+		if d, ok := c.(Idler); ok {
+			u.idlers = append(u.idlers, d)
+		}
+		if nx, ok := c.(NextEventer); ok {
+			u.nexters = append(u.nexters, nx)
+		}
 	}
 	for i := range units {
 		u := &units[i]
-		u.canIdle = true
-		for _, c := range u.comps {
-			if d, ok := c.(Idler); ok {
-				u.idlers = append(u.idlers, d)
-			} else {
-				u.canIdle = false
-			}
-			if nx, ok := c.(NextEventer); ok {
-				u.nexters = append(u.nexters, nx)
-			}
-		}
 		u.cost = float64(len(u.comps))
 		u.active = true
 		u.wheelAt = NoEvent

@@ -59,10 +59,17 @@ type Histogram struct {
 
 // NewHistogram returns a histogram with n buckets of the given width.
 func NewHistogram(bucketWidth uint64, n int) *Histogram {
+	h := MakeHistogram(bucketWidth, make([]uint64, n))
+	return &h
+}
+
+// MakeHistogram returns a histogram of the given bucket width over buckets,
+// which its owner cut from a slab of zeroed counters.
+func MakeHistogram(bucketWidth uint64, buckets []uint64) Histogram {
 	if bucketWidth == 0 {
 		bucketWidth = 1
 	}
-	return &Histogram{BucketWidth: bucketWidth, Buckets: make([]uint64, n)}
+	return Histogram{BucketWidth: bucketWidth, Buckets: buckets}
 }
 
 // Observe records one sample.

@@ -136,7 +136,12 @@ func newBaseline(opt BaselineOptions, drive bool) (*Baseline, error) {
 		ins.BindActivity(k.Register(ins))
 	}
 	pool := new(coherence.Pool[coherence.RespInfo])
-	for node := 0; node < opt.Net.Nodes(); node++ {
+	nodes := opt.Net.Nodes()
+	ports := make([]coherence.NetPort, nodes)
+	ids := make([]coherence.IDSource, nodes)
+	var mcNodes []int
+	var mcPorts []coherence.NetPort
+	for node := range ports {
 		ep := baseline.NewEndpoint(node, mesh, orderer, nil)
 		if b.INSO != nil {
 			ep.SetExpirySource(b.INSO)
@@ -144,13 +149,31 @@ func newBaseline(opt BaselineOptions, drive bool) (*Baseline, error) {
 		ep.SetRecycler(pool)
 		ep.SetOrderCheck(b.order)
 		b.Endpoints = append(b.Endpoints, ep)
-		l2 := coherence.NewL2(node, opt.L2, ep, mesh.NextPacketID, mm, pool)
-		b.L2s = append(b.L2s, l2)
-		agent := &tileAgent{l2: l2}
+		ports[node], ids[node] = ep, mesh
 		if mcAt[node] {
-			mc := mem.New(node, opt.Mem, ep, mesh.NextPacketID, mm, pool)
-			agent.mc = mc
-			k.RegisterGroup(node, mc)
+			mcNodes, mcPorts = append(mcNodes, node), append(mcPorts, ep)
+		}
+	}
+	l2s := coherence.NewL2s(opt.L2, ports, ids, mm, pool)
+	mcs := mem.NewControllers(mcNodes, opt.Mem, mcPorts, ids[:len(mcNodes)], mm, pool)
+	reqPorts := make([]trace.RequestPort, nodes)
+	b.L2s = make([]*coherence.L2Controller, nodes)
+	for node := range l2s {
+		b.L2s[node], reqPorts[node] = &l2s[node], &l2s[node]
+	}
+	var complete func(coherence.Completion)
+	if drive {
+		b.inject(&opt.Workload, reqPorts)
+		complete = b.completer()
+	}
+	agents := make([]tileAgent, nodes)
+	for node, ep := range b.Endpoints {
+		l2, agent := b.L2s[node], &agents[node]
+		agent.l2 = l2
+		if mcAt[node] {
+			agent.mc = &mcs[0]
+			mcs = mcs[1:]
+			k.RegisterGroup(node, agent.mc)
 		}
 		ep.SetAgent(agent)
 		// One scheduling unit per node (the machine is serial anyway, but the
@@ -159,7 +182,8 @@ func newBaseline(opt BaselineOptions, drive bool) (*Baseline, error) {
 		// the L2. The unit's order (memory controller, injector, L2,
 		// endpoint) is part of the model.
 		if drive {
-			l2.OnComplete = completesTo(b.inject(node, &opt.Workload, l2))
+			l2.OnComplete = complete
+			k.RegisterGroup(node, b.Injectors[node])
 		}
 		act := k.RegisterGroup(node, l2)
 		k.RegisterGroup(node, ep)

@@ -112,7 +112,8 @@ type Directory struct {
 	Homes []*directory.Home
 }
 
-// NewDirectory builds the baseline machine.
+// NewDirectory builds the baseline machine. Its NICs, L2s, homes, tile
+// agents, injectors and ID streams are one slice per kind.
 func NewDirectory(opt DirectoryOptions) (*Directory, error) {
 	if err := opt.Profile.Validate(); err != nil {
 		return nil, err
@@ -126,20 +127,36 @@ func NewDirectory(opt DirectoryOptions) (*Directory, error) {
 	d := &Directory{machine: machine{Kernel: k, label: opt.Variant.String() + "/" + opt.Profile.Name}, opt: opt, Mesh: mesh}
 	nodes := opt.Net.Nodes()
 	pool := new(coherence.Pool[directory.Info])
-	for node := 0; node < nodes; node++ {
-		n := nic.New(node, nic.UnorderedConfig(), mesh, nil, nil)
+	nics := nic.NewNICs(nic.UnorderedConfig(), []*noc.Mesh{mesh}, nil)
+	ports := make([]coherence.NetPort, nodes)
+	d.NICs = make([]*nic.NIC, nodes)
+	for node := range nics {
+		n := &nics[node]
 		n.SetRecycler(pool)
-		d.NICs = append(d.NICs, n)
-		l2 := directory.NewL2(node, opt.L2, n, packetIDStream(node), pool)
-		home := directory.NewHome(node, opt.Home, n, packetIDStream(nodes+node), pool)
+		d.NICs[node], ports[node] = n, n
+	}
+	l2IDs, homeIDs := idStreams(nodes)
+	l2s := directory.NewL2s(opt.L2, ports, l2IDs, pool)
+	homes := directory.NewHomes(opt.Home, ports, homeIDs, pool)
+	reqPorts := make([]trace.RequestPort, nodes)
+	d.L2s = make([]*directory.L2, nodes)
+	d.Homes = make([]*directory.Home, nodes)
+	for node := range l2s {
+		d.L2s[node], d.Homes[node], reqPorts[node] = &l2s[node], &homes[node], &l2s[node]
+	}
+	d.inject(&opt.Workload, reqPorts)
+	complete := d.completer()
+	agents := make([]dirTileAgent, nodes)
+	for node, n := range d.NICs {
+		l2, home := d.L2s[node], d.Homes[node]
 		home.LocalProbe = l2.HandleProbe
-		n.SetAgent(&dirTileAgent{l2: l2, home: home})
-		d.L2s = append(d.L2s, l2)
-		d.Homes = append(d.Homes, home)
+		agents[node] = dirTileAgent{l2: l2, home: home}
+		n.SetAgent(&agents[node])
 		// One scheduling unit per node: the NIC's deliveries call straight
 		// into the L2 and home slice, and the injector into the L2. The
 		// unit's order (injector, L2, home, NIC) is part of the model.
-		l2.OnComplete = completesTo(d.inject(node, &opt.Workload, l2))
+		l2.OnComplete = complete
+		k.RegisterGroup(node, d.Injectors[node])
 		act := k.RegisterGroup(node, l2)
 		k.RegisterGroup(node, home)
 		k.RegisterGroup(node, n)

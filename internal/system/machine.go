@@ -163,18 +163,22 @@ func (r *Results) addSnoopyL2s(l2s []*coherence.L2Controller) {
 	}
 }
 
-// inject registers a trace injector driving port in node's scheduling unit.
-func (m *machine) inject(node int, w *Workload, port trace.RequestPort) *trace.Injector {
-	inj := trace.NewInjector(node, w.Profile, w.Seed, port, w.MaxOutstanding, w.WarmupPerCore, w.WorkPerCore)
-	m.Injectors = append(m.Injectors, inj)
-	m.Kernel.RegisterGroup(node, inj)
-	return inj
+// inject builds the trace injectors of nodes 0..len(ports)-1, node i's
+// driving ports[i], as one slice. The builder registers each in its node's
+// scheduling unit.
+func (m *machine) inject(w *Workload, ports []trace.RequestPort) {
+	injs := trace.NewInjectors(w.Profile, w.Seed, ports, w.MaxOutstanding, w.WarmupPerCore, w.WorkPerCore)
+	m.Injectors = make([]*trace.Injector, len(injs))
+	for i := range injs {
+		m.Injectors[i] = &injs[i]
+	}
 }
 
-// completesTo returns the L2 completion hook that reports to inj.
-func completesTo(inj *trace.Injector) func(coherence.Completion) {
+// completer returns the L2 completion hook every L2 shares: it reports each
+// completion to the injector of the completing node.
+func (m *machine) completer() func(coherence.Completion) {
 	return func(c coherence.Completion) {
-		inj.OnComplete(c.Addr, c.Write, c.Issue, c.Done, c.Hit, c.ServedByCache, &c.Breakdown)
+		m.Injectors[c.Node].OnComplete(c.Addr, c.Write, c.Issue, c.Done, c.Hit, c.ServedByCache, &c.Breakdown)
 	}
 }
 

@@ -48,19 +48,36 @@ func (o *Options) fill() {
 	o.Core.NIC.MaxPendingNotifs = max(o.Core.NIC.MaxPendingNotifs, o.MaxOutstanding)
 }
 
-// packetIDStream returns an allocator of packet IDs private to one issuing
-// stream. The stream index occupies the high bits so streams never collide,
-// which lets every L2 and memory controller draw IDs during its own Evaluate
-// without sharing a counter across kernel workers. IDs are only compared for
-// equality (the global-order checker), so the non-sequential values are
-// behaviourally neutral.
-func packetIDStream(stream int) func() uint64 {
-	base := uint64(stream+1) << 40
-	var seq uint64
-	return func() uint64 {
-		seq++
-		return base | seq
+// idStream issues the packet IDs of one issuing stream. The stream index
+// occupies the high bits so streams never collide, which lets every L2 and
+// memory controller draw IDs during its own Evaluate without sharing a
+// counter across kernel workers. IDs are only compared for equality (the
+// global-order checker), so the non-sequential values are behaviourally
+// neutral. Streams sit side by side in one slice and are advanced by
+// different shards; the pad gives each its own cache line.
+type idStream struct {
+	base, seq uint64
+	_         [48]byte
+}
+
+// NextPacketID implements coherence.IDSource.
+func (s *idStream) NextPacketID() uint64 {
+	s.seq++
+	return s.base | s.seq
+}
+
+// idStreams returns n streams, stream i's IDs carrying i+1 in their high
+// bits, and the first n as the IDSources of nodes 0..n-1's first controller
+// kind and the rest as those of their second kind: streams must number
+// 2×nodes.
+func idStreams(nodes int) (first, second []coherence.IDSource) {
+	streams := make([]idStream, 2*nodes)
+	ids := make([]coherence.IDSource, 2*nodes)
+	for i := range streams {
+		streams[i].base = uint64(i+1) << 40
+		ids[i] = &streams[i]
 	}
+	return ids[:nodes:nodes], ids[nodes:]
 }
 
 // DefaultOptions returns chip-faithful options for a benchmark.
@@ -166,23 +183,29 @@ func NewScorpio(opt Options) (*Scorpio, error) {
 	if err != nil {
 		return nil, err
 	}
+	ports := make([]trace.RequestPort, len(s.L2s))
 	for node, l2 := range s.L2s {
-		var port trace.RequestPort = l2
-		var tl *tile.Tile
+		ports[node] = l2
 		if opt.UseL1 {
-			tl = tile.New(node, tile.DefaultConfig(), l2)
+			tl := tile.New(node, tile.DefaultConfig(), l2)
 			s.Tiles = append(s.Tiles, tl)
-			s.Kernel.RegisterGroup(node, tl)
-			port = &tilePort{t: tl}
+			ports[node] = &tilePort{t: tl}
 		}
-		inj := s.inject(node, &s.opt.Workload, port)
+	}
+	s.inject(&s.opt.Workload, ports)
+	complete := s.completer()
+	for node, l2 := range s.L2s {
+		inj := s.Injectors[node]
 		if opt.UseL1 {
+			tl := s.Tiles[node]
+			s.Kernel.RegisterGroup(node, tl)
 			tl.OnComplete = func(c tile.Completion) {
 				inj.OnComplete(c.Addr, c.Write, c.Issue, c.Done, c.L1Hit, false, nil)
 			}
 		} else {
-			l2.OnComplete = completesTo(inj)
+			l2.OnComplete = complete
 		}
+		s.Kernel.RegisterGroup(node, inj)
 	}
 	s.attribute()
 	return s, nil
@@ -200,7 +223,9 @@ func (p *tilePort) CoreRequest(addr uint64, write bool, cycle uint64) bool {
 
 // NewScorpioBare builds the machine without workload drivers: tiles, memory
 // controllers and networks only. The consistency-verification suite and
-// custom drivers attach through L2s[n].CoreAccess / OnComplete.
+// custom drivers attach through L2s[n].CoreAccess / OnComplete. The L2s,
+// the memory controllers, the tile agents and the ID streams are one slice
+// per kind.
 func NewScorpioBare(opt Options) (*Scorpio, error) {
 	opt.fill()
 	k := sim.NewKernel()
@@ -215,14 +240,28 @@ func NewScorpioBare(opt Options) (*Scorpio, error) {
 	nodes := net.Nodes()
 	s := &Scorpio{machine: machine{Kernel: k, label: "SCORPIO/" + opt.Profile.Name, order: net.OrderCheck()}, opt: opt, Net: net}
 	pool := new(coherence.Pool[coherence.RespInfo])
-	for node := 0; node < nodes; node++ {
+	l2IDs, mcIDs := idStreams(nodes)
+	ports := make([]coherence.NetPort, nodes)
+	var mcNodes []int
+	var mcPorts []coherence.NetPort
+	var mcStreams []coherence.IDSource
+	for node := range ports {
 		n := net.NIC(node)
 		n.SetRecycler(pool)
-		l2 := coherence.NewL2(node, opt.L2, n, packetIDStream(node), mm, pool)
-		s.L2s = append(s.L2s, l2)
-		agent := &tileAgent{l2: l2}
+		ports[node] = n
 		if mcAt[node] {
-			mc := mem.New(node, opt.Mem, n, packetIDStream(nodes+node), mm, pool)
+			mcNodes, mcPorts, mcStreams = append(mcNodes, node), append(mcPorts, n), append(mcStreams, mcIDs[node])
+		}
+	}
+	l2s := coherence.NewL2s(opt.L2, ports, l2IDs, mm, pool)
+	mcs := mem.NewControllers(mcNodes, opt.Mem, mcPorts, mcStreams, mm, pool)
+	agents := make([]tileAgent, nodes)
+	s.L2s = make([]*coherence.L2Controller, nodes)
+	for node := range agents {
+		l2, agent := &l2s[node], &agents[node]
+		s.L2s[node], agent.l2 = l2, l2
+		if mcAt[node] {
+			mc := &mcs[len(s.MCs)]
 			agent.mc = mc
 			s.MCs = append(s.MCs, mc)
 			k.RegisterGroup(node, mc)

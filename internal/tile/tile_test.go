@@ -28,11 +28,16 @@ type tileRig struct {
 	done  []Completion
 }
 
+// idCounter issues sequential packet IDs.
+type idCounter uint64
+
+func (c *idCounter) NextPacketID() uint64 { *c++; return uint64(*c) }
+
 func newTileRig(t *testing.T) *tileRig {
 	t.Helper()
 	port := &fakePort{}
-	id := uint64(0)
-	l2 := coherence.NewL2(1, coherence.DefaultConfig(), port, func() uint64 { id++; return id }, fakeMap{}, nil)
+	var ids idCounter
+	l2 := coherence.NewL2(1, coherence.DefaultConfig(), port, &ids, fakeMap{}, nil)
 	tl := New(1, DefaultConfig(), l2)
 	r := &tileRig{tile: tl, l2: l2, port: port}
 	tl.OnComplete = func(c Completion) { r.done = append(r.done, c) }

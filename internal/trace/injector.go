@@ -3,6 +3,7 @@ package trace
 import (
 	"scorpio/internal/obs"
 	"scorpio/internal/sim"
+	"scorpio/internal/slab"
 	"scorpio/internal/stats"
 )
 
@@ -17,7 +18,7 @@ type RequestPort interface {
 type Injector struct {
 	node           int
 	prof           Profile
-	rng            *sim.RNG
+	rng            sim.RNG
 	port           RequestPort
 	maxOutstanding int
 	limit          uint64 // measured accesses to complete (0 = unbounded)
@@ -61,6 +62,16 @@ type Injector struct {
 	// Attr, when non-nil, receives every measured miss's segment breakdown
 	// as full per-component histograms (the latency attributor).
 	Attr *obs.Attribution
+
+	// serviceHist, cacheServed and memServed are what the exported
+	// pointers above point at, so the injector carries them in its slot.
+	serviceHist stats.Histogram
+	cacheServed stats.Breakdown
+	memServed   stats.Breakdown
+
+	// Injectors sit side by side in one slab and belong to different
+	// shards; the pad rounds the stride to whole cache lines.
+	_ [24]byte
 }
 
 // access is one generated request.
@@ -83,24 +94,41 @@ const (
 // historyDepth is the number of recently touched lines a core may revisit.
 const historyDepth = 128
 
+// serviceBuckets is the service histogram's shape: 512 buckets of 4 cycles.
+const (
+	serviceBucketWidth = 4
+	serviceBuckets     = 512
+)
+
 // NewInjector builds an injector for a node. The first warmup completions
 // fill the caches without recording statistics (the paper's RTL runs omit
 // the first 20K cycles the same way); limit accesses are then measured.
 func NewInjector(node int, prof Profile, seed uint64, port RequestPort, maxOutstanding int, warmup, limit uint64) *Injector {
-	in := &Injector{
-		node:           node,
-		prof:           prof,
-		rng:            sim.NewRNG(seed ^ (uint64(node)+1)*0x9e3779b97f4a7c15),
-		port:           port,
-		maxOutstanding: maxOutstanding,
-		warmup:         warmup,
-		limit:          limit,
-		ServiceHist:    stats.NewHistogram(4, 512),
-		CacheServed:    &stats.Breakdown{},
-		MemServed:      &stats.Breakdown{},
-	}
-	in.history = in.histBuf[:0]
+	in := new(Injector)
+	in.init(node, prof, seed, port, maxOutstanding, warmup, limit, make([]uint64, serviceBuckets))
 	return in
+}
+
+// NewInjectors builds the injectors of nodes 0..len(ports)-1 as NewInjector
+// builds one, node i driving ports[i]. The injectors are one slice and their
+// service histograms' buckets one slab.
+func NewInjectors(prof Profile, seed uint64, ports []RequestPort, maxOutstanding int, warmup, limit uint64) []Injector {
+	buckets := slab.Make[uint64](len(ports) * serviceBuckets)
+	ins := make([]Injector, len(ports))
+	for i := range ins {
+		ins[i].init(i, prof, seed, ports[i], maxOutstanding, warmup, limit, buckets.Cut(serviceBuckets))
+	}
+	return ins
+}
+
+// init builds node's injector, its service histogram over buckets.
+func (in *Injector) init(node int, prof Profile, seed uint64, port RequestPort, maxOutstanding int, warmup, limit uint64, buckets []uint64) {
+	in.node, in.prof, in.port = node, prof, port
+	in.rng = *sim.NewRNG(seed ^ (uint64(node)+1)*0x9e3779b97f4a7c15)
+	in.maxOutstanding, in.warmup, in.limit = maxOutstanding, warmup, limit
+	in.serviceHist = stats.MakeHistogram(serviceBucketWidth, buckets)
+	in.ServiceHist, in.CacheServed, in.MemServed = &in.serviceHist, &in.cacheServed, &in.memServed
+	in.history = in.histBuf[:0]
 }
 
 // Done reports whether the injector completed its warmup and work quota.

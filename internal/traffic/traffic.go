@@ -119,7 +119,7 @@ type node struct {
 func newNode(k *sim.Kernel, mesh *noc.Mesh, cfg Config, id int, rng *sim.RNG, pkts *pktPool) *node {
 	n := &node{
 		id: id, cfg: cfg, rng: rng, pkts: pkts,
-		term:  noc.NewTerminal(mesh, id),
+		term:  mesh.Terminal(id),
 		ej:    mesh.EjectLink(id),
 		warm:  cfg.warmup(),
 		lat:   stats.NewHistogram(4, 512),
