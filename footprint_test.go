@@ -104,7 +104,7 @@ func TestDirectoryBuildFootprint(t *testing.T) {
 // buildAllocsBound6x6 and buildAllocsBound16x16 bound the heap allocations
 // of one machine build plus its first kernel step. Every component kind
 // that exists once per node, port or link is one slice per machine, so the
-// count no longer grows with the mesh: 178-179 at 6×6 and 215 at 16×16,
+// count no longer grows with the mesh: 187-188 at 6×6 and 228 at 16×16,
 // against 3,236-3,390 and 23,349 when each router, link, ring, controller
 // and injector was its own object. A kind allocated once per node again
 // adds 36 at 6×6 and 256 at 16×16; links one by one add 576 and 4,416.

@@ -312,7 +312,7 @@ func TestRegionTrackerMatchesCounts(t *testing.T) {
 		}
 		if i%97 == 0 {
 			for r := uint64(0); r < 300; r++ {
-				if got := rt.slots[rt.find(r)].count; int(got) != want[r] {
+				if got := rt.slots[rt.find(r)] & countMask; int(got) != want[r] {
 					t.Fatalf("step %d: region %d counts %d, want %d", i, r, got, want[r])
 				}
 			}

@@ -18,12 +18,13 @@ import (
 // correctness — a region that may be cached is never filtered.
 //
 // The entries live in an open-addressed table (linear probing, deletion by
-// backward shift, so no tombstones). It is built with the first power of
-// two above the capacity, so it is at most half full where filtering stops,
+// backward shift, so no tombstones) of one word per slot: the region number
+// above the line count's 16 bits. It is built with the first power of two
+// above the capacity, so it is at most half full where filtering stops,
 // and doubles when it is seven-eighths full. A machine cuts every tile's
 // table from one slab (NewRegionTrackers).
 type RegionTracker struct {
-	slots       []regionSlot
+	slots       []uint64
 	regionShift uint
 	capacity    int
 	live        int // regions with a cached line
@@ -32,11 +33,14 @@ type RegionTracker struct {
 	Unfiltered uint64
 }
 
-// regionSlot is one table entry; count 0 marks an empty slot.
-type regionSlot struct {
-	region uint64
-	count  uint64
-}
+// A slot packs a region number (below 2^48, as line addresses are) above
+// the count of its cached lines; count 0 marks an empty slot.
+const (
+	countBits = 16
+	countMask = 1<<countBits - 1
+)
+
+func slotRegion(slot uint64) uint64 { return slot >> countBits }
 
 // regionSlots returns the table size built for capacity: the first power
 // of two above it.
@@ -62,7 +66,7 @@ func NewRegionTracker(regionBytes, lineBytes, capacity int) *RegionTracker {
 // tables cut from one slab.
 func NewRegionTrackers(n, regionBytes, lineBytes, capacity int) []RegionTracker {
 	size := regionSlots(capacity)
-	slots := slab.Make[regionSlot](n * size)
+	slots := slab.Make[uint64](n * size)
 	rts := make([]RegionTracker, n)
 	for i := range rts {
 		rts[i] = RegionTracker{slots: slots.Cut(size), regionShift: regionShift(regionBytes, lineBytes), capacity: capacity}
@@ -81,7 +85,7 @@ func (r *RegionTracker) home(region uint64) int {
 func (r *RegionTracker) find(region uint64) int {
 	mask := len(r.slots) - 1
 	i := r.home(region)
-	for r.slots[i].count != 0 && r.slots[i].region != region {
+	for r.slots[i] != 0 && slotRegion(r.slots[i]) != region {
 		i = (i + 1) & mask
 	}
 	return i
@@ -91,27 +95,33 @@ func (r *RegionTracker) find(region uint64) int {
 func (r *RegionTracker) NoteFill(lineAddr uint64) {
 	reg := r.region(lineAddr)
 	i := r.find(reg)
-	if r.slots[i].count == 0 {
+	if r.slots[i] == 0 {
+		if reg>>(64-countBits) != 0 {
+			panic("cache: region tracker given a line address of 2^48 or more")
+		}
 		if 8*(r.live+1) > 7*len(r.slots) {
 			r.grow()
 			i = r.find(reg)
 		}
-		r.slots[i].region = reg
+		r.slots[i] = reg << countBits
 		r.live++
 	}
-	r.slots[i].count++
+	if r.slots[i]&countMask == countMask {
+		panic("cache: region tracker count overflow")
+	}
+	r.slots[i]++
 }
 
 // NoteEvict records that a line of the region left the cache.
 func (r *RegionTracker) NoteEvict(lineAddr uint64) {
 	i := r.find(r.region(lineAddr))
-	switch r.slots[i].count {
+	switch r.slots[i] & countMask {
 	case 0:
 		return
 	case 1:
 		r.remove(i)
 	default:
-		r.slots[i].count--
+		r.slots[i]--
 	}
 }
 
@@ -120,24 +130,24 @@ func (r *RegionTracker) NoteEvict(lineAddr uint64) {
 func (r *RegionTracker) remove(i int) {
 	mask := len(r.slots) - 1
 	r.live--
-	for j := (i + 1) & mask; r.slots[j].count != 0; j = (j + 1) & mask {
+	for j := (i + 1) & mask; r.slots[j] != 0; j = (j + 1) & mask {
 		// The entry at j may fill the hole at i unless its home lies
 		// cyclically in (i, j].
-		if h := r.home(r.slots[j].region); (j-h)&mask >= (j-i)&mask {
+		if h := r.home(slotRegion(r.slots[j])); (j-h)&mask >= (j-i)&mask {
 			r.slots[i] = r.slots[j]
 			i = j
 		}
 	}
-	r.slots[i] = regionSlot{}
+	r.slots[i] = 0
 }
 
 // grow doubles the table into an array of its own.
 func (r *RegionTracker) grow() {
 	old := r.slots
-	r.slots = make([]regionSlot, 2*len(old))
+	r.slots = make([]uint64, 2*len(old))
 	for _, s := range old {
-		if s.count != 0 {
-			r.slots[r.find(s.region)] = s
+		if s != 0 {
+			r.slots[r.find(slotRegion(s))] = s
 		}
 	}
 }
@@ -153,7 +163,7 @@ func (r *RegionTracker) MayBeCached(lineAddr uint64) bool {
 		r.Unfiltered++
 		return true
 	}
-	if r.slots[r.find(r.region(lineAddr))].count != 0 {
+	if r.slots[r.find(r.region(lineAddr))] != 0 {
 		r.Unfiltered++
 		return true
 	}

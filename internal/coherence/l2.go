@@ -140,7 +140,7 @@ type IDSource interface {
 type l2Slabs struct {
 	fe      *FrontEnds[snoopMiss]
 	fids    slab.Slab[fid]
-	filters slab.Slab[cache.RegionTracker]
+	filters []cache.RegionTracker
 }
 
 func makeL2Slabs(n int, cfg Config) l2Slabs {
@@ -186,7 +186,7 @@ func (l *L2Controller) init(node int, cfg Config, n NetPort, ids IDSource, mm Me
 		l.mshrs[i].P.fids = s.fids.Cut(cfg.FIDCapacity)[:0]
 	}
 	if cfg.UseRegionTracker {
-		l.filter = *s.filters.Next()
+		l.filter, s.filters = s.filters[0], s.filters[1:]
 		l.rt = &l.filter
 	}
 }

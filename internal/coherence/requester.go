@@ -119,7 +119,7 @@ type coreReq struct {
 // FrontEnds is what the front ends of a machine's L2s are cut from: their
 // cache arrays, and one slab each of MSHRs and core-queue slots.
 type FrontEnds[P any] struct {
-	arrays     slab.Slab[cache.Array]
+	arrays     []cache.Array
 	mshrs      slab.Slab[MSHR[P]]
 	coreQ      slab.Slab[coreReq]
 	nMSHRs     int
@@ -142,8 +142,10 @@ func NewFrontEnds[P any](n, capacityBytes, lineBytes, ways, mshrs, queueDepth in
 // NewRequester builds node's L2 front end from the next pieces of fe; proto
 // is the L2 itself and stats the ReqStats in its Stats.
 func NewRequester[P any](node int, n NetPort, fe *FrontEnds[P], hitLatency int, proto Protocol[P], stats *ReqStats) Requester[P] {
+	arr := &fe.arrays[0]
+	fe.arrays = fe.arrays[1:]
 	return Requester[P]{
-		node: node, nic: n, arr: fe.arrays.Next(), proto: proto, stats: stats,
+		node: node, nic: n, arr: arr, proto: proto, stats: stats,
 		hitLatency: uint64(hitLatency), queueDepth: fe.queueDepth,
 		mshrs: fe.mshrs.Cut(fe.nMSHRs),
 		coreQ: ring.In(fe.coreQ.Cut(ring.Slots(fe.queueDepth))),

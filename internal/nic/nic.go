@@ -146,8 +146,9 @@ type meshPort struct {
 	_ [40]byte
 }
 
-// slabs holds what a set of NICs cuts its mesh ports, rings and order state
-// from: one slice per kind for the whole set.
+// slabs holds what a set of NICs cuts its extra mesh ports, rings and order
+// state from: one slice per kind for the whole set. Each NIC holds its first
+// mesh port inline.
 type slabs struct {
 	ports     slab.Slab[meshPort]
 	portPtrs  slab.Slab[*meshPort]
@@ -167,7 +168,7 @@ func makeSlabs(cfg Config, net noc.Config, nics, meshes int) slabs {
 	goVCs, uoVCs := net.TotalVCs(noc.GOReq), net.TotalVCs(noc.UOResp)
 	ports := nics * meshes
 	return slabs{
-		ports:    slab.Make[meshPort](ports),
+		ports:    slab.Make[meshPort](ports - nics),
 		portPtrs: slab.Make[*meshPort](ports),
 		pkts: slab.Make[*noc.Packet](ports*2*ring.Slots(cfg.InjectQueueDepth) +
 			nics*(ring.Slots(doneRespSlots)+ring.Slots(cfg.MaxPendingNotifs))),
@@ -213,7 +214,8 @@ func (p *meshPort) init(cfg Config, mesh *noc.Mesh, node int, s *slabs) {
 type NIC struct {
 	cfg    Config
 	node   int
-	ports  []*meshPort
+	ports  []*meshPort // port0, then any extra meshes' ports
+	port0  meshPort
 	sendRR int // stripes injected packets across ports
 	nnet   *notif.Network
 	agent  Agent
@@ -314,7 +316,10 @@ func (n *NIC) init(node int, cfg Config, meshes []*noc.Mesh, nnet *notif.Network
 	n.netCfg = meshes[0].Config()
 	n.ports = s.portPtrs.Cut(len(meshes))
 	for i, mesh := range meshes {
-		p := s.ports.Next()
+		p := &n.port0
+		if i > 0 {
+			p = s.ports.Next()
+		}
 		p.init(cfg, mesh, node, s)
 		n.ports[i] = p
 	}

@@ -22,7 +22,7 @@ type Mesh struct {
 	// links holds every node's injection link, then every node's ejection
 	// link, then the channels between routers.
 	links     []Link
-	terms     []Terminal
+	terms     []*Terminal // cut from one slab
 	board     []esidEntry
 	nextPktID uint64
 }
@@ -55,7 +55,7 @@ func NewMesh(cfg Config) (*Mesh, error) {
 		cfg:     cfg,
 		routers: make([]Router, nodes),
 		links:   make([]Link, 2*nodes+2*channels),
-		terms:   make([]Terminal, nodes),
+		terms:   make([]*Terminal, nodes),
 		board:   make([]esidEntry, nodes),
 	}
 	credits := slab.Make[Credit](2 * linkCredits * len(m.links))
@@ -65,11 +65,13 @@ func NewMesh(cfg Config) (*Mesh, error) {
 	trk := makeTrackerSlabs(cfg, nodes*int(NumPorts)+nodes)
 	rs := makeRouterSlabs(cfg, nodes, &trk)
 	asm := slab.Make[int](nodes * cfg.UORespVCs)
+	terms := slab.Make[Terminal](nodes)
 	for id := range m.routers {
 		r := &m.routers[id]
 		r.init(cfg, id, m.board, &rs)
 		// Local ports.
 		r.attach(Local, m.InjectLink(id), m.EjectLink(id))
+		m.terms[id] = terms.Next()
 		m.terms[id].init(m, id, &trk, &asm)
 	}
 	// Mesh channels: one link per direction per neighbour pair.
@@ -140,7 +142,7 @@ func (m *Mesh) EjectLink(node int) *Link { return &m.links[len(m.routers)+node] 
 
 // Terminal returns node's terminal, the attachment its NIC or endpoint
 // drives the injection and ejection links through.
-func (m *Mesh) Terminal(node int) *Terminal { return &m.terms[node] }
+func (m *Mesh) Terminal(node int) *Terminal { return m.terms[node] }
 
 // Router returns the router at the given node (for stats and tests).
 func (m *Mesh) Router(node int) *Router { return &m.routers[node] }

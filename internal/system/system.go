@@ -13,6 +13,7 @@ import (
 	"scorpio/internal/mem"
 	"scorpio/internal/noc"
 	"scorpio/internal/sim"
+	"scorpio/internal/slab"
 	"scorpio/internal/stats"
 	"scorpio/internal/tile"
 	"scorpio/internal/trace"
@@ -71,11 +72,12 @@ func (s *idStream) NextPacketID() uint64 {
 // kind and the rest as those of their second kind: streams must number
 // 2×nodes.
 func idStreams(nodes int) (first, second []coherence.IDSource) {
-	streams := make([]idStream, 2*nodes)
+	streams := slab.Make[idStream](2 * nodes)
 	ids := make([]coherence.IDSource, 2*nodes)
-	for i := range streams {
-		streams[i].base = uint64(i+1) << 40
-		ids[i] = &streams[i]
+	for i := range ids {
+		s := streams.Next()
+		s.base = uint64(i+1) << 40
+		ids[i] = s
 	}
 	return ids[:nodes:nodes], ids[nodes:]
 }
