@@ -1,9 +1,9 @@
 GO ?= go
 
 # Bump per PR that re-baselines the benchmark report.
-BENCH_JSON ?= BENCH_11.json
+BENCH_JSON ?= BENCH_12.json
 # The previous baseline, compared against by benchsmoke when both exist.
-BENCH_PREV ?= BENCH_10.json
+BENCH_PREV ?= BENCH_11.json
 
 .PHONY: build test vet fmt race check bench benchtest benchsmoke tracesmoke auditsmoke perfsmoke telemetrysmoke layoutcheck
 
@@ -43,7 +43,8 @@ benchtest:
 	$(GO) -C bench test ./...
 
 # The struct-layout gate: pinned sizes for the cache-line-conscious hot
-# structs (Flit, cache.Line, Link, Activity) and fieldalignment-style hole
+# structs (Flit, cache.Line, Link, Activity), the strides of the components
+# a machine keeps in one slice per kind, and fieldalignment-style hole
 # detection over the exported hot structs of cache, noc, sim and stats.
 layoutcheck:
 	$(GO) run ./cmd/layoutcheck

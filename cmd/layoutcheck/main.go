@@ -3,8 +3,9 @@
 //
 //   - a struct with a pinned size contract drifts (Flit must stay 32 bytes —
 //     two per cache line — cache.Line 16 bytes, so a 4-way set takes 64, one
-//     cache line, and the false-sharing-padded Link and Activity must stay
-//     cache-line multiples), or
+//     cache line, and the false-sharing-padded Link and Activity, like every
+//     component a machine keeps in one slice per kind and writes every
+//     cycle, must stay cache-line multiples), or
 //   - a checked struct wastes alignment padding that a field reorder would
 //     reclaim (compiler-inserted holes not covered by an explicit blank
 //     `_ [N]byte` pad, which marks deliberate false-sharing padding).
@@ -24,9 +25,14 @@ import (
 	"sort"
 
 	"scorpio/internal/cache"
+	"scorpio/internal/coherence"
+	"scorpio/internal/directory"
+	"scorpio/internal/mem"
+	"scorpio/internal/nic"
 	"scorpio/internal/noc"
 	"scorpio/internal/sim"
 	"scorpio/internal/stats"
+	"scorpio/internal/trace"
 )
 
 // intentionalPad sums blank `_ [N]byte`-style fields: padding the author
@@ -101,6 +107,17 @@ func main() {
 	}
 	if s := reflect.TypeOf(sim.Activity{}).Size(); s%64 != 0 {
 		bad("sim.Activity is %d bytes, want a cache-line multiple (false-sharing pad)", s)
+	}
+	// The components a machine keeps in one slice per kind and writes every
+	// cycle, each from its own shard: a stride of whole cache lines keeps
+	// one instance's writes off its neighbour's lines.
+	for _, v := range []any{
+		noc.Router{}, noc.Terminal{}, nic.NIC{}, coherence.L2Controller{},
+		directory.L2{}, directory.Home{}, mem.Controller{}, trace.Injector{},
+	} {
+		if t := reflect.TypeOf(v); t.Size()%64 != 0 {
+			bad("%s.%s is %d bytes, want a cache-line multiple (slab stride)", t.PkgPath(), t.Name(), t.Size())
+		}
 	}
 
 	// Hole checks on the exported hot structs of cache, noc, sim and stats.

@@ -10,38 +10,51 @@ import (
 )
 
 // footprintBoundMB bounds the live heap a freshly built default 6×6 SCORPIO
-// machine holds (measured 3.44 MB; the 36 L2 arrays of 16-byte lines are
-// 2.4 MB of it). The bound fails a 24-byte cache.Line, which reads 4.65 MB.
+// machine holds (measured 3.47 MB; the 36 L2 arrays of 16-byte lines are
+// 2.36 MB of it). The bound fails a 24-byte cache.Line, which reads 4.65 MB.
 const footprintBoundMB = 4.0
 
 // defaultOptionsBoundMB bounds the same machine built from
 // system.DefaultOptions, whose 256 KB memory-controller directory budget
-// gives four 768 KB directory-cache arrays (measured 5.47 MB). The bound
+// gives four 768 KB directory-cache arrays (measured 5.51 MB). The bound
 // fails a 24-byte cache.Line (7.70 MB) and directory maps pre-sized to the
 // directory budget.
 const defaultOptionsBoundMB = 6.5
 
 // directoryBoundMB bounds the live heap of a freshly built default 6×6
 // LPD-D or HT-D machine, 24 of the 36 machines of a Figure 6a sweep
-// (measured 2.97 and 3.04 MB; their 36 L2 arrays are 2.4 MB of it). The
-// bound fails a 24-byte cache.Line (4.16 and 4.24 MB).
+// (measured 3.11-3.15 and 3.14 MB; their 36 L2 arrays are 2.36 MB of it).
+// The bound fails a 24-byte cache.Line (4.16 and 4.24 MB).
 const directoryBoundMB = 3.6
 
-// builtMB builds a machine and returns the live heap it holds, in MB.
+// l2ArraysMB is what the 36 L2 arrays of a 6×6 machine hold on their own
+// (36 × 4,096 lines × 16 bytes): no reading of such a machine can be less.
+const l2ArraysMB = 2.36
+
+// builtMB builds a machine and returns the live heap it holds, in MB: the
+// drop in live heap when the built machine is released (build, collect,
+// read; drop the machine, collect, read). Memory an earlier machine frees
+// during the build cannot cancel out of that reading, as it could out of
+// the rise from before the build. A reading below the L2 arrays' own
+// bytes fails, so an under-read can never pass a bound.
 func builtMB(t *testing.T, build func() (any, error)) float64 {
 	t.Helper()
-	var ms runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&ms)
-	before := ms.HeapAlloc
 	m, err := build()
 	if err != nil {
 		t.Fatal(err)
 	}
+	var ms runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&ms)
+	held := ms.HeapAlloc
 	runtime.KeepAlive(m)
-	return float64(int64(ms.HeapAlloc)-int64(before)) / 1e6
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	mb := float64(int64(held)-int64(ms.HeapAlloc)) / 1e6
+	if mb < l2ArraysMB {
+		t.Fatalf("built machine read %.2f MB, less than its L2 arrays' %.2f MB: the reading lost part of the machine", mb, l2ArraysMB)
+	}
+	return mb
 }
 
 // filledConfig returns the default Config of benchmark fft on protocol p and

@@ -149,6 +149,10 @@ type Home struct {
 	sendQ        coherence.SendQ
 	now          uint64 // cycle of the last Evaluate (idle-check reference)
 	Stats        HomeStats
+
+	// Homes sit side by side in one slab and belong to different shards;
+	// the pad rounds the stride to whole cache lines.
+	_ [56]byte
 }
 
 // NewHome builds a directory slice; it draws packet IDs from ids and builds

@@ -54,7 +54,7 @@ type L2 struct {
 
 	// Controllers sit side by side in one slab and belong to different
 	// shards; the pad rounds the stride to whole cache lines.
-	_ [40]byte
+	_ [56]byte
 }
 
 // newFrontEnds sizes the front-end slabs for n controllers.

@@ -100,6 +100,10 @@ type Controller struct {
 	early []earlyWB
 	sendQ coherence.SendQ
 	Stats Stats
+
+	// Controllers sit side by side in one slice and belong to different
+	// shards; the pad rounds the stride to whole cache lines.
+	_ [32]byte
 }
 
 // mapPresize caps the directory map's initial size: the map holds every

@@ -23,3 +23,28 @@ func TestActivityIsOneCacheLine(t *testing.T) {
 		t.Fatalf("Activity is %d bytes, want exactly one 64-byte cache line", s)
 	}
 }
+
+// nopComponent does nothing; it only takes a scheduling unit.
+type nopComponent struct{}
+
+func (nopComponent) Evaluate(uint64) {}
+func (nopComponent) Commit(uint64)   {}
+
+// TestActivitiesStartOnCacheLines registers a 16×16 machine's 513 units and
+// checks that every wake mailbox starts on a 64-byte boundary: the kernel
+// hands them out of 32 KB blocks, which the allocator places on whole
+// pages, so with Activity's one-line stride no two share a line.
+func TestActivitiesStartOnCacheLines(t *testing.T) {
+	k := NewKernel()
+	for i := 0; i < 513; i++ {
+		var a *Activity
+		if i%2 == 0 {
+			a = k.Register(nopComponent{})
+		} else {
+			a = k.RegisterGroup(i, nopComponent{})
+		}
+		if p := uintptr(unsafe.Pointer(a)); p%64 != 0 {
+			t.Fatalf("unit %d's mailbox starts %d bytes past a cache-line boundary", i, p%64)
+		}
+	}
+}

@@ -71,7 +71,7 @@ type Injector struct {
 
 	// Injectors sit side by side in one slab and belong to different
 	// shards; the pad rounds the stride to whole cache lines.
-	_ [24]byte
+	_ [16]byte
 }
 
 // access is one generated request.
