@@ -141,8 +141,9 @@ type meshPort struct {
 	respVCBuf []ring.Ring[noc.Flit]
 	arrivalQ  ring.Ring[int] // unordered mode: VC indexes in arrival order
 
-	// Ports of different nodes sit side by side in one slab and belong to
-	// different shards; the pad rounds the stride to whole cache lines.
+	// Extra meshes' ports of different nodes sit side by side in one slab
+	// and belong to different shards; the pad rounds the stride to whole
+	// cache lines.
 	_ [40]byte
 }
 

@@ -194,9 +194,10 @@ func (k *Kernel) Register(c Component) *Activity {
 }
 
 // RegisterGroup adds a component to the scheduling unit identified by key
-// (key >= 0). All components sharing a key execute on the same worker, in
-// registration order, so they may call each other directly during a phase.
-// Returns the unit's shared wake mailbox.
+// (key >= 0; keys index a slice, so machines use their node numbers). All
+// components sharing a key execute on the same worker, in registration
+// order, so they may call each other directly during a phase. Returns the
+// unit's shared wake mailbox.
 func (k *Kernel) RegisterGroup(key int, c Component) *Activity {
 	if key < 0 {
 		panic("sim: RegisterGroup key must be non-negative")

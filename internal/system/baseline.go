@@ -141,6 +141,7 @@ func newBaseline(opt BaselineOptions, drive bool) (*Baseline, error) {
 	ids := make([]coherence.IDSource, nodes)
 	var mcNodes []int
 	var mcPorts []coherence.NetPort
+	var mcIDs []coherence.IDSource
 	for node := range ports {
 		ep := baseline.NewEndpoint(node, mesh, orderer, nil)
 		if b.INSO != nil {
@@ -151,11 +152,11 @@ func newBaseline(opt BaselineOptions, drive bool) (*Baseline, error) {
 		b.Endpoints = append(b.Endpoints, ep)
 		ports[node], ids[node] = ep, mesh
 		if mcAt[node] {
-			mcNodes, mcPorts = append(mcNodes, node), append(mcPorts, ep)
+			mcNodes, mcPorts, mcIDs = append(mcNodes, node), append(mcPorts, ep), append(mcIDs, mesh)
 		}
 	}
 	l2s := coherence.NewL2s(opt.L2, ports, ids, mm, pool)
-	mcs := mem.NewControllers(mcNodes, opt.Mem, mcPorts, ids[:len(mcNodes)], mm, pool)
+	mcs := mem.NewControllers(mcNodes, opt.Mem, mcPorts, mcIDs, mm, pool)
 	reqPorts := make([]trace.RequestPort, nodes)
 	b.L2s = make([]*coherence.L2Controller, nodes)
 	for node := range l2s {

@@ -67,10 +67,10 @@ func (s *idStream) NextPacketID() uint64 {
 	return s.base | s.seq
 }
 
-// idStreams returns n streams, stream i's IDs carrying i+1 in their high
-// bits, and the first n as the IDSources of nodes 0..n-1's first controller
-// kind and the rest as those of their second kind: streams must number
-// 2×nodes.
+// idStreams returns the packet-ID sources of the two controller kinds of
+// nodes 0..nodes-1 (the L2 and the memory controller or home): stream i's
+// IDs carry i+1 in their high bits, node n's first kind drawing from stream
+// n and its second from stream nodes+n.
 func idStreams(nodes int) (first, second []coherence.IDSource) {
 	streams := slab.Make[idStream](2 * nodes)
 	ids := make([]coherence.IDSource, 2*nodes)
