@@ -10,20 +10,20 @@ import (
 )
 
 // footprintBoundMB bounds the live heap a freshly built default 6×6 SCORPIO
-// machine holds (measured 3.47 MB; the 36 L2 arrays of 16-byte lines are
+// machine holds (measured 3.45 MB; the 36 L2 arrays of 16-byte lines are
 // 2.36 MB of it). The bound fails a 24-byte cache.Line, which reads 4.65 MB.
 const footprintBoundMB = 4.0
 
 // defaultOptionsBoundMB bounds the same machine built from
 // system.DefaultOptions, whose 256 KB memory-controller directory budget
-// gives four 768 KB directory-cache arrays (measured 5.51 MB). The bound
+// gives four 768 KB directory-cache arrays (measured 5.48 MB). The bound
 // fails a 24-byte cache.Line (7.70 MB) and directory maps pre-sized to the
 // directory budget.
 const defaultOptionsBoundMB = 6.5
 
 // directoryBoundMB bounds the live heap of a freshly built default 6×6
 // LPD-D or HT-D machine, 24 of the 36 machines of a Figure 6a sweep
-// (measured 3.11-3.15 and 3.14 MB; their 36 L2 arrays are 2.36 MB of it).
+// (measured 3.05-3.08 and 3.08 MB; their 36 L2 arrays are 2.36 MB of it).
 // The bound fails a 24-byte cache.Line (4.16 and 4.24 MB).
 const directoryBoundMB = 3.6
 
@@ -117,7 +117,7 @@ func TestDirectoryBuildFootprint(t *testing.T) {
 // buildAllocsBound6x6 and buildAllocsBound16x16 bound the heap allocations
 // of one machine build plus its first kernel step. Every component kind
 // that exists once per node, port or link is one slice per machine, so the
-// count no longer grows with the mesh: 187-188 at 6×6 and 228 at 16×16,
+// count no longer grows with the mesh: 181-188 at 6×6 and 234 at 16×16,
 // against 3,236-3,390 and 23,349 when each router, link, ring, controller
 // and injector was its own object. A kind allocated once per node again
 // adds 36 at 6×6 and 256 at 16×16; links one by one add 576 and 4,416.

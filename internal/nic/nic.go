@@ -153,8 +153,9 @@ type meshPort struct {
 type slabs struct {
 	ports     slab.Slab[meshPort]
 	portPtrs  slab.Slab[*meshPort]
-	pkts      slab.Slab[*noc.Packet] // reqQ, respQ, doneResp, loopback
-	reqs      slab.Slab[reqEntry]    // reqBuf rings, reqHold
+	pkts      slab.Slab[*noc.Packet] // reqQ, respQ, doneResp
+	loopback  slab.Slab[*noc.Packet]
+	reqs      slab.Slab[reqEntry] // reqBuf rings, reqHold
 	reqRings  slab.Slab[ring.Ring[reqEntry]]
 	flits     slab.Slab[noc.Flit]
 	flitRings slab.Slab[ring.Ring[noc.Flit]]
@@ -164,23 +165,28 @@ type slabs struct {
 }
 
 // makeSlabs sizes the slabs for nics NICs of configuration cfg, each
-// attached to meshes meshes of configuration net.
+// attached to meshes meshes of configuration net. The global-order state
+// (loopback, tracker queue, delivered sequences) is sized only for ordered
+// NICs: an unordered one never touches it.
 func makeSlabs(cfg Config, net noc.Config, nics, meshes int) slabs {
 	goVCs, uoVCs := net.TotalVCs(noc.GOReq), net.TotalVCs(noc.UOResp)
 	ports := nics * meshes
-	return slabs{
-		ports:    slab.Make[meshPort](ports - nics),
-		portPtrs: slab.Make[*meshPort](ports),
-		pkts: slab.Make[*noc.Packet](ports*2*ring.Slots(cfg.InjectQueueDepth) +
-			nics*(ring.Slots(doneRespSlots)+ring.Slots(cfg.MaxPendingNotifs))),
+	s := slabs{
+		ports:     slab.Make[meshPort](ports - nics),
+		portPtrs:  slab.Make[*meshPort](ports),
+		pkts:      slab.Make[*noc.Packet](ports*2*ring.Slots(cfg.InjectQueueDepth) + nics*ring.Slots(doneRespSlots)),
 		reqs:      slab.Make[reqEntry](ports*goVCs*ring.Slots(net.GOReqBufDepth) + nics*ring.Slots(cfg.ReqBufDepth)),
 		reqRings:  slab.Make[ring.Ring[reqEntry]](ports * goVCs),
 		flits:     slab.Make[noc.Flit](ports * uoVCs * ring.Slots(net.UORespBufDepth)),
 		flitRings: slab.Make[ring.Ring[noc.Flit]](ports * uoVCs),
 		vcs:       slab.Make[int](ports * ring.Slots(goVCs*net.GOReqBufDepth)),
-		vectors:   slab.Make[notif.Vector](nics * ring.Slots(cfg.TrackerDepth)),
-		seqs:      slab.Make[uint64](nics * net.Nodes()),
 	}
+	if cfg.Ordered {
+		s.loopback = slab.Make[*noc.Packet](nics * ring.Slots(cfg.MaxPendingNotifs))
+		s.vectors = slab.Make[notif.Vector](nics * ring.Slots(cfg.TrackerDepth))
+		s.seqs = slab.Make[uint64](nics * net.Nodes())
+	}
+	return s
 }
 
 // cutRing cuts a ring of the expected capacity from s.
@@ -324,11 +330,13 @@ func (n *NIC) init(node int, cfg Config, meshes []*noc.Mesh, nnet *notif.Network
 		p.init(cfg, mesh, node, s)
 		n.ports[i] = p
 	}
-	n.deliveredSeq = s.seqs.Cut(n.netCfg.Nodes())
 	n.reqHold = cutFixed(&s.reqs, cfg.ReqBufDepth)
 	n.doneResp = cutRing(&s.pkts, doneRespSlots)
-	n.loopback = cutRing(&s.pkts, cfg.MaxPendingNotifs)
-	n.trackerQ = cutFixed(&s.vectors, cfg.TrackerDepth)
+	if cfg.Ordered {
+		n.deliveredSeq = s.seqs.Cut(n.netCfg.Nodes())
+		n.loopback = cutRing(&s.loopback, cfg.MaxPendingNotifs)
+		n.trackerQ = cutFixed(&s.vectors, cfg.TrackerDepth)
+	}
 	if nnet != nil {
 		n.ncfg = nnet.Config()
 		nnet.AttachSource(node, n)

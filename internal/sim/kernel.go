@@ -164,11 +164,12 @@ func NewKernel() *Kernel {
 	return &Kernel{nextAuto: -1, idleSkip: true}
 }
 
-// actBlockLen is the number of wake mailboxes allocated at once: 32 KB,
-// the smallest block the allocator starts on a page (a smaller one that
-// holds pointers starts 8 bytes past a cache-line boundary, behind its
-// malloc header). A 16×16 machine's 513 units take two blocks.
-const actBlockLen = 512
+// actBlockLen is the number of wake mailboxes allocated at once: with the
+// 8-byte header the allocator puts in front of an object that holds
+// pointers, one page. A block therefore starts 8 bytes past a cache-line
+// boundary, and each mailbox's live words stay within one line while its
+// pad takes the spill. A 6×6 machine's 73 units take one block.
+const actBlockLen = 127
 
 // newActivity hands out the next wake mailbox of the current block.
 func (k *Kernel) newActivity() *Activity {
