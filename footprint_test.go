@@ -117,7 +117,7 @@ func TestDirectoryBuildFootprint(t *testing.T) {
 // buildAllocsBound6x6 and buildAllocsBound16x16 bound the heap allocations
 // of one machine build plus its first kernel step. Every component kind
 // that exists once per node, port or link is one slice per machine, so the
-// count no longer grows with the mesh: 181-188 at 6×6 and 234 at 16×16,
+// count no longer grows with the mesh: 180-195 at 6×6 and 231-234 at 16×16,
 // against 3,236-3,390 and 23,349 when each router, link, ring, controller
 // and injector was its own object. A kind allocated once per node again
 // adds 36 at 6×6 and 256 at 16×16; links one by one add 576 and 4,416.

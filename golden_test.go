@@ -57,7 +57,7 @@ type goldenCase struct {
 // goldenCases lists the pinned runs: all five machines on three benchmarks,
 // the mesh-ordered ones at the chip's 6×6 and the Figure 7 baselines at
 // their 4×4, plus a 4×4 SCORPIO on two main networks, the one pinned path
-// through NIC.AddMesh and the send striping across meshes. The 4×4 fft runs
+// through a NIC's extra mesh ports and the send striping across meshes. The 4×4 fft runs
 // with a 1 KB L2 are the pinned dirty evictions: no default-size run evicts
 // a dirty line, so they alone carry writebacks through every machine. One
 // 600-cycle window of a 16×16 SCORPIO fft on two kernel workers is the
