@@ -2,10 +2,11 @@
 // structs. It fails (exit 1) when:
 //
 //   - a struct with a pinned size contract drifts (Flit must stay 32 bytes —
-//     two per cache line — cache.Line 16 bytes, so a 4-way set takes 64, one
-//     cache line, and the false-sharing-padded Link and Activity, like every
-//     component a machine keeps in one slice per kind and writes every
-//     cycle, must stay cache-line multiples), or
+//     two per cache line — cache.Line 8 bytes, its key word alone, so a
+//     4-way set takes 32 and two sets share one cache line, and the
+//     false-sharing-padded Link and Activity, like every component a machine
+//     keeps in one slice per kind and writes every cycle, must stay
+//     cache-line multiples), or
 //   - a checked struct wastes alignment padding that a field reorder would
 //     reclaim (compiler-inserted holes not covered by an explicit blank
 //     `_ [N]byte` pad, which marks deliberate false-sharing padding).
@@ -99,8 +100,8 @@ func main() {
 	if s := reflect.TypeOf(noc.Flit{}).Size(); s != 32 {
 		bad("noc.Flit is %d bytes, want 32 (two per 64-byte cache line)", s)
 	}
-	if s := reflect.TypeOf(cache.Line{}).Size(); s != 16 {
-		bad("cache.Line is %d bytes, want 16 (a 4-way set takes one 64-byte cache line)", s)
+	if s := reflect.TypeOf(cache.Line{}).Size(); s != 8 {
+		bad("cache.Line is %d bytes, want 8 (its key word alone: two 4-way sets per 64-byte cache line)", s)
 	}
 	if s := reflect.TypeOf(noc.Link{}).Size(); s%64 != 0 {
 		bad("noc.Link is %d bytes, want a cache-line multiple (false-sharing pad)", s)

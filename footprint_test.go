@@ -3,33 +3,37 @@ package scorpio
 import (
 	"runtime"
 	"testing"
+	"unsafe"
 
+	"scorpio/internal/cache"
 	"scorpio/internal/sim"
 	"scorpio/internal/system"
 	"scorpio/internal/trace"
 )
 
 // footprintBoundMB bounds the live heap a freshly built default 6×6 SCORPIO
-// machine holds (measured 3.45 MB; the 36 L2 arrays of 16-byte lines are
-// 2.36 MB of it). The bound fails a 24-byte cache.Line, which reads 4.65 MB.
-const footprintBoundMB = 4.0
+// machine holds (measured 2.28 MB; the 36 L2 arrays of 8-byte lines are
+// 1.18 MB of it, and a trace-driven machine makes no data plane). The bound
+// fails a 16-byte cache.Line that carries its data word, which reads
+// 3.45 MB.
+const footprintBoundMB = 2.8
 
 // defaultOptionsBoundMB bounds the same machine built from
 // system.DefaultOptions, whose 256 KB memory-controller directory budget
-// gives four 768 KB directory-cache arrays (measured 5.48 MB). The bound
-// fails a 24-byte cache.Line (7.70 MB) and directory maps pre-sized to the
+// gives four 768 KB directory-cache arrays (measured 3.29 MB). The bound
+// fails a 16-byte cache.Line (5.48 MB) and directory maps pre-sized to the
 // directory budget.
-const defaultOptionsBoundMB = 6.5
+const defaultOptionsBoundMB = 4.0
 
 // directoryBoundMB bounds the live heap of a freshly built default 6×6
 // LPD-D or HT-D machine, 24 of the 36 machines of a Figure 6a sweep
-// (measured 3.05-3.08 and 3.08 MB; their 36 L2 arrays are 2.36 MB of it).
-// The bound fails a 24-byte cache.Line (4.16 and 4.24 MB).
-const directoryBoundMB = 3.6
+// (measured 1.88-1.91 MB; their 36 L2 arrays are 1.18 MB of it). The bound
+// fails a 16-byte cache.Line (3.05-3.08 MB).
+const directoryBoundMB = 2.4
 
 // l2ArraysMB is what the 36 L2 arrays of a 6×6 machine hold on their own
-// (36 × 4,096 lines × 16 bytes): no reading of such a machine can be less.
-const l2ArraysMB = 2.36
+// (36 × 4,096 lines): no reading of such a machine can be less.
+const l2ArraysMB = float64(unsafe.Sizeof(cache.Line{})) * 36 * 4096 / 1e6
 
 // builtMB builds a machine and returns the live heap it holds, in MB: the
 // drop in live heap when the built machine is released (build, collect,
@@ -126,9 +130,21 @@ const (
 	buildAllocsBound16x16 = 1500
 )
 
-// buildAllocs counts the heap allocations of build and the first Step of
-// the kernel it returns.
-func buildAllocs(t *testing.T, build func() (*sim.Kernel, error)) uint64 {
+// buildBytesBound6x6MB and buildBytesBound16x16MB bound the bytes one
+// machine build plus its first kernel step allocates, live or garbage
+// (measured 1.92-2.28 MB at 6×6 and 14.59 MB at 16×16). A machine is timed
+// right after a collection, over a live heap far below Go's 4 MB minimum
+// heap goal; a 6×6 build that allocates a few hundred KB more starts a
+// collection mid-build. The bounds fail 16-byte cache lines, which read
+// 3.10-3.49 and 23.01 MB.
+const (
+	buildBytesBound6x6MB   = 2.6
+	buildBytesBound16x16MB = 16
+)
+
+// buildAllocs counts the heap allocations and the MB allocated by build and
+// the first Step of the kernel it returns.
+func buildAllocs(t *testing.T, build func() (*sim.Kernel, error)) (allocs uint64, mb float64) {
 	t.Helper()
 	var before, after runtime.MemStats
 	runtime.GC()
@@ -140,11 +156,11 @@ func buildAllocs(t *testing.T, build func() (*sim.Kernel, error)) uint64 {
 	k.Step()
 	runtime.ReadMemStats(&after)
 	k.StopWorkers()
-	return after.Mallocs - before.Mallocs
+	return after.Mallocs - before.Mallocs, float64(after.TotalAlloc-before.TotalAlloc) / 1e6
 }
 
-// TestBuildAllocs pins the allocations of building the machines Run builds
-// and stepping them once.
+// TestBuildAllocs pins the allocations and the bytes allocated of building
+// the machines Run builds and stepping them once.
 func TestBuildAllocs(t *testing.T) {
 	scorpioBuild := func(cfg Config) func() (*sim.Kernel, error) {
 		return func() (*sim.Kernel, error) {
@@ -180,19 +196,23 @@ func TestBuildAllocs(t *testing.T) {
 	lpd36, _ := filledConfig(t, LPDD)
 	ht36, _ := filledConfig(t, HTD)
 	for _, c := range []struct {
-		name  string
-		build func() (*sim.Kernel, error)
-		bound uint64
+		name    string
+		build   func() (*sim.Kernel, error)
+		bound   uint64
+		boundMB float64
 	}{
-		{"SCORPIO/6x6", scorpioBuild(scorpio36), buildAllocsBound6x6},
-		{"LPD-D/6x6", directoryBuild(lpd36), buildAllocsBound6x6},
-		{"HT-D/6x6", directoryBuild(ht36), buildAllocsBound6x6},
-		{"SCORPIO/16x16/workers=2", scorpioBuild(big), buildAllocsBound16x16},
+		{"SCORPIO/6x6", scorpioBuild(scorpio36), buildAllocsBound6x6, buildBytesBound6x6MB},
+		{"LPD-D/6x6", directoryBuild(lpd36), buildAllocsBound6x6, buildBytesBound6x6MB},
+		{"HT-D/6x6", directoryBuild(ht36), buildAllocsBound6x6, buildBytesBound6x6MB},
+		{"SCORPIO/16x16/workers=2", scorpioBuild(big), buildAllocsBound16x16, buildBytesBound16x16MB},
 	} {
-		n := buildAllocs(t, c.build)
-		t.Logf("%s: %d allocations to build and step once (bound %d)", c.name, n, c.bound)
+		n, mb := buildAllocs(t, c.build)
+		t.Logf("%s: %d allocations, %.2f MB, to build and step once (bounds %d, %.1f MB)", c.name, n, mb, c.bound, c.boundMB)
 		if n > c.bound {
 			t.Errorf("%s: building and stepping once made %d allocations, bound %d", c.name, n, c.bound)
+		}
+		if mb > c.boundMB {
+			t.Errorf("%s: building and stepping once allocated %.2f MB, bound %.1f MB", c.name, mb, c.boundMB)
 		}
 	}
 }

@@ -10,16 +10,15 @@ import (
 	"scorpio/internal/slab"
 )
 
-// Line is one cache entry: the line's data (modelled as one word) and a key
-// word that packs the line address (bits 0-47), the caller's state (bits
-// 48-54), the valid bit (55) and the line's recency rank within its set
-// (bits 56-63). It is 16 bytes, so the chip's 4-way set takes 64, one host
-// cache line, and a lookup tests each way with one masked compare. Line
-// addresses must be below 2^48 and states within 0-127: Insert and SetState
-// panic otherwise.
+// Line is one cache entry: one key word that packs the line address (bits
+// 0-47), the caller's state (bits 48-54), the valid bit (55) and the line's
+// recency rank within its set (bits 56-63). It is 8 bytes, so the chip's
+// 4-way set takes 32, half a host cache line, and a lookup tests each way
+// with one masked compare. The line's data is not in it: the Array keeps
+// data in a plane beside its lines (Data, SetData). Line addresses must be
+// below 2^48 and states within 0-127: Insert and SetState panic otherwise.
 type Line struct {
-	Data uint64
-	key  uint64
+	key uint64
 }
 
 // The key word's fields.
@@ -66,10 +65,24 @@ func stateBits(state int32) uint64 {
 // 0 the most recent, so a full set's victim (rank ways-1) is the least
 // recently used line. A fresh array is all invalid with every rank 0, which
 // already satisfies that rule, so building one writes nothing.
+//
+// Each slot's data word (a line's data, modelled as one word) lives in a
+// plane parallel to the lines, made at the first non-zero value stored into
+// the array: an array that only ever holds 0, as in every trace-driven run,
+// never makes one. Data belongs to the slot. A fill writes its value into
+// the slot the line takes, 0 included once the plane exists; an eviction
+// returns the victim's data; an absent or invalid line reads 0.
 type Array struct {
 	sets  int
 	ways  int
 	lines []Line
+	data  []uint64 // parallel to lines; nil until a non-zero store
+}
+
+// Victim is a line Insert evicted, with the data its slot held.
+type Victim struct {
+	Line
+	Data uint64
 }
 
 // NewArray builds an array with the given geometry. Sets must be a power of
@@ -125,9 +138,12 @@ func (a *Array) Ways() int { return a.ways }
 // Capacity returns the number of lines the array can hold.
 func (a *Array) Capacity() int { return a.sets * a.ways }
 
+// base returns the index in lines of the first way of addr's set.
+func (a *Array) base(addr uint64) int { return (int(addr) & (a.sets - 1)) * a.ways }
+
 func (a *Array) set(addr uint64) []Line {
-	idx := int(addr) & (a.sets - 1)
-	return a.lines[idx*a.ways : (idx+1)*a.ways]
+	b := a.base(addr)
+	return a.lines[b : b+a.ways]
 }
 
 // Lookup finds the line for addr; it returns nil on miss and does not touch
@@ -182,15 +198,16 @@ func (a *Array) Get(addr uint64) *Line {
 func (a *Array) Touch(addr uint64) { a.Get(addr) }
 
 // Insert places addr with the given state and data, evicting the LRU line of
-// the set if necessary. It returns the evicted line, data included (valid
+// the set if necessary. It returns the evicted line with its data (valid
 // only if eviction happened). It panics on a line address of 2^48 or more or
 // a state outside 0-127.
-func (a *Array) Insert(addr uint64, state int32, data uint64) (evicted Line, didEvict bool) {
+func (a *Array) Insert(addr uint64, state int32, data uint64) (evicted Victim, didEvict bool) {
 	if addr > addrMask {
 		panic(fmt.Sprintf("cache: line address %#x needs more than %d bits", addr, addrBits))
 	}
 	st := stateBits(state)
-	set := a.set(addr)
+	b := a.base(addr)
+	set := a.lines[b : b+a.ways]
 	// Reuse an existing entry or the first free way; otherwise the victim
 	// is the valid line of highest rank.
 	free, oldest, n := -1, 0, 0
@@ -202,9 +219,9 @@ func (a *Array) Insert(addr uint64, state int32, data uint64) (evicted Line, did
 			}
 		case set[i].Addr() == addr:
 			set[i].key = set[i].key&^stateMask | st
-			set[i].Data = data
+			a.store(b+i, data)
 			promote(set, i)
-			return Line{}, false
+			return Victim{}, false
 		default:
 			n++
 			if set[i].rank() > set[oldest].rank() {
@@ -215,13 +232,60 @@ func (a *Array) Insert(addr uint64, state int32, data uint64) (evicted Line, did
 	way := free
 	if way < 0 {
 		way, n = oldest, n-1
-		evicted, didEvict = set[way], true
+		evicted, didEvict = Victim{Line: set[way]}, true
+		if a.data != nil {
+			evicted.Data = a.data[b+way]
+		}
 	}
 	// The new line enters below the n lines that stay and is promoted over
 	// them.
-	set[way] = Line{Data: data, key: addr | st | lineValid | uint64(n)<<rankShift}
+	set[way] = Line{key: addr | st | lineValid | uint64(n)<<rankShift}
+	a.store(b+way, data)
 	promote(set, way)
 	return evicted, didEvict
+}
+
+// slot returns the index in lines of the resident line addr, or -1.
+func (a *Array) slot(addr uint64) int {
+	b := a.base(addr)
+	if i := find(a.lines[b:b+a.ways], addr); i >= 0 {
+		return b + i
+	}
+	return -1
+}
+
+// Data returns the data of the resident line addr, 0 if addr is absent.
+func (a *Array) Data(addr uint64) uint64 {
+	if a.data == nil {
+		return 0
+	}
+	if i := a.slot(addr); i >= 0 {
+		return a.data[i]
+	}
+	return 0
+}
+
+// SetData replaces the data of the resident line addr; it does nothing if
+// addr is absent. Storing 0 into an array without a plane looks nothing up.
+func (a *Array) SetData(addr, data uint64) {
+	if a.data == nil && data == 0 {
+		return
+	}
+	if i := a.slot(addr); i >= 0 {
+		a.store(i, data)
+	}
+}
+
+// store writes data into slot i, making the plane at the first non-zero
+// value.
+func (a *Array) store(i int, data uint64) {
+	if a.data == nil {
+		if data == 0 {
+			return
+		}
+		a.data = make([]uint64, len(a.lines))
+	}
+	a.data[i] = data
 }
 
 // Invalidate removes addr from the array and reports whether it was present.

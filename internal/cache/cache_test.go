@@ -61,8 +61,10 @@ func TestArrayLRUEviction(t *testing.T) {
 
 // TestArrayLineData checks the data word's lifecycle: Insert gives a line the
 // data it is passed in every slot it may take (a free way, an evicted way, an
-// invalidated way, the line's own way on a reinsert), and the evicted copy
-// carries the victim's data out of the array.
+// invalidated way, the line's own way on a reinsert), 0 included, so a
+// reused slot never shows the word of the line it held before; the evicted
+// copy carries the victim's data out of the array; SetData rewrites a
+// resident line's data and ignores an absent one; an absent line reads 0.
 func TestArrayLineData(t *testing.T) {
 	a := NewArray(1, 2) // one set, two ways
 	a.Insert(1, 0, 11)
@@ -71,17 +73,94 @@ func TestArrayLineData(t *testing.T) {
 	if !did || ev.Addr() != 1 || ev.Data != 11 {
 		t.Fatalf("evicted %+v (did=%v), want addr 1 with data 11", ev, did)
 	}
-	if got := a.Lookup(3).Data; got != 33 {
+	if got := a.Data(3); got != 33 {
 		t.Fatalf("new line in a reused slot has data %d, want 33", got)
 	}
+	if got := a.Data(1); got != 0 {
+		t.Fatalf("evicted line reads data %d, want 0", got)
+	}
 	a.Invalidate(2)
-	a.Insert(4, 0, 0) // takes the invalidated way
-	if got := a.Lookup(4).Data; got != 0 {
+	if got := a.Data(2); got != 0 {
+		t.Fatalf("invalidated line reads data %d, want 0", got)
+	}
+	a.Insert(4, 0, 0) // takes the invalidated way, which held 22
+	if got := a.Data(4); got != 0 {
 		t.Fatalf("line in an invalidated slot has data %d, want 0", got)
 	}
-	a.Insert(3, 1, 44) // reinsert in place
-	if got := a.Lookup(3).Data; got != 44 {
+	ev, did = a.Insert(5, 0, 0) // evicts 3, whose way held 33
+	if !did || ev.Addr() != 3 || ev.Data != 33 {
+		t.Fatalf("evicted %+v (did=%v), want addr 3 with data 33", ev, did)
+	}
+	if got := a.Data(5); got != 0 {
+		t.Fatalf("line in an evicted slot has data %d, want 0", got)
+	}
+	a.Insert(5, 1, 44) // reinsert in place
+	if got := a.Data(5); got != 44 {
 		t.Fatalf("reinserted line has data %d, want 44", got)
+	}
+	a.SetData(5, 0)
+	if got := a.Data(5); got != 0 {
+		t.Fatalf("line reads data %d after SetData(0)", got)
+	}
+	a.SetData(6, 66)
+	if a.Lookup(6) != nil || a.Data(6) != 0 {
+		t.Fatal("SetData of an absent line made it resident or gave it data")
+	}
+}
+
+// TestArrayZeroDataMakesNoPlane checks that an array that only ever stores
+// 0, as every trace-driven L2 does, never makes its data plane: fills,
+// evictions, reinserts and SetData of 0 allocate nothing.
+func TestArrayZeroDataMakesNoPlane(t *testing.T) {
+	a := NewArray(4, 2)
+	addr := uint64(0)
+	allocs := testing.AllocsPerRun(100, func() {
+		a.Insert(addr, 1, 0)
+		a.SetData(addr, 0)
+		a.Insert(addr, 2, 0)
+		addr++ // walks the sets, so later fills evict
+	})
+	if allocs != 0 {
+		t.Fatalf("storing 0 allocates %.1f times per run, want 0", allocs)
+	}
+	if a.data != nil {
+		t.Fatal("an array that only stored 0 has a data plane")
+	}
+	if got := a.Data(addr - 1); got != 0 {
+		t.Fatalf("line reads data %d, want 0", got)
+	}
+}
+
+// TestArrayPlaneMadeOnce checks that the first non-zero store into an array,
+// by Insert or by SetData, makes its data plane with one allocation, and
+// that the stores, evictions and reinserts after it make none.
+func TestArrayPlaneMadeOnce(t *testing.T) {
+	for name, first := range map[string]func(a *Array){
+		"Insert":  func(a *Array) { a.Insert(1, 0, 7) },
+		"SetData": func(a *Array) { a.Insert(1, 0, 0); a.SetData(1, 7) },
+	} {
+		const runs = 20
+		arrs := make([]*Array, runs+1) // AllocsPerRun makes one warm-up call
+		for i := range arrs {
+			arrs[i] = NewArray(4, 2)
+		}
+		next := 0
+		allocs := testing.AllocsPerRun(runs, func() {
+			a := arrs[next]
+			next++
+			first(a)
+			for addr := uint64(0); addr < 32; addr++ {
+				a.Insert(addr, 0, addr)
+				a.SetData(addr, 0)
+				a.Insert(addr, 1, addr+1)
+			}
+			if a.Data(31) != 32 {
+				t.Errorf("%s: line 31 reads data %d, want 32", name, a.Data(31))
+			}
+		})
+		if allocs != 1 {
+			t.Errorf("%s: an array's first non-zero store and what follows allocate %.1f times, want 1", name, allocs)
+		}
 	}
 }
 
@@ -118,9 +197,12 @@ func TestArrayPropertyInsertThenLookup(t *testing.T) {
 	if err := quick.Check(func(addr, data uint64, state uint8) bool {
 		addr &= addrMask
 		st := int32(state & maxState)
+		if data&7 != 0 { // most draws store 0, so the data plane appears mid-run
+			data = 0
+		}
 		a.Insert(addr, st, data)
 		l := a.Lookup(addr)
-		return l != nil && l.State() == st && l.Addr() == addr && l.Data == data
+		return l != nil && l.State() == st && l.Addr() == addr && a.Data(addr) == data
 	}, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
 	}
@@ -151,14 +233,15 @@ func TestArrayRejectsOutOfRange(t *testing.T) {
 			f()
 		}()
 	}
-	if l := a.Lookup(addrMask); l == nil || l.State() != maxState || l.Data != 1 {
+	if l := a.Lookup(addrMask); l == nil || l.State() != maxState || a.Data(addrMask) != 1 {
 		t.Fatalf("line at the top address = %+v, want state %d, data 1", l, maxState)
 	}
 	if l := a.Lookup(5); l == nil || l.State() != 0 {
 		t.Fatalf("a refused SetState changed the line: %+v", l)
 	}
 	for _, addr := range []uint64{5 | lineValid, 5 | 1<<48, addrMask | lineValid} {
-		if a.Lookup(addr) != nil || a.Get(addr) != nil || a.Invalidate(addr) {
+		a.SetData(addr, 3)
+		if a.Lookup(addr) != nil || a.Get(addr) != nil || a.Data(addr) != 0 || a.Invalidate(addr) {
 			t.Errorf("out-of-range address %#x was found", addr)
 		}
 	}

@@ -71,6 +71,15 @@ func (a *stampArray) Insert(addr uint64, state int32, data uint64) (stampLine, b
 	return ev, true
 }
 
+func (a *stampArray) SetData(addr, data uint64) {
+	set := a.set(addr)
+	for i := range set {
+		if set[i].valid && set[i].Addr == addr {
+			set[i].Data = data
+		}
+	}
+}
+
 func (a *stampArray) Invalidate(addr uint64) bool {
 	set := a.set(addr)
 	for i := range set {
@@ -110,11 +119,14 @@ func checkRanks(t *testing.T, a *Array, step int) {
 }
 
 // TestArrayRanksMatchStamps drives the rank array and the stamp reference
-// with one random Get/Touch/Insert/Invalidate sequence per geometry, over an
-// address pool twice the capacity so sets fill, evict and drain. Each address
-// repeats its pool index in its top bits and states span 0-127, so every bit
-// of the packed key word is exercised. Every answer and every evicted line
-// must agree, and after every step each set's ranks must stay exact.
+// with one random Get/Touch/Insert/SetData/Invalidate sequence per geometry,
+// over an address pool twice the capacity so sets fill, evict and drain.
+// Each address repeats its pool index in its top bits and states span 0-127,
+// so every bit of the packed key word is exercised. Data is 0 for the first
+// half of the run, so the array's data plane appears mid-run, and mostly 0
+// after it, so zero fills land on slots that held values. Every answer, every
+// line's data and every evicted line must agree, and after every step each
+// set's ranks must stay exact.
 func TestArrayRanksMatchStamps(t *testing.T) {
 	const ops = 100_000
 	for _, g := range []struct{ sets, ways int }{
@@ -127,25 +139,35 @@ func TestArrayRanksMatchStamps(t *testing.T) {
 			for step := 0; step < ops; step++ {
 				addr := uint64(rng.Intn(pool))
 				addr |= addr << (addrBits - 9) & addrMask // pools hold at most 512 addresses
+				data := uint64(0)
+				if step >= ops/2 && rng.Intn(4) == 0 {
+					data = rng.Uint64()
+				}
 				switch op := rng.Intn(10); {
 				case op < 3: // Get
 					l, rl := a.Get(addr), ref.Get(addr)
 					if (l == nil) != (rl == nil) {
 						t.Fatalf("step %d: Get(%d) hit %v, reference %v", step, addr, l != nil, rl != nil)
 					}
-					if l != nil && (l.Addr() != rl.Addr || l.Data != rl.Data || l.State() != rl.State) {
-						t.Fatalf("step %d: Get(%d) = %+v, reference %+v", step, addr, *l, *rl)
+					if l != nil && (l.Addr() != rl.Addr || a.Data(addr) != rl.Data || l.State() != rl.State) {
+						t.Fatalf("step %d: Get(%d) = %+v with data %d, reference %+v", step, addr, *l, a.Data(addr), *rl)
+					}
+					if l == nil && a.Data(addr) != 0 {
+						t.Fatalf("step %d: absent line %d reads data %d", step, addr, a.Data(addr))
 					}
 				case op < 4: // Touch
 					a.Touch(addr)
 					ref.Get(addr)
-				case op < 8: // Insert
-					state, data := int32(rng.Intn(maxState+1)), rng.Uint64()
+				case op < 7: // Insert
+					state := int32(rng.Intn(maxState + 1))
 					ev, did := a.Insert(addr, state, data)
 					rev, rdid := ref.Insert(addr, state, data)
 					if did != rdid || ev.Addr() != rev.Addr || ev.Data != rev.Data || ev.State() != rev.State {
 						t.Fatalf("step %d: Insert(%d) evicted %+v (%v), reference %+v (%v)", step, addr, ev, did, rev, rdid)
 					}
+				case op < 8: // SetData
+					a.SetData(addr, data)
+					ref.SetData(addr, data)
 				default: // Invalidate
 					if got, want := a.Invalidate(addr), ref.Invalidate(addr); got != want {
 						t.Fatalf("step %d: Invalidate(%d) = %v, reference %v", step, addr, got, want)

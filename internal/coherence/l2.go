@@ -270,14 +270,14 @@ func (l *L2Controller) ProcessOrdered(p *noc.Packet, arrive, cycle uint64) bool 
 	switch kind {
 	case GetS:
 		if st.owner() {
-			l.respondData(p, arrive, cycle, cycle+uint64(l.cfg.HitLatency), ln.Data)
+			l.respondData(p, arrive, cycle, cycle+uint64(l.cfg.HitLatency), l.arr.Data(p.Addr))
 			l.SetState(ln, OwnedDirty, cycle)
 			l.charge(cycle, l.cfg.NonPLOccupancy)
 			return true
 		}
 	case GetX:
 		if st.owner() {
-			l.respondData(p, arrive, cycle, cycle+uint64(l.cfg.HitLatency), ln.Data)
+			l.respondData(p, arrive, cycle, cycle+uint64(l.cfg.HitLatency), l.arr.Data(p.Addr))
 			l.Invalidate(p.Addr, cycle)
 			l.charge(cycle, l.cfg.NonPLOccupancy)
 			return true
@@ -329,7 +329,7 @@ func (l *L2Controller) processOwnOrdered(p *noc.Packet, kind Kind, arrive, cycle
 		if ln := l.arr.Lookup(m.Addr); ln != nil && State(ln.State()).owner() {
 			m.DataArrived = true
 			m.DataCycle = cycle
-			m.P.resp.Value = ln.Data
+			m.P.resp.Value = l.arr.Data(m.Addr)
 			m.P.selfServed = true
 		}
 	}

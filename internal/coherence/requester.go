@@ -166,10 +166,7 @@ func (r *Requester[P]) SetAuditor(a *audit.Auditor) { r.auditor = a }
 
 // ValueOf reports the data value of a resident line (0 if absent).
 func (r *Requester[P]) ValueOf(addr uint64) uint64 {
-	if ln := r.arr.Lookup(addr); ln != nil {
-		return ln.Data
-	}
-	return 0
+	return r.arr.Data(addr)
 }
 
 // LineState reports the coherence state of a line.
@@ -315,10 +312,10 @@ func (r *Requester[P]) processCoreQueue(cycle uint64) {
 			r.arr.Touch(req.addr)
 			r.stats.Hits++
 			if req.write {
-				ln.Data = req.value
+				r.arr.SetData(req.addr, req.value)
 			}
 			if r.OnComplete != nil {
-				r.OnComplete(Completion{Node: r.node, Addr: req.addr, Write: req.write, Value: ln.Data, Issue: req.issue,
+				r.OnComplete(Completion{Node: r.node, Addr: req.addr, Write: req.write, Value: r.arr.Data(req.addr), Issue: req.issue,
 					Done: cycle + r.hitLatency, Hit: true})
 			}
 			r.coreQ.PopFront()
