@@ -77,9 +77,10 @@ func filledConfig(t *testing.T, p Protocol) (Config, trace.Profile) {
 }
 
 // TestScorpioBuildFootprint pins the live heap of the machine Run builds
-// from a default Config: the L2 data words live in the cache arrays, not in
-// per-tile maps beside them, so the per-tile footprint stays close to the
-// array itself.
+// from a default Config: the L2 data words live in each cache array's data
+// plane, not in per-tile maps beside it, and a trace-driven machine stores
+// no value that would make a plane, so the per-tile footprint stays close
+// to the array's lines themselves.
 func TestScorpioBuildFootprint(t *testing.T) {
 	cfg, prof := filledConfig(t, SCORPIO)
 	mb := builtMB(t, func() (any, error) { return system.NewScorpio(scorpioOptions(cfg, prof)) })
