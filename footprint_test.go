@@ -20,9 +20,9 @@ const footprintBoundMB = 2.8
 
 // defaultOptionsBoundMB bounds the same machine built from
 // system.DefaultOptions, whose 256 KB memory-controller directory budget
-// gives four 768 KB directory-cache arrays (measured 3.29 MB). The bound
-// fails a 16-byte cache.Line (5.48 MB) and directory maps pre-sized to the
-// directory budget.
+// gives four directory-cache arrays of 32,768 lines, 256 KB each at 8-byte
+// lines (measured 3.29 MB). The bound fails a 16-byte cache.Line (5.48 MB)
+// and directory maps pre-sized to the directory budget.
 const defaultOptionsBoundMB = 4.0
 
 // directoryBoundMB bounds the live heap of a freshly built default 6×6
@@ -133,11 +133,11 @@ const (
 
 // buildBytesBound6x6MB and buildBytesBound16x16MB bound the bytes one
 // machine build plus its first kernel step allocates, live or garbage
-// (measured 1.92-2.28 MB at 6×6 and 14.59 MB at 16×16). A machine is timed
-// right after a collection, over a live heap far below Go's 4 MB minimum
-// heap goal; a 6×6 build that allocates a few hundred KB more starts a
-// collection mid-build. The bounds fail 16-byte cache lines, which read
-// 3.10-3.49 and 23.01 MB.
+// (measured 1.92-2.28 MB at 6×6 and 14.59 MB at 16×16). Bench times each
+// build right after a collection, over a live heap far below Go's 4 MB
+// minimum heap goal, so a 6×6 build that allocates enough more, even as
+// garbage, starts a collection mid-build. The bounds fail 16-byte cache
+// lines, which read 3.10-3.49 and 23.01 MB.
 const (
 	buildBytesBound6x6MB   = 2.6
 	buildBytesBound16x16MB = 16
