@@ -1,7 +1,7 @@
 // Package cache provides the storage structures of a SCORPIO tile: a generic
-// set-associative array with LRU replacement (used by the L1 and L2 caches
-// and the directory caches of the baselines) and the region tracker snoop
-// filter of [Moshovos, ISCA 2005] used for destination filtering.
+// set-associative array with LRU replacement (used by the L2 caches and the
+// directory caches of the baselines) and the region tracker snoop filter of
+// [Moshovos, ISCA 2005] used for destination filtering.
 package cache
 
 import (
@@ -107,15 +107,10 @@ func newArrays(n, sets, ways int) []Array {
 	return arrs
 }
 
-// NewArrayBytes builds an array sized for capacityBytes with the given line
-// size and associativity (the chip's L2: 128KB, 32B lines, 4 ways → 1024
-// sets).
-func NewArrayBytes(capacityBytes, lineBytes, ways int) *Array {
-	return &NewArraysBytes(1, capacityBytes, lineBytes, ways)[0]
-}
-
-// NewArraysBytes builds n arrays as NewArrayBytes builds one, one machine's
-// worth of tiles: the arrays are one slice, their lines one slab.
+// NewArraysBytes builds n arrays, each sized for capacityBytes with the given
+// line size and associativity (the chip's L2: 128KB, 32B lines, 4 ways → 1024
+// sets), one machine's worth of tiles: the arrays are one slice, their lines
+// one slab.
 func NewArraysBytes(n, capacityBytes, lineBytes, ways int) []Array {
 	sets := capacityBytes / lineBytes / ways
 	if sets == 0 {

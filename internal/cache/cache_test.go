@@ -8,16 +8,16 @@ import (
 )
 
 func TestArrayGeometry(t *testing.T) {
-	a := NewArrayBytes(128*1024, 32, 4) // the chip's L2
+	a := &NewArraysBytes(1, 128*1024, 32, 4)[0] // the chip's L2
 	if a.Sets() != 1024 || a.Ways() != 4 {
 		t.Fatalf("L2 geometry = %dx%d, want 1024x4", a.Sets(), a.Ways())
 	}
 	if a.Capacity() != 4096 {
 		t.Fatalf("capacity = %d lines, want 4096", a.Capacity())
 	}
-	l1 := NewArrayBytes(16*1024, 32, 4)
-	if l1.Capacity() != 512 {
-		t.Fatalf("L1 capacity = %d lines, want 512", l1.Capacity())
+	small := &NewArraysBytes(1, 16*1024, 32, 4)[0]
+	if small.Capacity() != 512 {
+		t.Fatalf("16KB capacity = %d lines, want 512", small.Capacity())
 	}
 }
 
@@ -193,7 +193,7 @@ func TestArrayOccupancyNeverExceedsCapacity(t *testing.T) {
 // whole range, below 2^48, and states over 0-127: each inserted line must be
 // found with its address, state and data.
 func TestArrayPropertyInsertThenLookup(t *testing.T) {
-	a := NewArrayBytes(4096, 32, 2)
+	a := &NewArraysBytes(1, 4096, 32, 2)[0]
 	if err := quick.Check(func(addr, data uint64, state uint8) bool {
 		addr &= addrMask
 		st := int32(state & maxState)
@@ -329,44 +329,6 @@ func TestRegionTrackerPropertyNeverFiltersCachedLine(t *testing.T) {
 		if cached[probe] && !rt.MayBeCached(probe) {
 			t.Fatalf("iteration %d: cached line %#x filtered", i, probe)
 		}
-	}
-}
-
-func TestL1WriteThroughAndInvalidation(t *testing.T) {
-	l1 := NewL1(16*1024, 32)
-	if l1.Read(0x10) {
-		t.Fatal("cold read must miss")
-	}
-	l1.Fill(0x10)
-	if !l1.Read(0x10) {
-		t.Fatal("read after fill must hit")
-	}
-	l1.Write(0x10) // write-through: stays valid locally
-	if !l1.Present(0x10) {
-		t.Fatal("write must not invalidate the line")
-	}
-	if !l1.Invalidate(0x10) {
-		t.Fatal("invalidation port failed")
-	}
-	if l1.Present(0x10) {
-		t.Fatal("line present after external invalidation")
-	}
-	if l1.Invalidations != 1 || l1.ReadMisses != 1 {
-		t.Fatalf("stats: %+v", l1)
-	}
-}
-
-func TestL1FillEviction(t *testing.T) {
-	l1 := NewL1(4*32, 32) // 4 lines, 4-way: a single set
-	for i := 0; i < 4; i++ {
-		l1.Fill(uint64(i))
-	}
-	ev, did := l1.Fill(99)
-	if !did {
-		t.Fatal("fifth fill into a full set must evict")
-	}
-	if ev > 3 {
-		t.Fatalf("evicted address %d was never inserted", ev)
 	}
 }
 

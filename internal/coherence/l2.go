@@ -126,7 +126,7 @@ type L2Controller struct {
 
 	// Controllers sit side by side in one slab and belong to different
 	// shards; the pad rounds the stride to whole cache lines.
-	_ [16]byte
+	_ [24]byte
 }
 
 // IDSource issues the IDs of the packets a controller builds: a stream of

@@ -212,8 +212,6 @@ func TestSnoopGetXInvalidatesOwner(t *testing.T) {
 	r := newRig(t, nil)
 	r.l2.Array().Insert(0x20, int32(OwnedDirty), 0)
 	r.l2.RegionTracker().NoteFill(0x20)
-	invalidated := []uint64{}
-	r.l2.InvalidateL1 = func(addr uint64) { invalidated = append(invalidated, addr) }
 	r.snoop(GetX, 9, 0x20, 77)
 	r.step(15)
 	if got := r.l2.LineState(0x20); got != Invalid {
@@ -221,9 +219,6 @@ func TestSnoopGetXInvalidatesOwner(t *testing.T) {
 	}
 	if len(r.port.resps) != 1 {
 		t.Fatal("owner must forward data to the writer")
-	}
-	if len(invalidated) != 1 || invalidated[0] != 0x20 {
-		t.Fatal("L1 inclusion invalidation missing")
 	}
 }
 

@@ -15,8 +15,8 @@ import (
 // Requester is the core-facing half of an L2 controller, shared by the
 // snoopy L2Controller and the directory machines' L2 so that the two caches
 // match by construction (Section 5.1's "all other conditions equal"). It
-// owns the array with its side effects (snoop filter, L1 inclusion, the
-// auditor's shadow), the staged core queue, the MSHR and writeback tables,
+// owns the array with its side effects (snoop filter, the auditor's
+// shadow), the staged core queue, the MSHR and writeback tables,
 // inject retries, the hit path, fills that write back a dirty victim, and
 // completion counting and tracing. The protocol plugs in through Protocol;
 // P is the protocol's own per-miss state.
@@ -30,8 +30,6 @@ type Requester[P any] struct {
 	hitLatency uint64
 	queueDepth int
 
-	// InvalidateL1 is called whenever inclusion removes a line (optional).
-	InvalidateL1 func(addr uint64)
 	// OnComplete receives finished core requests.
 	OnComplete func(Completion)
 
@@ -368,9 +366,8 @@ func (r *Requester[P]) complete(m *MSHR[P], cycle uint64) {
 	m.active = false
 }
 
-// Install places a line holding data in state st, keeping the snoop filter,
-// L1 inclusion and the auditor's shadow in step, and writes back a dirty
-// victim.
+// Install places a line holding data in state st, keeping the snoop filter
+// and the auditor's shadow in step, and writes back a dirty victim.
 func (r *Requester[P]) Install(addr uint64, st State, data uint64, cycle uint64) {
 	ev, did := r.arr.Insert(addr, int32(st), data)
 	if r.rt != nil {
@@ -391,16 +388,13 @@ func (r *Requester[P]) Install(addr uint64, st State, data uint64, cycle uint64)
 	if r.rt != nil {
 		r.rt.NoteEvict(ev.Addr())
 	}
-	if r.InvalidateL1 != nil {
-		r.InvalidateL1(ev.Addr())
-	}
 	if State(ev.State()).owner() {
 		r.startWriteback(ev.Addr(), ev.Data, cycle)
 	}
 }
 
-// Invalidate removes a line, maintaining the snoop filter, L1 inclusion and
-// the auditor's shadow.
+// Invalidate removes a line, maintaining the snoop filter and the auditor's
+// shadow.
 func (r *Requester[P]) Invalidate(addr uint64, cycle uint64) {
 	if !r.arr.Invalidate(addr) {
 		return
@@ -410,9 +404,6 @@ func (r *Requester[P]) Invalidate(addr uint64, cycle uint64) {
 	}
 	if r.rt != nil {
 		r.rt.NoteEvict(addr)
-	}
-	if r.InvalidateL1 != nil {
-		r.InvalidateL1(addr)
 	}
 }
 

@@ -51,10 +51,6 @@ type L2 struct {
 	ids   coherence.IDSource
 	pool  *coherence.Pool[Info]
 	Stats coherence.ReqStats
-
-	// Controllers sit side by side in one slab and belong to different
-	// shards; the pad rounds the stride to whole cache lines.
-	_ [56]byte
 }
 
 // newFrontEnds sizes the front-end slabs for n controllers.

@@ -88,33 +88,3 @@ func TestParallelDeterminismDirectory(t *testing.T) {
 		})
 	}
 }
-
-// TestParallelDeterminismWithL1 exercises the tile layer (AHB + split L1s) in
-// the node scheduling unit.
-func TestParallelDeterminismWithL1(t *testing.T) {
-	forceProcs(t, 4)
-	run := func(workers int) Results {
-		prof, err := trace.ByName("barnes")
-		if err != nil {
-			t.Fatal(err)
-		}
-		opt := DefaultOptions(prof)
-		opt.Core = opt.Core.WithMeshSize(4, 4)
-		opt.WorkPerCore, opt.WarmupPerCore = 60, 100
-		opt.UseL1 = true
-		opt.Workers = workers
-		s, err := NewScorpio(opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := s.Run(10_000_000)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	serial := run(0)
-	if got := run(4); !reflect.DeepEqual(serial, got) {
-		t.Errorf("workers=4 with L1 tiles diverged from serial:\nserial:   %+v\nparallel: %+v", serial, got)
-	}
-}

@@ -15,7 +15,6 @@ import (
 	"scorpio/internal/sim"
 	"scorpio/internal/slab"
 	"scorpio/internal/stats"
-	"scorpio/internal/tile"
 	"scorpio/internal/trace"
 )
 
@@ -32,11 +31,6 @@ type Options struct {
 	// corner-adjacent edge routers like the chip, and an empty list is an
 	// error.
 	MCNodes []int
-	// UseL1 interposes the tile layer (split write-through L1s behind the
-	// AHB single-transaction rule) between the injectors and the L2s,
-	// matching the fabricated tile rather than the paper's trace-driven RTL
-	// methodology (which injected straight into the L2's AHB interface).
-	UseL1 bool
 }
 
 // fill derives what follows from the mesh and the outstanding-miss limit:
@@ -169,11 +163,10 @@ func (t *tileAgent) AcceptResponse(p *noc.Packet, cycle uint64) bool {
 // Scorpio is a fully assembled SCORPIO machine.
 type Scorpio struct {
 	machine
-	opt   Options
-	Net   *core.OrderedNet
-	L2s   []*coherence.L2Controller
-	MCs   []*mem.Controller
-	Tiles []*tile.Tile // populated when Options.UseL1 is set
+	opt Options
+	Net *core.OrderedNet
+	L2s []*coherence.L2Controller
+	MCs []*mem.Controller
 }
 
 // NewScorpio builds the machine with trace injectors attached.
@@ -188,39 +181,17 @@ func NewScorpio(opt Options) (*Scorpio, error) {
 	ports := make([]trace.RequestPort, len(s.L2s))
 	for node, l2 := range s.L2s {
 		ports[node] = l2
-		if opt.UseL1 {
-			tl := tile.New(node, tile.DefaultConfig(), l2)
-			s.Tiles = append(s.Tiles, tl)
-			ports[node] = &tilePort{t: tl}
-		}
 	}
 	s.inject(&s.opt.Workload, ports)
 	complete := s.completer()
 	for node, l2 := range s.L2s {
-		inj := s.Injectors[node]
-		if opt.UseL1 {
-			tl := s.Tiles[node]
-			s.Kernel.RegisterGroup(node, tl)
-			tl.OnComplete = func(c tile.Completion) {
-				inj.OnComplete(c.Addr, c.Write, c.Issue, c.Done, c.L1Hit, false, nil)
-			}
-		} else {
-			l2.OnComplete = complete
-		}
-		s.Kernel.RegisterGroup(node, inj)
+		// The injector drives its L2 directly (the paper's trace-driven
+		// methodology) and follows it in the node's scheduling unit.
+		l2.OnComplete = complete
+		s.Kernel.RegisterGroup(node, s.Injectors[node])
 	}
 	s.attribute()
 	return s, nil
-}
-
-// tilePort adapts the tile's data AHB port to the injector interface.
-type tilePort struct {
-	t *tile.Tile
-}
-
-// CoreRequest implements trace.RequestPort.
-func (p *tilePort) CoreRequest(addr uint64, write bool, cycle uint64) bool {
-	return p.t.Access(tile.Data, addr, write, 0, cycle)
 }
 
 // NewScorpioBare builds the machine without workload drivers: tiles, memory

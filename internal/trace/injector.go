@@ -136,9 +136,8 @@ func (in *Injector) Done() bool {
 	return in.limit > 0 && in.Completed >= in.warmup+in.limit
 }
 
-// OnComplete is wired as the L2 completion callback. breakdown may be nil
-// (tile/L1 paths have no segment data); a nil breakdown counts as all-zero
-// segments so the miss still contributes to the component means.
+// OnComplete is wired as the L2 completion callback. breakdown carries a
+// miss's latency segments; a hit may pass nil.
 func (in *Injector) OnComplete(addr uint64, write bool, issue, done uint64, hit, servedByCache bool, breakdown *[stats.NumBreakdownComponents]uint64) {
 	in.outstanding--
 	in.Completed++
@@ -150,10 +149,6 @@ func (in *Injector) OnComplete(addr uint64, write bool, issue, done uint64, hit,
 			in.HitLatency.Observe(lat)
 		} else {
 			in.MissLatency.Observe(lat)
-			if breakdown == nil {
-				var zero [stats.NumBreakdownComponents]uint64
-				breakdown = &zero
-			}
 			if servedByCache {
 				in.CacheServed.Observe(breakdown)
 			} else {

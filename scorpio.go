@@ -102,11 +102,6 @@ type Config struct {
 	// extension); 0 or 1 is the chip's single network, and more is
 	// SCORPIO only.
 	MainNetworks int
-	// UseL1 interposes the tile layer (split write-through L1s behind the
-	// AHB single-transaction rule) between the cores and the L2s; SCORPIO
-	// only. The default matches the paper's trace-driven methodology
-	// (inject straight into the L2's AHB interface).
-	UseL1 bool
 	// CycleLimit aborts runaway runs (default 50M cycles).
 	CycleLimit uint64
 	// Workers sets the simulation kernel's worker count. 0 or 1 keeps the
@@ -169,11 +164,11 @@ func (c *Config) configDigest() string {
 		}
 		return fmt.Sprint(*p)
 	}
-	canon := fmt.Sprintf("proto=%s bench=%s mesh=%dx%d work=%d warmup=%d out=%d seed=%d expiry=%d scale=%g dir=%d ch=%d goreq=%d uoresp=%d notif=%d bypass=%s pl2=%s nets=%d l1=%v",
+	canon := fmt.Sprintf("proto=%s bench=%s mesh=%dx%d work=%d warmup=%d out=%d seed=%d expiry=%d scale=%g dir=%d ch=%d goreq=%d uoresp=%d notif=%d bypass=%s pl2=%s nets=%d",
 		c.Protocol, c.Benchmark, c.Width, c.Height, c.WorkPerCore, c.WarmupPerCore,
 		c.MaxOutstanding, c.Seed, c.ExpiryWindow, c.IntensityScale, c.DirCacheBytes,
 		c.ChannelBytes, c.GOReqVCs, c.UORespVCs, c.NotifBits, tri(c.Bypass), tri(c.PipelinedL2),
-		c.MainNetworks, c.UseL1)
+		c.MainNetworks)
 	h := fnv.New64a()
 	h.Write([]byte(canon))
 	return fmt.Sprintf("%016x", h.Sum64())
@@ -279,7 +274,6 @@ func (c *Config) fill() error {
 		{"NotifBits", c.NotifBits != 0, SCORPIO},
 		{"MainNetworks", c.MainNetworks > 1, SCORPIO},
 		{"PipelinedL2", c.PipelinedL2 != nil, SCORPIO},
-		{"UseL1", c.UseL1, SCORPIO},
 		{"ExpiryWindow", c.ExpiryWindow != 0, INSO},
 	} {
 		if k.set && c.Protocol != k.only {
@@ -444,7 +438,6 @@ func scorpioOptions(cfg Config, prof trace.Profile) system.Options {
 		}
 	}
 	opt.Core.MainNetworks = cfg.MainNetworks
-	opt.UseL1 = cfg.UseL1
 	opt.Mem.TotalDirCacheBytes = cfg.DirCacheBytes
 	return opt
 }

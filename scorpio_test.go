@@ -61,7 +61,6 @@ func TestRunRejectsBadInput(t *testing.T) {
 		{"NotifBits", Config{NotifBits: 2}, []Protocol{LPDD, HTD, TokenB, INSO}},
 		{"MainNetworks", Config{MainNetworks: 2}, []Protocol{LPDD, HTD, TokenB, INSO}},
 		{"PipelinedL2", Config{PipelinedL2: &off}, []Protocol{LPDD, HTD, TokenB, INSO}},
-		{"UseL1", Config{UseL1: true}, []Protocol{LPDD, HTD, TokenB, INSO}},
 		{"ExpiryWindow", Config{ExpiryWindow: 40}, []Protocol{SCORPIO, LPDD, HTD, TokenB}},
 		{"Workers", Config{Workers: 2}, []Protocol{TokenB, INSO}},
 	} {
