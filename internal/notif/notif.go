@@ -17,7 +17,6 @@ import (
 	"scorpio/internal/obs"
 	"scorpio/internal/obs/audit"
 	"scorpio/internal/sim"
-	"scorpio/internal/slab"
 )
 
 // Config describes a notification network.
@@ -111,15 +110,6 @@ func (v Vector) set(i, count int) {
 	v.Words[i/per] |= uint64(count) << (uint(i%per) * uint(v.width))
 }
 
-// merge ORs other into v. Because only core i ever sets field i, OR equals
-// exact per-field union.
-func (v *Vector) merge(other Vector) {
-	for i, w := range other.Words {
-		v.Words[i] |= w
-	}
-	v.Stop = v.Stop || other.Stop
-}
-
 // Empty reports whether the vector announces no requests and no stop.
 func (v Vector) Empty() bool {
 	if v.Stop {
@@ -195,22 +185,21 @@ type Source interface {
 	NotificationOffer() (count int, stop bool)
 }
 
-// Network is the whole notification mesh, modelled as one kernel component:
-// per-node OR-latches, 1-hop-per-cycle propagation, and end-of-window
-// delivery.
+// Network is the whole notification mesh, modelled as one kernel component.
+// The chip's mesh seeds each node's OR-latch with its offer at a window
+// start and merges one hop per cycle; Validate requires a window of at least
+// W+H−1 cycles, so by the window's last cycle every latch holds the OR of
+// all the offers read at its start. The network computes that vector in
+// closed form at the window start and publishes it at the window end.
 type Network struct {
-	cfg             Config
-	sources         []Source
-	cur             []Vector
-	next            []Vector
-	delivered       Vector
-	hasDelivery     bool
-	pendingDelivery Vector
-	pendingHas      bool
-	// winLive marks a window whose start seeded any nonzero offer or stop
-	// bit; the OR-mesh must then run every cycle until the window delivers.
-	// An all-zero window is a provable no-op (zero latches OR to zero), so
-	// the network may park through it.
+	cfg         Config
+	sources     []Source
+	pending     Vector // the OR of the offers read at this window's start
+	delivered   Vector
+	hasDelivery bool
+	// winLive marks a window whose start read any nonzero offer or stop
+	// bit; only such a window delivers. An all-zero window is a provable
+	// no-op, so the network may park through it.
 	winLive bool
 	// srcActs are the sources' scheduling units, woken for the cycle after a
 	// window delivers so parked NICs consume the merged vector exactly when
@@ -231,19 +220,12 @@ func NewNetwork(cfg Config) (*Network, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	n := &Network{cfg: cfg, sources: make([]Source, cfg.Nodes())}
-	n.cur = make([]Vector, cfg.Nodes())
-	n.next = make([]Vector, cfg.Nodes())
-	// Every node's two vectors share one slab of words.
-	proto := NewVector(cfg.Nodes(), cfg.BitsPerCore)
-	words := slab.Make[uint64](2 * cfg.Nodes() * len(proto.Words))
-	for i := range n.cur {
-		n.cur[i] = proto.CloneUsing(words.Cut(len(proto.Words)))
-		n.next[i] = proto.CloneUsing(words.Cut(len(proto.Words)))
-	}
-	n.pendingDelivery = NewVector(cfg.Nodes(), cfg.BitsPerCore)
-	n.delivered = NewVector(cfg.Nodes(), cfg.BitsPerCore)
-	return n, nil
+	return &Network{
+		cfg:       cfg,
+		sources:   make([]Source, cfg.Nodes()),
+		pending:   NewVector(cfg.Nodes(), cfg.BitsPerCore),
+		delivered: NewVector(cfg.Nodes(), cfg.BitsPerCore),
+	}, nil
 }
 
 // Config returns the network's configuration.
@@ -279,111 +261,79 @@ func (n *Network) Delivered() (Vector, bool) {
 	return n.delivered, n.hasDelivery
 }
 
-// Evaluate advances the OR-mesh one cycle.
+// Evaluate reads the sources' committed offers at a window start and ORs
+// them into the window's merged vector.
 func (n *Network) Evaluate(cycle uint64) {
-	w := uint64(n.cfg.Window())
-	pos := cycle % w
-	if pos == 0 {
-		// Window start: seed latches from the sources' committed offers.
-		n.winLive = false
-		for i := range n.next {
-			clearVector(&n.next[i])
-			if s := n.sources[i]; s != nil {
-				count, stop := s.NotificationOffer()
-				if count > n.cfg.MaxPerWindow() {
-					panic(fmt.Sprintf("notif: node %d offered %d notifications, max %d", i, count, n.cfg.MaxPerWindow()))
-				}
-				n.next[i].set(i, count)
-				n.next[i].Stop = stop
-				if count > 0 || stop {
-					n.winLive = true
-				}
-			}
-		}
+	if !n.WindowStart(cycle) {
 		return
 	}
-	// Propagate: each latch ORs its own value with its mesh neighbours'.
-	// Copy into the pre-allocated next-latch buffers instead of cloning; the
-	// per-node, per-cycle Clone was the largest fixed allocation cost of the
-	// whole simulate loop (nodes × cycles vectors).
-	for i := range n.next {
-		copy(n.next[i].Words, n.cur[i].Words)
-		n.next[i].Stop = n.cur[i].Stop
-		x, y := i%n.cfg.Width, i/n.cfg.Width
-		if x > 0 {
-			n.next[i].merge(n.cur[i-1])
+	clearVector(&n.pending)
+	n.winLive = false
+	for i, s := range n.sources {
+		if s == nil {
+			continue
 		}
-		if x < n.cfg.Width-1 {
-			n.next[i].merge(n.cur[i+1])
+		count, stop := s.NotificationOffer()
+		if count > n.cfg.MaxPerWindow() {
+			panic(fmt.Sprintf("notif: node %d offered %d notifications, max %d", i, count, n.cfg.MaxPerWindow()))
 		}
-		if y > 0 {
-			n.next[i].merge(n.cur[i-n.cfg.Width])
+		n.pending.set(i, count)
+		n.pending.Stop = n.pending.Stop || stop
+		if count > 0 || stop {
+			n.winLive = true
 		}
-		if y < n.cfg.Height-1 {
-			n.next[i].merge(n.cur[i+n.cfg.Width])
-		}
-	}
-	if pos == w-1 {
-		// Window end: node 0's latch equals every node's latch by now; it is
-		// the merged message handed to all NICs next cycle. Copied into a
-		// reusable buffer — NICs that keep the vector past the one delivery
-		// cycle clone it themselves.
-		copy(n.pendingDelivery.Words, n.next[0].Words)
-		n.pendingDelivery.Stop = n.next[0].Stop
-		n.pendingHas = !n.pendingDelivery.Empty()
 	}
 }
 
-// Commit latches the propagation step and publishes end-of-window delivery.
+// Commit publishes a live window's merged vector at the window's end,
+// readable through Delivered for the cycle that follows.
 func (n *Network) Commit(cycle uint64) {
-	n.cur, n.next = n.next, n.cur
 	w := uint64(n.cfg.Window())
-	if cycle%w == w-1 {
-		// Swap rather than alias: the two vectors stay distinct buffers so the
-		// next window's Evaluate never scribbles over the published delivery.
-		n.delivered, n.pendingDelivery = n.pendingDelivery, n.delivered
-		n.hasDelivery = n.pendingHas
-		if n.pendingHas {
-			n.WindowsDelivered++
-			if n.delivered.Stop {
-				n.StoppedWindows++
-			}
-			if n.tracer != nil {
-				stop := int8(0)
-				if n.delivered.Stop {
-					stop = 1
-				}
-				n.tracer.Record(obs.Event{
-					Cycle: cycle, Type: obs.EvNotifWindow, Node: -1, Src: -1,
-					Arg: uint64(n.delivered.Total()), Port: stop, VNet: -1, VC: -1,
-				})
-			}
-			if n.auditor != nil && !n.delivered.Stop {
-				// A stop window is voided entirely (NICs re-arm their
-				// announcements), so only non-stop windows announce ordered
-				// requests the NICs will commit.
-				n.auditor.NotifWindow(n.delivered.Total())
-			}
-			// Every node consumes the merged vector on the next cycle (the
-			// following window's first); wake any parked sources for it.
-			for _, a := range n.srcActs {
-				a.Wake(cycle+1, sim.WakeNotif)
-			}
-		}
-		n.winLive = false
-		n.pendingHas = false
-	} else {
+	if cycle%w != w-1 {
 		n.hasDelivery = false
+		return
 	}
+	// Swap rather than alias: the two vectors stay distinct buffers so the
+	// next window's Evaluate never scribbles over the published delivery.
+	n.delivered, n.pending = n.pending, n.delivered
+	n.hasDelivery = n.winLive
+	if n.winLive {
+		n.WindowsDelivered++
+		if n.delivered.Stop {
+			n.StoppedWindows++
+		}
+		if n.tracer != nil {
+			stop := int8(0)
+			if n.delivered.Stop {
+				stop = 1
+			}
+			n.tracer.Record(obs.Event{
+				Cycle: cycle, Type: obs.EvNotifWindow, Node: -1, Src: -1,
+				Arg: uint64(n.delivered.Total()), Port: stop, VNet: -1, VC: -1,
+			})
+		}
+		if n.auditor != nil && !n.delivered.Stop {
+			// A stop window is voided entirely (NICs re-arm their
+			// announcements), so only non-stop windows announce ordered
+			// requests the NICs will commit.
+			n.auditor.NotifWindow(n.delivered.Total())
+		}
+		// Every node consumes the merged vector on the next cycle (the
+		// following window's first); wake any parked sources for it.
+		for _, a := range n.srcActs {
+			a.Wake(cycle+1, sim.WakeNotif)
+		}
+	}
+	n.winLive = false
 }
 
-// Idle implements sim.Idler: the OR-mesh may be skipped outside live windows
+// Idle implements sim.Idler: the network may be skipped outside live windows
 // — no nonzero window in flight, no delivery awaiting consumption, and no
 // source holding a committed nonzero offer for the next window start (NICs
 // also wake the network for such starts; the scan makes Idle self-contained
 // when a wake was dropped because the network was still active).
 func (n *Network) Idle() bool {
-	if n.winLive || n.hasDelivery || n.pendingHas {
+	if n.winLive || n.hasDelivery {
 		return false
 	}
 	for _, s := range n.sources {
@@ -396,9 +346,6 @@ func (n *Network) Idle() bool {
 	}
 	return true
 }
-
-// Latch exposes a node's current latch value (for tests).
-func (n *Network) Latch(node int) Vector { return n.cur[node].Clone() }
 
 func clearVector(v *Vector) {
 	for i := range v.Words {

@@ -1,6 +1,7 @@
 package notif
 
 import (
+	"fmt"
 	"testing"
 
 	"scorpio/internal/sim"
@@ -44,22 +45,152 @@ func runWindows(t *testing.T, cfg Config, sources map[int]*fixedSource, windows 
 		k.Step()
 		if v, ok := net.Delivered(); ok {
 			delivered = append(delivered, v.Clone())
-			// Invariant: every node's latch is identical at window end.
-			ref := net.Latch(0)
-			for n := 1; n < cfg.Nodes(); n++ {
-				l := net.Latch(n)
-				for i := 0; i < cfg.Nodes(); i++ {
-					if l.Count(i) != ref.Count(i) {
-						t.Fatalf("node %d latch differs from node 0 at field %d", n, i)
+		}
+	}
+	return delivered
+}
+
+// drawnSource offers whatever the test drew for the current cycle.
+type drawnSource struct {
+	count int
+	stop  bool
+}
+
+func (s *drawnSource) NotificationOffer() (int, bool) { return s.count, s.stop }
+
+// hopByHop is the chip's OR-mesh, the reference for the closed form: each
+// node's latch is seeded with its own offer, then ORs in its four
+// neighbours' latches once per cycle for the window's remaining Window()−1
+// cycles. Every latch must end up equal; it returns node 0's.
+func hopByHop(t *testing.T, cfg Config, srcs []drawnSource) Vector {
+	t.Helper()
+	cur := make([]Vector, cfg.Nodes())
+	next := make([]Vector, cfg.Nodes())
+	for i := range cur {
+		cur[i] = NewVector(cfg.Nodes(), cfg.BitsPerCore)
+		cur[i].set(i, srcs[i].count)
+		cur[i].Stop = srcs[i].stop
+		next[i] = NewVector(cfg.Nodes(), cfg.BitsPerCore)
+	}
+	// Only core i ever sets field i, so a word-wise OR is the exact
+	// per-field union.
+	merge := func(dst *Vector, src Vector) {
+		for i, w := range src.Words {
+			dst.Words[i] |= w
+		}
+		dst.Stop = dst.Stop || src.Stop
+	}
+	for step := 1; step < cfg.Window(); step++ {
+		for i := range next {
+			copy(next[i].Words, cur[i].Words)
+			next[i].Stop = cur[i].Stop
+			x, y := i%cfg.Width, i/cfg.Width
+			if x > 0 {
+				merge(&next[i], cur[i-1])
+			}
+			if x < cfg.Width-1 {
+				merge(&next[i], cur[i+1])
+			}
+			if y > 0 {
+				merge(&next[i], cur[i-cfg.Width])
+			}
+			if y < cfg.Height-1 {
+				merge(&next[i], cur[i+cfg.Width])
+			}
+		}
+		cur, next = next, cur
+	}
+	for i := 1; i < len(cur); i++ {
+		if !sameVector(cur[i], cur[0]) {
+			t.Fatalf("reference: node %d's latch differs from node 0's after %d hops", i, cfg.Window()-1)
+		}
+	}
+	return cur[0]
+}
+
+func sameVector(a, b Vector) bool {
+	if a.Stop != b.Stop || len(a.Words) != len(b.Words) {
+		return false
+	}
+	for i := range a.Words {
+		if a.Words[i] != b.Words[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// draw redraws every source's offer. A third of the cycles offer nothing, a
+// third are sparse (about one node in N offers a request, and one in 4N
+// stops) and a third are dense (every count drawn from 0..MaxPerWindow, about
+// one node in N stops), so windows come empty, sparse, full, stopped and not.
+func draw(rng *sim.RNG, cfg Config, srcs []drawnSource) {
+	mode, n := rng.Intn(3), len(srcs)
+	for i := range srcs {
+		s := &srcs[i]
+		s.count, s.stop = 0, false
+		switch mode {
+		case 1:
+			if rng.Intn(n) == 0 {
+				s.count = 1 + rng.Intn(cfg.MaxPerWindow())
+			}
+			s.stop = rng.Intn(4*n) == 0
+		case 2:
+			s.count = rng.Intn(cfg.MaxPerWindow() + 1)
+			s.stop = rng.Intn(n) == 0
+		}
+	}
+}
+
+// TestClosedFormMatchesHopByHopMesh drives the network on every mesh from
+// 1×1 to 8×8, at window lengths W+H−1 to W+H+2 and 1 to 3 bits per core,
+// with offers redrawn on every cycle. At every window end the delivered
+// vector and stop bit must equal the hop-by-hop mesh seeded with the offers
+// current at the window's start, and stay intact while the next window
+// starts filling. No other cycle and no all-zero window delivers.
+func TestClosedFormMatchesHopByHopMesh(t *testing.T) {
+	const windows = 6
+	rng := sim.NewRNG(7)
+	for w := 1; w <= 8; w++ {
+		for h := 1; h <= 8; h++ {
+			for win := w + h - 1; win <= w+h+2; win++ {
+				for bits := 1; bits <= 3; bits++ {
+					cfg := Config{Width: w, Height: h, BitsPerCore: bits, WindowCycles: win}
+					name := fmt.Sprintf("%dx%d win %d bits %d", w, h, win, bits)
+					net, err := NewNetwork(cfg)
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
 					}
-				}
-				if l.Stop != ref.Stop {
-					t.Fatalf("node %d stop bit differs", n)
+					srcs := make([]drawnSource, cfg.Nodes())
+					for i := range srcs {
+						net.AttachSource(i, &srcs[i])
+					}
+					var want, pub, pubWant Vector
+					live, published := false, false
+					for c := 0; c < windows*win; c++ {
+						draw(rng, cfg, srcs)
+						if c%win == 0 {
+							want = hopByHop(t, cfg, srcs)
+							live = !want.Empty()
+						}
+						net.Evaluate(uint64(c))
+						if published && !sameVector(pub, pubWant) {
+							t.Fatalf("%s cycle %d: the published vector changed as the next window started", name, c)
+						}
+						net.Commit(uint64(c))
+						v, ok := net.Delivered()
+						if end := c%win == win-1; ok != (end && live) {
+							t.Fatalf("%s cycle %d: delivered %v, want %v (window end %v, live %v)", name, c, ok, end && live, end, live)
+						}
+						if ok && !sameVector(v, want) {
+							t.Fatalf("%s cycle %d: delivered %x stop %v, want %x stop %v", name, c, v.Words, v.Stop, want.Words, want.Stop)
+						}
+						published, pub, pubWant = ok, v, want
+					}
 				}
 			}
 		}
 	}
-	return delivered
 }
 
 func TestSingleNotificationDeliveredToAll(t *testing.T) {
