@@ -2,6 +2,7 @@ package scorpio
 
 import (
 	"math"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -72,6 +73,48 @@ func TestRunRejectsBadInput(t *testing.T) {
 			if err == nil || !strings.Contains(err.Error(), tc.field) || !strings.Contains(err.Error(), string(p)) {
 				t.Errorf("%s on %s: got %v, want an error naming both", tc.field, p, err)
 			}
+		}
+	}
+}
+
+// TestConfigDigestCoversEveryKnob sets one Config field at a time: every
+// field that can change a run's results must change the digest benchdiff
+// compares RunReports by, and the fields that never change results (the
+// cycle limit, the worker count and the observability settings) must not.
+func TestConfigDigestCoversEveryKnob(t *testing.T) {
+	neutral := map[string]bool{
+		"CycleLimit": true, "Workers": true,
+		"TracePath": true, "MetricsInterval": true, "MetricsPath": true, "WatchdogCycles": true,
+		"Audit": true, "PerfReportPath": true, "TelemetryAddr": true, "TelemetryInterval": true,
+	}
+	typ := reflect.TypeOf(Config{})
+	for name := range neutral {
+		if _, ok := typ.FieldByName(name); !ok {
+			t.Errorf("neutral field %s is not a Config field", name)
+		}
+	}
+	base := new(Config).configDigest()
+	for i := 0; i < typ.NumField(); i++ {
+		var c Config
+		f, v := typ.Field(i), reflect.ValueOf(&c).Elem().Field(i)
+		switch v.Kind() {
+		case reflect.String:
+			v.SetString("x")
+		case reflect.Int:
+			v.SetInt(3)
+		case reflect.Uint64:
+			v.SetUint(3)
+		case reflect.Float64:
+			v.SetFloat(0.5)
+		case reflect.Bool:
+			v.SetBool(true)
+		case reflect.Pointer:
+			v.Set(reflect.New(f.Type.Elem())) // set, unlike nil's chip default
+		default:
+			t.Fatalf("Config.%s: no test value for a %s", f.Name, v.Kind())
+		}
+		if changed := c.configDigest() != base; changed == neutral[f.Name] {
+			t.Errorf("Config.%s: digest changed %v, want %v", f.Name, changed, !neutral[f.Name])
 		}
 	}
 }
