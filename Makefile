@@ -5,7 +5,7 @@ BENCH_JSON ?= BENCH_13.json
 # The previous baseline, compared against by benchsmoke when both exist.
 BENCH_PREV ?= BENCH_12.json
 
-.PHONY: build test vet fmt race check bench benchtest benchsmoke tracesmoke auditsmoke perfsmoke telemetrysmoke layoutcheck
+.PHONY: build test vet fmt race check bench benchtest benchdigest benchsmoke tracesmoke auditsmoke perfsmoke telemetrysmoke layoutcheck
 
 # Tier-1: everything must compile and every test must pass.
 build:
@@ -34,13 +34,20 @@ race:
 		./internal/coherence ./internal/nic ./internal/baseline
 
 # The full local CI gate.
-check: fmt vet layoutcheck test benchtest race benchsmoke tracesmoke auditsmoke perfsmoke telemetrysmoke
+check: fmt vet layoutcheck test benchtest benchdigest race benchsmoke tracesmoke auditsmoke perfsmoke telemetrysmoke
 
 # The benchmark (bench/, see BENCHMARK.json) is a module of its own, which
 # the root `go test ./...` never reaches: its unit tests and a smoke run of
 # every workload.
 benchtest:
 	$(GO) -C bench test ./...
+
+# The bench-digest pin: every benchmark workload, fig6a-36 at full scale
+# included, run once at each seed of testdata/bench_digests.txt must
+# reproduce the digest pinned there (about 40 s per seed on a 2-vCPU host).
+# A behaviour-preserving change leaves the file as it is.
+benchdigest:
+	sh scripts/benchdigest.sh
 
 # The struct-layout gate: pinned sizes for the cache-line-conscious hot
 # structs (Flit, cache.Line, Link, Activity), the strides of the components
