@@ -270,9 +270,9 @@ func diffReports(oldRaw, newRaw []byte, threshold float64) (int, int) {
 	fmt.Fprintf(out, "%-32s %10.0f -> %-10.0f cycles/s %+6.1f%% (gate %.0f%%) %s\n",
 		oldR.Label, oldR.CyclesPerSec, newR.CyclesPerSec, 100*delta, 100*threshold, verdict)
 	oa, na := oldR.Activity, newR.Activity
-	fmt.Fprintf(out, "  steps %d -> %d, parks %d -> %d, wakes %d -> %d, fast-forwarded cycles %d -> %d\n",
+	fmt.Fprintf(out, "  steps %d -> %d, parks %d -> %d, wakes %d -> %d\n",
 		oa.StepsExecuted, na.StepsExecuted, oa.Parks, na.Parks,
-		sumWakes(oa.Wakes), sumWakes(na.Wakes), oa.FastForwardCycles, na.FastForwardCycles)
+		sumWakes(oa.Wakes), sumWakes(na.Wakes))
 	fmt.Fprintf(out, "  rebalances %d -> %d, migrations %d -> %d\n",
 		oldR.Rebalances, newR.Rebalances, oldR.Migrations, newR.Migrations)
 	return regressions, warnings

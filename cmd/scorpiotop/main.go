@@ -123,8 +123,8 @@ func render(base string, prev, cur page, once bool) {
 	line("service latency    p50 %4.0f  p99 %4.0f cycles", v["lat_p50"], v["lat_p99"])
 	line("network            %.0f injected, %.0f ejected, %.0f flits routed, %.0f buffered",
 		v["injected"], v["ejected"], v["flits_routed"], v["buffered_flits"])
-	line("activity           %.0f units active, %.0f outstanding misses, wheel %.0f",
-		v["active_units"], v["outstanding"], v["wheel_pending"])
+	line("activity           %.0f units active, %.0f outstanding misses",
+		v["active_units"], v["outstanding"])
 	rate := func(name string) float64 {
 		if cycles <= 0 {
 			return 0

@@ -174,31 +174,20 @@ func (m *Mon) rebalanceEvents() []RebalanceEvent {
 }
 
 // ActivityCounters is the activity engine's cumulative event census. The
-// kernel fills the plain fields from the driving goroutine (its demote,
-// boundary and fast-forward passes all run between cycles); wake requests
-// are counted per edge with atomics because producers issue them from any
-// worker mid-phase. A copy of this struct is safe to retain.
+// kernel fills the plain fields from the driving goroutine (its demote and
+// boundary passes run between cycles); wake requests are counted per edge
+// with atomics because producers issue them from any worker mid-phase. A
+// copy of this struct is safe to retain.
 type ActivityCounters struct {
-	// StepsExecuted counts cycles actually stepped (fast-forwarded cycles
-	// are skipped, so StepsExecuted <= kernel cycle).
+	// StepsExecuted counts cycles stepped. Every cycle is stepped, so it
+	// equals the kernel's cycle count.
 	StepsExecuted uint64 `json:"steps_executed"`
 	// Parks counts units demoted off the every-cycle schedule.
 	Parks uint64 `json:"parks"`
-	// Activations counts parked units returned to the schedule; of those,
-	// WheelActivations came from the timing wheel (self-scheduled timers)
-	// rather than a producer's wake edge.
-	Activations      uint64 `json:"activations"`
-	WheelActivations uint64 `json:"wheel_activations"`
+	// Activations counts parked units returned to the schedule.
+	Activations uint64 `json:"activations"`
 	// DemotePasses counts idle-scan passes over the active units.
 	DemotePasses uint64 `json:"demote_passes"`
-	// WheelPending is the current number of filed timing-wheel entries;
-	// WheelHighWater the run's maximum.
-	WheelPending   uint64 `json:"wheel_pending"`
-	WheelHighWater uint64 `json:"wheel_high_water"`
-	// FastForwards counts fully-quiescent spans the clock jumped over;
-	// FastForwardCycles the cycles skipped across them.
-	FastForwards      uint64 `json:"fast_forwards"`
-	FastForwardCycles uint64 `json:"fast_forward_cycles"`
 	// Wakes counts successful wake requests (a CAS that lowered a parked
 	// unit's wake cycle) by producer edge.
 	Wakes [NumWakeEdges]uint64 `json:"-"`

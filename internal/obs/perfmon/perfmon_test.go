@@ -208,8 +208,8 @@ func TestParseReportRejects(t *testing.T) {
 func TestTableMentionsEveryLayer(t *testing.T) {
 	tab := buildReport().Table()
 	for _, want := range []string{
-		"test/run", "parallel, workers 2", "cycles/s", "fast-forward",
-		"parks", "flit 11", "rebalances", "led/followed",
+		"test/run", "parallel, workers 2", "cycles/s", "steps executed",
+		"parks", "demote passes", "flit 11", "rebalances", "led/followed",
 	} {
 		if !strings.Contains(tab, want) {
 			t.Fatalf("table missing %q:\n%s", want, tab)

@@ -104,8 +104,8 @@ type Report struct {
 	Mode    string `json:"mode"`
 	Cycles  uint64 `json:"cycles"`
 	WallNs  int64  `json:"wall_ns"`
-	// CyclesPerSec is simulated cycles (fast-forwarded ones included) per
-	// wall second — the engine's headline figure of merit.
+	// CyclesPerSec is simulated cycles per wall second — the engine's
+	// headline figure of merit.
 	CyclesPerSec float64 `json:"cycles_per_sec"`
 	SampleStride uint64  `json:"sample_stride"`
 
@@ -229,10 +229,8 @@ func (r *Report) Table() string {
 	fmt.Fprintf(&b, "  throughput       %d cycles in %s = %.0f cycles/s (stride %d)\n",
 		r.Cycles, ms(r.WallNs), r.CyclesPerSec, r.SampleStride)
 	a := r.Activity
-	fmt.Fprintf(&b, "  activity         %d steps executed, %d fast-forward spans skipping %d cycles\n",
-		a.StepsExecuted, a.FastForwards, a.FastForwardCycles)
-	fmt.Fprintf(&b, "                   %d parks, %d activations (%d from timers), %d demote passes, wheel high-water %d\n",
-		a.Parks, a.Activations, a.WheelActivations, a.DemotePasses, a.WheelHighWater)
+	fmt.Fprintf(&b, "  activity         %d steps executed, %d parks, %d activations, %d demote passes\n",
+		a.StepsExecuted, a.Parks, a.Activations, a.DemotePasses)
 	edges := make([]string, 0, len(a.Wakes))
 	for e, n := range a.Wakes {
 		if n > 0 {

@@ -209,8 +209,8 @@ type DeepSnapshot struct {
 	// Network is the watchdog-style network snapshot (oldest stuck flit,
 	// credit state, per-NIC ordering dumps).
 	Network string `json:"network_snapshot"`
-	// Activity is the kernel's activity-engine report (parked units, pending
-	// wheel wakes, wakes by edge).
+	// Activity is the kernel's activity-engine report (parked units, the next
+	// due wake, wakes by edge).
 	Activity string `json:"activity_report"`
 	// Perf is the engine RunReport-so-far (nil when no monitor is attached).
 	// Typed as any to keep this leaf package free of report imports; the
@@ -242,8 +242,7 @@ func (p *Publisher) ServeDeep(cycle uint64) {
 
 // RequestDeep asks the driver for a deep snapshot and waits up to timeout
 // for fulfilment. HTTP-goroutine side. Returns nil if the simulation is not
-// currently stepping (between runs, finished, or fast-forwarding with no
-// observer).
+// currently stepping (between runs or finished).
 func (p *Publisher) RequestDeep(timeout time.Duration) *DeepSnapshot {
 	p.deepMu.Lock()
 	defer p.deepMu.Unlock()

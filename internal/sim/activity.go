@@ -51,8 +51,8 @@ type Idler interface {
 // NextEventer is optionally implemented by idle-capable components that know
 // the next cycle at which they will have self-generated work (an injector's
 // presampled issue cycle, a queue's ready time, an orderer's next window
-// boundary). The kernel parks the unit with a timing-wheel entry at the
-// earliest such cycle; components whose work is purely input-driven omit the
+// boundary). The kernel parks the unit with its wake set to the earliest
+// such cycle; components whose work is purely input-driven omit the
 // interface and rely on wakes alone.
 type NextEventer interface {
 	// NextEventCycle returns the first cycle > now at which the component

@@ -28,11 +28,10 @@
 // Execution is activity-driven (see activity.go): a unit whose components all
 // implement Idler is parked once every member reports Idle(), and only woken
 // by an Activity.Wake from a producer or by its own NextEventCycle. Parked
-// units cost nothing per cycle; when every unit is parked, Run and RunUntil
-// fast-forward the clock straight to the earliest pending wake. Both
-// mechanisms are driver-side and state-driven, so skip-on execution is
-// bit-identical to skip-off at any worker count. SetIdleSkip(false) restores
-// the always-step path.
+// units cost nothing per cycle. Parking is driver-side and state-driven, so
+// skip-on execution is bit-identical to skip-off at any worker count, and
+// every cycle is stepped either way. SetIdleSkip(false) restores the
+// always-step path.
 package sim
 
 import (
@@ -62,19 +61,11 @@ type Component interface {
 // idle unit burns at most demoteEvery no-op cycles before parking), and backs
 // off exponentially to demoteMax while passes find nothing to park, so at
 // saturation the Idle() polling cost fades to a fraction of a percent; any
-// wake resets the cadence. The timing wheel that schedules known-future wakes
-// has wheelSlots single-cycle slots (far-future wakes re-enter the wheel each
-// wrap).
+// wake resets the cadence.
 const (
 	demoteEvery = 4
 	demoteMax   = 32
-	wheelSlots  = 256
 )
-
-// The timing wheel is intrusive: each slot heads a doubly-linked list
-// threaded through the units' wheelNext/wheelPrev indices, so filing,
-// rescheduling and draining are O(1) pointer splices with zero allocation —
-// no slot slice ever grows, and a unit has exactly one live entry.
 
 // unit is one scheduling unit: components that must execute on the same
 // worker, in order, plus the activity engine's and the sharder's bookkeeping.
@@ -89,9 +80,6 @@ type unit struct {
 	// pass; only units whose components all provide them ever park.
 	idlers  []Idler
 	nexters []NextEventer
-	// wheelAt is the cycle of the unit's live timing-wheel entry (NoEvent =
-	// none).
-	wheelAt uint64
 	// cost is the balancing weight: the component count until the first
 	// profiling cycle, then an EWMA of measured phase nanoseconds.
 	cost float64
@@ -99,11 +87,7 @@ type unit struct {
 	// only by the owning worker mid-cycle (or the driver, for parked units),
 	// folded and zeroed by the driver between cycles (the commit barrier
 	// orders the two).
-	sampleNs float64
-	// wheelNext/wheelPrev link the unit into its timing-wheel slot's list
-	// (-1 = end).
-	wheelNext int32
-	wheelPrev int32
+	sampleNs  float64
 	sampleCnt uint32
 	owner     int32 // current shard, for migration accounting
 	// canIdle marks a unit whose components all implement Idler; only such
@@ -140,7 +124,10 @@ type Kernel struct {
 	actDirty   bool // active set changed; flat dispatch lists stale
 	wakeSignal atomic.Uint64
 	lastSignal uint64
-	wheelHead  [wheelSlots]int32
+	// nextDue is the parked units' earliest wake cycle as of the last
+	// boundary scan (NoEvent = none), lowered by the demote pass as it
+	// parks; a Wake since that scan shows in wakeSignal instead.
+	nextDue    uint64
 	serialAct  []Component // serial-mode flat active dispatch list
 	demoteNext uint64      // cycle after which the next demote pass runs
 	demoteGap  uint64      // current demote interval (adaptive backoff)
@@ -152,7 +139,7 @@ type Kernel struct {
 	// per-edge wake census every Activity points into.
 	pm          *perfmon.Mon
 	pmStride    uint64
-	pmSteps0    uint64 // engineStats.StepsExecuted when the monitor attached
+	pmCycle0    uint64 // the cycle at which the monitor attached
 	engineStats perfmon.ActivityCounters
 	wakeEdges   [perfmon.NumWakeEdges]atomic.Uint64
 
@@ -242,9 +229,9 @@ func (k *Kernel) Workers() int {
 }
 
 // SetIdleSkip enables or disables activity-driven execution (enabled by
-// default). Disabled, every unit is ticked every cycle and the clock never
-// fast-forwards — the escape hatch for bisecting against the always-step
-// path. Results are bit-identical either way.
+// default). Disabled, every unit is ticked every cycle — the escape hatch for
+// bisecting against the always-step path. Results are bit-identical either
+// way.
 func (k *Kernel) SetIdleSkip(on bool) {
 	if on == k.idleSkip {
 		return
@@ -265,9 +252,9 @@ func (k *Kernel) Cycle() uint64 {
 // with the cycle just executed. It runs on the driving goroutine after all
 // workers have barriered, so it may freely read committed component state —
 // the observability layer's sampling and watchdog point. Pass nil to remove
-// it; when nil the per-step cost is a single branch. A non-nil observer
-// expects to see every cycle, so it also disables fast-forward (idle units
-// are still skipped).
+// it; when nil the per-step cost is a single branch. An observer changes
+// nothing in the engine's schedule: units park and wake on the same cycles
+// with or without one.
 func (k *Kernel) SetObserver(fn func(cycle uint64)) {
 	k.observer = fn
 }
@@ -291,7 +278,7 @@ func (k *Kernel) Step() {
 		if p != nil {
 			due = (p.gen+1)%k.pmStride == 0
 		} else {
-			due = (k.engineStats.StepsExecuted+1)%k.pmStride == 0
+			due = (cyc+1)%k.pmStride == 0
 		}
 		if due {
 			t0 = time.Now()
@@ -310,7 +297,6 @@ func (k *Kernel) Step() {
 		}
 		k.stepList(cyc, due)
 	}
-	k.engineStats.StepsExecuted++
 	k.cycle++
 	if k.observer != nil {
 		k.observer(cyc)
@@ -368,81 +354,40 @@ func never() bool { return false }
 // reached, and reports whether done became true. Worker goroutines stay warm
 // on return so repeated runs (sweeps, litmus sequences) never pay pool
 // start/stop; they are released by StopWorkers, by the next reshard, or by a
-// GC cleanup when the kernel itself becomes unreachable. Quiescent spans are
-// fast-forwarded (see fastForward); done cannot change while no component
-// runs, so it is re-checked at every executed cycle exactly as the stepwise
-// path would.
+// GC cleanup when the kernel itself becomes unreachable.
 func (k *Kernel) RunUntil(done func() bool, limit uint64) bool {
 	for k.cycle < limit {
 		if done() {
 			return true
-		}
-		if k.fastForward(limit) {
-			continue
 		}
 		k.Step()
 	}
 	return done()
 }
 
-// fastForward jumps the clock to the earliest pending wake when every unit
-// is parked, bounded by limit; it reports whether the clock moved. Only
-// legal when no observer is installed (an observer samples every cycle) —
-// the observability layer installs one whenever any feature is on, so the
-// gate is exactly "nothing is watching the per-cycle stream".
-func (k *Kernel) fastForward(limit uint64) bool {
-	if !k.idleSkip || k.observer != nil || k.nActive != 0 || len(k.units) == 0 {
-		return false
-	}
-	mw := uint64(NoEvent)
-	for i := range k.units {
-		if st := k.units[i].act.state.Load(); st < mw {
-			mw = st
-		}
-	}
-	if mw <= k.cycle {
-		return false // a wake is due now; Step will activate it
-	}
-	if mw > limit {
-		mw = limit
-	}
-	k.engineStats.FastForwards++
-	k.engineStats.FastForwardCycles += mw - k.cycle
-	k.cycle = mw
-	return true
-}
-
 // boundary reconciles wakes into the active set before cycle cyc runs. The
-// cheap steady state: no Wake landed since the last boundary, so only the
-// current timing-wheel slot is drained. When wakes did land, one pass over
-// the parked units activates those due and (re)files future wakes into the
-// wheel.
+// cheap steady state: no Wake landed since the last boundary and no timed
+// wake is due, so nothing is scanned. Otherwise one pass over the parked
+// units activates those due and recomputes the earliest timed wake.
 func (k *Kernel) boundary(cyc uint64) {
-	if sig := k.wakeSignal.Load(); sig != k.lastSignal {
-		k.lastSignal = sig
-		for i := range k.units {
-			u := &k.units[i]
-			if u.active {
-				continue
-			}
-			st := u.act.state.Load()
-			if st <= cyc {
-				k.activate(i)
-			} else if st != NoEvent && st != u.wheelAt {
-				k.insertWheel(i, st)
-			}
+	sig := k.wakeSignal.Load()
+	if sig == k.lastSignal && cyc < k.nextDue {
+		return
+	}
+	k.lastSignal = sig
+	due := uint64(NoEvent)
+	for i := range k.units {
+		u := &k.units[i]
+		if u.active {
+			continue
+		}
+		if st := u.act.state.Load(); st <= cyc {
+			k.activate(i)
+		} else if st < due {
+			due = st
 		}
 	}
-	for i := k.wheelHead[cyc%wheelSlots]; i >= 0; {
-		next := k.units[i].wheelNext
-		if k.units[i].wheelAt <= cyc {
-			k.activate(int(i)) // unlinks the unit from this slot
-			k.engineStats.WheelActivations++
-		}
-		// Entries with a later wheelAt are a wheel wrap: due some multiple of
-		// wheelSlots later, they stay linked in the same slot.
-		i = next
-	}
+	k.nextDue = due
 }
 
 // activate returns a parked unit to every-cycle execution. A wake means the
@@ -450,12 +395,8 @@ func (k *Kernel) boundary(cyc uint64) {
 // gets demoteEvery cycles of execution before it is polled for re-parking.
 func (k *Kernel) activate(i int) {
 	u := &k.units[i]
-	if u.wheelAt != NoEvent {
-		k.unlinkWheel(i)
-	}
 	u.active = true
 	u.act.state.Store(0)
-	u.wheelAt = NoEvent
 	k.nActive++
 	k.actDirty = true
 	k.engineStats.Activations++
@@ -465,43 +406,6 @@ func (k *Kernel) activate(i int) {
 	if n := k.cycle + demoteEvery - 1; n < k.demoteNext {
 		k.demoteNext = n
 	}
-}
-
-// insertWheel files unit i's wheel entry for cycle at, unlinking any
-// previous entry first.
-func (k *Kernel) insertWheel(i int, at uint64) {
-	u := &k.units[i]
-	if u.wheelAt != NoEvent {
-		k.unlinkWheel(i)
-	}
-	u.wheelAt = at
-	slot := at % wheelSlots
-	u.wheelPrev = -1
-	u.wheelNext = k.wheelHead[slot]
-	if u.wheelNext >= 0 {
-		k.units[u.wheelNext].wheelPrev = int32(i)
-	}
-	k.wheelHead[slot] = int32(i)
-	k.engineStats.WheelPending++
-	if k.engineStats.WheelPending > k.engineStats.WheelHighWater {
-		k.engineStats.WheelHighWater = k.engineStats.WheelPending
-	}
-}
-
-// unlinkWheel splices unit i out of its slot's list (caller guarantees the
-// unit is filed, i.e. wheelAt != NoEvent).
-func (k *Kernel) unlinkWheel(i int) {
-	u := &k.units[i]
-	if u.wheelPrev >= 0 {
-		k.units[u.wheelPrev].wheelNext = u.wheelNext
-	} else {
-		k.wheelHead[u.wheelAt%wheelSlots] = u.wheelNext
-	}
-	if u.wheelNext >= 0 {
-		k.units[u.wheelNext].wheelPrev = u.wheelPrev
-	}
-	u.wheelNext, u.wheelPrev = -1, -1
-	k.engineStats.WheelPending--
 }
 
 // demotePass parks every active idle-capable unit whose components all
@@ -546,8 +450,8 @@ func (k *Kernel) demotePass(cyc uint64) bool {
 		k.actDirty = true
 		k.engineStats.Parks++
 		parked = true
-		if w != NoEvent {
-			k.insertWheel(i, w)
+		if w < k.nextDue {
+			k.nextDue = w
 		}
 	}
 	return parked
@@ -621,7 +525,7 @@ func (k *Kernel) SetPerfMon(m *perfmon.Mon) {
 	k.pmStride = m.EffectiveStride()
 	// The always-on census spans the kernel's lifetime; remember where the
 	// monitor came in so report extrapolation only covers the attached span.
-	k.pmSteps0 = k.engineStats.StepsExecuted
+	k.pmCycle0 = k.cycle
 	if m != nil {
 		m.EnsureWorkers(1)
 	}
@@ -629,10 +533,12 @@ func (k *Kernel) SetPerfMon(m *perfmon.Mon) {
 }
 
 // ActivityCounters snapshots the activity engine's cumulative event census,
-// folding the shared per-edge wake atomics into the copy. Driver-side
-// between cycles (the observer hook, or after a run).
+// folding the shared per-edge wake atomics into the copy. Every cycle is
+// stepped, so StepsExecuted is the clock. Driver-side between cycles (the
+// observer hook, or after a run).
 func (k *Kernel) ActivityCounters() perfmon.ActivityCounters {
 	a := k.engineStats
+	a.StepsExecuted = k.cycle
 	for e := range a.Wakes {
 		a.Wakes[e] = k.wakeEdges[e].Load()
 	}
@@ -678,14 +584,14 @@ func (k *Kernel) PerfReport(label, configDigest string, wallNs int64) *perfmon.R
 		Cycles:         k.cycle,
 		WallNs:         wallNs,
 		Activity:       k.ActivityCounters(),
-		MonitoredSteps: k.engineStats.StepsExecuted - k.pmSteps0,
+		MonitoredSteps: k.cycle - k.pmCycle0,
 		Rebalances:     reb,
 		Migrations:     mig,
 	})
 }
 
 // ActivityReport renders the activity engine's current state for hang
-// diagnosis: the active/parked unit census, pending timing-wheel wakes, the
+// diagnosis: the active/parked unit census, the next due timed wake, the
 // cumulative park/wake counts by edge, and the parked units with no future
 // wake filed — exactly the ones a lost wake edge would strand forever. The
 // watchdog and auditor append it to their snapshots so a wedged-while-parked
@@ -695,10 +601,19 @@ func (k *Kernel) ActivityReport() string {
 	var b strings.Builder
 	a := k.ActivityCounters()
 	active, total := k.ActiveUnits()
-	fmt.Fprintf(&b, "activity: %d/%d units active, %d pending wheel wakes (high-water %d)\n",
-		active, total, a.WheelPending, a.WheelHighWater)
-	fmt.Fprintf(&b, "  %d parks, %d activations (%d from timers), %d demote passes, %d fast-forward spans (%d cycles)\n",
-		a.Parks, a.Activations, a.WheelActivations, a.DemotePasses, a.FastForwards, a.FastForwardCycles)
+	// A parked unit's state is its wake cycle; an active one's is 0.
+	next := uint64(NoEvent)
+	for i := range k.units {
+		if st := k.units[i].act.state.Load(); st != 0 && st < next {
+			next = st
+		}
+	}
+	due := "none"
+	if next != NoEvent {
+		due = fmt.Sprint(next)
+	}
+	fmt.Fprintf(&b, "activity: %d/%d units active, next due wake at cycle %s\n", active, total, due)
+	fmt.Fprintf(&b, "  %d parks, %d activations, %d demote passes\n", a.Parks, a.Activations, a.DemotePasses)
 	edges := make([]string, 0, perfmon.NumWakeEdges)
 	for e, n := range a.Wakes {
 		if n > 0 {
@@ -740,14 +655,9 @@ func (k *Kernel) ensureEngine() *phasePool {
 		k.nActive = len(k.units)
 		k.actDirty = true
 		k.lastSignal = k.wakeSignal.Load()
+		k.nextDue = NoEvent
 		k.demoteGap = demoteEvery
 		k.demoteNext = k.cycle + demoteEvery - 1
-		for i := range k.wheelHead {
-			k.wheelHead[i] = -1
-		}
-		// A rebuild discards every filed wheel entry (units restart active);
-		// the gauge resets with them, the high-water mark survives.
-		k.engineStats.WheelPending = 0
 		// Shards need two units and a host that can overlap them: with
 		// GOMAXPROCS < 2 the barriers would buy nothing but context
 		// switches, so such a host steps serially until the next rebuild.
@@ -841,8 +751,6 @@ func (k *Kernel) buildUnits() []unit {
 		u := &units[i]
 		u.cost = float64(len(u.comps))
 		u.active = true
-		u.wheelAt = NoEvent
-		u.wheelNext, u.wheelPrev = -1, -1
 		u.act.state.Store(0)
 	}
 	return units

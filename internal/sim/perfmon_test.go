@@ -11,17 +11,15 @@ import (
 
 // TestActivityCountersCensus pins the always-on event census against the
 // bursty-idle workload whose schedule the activity tests already verify:
-// parking, timer wakes through the timing wheel, demote passes and
-// quiescent-span fast-forwards must all leave nonzero counts, and the
-// executed-step counter must reflect the fast-forwarded (not nominal) cycle
-// count.
+// parking, timed wakes and demote passes must all leave nonzero counts, and
+// every cycle of the run must count as an executed step.
 func TestActivityCountersCensus(t *testing.T) {
 	const cycles = 20_000
 	k, _ := buildBursters(8, 0, true)
 	k.Run(cycles)
 	a := k.ActivityCounters()
-	if a.StepsExecuted == 0 || a.StepsExecuted >= cycles {
-		t.Fatalf("steps executed = %d, want in (0, %d): fast-forward should skip most cycles", a.StepsExecuted, cycles)
+	if a.StepsExecuted != cycles {
+		t.Fatalf("steps executed = %d, want every one of the %d cycles", a.StepsExecuted, cycles)
 	}
 	if a.Parks == 0 {
 		t.Error("no parks recorded on a bursty-idle workload")
@@ -29,22 +27,8 @@ func TestActivityCountersCensus(t *testing.T) {
 	if a.Activations == 0 {
 		t.Error("no activations recorded")
 	}
-	if a.WheelActivations == 0 {
-		t.Error("no timing-wheel activations recorded; bursters self-schedule through the wheel")
-	}
-	if a.WheelHighWater == 0 {
-		t.Error("wheel high-water stayed 0 despite scheduled wakes")
-	}
 	if a.DemotePasses == 0 {
 		t.Error("no demote passes recorded")
-	}
-	if a.FastForwards == 0 || a.FastForwardCycles == 0 {
-		t.Errorf("fast-forward census empty (%d spans, %d cycles); gaps of ~997 cycles must be jumped",
-			a.FastForwards, a.FastForwardCycles)
-	}
-	if a.StepsExecuted+a.FastForwardCycles != cycles {
-		t.Errorf("steps (%d) + fast-forwarded cycles (%d) != %d: the census does not cover the run",
-			a.StepsExecuted, a.FastForwardCycles, cycles)
 	}
 	if got := a.TotalWakes(); got != a.Wakes[WakeTimer] {
 		// Bursters only self-schedule; no cross-unit edges fire.

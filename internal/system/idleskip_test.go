@@ -124,8 +124,8 @@ func TestIdleSkipBitIdenticalBaselines(t *testing.T) {
 
 // TestIdleSkipAuditClean runs the A/B with the online ordering/coherence
 // auditor attached: both modes must be audit-clean and produce identical
-// statistics (the auditor installs an observer, so this also covers the
-// no-fast-forward path with parking still active).
+// statistics (the auditor installs an observer, so this also covers an
+// observed run with parking active).
 func TestIdleSkipAuditClean(t *testing.T) {
 	run := func(disable bool) Results {
 		t.Helper()

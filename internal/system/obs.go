@@ -29,11 +29,9 @@ const (
 	tsWakes
 	tsActivations
 	tsStepsExecuted
-	tsFastForwardCycles
 	tsBufferedFlits
 	tsOutstanding
 	tsActiveUnits
-	tsWheelPending
 	tsLatP50
 	tsLatP99
 	numTelemetrySeries
@@ -44,36 +42,32 @@ const (
 // *cumulative* value — OpenMetrics counters must be monotonic, and rates
 // fall out of consecutive scrapes on the client side.
 var telemetrySeries = []telemetry.Series{
-	tsInjected:          {Name: "injected", Kind: telemetry.Counter, Help: "Packets injected into the network (requests + responses)."},
-	tsEjected:           {Name: "ejected", Kind: telemetry.Counter, Help: "Packets delivered to their destination agents."},
-	tsFlitsRouted:       {Name: "flits_routed", Kind: telemetry.Counter, Help: "Flits traversing router crossbars."},
-	tsBypasses:          {Name: "bypasses", Kind: telemetry.Counter, Help: "Single-cycle router bypasses taken."},
-	tsAllocStalls:       {Name: "alloc_stalls", Kind: telemetry.Counter, Help: "Switch-allocation stalls (flit lost arbitration or lacked credits)."},
-	tsNotifWindows:      {Name: "notif_windows", Kind: telemetry.Counter, Help: "Notification-network windows delivered (SCORPIO only)."},
-	tsParks:             {Name: "parks", Kind: telemetry.Counter, Help: "Scheduling units demoted off the every-cycle schedule."},
-	tsWakes:             {Name: "wakes", Kind: telemetry.Counter, Help: "Successful parked-unit wake requests (all edges)."},
-	tsActivations:       {Name: "activations", Kind: telemetry.Counter, Help: "Parked units returned to the schedule."},
-	tsStepsExecuted:     {Name: "steps_executed", Kind: telemetry.Counter, Help: "Kernel cycles actually stepped (fast-forwarded cycles are skipped)."},
-	tsFastForwardCycles: {Name: "fast_forward_cycles", Kind: telemetry.Counter, Help: "Cycles skipped over fully-quiescent spans (0 while an observer is attached)."},
-	tsBufferedFlits:     {Name: "buffered_flits", Kind: telemetry.Gauge, Help: "Flits currently buffered in router VCs."},
-	tsOutstanding:       {Name: "outstanding", Kind: telemetry.Gauge, Help: "Outstanding L2 misses across all cores."},
-	tsActiveUnits:       {Name: "active_units", Kind: telemetry.Gauge, Help: "Scheduling units on the every-cycle schedule."},
-	tsWheelPending:      {Name: "wheel_pending", Kind: telemetry.Gauge, Help: "Filed timing-wheel wake entries."},
-	tsLatP50:            {Name: "lat_p50", Kind: telemetry.Gauge, Help: "p50 L2 service latency in cycles over the run so far."},
-	tsLatP99:            {Name: "lat_p99", Kind: telemetry.Gauge, Help: "p99 L2 service latency in cycles over the run so far."},
+	tsInjected:      {Name: "injected", Kind: telemetry.Counter, Help: "Packets injected into the network (requests + responses)."},
+	tsEjected:       {Name: "ejected", Kind: telemetry.Counter, Help: "Packets delivered to their destination agents."},
+	tsFlitsRouted:   {Name: "flits_routed", Kind: telemetry.Counter, Help: "Flits traversing router crossbars."},
+	tsBypasses:      {Name: "bypasses", Kind: telemetry.Counter, Help: "Single-cycle router bypasses taken."},
+	tsAllocStalls:   {Name: "alloc_stalls", Kind: telemetry.Counter, Help: "Switch-allocation stalls (flit lost arbitration or lacked credits)."},
+	tsNotifWindows:  {Name: "notif_windows", Kind: telemetry.Counter, Help: "Notification-network windows delivered (SCORPIO only)."},
+	tsParks:         {Name: "parks", Kind: telemetry.Counter, Help: "Scheduling units demoted off the every-cycle schedule."},
+	tsWakes:         {Name: "wakes", Kind: telemetry.Counter, Help: "Successful parked-unit wake requests (all edges)."},
+	tsActivations:   {Name: "activations", Kind: telemetry.Counter, Help: "Parked units returned to the schedule."},
+	tsStepsExecuted: {Name: "steps_executed", Kind: telemetry.Counter, Help: "Kernel cycles stepped."},
+	tsBufferedFlits: {Name: "buffered_flits", Kind: telemetry.Gauge, Help: "Flits currently buffered in router VCs."},
+	tsOutstanding:   {Name: "outstanding", Kind: telemetry.Gauge, Help: "Outstanding L2 misses across all cores."},
+	tsActiveUnits:   {Name: "active_units", Kind: telemetry.Gauge, Help: "Scheduling units on the every-cycle schedule."},
+	tsLatP50:        {Name: "lat_p50", Kind: telemetry.Gauge, Help: "p50 L2 service latency in cycles over the run so far."},
+	tsLatP99:        {Name: "lat_p99", Kind: telemetry.Gauge, Help: "p99 L2 service latency in cycles over the run so far."},
 }
 
 // metricsSeries projects the series table onto the CSV sampler's columns:
 // a counter column reports the delta since the previous sample (a rate), a
-// gauge column the value as read. The last four columns come from the
-// kernel's activity engine (see internal/obs/perfmon); fast-forward never
-// fires under the sampler (an observer disables it), so its counters live in
-// the RunReport only.
+// gauge column the value as read. The last three columns come from the
+// kernel's activity engine (see internal/obs/perfmon).
 var metricsSeries = []int{
 	tsInjected, tsEjected, tsBufferedFlits,
 	tsFlitsRouted, tsBypasses, tsAllocStalls,
 	tsNotifWindows, tsOutstanding,
-	tsActiveUnits, tsParks, tsWakes, tsWheelPending,
+	tsActiveUnits, tsParks, tsWakes,
 }
 
 // metricsColumns names the sampler's columns, in metricsSeries order.
@@ -186,11 +180,9 @@ func fill(row []float64, k *sim.Kernel, p probe) {
 	row[tsWakes] = float64(act.TotalWakes())
 	row[tsActivations] = float64(act.Activations)
 	row[tsStepsExecuted] = float64(act.StepsExecuted)
-	row[tsFastForwardCycles] = float64(act.FastForwardCycles)
 	row[tsBufferedFlits] = float64(c.buffered)
 	row[tsOutstanding] = float64(c.outstanding)
 	row[tsActiveUnits] = float64(activeUnits)
-	row[tsWheelPending] = float64(act.WheelPending)
 }
 
 // heat returns each router's utilization — crossbar traversals per cycle —
@@ -380,9 +372,8 @@ func buildObs(opt *obs.Options, m *machine, mesh *noc.Mesh, p probe) (*Observabi
 	}
 
 	if o.Metrics == nil && o.Watchdog == nil && o.Auditor == nil && pub == nil {
-		// Trace-only and perf-only runs need no per-cycle observer — the
-		// tracer's hooks live in the components and perfmon's in the kernel —
-		// so fast-forward over quiescent spans stays available to them.
+		// Trace-only and perf-only runs need no per-cycle observer: the
+		// tracer's hooks live in the components and perfmon's in the kernel.
 		return o, nil
 	}
 	cur := make([]float64, numTelemetrySeries)

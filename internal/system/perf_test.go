@@ -20,7 +20,7 @@ import (
 // an intentional schema change that must update this test (and any scripts
 // reading the CSV).
 func TestMetricsGoldenHeader(t *testing.T) {
-	const golden = "cycle,injected,ejected,buffered_flits,flits_routed,bypasses,alloc_stalls,notif_windows,outstanding,active_units,parks,wakes,wheel_pending"
+	const golden = "cycle,injected,ejected,buffered_flits,flits_routed,bypasses,alloc_stalls,notif_windows,outstanding,active_units,parks,wakes"
 	if got := "cycle," + strings.Join(metricsColumns, ","); got != golden {
 		t.Fatalf("metrics header changed:\n got %s\nwant %s", got, golden)
 	}
@@ -79,7 +79,7 @@ func atofTest(t *testing.T, s string) float64 {
 
 // TestWatchdogStallReportCarriesActivity extends the stall-snapshot contract:
 // the watchdog error must now also carry the activity engine's state (parked
-// units, pending wheel wakes) so a lost-wake hang names its suspects.
+// units, the next due wake) so a lost-wake hang names its suspects.
 func TestWatchdogStallReportCarriesActivity(t *testing.T) {
 	opt := smallOptions(t, "barnes", 16)
 	opt.Obs = &obs.Options{Watchdog: 1}
@@ -91,7 +91,7 @@ func TestWatchdogStallReportCarriesActivity(t *testing.T) {
 	if err == nil {
 		t.Fatal("watchdog threshold 1 did not abort the run")
 	}
-	for _, want := range []string{"activity:", "units active", "pending wheel wakes", "wakes by edge:"} {
+	for _, want := range []string{"activity:", "units active", "next due wake", "wakes by edge:"} {
 		if !strings.Contains(err.Error(), want) {
 			t.Fatalf("stall error missing engine state (%q):\n%v", want, err)
 		}

@@ -34,10 +34,10 @@ type Injector struct {
 	// the first eligible cycle (consuming the identical RNG stream — a
 	// geometric draw IS the sequence of per-cycle trials) and the issue
 	// lands at issueAt. Between arming and firing the injector is pure
-	// countdown, so the activity engine can park it and fast-forward to
-	// issueAt. Eligibility cannot regress while armed: outstanding only
-	// grows on an issue, so the presampled countdown always fires exactly
-	// where the per-cycle trials would have succeeded.
+	// countdown, so the activity engine can park it until issueAt.
+	// Eligibility cannot regress while armed: outstanding only grows on an
+	// issue, so the presampled countdown always fires exactly where the
+	// per-cycle trials would have succeeded.
 	armed    bool
 	issueAt  uint64
 	coldNext uint64

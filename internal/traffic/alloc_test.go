@@ -27,7 +27,7 @@ func warmMeshWorkers(t *testing.T, workers int) (*sim.Kernel, *noc.Mesh) {
 
 // warmMeshRate is warmMeshWorkers with an explicit injection rate; near-zero
 // rates leave most units parked, exercising the activity engine's wake and
-// timing-wheel paths instead of the saturated every-cycle path.
+// timed-wake paths instead of the saturated every-cycle path.
 func warmMeshRate(t *testing.T, workers int, rate float64) (*sim.Kernel, *noc.Mesh) {
 	return warmMeshSized(t, workers, 6, 6, rate, true)
 }
@@ -191,10 +191,9 @@ func TestMeshSteadyStateAllocsParallel(t *testing.T) {
 
 // TestMeshSteadyStateAllocsIdleSkip pins the activity engine's own hot path:
 // at a near-idle injection rate most scheduling units are parked most of the
-// time, so a step window is dominated by boundary scans, timing-wheel filing
-// and draining, demote passes and active-list rebuilds — all of which must
-// be allocation-free once the wheel slots and dispatch lists have grown to
-// their steady-state capacity.
+// time, so a step window is dominated by boundary scans, demote passes and
+// active-list rebuilds — all of which must be allocation-free once the
+// dispatch lists have grown to their steady-state capacity.
 func TestMeshSteadyStateAllocsIdleSkip(t *testing.T) {
 	k, _ := warmMeshRate(t, 1, 0.002)
 	if !k.IdleSkip() {
@@ -284,7 +283,7 @@ func attachTelemetry(k *sim.Kernel) *telemetry.Publisher {
 	series := []telemetry.Series{
 		{Name: "steps", Kind: telemetry.Counter, Help: "observer invocations"},
 		{Name: "active_units", Kind: telemetry.Gauge, Help: "unparked scheduling units"},
-		{Name: "wheel_pending", Kind: telemetry.Gauge, Help: "timing-wheel residents"},
+		{Name: "parks", Kind: telemetry.Counter, Help: "units parked"},
 	}
 	pub := telemetry.NewPublisher(series, 64, 0, 0)
 	row := make([]float64, len(series))
@@ -297,7 +296,7 @@ func attachTelemetry(k *sim.Kernel) *telemetry.Publisher {
 			active, _ := k.ActiveUnits()
 			row[0] = steps
 			row[1] = float64(active)
-			row[2] = float64(act.WheelPending)
+			row[2] = float64(act.Parks)
 			pub.Publish(cycle, row, nil)
 		}
 	})

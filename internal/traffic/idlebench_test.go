@@ -12,9 +12,8 @@ import (
 )
 
 // TestTrafficIdleSkipEquivalence pins the open-loop harness's A/B contract:
-// parking idle nodes and routers (and fast-forwarding quiescent spans) must
-// not change a single measured number at any injection rate, from near-idle
-// to saturation.
+// parking idle nodes and routers must not change a single measured number
+// at any injection rate, from near-idle to saturation.
 func TestTrafficIdleSkipEquivalence(t *testing.T) {
 	for _, pattern := range []Pattern{UniformRandom, Broadcast} {
 		for _, rate := range []float64{0.01, 0.05, 0.30} {
@@ -53,7 +52,7 @@ func mustRun(t *testing.T, cfg Config) Result {
 // BenchmarkKernelThroughputIdle is the activity engine's figure of merit:
 // kernel stepping speed over a mesh-size × injection-rate grid, with the
 // engine on and off. The interesting corners are near-zero load — where
-// parked units and fast-forward should buy a large cycles/s multiple — and
+// parked units should buy a large cycles/s multiple — and
 // saturation, where the engine must cost nearly nothing because nothing is
 // ever idle. cycles/s is the honest metric (ns/op is per simulated cycle).
 func BenchmarkKernelThroughputIdle(b *testing.B) {
