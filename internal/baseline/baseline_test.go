@@ -1,6 +1,10 @@
 package baseline
 
-import "testing"
+import (
+	"testing"
+
+	"scorpio/internal/sim"
+)
 
 func TestTokenBKeysAreDenseAndOrdered(t *testing.T) {
 	tb := NewTokenB()
@@ -96,5 +100,59 @@ func TestINSOSmallWindowExpiresFaster(t *testing.T) {
 	}
 	if slow.Skippable(1, 50) {
 		t.Fatal("slow window expired the slot too early")
+	}
+}
+
+// skippableScan is Skippable by a scan of every expiry range the key's
+// source has had.
+func skippableScan(o *INSO, key, cycle uint64) bool {
+	s := int(key % uint64(o.nodes))
+	k := key / uint64(o.nodes)
+	for _, r := range o.expiries[s] {
+		if k >= r.from && k < r.to {
+			return cycle >= r.visibleAt
+		}
+	}
+	return false
+}
+
+// TestINSOSkippableMatchesScan checks Skippable against a scan of every
+// range on random injection histories. Sources that inject between window
+// boundaries leave gaps between their ranges; sources that stay idle get
+// ranges that abut, so both a range's start and its end are exercised.
+func TestINSOSkippableMatchesScan(t *testing.T) {
+	rng := sim.NewRNG(7)
+	for trial := 0; trial < 20; trial++ {
+		const nodes, window, windows = 4, 8, 60
+		o := NewINSO(nodes, window, 3)
+		rate := 0.02 + 0.2*rng.Float64()
+		for c := uint64(1); c <= window*windows; c++ {
+			for n := 0; n < nodes; n++ {
+				if rng.Bernoulli(rate * float64(n+1) / nodes) {
+					o.AssignKey(n, c)
+				}
+			}
+			o.Evaluate(c)
+		}
+		var ranges int
+		for _, rs := range o.expiries {
+			ranges += len(rs)
+		}
+		if ranges < nodes {
+			t.Fatalf("trial %d: only %d expiry ranges; the history exercises nothing", trial, ranges)
+		}
+		var max uint64
+		for _, k := range o.nextSlot {
+			if k > max {
+				max = k
+			}
+		}
+		for key := uint64(0); key < (max+2)*nodes; key++ {
+			for c := uint64(0); c <= window*windows+4; c += 3 {
+				if got, want := o.Skippable(key, c), skippableScan(o, key, c); got != want {
+					t.Fatalf("trial %d: Skippable(%d, %d) = %v, scan says %v", trial, key, c, got, want)
+				}
+			}
+		}
 	}
 }

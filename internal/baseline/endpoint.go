@@ -40,9 +40,9 @@ import (
 type Orderer interface {
 	// AssignKey gives the next order key for a request injected by node.
 	AssignKey(node int, cycle uint64) uint64
-	// NextDeliverable reports whether key is the next to deliver at a node
-	// that has already delivered all keys below nextKey, and whether the key
-	// is known to be skippable (expired without a request).
+	// Skippable reports whether key, the next key a node is due to
+	// deliver, is known to have expired without a request, so the node may
+	// pass over it at this cycle.
 	Skippable(key uint64, cycle uint64) bool
 }
 

@@ -1,6 +1,10 @@
 package baseline
 
-import "scorpio/internal/sim"
+import (
+	"sort"
+
+	"scorpio/internal/sim"
+)
 
 // KindExpiry marks INSO expiry broadcasts; endpoints drop them on arrival
 // (their cost is the network bandwidth they consumed). The value is disjoint
@@ -119,16 +123,16 @@ func (o *INSO) AssignKey(node int, cycle uint64) uint64 {
 }
 
 // Skippable implements Orderer: a key may be skipped once its source has
-// expired the slot and the expiry had time to propagate.
+// expired the slot and the expiry had time to propagate. A source's ranges
+// are appended ascending and disjoint (each starts at or after the previous
+// one's end), so the first range ending past the slot is the only one that
+// can hold it.
 func (o *INSO) Skippable(key uint64, cycle uint64) bool {
 	s := int(key % uint64(o.nodes))
 	k := key / uint64(o.nodes)
-	for _, r := range o.expiries[s] {
-		if k >= r.from && k < r.to {
-			return cycle >= r.visibleAt
-		}
-	}
-	return false
+	rs := o.expiries[s]
+	i := sort.Search(len(rs), func(i int) bool { return rs[i].to > k })
+	return i < len(rs) && rs[i].from <= k && cycle >= rs[i].visibleAt
 }
 
 // Evaluate advances expiry state at window boundaries: each source whose
