@@ -94,18 +94,19 @@ func NewOrderedNet(cfg Config, k *sim.Kernel) (*OrderedNet, error) {
 		}
 		meshes[i] = mesh
 	}
-	nnet, err := notif.NewNetwork(cfg.Notif)
+	nnet, err := notif.NewNetwork(cfg.Notif, cfg.NIC.History())
 	if err != nil {
 		return nil, err
 	}
 	// Every NIC reads each notification window in the same cycle and holds
 	// at most TrackerDepth unconsumed windows besides the one it is
-	// expanding (the tracker panics on overflow), and a window announces at
-	// most MaxPerWindow requests per node. So no node trails another by
-	// more than TrackerDepth+1 windows' worth of positions: 612 on the 6×6
-	// chip, 4,352 at 16×16.
+	// expanding (the tracker panics on overflow): it reads merged vectors
+	// no older than the last History() the network keeps. A window
+	// announces at most MaxPerWindow requests per node, so no node trails
+	// another by more than History() windows' worth of positions: 612 on
+	// the 6×6 chip, 4,352 at 16×16.
 	nodes := cfg.Net.Nodes()
-	window := (cfg.NIC.TrackerDepth + 1) * nodes * cfg.Notif.MaxPerWindow()
+	window := cfg.NIC.History() * nodes * cfg.Notif.MaxPerWindow()
 	on := &OrderedNet{cfg: cfg, meshes: meshes, nnet: nnet, check: audit.NewOrderCheck(nodes, window)}
 	on.nics = nic.NewNICs(cfg.NIC, meshes, nnet)
 	for node := range on.nics {

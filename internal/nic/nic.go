@@ -12,7 +12,8 @@
 // and releases them to the agent strictly in the global order derived from
 // the merged notification vectors: each consumed vector is expanded into an
 // Expected Source ID (ESID) sequence by a rotating priority arbiter, and only
-// the packet whose SID matches the current ESID may be forwarded. UO-RESP
+// the packet whose SID matches the current ESID may be forwarded; the NICs
+// all expand the notification network's one copy of each vector. UO-RESP
 // packets are forwarded in arrival order.
 //
 // A NIC may attach to several main-network meshes (NewNICs): the
@@ -97,6 +98,11 @@ func UnorderedConfig() Config {
 	return c
 }
 
+// History returns how many merged vectors the notification network must
+// keep for NICs of this configuration: up to TrackerDepth queued behind the
+// one being expanded (DESIGN.md §4).
+func (c Config) History() int { return c.TrackerDepth + 1 }
+
 // Stats counts NIC activity.
 type Stats struct {
 	InjectedRequests   uint64
@@ -107,13 +113,6 @@ type Stats struct {
 	StoppedResends     uint64 // announcements voided by a stop window
 	OrderingLatency    stats.Mean
 	NetworkLatency     stats.Mean // injection to NIC arrival, GO-REQ
-}
-
-// sidRun is one entry of the expanded ESID sequence: count requests expected
-// from source sid.
-type sidRun struct {
-	sid   int
-	count int
 }
 
 // reqEntry is one buffered GO-REQ packet with its local arrival cycle.
@@ -153,40 +152,52 @@ type meshPort struct {
 type slabs struct {
 	ports     slab.Slab[meshPort]
 	portPtrs  slab.Slab[*meshPort]
-	pkts      slab.Slab[*noc.Packet] // reqQ, respQ, doneResp
+	pkts      slab.Slab[*noc.Packet] // reqQ, respQ, doneResp, send staging
 	loopback  slab.Slab[*noc.Packet]
-	reqs      slab.Slab[reqEntry] // reqBuf rings, reqHold
+	reqs      slab.Slab[reqEntry] // reqBuf rings, then reqHold
 	reqRings  slab.Slab[ring.Ring[reqEntry]]
 	flits     slab.Slab[noc.Flit]
 	flitRings slab.Slab[ring.Ring[noc.Flit]]
-	vcs       slab.Slab[int] // arrivalQ
-	vectors   slab.Slab[notif.Vector]
+	vcs       slab.Slab[int]    // arrivalQ
 	seqs      slab.Slab[uint64] // deliveredSeq
 }
 
 // makeSlabs sizes the slabs for nics NICs of configuration cfg, each
-// attached to meshes meshes of configuration net. The global-order state
-// (loopback, tracker queue, delivered sequences) is sized only for ordered
-// NICs: an unordered one never touches it.
-func makeSlabs(cfg Config, net noc.Config, nics, meshes int) slabs {
+// attached to meshes meshes of configuration net and, when ordered, to
+// nnet. The global-order state (holding buffer, loopback, delivered
+// sequences) is sized only for ordered NICs: an unordered one never
+// touches it.
+func makeSlabs(cfg Config, net noc.Config, nnet *notif.Network, nics, meshes int) slabs {
 	goVCs, uoVCs := net.TotalVCs(noc.GOReq), net.TotalVCs(noc.UOResp)
-	ports := nics * meshes
+	ports, held := nics*meshes, 0
+	if cfg.Ordered {
+		held = nics * ring.Slots(cfg.ReqBufDepth)
+	}
 	s := slabs{
 		ports:     slab.Make[meshPort](ports - nics),
 		portPtrs:  slab.Make[*meshPort](ports),
-		pkts:      slab.Make[*noc.Packet](ports*2*ring.Slots(cfg.InjectQueueDepth) + nics*ring.Slots(doneRespSlots)),
-		reqs:      slab.Make[reqEntry](ports*goVCs*ring.Slots(net.GOReqBufDepth) + nics*ring.Slots(cfg.ReqBufDepth)),
+		pkts:      slab.Make[*noc.Packet](ports*2*ring.Slots(cfg.InjectQueueDepth) + nics*(ring.Slots(doneRespSlots)+2*cfg.InjectQueueDepth)),
+		reqs:      slab.Make[reqEntry](ports*goVCs*ring.Slots(net.GOReqBufDepth) + held),
 		reqRings:  slab.Make[ring.Ring[reqEntry]](ports * goVCs),
 		flits:     slab.Make[noc.Flit](ports * uoVCs * ring.Slots(net.UORespBufDepth)),
 		flitRings: slab.Make[ring.Ring[noc.Flit]](ports * uoVCs),
 		vcs:       slab.Make[int](ports * ring.Slots(goVCs*net.GOReqBufDepth)),
 	}
 	if cfg.Ordered {
-		s.loopback = slab.Make[*noc.Packet](nics * ring.Slots(cfg.MaxPendingNotifs))
-		s.vectors = slab.Make[notif.Vector](nics * ring.Slots(cfg.TrackerDepth))
+		if nnet == nil {
+			panic("nic: ordered mode requires a notification network")
+		}
+		s.loopback = slab.Make[*noc.Packet](nics * cfg.loopbackDepth(nnet.Config().MaxPerWindow()))
 		s.seqs = slab.Make[uint64](nics * net.Nodes())
 	}
 	return s
+}
+
+// loopbackDepth bounds a NIC's own requests awaiting their own order: up to
+// MaxPendingNotifs unannounced, a window's offer in flight, and a window's
+// worth in each of the History() vectors a NIC may hold.
+func (c Config) loopbackDepth(perWindow int) int {
+	return c.MaxPendingNotifs + perWindow*(c.TrackerDepth+2)
 }
 
 // cutRing cuts a ring of the expected capacity from s.
@@ -235,7 +246,8 @@ type NIC struct {
 	pool  Recycler
 	Stats Stats
 
-	// Send staging (committed into port queues for determinism).
+	// Send staging (committed into port queues for determinism), cut at
+	// InjectQueueDepth, which SendRequest and SendResponse never exceed.
 	stagedReq  []*noc.Packet
 	stagedResp []*noc.Packet
 
@@ -249,17 +261,16 @@ type NIC struct {
 	reqHold  ring.Ring[reqEntry]    // NIC-internal out-of-order holding buffer
 	doneResp ring.Ring[*noc.Packet] // assembled responses awaiting the agent
 	loopback ring.Ring[*noc.Packet] // own broadcast requests awaiting own global order
-	// Global-order state.
-	trackerQ ring.Ring[notif.Vector]
-	// vecFree recycles the word buffers of consumed tracker vectors so
-	// per-window vector cloning allocates nothing in steady state.
-	vecFree      [][]uint64
-	order        []sidRun
-	orderPos     int
-	rrPtr        int
-	busy         int      // ejection occupancy countdown
-	srcSeqNext   uint64   // next sequence number for own ordered requests
-	deliveredSeq []uint64 // per source: ordered requests already delivered here
+	// Global-order state. The tracker queue is vectors expanded..received-1
+	// of the notification network's history; the cursor walks vector
+	// expanded-1: esid is the expected source, left its requests still due,
+	// and wrapped marks the walk's second half.
+	received, expanded uint64
+	esid, left         int
+	wrapped            bool
+	busy               int      // ejection occupancy countdown
+	srcSeqNext         uint64   // next sequence number for own ordered requests
+	deliveredSeq       []uint64 // per source: ordered requests already delivered here
 
 	// check is the machine's global-order check (nil checks nothing).
 	// tracer is nil unless lifecycle tracing is enabled; every hook site
@@ -281,7 +292,7 @@ type NIC struct {
 
 	// NICs sit side by side in one slab and belong to different shards; the
 	// pad rounds the stride to whole cache lines.
-	_ [24]byte
+	_ [32]byte
 }
 
 // doneRespSlots is the expected depth of the assembled-response queue.
@@ -294,7 +305,7 @@ const doneRespSlots = 4
 // afterwards with SetAgent.
 func NewNICs(cfg Config, meshes []*noc.Mesh, nnet *notif.Network) []NIC {
 	nodes := meshes[0].Config().Nodes()
-	s := makeSlabs(cfg, meshes[0].Config(), nodes, len(meshes))
+	s := makeSlabs(cfg, meshes[0].Config(), nnet, nodes, len(meshes))
 	nics := make([]NIC, nodes)
 	for node := range nics {
 		nics[node].init(node, cfg, meshes, nnet, &s)
@@ -308,7 +319,7 @@ func NewNICs(cfg Config, meshes []*noc.Mesh, nnet *notif.Network) []NIC {
 // order need this). nnet may be nil when cfg.Ordered is false.
 func New(node int, cfg Config, mesh *noc.Mesh, nnet *notif.Network, agent Agent) *NIC {
 	meshes := []*noc.Mesh{mesh}
-	s := makeSlabs(cfg, mesh.Config(), 1, 1)
+	s := makeSlabs(cfg, mesh.Config(), nnet, 1, 1)
 	n := &NIC{agent: agent}
 	n.init(node, cfg, meshes, nnet, &s)
 	return n
@@ -316,9 +327,6 @@ func New(node int, cfg Config, mesh *noc.Mesh, nnet *notif.Network, agent Agent)
 
 // init builds node's NIC on meshes, cut from s.
 func (n *NIC) init(node int, cfg Config, meshes []*noc.Mesh, nnet *notif.Network, s *slabs) {
-	if cfg.Ordered && nnet == nil {
-		panic("nic: ordered mode requires a notification network")
-	}
 	n.cfg, n.node, n.nnet, n.ownSID = cfg, node, nnet, node
 	n.netCfg = meshes[0].Config()
 	n.ports = s.portPtrs.Cut(len(meshes))
@@ -330,16 +338,17 @@ func (n *NIC) init(node int, cfg Config, meshes []*noc.Mesh, nnet *notif.Network
 		p.init(cfg, mesh, node, s)
 		n.ports[i] = p
 	}
-	n.reqHold = cutFixed(&s.reqs, cfg.ReqBufDepth)
 	n.doneResp = cutRing(&s.pkts, doneRespSlots)
-	if cfg.Ordered {
-		n.deliveredSeq = s.seqs.Cut(n.netCfg.Nodes())
-		n.loopback = cutRing(&s.loopback, cfg.MaxPendingNotifs)
-		n.trackerQ = cutFixed(&s.vectors, cfg.TrackerDepth)
-	}
+	n.stagedReq = s.pkts.Cut(cfg.InjectQueueDepth)[:0]
+	n.stagedResp = s.pkts.Cut(cfg.InjectQueueDepth)[:0]
 	if nnet != nil {
 		n.ncfg = nnet.Config()
 		nnet.AttachSource(node, n)
+	}
+	if cfg.Ordered {
+		n.reqHold = cutFixed(&s.reqs, cfg.ReqBufDepth)
+		n.deliveredSeq = s.seqs.Cut(n.netCfg.Nodes())
+		n.loopback = cutRing(&s.loopback, cfg.loopbackDepth(n.ncfg.MaxPerWindow()))
 	}
 }
 
@@ -496,9 +505,9 @@ func (n *NIC) Commit(cycle uint64) {
 	// published on every attached mesh's ESID board.
 	var sid int
 	var seq uint64
-	active := n.orderActive()
+	active := n.left > 0
 	if active {
-		sid = n.order[n.orderPos].sid
+		sid = n.esid
 		seq = n.deliveredSeq[sid]
 	}
 	for _, port := range n.ports {
@@ -507,8 +516,8 @@ func (n *NIC) Commit(cycle uint64) {
 	// Registered notification offer for the next window start. The vector
 	// being expanded into ESIDs still occupies a slot, so it counts toward
 	// the nearly-full threshold that asserts the stop bit.
-	occupancy := n.trackerQ.Len()
-	if n.orderActive() {
+	occupancy := int(n.received - n.expanded)
+	if active {
 		occupancy++
 	}
 	stop := occupancy >= n.cfg.TrackerDepth-1
@@ -533,12 +542,12 @@ func (n *NIC) Commit(cycle uint64) {
 // packets, owes no notification work, and no value is in flight on its
 // links. Each term is load-bearing — unannounced/offer state means a window
 // start must run here; announcedLag means a merged vector is due back;
-// orderActive means ESID delivery is in progress; busy is the ejection
-// occupancy countdown; the link checks catch values committed this cycle
-// that arrive next cycle (the wake edge was dropped because this unit was
-// still active when the sender called Wake).
+// left and received > expanded mean ESID delivery is in progress or queued;
+// busy is the ejection occupancy countdown; the link checks catch values
+// committed this cycle that arrive next cycle (the wake edge was dropped
+// because this unit was still active when the sender called Wake).
 func (n *NIC) Idle() bool {
-	if n.busy > 0 || n.orderActive() || n.trackerQ.Len() > 0 {
+	if n.busy > 0 || n.left > 0 || n.received > n.expanded {
 		return false
 	}
 	if n.unannounced > 0 || n.announcedLag > 0 || n.offerCount > 0 || n.offerStop {
@@ -565,9 +574,6 @@ func (n *NIC) Idle() bool {
 	return true
 }
 
-// orderActive reports whether an ESID sequence is being consumed.
-func (n *NIC) orderActive() bool { return n.orderPos < len(n.order) }
-
 // processNotifications handles window boundaries: consuming the merged
 // vector of the window that just ended and accounting for the offer the
 // OR-mesh samples at the window starting now.
@@ -576,17 +582,13 @@ func (n *NIC) processNotifications(cycle uint64) {
 		if v.Stop {
 			// The whole window is voided; re-arm our own announcements.
 			n.unannounced += n.announcedLag
-			if n.announcedLag > 0 {
-				n.Stats.StoppedResends += uint64(n.announcedLag)
-			}
-			n.announcedLag = 0
+			n.Stats.StoppedResends += uint64(n.announcedLag)
+		} else if n.received-n.expanded >= uint64(n.cfg.TrackerDepth) {
+			panic(fmt.Sprintf("nic: node %d notification tracker overflow", n.node))
 		} else {
-			if n.trackerQ.Len() >= n.cfg.TrackerDepth {
-				panic(fmt.Sprintf("nic: node %d notification tracker overflow", n.node))
-			}
-			n.trackerQ.Push(n.cloneVector(v))
-			n.announcedLag = 0
+			n.received++
 		}
+		n.announcedLag = 0
 	}
 	if n.nnet.WindowStart(cycle) {
 		// Our committed offer is being sampled by the OR-mesh right now.
@@ -604,35 +606,35 @@ func (n *NIC) processNotifications(cycle uint64) {
 		n.announcedLag = n.offerCount
 	}
 	// Expand the next vector once the current ESID sequence is exhausted.
-	// The rotating-priority scan (fairness across windows, Section 3.1) walks
-	// sid rrPtr..N-1 then 0..rrPtr-1; NextFrom skips zero words whole, so the
-	// expansion costs O(announcing cores + words), not O(nodes).
-	if !n.orderActive() && !n.trackerQ.Empty() {
-		v := n.trackerQ.PopFront()
-		n.order = n.order[:0]
-		for sid, c := v.NextFrom(n.rrPtr); sid >= 0; sid, c = v.NextFrom(sid + 1) {
-			n.order = append(n.order, sidRun{sid: sid, count: c})
-		}
-		for sid, c := v.NextFrom(0); sid >= 0 && sid < n.rrPtr; sid, c = v.NextFrom(sid + 1) {
-			n.order = append(n.order, sidRun{sid: sid, count: c})
-		}
-		n.vecFree = append(n.vecFree, v.Words)
-		n.orderPos = 0
-		n.rrPtr = (n.rrPtr + 1) % n.ncfg.Nodes()
+	if n.left == 0 && n.expanded < n.received {
+		n.expanded++
+		n.wrapped = false
+		n.seek(n.walkStart())
 	}
 }
 
-// cloneVector copies a delivered notification vector into a recycled word
-// buffer (the delivery is only valid for one cycle; the tracker queue needs
-// its own copy).
-func (n *NIC) cloneVector(v notif.Vector) notif.Vector {
-	var words []uint64
-	if k := len(n.vecFree); k > 0 {
-		words = n.vecFree[k-1]
-		n.vecFree[k-1] = nil
-		n.vecFree = n.vecFree[:k-1]
+// walkStart is source i mod N for vector i: the rotating-priority arbiter
+// moves one source per expanded vector (fairness across windows, §3.1).
+func (n *NIC) walkStart() int { return int((n.expanded - 1) % uint64(n.ncfg.Nodes())) }
+
+// seek moves the cursor to the first source at or after from that
+// announced requests in the vector being expanded, walking start..N-1 and
+// then 0..start-1; left is 0 once the walk is done. NextFrom skips zero
+// words whole, so a walk costs O(announcing cores + words), not O(nodes).
+func (n *NIC) seek(from int) {
+	v, ok := n.nnet.Merged(n.expanded - 1)
+	if !ok {
+		panic(fmt.Sprintf("nic: node %d reads merged vector %d, which the notification history no longer holds", n.node, n.expanded-1))
 	}
-	return v.CloneUsing(words)
+	sid, c := v.NextFrom(from)
+	if sid < 0 && !n.wrapped {
+		n.wrapped = true
+		sid, c = v.NextFrom(0)
+	}
+	if n.wrapped && sid >= n.walkStart() {
+		c = 0
+	}
+	n.esid, n.left = sid, c
 }
 
 // receive buffers flits arriving from every port's local output port and,
@@ -733,16 +735,16 @@ func (n *NIC) deliver(cycle uint64) {
 		}
 	}
 	// Ordered mode: only the globally expected request may pass.
-	if n.cfg.Ordered && n.orderActive() {
-		run := &n.order[n.orderPos]
-		if p, arrive, ok := n.expectedPacket(run.sid); ok {
+	if n.cfg.Ordered && n.left > 0 {
+		sid := n.esid
+		if p, arrive, ok := n.expectedPacket(sid); ok {
 			if n.agent.AcceptOrderedRequest(p, arrive, cycle) {
 				n.check.Commit(n.node, p.ID, cycle)
-				n.consumeExpected(run.sid, cycle)
+				n.consumeExpected(sid, cycle)
 				if n.tracer != nil {
 					n.tracer.Record(obs.Event{
 						Cycle: cycle, Type: obs.EvOrderCommit, Node: int32(n.node),
-						Src: int32(p.Src), Pkt: p.ID, Arg: n.deliveredSeq[run.sid],
+						Src: int32(p.Src), Pkt: p.ID, Arg: n.deliveredSeq[sid],
 						Port: -1, VNet: int8(noc.GOReq), VC: -1,
 					})
 					n.tracer.Record(obs.Event{
@@ -756,12 +758,11 @@ func (n *NIC) deliver(cycle uint64) {
 					n.auditor.Sink(n.node, p.ID, true)
 				}
 				n.recycle(p)
-				n.deliveredSeq[run.sid]++
+				n.deliveredSeq[sid]++
 				n.Stats.DeliveredRequests++
 				n.Stats.OrderingLatency.Observe(float64(cycle - arrive))
-				run.count--
-				if run.count == 0 {
-					n.orderPos++
+				if n.left--; n.left == 0 {
+					n.seek(sid + 1)
 				}
 				delivered = true
 			}
@@ -941,12 +942,11 @@ func (n *NIC) OrderingSnapshot() string {
 	} else {
 		b.WriteString(" no active ESID sequence")
 	}
-	if n.orderActive() {
-		run := n.order[n.orderPos]
-		fmt.Fprintf(&b, " (run %d/%d: sid=%d count=%d)", n.orderPos, len(n.order), run.sid, run.count)
+	if n.left > 0 {
+		fmt.Fprintf(&b, " (vector %d: sid=%d count=%d)", n.expanded-1, n.esid, n.left)
 	}
-	fmt.Fprintf(&b, " trackerQ=%d reqHold=%d loopback=%d doneResp=%d unannounced=%d announcedLag=%d",
-		n.trackerQ.Len(), n.reqHold.Len(), n.loopback.Len(), n.doneResp.Len(), n.unannounced, n.announcedLag)
+	fmt.Fprintf(&b, " tracker=%d reqHold=%d loopback=%d doneResp=%d unannounced=%d announcedLag=%d",
+		n.received-n.expanded, n.reqHold.Len(), n.loopback.Len(), n.doneResp.Len(), n.unannounced, n.announcedLag)
 	for i := 0; i < n.reqHold.Len(); i++ {
 		e := n.reqHold.At(i)
 		fmt.Fprintf(&b, "\n  held: %s srcSeq=%d arrived@%d", e.pkt, e.pkt.SrcSeq, e.arrive)

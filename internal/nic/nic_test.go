@@ -25,11 +25,15 @@ type testAgent struct {
 	resps    []uint64
 	every    int // try to inject every `every` cycles (1 = every cycle)
 	readyGap int // agent refuses deliveries for readyGap-1 of every readyGap cycles
+	refuse   func() bool
 	mesh     *noc.Mesh
 }
 
 func (a *testAgent) AcceptOrderedRequest(p *noc.Packet, arrive, cycle uint64) bool {
 	if a.readyGap > 1 && cycle%uint64(a.readyGap) != 0 {
+		return false
+	}
+	if a.refuse != nil && a.refuse() {
 		return false
 	}
 	a.ordered = append(a.ordered, delivery{sid: p.SID, id: p.ID})
@@ -84,7 +88,11 @@ func newHarnessPerNode(t *testing.T, w, h int, cfgFor func(node int) Config, not
 	if err != nil {
 		t.Fatal(err)
 	}
-	nnet, err := notif.NewNetwork(notif.Config{Width: w, Height: h, BitsPerCore: notifBits})
+	history := 1
+	for node := 0; node < netCfg.Nodes(); node++ {
+		history = max(history, cfgFor(node).History())
+	}
+	nnet, err := notif.NewNetwork(notif.Config{Width: w, Height: h, BitsPerCore: notifBits}, history)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,6 +17,7 @@ import (
 	"scorpio/internal/obs"
 	"scorpio/internal/obs/audit"
 	"scorpio/internal/sim"
+	"scorpio/internal/slab"
 )
 
 // Config describes a notification network.
@@ -110,19 +111,6 @@ func (v Vector) set(i, count int) {
 	v.Words[i/per] |= uint64(count) << (uint(i%per) * uint(v.width))
 }
 
-// Empty reports whether the vector announces no requests and no stop.
-func (v Vector) Empty() bool {
-	if v.Stop {
-		return false
-	}
-	for _, w := range v.Words {
-		if w != 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // Total returns the number of requests announced across all cores.
 func (v Vector) Total() int {
 	n := 0
@@ -156,25 +144,6 @@ func (v Vector) NextFrom(i int) (int, int) {
 	return -1, 0
 }
 
-// Clone returns an independent copy.
-func (v Vector) Clone() Vector {
-	return v.CloneUsing(nil)
-}
-
-// CloneUsing returns an independent copy backed by buf when buf has the
-// capacity (a fresh slice otherwise); callers that recycle word buffers pass
-// a spare one to keep steady-state cloning allocation-free.
-func (v Vector) CloneUsing(buf []uint64) Vector {
-	c := v
-	if cap(buf) >= len(v.Words) {
-		c.Words = buf[:len(v.Words)]
-	} else {
-		c.Words = make([]uint64, len(v.Words))
-	}
-	copy(c.Words, v.Words)
-	return c
-}
-
 // Source is a node-side provider of notification offers. The network samples
 // each node's committed offer at every window start; the node observes the
 // same window boundary and debits its pending count by the amount offered.
@@ -201,6 +170,12 @@ type Network struct {
 	// bit; only such a window delivers. An all-zero window is a provable
 	// no-op, so the network may park through it.
 	winLive bool
+	// history keeps the last len(history) non-stop merged vectors, the one
+	// copy every node's NIC expands in place (Merged); index[j] numbers the
+	// vector in history[j], and merged counts the non-stop windows so far.
+	history []Vector
+	index   []uint64
+	merged  uint64
 	// srcActs are the sources' scheduling units, woken for the cycle after a
 	// window delivers so parked NICs consume the merged vector exactly when
 	// running ones do.
@@ -215,17 +190,28 @@ type Network struct {
 	auditor *audit.Auditor
 }
 
-// NewNetwork builds a notification network.
-func NewNetwork(cfg Config) (*Network, error) {
+// NewNetwork builds a notification network that keeps history vectors.
+func NewNetwork(cfg Config, history int) (*Network, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &Network{
+	if history < 1 {
+		return nil, fmt.Errorf("notif: history must keep at least one vector, got %d", history)
+	}
+	n := &Network{
 		cfg:       cfg,
 		sources:   make([]Source, cfg.Nodes()),
 		pending:   NewVector(cfg.Nodes(), cfg.BitsPerCore),
 		delivered: NewVector(cfg.Nodes(), cfg.BitsPerCore),
-	}, nil
+		history:   make([]Vector, history),
+		index:     make([]uint64, history),
+	}
+	words := slab.Make[uint64](history * len(n.pending.Words))
+	for i := range n.history {
+		n.history[i] = n.pending
+		n.history[i].Words = words.Cut(len(n.pending.Words))
+	}
+	return n, nil
 }
 
 // Config returns the network's configuration.
@@ -259,6 +245,15 @@ func (n *Network) WindowStart(cycle uint64) bool {
 // ok is true only during the first cycle of the following window.
 func (n *Network) Delivered() (Vector, bool) {
 	return n.delivered, n.hasDelivery
+}
+
+// Merged returns the i-th non-stop merged vector delivered, counting from
+// 0, or false if it is not yet delivered or already overwritten. The vector
+// is shared and read-only: Commit writes the history and readers call
+// Merged from Evaluate, so the kernel's phase barrier orders the two.
+func (n *Network) Merged(i uint64) (Vector, bool) {
+	j := i % uint64(len(n.history))
+	return n.history[j], i < n.merged && n.index[j] == i
 }
 
 // Evaluate reads the sources' committed offers at a window start and ORs
@@ -301,6 +296,11 @@ func (n *Network) Commit(cycle uint64) {
 		n.WindowsDelivered++
 		if n.delivered.Stop {
 			n.StoppedWindows++
+		} else {
+			j := n.merged % uint64(len(n.history))
+			copy(n.history[j].Words, n.delivered.Words)
+			n.index[j] = n.merged
+			n.merged++
 		}
 		if n.tracer != nil {
 			stop := int8(0)

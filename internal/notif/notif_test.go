@@ -2,6 +2,7 @@ package notif
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"scorpio/internal/sim"
@@ -30,7 +31,7 @@ func (s *fixedSource) NotificationOffer() (int, bool) {
 
 func runWindows(t *testing.T, cfg Config, sources map[int]*fixedSource, windows int) []Vector {
 	t.Helper()
-	net, err := NewNetwork(cfg)
+	net, err := NewNetwork(cfg, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +45,8 @@ func runWindows(t *testing.T, cfg Config, sources map[int]*fixedSource, windows 
 	for c := 0; c < windows*cfg.Window(); c++ {
 		k.Step()
 		if v, ok := net.Delivered(); ok {
-			delivered = append(delivered, v.Clone())
+			v.Words = slices.Clone(v.Words)
+			delivered = append(delivered, v)
 		}
 	}
 	return delivered
@@ -157,7 +159,7 @@ func TestClosedFormMatchesHopByHopMesh(t *testing.T) {
 				for bits := 1; bits <= 3; bits++ {
 					cfg := Config{Width: w, Height: h, BitsPerCore: bits, WindowCycles: win}
 					name := fmt.Sprintf("%dx%d win %d bits %d", w, h, win, bits)
-					net, err := NewNetwork(cfg)
+					net, err := NewNetwork(cfg, 1)
 					if err != nil {
 						t.Fatalf("%s: %v", name, err)
 					}
@@ -171,7 +173,7 @@ func TestClosedFormMatchesHopByHopMesh(t *testing.T) {
 						draw(rng, cfg, srcs)
 						if c%win == 0 {
 							want = hopByHop(t, cfg, srcs)
-							live = !want.Empty()
+							live = want.Stop || want.Total() > 0
 						}
 						net.Evaluate(uint64(c))
 						if published && !sameVector(pub, pubWant) {
@@ -351,22 +353,55 @@ func TestConfigValidation(t *testing.T) {
 
 func TestVectorHelpers(t *testing.T) {
 	v := NewVector(4, 2)
-	if !v.Empty() {
-		t.Fatal("zero vector must be empty")
+	if v.Total() != 0 {
+		t.Fatal("zero vector must announce nothing")
 	}
-	v.Stop = true
-	if v.Empty() {
-		t.Fatal("stop bit makes a vector non-empty")
-	}
-	v.Stop = false
 	v.set(2, 3)
-	if v.Empty() || v.Total() != 3 || v.Count(2) != 3 {
-		t.Fatal("vector with counts must be non-empty")
+	if v.Total() != 3 || v.Count(2) != 3 || v.Count(1) != 0 {
+		t.Fatal("vector must count core 2's three requests")
 	}
-	c := v.Clone()
-	c.Words[0] = 0
-	if v.Count(2) != 3 {
-		t.Fatal("Clone must not alias")
+}
+
+// TestMergedKeepsLastNonStopWindows checks the history against the
+// delivered vectors: Merged(i) is the i-th non-stop window's vector while
+// it is among the last History() of them, and reports false once a later
+// one has overwritten it. Stop windows take no slot.
+func TestMergedKeepsLastNonStopWindows(t *testing.T) {
+	cfg := Config{Width: 3, Height: 3, BitsPerCore: 2}
+	const history, windows = 3, 40
+	net, err := NewNetwork(cfg, history)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := sim.NewRNG(7)
+	srcs := make([]drawnSource, cfg.Nodes())
+	for i := range srcs {
+		net.AttachSource(i, &srcs[i])
+	}
+	var saved []Vector
+	for c := 0; c < windows*cfg.Window(); c++ {
+		draw(rng, cfg, srcs)
+		net.Evaluate(uint64(c))
+		net.Commit(uint64(c))
+		if v, ok := net.Delivered(); ok && !v.Stop {
+			v.Words = slices.Clone(v.Words)
+			saved = append(saved, v)
+		}
+		for i := range saved {
+			got, ok := net.Merged(uint64(i))
+			if kept := i >= len(saved)-history; ok != kept {
+				t.Fatalf("cycle %d: Merged(%d) ok=%v with %d non-stop windows delivered, want %v", c, i, ok, len(saved), kept)
+			}
+			if ok && !sameVector(got, saved[i]) {
+				t.Fatalf("cycle %d: Merged(%d) = %x, delivered %x", c, i, got.Words, saved[i].Words)
+			}
+		}
+		if _, ok := net.Merged(uint64(len(saved))); ok {
+			t.Fatalf("cycle %d: Merged(%d) ok before that window was delivered", c, len(saved))
+		}
+	}
+	if len(saved) < 2*history || net.StoppedWindows == 0 {
+		t.Fatalf("%d non-stop and %d stop windows: the history never wrapped past a stop window", len(saved), net.StoppedWindows)
 	}
 }
 

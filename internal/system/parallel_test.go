@@ -8,9 +8,9 @@ import (
 	"scorpio/internal/trace"
 )
 
-// parallelRun executes a seeded 16-tile SCORPIO run at the given worker count
-// and returns the full Results snapshot.
-func parallelRun(t *testing.T, workers int) Results {
+// parallelRun executes a seeded 16-tile SCORPIO run at the given worker count,
+// with tweak applied to its options, and returns the full Results snapshot.
+func parallelRun(t *testing.T, workers int, tweak func(*Options)) Results {
 	t.Helper()
 	prof, err := trace.ByName("fft")
 	if err != nil {
@@ -20,6 +20,7 @@ func parallelRun(t *testing.T, workers int) Results {
 	opt.Core = opt.Core.WithMeshSize(4, 4)
 	opt.WorkPerCore, opt.WarmupPerCore = 80, 120
 	opt.Workers = workers
+	tweak(&opt)
 	s, err := NewScorpio(opt)
 	if err != nil {
 		t.Fatal(err)
@@ -35,17 +36,33 @@ func parallelRun(t *testing.T, workers int) Results {
 // enforced end to end: the same seeded machine must produce bit-identical
 // statistics on the serial path and at 1, 2 and 8 workers. Run under -race
 // this also proves the sharded evaluate/commit phases are data-race free.
+// The second case keeps a 3-vector notification history (TrackerDepth 2)
+// and lets a window announce up to three requests per core, so the history
+// wraps every few windows while NICs on different shards read it.
 func TestParallelDeterminism(t *testing.T) {
 	forceProcs(t, 4)
-	serial := parallelRun(t, 0)
-	if serial.Completed == 0 || serial.Service.Count == 0 {
-		t.Fatalf("degenerate reference run: %+v", serial)
-	}
-	for _, workers := range []int{1, 2, 8} {
-		got := parallelRun(t, workers)
-		if !reflect.DeepEqual(serial, got) {
-			t.Errorf("workers=%d diverged from serial:\nserial:   %+v\nparallel: %+v", workers, serial, got)
-		}
+	for _, tc := range []struct {
+		name  string
+		tweak func(*Options)
+	}{
+		{"chip", func(*Options) {}},
+		{"tracker=2/bits=2", func(o *Options) {
+			o.Core.NIC.TrackerDepth = 2
+			o.Core.Notif.BitsPerCore = 2
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			serial := parallelRun(t, 0, tc.tweak)
+			if serial.Completed == 0 || serial.Service.Count == 0 {
+				t.Fatalf("degenerate reference run: %+v", serial)
+			}
+			for _, workers := range []int{1, 2, 8} {
+				got := parallelRun(t, workers, tc.tweak)
+				if !reflect.DeepEqual(serial, got) {
+					t.Errorf("workers=%d diverged from serial:\nserial:   %+v\nparallel: %+v", workers, serial, got)
+				}
+			}
+		})
 	}
 }
 
