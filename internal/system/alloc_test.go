@@ -10,10 +10,15 @@ import (
 
 // Steady-state allocation bounds, in average heap allocations per kernel
 // step on a warm 6×6 machine under the barnes workload. The network layer
-// (flits, VC rings, credit buffers, NIC staging) is allocation-free —
+// (flits, VC rings, credit buffers) is allocation-free —
 // TestMeshSteadyStateAllocs in internal/traffic pins that at exactly zero;
 // flits live in the routers' fixed-capacity VC rings and cross links by
-// value, so even broadcast forking allocates nothing. The tile is
+// value, so even broadcast forking allocates nothing. The ordered path is
+// allocation-free from the first window, not only once warm: the NICs read
+// the notification network's one copy of each merged vector, and their
+// send staging and loopback are cut at their bounds, so
+// TestOrderedNetAllocatesNothingFromCycleZero in internal/core pins a
+// fresh 8×8 net under a broadcast flood at exactly zero. The tile is
 // allocation-free per access too: line data lives in the cache array's
 // slots, the injector holds its pending access by value, and the core
 // queues, MSHR forwarding lists and memory directory reuse their storage.
@@ -21,17 +26,18 @@ import (
 // machine's one pool, and every one goes back to it at its last delivery:
 // a unicast message at its delivery, a broadcast (SCORPIO's GetS, GetX and
 // PutM, HT-D's probes) when its delivery countdown reaches zero, on
-// whichever node that happens. What remains is the directory home's line
-// state (its line map, line blocks and per-line request queues grow as
-// new lines are touched) and slices still growing to their high-water
-// marks.
-// Measured on seeds 1–5: SCORPIO 0.000–0.014, LPD-D 0.068–0.104, HT-D
-// 0.058–0.094 per step. Each bound sits below what the machine read while
-// broadcasts stayed with the garbage collector and each node had its own
-// capped pool (SCORPIO 0.61–0.65, LPD-D 0.14–0.18, HT-D 0.29–0.38, at this
-// test's seed 1: 0.650, 0.180, 0.338), so they catch a message that
-// escapes the pool as well as an accidental per-flit or per-cycle
-// allocation.
+// whichever node that happens. What still allocates is the directory
+// home's line state (its line map, line blocks, per-line request queues
+// and timer list grow as new lines are touched), coherence.SendQ growing
+// to its high-water mark, and the message pool's first fills.
+// Measured on seeds 1–5: SCORPIO 0.000–0.002, LPD-D 0.054–0.082, HT-D
+// 0.046–0.076 per step (0.000–0.002, 0.058–0.090 and 0.050–0.080 while
+// the NICs' send staging still grew on first use). Each bound sits below
+// what the machine read while broadcasts stayed with the garbage collector
+// and each node had its own capped pool (SCORPIO 0.61–0.65, LPD-D
+// 0.14–0.18, HT-D 0.29–0.38, at this test's seed 1: 0.650, 0.180, 0.338),
+// so they catch a message that escapes the pool as well as an accidental
+// per-flit or per-cycle allocation.
 const (
 	scorpioAllocBound = 0.05
 	lpdAllocBound     = 0.16
