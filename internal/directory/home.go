@@ -2,6 +2,7 @@ package directory
 
 import (
 	"fmt"
+	"math/bits"
 
 	"scorpio/internal/bitset"
 	"scorpio/internal/cache"
@@ -71,73 +72,77 @@ type qreq struct {
 	arrive uint64
 	acks   int  // invalidation acks a parked memory read announces
 	seen   bool // the line has directory history (a cache miss may recur)
+	parked bool // a memory read waiting for writeback data, not for its line
 }
 
-// line is the backing directory state for one line (exact, DRAM-backed; the
-// finite directory cache only affects latency). The sharer set is a
+// line is one line's record in the home's table: the backing directory
+// state (exact, DRAM-backed; the finite directory cache only affects
+// latency). Its sharer set is the record's words in Home.words, a
 // multi-word bitset sized to the machine, which keeps the GetX invalidation
-// scan a deterministic ascending-bit walk with no per-transaction map churn
-// at any node count.
+// scan a deterministic ascending-bit walk with no per-transaction churn at
+// any node count.
 type line struct {
+	addr       uint64
+	expectWB   uint64 // reqID of the writeback whose data is due (0 = none)
 	owner      int
-	sharers    bitset.Set // bit s set: node s holds the line
+	used       bool // the slot holds a line; lines are never deleted
 	overflowed bool
 	memValid   bool
 	busy       bool
-	queue      []qreq
-	parked     []qreq   // waiting for writeback data
-	expectWB   uint64   // reqID of the writeback whose data is due (0 = none)
-	wbEarly    []uint64 // reqIDs of WBData that arrived before their PutM was processed
 }
 
-// wbEarlyHas reports whether a writeback's data already arrived. The slice is
-// scanned linearly: at most a handful of writebacks overlap per line.
-func (l *line) wbEarlyHas(reqID uint64) bool {
-	for _, id := range l.wbEarly {
-		if id == reqID {
-			return true
-		}
-	}
-	return false
-}
-
-func (l *line) wbEarlyAdd(reqID uint64) { l.wbEarly = append(l.wbEarly, reqID) }
-
-func (l *line) wbEarlyDel(reqID uint64) {
-	for i, id := range l.wbEarly {
-		if id == reqID {
-			l.wbEarly = append(l.wbEarly[:i], l.wbEarly[i+1:]...)
-			return
-		}
-	}
+// earlyWB names writeback data that arrived before its PutM was processed.
+type earlyWB struct {
+	addr  uint64
+	reqID uint64
 }
 
 // timer schedules the one kind of deferred home work — processing a
 // dispatched transaction after its directory-access latency. A concrete
 // struct instead of a closure keeps the per-transaction timer off the heap.
+// It names its line by address (q.addr): records move when the table grows.
 type timer struct {
 	at uint64
-	l  *line
 	q  qreq
 }
 
-// lineBlock is how many lines a home carves from one allocation.
-const lineBlock = 64
+const (
+	// tableFirst is the line table's size at a home's first touch. It
+	// doubles before it would pass three-quarters full; a Figure 6a home
+	// sees 71-181 lines, so it doubles at most once there.
+	tableFirst = 128
+	// timersFirst sizes each of the two timer lists, and waitFirst the
+	// waiting list, at first use. A Figure 6a home holds at most about 10
+	// timers and 24 waiting transactions at once, most far fewer.
+	timersFirst = 8
+	waitFirst   = 16
+)
+
+// hashMul is the table's fixed multiplicative (Fibonacci) hash: the top
+// bits of addr·hashMul pick a line's first slot, so lines that differ by
+// multiples of the node count, as those of one home do, still spread.
+const hashMul = 0x9E3779B97F4A7C15
 
 // Home is one node's directory slice.
 type Home struct {
-	cfg   HomeConfig
-	node  int
-	nic   coherence.NetPort
-	ids   coherence.IDSource
-	pool  *coherence.Pool[Info]
-	lines map[uint64]*line
-	// spare and spareWords are the unused rest of the current blocks that
-	// lines and their sharer sets are carved from. Timers hold *line, so a
-	// block never moves; a full one is left to its lines and a new one made.
-	spare      []line
-	spareWords []uint64
-	dirC       *cache.Array
+	cfg  HomeConfig
+	node int
+	nic  coherence.NetPort
+	ids  coherence.IDSource
+	pool *coherence.Pool[Info]
+	// tab is the open-addressed line table (linear probing; made at the
+	// first touch, doubled by grow) and words its records' sharer sets,
+	// bitset.Words(cfg.Nodes) words per slot. nLines counts used slots.
+	tab    []line
+	words  []uint64
+	nLines int
+	// wait holds, in the order they began to wait, the transactions that
+	// wait for their busy line and the memory reads parked for writeback
+	// data; early holds the writeback data that arrived before its PutM was
+	// processed.
+	wait  []qreq
+	early []earlyWB
+	dirC  *cache.Array
 	// LocalProbe lets HT probes reach the home tile's own L2 (the broadcast
 	// does not loop back in unordered mode). It must return true.
 	LocalProbe func(p *noc.Packet, cycle uint64) bool
@@ -152,7 +157,7 @@ type Home struct {
 
 	// Homes sit side by side in one slab and belong to different shards;
 	// the pad rounds the stride to whole cache lines.
-	_ [56]byte
+	_ [8]byte
 }
 
 // NewHome builds a directory slice; it draws packet IDs from ids and builds
@@ -186,46 +191,88 @@ func dirCaches(n int, cfg HomeConfig) []cache.Array {
 	return cache.NewArraysBytes(n, entries*cfg.EntryBytes, cfg.EntryBytes, 4)
 }
 
-// init builds node's slice over its directory cache dirC.
+// init builds node's slice over its directory cache dirC. Its line table
+// and lists are made at first use.
 func (h *Home) init(node int, cfg HomeConfig, n coherence.NetPort, ids coherence.IDSource, pool *coherence.Pool[Info], dirC *cache.Array) {
 	h.cfg, h.node, h.nic, h.ids, h.pool = cfg, node, n, ids, pool
-	h.lines = map[uint64]*line{}
 	h.dirC = dirC
 }
 
 // HomeFor returns the home node of a line in an N-node machine.
 func HomeFor(addr uint64, nodes int) int { return int(addr % uint64(nodes)) }
 
-// line returns the backing entry, defaulting to memory-owned and valid.
-func (h *Home) line(addr uint64) *line {
-	l, ok := h.lines[addr]
-	if !ok {
-		words := bitset.Words(h.cfg.Nodes)
-		if len(h.spare) == 0 {
-			h.spare = make([]line, lineBlock)
-			h.spareWords = make([]uint64, lineBlock*words)
+// slot returns the table slot of addr's record and whether the line was
+// there before, first making a memory-owned, valid record for a new line.
+func (h *Home) slot(addr uint64) (int, bool) {
+	if h.tab != nil {
+		if i, ok := h.lookup(addr); ok {
+			return i, true
 		}
-		l = &h.spare[0]
-		h.spare = h.spare[1:]
-		*l = line{owner: -1, memValid: true, sharers: h.spareWords[:words:words]}
-		h.spareWords = h.spareWords[words:]
-		h.lines[addr] = l
 	}
-	return l
+	if 4*(h.nLines+1) > 3*len(h.tab) {
+		h.grow()
+	}
+	i, _ := h.lookup(addr)
+	h.tab[i] = line{addr: addr, owner: -1, used: true, memValid: true}
+	h.nLines++
+	return i, false
+}
+
+// lookup returns the slot of addr's record and true, or the first unused
+// slot of addr's probe sequence and false. The first slot is the top
+// log2(len(tab)) bits of addr's hash.
+func (h *Home) lookup(addr uint64) (int, bool) {
+	mask := len(h.tab) - 1
+	i := int(addr * hashMul >> bits.LeadingZeros64(uint64(mask)))
+	for ; h.tab[i].used; i = (i + 1) & mask {
+		if h.tab[i].addr == addr {
+			return i, true
+		}
+	}
+	return i, false
+}
+
+// grow doubles the table, or makes it at the home's first touch, and moves
+// every record and its sharer words to its slot in the new one.
+func (h *Home) grow() {
+	old, oldWords := h.tab, h.words
+	nw := bitset.Words(h.cfg.Nodes)
+	n := max(2*len(old), tableFirst)
+	h.tab, h.words = make([]line, n), make([]uint64, n*nw)
+	for i := range old {
+		if old[i].used {
+			j, _ := h.lookup(old[i].addr)
+			h.tab[j] = old[i]
+			copy(h.words[j*nw:(j+1)*nw], oldWords[i*nw:(i+1)*nw])
+		}
+	}
+}
+
+// sharers returns the sharer set of slot i's line.
+func (h *Home) sharers(i int) bitset.Set {
+	nw := bitset.Words(h.cfg.Nodes)
+	return h.words[i*nw : (i+1)*nw : (i+1)*nw]
 }
 
 // Request accepts one requester→home message (ReqGetS/ReqGetX/ReqPutM).
 func (h *Home) Request(p *noc.Packet, arrive, cycle uint64) bool {
-	_, seen := h.lines[p.Addr]
-	l := h.line(p.Addr)
+	i, seen := h.slot(p.Addr)
 	q := qreq{kind: Kind(p.Kind), src: p.Src, addr: p.Addr, reqID: p.ReqID, arrive: arrive, seen: seen}
-	if l.busy {
-		l.queue = append(l.queue, q)
-		h.Stats.Queued++
+	if l := &h.tab[i]; !l.busy {
+		h.dispatch(l, q, cycle)
 		return true
 	}
-	h.dispatch(l, q, cycle)
+	h.await(q)
+	h.Stats.Queued++
 	return true
+}
+
+// await appends q to the waiting list, which is made at first use.
+func (h *Home) await(q qreq) {
+	if h.wait == nil {
+		h.wait = make([]qreq, 0, waitFirst)
+	}
+	h.wait = append(h.wait, q)
 }
 
 // dirLatency models the directory cache access. A first touch allocates the
@@ -247,20 +294,27 @@ func (h *Home) dirLatency(addr uint64, seen bool) uint64 {
 }
 
 // dispatch begins processing one transaction after the directory access.
+// The two timer lists are cut from one array at the first dispatch.
 func (h *Home) dispatch(l *line, q qreq, cycle uint64) {
 	h.Stats.Transactions++
 	lat := h.dirLatency(q.addr, q.seen)
 	l.busy = true
-	h.timers = append(h.timers, timer{at: cycle + lat, l: l, q: q})
+	if h.timers == nil {
+		buf := make([]timer, 2*timersFirst)
+		h.timers, h.timerScratch = buf[:0:timersFirst], buf[timersFirst:timersFirst]
+	}
+	h.timers = append(h.timers, timer{at: cycle + lat, q: q})
 }
 
 // process applies the protocol action for one transaction.
-func (h *Home) process(l *line, q qreq, cycle uint64) {
+func (h *Home) process(q qreq, cycle uint64) {
+	i, _ := h.lookup(q.addr)
+	l := &h.tab[i]
 	switch q.kind {
 	case ReqGetS:
-		h.processGetS(l, q, cycle)
+		h.processGetS(l, h.sharers(i), q, cycle)
 	case ReqGetX:
-		h.processGetX(l, q, cycle)
+		h.processGetX(l, h.sharers(i), q, cycle)
 	case ReqPutM:
 		h.processPutM(l, q, cycle)
 		// Writebacks complete at the home; no Done follows.
@@ -270,7 +324,7 @@ func (h *Home) process(l *line, q qreq, cycle uint64) {
 	}
 }
 
-func (h *Home) processGetS(l *line, q qreq, cycle uint64) {
+func (h *Home) processGetS(l *line, sharers bitset.Set, q qreq, cycle uint64) {
 	if l.owner >= 0 && l.owner != q.src {
 		// An on-chip owner supplies the data.
 		if h.cfg.Variant == LPD {
@@ -278,8 +332,8 @@ func (h *Home) processGetS(l *line, q qreq, cycle uint64) {
 		} else {
 			h.probe(ProbeS, l, q, cycle)
 		}
-		l.sharers.Add(q.src)
-		h.checkOverflow(l)
+		sharers.Add(q.src)
+		h.checkOverflow(l, sharers)
 		return
 	}
 	if l.owner == q.src {
@@ -288,12 +342,12 @@ func (h *Home) processGetS(l *line, q qreq, cycle uint64) {
 		return
 	}
 	// Memory supplies the data.
-	l.sharers.Add(q.src)
-	h.checkOverflow(l)
+	sharers.Add(q.src)
+	h.checkOverflow(l, sharers)
 	h.serveFromMemory(l, q, cycle, 0)
 }
 
-func (h *Home) processGetX(l *line, q qreq, cycle uint64) {
+func (h *Home) processGetX(l *line, sharers bitset.Set, q qreq, cycle uint64) {
 	switch {
 	case h.cfg.Variant == HT:
 		// Probe everyone; the owner (if any) sends data. The home is the
@@ -319,7 +373,7 @@ func (h *Home) processGetX(l *line, q qreq, cycle uint64) {
 		// order — bitset iteration is inherently deterministic, unlike the
 		// sorted map scan it replaced.
 		invs := 0
-		for s := l.sharers.Next(0); s >= 0; s = l.sharers.Next(s + 1) {
+		for s := sharers.Next(0); s >= 0; s = sharers.Next(s + 1) {
 			if s == q.src || s == l.owner {
 				continue
 			}
@@ -337,7 +391,7 @@ func (h *Home) processGetX(l *line, q qreq, cycle uint64) {
 		}
 	}
 	l.owner = q.src
-	l.sharers.SetOnly(q.src)
+	sharers.SetOnly(q.src)
 	l.overflowed = false
 }
 
@@ -345,53 +399,68 @@ func (h *Home) processPutM(l *line, q qreq, cycle uint64) {
 	if l.owner != q.src {
 		// Stale: ownership moved before the PutM was processed.
 		h.Stats.StalePutM++
-		l.wbEarlyDel(q.reqID)
+		h.takeEarly(q.addr, q.reqID)
 		h.ackWB(q, cycle)
 		return
 	}
 	l.owner = -1
-	if l.wbEarlyHas(q.reqID) {
-		l.wbEarlyDel(q.reqID)
+	if h.takeEarly(q.addr, q.reqID) {
 		l.memValid = true
 		h.ackWB(q, cycle+uint64(h.cfg.DRAMLatency))
-		h.drainParked(l, cycle+uint64(h.cfg.DRAMLatency))
+		h.drainParked(q.addr, cycle+uint64(h.cfg.DRAMLatency))
 		return
 	}
 	l.memValid = false
 	l.expectWB = q.reqID
 }
 
+// takeEarly reports whether the data of writeback reqID for addr arrived
+// before its PutM was processed, and forgets the arrival.
+func (h *Home) takeEarly(addr, reqID uint64) bool {
+	for i, w := range h.early {
+		if w == (earlyWB{addr: addr, reqID: reqID}) {
+			h.early = append(h.early[:i], h.early[i+1:]...)
+			return true
+		}
+	}
+	return false
+}
+
 // WBDataArrived consumes writeback data from the response network.
 func (h *Home) WBDataArrived(p *noc.Packet, cycle uint64) {
-	l := h.line(p.Addr)
+	i, _ := h.slot(p.Addr)
+	l := &h.tab[i]
 	if l.expectWB == p.ReqID && l.expectWB != 0 {
 		l.expectWB = 0
 		l.memValid = true
 		h.ackWB(qreq{src: p.Src, addr: p.Addr, reqID: p.ReqID}, cycle+uint64(h.cfg.DRAMLatency))
-		h.drainParked(l, cycle+uint64(h.cfg.DRAMLatency))
+		h.drainParked(p.Addr, cycle+uint64(h.cfg.DRAMLatency))
 		return
 	}
 	// The PutM has not been processed yet (or was stale): remember the data.
-	l.wbEarlyAdd(p.ReqID)
+	h.early = append(h.early, earlyWB{addr: p.Addr, reqID: p.ReqID})
 }
 
 // DoneArrived unblocks a line and dispatches the next queued transaction.
 func (h *Home) DoneArrived(p *noc.Packet, cycle uint64) {
-	l := h.line(p.Addr)
-	if !l.busy {
+	i, _ := h.slot(p.Addr)
+	if !h.tab[i].busy {
 		panic(fmt.Sprintf("directory: home %d got Done for idle line %#x", h.node, p.Addr))
 	}
-	h.unblock(l, cycle)
+	h.unblock(&h.tab[i], cycle)
 }
 
-// unblock frees a line and dispatches the next queued transaction. The
-// queue is copied down rather than resliced, so it keeps its backing array.
+// unblock frees a line and dispatches the oldest transaction waiting for
+// it. The list is copied down rather than resliced, so it keeps its backing
+// array.
 func (h *Home) unblock(l *line, cycle uint64) {
 	l.busy = false
-	if len(l.queue) > 0 {
-		next := l.queue[0]
-		l.queue = l.queue[:copy(l.queue, l.queue[1:])]
-		h.dispatch(l, next, cycle)
+	for i, q := range h.wait {
+		if q.addr == l.addr && !q.parked {
+			h.wait = append(h.wait[:i], h.wait[i+1:]...)
+			h.dispatch(l, q, cycle)
+			return
+		}
 	}
 }
 
@@ -399,22 +468,32 @@ func (h *Home) unblock(l *line, cycle uint64) {
 // request while writeback data is in flight.
 func (h *Home) serveFromMemory(l *line, q qreq, cycle uint64, acks int) {
 	if !l.memValid {
-		q.acks = acks
-		l.parked = append(l.parked, q)
+		q.acks, q.parked = acks, true
+		h.await(q)
 		return
 	}
+	h.sendData(q, cycle, acks)
+}
+
+// sendData schedules q's DataD response after the DRAM latency.
+func (h *Home) sendData(q qreq, cycle uint64, acks int) {
 	data := h.msg(DataD, q.src, q, cycle, h.cfg.DataFlits,
 		Info{ServedByCache: false, HomeArrive: q.arrive, Dispatch: cycle, AckCount: acks})
 	h.sendQ.Add(cycle+uint64(h.cfg.DRAMLatency), &data.Packet, &data.Info.DataSent)
 }
 
-// drainParked serves requests that waited for writeback data.
-func (h *Home) drainParked(l *line, cycle uint64) {
-	parked := l.parked
-	l.parked = nil
-	for _, q := range parked {
-		h.serveFromMemory(l, q, cycle, q.acks)
+// drainParked serves, in parking order, the reads of addr that waited for
+// its writeback data, and keeps every other waiting transaction.
+func (h *Home) drainParked(addr uint64, cycle uint64) {
+	kept := h.wait[:0]
+	for _, q := range h.wait {
+		if q.addr == addr && q.parked {
+			h.sendData(q, cycle, q.acks)
+		} else {
+			kept = append(kept, q)
+		}
 	}
+	h.wait = kept
 }
 
 // msg builds a response-class message about transaction q from the
@@ -475,8 +554,8 @@ func (h *Home) ackWB(q qreq, at uint64) {
 }
 
 // checkOverflow latches LPD pointer overflow.
-func (h *Home) checkOverflow(l *line) {
-	if h.cfg.Variant == LPD && l.sharers.Count() > h.cfg.Pointers {
+func (h *Home) checkOverflow(l *line, sharers bitset.Set) {
+	if h.cfg.Variant == LPD && sharers.Count() > h.cfg.Pointers {
 		l.overflowed = true
 	}
 }
@@ -486,13 +565,16 @@ func (h *Home) Evaluate(cycle uint64) {
 	h.now = cycle
 	if len(h.timers) > 0 {
 		// Detach first: firing a timer (process → unblock → dispatch) may
-		// schedule new timers. The spare scratch array is swapped in so the
-		// detach reuses last cycle's backing storage instead of reallocating.
+		// schedule new timers, which land after the timers kept so far and
+		// before those still to be read; which of two timers due in one
+		// cycle fires first depends on that order. The spare scratch array
+		// is swapped in so the detach reuses last cycle's backing storage
+		// instead of reallocating.
 		due := h.timers
 		h.timers = h.timerScratch[:0]
 		for _, t := range due {
 			if t.at <= cycle {
-				h.process(t.l, t.q, cycle)
+				h.process(t.q, cycle)
 			} else {
 				h.timers = append(h.timers, t)
 			}
