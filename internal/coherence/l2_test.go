@@ -441,6 +441,45 @@ func TestCoreHitPathAllocFree(t *testing.T) {
 	}
 }
 
+// TestFirstCoreAccessAllocFree: the staging slice is cut from the front
+// ends' core-queue slab at build, so a fresh L2's first core request
+// allocates nothing. Each call gets an L2 that never staged one, the
+// warm-up call included.
+func TestFirstCoreAccessAllocFree(t *testing.T) {
+	const runs = 5
+	fresh := make([]*rig, runs+1)
+	for i := range fresh {
+		fresh[i] = newRig(t, nil)
+	}
+	next := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		fresh[next].l2.CoreAccess(0x10, false, 0, 0)
+		next++
+	})
+	if allocs != 0 {
+		t.Fatalf("a fresh L2's first core request allocates %.1f times, want 0", allocs)
+	}
+}
+
+// TestSendQFirstAddSizesQueue: a queue's first Add makes room for eight
+// sends at once, and a drain keeps that storage.
+func TestSendQFirstAddSizesQueue(t *testing.T) {
+	port := &fakePort{}
+	var p noc.Packet
+	allocs := testing.AllocsPerRun(10, func() {
+		var q SendQ
+		for i := 0; i < sendQFirst; i++ {
+			q.Add(uint64(i), &p, nil)
+		}
+		q.Drain(port, sendQFirst)
+		q.Add(0, &p, nil)
+		port.resps = port.resps[:0]
+	})
+	if allocs != 1 {
+		t.Fatalf("filling, draining and refilling a new queue allocates %.1f times, want 1", allocs)
+	}
+}
+
 func TestWritebackHijackedByGetX(t *testing.T) {
 	r := newRig(t, func(c *Config) {
 		c.CapacityBytes = 4 * 32

@@ -22,12 +22,18 @@ type Msg[T any] struct {
 // message's builder and its last deliverer may run on different kernel
 // workers, so a mutex guards the list. Every message on the list was built
 // by the machine, so the list never holds more than the machine's peak
-// number of messages in flight. A nil *Pool allocates every message and
+// number of messages in flight. When the list is empty, new messages are
+// carved from a block of poolBlock. A nil *Pool allocates every message and
 // keeps none.
 type Pool[T any] struct {
-	mu   sync.Mutex
-	free *Msg[T]
+	mu    sync.Mutex
+	free  *Msg[T]
+	block []Msg[T] // the unused rest of the block messages are carved from
 }
+
+// poolBlock is how many messages a pool carves from one allocation: a 6×6
+// machine peaks at about 75 messages in flight, a 16×16 one at about 400.
+const poolBlock = 64
 
 // New returns a message holding p and info, equal to a freshly allocated
 // one whether or not it was reused.
@@ -37,6 +43,11 @@ func (pl *Pool[T]) New(p noc.Packet, info T) *Msg[T] {
 		pl.mu.Lock()
 		if m = pl.free; m != nil {
 			pl.free = m.next
+		} else {
+			if len(pl.block) == 0 {
+				pl.block = make([]Msg[T], poolBlock)
+			}
+			m, pl.block = &pl.block[0], pl.block[1:]
 		}
 		pl.mu.Unlock()
 	}

@@ -24,6 +24,29 @@ func TestPoolReusesLIFO(t *testing.T) {
 	}
 }
 
+// TestPoolCarvesBlocks: an empty pool makes poolBlock messages at once, so
+// filling it to that many in flight allocates once.
+func TestPoolCarvesBlocks(t *testing.T) {
+	const runs = 10
+	pools := make([]Pool[RespInfo], runs+1)
+	msgs := make([]*Msg[RespInfo], poolBlock)
+	next := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		for i := range msgs {
+			msgs[i] = pools[next].New(noc.Packet{ID: uint64(i)}, RespInfo{})
+		}
+		next++
+	})
+	if allocs != 1 {
+		t.Fatalf("%d messages from an empty pool take %.1f allocations, want 1", poolBlock, allocs)
+	}
+	for i, m := range msgs {
+		if m.ID != uint64(i) || m.Payload != m {
+			t.Fatalf("message %d holds ID %d, payload %p; want %d and itself", i, m.ID, m.Payload, i)
+		}
+	}
+}
+
 func TestPoolReusedMessageEqualsFresh(t *testing.T) {
 	var pool Pool[RespInfo]
 	old := pool.New(noc.Packet{ID: 1, VNet: noc.UOResp, Src: 3, Dst: 4, Kind: int(Data), Addr: 0x40, ReqID: 9,

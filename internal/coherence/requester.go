@@ -115,7 +115,9 @@ type coreReq struct {
 }
 
 // FrontEnds is what the front ends of a machine's L2s are cut from: their
-// cache arrays, and one slab each of MSHRs and core-queue slots.
+// cache arrays, and one slab each of MSHRs and core-queue slots. Each front
+// end's core queue and its staging come from the second; the staging never
+// holds more than queueDepth requests, since CoreAccess refuses past it.
 type FrontEnds[P any] struct {
 	arrays     []cache.Array
 	mshrs      slab.Slab[MSHR[P]]
@@ -131,7 +133,7 @@ func NewFrontEnds[P any](n, capacityBytes, lineBytes, ways, mshrs, queueDepth in
 	return &FrontEnds[P]{
 		arrays:     cache.NewArraysBytes(n, capacityBytes, lineBytes, ways),
 		mshrs:      slab.Make[MSHR[P]](n * mshrs),
-		coreQ:      slab.Make[coreReq](n * ring.Slots(queueDepth)),
+		coreQ:      slab.Make[coreReq](n * (ring.Slots(queueDepth) + queueDepth)),
 		nMSHRs:     mshrs,
 		queueDepth: queueDepth,
 	}
@@ -145,8 +147,9 @@ func NewRequester[P any](node int, n NetPort, fe *FrontEnds[P], hitLatency int, 
 	return Requester[P]{
 		node: node, nic: n, arr: arr, proto: proto, stats: stats,
 		hitLatency: uint64(hitLatency), queueDepth: fe.queueDepth,
-		mshrs: fe.mshrs.Cut(fe.nMSHRs),
-		coreQ: ring.In(fe.coreQ.Cut(ring.Slots(fe.queueDepth))),
+		mshrs:      fe.mshrs.Cut(fe.nMSHRs),
+		coreQ:      ring.In(fe.coreQ.Cut(ring.Slots(fe.queueDepth))),
+		stagedCore: fe.coreQ.Cut(fe.queueDepth)[:0],
 	}
 }
 

@@ -22,9 +22,17 @@ type scheduled struct {
 	stamp *uint64
 }
 
+// sendQFirst is a queue's size at its first Add. It covers the usual
+// high-water mark (a Figure 6a directory home reaches 7 sends), so most
+// queues never grow; the queue is made at first use, not at build.
+const sendQFirst = 8
+
 // Add schedules p for cycle at, stamping *stamp (if non-nil) at its first
 // offer.
 func (q *SendQ) Add(at uint64, p *noc.Packet, stamp *uint64) {
+	if q.sends == nil {
+		q.sends = make([]scheduled, 0, sendQFirst)
+	}
 	q.sends = append(q.sends, scheduled{at: at, pkt: p, stamp: stamp})
 }
 

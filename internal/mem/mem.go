@@ -70,6 +70,7 @@ type dirEntry struct {
 
 // queuedReq is an ordered request held until a racing writeback completes.
 type queuedReq struct {
+	addr    uint64
 	src     int
 	reqID   uint64
 	arrive  uint64
@@ -94,16 +95,18 @@ type Controller struct {
 	pool   *coherence.Pool[coherence.RespInfo]
 	dir    map[uint64]dirEntry
 	dirC   *cache.Array // finite directory cache (latency only)
-	held   map[uint64][]queuedReq
-	// early lists writeback data whose PutM is still to be ordered here; it
-	// stays nil until the first such race.
+	// held lists, in the order they were ordered here, the requests that
+	// wait for a racing writeback's data; early lists writeback data whose
+	// PutM is still to be ordered here. Both stay nil until the first such
+	// race.
+	held  []queuedReq
 	early []earlyWB
 	sendQ coherence.SendQ
 	Stats Stats
 
 	// Controllers sit side by side in one slice and belong to different
 	// shards; the pad rounds the stride to whole cache lines.
-	_ [32]byte
+	_ [16]byte
 }
 
 // mapPresize caps the directory map's initial size: the map holds every
@@ -138,7 +141,6 @@ func NewControllers(nodes []int, cfg Config, ports []coherence.NetPort, ids []co
 			cfg: cfg, node: node, nic: ports[i], ids: ids[i], memMap: mm, pool: pool,
 			dir:  make(map[uint64]dirEntry, min(entries, mapPresize)),
 			dirC: &dirC[i],
-			held: make(map[uint64][]queuedReq, 16),
 		}
 	}
 	return mcs
@@ -202,7 +204,7 @@ func (c *Controller) ProcessOrdered(p *noc.Packet, arrive, cycle uint64) bool {
 // writeback data is still in flight.
 func (c *Controller) serveOrHold(src int, reqID uint64, addr uint64, valid bool, arrive, cycle uint64) {
 	if !valid {
-		c.held[addr] = append(c.held[addr], queuedReq{src: src, reqID: reqID, arrive: arrive, ordered: cycle})
+		c.held = append(c.held, queuedReq{addr: addr, src: src, reqID: reqID, arrive: arrive, ordered: cycle})
 		c.Stats.RacedRequests++
 		return
 	}
@@ -261,13 +263,16 @@ func (c *Controller) AcceptResponse(p *noc.Packet, cycle uint64) bool {
 		Kind: int(coherence.WBAck), Addr: p.Addr, ReqID: p.ReqID, Flits: 1, InjectCycle: cycle,
 	}, coherence.RespInfo{})
 	c.sendQ.Add(cycle+uint64(c.cfg.DRAMLatency), &ack.Packet, nil)
-	// Release requests that raced the writeback.
-	if held := c.held[p.Addr]; len(held) > 0 {
-		delete(c.held, p.Addr)
-		for _, q := range held {
+	// Release, in order, the requests that raced the writeback.
+	kept := c.held[:0]
+	for _, q := range c.held {
+		if q.addr == p.Addr {
 			c.serve(q.src, q.reqID, p.Addr, q.arrive, q.ordered, cycle+uint64(c.cfg.DRAMLatency))
+		} else {
+			kept = append(kept, q)
 		}
 	}
+	c.held = kept
 	return true
 }
 

@@ -148,6 +148,43 @@ func TestWritebackRoundTrip(t *testing.T) {
 	}
 }
 
+// TestRacedReadsReleasedPerLineInOrder: reads held on two lines' in-flight
+// writebacks are released line by line, each line's in the order they were
+// ordered, and the other line's stay held.
+func TestRacedReadsReleasedPerLineInOrder(t *testing.T) {
+	r := newMCRig()
+	for _, addr := range []uint64{0x300, 0x340} {
+		r.ordered(coherence.GetX, 4, addr, 1)
+	}
+	r.step(120)
+	r.ordered(coherence.PutM, 4, 0x300, 8)
+	r.ordered(coherence.PutM, 4, 0x340, 9)
+	for i, addr := range []uint64{0x300, 0x340, 0x300, 0x340} {
+		r.ordered(coherence.GetS, 10+i, addr, uint64(20+i))
+	}
+	if got := r.mc.Stats.RacedRequests; got != 4 {
+		t.Fatalf("raced requests = %d, want 4", got)
+	}
+	served := func() (dst []int) {
+		r.step(250)
+		for _, p := range r.port.resps {
+			if coherence.Kind(p.Kind) == coherence.DataMem && p.Dst >= 10 {
+				dst = append(dst, p.Dst)
+			}
+		}
+		r.port.resps = r.port.resps[:0]
+		return dst
+	}
+	r.mc.AcceptResponse(wbData(noc.Packet{VNet: noc.UOResp, Src: 4, Kind: int(coherence.WBData), Addr: 0x340, ReqID: 9, Flits: 3}, 0), r.cycle)
+	if got := served(); len(got) != 2 || got[0] != 11 || got[1] != 13 {
+		t.Fatalf("after 0x340's data, reads served to %v, want [11 13]", got)
+	}
+	r.mc.AcceptResponse(wbData(noc.Packet{VNet: noc.UOResp, Src: 4, Kind: int(coherence.WBData), Addr: 0x300, ReqID: 8, Flits: 3}, 0), r.cycle)
+	if got := served(); len(got) != 2 || got[0] != 10 || got[1] != 12 {
+		t.Fatalf("after 0x300's data, reads served to %v, want [10 12]", got)
+	}
+}
+
 // TestWritebackDataBeforePutM delivers a writeback's data before the
 // controller processes its PutM in the global order: the PutM must leave
 // memory's copy valid, so a later writer is served from DRAM rather than

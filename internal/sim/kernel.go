@@ -458,8 +458,8 @@ func (k *Kernel) demotePass(cyc uint64) bool {
 }
 
 // rebuildSerialActive refreshes the serial dispatch list from the active
-// units, in unit order. Allocation-free once the backing array has
-// grown to the full component count.
+// units, in unit order. It never allocates: ensureEngine sizes the list to
+// the full component count when it builds the units.
 func (k *Kernel) rebuildSerialActive() {
 	k.serialAct = k.serialAct[:0]
 	for i := range k.units {
@@ -662,8 +662,13 @@ func (k *Kernel) ensureEngine() *phasePool {
 		// GOMAXPROCS < 2 the barriers would buy nothing but context
 		// switches, so such a host steps serially until the next rebuild.
 		k.noShard = len(k.units) < 2 || runtime.GOMAXPROCS(0) < 2
+		// A serial kernel's dispatch list holds at most every component:
+		// sized here, its rebuilds never grow it.
+		if k.serial() && cap(k.serialAct) < len(k.components) {
+			k.serialAct = make([]Component, 0, len(k.components))
+		}
 	}
-	if k.workers <= 1 || len(k.components) < 2*k.workers || k.noShard {
+	if k.serial() {
 		return nil
 	}
 	if k.pool == nil {
@@ -679,6 +684,12 @@ func (k *Kernel) ensureEngine() *phasePool {
 		k.pool.cleanup = runtime.AddCleanup(k, func(p *phasePool) { p.stop() }, k.pool)
 	}
 	return k.pool
+}
+
+// serial reports whether the kernel steps on the calling goroutine: one
+// worker, too few components to split, or no shards (see ensureEngine).
+func (k *Kernel) serial() bool {
+	return k.workers <= 1 || len(k.components) < 2*k.workers || k.noShard
 }
 
 // buildUnits groups components into scheduling units (registration order

@@ -32,6 +32,38 @@ func TestKernelStepRunsBothPhases(t *testing.T) {
 	}
 }
 
+// TestRebuildSerialActiveAllocatesNothing: building a serial kernel's units
+// sizes its dispatch list to every component, so even the first refresh of
+// the list, in a machine's first cycle, allocates nothing. Each call gets a
+// kernel whose list was never filled, the warm-up call included.
+func TestRebuildSerialActiveAllocatesNothing(t *testing.T) {
+	const runs, comps = 5, 300
+	fresh := make([]*Kernel, runs+1)
+	for i := range fresh {
+		k := NewKernel()
+		for j := 0; j < comps; j++ {
+			k.Register(&counter{})
+		}
+		if k.ensureEngine() != nil {
+			t.Fatal("a one-worker kernel started a worker pool")
+		}
+		fresh[i] = k
+	}
+	next := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		fresh[next].rebuildSerialActive()
+		next++
+	})
+	if allocs != 0 {
+		t.Fatalf("the first dispatch-list refresh allocates %.1f times, want 0", allocs)
+	}
+	for _, k := range fresh {
+		if len(k.serialAct) != comps {
+			t.Fatalf("dispatch list holds %d components, want %d", len(k.serialAct), comps)
+		}
+	}
+}
+
 // chain components copy their left neighbour's committed value; with proper
 // two-phase semantics a value propagates exactly one stage per cycle
 // regardless of registration order.
