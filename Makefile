@@ -1,9 +1,9 @@
 GO ?= go
 
 # Bump per PR that re-baselines the benchmark report.
-BENCH_JSON ?= BENCH_13.json
+BENCH_JSON ?= BENCH_14.json
 # The previous baseline, compared against by benchsmoke when both exist.
-BENCH_PREV ?= BENCH_12.json
+BENCH_PREV ?= BENCH_13.json
 
 .PHONY: build test vet fmt race check bench benchtest benchdigest benchsmoke tracesmoke auditsmoke perfsmoke telemetrysmoke layoutcheck
 
