@@ -82,9 +82,10 @@ func TestCoverageRectanglesAreBroadcastSubtrees(t *testing.T) {
 }
 
 // TestRouterReservedVCGoesOnlyToExpectedOccurrence drives the router's own
-// reserved-VC decision: with every ordinary GO-REQ VC of one East port busy,
-// a head flit gets the reserved VC only when a NIC inside the East subtree
-// published exactly its (SID, sequence) on the ESID board.
+// reserved-VC decision, made once at SA-I: with every ordinary GO-REQ VC of
+// one East port busy, SA-I finds East serviceable, through the reserved VC,
+// only when a NIC inside the East subtree published exactly the head flit's
+// (SID, sequence) on the ESID board.
 func TestRouterReservedVCGoesOnlyToExpectedOccurrence(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Width, cfg.Height = 4, 4
@@ -117,15 +118,12 @@ func TestRouterReservedVCGoesOnlyToExpectedOccurrence(t *testing.T) {
 			m.PublishESID(tc.node, sid, tc.seq, tc.valid)
 			f := NewFlit(&Packet{VNet: GOReq, Src: sid, SID: sid, SrcSeq: seq, Broadcast: true, Flits: 1}, 0, 0)
 			f.outPorts = portMask(East)
-			if got := r.serviceablePorts(0, &f) != 0; got != tc.want {
+			var vcs [NumPorts]int8
+			if got := r.serviceablePorts(0, &f, &vcs) != 0; got != tc.want {
 				t.Fatalf("East serviceable = %v, want %v", got, tc.want)
 			}
-			g, ok := r.claim(&candidate{in: West, vnet: GOReq, flit: &f, isHead: true}, East)
-			if ok != tc.want {
-				t.Fatalf("claim ok = %v, want %v", ok, tc.want)
-			}
-			if ok && g.dstVC != cfg.ReservedVC(GOReq) {
-				t.Fatalf("claimed VC %d, want the reserved VC %d", g.dstVC, cfg.ReservedVC(GOReq))
+			if tc.want && int(vcs[East]) != cfg.ReservedVC(GOReq) {
+				t.Fatalf("SA-I found VC %d, want the reserved VC %d", vcs[East], cfg.ReservedVC(GOReq))
 			}
 		})
 	}

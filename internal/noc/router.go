@@ -15,19 +15,6 @@ type RouterStats struct {
 	AllocStalls uint64 // cycles a head flit lost allocation or lacked a VC/credit
 }
 
-// grant describes one (input flit → output port) crossbar traversal decided
-// by switch allocation in the current cycle.
-type grant struct {
-	in     Port
-	vnet   VNet
-	vcIdx  int
-	fv     int // flat VC index of the input VC
-	flit   *Flit
-	out    Port
-	dstVC  int
-	isHead bool
-}
-
 // Router is one three-stage (single-stage with bypassing) mesh router.
 //
 // Its state is laid out structure-of-arrays: instead of per-port
@@ -370,30 +357,24 @@ func (r *Router) eligible(f *Flit) bool {
 }
 
 // candidate is an SA-I winner: the one flit per input port that competes for
-// output ports this cycle.
+// output ports this cycle, with the downstream VC SA-I found for each of
+// them. SA-I decides once: only output o's SA-O winner writes o's tracker
+// row in a cycle, credits are processed before allocation, and the ESID
+// board is committed state, so the VCs it found are still free with credit
+// when the winner claims them.
 type candidate struct {
-	in     Port
-	vnet   VNet
-	vcIdx  int
-	fv     int   // flat VC index
-	flit   *Flit // the VC's head slot; valid until dequeue pops it
-	wants  uint8 // output ports requested (after resource precheck)
-	isRVC  bool
+	in    Port
+	vnet  VNet
+	vcIdx int
+	fv    int   // flat VC index
+	flit  *Flit // the VC's head slot; valid until dequeue pops it
+	wants uint8 // serviceable output ports
+	// class orders candidates at SA-O as it did at SA-I: 0 for the reserved
+	// VC, 1 for a lookahead, 2 for a buffered flit (Section 3.2: lookaheads
+	// are prioritized over buffered flits except those in reserved VCs).
+	class  int8
+	dstVC  [NumPorts]int8 // per port in wants: the downstream VC to take
 	isHead bool
-}
-
-// priorityClass orders candidates: reserved-VC flits beat lookaheads beat
-// buffered flits (Section 3.2: lookaheads are prioritized over buffered flits
-// except those in reserved VCs).
-func (c *candidate) priorityClass() int {
-	switch {
-	case c.isRVC:
-		return 0
-	case c.flit.bypassCandidate:
-		return 1
-	default:
-		return 2
-	}
 }
 
 // allocate performs SA-I, SA-O, VC selection and switch traversal for one
@@ -423,7 +404,7 @@ func (r *Router) allocate() {
 			if c == nil || c.wants&portMask(o) == 0 {
 				continue
 			}
-			rank := c.priorityClass()*n + k
+			rank := int(c.class)*n + k
 			if rank < bestRank {
 				best = c
 				bestRank = rank
@@ -443,12 +424,8 @@ func (r *Router) allocate() {
 		if c == nil {
 			continue
 		}
-		g, ok := r.claim(c, o)
-		if !ok {
-			r.Stats.AllocStalls++
-			continue
-		}
-		r.traverse(g)
+		r.claim(c, o)
+		r.traverse(c, o)
 		granted[c.in] |= portMask(o)
 	}
 	// Dequeue flits whose pending output set is exhausted, and demote
@@ -484,6 +461,8 @@ func (r *Router) pickInputWinner(p Port) *candidate {
 	base := int(p) * total
 	bestFlat := -1
 	var bestWants uint8
+	var bestClass int8
+	var bestVCs, vcs [NumPorts]int8
 	bestRank := 1 << 30
 	rvc := r.cfg.ReservedVC(GOReq)
 	for k := 0; k < total; k++ {
@@ -499,21 +478,23 @@ func (r *Router) pickInputWinner(p Port) *candidate {
 		if !r.eligible(f) {
 			continue
 		}
-		wants := r.serviceablePorts(fv, f)
+		wants := r.serviceablePorts(fv, f, &vcs)
 		if wants == 0 {
 			r.Stats.AllocStalls++
 			continue
 		}
-		class := 2
+		class := int8(2)
 		switch {
 		case idx < split && idx == rvc:
 			class = 0
 		case f.bypassCandidate:
 			class = 1
 		}
-		if rank := class*total + k; rank < bestRank {
+		if rank := int(class)*total + k; rank < bestRank {
 			bestFlat = idx
 			bestWants = wants
+			bestClass = class
+			bestVCs = vcs
 			bestRank = rank
 		}
 	}
@@ -529,8 +510,8 @@ func (r *Router) pickInputWinner(p Port) *candidate {
 	// path allocates nothing per cycle.
 	c := &r.candBuf[p]
 	head := r.qFront(fv)
-	*c = candidate{in: p, vnet: v, vcIdx: i, fv: fv, flit: head, wants: bestWants, isRVC: v == GOReq && i == r.cfg.ReservedVC(v), isHead: head.IsHead()}
-	if c.priorityClass() == 2 {
+	*c = candidate{in: p, vnet: v, vcIdx: i, fv: fv, flit: head, wants: bestWants, class: bestClass, dstVC: bestVCs, isHead: head.IsHead()}
+	if bestClass == 2 {
 		next := bestFlat + 1
 		if next >= total {
 			next -= total
@@ -541,9 +522,10 @@ func (r *Router) pickInputWinner(p Port) *candidate {
 }
 
 // serviceablePorts filters a flit's pending output ports down to those whose
-// downstream resources (VC, credit, SID-tracker clearance) are available this
-// cycle.
-func (r *Router) serviceablePorts(fv int, f *Flit) uint8 {
+// downstream resources (VC, credit, SID-tracker clearance, reserved-VC
+// eligibility) are available this cycle, and records in vcs the downstream
+// VC each of them offers.
+func (r *Router) serviceablePorts(fv int, f *Flit, vcs *[NumPorts]int8) uint8 {
 	var wants uint8
 	if f.IsHead() {
 		wants = f.outPorts
@@ -559,12 +541,14 @@ func (r *Router) serviceablePorts(fv int, f *Flit) uint8 {
 			continue
 		}
 		if f.IsHead() {
-			_, reserved, can := r.trk.allocHeadVC(o, f.Pkt.VNet, f.Pkt.SID)
+			vc, reserved, can := r.trk.allocHeadVC(o, f.Pkt.VNet, f.Pkt.SID)
 			if can && (!reserved || r.rvcEligible(o, f)) {
 				ok |= portMask(o)
+				vcs[o] = int8(vc)
 			}
-		} else if r.trk.canSendBody(o, f.Pkt.VNet, int(r.vcOutVC[fv])) {
+		} else if vc := r.vcOutVC[fv]; r.trk.canSendBody(o, f.Pkt.VNet, int(vc)) {
 			ok |= portMask(o)
+			vcs[o] = vc
 		}
 	}
 	return ok
@@ -598,61 +582,54 @@ func (r *Router) rvcEligible(o Port, f *Flit) bool {
 	return false
 }
 
-// claim re-checks and reserves downstream resources for one traversal.
-func (r *Router) claim(c *candidate, o Port) (grant, bool) {
-	f := c.flit
-	if c.isHead {
-		vcIdx, reserved, ok := r.trk.allocHeadVC(o, f.Pkt.VNet, f.Pkt.SID)
-		if !ok || reserved && !r.rvcEligible(o, f) {
-			return grant{}, false
-		}
-		r.trk.claimHeadVC(o, f.Pkt.VNet, vcIdx, f.Pkt.SID)
-		if r.tracer != nil {
-			r.tracer.Record(obs.Event{
-				Cycle: r.now, Type: obs.EvVCAlloc, Node: int32(r.id),
-				Src: int32(f.Pkt.Src), Pkt: f.Pkt.ID, Arg: uint64(vcIdx),
-				Port: int8(o), VNet: int8(f.Pkt.VNet), VC: int16(vcIdx),
-			})
-		}
-		return grant{in: c.in, vnet: c.vnet, vcIdx: c.vcIdx, fv: c.fv, flit: f, out: o, dstVC: vcIdx, isHead: true}, true
+// claim takes the downstream VC SA-I recorded for output o, and one of its
+// credits.
+func (r *Router) claim(c *candidate, o Port) {
+	f, vc := c.flit, int(c.dstVC[o])
+	if !c.isHead {
+		r.trk.chargeBody(o, f.Pkt.VNet, vc)
+		return
 	}
-	dstVC := int(r.vcOutVC[c.fv])
-	if !r.trk.canSendBody(o, f.Pkt.VNet, dstVC) {
-		return grant{}, false
+	r.trk.claimHeadVC(o, f.Pkt.VNet, vc, f.Pkt.SID)
+	if r.tracer != nil {
+		r.tracer.Record(obs.Event{
+			Cycle: r.now, Type: obs.EvVCAlloc, Node: int32(r.id),
+			Src: int32(f.Pkt.Src), Pkt: f.Pkt.ID, Arg: uint64(vc),
+			Port: int8(o), VNet: int8(f.Pkt.VNet), VC: int16(vc),
+		})
 	}
-	r.trk.chargeBody(o, f.Pkt.VNet, dstVC)
-	return grant{in: c.in, vnet: c.vnet, vcIdx: c.vcIdx, fv: c.fv, flit: f, out: o, dstVC: dstVC, isHead: false}, true
 }
 
-// traverse sends one flit copy through the crossbar onto an output link: a
-// 32-byte value copy into the link mailbox, no allocation.
-func (r *Router) traverse(g grant) {
-	out := *g.flit
-	out.inVC = int16(g.dstVC)
+// traverse sends one flit copy through the crossbar onto output o: a 32-byte
+// value copy into the link mailbox, no allocation.
+func (r *Router) traverse(c *candidate, o Port) {
+	f, vc := c.flit, c.dstVC[o]
+	out := *f
+	out.inVC = int16(vc)
 	out.outPorts = 0
-	r.outLink[g.out].Send(out, r.now)
-	g.flit.lastPort = int8(g.out)
-	g.flit.lastDstVC = int8(g.dstVC)
+	r.outLink[o].Send(out, r.now)
+	f.lastPort = int8(o)
+	f.lastDstVC = vc
 	r.Stats.FlitsRouted++
-	if g.flit.bypassCandidate {
+	if f.bypassCandidate {
 		r.Stats.Bypasses++
 	}
 	if r.tracer != nil {
 		ty := obs.EvSAGrant
-		if g.flit.bypassCandidate {
+		if f.bypassCandidate {
 			ty = obs.EvBypass
 		}
 		r.tracer.Record(obs.Event{
 			Cycle: r.now, Type: ty, Node: int32(r.id),
-			Src: int32(g.flit.Pkt.Src), Pkt: g.flit.Pkt.ID, Arg: uint64(g.out),
-			Port: int8(g.out), VNet: int8(g.vnet), VC: int16(g.dstVC),
+			Src: int32(f.Pkt.Src), Pkt: f.Pkt.ID, Arg: uint64(o),
+			Port: int8(o), VNet: int8(c.vnet), VC: int16(vc),
 		})
 	}
-	if r.auditor != nil && g.out == Local {
+	if r.auditor != nil && o == Local {
 		// Every local ejection is one fork leaf of the (possibly multicast)
 		// packet; the auditor checks each (packet, node) assembly sees every
 		// flit exactly once.
-		r.auditor.FlitDelivered(r.id, g.flit.Pkt.ID, g.flit.Seq, g.flit.Pkt.Flits)
+		r.auditor.FlitDelivered(r.id, f.Pkt.ID, f.Seq, f.Pkt.Flits)
 	}
 }
 
