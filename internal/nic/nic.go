@@ -121,6 +121,15 @@ type reqEntry struct {
 	arrive uint64
 }
 
+// reqAt locates a buffered ordered request: the front of port's GO-REQ VC vc
+// when port is set, else holding-buffer slot hold, or the loopback front when
+// hold is negative.
+type reqAt struct {
+	port *meshPort
+	vc   int
+	hold int
+}
+
 // meshPort is the NIC's attachment to one main-network mesh: its terminal,
 // send queues and router-facing VC receive slots. The chip has one; a NIC
 // built on several meshes stripes traffic over them (Section 5.3's multiple
@@ -718,17 +727,7 @@ func (n *NIC) deliver(cycle uint64) {
 				port.reqBuf[vc].PopFront()
 				port.mesh.EjectLink(n.node).SendCredit(noc.Credit{VNet: noc.GOReq, VC: vc, FreeVC: true}, cycle)
 				n.Stats.DeliveredRequests++
-				if n.tracer != nil {
-					n.tracer.Record(obs.Event{
-						Cycle: cycle, Type: obs.EvSink, Node: int32(n.node),
-						Src: int32(e.pkt.Src), Pkt: e.pkt.ID,
-						Port: -1, VNet: int8(noc.GOReq), VC: -1,
-					})
-				}
-				if n.auditor != nil {
-					n.auditor.Sink(n.node, e.pkt.ID, false)
-				}
-				n.recycle(e.pkt)
+				n.sink(e.pkt, noc.GOReq, false, cycle)
 				delivered = true
 			}
 			break
@@ -737,35 +736,28 @@ func (n *NIC) deliver(cycle uint64) {
 	// Ordered mode: only the globally expected request may pass.
 	if n.cfg.Ordered && n.left > 0 {
 		sid := n.esid
-		if p, arrive, ok := n.expectedPacket(sid); ok {
-			if n.agent.AcceptOrderedRequest(p, arrive, cycle) {
-				n.check.Commit(n.node, p.ID, cycle)
-				n.consumeExpected(sid, cycle)
-				if n.tracer != nil {
-					n.tracer.Record(obs.Event{
-						Cycle: cycle, Type: obs.EvOrderCommit, Node: int32(n.node),
-						Src: int32(p.Src), Pkt: p.ID, Arg: n.deliveredSeq[sid],
-						Port: -1, VNet: int8(noc.GOReq), VC: -1,
-					})
-					n.tracer.Record(obs.Event{
-						Cycle: cycle, Type: obs.EvSink, Node: int32(n.node),
-						Src: int32(p.Src), Pkt: p.ID,
-						Port: -1, VNet: int8(noc.GOReq), VC: -1,
-					})
-				}
-				if n.auditor != nil {
-					n.auditor.OrderCommit(n.node, p.ID, p.Src, cycle)
-					n.auditor.Sink(n.node, p.ID, true)
-				}
-				n.recycle(p)
-				n.deliveredSeq[sid]++
-				n.Stats.DeliveredRequests++
-				n.Stats.OrderingLatency.Observe(float64(cycle - arrive))
-				if n.left--; n.left == 0 {
-					n.seek(sid + 1)
-				}
-				delivered = true
+		if e, at, ok := n.expectedPacket(sid); ok && n.agent.AcceptOrderedRequest(e.pkt, e.arrive, cycle) {
+			p := e.pkt
+			n.check.Commit(n.node, p.ID, cycle)
+			n.take(at, cycle)
+			if n.tracer != nil {
+				n.tracer.Record(obs.Event{
+					Cycle: cycle, Type: obs.EvOrderCommit, Node: int32(n.node),
+					Src: int32(p.Src), Pkt: p.ID, Arg: n.deliveredSeq[sid],
+					Port: -1, VNet: int8(noc.GOReq), VC: -1,
+				})
 			}
+			if n.auditor != nil {
+				n.auditor.OrderCommit(n.node, p.ID, p.Src, cycle)
+			}
+			n.sink(p, noc.GOReq, true, cycle)
+			n.deliveredSeq[sid]++
+			n.Stats.DeliveredRequests++
+			n.Stats.OrderingLatency.Observe(float64(cycle - e.arrive))
+			if n.left--; n.left == 0 {
+				n.seek(sid + 1)
+			}
+			delivered = true
 		}
 	}
 	// Assembled responses flow on the parallel data channels.
@@ -774,17 +766,7 @@ func (n *NIC) deliver(cycle uint64) {
 		if n.agent.AcceptResponse(p, cycle) {
 			n.doneResp.PopFront()
 			n.Stats.DeliveredResponses++
-			if n.tracer != nil {
-				n.tracer.Record(obs.Event{
-					Cycle: cycle, Type: obs.EvSink, Node: int32(n.node),
-					Src: int32(p.Src), Pkt: p.ID,
-					Port: -1, VNet: int8(noc.UOResp), VC: -1,
-				})
-			}
-			if n.auditor != nil {
-				n.auditor.Sink(n.node, p.ID, false)
-			}
-			n.recycle(p)
+			n.sink(p, noc.UOResp, false, cycle)
 			delivered = true
 		}
 	}
@@ -793,10 +775,21 @@ func (n *NIC) deliver(cycle uint64) {
 	}
 }
 
-// recycle counts one delivery of p and hands it to the pool if it was the
-// last: a unicast packet's only one, or a broadcast's final one on any
-// node. Call it after everything on this node has read the packet.
-func (n *NIC) recycle(p *noc.Packet) {
+// sink records p's delivery to the agent for the tracer and the auditor,
+// then counts it toward p's recycling: the pool takes p back at its last
+// delivery, a unicast packet's only one or a broadcast's final one on any
+// node. It is the last read of p on this node.
+func (n *NIC) sink(p *noc.Packet, vnet noc.VNet, ordered bool, cycle uint64) {
+	if n.tracer != nil {
+		n.tracer.Record(obs.Event{
+			Cycle: cycle, Type: obs.EvSink, Node: int32(n.node),
+			Src: int32(p.Src), Pkt: p.ID,
+			Port: -1, VNet: int8(vnet), VC: -1,
+		})
+	}
+	if n.auditor != nil {
+		n.auditor.Sink(n.node, p.ID, ordered)
+	}
 	if p.Delivered() && n.pool != nil {
 		n.pool.Recycle(p)
 	}
@@ -804,59 +797,44 @@ func (n *NIC) recycle(p *noc.Packet) {
 
 // expectedPacket finds the exact (SID, sequence) occurrence the global order
 // expects, searching the loopback queue (own requests), the holding buffer,
-// and the router-facing VC slots of every port.
-func (n *NIC) expectedPacket(sid int) (*noc.Packet, uint64, bool) {
+// and the router-facing VC slots of every port, and reports where it sits.
+func (n *NIC) expectedPacket(sid int) (reqEntry, reqAt, bool) {
 	seq := n.deliveredSeq[sid]
 	if sid == n.ownSID {
 		if !n.loopback.Empty() && n.loopback.Front().SrcSeq == seq {
 			p := n.loopback.Front()
-			return p, p.InjectCycle, true
+			return reqEntry{pkt: p, arrive: p.InjectCycle}, reqAt{hold: -1}, true
 		}
-		return nil, 0, false
+		return reqEntry{}, reqAt{}, false
 	}
 	for i := 0; i < n.reqHold.Len(); i++ {
-		e := n.reqHold.At(i)
-		if e.pkt.SID == sid && e.pkt.SrcSeq == seq {
-			return e.pkt, e.arrive, true
+		if e := n.reqHold.At(i); e.pkt.SID == sid && e.pkt.SrcSeq == seq {
+			return e, reqAt{hold: i}, true
 		}
 	}
 	for _, port := range n.ports {
 		for vc := range port.reqBuf {
 			buf := &port.reqBuf[vc]
 			if !buf.Empty() && buf.Front().pkt.SID == sid && buf.Front().pkt.SrcSeq == seq {
-				return buf.Front().pkt, buf.Front().arrive, true
+				return buf.Front(), reqAt{port: port, vc: vc}, true
 			}
 		}
 	}
-	return nil, 0, false
+	return reqEntry{}, reqAt{}, false
 }
 
-// consumeExpected removes the delivered packet from its buffer, returning a
-// credit to the router when it still occupied a VC slot.
-func (n *NIC) consumeExpected(sid int, cycle uint64) {
-	seq := n.deliveredSeq[sid]
-	if sid == n.ownSID {
+// take removes the delivered request from where expectedPacket found it,
+// returning a credit to the router when it still occupied a VC slot.
+func (n *NIC) take(at reqAt, cycle uint64) {
+	switch {
+	case at.port != nil:
+		at.port.reqBuf[at.vc].PopFront()
+		at.port.mesh.EjectLink(n.node).SendCredit(noc.Credit{VNet: noc.GOReq, VC: at.vc, FreeVC: true}, cycle)
+	case at.hold >= 0:
+		n.reqHold.RemoveAt(at.hold)
+	default:
 		n.loopback.PopFront()
-		return
 	}
-	for i := 0; i < n.reqHold.Len(); i++ {
-		e := n.reqHold.At(i)
-		if e.pkt.SID == sid && e.pkt.SrcSeq == seq {
-			n.reqHold.RemoveAt(i)
-			return
-		}
-	}
-	for _, port := range n.ports {
-		for vc := range port.reqBuf {
-			buf := &port.reqBuf[vc]
-			if !buf.Empty() && buf.Front().pkt.SID == sid && buf.Front().pkt.SrcSeq == seq {
-				buf.PopFront()
-				port.mesh.EjectLink(n.node).SendCredit(noc.Credit{VNet: noc.GOReq, VC: vc, FreeVC: true}, cycle)
-				return
-			}
-		}
-	}
-	panic("nic: consumeExpected called without a buffered packet")
 }
 
 // inject serializes at most one flit per cycle into one port's router,
