@@ -99,17 +99,24 @@ type unit struct {
 	measured bool // cost holds measured time, not the component count
 }
 
+// reg is one registered component and the scheduling unit it runs in.
+type reg struct {
+	c    Component
+	unit int32
+}
+
 // Kernel drives a set of components with a shared synchronous clock.
 type Kernel struct {
-	components []Component
-	groupKeys  []int // per-component group key; negative = singleton unit
-	acts       []*Activity
-	groupActs  []*Activity // per group key; nil = no unit yet
+	// regs lists the components in registration order, each with its unit;
+	// mailboxes holds one wake mailbox per unit, in the order the units
+	// opened; keyUnit maps a RegisterGroup key to its unit (-1 = none yet).
+	regs      []reg
+	mailboxes []*Activity
+	keyUnit   []int32
 	// actBlock is the unused rest of the block Register and RegisterGroup
 	// hand mailboxes out of: a block never moves, so each mailbox keeps its
 	// address for the kernel's life.
 	actBlock []Activity
-	nextAuto int
 	cycle    uint64
 
 	workers int
@@ -148,7 +155,7 @@ type Kernel struct {
 
 // NewKernel returns an empty kernel at cycle 0 with idle-skip enabled.
 func NewKernel() *Kernel {
-	return &Kernel{nextAuto: -1, idleSkip: true}
+	return &Kernel{idleSkip: true}
 }
 
 // actBlockLen is the number of wake mailboxes allocated at once: with the
@@ -172,37 +179,39 @@ func (k *Kernel) newActivity() *Activity {
 // Register adds a component to the kernel's tick list as its own scheduling
 // unit and returns the unit's wake mailbox (stable for the kernel's life).
 func (k *Kernel) Register(c Component) *Activity {
-	a := k.newActivity()
-	k.components = append(k.components, c)
-	k.groupKeys = append(k.groupKeys, k.nextAuto)
-	k.acts = append(k.acts, a)
-	k.nextAuto--
-	k.dirty = true
-	return a
+	return k.add(c, k.openUnit())
 }
 
 // RegisterGroup adds a component to the scheduling unit identified by key
 // (key >= 0; keys index a slice, so machines use their node numbers). All
 // components sharing a key execute on the same worker, in registration
-// order, so they may call each other directly during a phase. Returns the
-// unit's shared wake mailbox.
+// order, so they may call each other directly during a phase. The unit opens
+// at the key's first component. Returns the unit's shared wake mailbox.
 func (k *Kernel) RegisterGroup(key int, c Component) *Activity {
 	if key < 0 {
 		panic("sim: RegisterGroup key must be non-negative")
 	}
-	for len(k.groupActs) <= key {
-		k.groupActs = append(k.groupActs, nil)
+	for len(k.keyUnit) <= key {
+		k.keyUnit = append(k.keyUnit, -1)
 	}
-	a := k.groupActs[key]
-	if a == nil {
-		a = k.newActivity()
-		k.groupActs[key] = a
+	if k.keyUnit[key] < 0 {
+		k.keyUnit[key] = k.openUnit()
 	}
-	k.components = append(k.components, c)
-	k.groupKeys = append(k.groupKeys, key)
-	k.acts = append(k.acts, a)
+	return k.add(c, k.keyUnit[key])
+}
+
+// openUnit opens a scheduling unit with a fresh wake mailbox and returns its
+// number.
+func (k *Kernel) openUnit() int32 {
+	k.mailboxes = append(k.mailboxes, k.newActivity())
+	return int32(len(k.mailboxes) - 1)
+}
+
+// add appends c to unit u and returns the unit's wake mailbox.
+func (k *Kernel) add(c Component, u int32) *Activity {
+	k.regs = append(k.regs, reg{c: c, unit: u})
 	k.dirty = true
-	return a
+	return k.mailboxes[u]
 }
 
 // SetWorkers selects the execution mode: n <= 1 runs every phase on the
@@ -483,7 +492,7 @@ func (k *Kernel) StopWorkers() {
 
 // Components reports how many components are registered.
 func (k *Kernel) Components() int {
-	return len(k.components)
+	return len(k.regs)
 }
 
 // ActiveUnits reports the activity engine's current active/total scheduling
@@ -491,7 +500,7 @@ func (k *Kernel) Components() int {
 // idle-skip is off).
 func (k *Kernel) ActiveUnits() (active, total int) {
 	if len(k.units) == 0 {
-		return len(k.components), len(k.components)
+		return len(k.regs), len(k.regs)
 	}
 	return k.nActive, len(k.units)
 }
@@ -650,7 +659,7 @@ func (k *Kernel) ensureEngine() *phasePool {
 		k.dirty = false
 		k.units = nil
 	}
-	if k.units == nil && len(k.components) > 0 {
+	if k.units == nil && len(k.regs) > 0 {
 		k.units = k.buildUnits()
 		k.nActive = len(k.units)
 		k.actDirty = true
@@ -664,8 +673,8 @@ func (k *Kernel) ensureEngine() *phasePool {
 		k.noShard = len(k.units) < 2 || runtime.GOMAXPROCS(0) < 2
 		// A serial kernel's dispatch list holds at most every component:
 		// sized here, its rebuilds never grow it.
-		if k.serial() && cap(k.serialAct) < len(k.components) {
-			k.serialAct = make([]Component, 0, len(k.components))
+		if k.serial() && cap(k.serialAct) < len(k.regs) {
+			k.serialAct = make([]Component, 0, len(k.regs))
 		}
 	}
 	if k.serial() {
@@ -689,80 +698,52 @@ func (k *Kernel) ensureEngine() *phasePool {
 // serial reports whether the kernel steps on the calling goroutine: one
 // worker, too few components to split, or no shards (see ensureEngine).
 func (k *Kernel) serial() bool {
-	return k.workers <= 1 || len(k.components) < 2*k.workers || k.noShard
+	return k.workers <= 1 || len(k.regs) < 2*k.workers || k.noShard
 }
 
-// buildUnits groups components into scheduling units (registration order
-// within a unit, first-appearance order across units), weighs each unit by
-// its component count, and resets every unit's activity to active. Every
-// unit's comps, idlers and nexters are cut from three shared slices.
+// buildUnits builds the scheduling units registration opened (registration
+// order within a unit), weighs each unit by its component count, and resets
+// every unit's activity to active. It counts each unit's members, then cuts
+// every unit's comps, idlers and nexters from three shared slices.
 func (k *Kernel) buildUnits() []unit {
-	// unitOf maps a group key to its unit (-1 = none yet); of maps each
-	// component to its unit.
-	unitOf := make([]int32, len(k.groupActs))
-	for i := range unitOf {
-		unitOf[i] = -1
-	}
-	of := make([]int32, len(k.components))
-	n := int32(0)
-	for i := range k.components {
-		key := k.groupKeys[i]
-		if key >= 0 && unitOf[key] >= 0 {
-			of[i] = unitOf[key]
-			continue
-		}
-		if key >= 0 {
-			unitOf[key] = n
-		}
-		of[i] = n
-		n++
-	}
-	units := make([]unit, n)
-	// Count each unit's members, then cut its pieces in unit order.
-	nComps := make([]int32, n)
-	nIdlers := make([]int32, n)
-	nNexters := make([]int32, n)
+	units := make([]unit, len(k.mailboxes))
+	count := make([][3]int32, len(units)) // per unit: components, Idlers, NextEventers
 	idlers, nexters := 0, 0
-	for i, c := range k.components {
-		u := of[i]
-		if nComps[u] == 0 {
-			units[u].act = k.acts[i]
-		}
-		nComps[u]++
-		if _, ok := c.(Idler); ok {
-			nIdlers[u]++
+	for _, r := range k.regs {
+		n := &count[r.unit]
+		n[0]++
+		if _, ok := r.c.(Idler); ok {
+			n[1]++
 			idlers++
 		}
-		if _, ok := c.(NextEventer); ok {
-			nNexters[u]++
+		if _, ok := r.c.(NextEventer); ok {
+			n[2]++
 			nexters++
 		}
 	}
-	compSlab := make([]Component, len(k.components))
+	compSlab := make([]Component, len(k.regs))
 	idlerSlab := make([]Idler, idlers)
 	nexterSlab := make([]NextEventer, nexters)
 	for i := range units {
-		u := &units[i]
-		u.comps, compSlab = compSlab[:0:nComps[i]], compSlab[nComps[i]:]
-		u.idlers, idlerSlab = idlerSlab[:0:nIdlers[i]], idlerSlab[nIdlers[i]:]
-		u.nexters, nexterSlab = nexterSlab[:0:nNexters[i]], nexterSlab[nNexters[i]:]
-		u.canIdle = nIdlers[i] == nComps[i]
+		u, n := &units[i], count[i]
+		u.comps, compSlab = compSlab[:0:n[0]], compSlab[n[0]:]
+		u.idlers, idlerSlab = idlerSlab[:0:n[1]], idlerSlab[n[1]:]
+		u.nexters, nexterSlab = nexterSlab[:0:n[2]], nexterSlab[n[2]:]
+		u.canIdle = n[1] == n[0]
+		u.cost = float64(n[0])
+		u.active = true
+		u.act = k.mailboxes[i]
+		u.act.state.Store(0)
 	}
-	for i, c := range k.components {
-		u := &units[of[i]]
-		u.comps = append(u.comps, c)
-		if d, ok := c.(Idler); ok {
+	for _, r := range k.regs {
+		u := &units[r.unit]
+		u.comps = append(u.comps, r.c)
+		if d, ok := r.c.(Idler); ok {
 			u.idlers = append(u.idlers, d)
 		}
-		if nx, ok := c.(NextEventer); ok {
+		if nx, ok := r.c.(NextEventer); ok {
 			u.nexters = append(u.nexters, nx)
 		}
-	}
-	for i := range units {
-		u := &units[i]
-		u.cost = float64(len(u.comps))
-		u.active = true
-		u.act.state.Store(0)
 	}
 	return units
 }

@@ -272,3 +272,48 @@ func TestRNGForkIndependence(t *testing.T) {
 		t.Fatal("forked stream should not mirror parent")
 	}
 }
+
+// registerMachine registers a 6×6 SCORPIO machine's kernel shape, in the
+// builder's order: a NIC per node as the first member of the node's group,
+// the 36 routers and the notification network as units of their own, then
+// an L2 joining each node's group (after a memory controller at four
+// nodes), then an injector per node. That is 149 components in 73 units
+// under 36 group keys.
+func registerMachine(k *Kernel) {
+	const nodes = 36
+	for node := 0; node < nodes; node++ {
+		k.RegisterGroup(node, nopComponent{})
+	}
+	for node := 0; node < nodes; node++ {
+		k.Register(nopComponent{})
+	}
+	k.Register(nopComponent{})
+	for node := 0; node < nodes; node++ {
+		if node%9 == 4 {
+			k.RegisterGroup(node, nopComponent{})
+		}
+		k.RegisterGroup(node, nopComponent{})
+	}
+	for node := 0; node < nodes; node++ {
+		k.RegisterGroup(node, nopComponent{})
+	}
+}
+
+// TestRegisterAndBuildAllocs holds a machine-shaped kernel's registration
+// and first Step to a fixed allocation budget. Registration keeps one list
+// of (component, unit) and one mailbox per unit, and the first Step only
+// counts each unit's members and cuts its slices; keeping three
+// per-component registration lists, or mapping keys to units again at the
+// first Step, costs about 15 more.
+func TestRegisterAndBuildAllocs(t *testing.T) {
+	const bound = 32
+	allocs := testing.AllocsPerRun(20, func() {
+		k := NewKernel()
+		registerMachine(k)
+		k.Step()
+	})
+	t.Logf("registering 149 components in 73 units and stepping once: %.0f allocations", allocs)
+	if allocs > bound {
+		t.Fatalf("registration and first Step allocate %.0f times, over the bound of %d", allocs, bound)
+	}
+}
