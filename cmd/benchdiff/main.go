@@ -4,18 +4,20 @@
 // by -perf-report), detected from the file contents.
 //
 //	benchdiff BENCH_3.json BENCH_4.json          # gate: exit 1 on regression
-//	benchdiff -threshold 0.05 old.json new.json  # tighter gate
+//	benchdiff -threshold 0.05 old.json new.json  # tighter RunReport gate
 //	benchdiff serial.perf.json workers4.perf.json # scaling A/B (informational)
 //
-// Comparison is noise-aware: for benchmark files the effective threshold per
-// benchmark is the larger of -threshold and the observed sample spread
-// ((max-min)/min across both files' samples), so a noisy benchmark cannot
-// flunk the gate on a rerun of itself. When the two files carry differing
-// host stamps (CPU count, go version, OS/arch), regressions are downgraded
-// to warnings and the exit stays zero — a baseline taken on another machine
-// is a trajectory marker, not a gate. RunReports are likewise compared only
-// when their config digests match; differing digests (different workload or
-// topology) and differing worker counts make the diff informational.
+// For benchmark files every time delta is printed, but only allocs/op and
+// bytes/op gate: two committed baselines come from different sessions on a
+// host whose speed drifts 10-30% between them, so a time row there measures
+// the host, not the code. Time is compared by alternating parent and change
+// runs in one session instead. When the two files carry differing host
+// stamps (CPU count, go version, OS/arch), regressions are downgraded to
+// warnings and the exit stays zero — a baseline taken on another machine is
+// a trajectory marker, not a gate. RunReports gate on throughput, compared
+// only when their config digests match; differing digests (different
+// workload or topology) and differing worker counts make the diff
+// informational.
 //
 // Exit codes: 0 clean (or warnings only), 1 regression, 2 usage/parse error.
 package main
@@ -34,20 +36,13 @@ import (
 // out is where the diff lines go; tests swap it for a buffer.
 var out io.Writer = os.Stdout
 
-// benchSample mirrors cmd/benchjson's per-run sample (only the field the
-// noise estimate needs).
-type benchSample struct {
-	NsPerOp float64 `json:"ns_per_op"`
-}
-
 // benchEntry mirrors cmd/benchjson's aggregated benchmark record.
 type benchEntry struct {
-	Name         string        `json:"name"`
-	Samples      []benchSample `json:"samples"`
-	MinNsPerOp   float64       `json:"min_ns_per_op"`
-	MeanNsPerOp  float64       `json:"mean_ns_per_op"`
-	MeanBytesOp  float64       `json:"mean_bytes_per_op"`
-	MeanAllocsOp float64       `json:"mean_allocs_per_op"`
+	Name         string  `json:"name"`
+	MinNsPerOp   float64 `json:"min_ns_per_op"`
+	MeanNsPerOp  float64 `json:"mean_ns_per_op"`
+	MeanBytesOp  float64 `json:"mean_bytes_per_op"`
+	MeanAllocsOp float64 `json:"mean_allocs_per_op"`
 }
 
 // benchFile mirrors cmd/benchjson's top-level report.
@@ -64,7 +59,7 @@ type probe struct {
 }
 
 func main() {
-	threshold := flag.Float64("threshold", 0.10, "relative time-regression threshold (raised per benchmark by observed sample noise)")
+	threshold := flag.Float64("threshold", 0.10, "relative throughput-regression threshold for RunReports")
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: benchdiff [-threshold F] OLD.json NEW.json\n")
 		flag.PrintDefaults()
@@ -84,7 +79,7 @@ func main() {
 	var regressions, warnings int
 	switch oldKind {
 	case "bench":
-		regressions, warnings = diffBench(flag.Arg(0), oldRaw, flag.Arg(1), newRaw, *threshold)
+		regressions, warnings = diffBench(flag.Arg(0), oldRaw, flag.Arg(1), newRaw)
 	case "perf-report":
 		regressions, warnings = diffReports(oldRaw, newRaw, *threshold)
 	}
@@ -127,29 +122,9 @@ func fatalf(format string, args ...any) {
 	os.Exit(2)
 }
 
-// spread returns the relative sample spread (max-min)/min, the noise floor
-// for one benchmark's timing comparison.
-func spread(samples []benchSample) float64 {
-	if len(samples) < 2 {
-		return 0
-	}
-	lo, hi := samples[0].NsPerOp, samples[0].NsPerOp
-	for _, s := range samples[1:] {
-		if s.NsPerOp < lo {
-			lo = s.NsPerOp
-		}
-		if s.NsPerOp > hi {
-			hi = s.NsPerOp
-		}
-	}
-	if lo <= 0 {
-		return 0
-	}
-	return (hi - lo) / lo
-}
-
 // diffBench compares two benchjson files and returns (regressions, warnings).
-func diffBench(oldPath string, oldRaw []byte, newPath string, newRaw []byte, threshold float64) (int, int) {
+// Time deltas are printed; allocs/op and bytes/op gate.
+func diffBench(oldPath string, oldRaw []byte, newPath string, newRaw []byte) (int, int) {
 	var oldF, newF benchFile
 	if err := json.Unmarshal(oldRaw, &oldF); err != nil {
 		fatalf("%s: %v", oldPath, err)
@@ -178,24 +153,11 @@ func diffBench(oldPath string, oldRaw []byte, newPath string, newRaw []byte, thr
 			continue
 		}
 		seen[ob.Name] = true
-		eff := threshold
-		if n := spread(ob.Samples); n > eff {
-			eff = n
-		}
-		if n := spread(nb.Samples); n > eff {
-			eff = n
-		}
 		verdict := "ok"
 		bad := false
 		delta := 0.0
 		if ob.MinNsPerOp > 0 {
 			delta = (nb.MinNsPerOp - ob.MinNsPerOp) / ob.MinNsPerOp
-		}
-		switch {
-		case delta > eff:
-			verdict, bad = "TIME REGRESSION", true
-		case delta < -eff:
-			verdict = "improved"
 		}
 		// Allocation and byte regressions get small absolute+relative slack:
 		// alloc counts are near-deterministic, bytes jitter with map growth.
@@ -212,8 +174,8 @@ func diffBench(oldPath string, oldRaw []byte, newPath string, newRaw []byte, thr
 				warnings++
 			}
 		}
-		fmt.Fprintf(out, "%-56s %12s -> %-12s %+6.1f%% (gate %.0f%%) %s\n",
-			ob.Name, fmtNs(ob.MinNsPerOp), fmtNs(nb.MinNsPerOp), 100*delta, 100*eff, verdict)
+		fmt.Fprintf(out, "%-56s %12s -> %-12s %+6.1f%% %s\n",
+			ob.Name, fmtNs(ob.MinNsPerOp), fmtNs(nb.MinNsPerOp), 100*delta, verdict)
 	}
 	for _, nb := range newF.Benchmarks {
 		if !seen[nb.Name] {

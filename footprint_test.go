@@ -123,16 +123,16 @@ func TestDirectoryBuildFootprint(t *testing.T) {
 // buildAllocsBound16x16 bound the heap allocations of one machine build
 // plus its first kernel step. Every component kind that exists once per
 // node, port or link is one slice per machine, so the count no longer grows
-// with the mesh: SCORPIO 159-166 and LPD-D/HT-D 136-144 at 6×6, 198-203 at
-// 16×16, against 3,236-3,390 and 23,349 when each router, link, ring,
-// controller and injector was its own object, and 180-195 at 6×6 while each
-// directory home made a line map and each memory controller a held-request
-// map at build. A kind allocated once per node again adds 36 at 6×6, which
-// both 6×6 bounds catch, and 256 at 16×16; links one by one add 576 and
-// 4,416.
+// with the mesh: over ten runs SCORPIO 143-144, LPD-D 121-128 and HT-D
+// 123-126 at 6×6, 178-182 at 16×16. The 6×6 bounds sit below the 159-167
+// and 136-143 read while the kernel grew three per-component registration
+// lists by append and mapped keys to units again at the first step; they
+// read 3,236-3,390 and 23,349 when each router, link, ring, controller and
+// injector was its own object. A kind allocated once per node again adds 36
+// at 6×6 and 256 at 16×16; links one by one add 576 and 4,416.
 const (
-	buildAllocsBoundScorpio6x6   = 190
-	buildAllocsBoundDirectory6x6 = 170
+	buildAllocsBoundScorpio6x6   = 152
+	buildAllocsBoundDirectory6x6 = 132
 	buildAllocsBound16x16        = 1500
 )
 
