@@ -121,9 +121,9 @@ type reqEntry struct {
 	arrive uint64
 }
 
-// reqAt locates a buffered ordered request: the front of port's GO-REQ VC vc
-// when port is set, else holding-buffer slot hold, or the loopback front when
-// hold is negative.
+// reqAt locates a buffered request: the front of port's GO-REQ VC vc when
+// port is set, else holding-buffer slot hold, or the loopback front when hold
+// is negative.
 type reqAt struct {
 	port *meshPort
 	vc   int
@@ -724,8 +724,7 @@ func (n *NIC) deliver(cycle uint64) {
 			e := port.reqBuf[vc].Front()
 			if n.agent.AcceptOrderedRequest(e.pkt, e.arrive, cycle) {
 				port.arrivalQ.PopFront()
-				port.reqBuf[vc].PopFront()
-				port.mesh.EjectLink(n.node).SendCredit(noc.Credit{VNet: noc.GOReq, VC: vc, FreeVC: true}, cycle)
+				n.take(reqAt{port: port, vc: vc}, cycle)
 				n.Stats.DeliveredRequests++
 				n.sink(e.pkt, noc.GOReq, false, cycle)
 				delivered = true
@@ -823,8 +822,8 @@ func (n *NIC) expectedPacket(sid int) (reqEntry, reqAt, bool) {
 	return reqEntry{}, reqAt{}, false
 }
 
-// take removes the delivered request from where expectedPacket found it,
-// returning a credit to the router when it still occupied a VC slot.
+// take removes a delivered request from where it sits, returning a credit to
+// the router when it still occupied a VC slot.
 func (n *NIC) take(at reqAt, cycle uint64) {
 	switch {
 	case at.port != nil:
