@@ -89,3 +89,40 @@ func TestAcceptIntoFullVCPanics(t *testing.T) {
 		}()
 	}
 }
+
+// TestSAOGrantsByPriorityClass holds SA-O to the class each candidate
+// carries from SA-I (Section 3.2: lookaheads beat buffered flits, and a flit
+// in the reserved VC beats both). A buffered flit from West and a rival from
+// Local both want East, and East's round-robin pointer favours West, yet the
+// rival takes East.
+func TestSAOGrantsByPriorityClass(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Width, cfg.Height = 4, 4
+	at := cfg.NodeAt(1, 1)
+	for _, rvc := range []bool{true, false} {
+		name, vc := "lookahead", 0
+		if rvc {
+			name, vc = "reserved VC", cfg.ReservedVC(GOReq)
+		}
+		t.Run(name, func(t *testing.T) {
+			m, err := NewMesh(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r := m.Router(at)
+			r.now = 10
+			buffered := NewFlit(&Packet{ID: 1, VNet: UOResp, Src: cfg.NodeAt(0, 1), Dst: cfg.NodeAt(3, 1), Flits: 1}, 0, 0)
+			r.acceptFlit(West, &buffered)
+			r.qFront(r.flatVC(West, UOResp, 0)).bypassCandidate = false
+			rival := NewFlit(&Packet{ID: 2, VNet: GOReq, Src: at, SID: at, Broadcast: true, Flits: 1}, 0, vc)
+			r.acceptFlit(Local, &rival)
+			r.qFront(r.flatVC(Local, GOReq, vc)).bypassCandidate = !rvc
+			r.now += uint64(cfg.RouterStages)
+			r.saPtr[East] = int(West)
+			r.allocate()
+			if f := r.outLink[East].Flit(r.now + 1); f == nil || f.Pkt.ID != 2 {
+				t.Fatalf("East carried %v, want the %s flit (packet 2)", f, name)
+			}
+		})
+	}
+}
